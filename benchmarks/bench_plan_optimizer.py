@@ -1,19 +1,21 @@
-"""Plan replay optimized vs unoptimized — the plan-optimizer bench.
+"""Plan replay vs the eager step — the plan-optimizer bench.
 
-The plan optimizer (:mod:`repro.autograd.planopt`) rewrites a compiled
+The replay engine (:mod:`repro.autograd.planopt`) shapes a compiled
 :class:`~repro.autograd.tape.Plan` at compile time: dead records that never
 reach the loss are dropped, adjacent single-consumer elementwise runs fuse
 into one dispatch, and every poolable intermediate (forward activations and
 gradient accumulators alike) is served from a per-plan buffer arena instead
 of a fresh allocation, with ufuncs writing straight into the reused buffers.
-All of it is bit-for-bit with unoptimized replay — the passes only change
-*where* results land, never which ops run in which order.
+All of it is bit-for-bit with the eager step (``apply_op`` +
+``Tensor.backward``) — the passes only change *where* results land, never
+which ops run in which order.
 
 The workload here is the regime those passes exist for: a step dominated by
 elementwise dispatch and allocator traffic (an MLP whose body is a deep
-tanh/sigmoid/relu chain) rather than by BLAS time.  Both plans are compiled
-from the *same* tape, replayed back to back, and the results are checked
-bitwise before any timing is trusted.
+tanh/sigmoid/relu chain) rather than by BLAS time.  The plan is traced from
+the very step function the eager baseline runs, both step back to back on
+the same batch, and the results are checked bitwise before any timing is
+trusted.
 
 Three measurement controls keep the timing honest on a shared machine:
 
@@ -27,14 +29,14 @@ Three measurement controls keep the timing honest on a shared machine:
   (``mallopt(M_MMAP_THRESHOLD)``), because its *dynamic* adjustment makes
   big-block allocation cost bimodal — in a fresh heap, every unpooled
   activation then takes the same big-block path every step.  The
-  activations are kept small enough that the optimized plan's arena stays
+  activations are kept small enough that the plan's arena stays
   cache-resident, so its throughput barely moves under outside load;
-* the two plans are timed in alternating interleaved blocks and each keeps
+* the two steps are timed in alternating interleaved blocks and each keeps
   its best block, so transient machine load cancels out of the ratio.
 
-Asserted invariants: optimized replay reproduces the unoptimized loss and
-every parameter gradient bit-for-bit, clears at least a 1.3x steps/sec
-multiple, and cuts the tracemalloc steady-state peak (allocations per step
+Asserted invariants: plan replay reproduces the eager loss and every
+parameter gradient bit-for-bit, clears at least a 1.3x steps/sec multiple
+over eager, and cuts the tracemalloc steady-state peak (allocations per step
 once the arena is warm) by at least 30%.  Results land in the append-only
 ``plan_optimizer`` section of ``BENCH_round.json``.
 """
@@ -68,7 +70,7 @@ BATCH = 64   # 64 x 64 float64 = 32KiB per activation: at the pinned mmap
              # threshold, so every unpooled intermediate takes the big-block
              # allocator path, while the arena's working set stays cache-sized
 BLOCK_STEPS = 30   # steps per timed block
-BLOCK_REPS = 6     # interleaved (plain, optimized) block pairs; best-of wins
+BLOCK_REPS = 6     # interleaved (eager, replay) block pairs; best-of wins
 WARMUP_STEPS = 8
 TRACED_STEPS = 3   # steady-state window for the tracemalloc peak
 
@@ -89,7 +91,12 @@ def _pin_mmap_threshold() -> bool:
 
 
 def _build_step():
-    """One dispatch-bound training step: matmul, deep elementwise body, loss."""
+    """One dispatch-bound training step: matmul, deep elementwise body, loss.
+
+    Returns the eager step (a closure leaving gradients in ``param.grad``),
+    the plan traced from the same loss function, the parameters and the
+    replay bindings.
+    """
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((BATCH, WIDTH)))
     params = [Parameter(rng.standard_normal((WIDTH, WIDTH)) * 0.1) for _ in range(3)]
@@ -102,88 +109,84 @@ def _build_step():
         h = (h @ params[1]) + (h @ params[2])
         return (h * h).sum() * (1.0 / (BATCH * WIDTH))
 
+    def eager_step():
+        for param in params:
+            param.grad = None
+        loss = loss_fn(x)
+        loss.backward()
+        return loss.data
+
     tape = Tape()
     tape.mark_input("x", x)
     with tracing(tape):
         loss = loss_fn(x)
-    return tape, loss, {"x": x.data}
+    return eager_step, Plan(tape, loss), params, {"x": x.data}
 
 
-def _snapshot(plan: Plan, bindings: dict) -> dict:
-    """One replay's loss and gradients, copied out of any reused buffers."""
-    loss, leaf_grads = plan.execute(bindings)
-    # Copy: optimized replay serves gradients from arena buffers that the
-    # next execute overwrites in place.
-    grads = {slot: np.array(grad, copy=True) for slot, grad in leaf_grads.items()}
-    return {"loss": float(loss), "grads": grads}
+def _interleaved_best(eager_step, plan: Plan, bindings: dict) -> dict:
+    """Best steps/sec per side over alternating timed blocks.
 
-
-def _interleaved_best(plain: Plan, optimized: Plan, bindings: dict) -> dict:
-    """Best steps/sec per plan over alternating timed blocks.
-
-    Interleaving means a load spike hits both plans about equally, and
-    best-of picks each plan's least-disturbed block, so the reported *ratio*
+    Interleaving means a load spike hits both sides about equally, and
+    best-of picks each side's least-disturbed block, so the reported *ratio*
     is stable even when absolute throughput wobbles.
     """
+    steps = {"eager": eager_step, "replay": lambda: plan.execute(bindings)}
     for _ in range(WARMUP_STEPS):
-        plain.execute(bindings)
-        optimized.execute(bindings)
-    best = {"plain": 0.0, "optimized": 0.0}
+        for step in steps.values():
+            step()
+    best = {"eager": 0.0, "replay": 0.0}
     for _ in range(BLOCK_REPS):
-        for name, plan in (("plain", plain), ("optimized", optimized)):
+        for name, step in steps.items():
             start = time.perf_counter()
             for _ in range(BLOCK_STEPS):
-                plan.execute(bindings)
+                step()
             elapsed = time.perf_counter() - start
             best[name] = max(best[name], BLOCK_STEPS / elapsed)
     return best
 
 
-def _steady_state_peak(plan: Plan, bindings: dict) -> int:
+def _steady_state_peak(step) -> int:
     """tracemalloc peak over a window where arena/grad buffers already exist,
     so the number is per-step allocator traffic, not one-time warmup cost."""
-    plan.execute(bindings)
+    step()
     tracemalloc.start()
     for _ in range(TRACED_STEPS):
-        plan.execute(bindings)
+        step()
     peak_bytes = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return peak_bytes
 
 
 def _assert_parity() -> dict:
-    """Compile both plans from one tape; assert structure and bitwise parity.
+    """Trace the step; assert the program's structure and bitwise parity.
 
     Returns the structural numbers so both the in-process test and the
     fresh-process measurement can report them.
     """
-    tape, loss, bindings = _build_step()
-    plain = Plan(tape, loss, optimize=False)
-    optimized = Plan(tape, loss, optimize=True)
-    assert optimized.opt is not None and plain.opt is None
-    assert len(optimized.opt.program) < len(plain.records), (
+    eager_step, plan, params, bindings = _build_step()
+    assert len(plan.opt.program) < len(plan.records), (
         "fusion collapsed no elementwise runs on a chain-heavy workload"
     )
-    assert optimized.opt.arena_buffers > 0
+    assert plan.opt.arena_buffers > 0
 
     # Bit-for-bit before any timing is trusted.
-    base = _snapshot(plain, bindings)
-    fast = _snapshot(optimized, bindings)
-    assert fast["loss"] == base["loss"]
-    assert set(fast["grads"]) == set(base["grads"])
-    for slot, grad in base["grads"].items():
-        np.testing.assert_array_equal(fast["grads"][slot], grad)
-        assert fast["grads"][slot].dtype == grad.dtype
+    eager_loss = eager_step()
+    replay_loss, leaf_grads = plan.execute(bindings)
+    assert float(replay_loss) == float(eager_loss)
+    for param in params:
+        replayed = plan.grad_for(param, leaf_grads)
+        np.testing.assert_array_equal(replayed, param.grad)
+        assert replayed.dtype == param.grad.dtype
 
     return {
-        "plain": plain,
-        "optimized": optimized,
+        "eager_step": eager_step,
+        "plan": plan,
         "bindings": bindings,
-        "records": len(plain.records),
-        "instructions": len(optimized.opt.program),
-        "fusion_chains": len(optimized.opt.chains),
-        "arena_buffers": optimized.opt.arena_buffers,
-        "dropped_records": len(optimized.opt.dropped),
+        "records": len(plan.records),
+        "instructions": len(plan.opt.program),
+        "fusion_chains": len(plan.opt.chains),
+        "arena_buffers": plan.opt.arena_buffers,
+        "dropped_records": len(plan.opt.dropped),
     }
 
 
@@ -191,11 +194,11 @@ def _measure() -> dict:
     """The full timed measurement; meant to run in a fresh interpreter."""
     pinned = _pin_mmap_threshold()
     setup = _assert_parity()
-    plain, optimized, bindings = setup["plain"], setup["optimized"], setup["bindings"]
+    eager_step, plan, bindings = setup["eager_step"], setup["plan"], setup["bindings"]
 
-    best = _interleaved_best(plain, optimized, bindings)
-    plain_peak = _steady_state_peak(plain, bindings)
-    optimized_peak = _steady_state_peak(optimized, bindings)
+    best = _interleaved_best(eager_step, plan, bindings)
+    eager_peak = _steady_state_peak(eager_step)
+    replay_peak = _steady_state_peak(lambda: plan.execute(bindings))
 
     return {
         "depth": DEPTH,
@@ -207,12 +210,13 @@ def _measure() -> dict:
         "fusion_chains": setup["fusion_chains"],
         "arena_buffers": setup["arena_buffers"],
         "dropped_records": setup["dropped_records"],
-        "plain_steps_per_sec": best["plain"],
-        "optimized_steps_per_sec": best["optimized"],
-        "speedup": best["optimized"] / best["plain"],
-        "plain_peak_bytes": plain_peak,
-        "optimized_peak_bytes": optimized_peak,
-        "alloc_drop": 1.0 - optimized_peak / plain_peak,
+        "baseline": "eager",
+        "eager_steps_per_sec": best["eager"],
+        "replay_steps_per_sec": best["replay"],
+        "speedup": best["replay"] / best["eager"],
+        "eager_peak_bytes": eager_peak,
+        "replay_peak_bytes": replay_peak,
+        "alloc_drop": 1.0 - replay_peak / eager_peak,
         "bit_identical": True,
     }
 
@@ -223,7 +227,7 @@ def test_plan_optimizer_throughput(bench_record):
     _assert_parity()
 
     # Timing runs in a fresh interpreter: a shared pytest process has a warm
-    # heap whose free chunks serve the plain plan's big allocations for near
+    # heap whose free chunks serve the eager step's big allocations for near
     # nothing, hiding the allocation cost the arena removes (and that any
     # fresh training process would pay).
     proc = subprocess.run(
@@ -245,15 +249,15 @@ def test_plan_optimizer_throughput(bench_record):
         f"{result['records']} records -> {result['instructions']} instrs, "
         f"{result['fusion_chains']} fused chains, "
         f"{result['arena_buffers']} arena buffers):\n"
-        f"  unoptimized {result['plain_steps_per_sec']:8.1f} steps/s  "
-        f"peak {result['plain_peak_bytes'] / 1024:8.0f} KiB\n"
-        f"  optimized   {result['optimized_steps_per_sec']:8.1f} steps/s  "
-        f"peak {result['optimized_peak_bytes'] / 1024:8.0f} KiB  "
+        f"  eager  {result['eager_steps_per_sec']:8.1f} steps/s  "
+        f"peak {result['eager_peak_bytes'] / 1024:8.0f} KiB\n"
+        f"  replay {result['replay_steps_per_sec']:8.1f} steps/s  "
+        f"peak {result['replay_peak_bytes'] / 1024:8.0f} KiB  "
         f"({speedup:.2f}x, alloc -{alloc_drop:.0%}, bit-identical)"
     )
 
     assert speedup >= SPEEDUP_FLOOR, (
-        f"optimized replay must clear {SPEEDUP_FLOOR}x unoptimized, got {speedup:.2f}x"
+        f"plan replay must clear {SPEEDUP_FLOOR}x eager, got {speedup:.2f}x"
     )
     assert alloc_drop >= ALLOC_DROP_FLOOR, (
         f"arena must cut steady-state allocations by >= {ALLOC_DROP_FLOOR:.0%}, "

@@ -10,11 +10,10 @@ updates, and records per-phase wall-clock plus the speedup into
 ``BENCH_round.json``.
 
 The IPC section (``round_ipc``) exercises the client data plane over a
-two-task stream: with the per-worker shard cache on, a client's shard crosses
+two-task stream: through the per-worker shard cache a client's shard crosses
 the process boundary only on the first round of each task (per-round shard
-bytes drop to ~0 afterwards; the task boundary re-ships because in-between
-style concatenation changes the shard fingerprint), while the uncached
-baseline re-ships every round.  Serial, cached-parallel and uncached-parallel
+bytes drop to 0 afterwards; the task boundary re-ships because in-between
+style concatenation changes the shard fingerprint).  Serial and parallel
 updates are asserted identical round by round.
 
 Note: the speedup scales with physical cores; on a single-core CI box the
@@ -178,10 +177,9 @@ def _multitask_handles(task_datasets, task_id, round_index):
 
 
 def test_round_ipc_multitask_parity(bench_record):
-    """The data-plane contract, measured: per-round shard bytes drop to ~0
-    after each task's first round with the cache on, the task boundary
-    re-ships, the uncached baseline pays every round — and all three
-    executions (serial, cached, uncached) produce identical updates."""
+    """The data-plane contract, measured: per-round shard bytes drop to 0
+    after each task's first round, the task boundary re-ships — and serial
+    and parallel execution produce identical updates."""
     ROUNDS_PER_TASK = 2
     spec, task_datasets = _multitask_datasets()
     backbone = BackboneConfig(
@@ -205,22 +203,17 @@ def test_round_ipc_multitask_parity(bench_record):
 
     serial_rounds, _ = run(SerialExecutor)
     cached_rounds, cached_log = run(lambda: ParallelExecutor(num_workers=NUM_WORKERS))
-    uncached_rounds, uncached_log = run(
-        lambda: ParallelExecutor(num_workers=NUM_WORKERS, shard_cache=False)
-    )
 
-    for candidate_rounds in (cached_rounds, uncached_rounds):
-        assert len(candidate_rounds) == len(serial_rounds)
-        for reference, candidate in zip(serial_rounds, candidate_rounds):
-            assert [u.client_id for u in reference] == [u.client_id for u in candidate]
-            assert [u.train_loss for u in reference] == [u.train_loss for u in candidate]
-            for left, right in zip(reference, candidate):
-                for key in left.state_dict:
-                    np.testing.assert_array_equal(left.state_dict[key], right.state_dict[key])
+    assert len(cached_rounds) == len(serial_rounds)
+    for reference, candidate in zip(serial_rounds, cached_rounds):
+        assert [u.client_id for u in reference] == [u.client_id for u in candidate]
+        assert [u.train_loss for u in reference] == [u.train_loss for u in candidate]
+        for left, right in zip(reference, candidate):
+            for key in left.state_dict:
+                np.testing.assert_array_equal(left.state_dict[key], right.state_dict[key])
 
     cached_bytes = [ipc.shard_bytes for ipc in cached_log]
-    uncached_bytes = [ipc.shard_bytes for ipc in uncached_log]
-    # Cache on: first round of each task ships, later rounds are hits.
+    # First round of each task ships, later rounds are hits.
     assert cached_bytes[0] > 0 and cached_bytes[ROUNDS_PER_TASK] > 0
     assert all(
         b == 0
@@ -230,8 +223,6 @@ def test_round_ipc_multitask_parity(bench_record):
     # Task-1 shards are concatenations (bigger fingerprinted payloads), so the
     # boundary genuinely re-shipped rather than reusing task-0 entries.
     assert cached_bytes[ROUNDS_PER_TASK] > cached_bytes[0]
-    # Cache off: every round pays full shard IPC.
-    assert all(b > 0 for b in uncached_bytes)
 
     bench_record(
         "round_ipc",
@@ -241,7 +232,6 @@ def test_round_ipc_multitask_parity(bench_record):
             "num_tasks": 2,
             "rounds_per_task": ROUNDS_PER_TASK,
             "shard_bytes_per_round_cached": cached_bytes,
-            "shard_bytes_per_round_uncached": uncached_bytes,
             "cache_hits_total": sum(ipc.cache_hits for ipc in cached_log),
             "broadcast_bytes_per_round": cached_log[0].broadcast_bytes,
             "multitask_parity": True,
@@ -249,15 +239,14 @@ def test_round_ipc_multitask_parity(bench_record):
     )
     print(f"\nshard IPC per round over 2 tasks x {ROUNDS_PER_TASK} rounds "
           f"({NUM_CLIENTS} clients, num_workers={NUM_WORKERS}):")
-    print(f"  cached   : {cached_bytes} B")
-    print(f"  uncached : {uncached_bytes} B")
+    print(f"  {cached_bytes} B")
 
 
 @pytest.mark.slow
 def test_round_parallel_full_simulation_parity(bench_record):
-    """Whole-run parity at bench scale: serial and parallel (with and without
-    the shard cache) are identical over a multi-task run whose two rounds per
-    task exercise cache hits and whose task boundary exercises invalidation."""
+    """Whole-run parity at bench scale: serial and parallel are identical over
+    a multi-task run whose two rounds per task exercise cache hits and whose
+    task boundary exercises invalidation."""
     from repro.continual.scenario import DomainIncrementalScenario
     from repro.datasets.registry import build_dataset
     from repro.federated.config import FederatedConfig
@@ -272,7 +261,7 @@ def test_round_parallel_full_simulation_parity(bench_record):
         base_width=8, embed_dim=32, seed=0,
     )
 
-    def run(executor, shard_cache=True):
+    def run(executor):
         dataset = build_dataset("office_caltech", spec_override=spec)
         scenario = DomainIncrementalScenario(dataset, num_tasks=2)
         method = RefFiLMethod(RefFiLConfig(backbone=backbone, max_tasks=2))
@@ -286,15 +275,13 @@ def test_round_parallel_full_simulation_parity(bench_record):
             seed=0,
             executor=executor,
             num_workers=NUM_WORKERS,
-            shard_cache=shard_cache,
         )
         return FederatedDomainIncrementalSimulation(scenario, method, config).run()
 
     serial_result = run("serial")
-    for shard_cache in (True, False):
-        parallel_result = run("parallel", shard_cache=shard_cache)
-        np.testing.assert_array_equal(
-            serial_result.metrics.matrix, parallel_result.metrics.matrix
-        )
-        assert serial_result.round_losses == parallel_result.round_losses
+    parallel_result = run("parallel")
+    np.testing.assert_array_equal(
+        serial_result.metrics.matrix, parallel_result.metrics.matrix
+    )
+    assert serial_result.round_losses == parallel_result.round_losses
     bench_record("round_parallel", {"full_simulation_parity": True})

@@ -35,11 +35,8 @@ from repro.autograd.tape import (
     PlanNotBatchable,
     Tape,
     get_kernel,
-    get_plan_optimize,
     kernel_mode,
-    plan_optimize_mode,
     set_kernel,
-    set_plan_optimize,
     tracing,
 )
 from repro.autograd import functional
@@ -58,11 +55,8 @@ __all__ = [
     "PlanNotBatchable",
     "Tape",
     "get_kernel",
-    "get_plan_optimize",
     "kernel_mode",
-    "plan_optimize_mode",
     "set_kernel",
-    "set_plan_optimize",
     "tracing",
     "functional",
 ]

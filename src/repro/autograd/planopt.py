@@ -1,10 +1,15 @@
-"""Compile-time optimizer passes over compiled :class:`~repro.autograd.tape.Plan`s.
+"""The plan replay engine: compile-time passes plus the one interpreter.
 
-Replay through :meth:`Plan.execute` is allocation-bound: every step allocates a
-fresh output array per record, keeps every intermediate alive until the
-backward sweep finishes, and re-allocates each parameter's gradient
-accumulator.  This module compiles a plan into an optimized replay program
-that removes that overhead without moving a single bit:
+Every compiled :class:`~repro.autograd.tape.Plan` replays through the
+:class:`PlanOptimization` built here — :meth:`Plan.execute` and
+:meth:`Plan.execute_batched` only delegate — so besides eager
+(``apply_op`` + :meth:`Tensor.backward`, the reference every parity check
+compares against) this package has exactly one unbatched forward loop, one
+batched forward loop and one backward sweep over plan records.  A
+record-at-a-time replay would be allocation-bound: a fresh output array per
+record, every intermediate alive until the backward sweep finishes, each
+parameter's gradient accumulator re-allocated per step.  The passes remove
+that overhead without moving a single bit relative to eager:
 
 * **dead-code elimination** — records whose outputs reach neither the loss
   slot nor any effect record (metrics-only subgraphs) are dropped from the
@@ -38,12 +43,13 @@ that removes that overhead without moving a single bit:
 
 The batched (lockstep) program reuses the DCE / liveness / fusion passes and
 the precompiled backward schedule; it skips the ``out=`` arena because stacked
-shapes depend on the cohort size.  Per-record batched semantics reproduce
-:meth:`Plan.execute_batched` exactly, so optimized lockstep replay is
-bit-for-bit with unoptimized lockstep replay.
+shapes depend on the cohort size.  Elementwise arithmetic stays bit-for-bit
+with eager per client; matmul and reductions over stacked operands may differ
+at accumulation-order level (the documented tolerance of the batched path).
 
-``optimize_plan`` returns ``None`` when a plan violates a precondition the
-passes rely on (it never raises); the plan then replays unoptimized.
+``optimize_plan`` raises :class:`~repro.autograd.tape.PlanError` when a plan
+violates a precondition the passes rely on; callers already run a shape whose
+plan fails to compile eagerly, so the fallback chain is plan → eager.
 """
 
 from __future__ import annotations
@@ -83,6 +89,7 @@ from repro.autograd.tape import (
     BatchInfo,
     OpContext,
     OpRecord,
+    PlanError,
     _contains_dynref,
     _dyn_flags,
     _resolve_kwargs,
@@ -279,11 +286,12 @@ def _layout_mirrors(buf: np.ndarray, grad: np.ndarray) -> bool:
 
     Layout is part of bit-for-bit parity: reductions downstream of the
     returned gradients (the optimizer's global clip norm, most visibly) sum
-    in *memory* order, so handing back a C-ordered buffer where unoptimized
-    replay hands back an F-ordered ``astype`` copy shifts the pairwise
-    summation tree by an ulp.  Matmul weight vjps (``a.T @ g``) are exactly
+    in *memory* order, so handing back a C-ordered buffer where eager's
+    ``_accumulate`` hands back an F-ordered ``astype`` copy shifts the
+    pairwise summation tree by an ulp.  A Linear layer's weight gradient
+    (``x @ w.T``: the transpose vjp returns an F-ordered view) is exactly
     that case.  A non-contiguous source always reallocates, mirroring the
-    fresh ``astype`` copy unoptimized replay makes.
+    fresh ``astype`` copy eager makes.
     """
     if grad.flags.c_contiguous:
         return buf.flags.c_contiguous
@@ -439,7 +447,6 @@ class PlanOptimization:
                 self._bwd_program.append(
                     _BwdEntry(slot, rec, rec_index[id(rec)], plan._interior)
                 )
-        self._batched_flags_ref: Any = None
 
     # ------------------------------------------------------------------ #
     # Unbatched replay
@@ -555,7 +562,7 @@ class PlanOptimization:
         k: int,
         flags: List[Tuple[Tuple[bool, ...], bool]],
     ) -> Any:
-        """One record's batched forward, mirroring ``Plan.execute_batched``."""
+        """One record's batched forward, dispatched on the op's batch rule."""
         rec = sub.rec
         in_batched, out_batched = flags[sub.index]
         kwargs = sub.static_kwargs
@@ -674,7 +681,7 @@ class PlanOptimization:
                 continue
             ctx = ctxs[entry.ctx_index]
             if batched:
-                input_grads = plan._batched_vjp(rec, ctx, node_grad, k)
+                input_grads = _batched_vjp(rec, ctx, node_grad, k)
             else:
                 input_grads = entry.vjp(ctx, node_grad, entry.needs)
             ctxs[entry.ctx_index] = None  # liveness: the vjp has consumed it
@@ -704,8 +711,29 @@ class PlanOptimization:
         return leaf_grads
 
 
-def optimize_plan(plan) -> Optional[PlanOptimization]:
-    """Compile ``plan`` into an optimized replay program (None = don't optimize)."""
+def _batched_vjp(
+    rec: OpRecord, ctx: OpContext, grad: np.ndarray, k: int
+) -> Sequence[Optional[np.ndarray]]:
+    if rec.op.batched_vjp is not None:
+        input_grads = rec.op.batched_vjp(ctx, grad, rec.needs)
+    else:
+        input_grads = rec.op.vjp(ctx, grad, rec.needs)
+    # Normalise every batched input's gradient to (K,) + traced shape so
+    # accumulation across records lines up slot-by-slot.
+    normalised = []
+    for idx, g in enumerate(input_grads):
+        if g is None:
+            normalised.append(None)
+            continue
+        want = (k,) + rec.in_shapes[idx]
+        if g.shape != want:
+            g = g.reshape(want)
+        normalised.append(g)
+    return normalised
+
+
+def optimize_plan(plan) -> PlanOptimization:
+    """Compile ``plan`` into its replay program; :class:`PlanError` if it cannot."""
     records = plan.records
     n_records = len(records)
 
@@ -724,11 +752,11 @@ def optimize_plan(plan) -> Optional[PlanOptimization]:
     for slot in plan.order:
         rec = plan.rec_for_slot.get(slot)
         if rec is not None and not keep[plan._rec_index[id(rec)]]:
-            return None
+            raise PlanError("backward schedule visits a record dead-code elimination dropped")
 
     kept = [i for i in range(n_records) if keep[i]]
     if not kept:
-        return None
+        raise PlanError("traced step has no record reaching the loss")
 
     # ---- consumer analysis (over kept records only) -------------------- #
     use_count: Dict[int, int] = {}

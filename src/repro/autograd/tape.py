@@ -17,8 +17,12 @@ On top of the op table sit three layers:
 * :class:`Plan` — compiles one traced client step into a replayable program:
   the forward record list plus a backward schedule computed with the identical
   topological traversal :meth:`Tensor.backward` uses, so replayed gradients
-  accumulate in exactly the same order (bit-for-bit parity with eager).
-* the batched engine — replays one plan for K clients at once by stacking
+  accumulate in exactly the same order (bit-for-bit parity with eager).  A
+  plan holds no interpreter of its own: :mod:`repro.autograd.planopt`
+  compiles it into the instruction stream that :meth:`Plan.execute` and
+  :meth:`Plan.execute_batched` run, and a plan that cannot be compiled raises
+  :class:`PlanError` so the caller runs that shape eagerly.
+* batched replay — one plan runs for K clients at once by stacking
   parameters and batches along a leading axis.  Per-op batching follows one of
   three rules (``pad`` for elementwise/matmul broadcasting, ``axis`` for
   axis-kwarg remapping, ``custom`` for conv/pool/indexing); ops without a rule
@@ -94,37 +98,6 @@ def kernel_mode(kernel: str):
         yield
     finally:
         set_kernel(previous)
-
-
-# --------------------------------------------------------------------------- #
-# Plan-optimizer knob: same process-global shape as the kernel knob.  The
-# optimizer passes (planopt) are bit-for-bit with unoptimized replay, so this
-# only exists as an escape hatch / A-B lever for benches and tests.
-# --------------------------------------------------------------------------- #
-_PLAN_OPTIMIZE = True
-
-
-def get_plan_optimize() -> bool:
-    """Return whether newly compiled plans run the optimizer passes."""
-    return _PLAN_OPTIMIZE
-
-
-def set_plan_optimize(enabled: bool) -> bool:
-    """Set the process-wide plan-optimize flag; returns the previous value."""
-    global _PLAN_OPTIMIZE
-    previous = _PLAN_OPTIMIZE
-    _PLAN_OPTIMIZE = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def plan_optimize_mode(enabled: bool):
-    """Context manager that temporarily switches the plan-optimize flag."""
-    previous = set_plan_optimize(enabled)
-    try:
-        yield
-    finally:
-        set_plan_optimize(previous)
 
 
 # --------------------------------------------------------------------------- #
@@ -373,7 +346,7 @@ class Plan:
     Compile before calling ``loss.backward()``: backward frees the graph.
     """
 
-    def __init__(self, tape: Tape, loss: Any, optimize: Optional[bool] = None) -> None:
+    def __init__(self, tape: Tape, loss: Any) -> None:
         self.tape = tape
         self.records = tape.records
         loss_slot = tape._slots.get(id(loss))
@@ -449,13 +422,11 @@ class Plan:
         self._batched_param_slots: Optional[frozenset] = None
         self._rng_objects: Optional[List[np.random.Generator]] = None
 
-        # Optimizer passes (DCE / liveness / arena / fusion): bit-for-bit with
-        # unoptimized replay, controlled by the process knob unless overridden.
-        self.opt = None
-        if optimize if optimize is not None else get_plan_optimize():
-            from repro.autograd import planopt  # local: planopt imports tape
+        # The replay engine: the optimized instruction stream (DCE / liveness
+        # / arena / fusion) is the only interpreter of a compiled plan.
+        from repro.autograd import planopt  # local: planopt imports tape
 
-            self.opt = planopt.optimize_plan(self)
+        self.opt = planopt.optimize_plan(self)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -500,38 +471,11 @@ class Plan:
         updating in place and rng streams continue).  Returns the loss value
         and per-leaf-slot gradients, accumulated exactly as eager would.
 
-        When the plan was compiled with the optimizer passes, leaf gradients
-        are served from per-plan accumulator buffers that are overwritten by
-        the next ``execute`` call — consume (or copy) them before replaying
-        again.
+        Leaf gradients are served from per-plan accumulator buffers that are
+        overwritten by the next ``execute`` call — consume (or copy) them
+        before replaying again.
         """
-        if self.opt is not None:
-            return self.opt.execute(bindings)
-        env: List[Any] = [None] * self.n_slots
-        for slot, param in self.param_leaves:
-            env[slot] = param.data
-        for slot, tensor in self.const_leaves:
-            env[slot] = tensor.data
-        for name, slot in self.input_slots.items():
-            value = bindings.get(name)
-            env[slot] = value if value is not None else self.tape._tensors[slot].data
-        dyn = {
-            name: bindings.get(name, traced)
-            for name, traced in self.tape._dynamic_values.items()
-        }
-
-        ctxs: List[Optional[OpContext]] = [None] * len(self.records)
-        for i, rec in enumerate(self.records):
-            kwargs = _resolve_kwargs(rec.kwargs, dyn)
-            ctx = OpContext()
-            result = rec.op.forward(ctx, *(env[s] for s in rec.input_slots), **kwargs)
-            if rec.out_slot is not None:
-                # Mirror Tensor.__init__'s asarray so replayed intermediates
-                # match eager dtype/0-d handling exactly.
-                env[rec.out_slot] = np.asarray(result, dtype=rec.out_dtype)
-                ctxs[i] = ctx
-        leaf_grads = self._replay_backward(env, ctxs, batched=False)
-        return env[self.loss_slot], leaf_grads
+        return self.opt.execute(bindings)
 
     def apply_grads(self, leaf_grads: Dict[int, np.ndarray]) -> None:
         """Fold replayed gradients into ``param.grad`` (mirrors _accumulate)."""
@@ -543,70 +487,6 @@ class Plan:
                 param.grad = grad
             else:
                 param.grad = param.grad + grad
-
-    def _replay_backward(
-        self,
-        env: List[Any],
-        ctxs: List[Optional[OpContext]],
-        batched: bool,
-        k: int = 0,
-    ) -> Dict[int, np.ndarray]:
-        loss_value = env[self.loss_slot]
-        if batched:
-            seed = np.ones(loss_value.shape, dtype=loss_value.dtype)
-        else:
-            seed = np.ones_like(loss_value)
-        grads: Dict[int, np.ndarray] = {self.loss_slot: seed}
-        leaf_grads: Dict[int, np.ndarray] = {}
-        interior = self._interior
-        rec_index = self._rec_index
-
-        def accumulate(slot: int, grad: np.ndarray) -> None:
-            existing = leaf_grads.get(slot)
-            if existing is None:
-                dtype = self._leaf_dtype.get(slot)
-                leaf_grads[slot] = (
-                    grad.astype(dtype, copy=True) if dtype is not None else grad
-                )
-            else:
-                leaf_grads[slot] = existing + grad
-
-        for slot in reversed(self.order):
-            node_grad = grads.pop(slot, None)
-            if node_grad is None:
-                continue
-            rec = self.rec_for_slot.get(slot)
-            if rec is None or not rec.out_requires:
-                accumulate(slot, node_grad)
-                continue
-            ctx = ctxs[rec_index[id(rec)]]
-            if batched:
-                input_grads = self._batched_vjp(rec, ctx, node_grad, k)
-            else:
-                input_grads = rec.op.vjp(ctx, node_grad, rec.needs)
-            # Mirror _send_grad: leaves accumulate immediately, interior
-            # slots stash pending gradients folded in parent order below.
-            pending: Dict[int, np.ndarray] = {}
-            for in_slot, grad in zip(rec.input_slots, input_grads):
-                if grad is None:
-                    continue
-                if in_slot in interior:
-                    stashed = pending.get(in_slot)
-                    pending[in_slot] = grad if stashed is None else stashed + grad
-                else:
-                    accumulate(in_slot, grad)
-            for parent_slot in rec.parent_slots:
-                stashed = pending.pop(parent_slot, None)
-                if stashed is not None:
-                    existing = grads.get(parent_slot)
-                    grads[parent_slot] = (
-                        stashed if existing is None else existing + stashed
-                    )
-        for slot in self.order:
-            remaining = grads.pop(slot, None)
-            if remaining is not None:
-                accumulate(slot, remaining)
-        return leaf_grads
 
     # ------------------------------------------------------------------ #
     # Batched (lockstep) replay
@@ -672,97 +552,7 @@ class Plan:
             raise PlanError("call prepare_batched() before execute_batched()")
         if set(param_stacks) != set(self._batched_param_slots):
             raise PlanError("param_stacks does not match the prepared slot set")
-        if self.opt is not None:
-            return self.opt.execute_batched(k, bindings, param_stacks)
-        env: List[Any] = [None] * self.n_slots
-        stacked = self._batched_param_slots
-        for slot, param in self.param_leaves:
-            env[slot] = param_stacks[slot] if slot in stacked else param.data
-        for slot, tensor in self.const_leaves:
-            env[slot] = tensor.data
-        for name, slot in self.input_slots.items():
-            env[slot] = bindings[name]
-        dyn = {name: bindings[name] for name in self.tape._dynamic_values}
-
-        ctxs: List[Optional[OpContext]] = [None] * len(self.records)
-        infos: List[Optional[BatchInfo]] = [None] * len(self.records)
-        for i, rec in enumerate(self.records):
-            in_batched, out_batched = self._batched_flags[i]
-            kwargs = _resolve_kwargs(rec.kwargs, dyn)
-            args = [env[s] for s in rec.input_slots]
-            ctx = OpContext()
-            if not out_batched:
-                result = rec.op.forward(ctx, *args, **kwargs)
-                if rec.out_slot is not None:
-                    env[rec.out_slot] = np.asarray(result, dtype=rec.out_dtype)
-                    ctxs[i] = ctx
-                continue
-            info = BatchInfo(
-                k=k,
-                in_shapes=rec.in_shapes,
-                out_shape=rec.out_shape,
-                in_batched=in_batched,
-                dyn_kwargs={key: _dyn_flags(v) for key, v in rec.kwargs.items()},
-            )
-            infos[i] = info
-            if rec.out_slot is None:
-                # Effect record: all operands stacked, batched variant updates
-                # the stacked buffers bound through `dyn`.
-                batched_args = [
-                    a if b else np.broadcast_to(a, (k,) + a.shape)
-                    for a, b in zip(args, in_batched)
-                ]
-                rec.op.batched_forward(ctx, info, *batched_args, **kwargs)
-                continue
-            if rec.op.batched_forward is not None:
-                batched_args = [
-                    a if b else np.broadcast_to(a, (k,) + a.shape)
-                    for a, b in zip(args, in_batched)
-                ]
-                result = rec.op.batched_forward(ctx, info, *batched_args, **kwargs)
-            elif rec.op.batch_rule == "axis":
-                if rec.op.batch_kwargs is not None:
-                    kwargs = rec.op.batch_kwargs(kwargs, info)
-                batched_args = [
-                    a if b else np.broadcast_to(a, (k,) + a.shape)
-                    for a, b in zip(args, in_batched)
-                ]
-                result = rec.op.forward(ctx, *batched_args, **kwargs)
-            else:  # "pad"
-                if rec.op.batch_kwargs is not None:
-                    kwargs = rec.op.batch_kwargs(kwargs, info)
-                target = 1 + len(rec.out_shape)
-                padded_args = []
-                for a, b in zip(args, in_batched):
-                    if b and a.ndim < target:
-                        need = target - a.ndim
-                        a = a.reshape(a.shape[:1] + (1,) * need + a.shape[1:])
-                    padded_args.append(a)
-                result = rec.op.forward(ctx, *padded_args, **kwargs)
-            env[rec.out_slot] = np.asarray(result, dtype=rec.out_dtype)
-            ctxs[i] = ctx
-        leaf_grads = self._replay_backward(env, ctxs, batched=True, k=k)
-        return env[self.loss_slot], leaf_grads
-
-    def _batched_vjp(
-        self, rec: OpRecord, ctx: OpContext, grad: np.ndarray, k: int
-    ) -> Sequence[Optional[np.ndarray]]:
-        if rec.op.batched_vjp is not None:
-            input_grads = rec.op.batched_vjp(ctx, grad, rec.needs)
-        else:
-            input_grads = rec.op.vjp(ctx, grad, rec.needs)
-        # Normalise every batched input's gradient to (K,) + traced shape so
-        # accumulation across records lines up slot-by-slot.
-        normalised = []
-        for idx, g in enumerate(input_grads):
-            if g is None:
-                normalised.append(None)
-                continue
-            want = (k,) + rec.in_shapes[idx]
-            if g.shape != want:
-                g = g.reshape(want)
-            normalised.append(g)
-        return normalised
+        return self.opt.execute_batched(k, bindings, param_stacks)
 
 
 class PlanCache:
@@ -1382,9 +1172,6 @@ __all__ = [
     "set_kernel",
     "kernel_mode",
     "KERNELS",
-    "get_plan_optimize",
-    "set_plan_optimize",
-    "plan_optimize_mode",
     "model_fingerprint",
     "plan_key",
 ]

@@ -137,13 +137,10 @@ def scaled_config(
     num_tasks: Optional[int] = None,
     executor: str = "serial",
     num_workers: int = 0,
-    shard_cache: bool = True,
     dtype: str = "float64",
     kernel: str = "eager",
-    plan_optimize: bool = True,
     eval_executor: str = "serial",
     eval_every: int = 0,
-    transport: str = "loopback",
     codec: str = "identity",
     bandwidth_limit: int = 0,
     drop_stragglers: bool = False,
@@ -174,16 +171,13 @@ def scaled_config(
     (selected clients, transfer fraction, initial clients), plus the
     performance knobs of the round execution engine: ``executor``
     (``"serial"`` / ``"parallel"``), ``num_workers`` (0 = one per CPU),
-    ``shard_cache`` (per-worker client-shard cache of the parallel data
-    plane, default on), ``dtype`` (``"float64"`` / ``"float32"``), the
-    kernel plane's ``kernel`` (``"eager"`` closure autograd / ``"tape"``
-    compiled-plan replay, hash-identical to eager / ``"batched"`` lockstep
-    multi-client vectorization, serial-executor-only) and ``plan_optimize``
-    (compile-time plan optimizer passes, bit-for-bit, default on), the
-    evaluation plane's ``eval_executor`` (``"serial"`` / ``"parallel"``
-    seen-task evaluation) and ``eval_every`` (mid-task evaluation every ``k``
-    rounds, 0 = off), and the communication plane's ``transport``
-    (``"loopback"`` measured wire frames / ``"direct"`` pass-through),
+    ``dtype`` (``"float64"`` / ``"float32"``), the kernel plane's ``kernel``
+    (``"eager"`` closure autograd / ``"tape"`` compiled-plan replay,
+    hash-identical to eager / ``"batched"`` lockstep multi-client
+    vectorization, serial-executor-only), the evaluation plane's
+    ``eval_executor`` (``"serial"`` / ``"parallel"`` seen-task evaluation)
+    and ``eval_every`` (mid-task evaluation every ``k`` rounds, 0 = off),
+    and the communication plane's wire
     ``codec`` (``"identity"`` / ``"delta"`` lossless, ``"quantize8"`` /
     ``"quantize16"`` / ``"topk[:f]"`` lossy), ``bandwidth_limit`` (per-client
     uplink byte budget per round, 0 = unlimited) and ``drop_stragglers``
@@ -249,13 +243,10 @@ def scaled_config(
         seed=seed,
         executor=executor,
         num_workers=num_workers,
-        shard_cache=shard_cache,
         dtype=dtype,
         kernel=kernel,
-        plan_optimize=plan_optimize,
         eval_executor=eval_executor,
         eval_every=eval_every,
-        transport=transport,
         codec=codec,
         bandwidth_limit=bandwidth_limit,
         drop_stragglers=drop_stragglers,

@@ -49,31 +49,26 @@ def clear_run_cache() -> None:
 def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
     """Fold execution-plane knobs to canonical values for cache-key purposes.
 
-    ``executor`` / ``num_workers`` / ``shard_cache`` / ``eval_executor`` only
-    change *how* a run executes, never its trained numbers (parity is
-    asserted by the execution and eval-plane test suites), so two
-    configurations differing only in those knobs must share one memoised
-    run.  ``dtype`` genuinely changes the numbers and ``eval_every`` changes
-    the recorded ``round_eval_history``, so both stay in the key.
+    ``executor`` / ``num_workers`` / ``eval_executor`` only change *how* a
+    run executes, never its trained numbers (parity is asserted by the
+    execution and eval-plane test suites), so two configurations differing
+    only in those knobs must share one memoised run.  ``dtype`` genuinely
+    changes the numbers and ``eval_every`` changes the recorded
+    ``round_eval_history``, so both stay in the key.
 
-    Communication-plane knobs follow the same rule: a *lossless* codec under
-    either transport trains the same numbers as no wire format at all (the
-    comm-plane suite asserts it bit-for-bit), so ``transport`` folds to
-    ``"loopback"`` and lossless codecs to ``"identity"``; a lossy codec or an
-    active bandwidth scenario (``bandwidth_limit > 0`` drops *or* defers
-    uploads, both of which change aggregation) genuinely changes the numbers
-    and stays in the key.  The ``direct`` transport never encodes, so its
-    codec/bandwidth knobs are inert and fold away entirely.  Caveat of
-    sharing: telemetry fields of the cached result (``wall_clock_seconds``,
-    the communication ledger) describe whichever variant ran first — use the
-    benches, not the run cache, to compare transports.
+    Communication-plane knobs follow the same rule: the *lossless* codecs
+    train the same numbers as each other (the comm-plane suite asserts it
+    bit-for-bit), so they fold to ``"identity"``; a lossy codec or an active
+    bandwidth scenario (``bandwidth_limit > 0`` drops *or* defers uploads,
+    both of which change aggregation) genuinely changes the numbers and
+    stays in the key.  Caveat of sharing: telemetry fields of the cached
+    result (``wall_clock_seconds``, the communication ledger) describe
+    whichever variant ran first — use the benches, not the run cache, to
+    compare codecs.
     """
     codec = federated.codec
-    bandwidth_limit = federated.bandwidth_limit
     drop_stragglers = federated.drop_stragglers
-    if federated.transport == "direct":
-        codec, bandwidth_limit, drop_stragglers = "identity", 0, False
-    if bandwidth_limit == 0:
+    if federated.bandwidth_limit == 0:
         drop_stragglers = False
         # Folding lossless codecs together is only valid while no bandwidth
         # budget is active: with a budget, drop/defer outcomes depend on the
@@ -137,20 +132,13 @@ def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
     kernel = federated.kernel
     if kernel == "tape":
         kernel = "eager"
-    # ``plan_optimize`` folds unconditionally: optimized plan replay is
-    # bit-for-bit with unoptimized replay (hash-asserted by the kernel-plane
-    # tests), so the knob can never change a run's numbers under any kernel.
     return replace(
         federated,
         executor="serial",
         num_workers=0,
-        shard_cache=True,
         kernel=kernel,
-        plan_optimize=True,
         eval_executor="serial",
-        transport="loopback",
         codec=codec,
-        bandwidth_limit=bandwidth_limit,
         drop_stragglers=drop_stragglers,
         buffer_size=buffer_size,
         staleness_decay=staleness_decay,

@@ -58,7 +58,6 @@ from repro.federated.client import (
 from repro.federated.virtual import VirtualClientPlane
 from repro.federated.server import BroadcastHandle, FederatedServer
 from repro.federated.transport import (
-    DirectTransport,
     FrameCorruptionError,
     FrameDecodeError,
     LoopbackTransport,
@@ -134,7 +133,6 @@ __all__ = [
     "build_codec",
     "codec_is_lossless",
     "Transport",
-    "DirectTransport",
     "LoopbackTransport",
     "build_transport",
     "TransportError",

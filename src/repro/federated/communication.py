@@ -19,7 +19,7 @@ this (the transports in :mod:`repro.federated.transport` drive them):
   payload riding as an opaque pickled dict;
 * the :class:`CommunicationLedger` accumulates per-round, per-client,
   per-direction measured frame sizes (:class:`RoundCommRecord`), plus the
-  legacy estimate API for transports that never build frames.
+  estimate API for transport-less server use.
 
 Lossless codecs (``identity``, ``delta``) round-trip every array
 bit-exactly — the property-test suite enforces it over all dtypes and
@@ -553,8 +553,8 @@ class CommunicationLedger:
     * :meth:`record_measured_round` — the wire-format path: per-client
       :class:`FrameRecord` sizes measured from actual encoded frames
       (``measured_rounds`` counts these, ``records`` keeps the detail);
-    * :meth:`record_round` — the legacy estimate path (``nbytes`` sums) kept
-      for transport-less server use and the ``direct`` transport.  Broadcast
+    * :meth:`record_round` — the estimate path (``nbytes`` sums) kept for
+      transport-less server use.  Broadcast
       is charged per *selected* client (``num_selected``), not per reporting
       client: a straggler that never uploads still received its download.
     """

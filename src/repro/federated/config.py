@@ -33,6 +33,10 @@ class FederatedConfig:
     partition_concentration:
         Dirichlet concentration of the quantity-shift partitioner (smaller =
         more extreme data-volume imbalance between clients).
+    eval_batch_size:
+        Batch size of every evaluation pass (the after-task accuracy matrix
+        and ``eval_every`` snapshots); the parallel eval backend slices test
+        shards on the same boundaries.  Must be at least 1.
     seed:
         Master seed; every stochastic component derives its stream from it.
     executor:
@@ -43,15 +47,6 @@ class FederatedConfig:
     num_workers:
         Worker processes for the parallel executor; ``0`` means one per CPU.
         Ignored when ``executor="serial"``.
-    shard_cache:
-        Whether the parallel executor's client data plane caches dataset
-        shards inside worker processes (default on).  With the cache, a
-        client's shard crosses the process boundary once per task — light
-        handles plus a shard fingerprint travel every round, shard bytes only
-        on a worker's first sight of a (client, task) pair.  ``False``
-        re-ships every selected shard every round (the pre-cache behaviour);
-        results are bit-for-bit identical either way.  Ignored when
-        ``executor="serial"``.
     dtype:
         Compute precision of the whole pipeline: ``"float64"`` (reference) or
         ``"float32"`` (≈2x lower memory bandwidth; accuracy differences are
@@ -67,13 +62,6 @@ class FederatedConfig:
         vectorized plan step per batch (:mod:`repro.federated.lockstep`) —
         exact in structure (same draws, same step counts) but tolerance-level
         in floats, and requires ``executor="serial"``.
-    plan_optimize:
-        Whether compiled plans run the compile-time optimizer passes
-        (:mod:`repro.autograd.planopt`): dead-code elimination, slot liveness
-        with a per-plan buffer arena, and elementwise fusion.  Optimized
-        replay is bit-for-bit with unoptimized replay (hash-asserted in the
-        test suite), so this is purely a performance lever — default on, and
-        folded out of the run-cache key.  Ignored under ``kernel="eager"``.
     eval_executor:
         How the seen-task evaluation suite runs: ``"serial"`` (historical
         in-process loop) or ``"parallel"`` (fan seen tasks × batch-aligned
@@ -92,30 +80,22 @@ class FederatedConfig:
         reused for) the accuracy matrix's after-task evaluation: the two
         coincide only for methods whose ``on_task_end`` leaves the inference
         path untouched.
-    transport:
-        How broadcasts and uploads move (:mod:`repro.federated.transport`):
-        ``"loopback"`` (default) encodes every message into a real wire frame
-        through ``codec``, records *measured* frame lengths in the
-        communication ledger, and decodes before training/aggregation;
-        ``"direct"`` passes objects straight through with the legacy
-        ``nbytes``-estimate ledger (zero overhead, zero wire fidelity).
     codec:
-        Wire codec of the loopback transport: ``"identity"`` (raw pickle) and
+        Wire codec every broadcast and upload frame is encoded with
+        (:mod:`repro.federated.transport`): ``"identity"`` (raw pickle) and
         ``"delta"`` (sparse diff vs. the last acknowledged broadcast) are
-        lossless — results are bit-for-bit identical to ``"direct"``;
+        lossless — results are bit-for-bit identical to each other;
         ``"quantize8"`` / ``"quantize16"`` (uniform per-tensor quantization)
         and ``"topk"`` / ``"topk:<fraction>"`` (upload-only magnitude
-        sparsification) trade accuracy for bytes.  Ignored when
-        ``transport="direct"``.
+        sparsification) trade accuracy for bytes.
     bandwidth_limit:
         Per-round uplink byte budget per client; ``0`` (default) is
         unlimited.  Each client's effective budget is the limit scaled by a
         deterministic per-client multiplier (drawn from the run seed), so
         some clients are structurally slow — the constrained-device
-        straggler scenario.  Requires ``transport="loopback"`` and
-        ``mode="sync"`` (the event-driven modes model slow uplinks through
-        ``device_profile`` link rates instead; a per-round budget is a
-        synchronous-cohort concept).
+        straggler scenario.  Requires ``mode="sync"`` (the event-driven
+        modes model slow uplinks through ``device_profile`` link rates
+        instead; a per-round budget is a synchronous-cohort concept).
     drop_stragglers:
         What happens to an upload frame over its client's budget: ``True``
         drops it (the update never aggregates; the download was still
@@ -167,10 +147,9 @@ class FederatedConfig:
         probabilities, per-round worker-kill probability, and a periodic
         simulated server restart.  The default all-zero spec never constructs
         an injector — the zero-fault path is bit-for-bit identical to a build
-        without the fault plane.  Frame faults (loss/corruption) require
-        ``transport="loopback"``; there is no wire to fault on ``"direct"``.
+        without the fault plane.
     retries:
-        Upload retry budget of the loopback transport: a lost or corrupt
+        Upload retry budget of the transport: a lost or corrupt
         frame is retransmitted up to this many times (``retries + 1`` total
         attempts) before the update falls to the drop/defer straggler rules.
         Every attempt's bytes are charged to the ledger; the backoff waits
@@ -247,8 +226,7 @@ class FederatedConfig:
         their parents (edge→root bytes measured in the ledger, CRC + bounded
         retries on every hop).  Tree and flat agree to float tolerance, not
         bit-for-bit: flat normalizes weights before accumulating, the tree
-        sums partials and divides once at the root.  Requires
-        ``transport="loopback"`` (edge hops need a wire to ride).
+        sums partials and divides once at the root.
     tree_fanout:
         Children per aggregator node of the reduce tree (≥ 2).  A cohort no
         larger than the fan-out degenerates to a single root reduce with zero
@@ -264,13 +242,10 @@ class FederatedConfig:
     seed: int = 0
     executor: str = "serial"
     num_workers: int = 0
-    shard_cache: bool = True
     dtype: str = "float64"
     kernel: str = "eager"
-    plan_optimize: bool = True
     eval_executor: str = "serial"
     eval_every: int = 0
-    transport: str = "loopback"
     codec: str = "identity"
     bandwidth_limit: int = 0
     drop_stragglers: bool = False
@@ -302,6 +277,8 @@ class FederatedConfig:
             raise ValueError("rounds_per_task must be at least 1")
         if self.partition_concentration <= 0:
             raise ValueError("partition_concentration must be positive")
+        if self.eval_batch_size < 1:
+            raise ValueError("eval_batch_size must be at least 1")
         if self.executor not in ("serial", "parallel"):
             raise ValueError(f"executor must be 'serial' or 'parallel', got {self.executor!r}")
         if self.num_workers < 0:
@@ -322,18 +299,9 @@ class FederatedConfig:
             )
         if self.eval_every < 0:
             raise ValueError("eval_every must be non-negative (0 disables mid-task evaluation)")
-        if self.transport not in ("direct", "loopback"):
-            raise ValueError(
-                f"transport must be 'direct' or 'loopback', got {self.transport!r}"
-            )
         build_codec(self.codec)  # raises ValueError on an unknown codec spec
         if self.bandwidth_limit < 0:
             raise ValueError("bandwidth_limit must be non-negative (0 means unlimited)")
-        if self.bandwidth_limit > 0 and self.transport != "loopback":
-            raise ValueError(
-                "bandwidth_limit requires transport='loopback' (the direct "
-                "transport never builds the frames a budget would apply to)"
-            )
         if self.bandwidth_limit > 0 and self.mode != "sync":
             raise ValueError(
                 "bandwidth_limit requires mode='sync': the event-driven modes "
@@ -361,13 +329,6 @@ class FederatedConfig:
             raise ValueError("sim_time_limit must be non-negative (0 means unlimited)")
         if not isinstance(self.faults, FaultSpec):
             raise ValueError(f"faults must be a FaultSpec, got {type(self.faults).__name__}")
-        if (
-            self.faults.upload_loss_rate > 0.0 or self.faults.upload_corruption_rate > 0.0
-        ) and self.transport != "loopback":
-            raise ValueError(
-                "upload loss/corruption faults require transport='loopback' "
-                "(the direct transport never builds the frames a fault would hit)"
-            )
         if self.retries < 0:
             raise ValueError("retries must be non-negative (0 means a single attempt)")
         if self.retry_backoff < 0:
@@ -420,11 +381,6 @@ class FederatedConfig:
         if self.reduce_backend not in ("flat", "tree"):
             raise ValueError(
                 f"reduce_backend must be 'flat' or 'tree', got {self.reduce_backend!r}"
-            )
-        if self.reduce_backend == "tree" and self.transport != "loopback":
-            raise ValueError(
-                "reduce_backend='tree' requires transport='loopback' (edge "
-                "aggregators ship their partial reduces as wire frames)"
             )
         if self.tree_fanout < 2:
             raise ValueError("tree_fanout must be at least 2")

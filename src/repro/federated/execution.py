@@ -91,7 +91,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autograd.tape import KERNELS, set_kernel, set_plan_optimize
+from repro.autograd.tape import KERNELS, set_kernel
 from repro.autograd.tensor import get_default_dtype, set_default_dtype
 from repro.continual.evaluator import EvalBackend, PredictFn, count_correct
 from repro.continual.scenario import Task
@@ -168,7 +168,6 @@ def _run_client_chunk(
     indexed_clients: Sequence[Tuple[int, ClientHandle]],
     dtype_name: str,
     kernel: str = "eager",
-    plan_optimize: bool = True,
 ) -> List[Tuple[int, ClientUpdate, Any]]:
     """Train one worker's share of the round's clients.
 
@@ -181,7 +180,6 @@ def _run_client_chunk(
     """
     set_default_dtype(dtype_name)
     set_kernel(kernel)
-    set_plan_optimize(plan_optimize)
     method: FederatedMethod = pickle.loads(method_blob)
     state, payload = deserialize_state(broadcast_blob)
     # numpy's writeable=False flag does not survive pickling; re-protect the
@@ -445,7 +443,6 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                     dtype_name,
                     task_id,
                     kernel,
-                    plan_optimize,
                 ) = payload
                 _install_shards(shard_blobs)
                 _evict_stale_shards(task_id)
@@ -455,7 +452,6 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
                     _resolve_chunk(items),
                     dtype_name,
                     kernel,
-                    plan_optimize,
                 )
             elif kind == "eval":
                 method_blob, broadcast_blob, items, shard_blobs, dtype_name = payload
@@ -750,13 +746,11 @@ class ParallelExecutor(Executor):
     Worker processes inherit the parent's compute dtype so float32 runs stay
     float32 inside the workers.
 
-    ``shard_cache=True`` (the default) ships each client's dataset only when
-    the receiving worker does not already hold it — once per (client, task)
-    instead of once per round.  ``shard_cache=False`` keeps the light-handle
-    protocol but treats every round as a miss, re-shipping every selected
-    shard (the pre-cache behaviour, kept as a fallback and as the bench
-    baseline).  Either way :attr:`ipc_log` records one :class:`RoundIPC`
-    entry per round.
+    A client's dataset ships only when the receiving worker does not already
+    hold it — once per (client, task) instead of once per round; a respawned
+    worker starts with an empty inventory, so its replayed chunk re-ships
+    every shard.  :attr:`ipc_log` records one :class:`RoundIPC` entry per
+    round.
     """
 
     #: Exit code of a fault-plane worker kill, distinguishable from real crashes.
@@ -765,19 +759,13 @@ class ParallelExecutor(Executor):
     def __init__(
         self,
         num_workers: Optional[int] = None,
-        shard_cache: bool = True,
         max_respawns: int = 0,
         kernel: str = "eager",
-        plan_optimize: bool = True,
     ) -> None:
         self.num_workers = max(1, num_workers if num_workers else (os.cpu_count() or 1))
-        self.shard_cache = shard_cache
         #: Autograd kernel every train chunk runs under (``"eager"`` or
         #: ``"tape"``; the lockstep ``"batched"`` kernel is serial-only).
         self.kernel = kernel
-        #: Whether compiled plans inside the workers run the optimizer passes
-        #: (bit-for-bit with unoptimized replay; shipped with every chunk).
-        self.plan_optimize = plan_optimize
         #: Self-healing budget: how many dead workers this executor may
         #: replace over its lifetime before a death propagates as
         #: :class:`WorkerDiedError`.  ``0`` (the default) disables healing —
@@ -834,15 +822,14 @@ class ParallelExecutor(Executor):
         for index, client in bucket:
             ref = client.shard_ref()
             key = ref.cache_key
-            if self.shard_cache and key in inventory:
+            if key in inventory:
                 stats["cache_hits"] += 1
             elif key not in shard_blobs:
                 blob = pickle.dumps(client.dataset, protocol=pickle.HIGHEST_PROTOCOL)
                 shard_blobs[key] = blob
                 stats["shard_bytes"] += len(blob)
                 stats["shards_shipped"] += 1
-                if self.shard_cache:
-                    inventory.add(key)
+                inventory.add(key)
             items.append((index, client.lighten(), ref))
         return (
             "train",
@@ -854,7 +841,6 @@ class ParallelExecutor(Executor):
                 dtype_name,
                 task_id,
                 self.kernel,
-                self.plan_optimize,
             ),
         )
 
@@ -874,20 +860,19 @@ class ParallelExecutor(Executor):
         for index, job in bucket:
             ref = job.slice_ref()
             key = ref.cache_key
-            if self.shard_cache and key in inventory:
+            if key in inventory:
                 stats["cache_hits"] += 1
             elif key not in shard_blobs:
                 blob = pickle.dumps(job.dataset, protocol=pickle.HIGHEST_PROTOCOL)
                 shard_blobs[key] = blob
                 stats["shard_bytes"] += len(blob)
                 stats["shards_shipped"] += 1
-                if self.shard_cache:
-                    # Mirror the worker's install-time replacement: a new
-                    # fingerprint for this (task, slice) pair supersedes the
-                    # stale entry on both sides.
-                    for stale in [k for k in inventory if k[:2] == key[:2]]:
-                        inventory.discard(stale)
-                    inventory.add(key)
+                # Mirror the worker's install-time replacement: a new
+                # fingerprint for this (task, slice) pair supersedes the
+                # stale entry on both sides.
+                for stale in [k for k in inventory if k[:2] == key[:2]]:
+                    inventory.discard(stale)
+                inventory.add(key)
             items.append((index, ref, job.batch_size))
         return ("eval", (method_blob, broadcast_blob, items, shard_blobs, dtype_name))
 
@@ -1067,8 +1052,7 @@ class ParallelExecutor(Executor):
         lands on the same worker every call and its cached bytes are found
         again — and slice payloads are attached only for keys the receiving
         worker does not already hold (mirrored inventories, exactly like the
-        training data plane).  ``shard_cache=False`` re-ships every slice on
-        every call (the bench baseline); counts are identical either way.
+        training data plane).
         """
         if not jobs:
             return []
@@ -1261,17 +1245,10 @@ class ParallelEvalBackend(EvalBackend):
 def build_executor(
     executor: str = "serial",
     num_workers: int = 0,
-    shard_cache: bool = True,
     max_respawns: int = 0,
     kernel: str = "eager",
-    plan_optimize: bool = True,
 ) -> Executor:
-    """Construct an executor from the :class:`FederatedConfig` knobs.
-
-    ``plan_optimize`` only needs carrying by the parallel executor (it ships
-    with every train chunk); the in-process executors read the process-global
-    flag the simulation sets via ``plan_optimize_mode``.
-    """
+    """Construct an executor from the :class:`FederatedConfig` knobs."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose one of {KERNELS}")
     if kernel == "batched":
@@ -1285,13 +1262,7 @@ def build_executor(
     if executor == "serial":
         return SerialExecutor()
     if executor == "parallel":
-        return ParallelExecutor(
-            num_workers,
-            shard_cache=shard_cache,
-            max_respawns=max_respawns,
-            kernel=kernel,
-            plan_optimize=plan_optimize,
-        )
+        return ParallelExecutor(num_workers, max_respawns=max_respawns, kernel=kernel)
     raise ValueError(f"unknown executor {executor!r}; choose 'serial' or 'parallel'")
 
 

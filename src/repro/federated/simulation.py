@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tape import kernel_mode, plan_optimize_mode
+from repro.autograd.tape import kernel_mode
 from repro.autograd.tensor import default_dtype, get_default_dtype
 from repro.continual.evaluator import EvalBackend, GlobalEvaluator
 from repro.continual.metrics import ContinualMetrics
@@ -168,10 +168,9 @@ class FederatedDomainIncrementalSimulation:
         )
         # The communication plane: every round's broadcast and uploads move
         # through the transport, which owns the server's ledger (measured
-        # wire frames on the loopback transport, the legacy estimate on the
-        # direct one) — so the server must not also record estimate rounds.
+        # wire frames) — so the server must not also record estimate rounds.
         self.transport = build_transport(
-            config.transport,
+            "loopback",
             config.codec,
             ledger=self.server.ledger,
             payload_codec=method.payload_codec(),
@@ -215,10 +214,8 @@ class FederatedDomainIncrementalSimulation:
         self.executor = build_executor(
             config.executor,
             config.num_workers,
-            config.shard_cache,
             max_respawns=max_respawns,
             kernel=config.kernel,
-            plan_optimize=config.plan_optimize,
         )
         # The evaluation plane: when eval_executor="parallel", seen-task
         # evaluation fans over a pinned worker pool — the training executor's
@@ -231,9 +228,7 @@ class FederatedDomainIncrementalSimulation:
             if isinstance(self.executor, ParallelExecutor):
                 self.eval_executor = self.executor
             else:
-                self.eval_executor = ParallelExecutor(
-                    config.num_workers, shard_cache=config.shard_cache
-                )
+                self.eval_executor = ParallelExecutor(config.num_workers)
                 self._owns_eval_executor = True
             eval_backend = ParallelEvalBackend(
                 self.eval_executor, method, broadcast_fn=self.server.broadcast_view
@@ -338,7 +333,7 @@ class FederatedDomainIncrementalSimulation:
                     # A client that never received data (can happen with very
                     # small initial populations); give it an empty marker.
                     continue
-        if self.config.executor == "parallel" and self.config.shard_cache:
+        if self.config.executor == "parallel":
             # Pay the shard-fingerprint hash at the task boundary (once per
             # shard) instead of inside the first round's critical path.  The
             # concatenated in-between shards built above are new arrays with
@@ -863,7 +858,7 @@ class FederatedDomainIncrementalSimulation:
         in-process ``run_local_sgd`` calls; parallel workers receive the
         kernel with every train chunk instead).
         """
-        with default_dtype(self.config.dtype), kernel_mode(self.config.kernel), plan_optimize_mode(self.config.plan_optimize):
+        with default_dtype(self.config.dtype), kernel_mode(self.config.kernel):
             if not resumed:
                 self.method.on_task_start(task.task_id, self.server)
                 self.server.invalidate_broadcast()

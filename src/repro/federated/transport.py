@@ -1,4 +1,4 @@
-"""Pluggable transports: how broadcasts and uploads actually move.
+"""The transport: how broadcasts and uploads actually move.
 
 A :class:`Transport` sits between the simulation loop and the server on both
 directions of every communication round:
@@ -15,18 +15,13 @@ directions of every communication round:
   stragglers), decodes what arrives, and hands the surviving updates to
   aggregation — decode-before-aggregate.
 
-Two implementations:
-
-* :class:`DirectTransport` (``transport="direct"``) — no frames at all:
-  objects pass straight through and the ledger falls back to the legacy
-  ``nbytes`` estimate.  Zero overhead, zero measurement fidelity.
-* :class:`LoopbackTransport` (``transport="loopback"``, the default) — every
-  message is really encoded through the configured
-  :class:`~repro.federated.communication.ArrayCodec`; ledger numbers are
-  actual frame lengths.  The ``identity`` codec short-circuits the decode
-  (its round-trip is the pickle the executor already performs), so the
-  default configuration is bit-for-bit and allocation-identical to the
-  pre-transport engine while still measuring real frames.
+There is one implementation, :class:`LoopbackTransport`: every message is
+really encoded through the configured
+:class:`~repro.federated.communication.ArrayCodec` and ledger numbers are
+actual frame lengths.  The ``identity`` codec short-circuits the decode (its
+round-trip is the pickle the executor already performs), so the default
+configuration adds no decode work and no copies while still measuring real
+frames.
 
 Delta acknowledgements: the downlink ``delta`` codec encodes each client's
 frame against the last broadcast that client received (clients selected in
@@ -63,7 +58,6 @@ from repro.federated.communication import (
     RoundCommRecord,
     TreePayloadCodec,
     WireFrame,
-    _payload_bytes,
     build_codec,
     decode_frame,
     encode_frame,
@@ -175,9 +169,8 @@ class Transport:
 
     def __init__(self, ledger: CommunicationLedger) -> None:
         self.ledger = ledger
-        #: Per-client byte sizes of the most recent broadcast / upload cycle —
-        #: measured frame lengths on the loopback transport, the ``nbytes``
-        #: estimate on the direct one.  The temporal plane's cost model reads
+        #: Per-client measured frame lengths of the most recent broadcast /
+        #: upload cycle.  The temporal plane's cost model reads
         #: these to turn each client's traffic into simulated transfer time:
         #: ``last_broadcast_bytes`` is (re)written by every
         #: :meth:`broadcast_round`, ``last_upload_bytes`` by every
@@ -231,36 +224,6 @@ class Transport:
         self.last_broadcast_bytes = dict(state["last_broadcast_bytes"])
         self.last_upload_bytes = dict(state["last_upload_bytes"])
         self.last_penalty_seconds = dict(state["last_penalty_seconds"])
-
-
-class DirectTransport(Transport):
-    """No wire format: pass-through objects, ledger from ``nbytes`` estimates."""
-
-    name = "direct"
-
-    def __init__(self, ledger: CommunicationLedger) -> None:
-        super().__init__(ledger)
-        self._pending: Optional[Tuple[int, Dict[str, np.ndarray], Any]] = None
-
-    def broadcast_round(self, server, selected, task_id, round_index):
-        handle = server.broadcast_view()
-        self._pending = (len(selected), server.global_state, server.broadcast_payload)
-        broadcast_one = sum(
-            np.asarray(value).nbytes for value in server.global_state.values()
-        ) + _payload_bytes(server.broadcast_payload)
-        self.last_broadcast_bytes = {client_id: broadcast_one for client_id in selected}
-        return handle
-
-    def collect_updates(self, updates):
-        if self._pending is None:
-            raise RuntimeError("collect_updates called before broadcast_round")
-        num_selected, state, payload = self._pending
-        self._pending = None
-        self.last_upload_bytes = {
-            update.client_id: update.upload_bytes() for update in updates
-        }
-        self.ledger.record_round(updates, state, payload, num_selected=num_selected)
-        return updates
 
 
 @dataclass
@@ -716,27 +679,24 @@ def build_transport(
     retry_backoff: float = 0.5,
     faults=None,
 ) -> Transport:
-    """Construct a transport from the :class:`FederatedConfig` knobs."""
-    if transport == "direct":
-        return DirectTransport(ledger)
-    if transport == "loopback":
-        return LoopbackTransport(
-            ledger=ledger,
-            codec=build_codec(codec),
-            payload_codec=payload_codec,
-            seed=seed,
-            bandwidth_limit=bandwidth_limit,
-            drop_stragglers=drop_stragglers,
-            retries=retries,
-            retry_backoff=retry_backoff,
-            faults=faults,
-        )
-    raise ValueError(f"unknown transport {transport!r}; choose 'direct' or 'loopback'")
+    """Construct the named transport from the :class:`FederatedConfig` knobs."""
+    if transport != "loopback":
+        raise ValueError(f"unknown transport {transport!r}; the only transport is 'loopback'")
+    return LoopbackTransport(
+        ledger=ledger,
+        codec=build_codec(codec),
+        payload_codec=payload_codec,
+        seed=seed,
+        bandwidth_limit=bandwidth_limit,
+        drop_stragglers=drop_stragglers,
+        retries=retries,
+        retry_backoff=retry_backoff,
+        faults=faults,
+    )
 
 
 __all__ = [
     "Transport",
-    "DirectTransport",
     "LoopbackTransport",
     "TransportError",
     "FrameCorruptionError",

@@ -19,7 +19,7 @@ from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock
 from repro.nn.optim import SGD, Adam
 from repro.nn.scheduler import StepLR, CosineAnnealingLR, ConstantLR
 from repro.nn.loss import CrossEntropyLoss, KnowledgeDistillationLoss, MSELoss
-from repro.nn import init, functional_aliases as F
+from repro.nn import init
 from repro.nn.serialization import save_state_dict, load_state_dict, state_dicts_allclose
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "KnowledgeDistillationLoss",
     "MSELoss",
     "init",
-    "F",
     "save_state_dict",
     "load_state_dict",
     "state_dicts_allclose",

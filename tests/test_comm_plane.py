@@ -1,11 +1,11 @@
-"""Tests of the communication plane: codecs, payload codecs, ledger, transports.
+"""Tests of the communication plane: codecs, payload codecs, ledger, transport.
 
 The plane's central guarantee — lossless codecs are results-invariant — is
 enforced at two levels: property tests that every lossless codec round-trips
 arbitrary state dicts bit-exactly (all dtypes and shapes, empty and scalar
 tensors, NaNs), and end-to-end parity of whole simulations run through the
-wire format against the no-wire ``direct`` transport, across executors and
-compute dtypes.  Ledger numbers are checked to be sums of actual encoded
+``delta`` codec against the ``identity`` codec, across executors and compute
+dtypes.  Ledger numbers are checked to be sums of actual encoded
 frame lengths and to reconcile with the parallel executor's ``RoundIPC``
 where both observe the same broadcast bytes.
 """
@@ -308,35 +308,28 @@ def comm_config(tiny_federated_config):
 
 
 class TestTransportParity:
-    def test_lossless_codecs_match_direct_transport(
+    def test_lossless_delta_matches_identity(
         self, tiny_spec, tiny_backbone_config, comm_config
     ):
-        direct = _run(
-            tiny_spec, tiny_backbone_config, replace(comm_config, transport="direct")
-        )
-        for codec in ("identity", "delta"):
-            wired = _run(
-                tiny_spec,
-                tiny_backbone_config,
-                replace(comm_config, transport="loopback", codec=codec),
-            )
-            np.testing.assert_array_equal(direct.metrics.matrix, wired.metrics.matrix)
-            assert direct.round_losses == wired.round_losses
-            assert direct.round_loss_components == wired.round_loss_components
-            assert wired.communication.measured
+        identity = _run(tiny_spec, tiny_backbone_config, comm_config)
+        delta = _run(tiny_spec, tiny_backbone_config, replace(comm_config, codec="delta"))
+        np.testing.assert_array_equal(identity.metrics.matrix, delta.metrics.matrix)
+        assert identity.round_losses == delta.round_losses
+        assert identity.round_loss_components == delta.round_loss_components
+        assert identity.communication.measured and delta.communication.measured
 
     def test_delta_parity_parallel_executor_float32(
         self, tiny_spec, tiny_backbone_config, comm_config
     ):
         base = replace(comm_config, dtype="float32")
-        direct = _run(tiny_spec, tiny_backbone_config, replace(base, transport="direct"))
+        identity = _run(tiny_spec, tiny_backbone_config, base)
         wired = _run(
             tiny_spec,
             tiny_backbone_config,
             replace(base, codec="delta", executor="parallel", num_workers=2),
         )
-        np.testing.assert_array_equal(direct.metrics.matrix, wired.metrics.matrix)
-        assert direct.round_losses == wired.round_losses
+        np.testing.assert_array_equal(identity.metrics.matrix, wired.metrics.matrix)
+        assert identity.round_losses == wired.round_losses
 
     def test_ledger_totals_are_sums_of_frame_lengths(
         self, tiny_spec, tiny_backbone_config, comm_config
@@ -471,10 +464,6 @@ class TestBandwidthScenarios:
             FederatedConfig(codec="identity", bandwidth_limit=1000, drop_stragglers=True)
         )
         assert limited_delta != limited_identity
-        direct = _normalize_execution_knobs(
-            FederatedConfig(transport="direct", codec="quantize8")
-        )
-        assert direct == free_identity  # direct never encodes: codec is inert
 
     def test_budget_seeding_is_per_client_and_deterministic(self):
         ledger = CommunicationLedger()
@@ -488,13 +477,9 @@ class TestBandwidthScenarios:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            FederatedConfig(transport="carrier-pigeon")
-        with pytest.raises(ValueError):
             FederatedConfig(codec="gzip")
         with pytest.raises(ValueError):
             FederatedConfig(bandwidth_limit=-1)
-        with pytest.raises(ValueError):
-            FederatedConfig(transport="direct", bandwidth_limit=100)
         with pytest.raises(ValueError):
             build_transport("quantum", "identity", CommunicationLedger())
         FederatedConfig(codec="topk:0.05")  # parameterised specs are valid

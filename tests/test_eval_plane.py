@@ -406,23 +406,6 @@ class TestEvalShardCache:
         total_slices = log[-1].num_jobs  # final call scores every slice of both tasks
         assert sum(entry.shards_shipped for entry in log) == total_slices
 
-    def test_cache_disabled_reships_every_call(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        simulation, result = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            self._config(tiny_federated_config, shard_cache=False),
-        )
-        log = simulation.eval_executor.eval_ipc_log
-        assert all(entry.shard_bytes > 0 and entry.cache_hits == 0 for entry in log)
-        # Still bit-for-bit identical to the cached run.
-        _, cached = _run_simulation(
-            tiny_spec, tiny_backbone_config, self._config(tiny_federated_config)
-        )
-        np.testing.assert_array_equal(result.metrics.matrix, cached.metrics.matrix)
-        assert result.round_eval_history == cached.round_eval_history
-
 
 class TestEvalEvery:
     def test_round_eval_history_shape(

@@ -242,22 +242,6 @@ class TestShardCache:
             with pytest.raises(ValueError, match="share one task_id"):
                 executor.run_round(method, method.build_model(), server.broadcast_view(), [h0, h1])
 
-    def test_cache_disabled_ships_every_round(self, tiny_spec, tiny_backbone_config):
-        method = build_method("finetune", tiny_backbone_config, num_tasks=1)
-        server = FederatedServer(method.build_model())
-        datasets = [
-            SyntheticDomainDataset(tiny_spec).domain_split(0, "train").subset(np.arange(s, s + 8))
-            for s in (0, 8)
-        ]
-        with ParallelExecutor(num_workers=2, shard_cache=False) as executor:
-            model = method.build_model()
-            for round_index in range(2):
-                executor.run_round(
-                    method, model, server.broadcast_view(),
-                    self._handles(datasets, task_id=0, round_index=round_index),
-                )
-        assert all(ipc.shard_bytes > 0 and ipc.cache_hits == 0 for ipc in executor.ipc_log)
-
     def test_multi_task_simulation_parity_with_cache_hits(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
@@ -281,16 +265,6 @@ class TestShardCache:
         assert len(log) == 4  # 2 tasks x 2 rounds
         assert sum(ipc.cache_hits for ipc in log) > 0
         assert log[2].task_id == 1 and log[2].shards_shipped > 0  # invalidated at boundary
-
-    def test_shard_cache_config_knob(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
-        config = replace(
-            tiny_federated_config, executor="parallel", num_workers=2, shard_cache=False
-        )
-        assert isinstance(build_executor(config.executor, config.num_workers, config.shard_cache), ParallelExecutor)
-        off = _run_simulation(tiny_spec, tiny_backbone_config, config)
-        on = _run_simulation(tiny_spec, tiny_backbone_config, replace(config, shard_cache=True))
-        np.testing.assert_array_equal(off.metrics.matrix, on.metrics.matrix)
-        assert off.round_losses == on.round_losses
 
 
 class _StateMutatingMethod:

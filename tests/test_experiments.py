@@ -195,7 +195,7 @@ class TestRunner:
 
     def test_execution_knobs_do_not_fragment_the_cache(self, micro_config):
         """Regression: runs differing only in execution-plane knobs (executor,
-        num_workers, shard_cache, eval_executor) are bit-for-bit identical, so
+        num_workers, eval_executor) are bit-for-bit identical, so
         they must share one memoised run instead of retraining from scratch."""
         from dataclasses import replace as dc_replace
 
@@ -207,9 +207,8 @@ class TestRunner:
         base_key = _cache_key("finetune", micro_config, None, None)
         for overrides in (
             {"executor": "parallel", "num_workers": 4},
-            {"shard_cache": False},
             {"eval_executor": "parallel"},
-            {"executor": "parallel", "num_workers": 2, "shard_cache": False, "eval_executor": "parallel"},
+            {"executor": "parallel", "num_workers": 2, "eval_executor": "parallel"},
         ):
             assert _cache_key("finetune", with_federated(**overrides), None, None) == base_key
         # dtype changes the bits and eval_every changes the recorded history:

@@ -508,8 +508,6 @@ class TestCheckpointResume:
         with pytest.raises(ValueError):
             FederatedConfig(checkpoint_every=1, checkpoint_dir="x", mode="async")
         with pytest.raises(ValueError):
-            FederatedConfig(transport="direct", faults=FaultSpec(upload_loss_rate=0.5))
-        with pytest.raises(ValueError):
             FederatedConfig(retries=-1)
 
 

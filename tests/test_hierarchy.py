@@ -423,8 +423,6 @@ class TestHierarchyConfig:
         with pytest.raises(ValueError):
             FederatedConfig(reduce_backend="ring")
         with pytest.raises(ValueError):
-            FederatedConfig(reduce_backend="tree", transport="direct")
-        with pytest.raises(ValueError):
             FederatedConfig(tree_fanout=1)
         # The valid combinations construct fine.
         FederatedConfig(virtual_clients=True, population=100_000)

@@ -115,6 +115,9 @@ class TestBatchedKernelParity:
         telemetry = simulation.executor.telemetry
         assert telemetry.lockstep_clients > 0
         assert telemetry.plans_compiled > 0
+        assert telemetry.plan_cache_misses == telemetry.plans_compiled
+        assert telemetry.plan_cache_hits + telemetry.plan_cache_misses > 0
+        assert telemetry.plan_cache_evictions == 0
 
     def test_batched_fedlwf_with_teacher(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
@@ -154,96 +157,31 @@ class TestBatchedKernelParity:
         assert telemetry.plans_compiled == 0
 
 
-class TestPlanOptimizeParity:
-    """The plan_optimize knob may never move a number: optimized tape runs are
-    hash-identical to unoptimized ones (and to eager), under every executor
-    and dtype; optimized lockstep replay is bit-for-bit with unoptimized
-    lockstep replay."""
+class TestPlanErrorFallsBackToEager:
+    """A shape whose plan cannot be compiled runs eagerly: the fallback chain
+    is plan -> eager, so a compile failure may never move a number."""
 
-    def test_tape_optimized_identical_to_unoptimized_and_eager(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+    @pytest.mark.parametrize("kernel", ["tape", "batched"])
+    def test_compile_failure_leaves_run_hash_identical_to_eager(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, monkeypatch, kernel
     ):
-        eager, _ = _simulate(tiny_spec, tiny_backbone_config, tiny_federated_config)
-        tape_on, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, kernel="tape", plan_optimize=True),
-        )
-        tape_off, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, kernel="tape", plan_optimize=False),
-        )
-        _assert_identical(tape_on, tape_off)
-        _assert_identical(tape_on, eager)
+        from repro.autograd import planopt
+        from repro.autograd.tape import PlanError
+        from repro.federated.checkpoint import simulation_state_hash
 
-    def test_tape_optimized_identical_at_float32(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        on, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, dtype="float32", kernel="tape"),
-        )
-        off, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(
-                tiny_federated_config,
-                dtype="float32",
-                kernel="tape",
-                plan_optimize=False,
-            ),
-        )
-        _assert_identical(on, off)
+        def refuse(plan):
+            raise PlanError("injected compile failure")
 
-    def test_tape_optimized_identical_under_parallel_executor(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        # The plan_optimize knob must reach worker processes with every chunk.
-        on, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(
-                tiny_federated_config, kernel="tape", executor="parallel", num_workers=2
-            ),
-        )
-        off, _ = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(
-                tiny_federated_config,
-                kernel="tape",
-                executor="parallel",
-                num_workers=2,
-                plan_optimize=False,
-            ),
-        )
-        _assert_identical(on, off)
-
-    def test_batched_optimized_identical_to_unoptimized(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        # Optimized batched replay runs the same ops in the same order with
-        # the same stacked operands, so it is exactly equal (not tolerance).
+        monkeypatch.setattr(planopt, "optimize_plan", refuse)
         wide = _widened(tiny_federated_config)
-        on, sim_on = _simulate(
-            tiny_spec, tiny_backbone_config, replace(wide, kernel="batched")
+        eager, eager_sim = _simulate(tiny_spec, tiny_backbone_config, wide)
+        fallen, fallen_sim = _simulate(
+            tiny_spec, tiny_backbone_config, replace(wide, kernel=kernel)
         )
-        off, sim_off = _simulate(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(wide, kernel="batched", plan_optimize=False),
-        )
-        _assert_identical(on, off)
-        telemetry = sim_on.executor.telemetry
-        assert telemetry.lockstep_clients > 0
-        assert telemetry.plan_cache_misses == telemetry.plans_compiled
-        assert telemetry.plan_cache_hits + telemetry.plan_cache_misses > 0
-        assert telemetry.plan_cache_evictions == 0
-        assert (
-            sim_off.executor.telemetry.lockstep_clients == telemetry.lockstep_clients
-        )
+        _assert_identical(eager, fallen)
+        assert simulation_state_hash(fallen_sim) == simulation_state_hash(eager_sim)
+        if kernel == "batched":
+            assert fallen_sim.executor.telemetry.lockstep_clients == 0
 
 
 class TestKernelConfigSurface:
@@ -275,20 +213,6 @@ class TestKernelConfigSurface:
         config = scaled_config("office_caltech", kernel="batched")
         assert config.federated.kernel == "batched"
 
-    def test_scaled_config_threads_plan_optimize(self):
-        from repro.experiments.config import scaled_config
-
-        assert scaled_config("office_caltech").federated.plan_optimize is True
-        config = scaled_config("office_caltech", plan_optimize=False)
-        assert config.federated.plan_optimize is False
-
-    def test_build_executor_threads_plan_optimize(self):
-        parallel = build_executor("parallel", 2, kernel="tape", plan_optimize=False)
-        try:
-            assert parallel.plan_optimize is False
-        finally:
-            parallel.close()
-
     def test_runner_folds_tape_keeps_batched(self):
         from repro.experiments.runner import _normalize_execution_knobs
 
@@ -298,15 +222,3 @@ class TestKernelConfigSurface:
         assert (
             _normalize_execution_knobs(replace(base, kernel="batched")).kernel == "batched"
         )
-
-    def test_runner_folds_plan_optimize_under_every_kernel(self):
-        # Optimized replay is bit-for-bit with unoptimized, so the knob can
-        # never change a run's numbers and always folds out of the cache key.
-        from repro.experiments.runner import _normalize_execution_knobs
-
-        base = FederatedConfig()
-        for kernel in ("eager", "tape", "batched"):
-            folded = _normalize_execution_knobs(
-                replace(base, kernel=kernel, plan_optimize=False)
-            )
-            assert folded.plan_optimize is True
