@@ -2,12 +2,12 @@
 
 These free functions are the building blocks used by :mod:`repro.nn` layers
 and by the RefFiL losses (cross-entropy, the GPL loss, the DPCL contrastive
-loss).  Convolution and pooling are implemented as primitive
-:class:`~repro.autograd.tape.Op`s with hand-written backward passes (im2col /
-col2im) because expressing them through elementary indexing ops would be
-prohibitively slow in pure Python; registering them as ops (rather than
-ad-hoc closures) makes them recordable on a tape and batchable over a
-leading client axis like every other operation.
+loss).  Convolution, pooling and batch normalisation are implemented as
+primitive :class:`~repro.autograd.tape.Op`s with hand-written backward passes
+(im2col / col2im; one fused normalise-scale-shift kernel) because expressing
+them through elementary ops would be prohibitively slow in pure Python;
+registering them as ops (rather than ad-hoc closures) makes them recordable
+on a tape and batchable over a leading client axis like every other operation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.autograd.tape import Op
-from repro.autograd.tensor import Tensor, apply_effect, apply_op
+from repro.autograd.tensor import Tensor, apply_op
 
 IntOrPair = Union[int, Tuple[int, int]]
 
@@ -135,30 +135,82 @@ def layer_norm(
     return normed
 
 
-def _bn_update_forward(ctx, mean, var, *, running_mean, running_var, momentum):
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.reshape(-1)
-    running_var *= 1.0 - momentum
-    running_var += momentum * var.reshape(-1)
-    return mean
+def _per_channel(stat: np.ndarray) -> np.ndarray:
+    """View ``(C,)`` as ``(1, C, 1, 1)`` — and stacked ``(K, C)`` as ``(K, 1, C, 1, 1)``."""
+    return stat.reshape(stat.shape[:-1] + (1, stat.shape[-1], 1, 1))
 
 
-def _bn_update_batched_forward(ctx, info, mean, var, *, running_mean, running_var, momentum):
-    # Stacked buffers are (K, C); stacked stats are (K, 1, C, 1, 1).
-    running_mean *= 1.0 - momentum
-    running_mean += momentum * mean.reshape(running_mean.shape)
-    running_var *= 1.0 - momentum
-    running_var += momentum * var.reshape(running_var.shape)
-    return mean
+def _batch_norm_forward(
+    ctx, x, weight, bias, *, running_mean, running_var, training, momentum, eps
+):
+    # Written over ``...NCHW`` so the lockstep engine's stacked (K, N, C, H, W)
+    # activations, (K, C) affine parameters and (K, C) running buffers run the
+    # same kernel: einsum's ellipsis carries the client axis.
+    ctx.training = training
+    ctx.weight = weight
+    if training:
+        count = x.shape[-4] * x.shape[-2] * x.shape[-1]
+        mean = np.einsum("...nchw->...c", x) / count
+        xhat = x - _per_channel(mean)
+        var = np.einsum("...nchw,...nchw->...c", xhat, xhat) / count
+        # The running statistics are written here, inside the forward, so a
+        # tape replay updates them at this record's chronological position.
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat *= _per_channel(inv_std)
+        out = xhat * _per_channel(weight)
+        out += _per_channel(bias)
+        ctx.count = count
+        ctx.xhat = xhat
+        ctx.inv_std = inv_std
+        return out
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    scale = weight * inv_std
+    out = x * _per_channel(scale)
+    out += _per_channel(bias - running_mean * scale)
+    ctx.x = x
+    ctx.mean = running_mean
+    ctx.inv_std = inv_std
+    return out
 
 
-BN_UPDATE = Op(
-    "bn_update",
-    _bn_update_forward,
-    batch_rule="custom",
-    batched_forward=_bn_update_batched_forward,
-    differentiable=False,
-    effect=True,
+def _batch_norm_vjp(ctx, grad, needs):
+    need_x, need_w, need_b = needs
+    training = ctx.training
+    grad_x = grad_w = grad_b = None
+    # Batch statistics depend on x, so its gradient needs both reductions.
+    if need_b or (need_x and training):
+        grad_b = np.einsum("...nchw->...c", grad)
+    if need_w or (need_x and training):
+        if training:
+            xhat = ctx.xhat
+        else:
+            xhat = (ctx.x - _per_channel(ctx.mean)) * _per_channel(ctx.inv_std)
+        grad_w = np.einsum("...nchw,...nchw->...c", grad, xhat)
+    if need_x:
+        scale = ctx.weight * ctx.inv_std
+        if training:
+            grad_x = xhat * _per_channel(grad_w / ctx.count)
+            np.subtract(grad, grad_x, out=grad_x)
+            grad_x -= _per_channel(grad_b / ctx.count)
+            grad_x *= _per_channel(scale)
+        else:
+            grad_x = grad * _per_channel(scale)
+    return (grad_x, grad_w if need_w else None, grad_b if need_b else None)
+
+
+#: ``batch_rule="axis"`` with no kwarg remap: the kernels above already index
+#: channels from the right, so stacked inputs need no separate batched variant.
+#: ``effect`` flags the records whose forward writes its running-stat kwargs.
+BATCH_NORM = Op(
+    "batch_norm",
+    _batch_norm_forward,
+    _batch_norm_vjp,
+    batch_rule="axis",
+    effect=lambda kwargs: kwargs["training"],
 )
 
 
@@ -174,25 +226,20 @@ def batch_norm_2d(
 ) -> Tensor:
     """Batch normalisation for ``(N, C, H, W)`` inputs.
 
-    ``running_mean`` / ``running_var`` are plain numpy buffers that are
-    updated in place when ``training`` is true (recorded as an effect op so
-    tape replays keep updating them chronologically).
+    ``running_mean`` / ``running_var`` are plain numpy buffers: normalised
+    against when ``training`` is false, updated in place (biased batch
+    variance) when it is true.  Both modes are differentiable in ``x``,
+    ``weight`` and ``bias``.
     """
-    if training:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), keepdims=True)
-        apply_effect(
-            BN_UPDATE,
-            (mean, var),
-            running_mean=running_mean,
-            running_var=running_var,
-            momentum=momentum,
-        )
-    else:
-        mean = Tensor(running_mean.reshape(1, -1, 1, 1))
-        var = Tensor(running_var.reshape(1, -1, 1, 1))
-    normed = (x - mean) / (var + eps).sqrt()
-    return normed * weight.reshape(1, -1, 1, 1) + bias.reshape(1, -1, 1, 1)
+    return apply_op(
+        BATCH_NORM,
+        (x, weight, bias),
+        running_mean=running_mean,
+        running_var=running_var,
+        training=training,
+        momentum=momentum,
+        eps=eps,
+    )
 
 
 # --------------------------------------------------------------------------- #

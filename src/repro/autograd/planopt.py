@@ -12,10 +12,10 @@ parameter's gradient accumulator re-allocated per step.  The passes remove
 that overhead without moving a single bit relative to eager:
 
 * **dead-code elimination** — records whose outputs reach neither the loss
-  slot nor any effect record (metrics-only subgraphs) are dropped from the
-  forward program.  Every slot in the backward schedule is a dataflow ancestor
-  of the loss, so dropped records are never visited by the backward sweep and
-  the gradient stream is untouched.
+  slot nor any record with an effect (metrics-only subgraphs) are dropped from
+  the forward program.  Every slot in the backward schedule is a dataflow
+  ancestor of the loss, so dropped records are never visited by the backward
+  sweep and the gradient stream is untouched.
 * **slot liveness** — the last forward read of every produced slot is
   computed; ``env[slot]`` is dropped eagerly at that position, and op contexts
   are only stashed for records the backward sweep will actually visit
@@ -313,7 +313,7 @@ def _out_eligible(plan, rec: OpRecord, spec: Optional[_OpSpec]) -> bool:
     """May ``rec``'s output be served from an arena buffer via ``out=``?"""
     if spec is None or not spec.out_capable:
         return False
-    if rec.out_slot is None or rec.out_slot == plan.loss_slot:
+    if rec.out_slot == plan.loss_slot:
         return False
     if any(_contains_dynref(v) for v in rec.kwargs.values()):
         return False
@@ -372,14 +372,13 @@ class _Sub:
 
 
 class _Instr:
-    """One optimized forward step: an effect, a plain record, or a fused chain."""
+    """One optimized forward step: a plain record or a fused chain."""
 
-    __slots__ = ("subs", "out_slot", "effect", "releases", "dyn_kwargs")
+    __slots__ = ("subs", "out_slot", "releases", "dyn_kwargs")
 
-    def __init__(self, subs: Tuple[_Sub, ...], out_slot: Optional[int], effect: bool) -> None:
+    def __init__(self, subs: Tuple[_Sub, ...], out_slot: int) -> None:
         self.subs = subs
         self.out_slot = out_slot
-        self.effect = effect
         self.releases: Tuple[int, ...] = ()
         # Per-sub precomputed BatchInfo.dyn_kwargs (static per record).
         self.dyn_kwargs = tuple(
@@ -475,9 +474,7 @@ class PlanOptimization:
                     kwargs = _resolve_kwargs(sub.rec_kwargs, dyn)
                 ctx = OpContext()
                 args = [env[s] for s in sub.argspec]
-                if ins.effect:
-                    sub.forward(ctx, *args, **kwargs)
-                elif sub.writer is not None:
+                if sub.writer is not None:
                     env[ins.out_slot] = sub.writer(ctx, sub.out_buf, *args, **kwargs)
                     if sub.keep_ctx:
                         ctxs[sub.index] = ctx
@@ -536,9 +533,9 @@ class PlanOptimization:
             if len(subs) == 1:
                 sub = subs[0]
                 args = [env[s] for s in sub.argspec]
-                value = self._batched_value(sub, ins.dyn_kwargs[0], args, dyn, ctxs, k, flags)
-                if not ins.effect:
-                    env[ins.out_slot] = value
+                env[ins.out_slot] = self._batched_value(
+                    sub, ins.dyn_kwargs[0], args, dyn, ctxs, k, flags
+                )
             else:
                 value = None
                 for sub, dyn_kwargs in zip(subs, ins.dyn_kwargs):
@@ -571,8 +568,6 @@ class PlanOptimization:
         ctx = OpContext()
         if not out_batched:
             result = rec.op.forward(ctx, *args, **kwargs)
-            if rec.out_slot is None:
-                return None
             if sub.keep_ctx:
                 ctxs[sub.index] = ctx
             return np.asarray(result, dtype=rec.out_dtype)
@@ -583,13 +578,6 @@ class PlanOptimization:
             in_batched=in_batched,
             dyn_kwargs=dyn_kwargs,
         )
-        if rec.out_slot is None:
-            batched_args = [
-                a if b else np.broadcast_to(a, (k,) + a.shape)
-                for a, b in zip(args, in_batched)
-            ]
-            rec.op.batched_forward(ctx, info, *batched_args, **kwargs)
-            return None
         if rec.op.batched_forward is not None:
             batched_args = [
                 a if b else np.broadcast_to(a, (k,) + a.shape)
@@ -742,7 +730,7 @@ def optimize_plan(plan) -> PlanOptimization:
     keep = [False] * n_records
     for i in range(n_records - 1, -1, -1):
         rec = records[i]
-        if rec.out_slot is None or rec.out_slot in needed:
+        if rec.out_slot in needed or rec.has_effect:
             keep[i] = True
             needed.update(rec.input_slots)
     dropped = tuple(i for i in range(n_records) if not keep[i])
@@ -775,7 +763,7 @@ def optimize_plan(plan) -> PlanOptimization:
         rec = records[i]
         spec = _SPECS.get(id(rec.op))
         run = [i]
-        while spec is not None and spec.fusable and rec.out_slot is not None:
+        while spec is not None and spec.fusable:
             if pos + 1 >= len(kept):
                 break
             j = kept[pos + 1]
@@ -784,7 +772,6 @@ def optimize_plan(plan) -> PlanOptimization:
             if (
                 next_spec is None
                 or not next_spec.fusable
-                or next_rec.out_slot is None
                 or rec.out_slot == plan.loss_slot
                 or use_count.get(rec.out_slot, 0) == 0
                 or consumers.get(rec.out_slot) != [j] * use_count[rec.out_slot]
@@ -815,7 +802,7 @@ def optimize_plan(plan) -> PlanOptimization:
 
     def build_sub(i: int, chain_in: Optional[int]) -> _Sub:
         rec = records[i]
-        keep_ctx = rec.out_slot is not None and rec.out_slot in plan._interior
+        keep_ctx = rec.out_slot in plan._interior
         argspec = tuple(
             _CHAIN if (chain_in is not None and s == chain_in) else s
             for s in rec.input_slots
@@ -832,11 +819,9 @@ def optimize_plan(plan) -> PlanOptimization:
             subs.append(sub)
             chain_prev = records[i].out_slot
         last = records[run[-1]]
-        instr = _Instr(tuple(subs), last.out_slot, last.out_slot is None)
-        program.append(instr)
+        program.append(_Instr(tuple(subs), last.out_slot))
         instr_env_reads.append(env_reads)
-        if last.out_slot is not None:
-            produced_at[last.out_slot] = len(program) - 1
+        produced_at[last.out_slot] = len(program) - 1
 
     last_read: Dict[int, int] = {}
     for p, reads in enumerate(instr_env_reads):

@@ -137,6 +137,11 @@ class Op:
       vectorization directly (conv, pooling, fancy indexing).
     * ``None`` — not batchable (dropout: per-client rng streams cannot run in
       lockstep); a plan containing such a record falls back per client.
+
+    ``effect`` is a predicate over one application's kwargs: true when that
+    forward writes to an array it received as a kwarg (train-mode batch norm
+    updating its running statistics).  Replay keeps such a record even when
+    its output is dead, and the serving plane refuses to compile it.
     """
 
     name: str
@@ -148,7 +153,7 @@ class Op:
     batched_vjp: Optional[Callable[..., Sequence[Optional[np.ndarray]]]] = None
     batch_check: Optional[Callable[["OpRecord"], bool]] = None
     differentiable: bool = True
-    effect: bool = False
+    effect: Optional[Callable[[Dict[str, Any]], bool]] = None
 
 
 class DynRef:
@@ -169,7 +174,7 @@ class BatchInfo:
 
     k: int
     in_shapes: Tuple[Tuple[int, ...], ...]
-    out_shape: Optional[Tuple[int, ...]]
+    out_shape: Tuple[int, ...]
     in_batched: Tuple[bool, ...]
     dyn_kwargs: Dict[str, Any]
 
@@ -180,14 +185,19 @@ class OpRecord:
 
     op: Op
     input_slots: Tuple[int, ...]
-    out_slot: Optional[int]  # None for effect records
+    out_slot: int
     kwargs: Dict[str, Any]  # dynamic values replaced by DynRef
     needs: Tuple[bool, ...]  # per-input requires_grad at trace time
     out_requires: bool
     parent_slots: Tuple[int, ...]  # out._parents order (requires-grad filtered)
     in_shapes: Tuple[Tuple[int, ...], ...]
-    out_shape: Optional[Tuple[int, ...]]
-    out_dtype: Optional[np.dtype]
+    out_shape: Tuple[int, ...]
+    out_dtype: np.dtype
+
+    @property
+    def has_effect(self) -> bool:
+        """Does replaying this record write to state outside the plan?"""
+        return self.op.effect is not None and bool(self.op.effect(self.kwargs))
 
 
 # --------------------------------------------------------------------------- #
@@ -282,22 +292,6 @@ class Tape:
             )
         )
 
-    def record_effect(self, op: Op, inputs: Sequence[Any], kwargs: Dict[str, Any]) -> None:
-        self.records.append(
-            OpRecord(
-                op=op,
-                input_slots=tuple(self._slot_for(t) for t in inputs),
-                out_slot=None,
-                kwargs=self._scan_kwargs(kwargs),
-                needs=(False,) * len(inputs),
-                out_requires=False,
-                parent_slots=(),
-                in_shapes=tuple(t.data.shape for t in inputs),
-                out_shape=None,
-                out_dtype=None,
-            )
-        )
-
 
 def _resolve_value(value: Any, dyn: Dict[str, Any]) -> Any:
     if isinstance(value, DynRef):
@@ -336,9 +330,9 @@ def _contains_dynref(value: Any) -> bool:
 class Plan:
     """One traced client step compiled for replay.
 
-    The forward program is the record list in chronological order (including
-    effect records such as batch-norm running-stat updates); the backward
-    schedule is the slot-level topological order computed with the *identical*
+    The forward program is the record list in chronological order (so a
+    train-mode batch norm updates its running statistics where eager did); the
+    backward schedule is the slot-level topological order computed with the *identical*
     iterative DFS :meth:`Tensor.backward` uses, so a replayed backward visits
     records and accumulates gradients in exactly the same order as eager —
     tape-mode replay is bit-for-bit.
@@ -360,9 +354,8 @@ class Plan:
         self._rec_index: Dict[int, int] = {id(rec): i for i, rec in enumerate(self.records)}
         produced = set()
         for rec in self.records:
-            if rec.out_slot is not None:
-                self.rec_for_slot[rec.out_slot] = rec
-                produced.add(rec.out_slot)
+            self.rec_for_slot[rec.out_slot] = rec
+            produced.add(rec.out_slot)
 
         # Leaf classification: marked inputs, parameters, constants.
         from repro.nn.module import Parameter  # local: nn imports autograd
@@ -511,19 +504,13 @@ class Plan:
             dyn_batched = any(_contains_dynref(v) for v in rec.kwargs.values())
             out_batched = any(in_batched) or dyn_batched
             if out_batched:
-                if rec.out_slot is None:
-                    if rec.op.batched_forward is None:
-                        raise PlanNotBatchable(
-                            f"effect op {rec.op.name!r} has no batched variant"
-                        )
-                else:
-                    if rec.op.batch_rule is None and rec.op.batched_forward is None:
-                        raise PlanNotBatchable(f"op {rec.op.name!r} is not batchable")
-                    if rec.op.batch_check is not None and not rec.op.batch_check(rec):
-                        raise PlanNotBatchable(
-                            f"op {rec.op.name!r} record shape/index form is not batchable"
-                        )
-                    batched.add(rec.out_slot)
+                if rec.op.batch_rule is None and rec.op.batched_forward is None:
+                    raise PlanNotBatchable(f"op {rec.op.name!r} is not batchable")
+                if rec.op.batch_check is not None and not rec.op.batch_check(rec):
+                    raise PlanNotBatchable(
+                        f"op {rec.op.name!r} record shape/index form is not batchable"
+                    )
+                batched.add(rec.out_slot)
             flags.append((in_batched, out_batched))
         if self.loss_slot not in batched:
             raise PlanNotBatchable("loss does not depend on batched state")

@@ -502,25 +502,9 @@ def apply_op(op: Op, inputs: Sequence[ArrayLike], **kwargs) -> Tensor:
     return out
 
 
-def apply_effect(op: Op, inputs: Sequence[ArrayLike], **kwargs) -> None:
-    """Run a side-effecting op (e.g. batch-norm running-stat updates).
-
-    No tensor is produced; when tracing, the effect is recorded so replays
-    re-execute it chronologically (and batched replays run its vectorized
-    variant over stacked buffers).
-    """
-    tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs)
-    ctx = OpContext()
-    op.forward(ctx, *(t.data for t in tensors), **kwargs)
-    tape = _tape.active_tape()
-    if tape is not None:
-        tape.record_effect(op, tensors, kwargs)
-
-
 __all__ = [
     "Tensor",
     "apply_op",
-    "apply_effect",
     "no_grad",
     "is_grad_enabled",
     "unbroadcast",

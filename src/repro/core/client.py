@@ -198,9 +198,9 @@ class RefFiLClientTrainer:
 
         # Local prompts: CDAP-generated (Eq. 4) or the static ablation prompt.
         if self.use_cdap:
-            cls = backbone.cls_token.broadcast_to((batch, 1, model.embed_dim))
-            input_tokens = Tensor.concatenate([cls, patch_tokens], axis=1)
-            local_prompts = model.cdap(input_tokens, client.task_id)
+            local_prompts = model.cdap(
+                backbone.input_tokens_from_patches(patch_tokens), client.task_id
+            )
         else:
             local_prompts = static_prompt.reshape(
                 1, static_prompt.shape[0], static_prompt.shape[1]

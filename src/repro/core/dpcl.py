@@ -97,62 +97,36 @@ def dpcl_loss(
         raise ValueError("temperature must be positive")
     labels = np.asarray(labels, dtype=np.int64)
     pooled = local_prompts.mean(axis=1)  # (batch, d), differentiable
-    num_positives = _positive_count_for(group)
+    # One (batch, K) cosine-similarity matrix against the whole (constant)
+    # store: the op count of the loss does not depend on the batch size.
+    store_prompts = F.l2_normalize(Tensor(store.all_prompts()), axis=1)  # (K, d)
+    similarity = F.l2_normalize(pooled, axis=1) @ store_prompts.T
 
-    per_sample_losses = []
-    for index in range(pooled.shape[0]):
-        label = int(labels[index])
-        class_prompts = store.class_prompts(label)
-        negatives_pool = store.prompts_excluding(label)
-        if class_prompts.shape[0] == 0:
-            # No global knowledge about this class yet; skip the sample.
-            continue
-        anchor = pooled[index]  # (d,)
-        # Choose positives by cosine similarity against the (constant) globals.
-        anchor_values = anchor.data
-        similarities = _cosine_to_all(anchor_values, class_prompts)
-        take = min(num_positives, class_prompts.shape[0])
-        positive_idx = np.argsort(-similarities)[:take]
-        positives = class_prompts[positive_idx]
-        # Remaining same-class prompts join the negatives (they represent other domains).
-        remaining_idx = np.setdiff1d(np.arange(class_prompts.shape[0]), positive_idx)
-        negatives = class_prompts[remaining_idx]
-        if negatives_pool.shape[0] > 0:
-            negatives = (
-                np.concatenate([negatives, negatives_pool], axis=0)
-                if negatives.shape[0] > 0
-                else negatives_pool
-            )
-        if negatives.shape[0] == 0:
-            # Without negatives the InfoNCE ratio is degenerate; skip.
-            continue
-        pos_sim = F.cosine_similarity(
-            anchor.reshape(1, -1).broadcast_to((positives.shape[0], anchor_values.shape[0])),
-            Tensor(positives),
-        )
-        neg_sim = F.cosine_similarity(
-            anchor.reshape(1, -1).broadcast_to((negatives.shape[0], anchor_values.shape[0])),
-            Tensor(negatives),
-        )
-        pos_exp = (pos_sim * (1.0 / temperature)).exp().sum()
-        neg_exp = (neg_sim * (1.0 / temperature)).exp().sum()
-        per_sample_losses.append(-(pos_exp / (pos_exp + neg_exp)).log())
-
-    if not per_sample_losses:
+    # P+ as a constant mask over that matrix, chosen from detached values: the
+    # closest prompt(s) of the sample's own class.  Every other column is P-,
+    # same-class prompts of other domains included.
+    same_class = labels[:, None] == store.prompt_labels()[None, :]
+    ranked = np.argsort(
+        -np.where(same_class, similarity.data, -np.inf), axis=1, kind="stable"
+    )[:, : _positive_count_for(group)]
+    positive = np.zeros_like(same_class)
+    np.put_along_axis(positive, ranked, True, axis=1)
+    # A class with fewer prompts than positives wanted ranks other classes'
+    # columns (-inf) next; those are not positives.
+    positive &= same_class
+    # Skip samples whose class has no global prompt yet, and samples without a
+    # single negative (the InfoNCE ratio would be degenerate).
+    valid = positive.any(axis=1) & ~positive.all(axis=1)
+    num_valid = int(valid.sum())
+    if num_valid == 0:
         return None
-    total = per_sample_losses[0]
-    for loss in per_sample_losses[1:]:
-        total = total + loss
-    return total * (1.0 / len(per_sample_losses))
+    # Skipped rows get an all-ones mask: their ratio is exactly 1, their log 0,
+    # and their zero weight below keeps every gradient through them at 0.
+    positive |= ~valid[:, None]
 
-
-def _cosine_to_all(anchor: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Plain-numpy cosine similarity of one vector against candidate rows."""
-    anchor_norm = anchor / max(np.linalg.norm(anchor), 1e-12)
-    candidate_norms = candidates / np.maximum(
-        np.linalg.norm(candidates, axis=1, keepdims=True), 1e-12
-    )
-    return candidate_norms @ anchor_norm
+    exps = (similarity * (1.0 / temperature)).exp()
+    ratio = (exps * Tensor(positive)).sum(axis=1) / exps.sum(axis=1)
+    return -(ratio.log() * Tensor(valid * (1.0 / num_valid))).sum()
 
 
 __all__ = ["DPCLConfig", "decayed_temperature", "dpcl_loss"]

@@ -239,8 +239,14 @@ class RefFiLMethod(FederatedMethod):
         forward before any global prompts exist.
         """
         if self.config.use_cdap:
-            prompts = model.generate_prompts(images, task_id=None)
-            return model.backbone(images, prompts)
+            # One pass through the feature extractor serves both the CDAP
+            # input tokens and the classification forward.
+            backbone = model.backbone
+            patches = backbone.patch_tokens(images)
+            prompts = model.cdap.generate_without_task(
+                backbone.input_tokens_from_patches(patches)
+            )
+            return backbone.forward_from_patches(patches, prompts)
         averaged = self.prompt_aggregator.store.averaged_prompt_matrix()
         if averaged is None:
             return model.backbone(images)

@@ -128,6 +128,12 @@ class GlobalPromptStore:
             [self.representatives[label] for label in sorted(self.representatives)], axis=0
         )
 
+    def prompt_labels(self) -> np.ndarray:
+        """The class label of every row of :meth:`all_prompts`, in its order."""
+        classes = sorted(self.representatives)
+        counts = [self.representatives[label].shape[0] for label in classes]
+        return np.repeat(np.asarray(classes, dtype=np.int64), counts)
+
     def prompts_excluding(self, label: int) -> np.ndarray:
         """Every representative prompt not belonging to ``label`` (DPCL negatives pool)."""
         others = [

@@ -94,7 +94,10 @@ class PromptedBackbone(Module):
 
     def input_tokens(self, images: Tensor) -> Tensor:
         """Build the prompt-free token sequence ``I = [CLS; PT]`` (paper Eq. 1)."""
-        patches = self.patch_tokens(images)
+        return self.input_tokens_from_patches(self.patch_tokens(images))
+
+    def input_tokens_from_patches(self, patches: Tensor) -> Tensor:
+        """``I = [CLS; PT]`` from precomputed patch tokens (CDAP's input)."""
         batch = patches.shape[0]
         cls = self.cls_token.broadcast_to((batch, 1, self.config.embed_dim))
         return Tensor.concatenate([cls, patches], axis=1)

@@ -69,9 +69,10 @@ class ForwardPlan:
     ``(forward, input_slots, out_slot, kwargs, dtype)`` instructions.
 
     Refuses to compile anything whose replay could diverge from or mutate the
-    snapshot: effect records (a train-mode batch-norm reached the trace) and
-    rng-driven kwargs (live dropout) raise :class:`~repro.autograd.tape.
-    PlanError`, sending that shape to the eager path.
+    snapshot: records with an effect (a train-mode batch-norm reached the
+    trace) and rng-driven kwargs (live dropout) raise
+    :class:`~repro.autograd.tape.PlanError`, sending that shape to the eager
+    path.
     """
 
     __slots__ = ("input_slot", "out_slot", "n_slots", "_instructions", "_leaves")
@@ -91,10 +92,11 @@ class ForwardPlan:
         needed = {out_slot}
         keep: List[Any] = []
         for rec in reversed(tape.records):
-            if rec.out_slot is None:
+            if rec.has_effect:
                 raise PlanError(
-                    "traced predict has an effect record (train-mode running-stat "
-                    "update); serving snapshots must be side-effect free"
+                    f"traced predict has a {rec.op.name!r} record with an effect "
+                    "(train-mode running-stat update); serving snapshots must be "
+                    "side-effect free"
                 )
             if rec.out_slot in needed:
                 needed.update(rec.input_slots)

@@ -66,6 +66,38 @@ class TestLinearAndNorm:
         assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
         assert not np.allclose(running_mean, 0.0)
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm_matches_composed_reference(self, training):
+        """The fused op against the elementwise graph it replaced."""
+
+        def composed(x, weight, bias, running_mean, running_var):
+            if training:
+                mean = x.mean(axis=(0, 2, 3), keepdims=True)
+                var = x.var(axis=(0, 2, 3), keepdims=True)
+                running_mean *= 0.9
+                running_mean += 0.1 * mean.data.reshape(-1)
+                running_var *= 0.9
+                running_var += 0.1 * var.data.reshape(-1)
+            else:
+                mean = Tensor(running_mean.reshape(1, -1, 1, 1))
+                var = Tensor(running_var.reshape(1, -1, 1, 1))
+            normed = (x - mean) / (var + 1e-5).sqrt()
+            return normed * weight.reshape(1, -1, 1, 1) + bias.reshape(1, -1, 1, 1)
+
+        data = RNG.standard_normal((6, 3, 4, 4)) * 2 + 1
+        mix = Tensor(RNG.standard_normal(data.shape))
+        results = []
+        for fn in (composed, lambda *args: F.batch_norm_2d(*args, training=training)):
+            x = Tensor(data, requires_grad=True)
+            weight = Tensor(np.array([0.5, 1.0, 2.0]), requires_grad=True)
+            bias = Tensor(np.array([0.1, -0.2, 0.3]), requires_grad=True)
+            buffers = np.array([0.3, -0.1, 0.2]), np.array([0.8, 1.5, 1.1])
+            out = fn(x, weight, bias, *buffers)
+            (out * mix).sum().backward()
+            results.append((out.data, x.grad, weight.grad, bias.grad, *buffers))
+        for reference, fused in zip(*results):
+            np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
+
     def test_batch_norm_eval_uses_running_stats(self):
         x = Tensor(RNG.standard_normal((4, 2, 3, 3)))
         weight, bias = Tensor(np.ones(2)), Tensor(np.zeros(2))
@@ -290,6 +322,24 @@ class TestEveryOpGradCheck:
 
         for wrt in range(3):
             assert check_gradient(fn, [x, w, b], wrt=wrt, atol=1e-3)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm_2d_weighted_both_modes(self, training):
+        # A plain .sum() of a train-mode output is constant in x; the random
+        # weighting makes every input's gradient non-trivial.  Eval mode must
+        # stay differentiable too: a fine-tuning step may run a frozen
+        # submodule's batch norm against its running statistics.
+        x = self._rand(4, 3, 2, 2)
+        w, b = self._rand(3), self._rand(3)
+        mix = Tensor(RNG.standard_normal((4, 3, 2, 2)))
+        mean, var = RNG.standard_normal(3), RNG.uniform(0.5, 2.0, 3)
+
+        def fn(x, w, b):
+            out = F.batch_norm_2d(x, w, b, mean.copy(), var.copy(), training=training)
+            return (out * mix).sum()
+
+        for wrt in range(3):
+            assert check_gradient(fn, [x, w, b], wrt=wrt)
 
     def test_global_avg_pool2d(self):
         assert check_gradient(lambda t: F.global_avg_pool2d(t).sum(), [self._rand(2, 3, 4, 4)])

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, default_dtype, functional as F, no_grad
+from repro.autograd.tape import Tape, tracing
 from repro.core import (
     CDAPConfig,
     CDAPGenerator,
@@ -19,7 +22,9 @@ from repro.core import (
     dpcl_loss,
     gpl_loss,
 )
+from repro.core.client import RefFiLClientTrainer
 from repro.core.clustering import cluster_class_prompts
+from repro.core.method import RefFiLConfig, RefFiLMethod
 from repro.core.model import RefFiLModel
 from repro.federated.increment import ClientGroup
 from repro.models.backbone import PromptedBackbone
@@ -259,6 +264,115 @@ class TestDPCLLoss:
         assert dpcl_loss(prompts, np.array([2, 2]), store, ClientGroup.NEW, 0.5) is None
 
 
+def _dpcl_per_sample_reference(local_prompts, labels, store, group, temperature):
+    """Eq. 9 written one sample at a time: the loop ``dpcl_loss`` replaced,
+    kept as the reference its batched form is compared against."""
+    pooled = local_prompts.mean(axis=1)
+    num_positives = 2 if group is ClientGroup.IN_BETWEEN else 1
+    losses = []
+    for index, label in enumerate(np.asarray(labels, dtype=np.int64)):
+        class_prompts = store.class_prompts(int(label))
+        if class_prompts.shape[0] == 0:
+            continue
+        anchor = pooled[index]
+        unit = class_prompts / np.linalg.norm(class_prompts, axis=1, keepdims=True)
+        chosen = np.argsort(-(unit @ anchor.data))[:num_positives]
+        positives = class_prompts[chosen]
+        negatives = np.concatenate(
+            [np.delete(class_prompts, chosen, axis=0), store.prompts_excluding(int(label))]
+        )
+        if negatives.shape[0] == 0:
+            continue
+
+        def exp_similarities(candidates):
+            rows = anchor.reshape(1, -1).broadcast_to(candidates.shape)
+            return (F.cosine_similarity(rows, Tensor(candidates)) * (1.0 / temperature)).exp().sum()
+
+        pos, neg = exp_similarities(positives), exp_similarities(negatives)
+        losses.append(-(pos / (pos + neg)).log())
+    if not losses:
+        return None
+    total = losses[0]
+    for loss in losses[1:]:
+        total = total + loss
+    return total * (1.0 / len(losses))
+
+
+class TestDPCLBatchedEquivalence:
+    """The ``(batch, K)`` similarity-matrix loss against the per-sample loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_classes=st.integers(1, 5),
+        # Prompts per class: zeros give empty classes and labels absent from
+        # the store; a lone 1 gives a single-class store with no negatives and
+        # an IN_BETWEEN anchor whose class has one prompt where two are wanted.
+        counts=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+        batch=st.integers(1, 9),
+        group=st.sampled_from(list(ClientGroup)),
+        temperature=st.sampled_from([0.3, 0.5, 0.9]),
+    )
+    def test_loss_and_gradient_match_reference(
+        self, seed, num_classes, counts, batch, group, temperature
+    ):
+        rng = np.random.default_rng(seed)
+        store = GlobalPromptStore(num_classes=num_classes, embed_dim=6)
+        store.replace(
+            {
+                label: rng.standard_normal((count, 6))
+                for label, count in enumerate(counts[:num_classes])
+                if count
+            }
+        )
+        labels = rng.integers(0, num_classes, batch)
+        data = rng.standard_normal((batch, 3, 6))
+        batched_in = Tensor(data, requires_grad=True)
+        reference_in = Tensor(data, requires_grad=True)
+        batched = dpcl_loss(batched_in, labels, store, group, temperature)
+        reference = _dpcl_per_sample_reference(reference_in, labels, store, group, temperature)
+        assert (batched is None) == (reference is None)
+        if batched is None:
+            return
+        assert float(batched.data) == pytest.approx(float(reference.data), abs=1e-12)
+        batched.backward()
+        reference.backward()
+        np.testing.assert_allclose(batched_in.grad, reference_in.grad, atol=1e-12, rtol=0)
+
+    def test_skipped_samples_receive_exactly_zero_gradient(self):
+        store = GlobalPromptStore(num_classes=3, embed_dim=4)
+        store.replace({0: RNG.standard_normal((2, 4)), 1: RNG.standard_normal((1, 4))})
+        prompts = Tensor(RNG.standard_normal((3, 2, 4)), requires_grad=True)
+        dpcl_loss(prompts, np.array([0, 2, 1]), store, ClientGroup.NEW, 0.5).backward()
+        assert np.all(prompts.grad[1] == 0.0)  # class 2 is not in the store
+        assert np.any(prompts.grad[0] != 0.0) and np.any(prompts.grad[2] != 0.0)
+
+    def test_step_op_count_does_not_grow_with_batch(self, tiny_backbone_config):
+        model = RefFiLModel(tiny_backbone_config, prompt_length=3, max_tasks=4)
+        store = GlobalPromptStore(tiny_backbone_config.num_classes, tiny_backbone_config.embed_dim)
+        store.replace(
+            {
+                label: RNG.standard_normal((2, tiny_backbone_config.embed_dim))
+                for label in range(tiny_backbone_config.num_classes)
+            }
+        )
+        trainer = RefFiLClientTrainer(DPCLConfig())
+        client = SimpleNamespace(task_id=0, group=ClientGroup.IN_BETWEEN)
+        size = tiny_backbone_config.image_size
+        records = []
+        for batch in (4, 16):
+            images = Tensor(RNG.standard_normal((batch, 3, size, size)))
+            labels = RNG.integers(0, tiny_backbone_config.num_classes, batch)
+            tape = Tape()
+            with tracing(tape):
+                _, breakdown = trainer._batch_loss(
+                    model, images, labels, client, store.averaged_prompt_matrix(), store, 0.5, None, None
+                )
+            assert breakdown.dpcl > 0.0
+            records.append(len(tape.records))
+        assert records[0] == records[1]
+
+
 class TestGPLLoss:
     def test_none_without_global_prompts(self, tiny_backbone_config):
         backbone = PromptedBackbone(tiny_backbone_config)
@@ -289,6 +403,27 @@ class TestRefFiLModel:
         images = Tensor(RNG.standard_normal((2, 3, 16, 16)))
         assert model.generate_prompts(images, task_id=1).shape == (2, 3, tiny_backbone_config.embed_dim)
         assert model.generate_prompts(images, task_id=None).shape == (2, 3, tiny_backbone_config.embed_dim)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predict_logits_runs_the_feature_extractor_once(self, tiny_backbone_config, dtype):
+        with default_dtype(dtype):
+            method = RefFiLMethod(RefFiLConfig(backbone=tiny_backbone_config))
+            model = method.build_model()
+            model.eval()
+            images = Tensor(RNG.standard_normal((3, 3, 16, 16)))
+            extractor = model.backbone.feature_extractor
+            calls = []
+            inner = extractor.forward
+            extractor.forward = lambda x: calls.append(1) or inner(x)
+            with no_grad():
+                logits = method.predict_logits(model, images)
+                entered = len(calls)
+                # The composition the single pass replaced: prompts from one
+                # ResNet forward, classification through a second.
+                two_pass = model.backbone(images, model.generate_prompts(images, task_id=None))
+        assert entered == 1
+        assert logits.data.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(logits.data, two_pass.data)
 
     def test_forward_with_and_without_prompts(self, tiny_backbone_config):
         model = RefFiLModel(tiny_backbone_config, prompt_length=3, max_tasks=4)

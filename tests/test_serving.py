@@ -37,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import tape as tape_mod
+from repro.autograd.tape import PlanError, Tape, tracing
 from repro.autograd.tensor import Tensor, default_dtype, get_default_dtype, no_grad
 from repro.baselines.base import BaselineConfig
 from repro.baselines.finetune import FinetuneMethod
@@ -61,6 +62,7 @@ from repro.serving import (
     UnknownVersionError,
     VersionInfo,
 )
+from repro.serving.engine import ForwardPlan
 from repro.serving.registry import version_filename
 
 
@@ -285,6 +287,36 @@ class TestInferenceEngine:
             batch = engine.predict(images)
             assert batch.version == info.version
             np.testing.assert_array_equal(batch.logits, direct)
+
+    def test_eval_batch_norm_compiles_and_train_mode_is_refused(
+        self, tmp_path, tiny_backbone_config, rng
+    ):
+        method = _method(tiny_backbone_config)
+        registry = ModelRegistry(str(tmp_path))
+        info = _publish_model(registry, method)
+        engine = InferenceEngine(registry, method, kernel="tape")
+        engine.install()
+        size = tiny_backbone_config.image_size
+        images = rng.uniform(-1.0, 1.0, size=(2, 3, size, size))
+        direct = self._direct_logits(registry, method, info.version, images)
+        for _ in range(3):
+            np.testing.assert_array_equal(engine.predict(images).logits, direct)
+        # The bit-for-bit answers above came from a compiled plan, not from
+        # the eager fallback: eval-mode batch norm carries no effect.
+        (state,) = engine._snapshot.plans._plans.values()
+        assert state.verified and not state.bad
+
+        # The same forward in train mode would write the snapshot's running
+        # statistics on every replay; the forward plan refuses to compile it.
+        model = method.build_model()
+        model.train()
+        tape = Tape()
+        x = Tensor(images)
+        tape.mark_input("images", x)
+        with no_grad(), tracing(tape):
+            logits = method.predict_logits(model, x)
+        with pytest.raises(PlanError, match="effect"):
+            ForwardPlan(tape, logits)
 
     def test_predict_before_install_raises(self, tmp_path, tiny_backbone_config):
         method = _method(tiny_backbone_config)

@@ -341,6 +341,138 @@ class TestBatchedReplay:
             plan.prepare_batched(only_w)
 
 
+class TestBatchNormOp:
+    """The fused batch-norm op through the plan engine: its running-stat
+    update is a write inside a forward, so replay order and stacking matter."""
+
+    N, C, SIZE, CLASSES = 6, 4, 5, 3
+
+    def _params(self, rng):
+        return {
+            "conv": Parameter(0.3 * rng.standard_normal((self.C, 2, 3, 3))),
+            "gamma": Parameter(rng.uniform(0.5, 1.5, self.C)),
+            "beta": Parameter(0.1 * rng.standard_normal(self.C)),
+            "head": Parameter(0.3 * rng.standard_normal((self.C, self.CLASSES))),
+        }
+
+    def _step(self, params, x, labels, running_mean, running_var):
+        h = F.conv2d(x, params["conv"], padding=1)
+        h = F.relu(
+            F.batch_norm_2d(
+                h, params["gamma"], params["beta"], running_mean, running_var, training=True
+            )
+        )
+        return F.cross_entropy(F.global_avg_pool2d(h) @ params["head"], labels)
+
+    def _batches(self, rng, count):
+        return [
+            (
+                rng.standard_normal((self.N, 2, self.SIZE, self.SIZE)),
+                rng.integers(0, self.CLASSES, self.N),
+            )
+            for _ in range(count)
+        ]
+
+    def _trace(self, params, x_np, labels, running_mean, running_var):
+        tape = Tape()
+        tape.register_dynamic("labels", labels)
+        tape.register_dynamic("running_mean", running_mean)
+        tape.register_dynamic("running_var", running_var)
+        with tracing(tape):
+            x = Tensor(x_np)
+            tape.mark_input("x", x)
+            loss = self._step(params, x, labels, running_mean, running_var)
+        return Plan(tape, loss)
+
+    def test_replay_bitwise_equals_eager_including_running_buffers(self):
+        rng = np.random.default_rng(5)
+        params = self._params(rng)
+        batches = self._batches(rng, 5)
+
+        eager_buffers = np.zeros(self.C), np.ones(self.C)
+        eager = []
+        for x_np, labels in batches:
+            for p in params.values():
+                p.zero_grad()
+            loss = self._step(params, Tensor(x_np), labels, *eager_buffers)
+            loss.backward()
+            eager.append((loss.data, {name: p.grad.copy() for name, p in params.items()}))
+
+        # Tracing runs the first batch (and its buffer update) eagerly; the
+        # four replays must then walk the buffers exactly as eager did.
+        replay_buffers = np.zeros(self.C), np.ones(self.C)
+        plan = self._trace(params, *batches[0], *replay_buffers)
+        for (x_np, labels), (eager_loss, eager_grads) in zip(batches[1:], eager[1:]):
+            loss_value, leaf_grads = plan.execute({"x": x_np, "labels": labels})
+            assert np.array_equal(loss_value, eager_loss)
+            for name, param in params.items():
+                assert np.array_equal(plan.grad_for(param, leaf_grads), eager_grads[name])
+        for replayed, expected in zip(replay_buffers, eager_buffers):
+            assert np.array_equal(replayed, expected)
+        assert not np.array_equal(eager_buffers[0], np.zeros(self.C))
+
+    def test_dead_train_mode_record_still_updates_buffers(self):
+        # A train-mode batch norm whose output never reaches the loss is dead
+        # code with an effect: eliminating it would freeze its running stats.
+        rng = np.random.default_rng(6)
+        w = Parameter(rng.standard_normal((3, 3)))
+        ones = Tensor(np.ones(2))
+        running_mean, running_var = np.zeros(2), np.ones(2)
+        tape = Tape()
+        tape.register_dynamic("running_mean", running_mean)
+        tape.register_dynamic("running_var", running_var)
+        with tracing(tape):
+            x = Tensor(rng.standard_normal((4, 3)))
+            tape.mark_input("x", x)
+            F.batch_norm_2d(
+                Tensor(np.full((4, 2, 1, 1), 3.0)), ones, ones, running_mean, running_var, True
+            )
+            loss = ((x @ w) * (x @ w)).mean()
+        plan = Plan(tape, loss)
+        after_trace = running_mean.copy()
+        plan.execute({})
+        assert not np.array_equal(running_mean, after_trace)
+
+    def test_batched_matches_per_client_eager_with_stacked_buffers(self):
+        k = 3
+        rng = np.random.default_rng(7)
+        clients = [self._params(rng) for _ in range(k)]
+        (x0, labels0), = self._batches(rng, 1)
+        template = {name: Parameter(p.data.copy()) for name, p in clients[0].items()}
+        plan = self._trace(template, x0, labels0, np.zeros(self.C), np.ones(self.C))
+        slot_of = {id(p): slot for slot, p in plan.param_leaves}
+        plan.prepare_batched(list(slot_of.values()))  # PlanNotBatchable would be a fallback
+        stacks = {
+            slot_of[id(template[name])]: np.stack([c[name].data for c in clients])
+            for name in template
+        }
+        mean_stack = np.tile(np.zeros(self.C), (k, 1))
+        var_stack = np.tile(np.ones(self.C), (k, 1))
+        steps = [self._batches(rng, 2) for _ in range(k)]
+        eager_buffers = [(np.zeros(self.C), np.ones(self.C)) for _ in range(k)]
+        for step in range(2):
+            bindings = {
+                "x": np.stack([steps[i][step][0] for i in range(k)]),
+                "labels": np.stack([steps[i][step][1] for i in range(k)]),
+                "running_mean": mean_stack,
+                "running_var": var_stack,
+            }
+            loss_vec, leaf_grads = plan.execute_batched(k, bindings, stacks)
+            leaf_grads = {slot: grad.copy() for slot, grad in leaf_grads.items()}
+            for i, params in enumerate(clients):
+                for p in params.values():
+                    p.zero_grad()
+                x_np, labels = steps[i][step]
+                loss = self._step(params, Tensor(x_np), labels, *eager_buffers[i])
+                loss.backward()
+                assert np.allclose(loss_vec[i], loss.data, atol=1e-12)
+                for name, p in params.items():
+                    stacked = leaf_grads[slot_of[id(template[name])]][i]
+                    assert np.allclose(stacked, p.grad, atol=1e-12)
+                assert np.allclose(mean_stack[i], eager_buffers[i][0], atol=1e-12)
+                assert np.allclose(var_stack[i], eager_buffers[i][1], atol=1e-12)
+
+
 class TestGraphFreeing:
     def test_backward_releases_interior_nodes(self):
         x = Tensor(RNG.standard_normal((8, 8)), requires_grad=True)
