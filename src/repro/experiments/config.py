@@ -18,7 +18,7 @@ Select a preset with the ``REPRO_SCALE`` environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Optional
 
@@ -26,7 +26,6 @@ from repro.datasets.registry import get_dataset_spec
 from repro.datasets.synthetic import DomainDatasetSpec
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.config import FederatedConfig
-from repro.federated.faults import FaultSpec
 from repro.federated.increment import ClientIncrementConfig
 from repro.models.backbone import BackboneConfig
 
@@ -130,78 +129,22 @@ def scaled_config(
     dataset_name: str,
     scale: Optional[ExperimentScale] = None,
     seed: int = 0,
-    clients_per_round: Optional[int] = None,
     transfer_fraction: float = 0.8,
     initial_clients: Optional[int] = None,
     increment_per_task: Optional[int] = None,
     num_tasks: Optional[int] = None,
-    executor: str = "serial",
-    num_workers: int = 0,
-    dtype: str = "float64",
-    kernel: str = "eager",
-    eval_executor: str = "serial",
-    eval_every: int = 0,
-    codec: str = "identity",
-    bandwidth_limit: int = 0,
-    drop_stragglers: bool = False,
-    mode: str = "sync",
-    device_profile: str = "instant",
-    buffer_size: int = 0,
-    staleness_decay: float = 0.5,
-    sim_time_limit: float = 0.0,
-    faults: Optional[FaultSpec] = None,
-    retries: int = 2,
-    retry_backoff: float = 0.5,
-    checkpoint_every: int = 0,
-    checkpoint_dir: str = "",
-    checkpoint_keep: int = 0,
-    resume: bool = False,
-    serve: bool = False,
-    publish_every: int = 0,
-    registry_dir: str = "",
-    serve_codec: str = "identity",
-    virtual_clients: bool = False,
-    population: int = 0,
-    reduce_backend: str = "flat",
-    tree_fanout: int = 2,
+    **federated,
 ) -> ScaledExperimentConfig:
     """Build the full configuration for one dataset at one scale.
 
-    The optional overrides expose exactly the knobs varied by Tables V and VI
-    (selected clients, transfer fraction, initial clients), plus the
-    performance knobs of the round execution engine: ``executor``
-    (``"serial"`` / ``"parallel"``), ``num_workers`` (0 = one per CPU),
-    ``dtype`` (``"float64"`` / ``"float32"``), the kernel plane's ``kernel``
-    (``"eager"`` closure autograd / ``"tape"`` compiled-plan replay,
-    hash-identical to eager / ``"batched"`` lockstep multi-client
-    vectorization, serial-executor-only), the evaluation plane's
-    ``eval_executor`` (``"serial"`` / ``"parallel"`` seen-task evaluation)
-    and ``eval_every`` (mid-task evaluation every ``k`` rounds, 0 = off),
-    and the communication plane's wire
-    ``codec`` (``"identity"`` / ``"delta"`` lossless, ``"quantize8"`` /
-    ``"quantize16"`` / ``"topk[:f]"`` lossy), ``bandwidth_limit`` (per-client
-    uplink byte budget per round, 0 = unlimited) and ``drop_stragglers``
-    (drop vs. defer over-budget uploads), and the temporal plane's ``mode``
-    (``"sync"`` / ``"async"`` / ``"buffered"``), ``device_profile``
-    (``"instant"`` / ``"homogeneous"`` / ``"mild"`` / ``"moderate"`` /
-    ``"extreme"`` heterogeneity tiers), ``buffer_size`` (buffered mode's K,
-    0 = clients_per_round), ``staleness_decay`` (polynomial staleness
-    exponent) and ``sim_time_limit`` (simulated-seconds budget, 0 =
-    unlimited), and the fault plane's ``faults`` (a
-    :class:`~repro.federated.faults.FaultSpec` schedule, None = no faults),
-    ``retries`` / ``retry_backoff`` (upload retry bound and backoff seconds),
-    and ``checkpoint_every`` / ``checkpoint_dir`` / ``checkpoint_keep`` /
-    ``resume`` (crash-safe checkpoint cadence, location, retention and
-    relaunch behaviour), the serving plane's ``serve`` / ``publish_every`` /
-    ``registry_dir`` / ``serve_codec`` (online inference with a versioned
-    model registry: whether to run a live front end, mid-task publish
-    cadence, where versions land, and the snapshot compression codec), and
-    the hierarchy
-    plane's ``virtual_clients`` (lazy ``(seed, partition-spec)`` client
-    recipes, materialized per cohort), ``population`` (fleet size for
-    schedule-free virtual populations, 0 = schedule-driven),
-    ``reduce_backend`` (``"flat"`` star FedAvg / ``"tree"`` fan-out edge
-    aggregation) and ``tree_fanout`` (children per tree node).
+    The named parameters are what the scale preset itself is built from
+    (``seed`` also seeds the backbone and the increment schedule; the
+    transfer fraction and initial clients are the knobs Tables V and VI vary).
+    ``**federated`` takes any :class:`~repro.federated.config.FederatedConfig`
+    knob by name — see its docstring for all of them — and wins over the
+    preset's value (``clients_per_round=2``, ``increment=...``); ``None``
+    keeps the preset or default (``faults=None`` means no faults).  An unknown
+    keyword raises ``TypeError``.
     """
     scale = scale if scale is not None else get_scale()
     knobs = dict(_SCALE_KNOBS[scale])
@@ -224,7 +167,7 @@ def scaled_config(
         embed_dim=knobs["embed_dim"],
         seed=seed,
     )
-    federated = FederatedConfig(
+    preset = dict(
         increment=ClientIncrementConfig(
             initial_clients=initial_clients if initial_clients is not None else knobs["initial_clients"],
             increment_per_task=(
@@ -233,7 +176,7 @@ def scaled_config(
             transfer_fraction=transfer_fraction,
             seed=seed,
         ),
-        clients_per_round=clients_per_round if clients_per_round is not None else knobs["clients_per_round"],
+        clients_per_round=knobs["clients_per_round"],
         rounds_per_task=knobs["rounds_per_task"],
         local=LocalTrainingConfig(
             local_epochs=knobs["local_epochs"],
@@ -241,41 +184,13 @@ def scaled_config(
             learning_rate=knobs["learning_rate"],
         ),
         seed=seed,
-        executor=executor,
-        num_workers=num_workers,
-        dtype=dtype,
-        kernel=kernel,
-        eval_executor=eval_executor,
-        eval_every=eval_every,
-        codec=codec,
-        bandwidth_limit=bandwidth_limit,
-        drop_stragglers=drop_stragglers,
-        mode=mode,
-        device_profile=device_profile,
-        buffer_size=buffer_size,
-        staleness_decay=staleness_decay,
-        sim_time_limit=sim_time_limit,
-        faults=faults if faults is not None else FaultSpec(),
-        retries=retries,
-        retry_backoff=retry_backoff,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_keep=checkpoint_keep,
-        resume=resume,
-        serve=serve,
-        publish_every=publish_every,
-        registry_dir=registry_dir,
-        serve_codec=serve_codec,
-        virtual_clients=virtual_clients,
-        population=population,
-        reduce_backend=reduce_backend,
-        tree_fanout=tree_fanout,
     )
+    preset.update({name: value for name, value in federated.items() if value is not None})
     return ScaledExperimentConfig(
         dataset_name=dataset_name,
         spec=spec,
         backbone=backbone,
-        federated=federated,
+        federated=FederatedConfig(**preset),
         num_tasks=tasks,
     )
 

@@ -9,7 +9,7 @@ configuration so a bench session that regenerates all tables trains each
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.baselines.registry import build_method
@@ -18,9 +18,7 @@ from repro.continual.scenario import DomainIncrementalScenario
 from repro.core.dpcl import DPCLConfig
 from repro.datasets.registry import build_dataset
 from repro.experiments.config import ScaledExperimentConfig
-from repro.federated.communication import codec_is_lossless
 from repro.federated.config import FederatedConfig
-from repro.federated.faults import FaultSpec
 from repro.federated.simulation import FederatedDomainIncrementalSimulation, SimulationResult
 from repro.utils.logging_utils import get_logger
 
@@ -47,121 +45,8 @@ def clear_run_cache() -> None:
 
 
 def _normalize_execution_knobs(federated: FederatedConfig) -> FederatedConfig:
-    """Fold execution-plane knobs to canonical values for cache-key purposes.
-
-    ``executor`` / ``num_workers`` / ``eval_executor`` only change *how* a
-    run executes, never its trained numbers (parity is asserted by the
-    execution and eval-plane test suites), so two configurations differing
-    only in those knobs must share one memoised run.  ``dtype`` genuinely
-    changes the numbers and ``eval_every`` changes the recorded
-    ``round_eval_history``, so both stay in the key.
-
-    Communication-plane knobs follow the same rule: the *lossless* codecs
-    train the same numbers as each other (the comm-plane suite asserts it
-    bit-for-bit), so they fold to ``"identity"``; a lossy codec or an active
-    bandwidth scenario (``bandwidth_limit > 0`` drops *or* defers uploads,
-    both of which change aggregation) genuinely changes the numbers and
-    stays in the key.  Caveat of sharing: telemetry fields of the cached
-    result (``wall_clock_seconds``, the communication ledger) describe
-    whichever variant ran first — use the benches, not the run cache, to
-    compare codecs.
-    """
-    codec = federated.codec
-    drop_stragglers = federated.drop_stragglers
-    if federated.bandwidth_limit == 0:
-        drop_stragglers = False
-        # Folding lossless codecs together is only valid while no bandwidth
-        # budget is active: with a budget, drop/defer outcomes depend on the
-        # codec's frame sizes, so even lossless codecs change the numbers.
-        if codec_is_lossless(codec):
-            codec = "identity"
-    # Temporal-plane knobs: mode and device_profile always stay in the key —
-    # async/buffered modes change the trained numbers outright, and even a
-    # sync run whose *numbers* a different tier would not change (an
-    # always-online tier only times the run) produces different temporal
-    # telemetry (sim_time, event_log, the sim_time of every eval snapshot),
-    # which is exactly the output a caller varying the tier is after.  Only
-    # knobs that are provably inert fold: buffered/staleness knobs in sync
-    # mode, and a simulated-time budget under the instant tier (the clock
-    # never advances, so the budget never bites and no trace records it).
-    sim_time_limit = federated.sim_time_limit
-    buffer_size = federated.buffer_size
-    staleness_decay = federated.staleness_decay
-    if federated.mode != "buffered":
-        buffer_size = 0
-    if federated.mode == "sync":
-        staleness_decay = FederatedConfig.staleness_decay
-    if federated.device_profile == "instant":
-        sim_time_limit = 0.0
-    # Fault-plane knobs: checkpoint bookkeeping (where/how often to snapshot,
-    # whether the process resumed) never changes the trained numbers — the
-    # resume tests assert bit-for-bit equality — so it always folds away.  An
-    # all-zero FaultSpec makes the retry knobs inert too (no frame ever fails,
-    # so the bound and backoff are never consulted); with frame faults active
-    # they change delivery and stay in the key, and any enabled spec stays in
-    # the key outright because the failure trace changes the numbers.
-    faults = federated.faults
-    retries = federated.retries
-    retry_backoff = federated.retry_backoff
-    if not faults.enabled:
-        faults = FaultSpec()
-        retries = FederatedConfig.retries
-        retry_backoff = FederatedConfig.retry_backoff
-    elif faults.upload_loss_rate == 0.0 and faults.upload_corruption_rate == 0.0:
-        retries = FederatedConfig.retries
-        retry_backoff = FederatedConfig.retry_backoff
-    # Hierarchy-plane knobs: with ``population == 0`` the virtual plane is a
-    # lazy re-materialization of the exact eager shards (the hierarchy suite
-    # asserts it bit-for-bit), so ``virtual_clients`` folds away; a fleet
-    # population genuinely changes the cohorts and stays.  A flat reduce never
-    # consults ``tree_fanout``, so the fanout folds under ``"flat"``; the tree
-    # backend itself stays in the key — its partial sums agree with flat only
-    # to accumulation-dtype tolerance, not bit-for-bit.
-    virtual_clients = federated.virtual_clients
-    tree_fanout = federated.tree_fanout
-    if federated.population == 0:
-        virtual_clients = False
-    if federated.reduce_backend == "flat":
-        tree_fanout = FederatedConfig.tree_fanout
-    # Kernel-plane knob: the tape kernel is verified hash-identical to eager
-    # (every plan's first replay is compared bit-for-bit against the eager
-    # step and any divergence falls back), so ``"tape"`` folds to ``"eager"``.
-    # The batched lockstep kernel reorders float accumulation (stacked
-    # matmuls, vectorized clip norms) and genuinely changes the numbers, so
-    # it stays in the key.
-    kernel = federated.kernel
-    if kernel == "tape":
-        kernel = "eager"
-    return replace(
-        federated,
-        executor="serial",
-        num_workers=0,
-        kernel=kernel,
-        eval_executor="serial",
-        codec=codec,
-        drop_stragglers=drop_stragglers,
-        buffer_size=buffer_size,
-        staleness_decay=staleness_decay,
-        sim_time_limit=sim_time_limit,
-        faults=faults,
-        retries=retries,
-        retry_backoff=retry_backoff,
-        checkpoint_every=0,
-        checkpoint_dir="",
-        checkpoint_keep=0,
-        resume=False,
-        # Serving-plane knobs fold for the same reason checkpoints do: the
-        # registry and the front end *observe* the run (snapshot publishes,
-        # read-only inference on frozen copies) without touching its
-        # trajectory, and the serving tests assert served logits are
-        # bit-for-bit with direct evaluation.
-        serve=False,
-        publish_every=0,
-        registry_dir="",
-        serve_codec="identity",
-        virtual_clients=virtual_clients,
-        tree_fanout=tree_fanout,
-    )
+    """The run-cache form of a config: see :meth:`FederatedConfig.canonical`."""
+    return federated.canonical()
 
 
 def _cache_key(

@@ -57,9 +57,7 @@ import numpy as np
 
 from repro.continual.scenario import Task
 from repro.federated.aggregation import staleness_weight
-from repro.federated.client import ClientHandle
 from repro.federated.communication import ClientUpdate
-from repro.federated.execution import ParallelExecutor
 from repro.federated.sampling import (
     NoAvailableClientsError,
     sample_clients,
@@ -108,20 +106,7 @@ class TemporalPlaneRunner:
             self._eligible = None
         else:
             self._assignment = sim.schedule.assignment_for_task(task.task_id)
-            if sim.virtual is not None:
-                self._eligible = sim.virtual.eligible(self._assignment)
-            else:
-                self._eligible = [
-                    client_id
-                    for client_id in self._assignment.active_clients
-                    if client_id in sim._training_data
-                    and len(sim._training_data[client_id]) > 0
-                ]
-            if not self._eligible:
-                raise RuntimeError(
-                    f"no client has training data for task {task.task_id}; "
-                    "check the increment schedule and partitioning configuration"
-                )
+            self._eligible = sim.eligible_clients(task, self._assignment)
         self._budget = config.rounds_per_task * config.clients_per_round
         self._buffer_k = config.buffer_size or config.clients_per_round
         self._dispatched = 0
@@ -293,24 +278,8 @@ class TemporalPlaneRunner:
                 "dispatch", task_id=task_id, client_id=client_id, index=index, version=version
             )
             return
-        if injector is not None and isinstance(sim.executor, ParallelExecutor):
-            victim = injector.worker_to_kill(task_id, index, sim.executor.num_workers)
-            if victim is not None:
-                sim.executor.request_worker_kill(victim)
-        handle = ClientHandle(
-            client_id=client_id,
-            task_id=task_id,
-            group=sim._client_group(self._assignment, client_id),
-            dataset=sim._client_dataset(client_id),
-            rng=spawn_rng(config.seed, "client", client_id, task_id, "event", index),
-            training=config.local,
-            domains_held=sim._client_domains(client_id),
-            metadata={
-                "round_index": float(cohort),
-                "rounds_per_task": float(config.rounds_per_task),
-                "num_tasks": float(sim.scenario.num_tasks),
-            },
-        )
+        sim.consult_worker_kill(task_id, index)
+        handle = sim.client_handle(self._assignment, client_id, task_id, cohort, "event", index)
         # The compute happens now (the local update is a pure function of the
         # dispatch-time broadcast); only its *application* waits for the
         # arrival event.
@@ -384,7 +353,7 @@ class TemporalPlaneRunner:
                     staleness=staleness,
                     mixing=mixing,
                 )
-                self._maybe_eval()
+                sim.maybe_eval_snapshot(task_id, self._aggregations - 1)
             else:  # buffered
                 self._buffer.append((update, version))
                 sim.log_event(
@@ -419,23 +388,7 @@ class TemporalPlaneRunner:
             size=len(updates),
             min_scale=min(scales),
         )
-        self._maybe_eval()
-
-    def _maybe_eval(self) -> None:
-        sim = self.sim
-        config = sim.config
-        if config.eval_every and self._aggregations % config.eval_every == 0:
-            sim.model.load_state_dict(sim.server.global_state)
-            with sim.timer.measure("round_evaluation"):
-                accuracies = sim.evaluator.evaluate_seen(sim.model, self._task.task_id)
-            sim.round_eval_history.append(
-                {
-                    "task_id": self._task.task_id,
-                    "round_index": self._aggregations - 1,
-                    "accuracies": accuracies,
-                    "sim_time": sim.clock.now,
-                }
-            )
+        sim.maybe_eval_snapshot(self._task.task_id, self._aggregations - 1)
 
 
 __all__ = ["ASYNC_MIXING", "TemporalPlaneRunner"]

@@ -29,7 +29,6 @@ import pickle
 import re
 import struct
 import zlib
-from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
 
 CHECKPOINT_VERSION = 1
@@ -169,25 +168,10 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
 def config_fingerprint(config: Any) -> str:
     """Digest of everything in the config that affects simulation trajectory.
 
-    Checkpoint bookkeeping knobs (where/how often to save, how many to keep,
-    whether to resume) are masked out so the kill-and-resume flow — which
-    necessarily differs in exactly those knobs — still matches the fingerprint
-    of the original run.  The serving plane's publish knobs are masked for the
-    same reason: publishing versions observes a run without changing its
-    trajectory, so a served run and a silent run share one fingerprint.
+    Which knobs that is comes from their declarations — see
+    :meth:`repro.federated.config.FederatedConfig.fingerprint`.
     """
-    masked = replace(
-        config,
-        checkpoint_every=0,
-        checkpoint_dir="",
-        checkpoint_keep=0,
-        resume=False,
-        serve=False,
-        publish_every=0,
-        registry_dir="",
-        serve_codec="identity",
-    )
-    return hashlib.sha256(repr(masked).encode("utf-8")).hexdigest()
+    return config.fingerprint()
 
 
 def simulation_state_hash(simulation: Any) -> str:

@@ -1,57 +1,132 @@
-"""Configuration of a federated domain-incremental run."""
+"""Configuration of a federated domain-incremental run: one declaration per knob.
+
+Every :class:`FederatedConfig` field is a :func:`knob` call holding its
+default, its documentation, its constraint and its *effect* on a run's
+results.  Validation, the class docstring, the README table (``python -m
+repro.federated.config`` prints it), the run-cache key
+(:meth:`FederatedConfig.canonical`) and the checkpoint fingerprint
+(:meth:`FederatedConfig.fingerprint`) are derived from those declarations.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import hashlib
+import inspect
+import numbers
+import re
+import textwrap
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from repro.autograd.tape import KERNELS
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.clock import PROFILE_TIERS
-from repro.federated.communication import build_codec
+from repro.federated.communication import build_codec, codec_is_lossless
 from repro.federated.faults import FaultSpec
 from repro.federated.increment import ClientIncrementConfig
+
+#: What a knob can do to a run's results (the README table's Effect column).
+CHANGES_RESULTS = "changes-results"  # may change the trained numbers or the recorded outputs
+EXACT = "exact"  # changes how a run executes; its results stay bit-for-bit identical
+OBSERVATIONAL = "observational"  # records or serves the run without touching its trajectory
+
+_EXECUTORS = ("serial", "parallel")
+
+
+def knob(
+    default, *, doc, effect=CHANGES_RESULTS, minimum=None, choices=None, check=None,
+    inert=None, fold=None,
+):  # fmt: skip
+    """Declare one ``FederatedConfig`` field.
+
+    ``default`` is the default value, or the zero-argument factory of a
+    sub-config.  ``minimum`` / ``choices`` / ``check`` (a callable raising
+    ``ValueError``) constrain the value; its type comes from the annotation.
+    An ``exact`` or ``observational`` knob always canonicalises to its
+    default; a ``changes-results`` knob may carry ``inert(config)`` — true
+    where it provably cannot matter, so it canonicalises to its default there
+    — or ``fold(config)``, which returns its canonical value.
+    """
+    metadata = dict(
+        doc=inspect.cleandoc(doc), effect=effect, minimum=minimum, choices=choices, check=check,
+        inert=inert, fold=fold,
+    )  # fmt: skip
+    if callable(default):
+        return field(default_factory=default, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+#: Annotated type -> what ``isinstance`` accepts for it (NumPy scalars pass).
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, bool: (bool, np.bool_)}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {spec.name: _ACCEPTED.get(hints[spec.name], hints[spec.name]) for spec in fields(cls)}
+
+
+def _default(spec):
+    return spec.default if spec.default is not MISSING else spec.default_factory()
+
+
+def _positive(value) -> None:
+    if value <= 0:
+        raise ValueError("must be positive")
+
+
+def _frame_faults(config) -> bool:
+    """Can an upload or edge frame be lost or corrupted under this config?"""
+    return config.faults.upload_loss_rate > 0.0 or config.faults.upload_corruption_rate > 0.0
 
 
 @dataclass(frozen=True)
 class FederatedConfig:
-    """Everything the simulation loop needs besides the method and the data.
+    """Everything the simulation loop needs besides the method and the data."""
 
-    Attributes
-    ----------
-    increment:
+    increment: ClientIncrementConfig = knob(ClientIncrementConfig, doc="""
         Client-population dynamics (initial clients, increment per task,
-        transfer fraction).
-    clients_per_round:
+        Old/In-between/New transfer fraction).""")
+    clients_per_round: int = knob(5, minimum=1, doc="""
         How many of the active clients are selected each communication round
-        (the paper's "10 initially selected" / "select 8 clients" settings).
-    rounds_per_task:
-        Global communication rounds per incremental task (R in Algorithm 1).
-    local:
-        Local SGD hyper-parameters shared by all clients.
-    partition_concentration:
+        (the paper's "10 initially selected" / "select 8 clients" settings).""")
+    rounds_per_task: int = knob(3, minimum=1, doc="""
+        Global communication rounds per incremental task (R in Algorithm 1).""")
+    local: LocalTrainingConfig = knob(LocalTrainingConfig, doc="""
+        Local SGD hyper-parameters shared by all clients (epochs, batch size,
+        learning rate, momentum, clipping).""")
+    partition_concentration: float = knob(1.0, check=_positive, doc="""
         Dirichlet concentration of the quantity-shift partitioner (smaller =
-        more extreme data-volume imbalance between clients).
-    eval_batch_size:
+        more extreme data-volume imbalance between clients).""")
+    eval_batch_size: int = knob(64, minimum=1, doc="""
         Batch size of every evaluation pass (the after-task accuracy matrix
         and ``eval_every`` snapshots); the parallel eval backend slices test
-        shards on the same boundaries.  Must be at least 1.
-    seed:
-        Master seed; every stochastic component derives its stream from it.
-    executor:
+        shards on the same boundaries.  Must be at least 1.""")
+    seed: int = knob(0, doc="""
+        Master seed; every stochastic component derives its stream from it.""")
+    # The execution and eval-plane suites assert serial/parallel parity
+    # bit-for-bit, so these three only say *how* a run executes.
+    executor: str = knob("serial", effect=EXACT, choices=_EXECUTORS, doc="""
         How a round's selected clients run: ``"serial"`` (historical
         single-process loop) or ``"parallel"`` (process-pool fan-out; see
         :mod:`repro.federated.execution`).  Results are identical for a given
-        seed either way.
-    num_workers:
+        seed either way.""")
+    num_workers: int = knob(0, effect=EXACT, minimum=0, doc="""
         Worker processes for the parallel executor; ``0`` means one per CPU.
-        Ignored when ``executor="serial"``.
-    dtype:
+        Ignored when ``executor="serial"``.""")
+    dtype: str = knob("float64", choices=("float64", "float32"), doc="""
         Compute precision of the whole pipeline: ``"float64"`` (reference) or
         ``"float32"`` (≈2x lower memory bandwidth; accuracy differences are
-        within noise at these scales).
-    kernel:
+        within noise at these scales).""")
+    # Every tape plan's first replay is compared bit-for-bit against the eager
+    # step and any divergence falls back, so "tape" folds to "eager"; lockstep
+    # reorders float accumulation (stacked matmuls, vectorized clip norms) and
+    # genuinely changes the numbers, so "batched" stays.
+    kernel: str = knob("eager", choices=KERNELS,
+                       fold=lambda c: "eager" if c.kernel == "tape" else c.kernel, doc="""
         How a client's local SGD steps execute (the kernel plane;
         :mod:`repro.autograd.tape`): ``"eager"`` (default) is the historical
         closure-based autograd loop; ``"tape"`` traces each batch shape once
@@ -61,15 +136,18 @@ class FederatedConfig:
         along a leading axis and trains the whole cohort through one
         vectorized plan step per batch (:mod:`repro.federated.lockstep`) —
         exact in structure (same draws, same step counts) but tolerance-level
-        in floats, and requires ``executor="serial"``.
-    eval_executor:
+        in floats, and requires ``executor="serial"``.  ``"tape"`` and
+        ``"batched"`` act on methods whose local loop is ``run_local_sgd``
+        (every baseline); RefFiL's own ``local_update`` loop runs eagerly
+        under all three.""")
+    eval_executor: str = knob("serial", effect=EXACT, choices=_EXECUTORS, doc="""
         How the seen-task evaluation suite runs: ``"serial"`` (historical
         in-process loop) or ``"parallel"`` (fan seen tasks × batch-aligned
         test-shard slices over the pinned worker pool — shared with the
         training plane when ``executor="parallel"``; see
         :class:`repro.federated.execution.ParallelEvalBackend`).  Accuracy
-        matrices are bit-for-bit identical either way.
-    eval_every:
+        matrices are bit-for-bit identical either way.""")
+    eval_every: int = knob(0, minimum=0, doc="""
         ``0`` (default) evaluates only after each task's final round.  A
         positive ``k`` additionally scores the global model on every seen
         domain after every ``k``-th round of each task, recording the
@@ -79,30 +157,44 @@ class FederatedConfig:
         method's ``on_task_end`` hook runs, so it is kept separate from (not
         reused for) the accuracy matrix's after-task evaluation: the two
         coincide only for methods whose ``on_task_end`` leaves the inference
-        path untouched.
-    codec:
+        path untouched.""")
+    # The lossless codecs train the same numbers as each other (asserted
+    # bit-for-bit by the comm-plane suite) and fold to "identity" — but only
+    # while no bandwidth budget is active: with one, drop/defer outcomes depend
+    # on the codec's frame sizes, so even lossless codecs change the numbers.
+    codec: str = knob("identity", check=build_codec, fold=lambda c: (
+        "identity" if c.bandwidth_limit == 0 and codec_is_lossless(c.codec) else c.codec), doc="""
         Wire codec every broadcast and upload frame is encoded with
-        (:mod:`repro.federated.transport`): ``"identity"`` (raw pickle) and
-        ``"delta"`` (sparse diff vs. the last acknowledged broadcast) are
-        lossless — results are bit-for-bit identical to each other;
-        ``"quantize8"`` / ``"quantize16"`` (uniform per-tensor quantization)
-        and ``"topk"`` / ``"topk:<fraction>"`` (upload-only magnitude
-        sparsification) trade accuracy for bytes.
-    bandwidth_limit:
+        (:mod:`repro.federated.transport`; bytes are *measured* frame
+        lengths): ``"identity"`` (raw pickle) and ``"delta"`` (sparse diff vs.
+        the last acknowledged broadcast) are lossless — results are
+        bit-for-bit identical to each other; ``"quantize8"`` /
+        ``"quantize16"`` (uniform per-tensor quantization) and ``"topk"`` /
+        ``"topk:<fraction>"`` (upload-only magnitude sparsification) trade
+        accuracy for bytes.""")
+    bandwidth_limit: int = knob(0, minimum=0, doc="""
         Per-round uplink byte budget per client; ``0`` (default) is
         unlimited.  Each client's effective budget is the limit scaled by a
         deterministic per-client multiplier (drawn from the run seed), so
         some clients are structurally slow — the constrained-device
         straggler scenario.  Requires ``mode="sync"`` (the event-driven
         modes model slow uplinks through ``device_profile`` link rates
-        instead; a per-round budget is a synchronous-cohort concept).
-    drop_stragglers:
-        What happens to an upload frame over its client's budget: ``True``
-        drops it (the update never aggregates; the download was still
-        charged), ``False`` (default) defers it to the next round's
-        aggregation (deferred frames expire at task boundaries).  A round
-        that would lose every upload always keeps the smallest frame.
-    mode:
+        instead; a per-round budget is a synchronous-cohort concept).""")
+    # Consulted for a frame over its budget *and* for a frame whose retries
+    # ran out, so it is inert only when neither a budget nor frame faults exist.
+    drop_stragglers: bool = knob(
+        False, inert=lambda c: c.bandwidth_limit == 0 and not _frame_faults(c), doc="""
+        What happens to an upload frame over its client's budget, or one
+        whose retries ran out under frame faults: ``True`` drops it (the
+        update never aggregates; the download was still charged), ``False``
+        (default) defers it to the next round's aggregation (deferred frames
+        expire at task boundaries).  A round that would lose every upload to
+        the budget always keeps the smallest frame.""")
+    # mode and device_profile always stay in the run-cache key: async/buffered
+    # change the trained numbers outright, and even a tier that leaves a sync
+    # run's numbers alone changes its temporal telemetry (sim_time, event_log,
+    # every eval snapshot's sim_time) — the output a caller varying it is after.
+    mode: str = knob("sync", choices=("sync", "async", "buffered"), doc="""
         The temporal plane's aggregation regime
         (:mod:`repro.federated.async_plane`): ``"sync"`` (default) is the
         synchronous round loop (with homogeneous instantaneous device
@@ -113,283 +205,276 @@ class FederatedConfig:
         FedBuff-style, with staleness-scaled FedAvg weights.  All three
         train the same total number of local updates per task
         (``rounds_per_task * clients_per_round``), so regimes are compared
-        at equal compute.
-    device_profile:
-        Named system-heterogeneity tier (:data:`repro.federated.clock.
-        PROFILE_TIERS`): ``"instant"`` (default; zero simulated cost, always
-        online — the temporal no-op), ``"homogeneous"`` (identical finite
-        device speeds), or the heterogeneity ladder ``"mild"`` /
-        ``"moderate"`` / ``"extreme"`` (increasingly spread compute speeds
-        and link rates, decreasing availability, per-task churn).  Every
-        client's profile and its online/offline trace derive from
-        ``spawn_rng(seed, "device", client_id, ...)``.
-    buffer_size:
+        at equal compute.""")
+    device_profile: str = knob("instant", choices=tuple(PROFILE_TIERS), doc="""
+        Named system-heterogeneity tier
+        (:data:`repro.federated.clock.PROFILE_TIERS`): ``"instant"``
+        (default; zero simulated cost, always online — the temporal no-op),
+        ``"homogeneous"`` (identical finite device speeds), or the
+        heterogeneity ladder ``"mild"`` / ``"moderate"`` / ``"extreme"``
+        (increasingly spread compute speeds and link rates, decreasing
+        availability, per-task churn).  Every client's profile and its
+        online/offline trace derive from
+        ``spawn_rng(seed, "device", client_id, ...)``.""")
+    buffer_size: int = knob(0, minimum=0, inert=lambda c: c.mode != "buffered", doc="""
         Buffered mode's K: aggregate whenever K arrivals have accumulated
         (a partial buffer left at the end of a task still flushes).  ``0``
         (default) means ``clients_per_round`` — the synchronous cohort size.
-        Ignored outside ``mode="buffered"``.
-    staleness_decay:
+        Ignored outside ``mode="buffered"``.""")
+    staleness_decay: float = knob(0.5, minimum=0, inert=lambda c: c.mode == "sync", doc="""
         Exponent ``a`` of the polynomial staleness discount
         ``(1 + staleness)^(-a)`` applied to async arrivals and buffered
         flush weights (staleness = global-model versions between a client's
         dispatch and its arrival).  ``0`` disables the discount.  Ignored in
-        sync mode.
-    sim_time_limit:
+        sync mode.""")
+    # Under the instant tier the clock never advances, so the budget never
+    # bites and no trace records it.
+    sim_time_limit: float = knob(
+        0.0, minimum=0, inert=lambda c: c.device_profile == "instant", doc="""
         Simulated-seconds budget for the whole run: once the simulated clock
         reaches it, no further work is dispatched (rounds still pending in
         sync mode are skipped; async work already in flight still arrives).
         ``0`` (default) is unlimited.  With ``device_profile="instant"`` the
         clock never advances, so a limit only bites under a finite-cost
-        profile.
-    faults:
+        profile.""")
+    # Any enabled spec stays in the key outright (the failure trace changes
+    # the numbers); a spec that can never fire never constructs an injector.
+    faults: FaultSpec = knob(FaultSpec, inert=lambda c: not c.faults.enabled, doc="""
         The fault plane's schedule (:class:`repro.federated.faults.FaultSpec`):
         per-round client-crash probability, per-attempt upload loss/corruption
         probabilities, per-round worker-kill probability, and a periodic
         simulated server restart.  The default all-zero spec never constructs
         an injector — the zero-fault path is bit-for-bit identical to a build
-        without the fault plane.
-    retries:
+        without the fault plane.""")
+    # Without frame faults no frame ever fails, so the retry bound and the
+    # backoff are never consulted; with them they change delivery and stay.
+    retries: int = knob(2, minimum=0, inert=lambda c: not _frame_faults(c), doc="""
         Upload retry budget of the transport: a lost or corrupt
         frame is retransmitted up to this many times (``retries + 1`` total
         attempts) before the update falls to the drop/defer straggler rules.
         Every attempt's bytes are charged to the ledger; the backoff waits
-        between attempts are charged to the straggler barrier / event clock.
-    retry_backoff:
+        between attempts are charged to the straggler barrier / event clock.""")
+    retry_backoff: float = knob(0.5, minimum=0, inert=lambda c: not _frame_faults(c), doc="""
         Simulated seconds of the first retry wait; each further retry doubles
-        it (exponential backoff).  ``0`` retries instantly.
-    checkpoint_every:
+        it (exponential backoff).  ``0`` retries instantly.""")
+    # Checkpoint bookkeeping (where / how often to snapshot, how many to keep,
+    # whether the process resumed) never changes the trained numbers — the
+    # resume tests assert bit-for-bit equality.
+    checkpoint_every: int = knob(0, effect=OBSERVATIONAL, minimum=0, doc="""
         Sync mode: additionally snapshot the run every N rounds within a task
         (``0``, the default, checkpoints only at task boundaries).  Requires
         ``checkpoint_dir``.  Task-boundary checkpoints are written in every
-        mode whenever ``checkpoint_dir`` is set.
-    checkpoint_dir:
-        Directory for crash-safe snapshots (:mod:`repro.federated.checkpoint`).
-        Empty (default) disables checkpointing entirely — and the simulation
-        then performs zero extra work, preserving bit-for-bit identity.
-    resume:
+        mode whenever ``checkpoint_dir`` is set.""")
+    checkpoint_dir: str = knob("", effect=OBSERVATIONAL, doc="""
+        Directory for crash-safe ``ckpt-t####-r#####.ckpt`` snapshots
+        (:mod:`repro.federated.checkpoint`).  Empty (default) disables
+        checkpointing entirely — and the simulation then performs zero extra
+        work, preserving bit-for-bit identity.""")
+    resume: bool = knob(False, effect=OBSERVATIONAL, doc="""
         Start from the latest checkpoint in ``checkpoint_dir`` instead of from
-        scratch.  The checkpoint's config fingerprint must match (checkpoint
-        bookkeeping knobs excluded); a fresh directory silently starts from
-        scratch, so the same command line works for the first launch and
-        every relaunch after a crash.
-    checkpoint_keep:
+        scratch.  The checkpoint's config fingerprint must match (it covers
+        the ``changes-results`` knobs only, so the executor and every
+        checkpoint / serving knob may differ); a fresh directory silently
+        starts from scratch, so the same command line works for the first
+        launch and every relaunch after a crash.""")
+    checkpoint_keep: int = knob(0, effect=OBSERVATIONAL, minimum=0, doc="""
         Retention bound on ``ckpt-*.ckpt`` files: after every checkpoint
         write, all but the newest K are pruned (oldest resume positions
         first, each removal atomic).  ``0`` (default) keeps every checkpoint
         — the historical unbounded behaviour.  The serving plane's registry
-        applies the same last-K policy to published versions.
-    serve:
+        applies the same last-K policy to published versions.""")
+    # The registry and the front end *observe* the run (snapshot publishes,
+    # read-only inference on frozen copies); the serving tests assert served
+    # logits are bit-for-bit with direct evaluation.
+    serve: bool = knob(False, effect=OBSERVATIONAL, doc="""
         Stand up the serving plane alongside training: an
         :class:`~repro.serving.engine.InferenceEngine` plus
         :class:`~repro.serving.service.ServingFrontEnd` (exposed as
         ``simulation.serving``) serve predictions from the registry while the
         run publishes into it, hot-swapping at every publish.  Requires
         ``registry_dir``.  Purely observational: trained numbers are
-        bit-for-bit identical with serving on or off.
-    publish_every:
+        bit-for-bit identical with serving on or off.""")
+    publish_every: int = knob(0, effect=OBSERVATIONAL, minimum=0, doc="""
         Sync mode: additionally publish a registry version every N rounds
         within a task (``0``, the default, publishes only at task
         boundaries).  Requires ``registry_dir``.  Task-boundary versions are
-        published in every mode whenever ``registry_dir`` is set.
-    registry_dir:
+        published in every mode whenever ``registry_dir`` is set.""")
+    registry_dir: str = knob("", effect=OBSERVATIONAL, doc="""
         Directory of the serving plane's model registry
-        (:mod:`repro.serving.registry`).  Empty (default) disables publishing
-        entirely — the simulation then performs zero extra work, preserving
-        bit-for-bit identity.
-    serve_codec:
+        (:mod:`repro.serving.registry`; ``version-######.rpv`` files plus
+        ``manifest.json``, written atomically).  Empty (default) disables
+        publishing entirely — the simulation then performs zero extra work,
+        preserving bit-for-bit identity.""")
+    serve_codec: str = knob("identity", effect=OBSERVATIONAL, check=build_codec, doc="""
         Wire codec published versions are compressed with — the same specs as
         ``codec`` (``"identity"`` / ``"delta"`` lossless, ``"quantize8"`` /
         ``"quantize16"`` / ``"topk[:f]"`` lossy).  A version stores its
         *encoded* form, so every consumer of a version decodes the same
-        arrays deterministically.
-    virtual_clients:
+        arrays deterministically.""")
+    # With population == 0 the virtual plane re-materializes the exact eager
+    # shards (asserted bit-for-bit by the hierarchy suite); a fleet population
+    # changes the cohorts outright and keeps both knobs in the key.
+    virtual_clients: bool = knob(False, inert=lambda c: c.population == 0, doc="""
         Client identity becomes a lazy *recipe* instead of an eager object
         (:mod:`repro.federated.virtual`): shards are materialized only for
         the round's selected cohort (O(clients_per_round) memory) and
         released afterwards.  With ``population=0`` the population is still
         driven by ``increment`` and every materialized shard is bit-for-bit
         identical to the eager path for the same seed — the whole run
-        reproduces the eager run exactly.  Default off (eager shards).
-    population:
+        reproduces the eager run exactly.  Default off (eager shards).""")
+    population: int = knob(0, minimum=0, doc="""
         ``0`` (default): the client population is whatever ``increment``
         schedules.  A positive N switches to *fleet mode*: N virtual clients
         (requires ``virtual_clients=True``), every one of them eligible for
         every task, each drawing a per-task quantity-shift shard recipe from
         ``spawn_rng(seed, "vshard", task_id, client_id)``.  Selection,
         availability, churn and crash draws all stay O(cohort) per round, so
-        ``population=100_000`` costs the same memory as ``population=1_000``.
-    reduce_backend:
+        ``population=100_000`` costs the same memory as ``population=1_000``.""")
+    # The tree backend stays in the key: its partial sums agree with flat only
+    # to accumulation-dtype tolerance.  A flat reduce never consults the fanout.
+    reduce_backend: str = knob("flat", choices=("flat", "tree"), doc="""
         How a cohort's updates aggregate (:mod:`repro.federated.aggregation`):
         ``"flat"`` (default) is the star — one server-side FedAvg, bit-for-bit
         the historical path; ``"tree"`` reduces through a fan-out tree of edge
         aggregators whose weighted partial sums ride codec'd wire frames to
         their parents (edge→root bytes measured in the ledger, CRC + bounded
-        retries on every hop).  Tree and flat agree to float tolerance, not
-        bit-for-bit: flat normalizes weights before accumulating, the tree
-        sums partials and divides once at the root.
-    tree_fanout:
+        retries on every hop).  Tree and flat agree to float tolerance
+        (~1e-6 relative at float32, ~1e-12 at float64), not bit-for-bit: flat
+        normalizes weights before accumulating, the tree sums partials and
+        divides once at the root.""")
+    tree_fanout: int = knob(2, minimum=2, inert=lambda c: c.reduce_backend == "flat", doc="""
         Children per aggregator node of the reduce tree (≥ 2).  A cohort no
         larger than the fan-out degenerates to a single root reduce with zero
-        edge frames.  Ignored when ``reduce_backend="flat"``.
-    """
-
-    increment: ClientIncrementConfig = field(default_factory=ClientIncrementConfig)
-    clients_per_round: int = 5
-    rounds_per_task: int = 3
-    local: LocalTrainingConfig = field(default_factory=LocalTrainingConfig)
-    partition_concentration: float = 1.0
-    eval_batch_size: int = 64
-    seed: int = 0
-    executor: str = "serial"
-    num_workers: int = 0
-    dtype: str = "float64"
-    kernel: str = "eager"
-    eval_executor: str = "serial"
-    eval_every: int = 0
-    codec: str = "identity"
-    bandwidth_limit: int = 0
-    drop_stragglers: bool = False
-    mode: str = "sync"
-    device_profile: str = "instant"
-    buffer_size: int = 0
-    staleness_decay: float = 0.5
-    sim_time_limit: float = 0.0
-    faults: FaultSpec = field(default_factory=FaultSpec)
-    retries: int = 2
-    retry_backoff: float = 0.5
-    checkpoint_every: int = 0
-    checkpoint_dir: str = ""
-    resume: bool = False
-    checkpoint_keep: int = 0
-    serve: bool = False
-    publish_every: int = 0
-    registry_dir: str = ""
-    serve_codec: str = "identity"
-    virtual_clients: bool = False
-    population: int = 0
-    reduce_backend: str = "flat"
-    tree_fanout: int = 2
+        edge frames.  Ignored when ``reduce_backend="flat"``.""")
 
     def __post_init__(self) -> None:
-        if self.clients_per_round < 1:
-            raise ValueError("clients_per_round must be at least 1")
-        if self.rounds_per_task < 1:
-            raise ValueError("rounds_per_task must be at least 1")
-        if self.partition_concentration <= 0:
-            raise ValueError("partition_concentration must be positive")
-        if self.eval_batch_size < 1:
-            raise ValueError("eval_batch_size must be at least 1")
-        if self.executor not in ("serial", "parallel"):
-            raise ValueError(f"executor must be 'serial' or 'parallel', got {self.executor!r}")
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be non-negative")
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
-            )
-        if self.kernel == "batched" and self.executor != "serial":
-            raise ValueError(
-                "kernel='batched' requires executor='serial': lockstep "
-                "vectorizes the round's cohort itself, so a worker pool "
-                "underneath it would shard the very groups it batches"
-            )
-        if self.eval_executor not in ("serial", "parallel"):
-            raise ValueError(
-                f"eval_executor must be 'serial' or 'parallel', got {self.eval_executor!r}"
-            )
-        if self.eval_every < 0:
-            raise ValueError("eval_every must be non-negative (0 disables mid-task evaluation)")
-        build_codec(self.codec)  # raises ValueError on an unknown codec spec
-        if self.bandwidth_limit < 0:
-            raise ValueError("bandwidth_limit must be non-negative (0 means unlimited)")
-        if self.bandwidth_limit > 0 and self.mode != "sync":
-            raise ValueError(
-                "bandwidth_limit requires mode='sync': the event-driven modes "
-                "collect one upload per arrival, so the transport's keep-one "
-                "rule would always deliver the sole over-budget frame and the "
-                "budget would be silently inert (model slow uplinks there with "
-                "device_profile link rates instead)"
-            )
-        if self.mode not in ("sync", "async", "buffered"):
-            raise ValueError(
-                f"mode must be 'sync', 'async' or 'buffered', got {self.mode!r}"
-            )
-        if self.device_profile not in PROFILE_TIERS:
-            raise ValueError(
-                f"device_profile must be one of {sorted(PROFILE_TIERS)}, "
-                f"got {self.device_profile!r}"
-            )
-        if self.buffer_size < 0:
-            raise ValueError(
-                "buffer_size must be non-negative (0 means clients_per_round)"
-            )
-        if self.staleness_decay < 0:
-            raise ValueError("staleness_decay must be non-negative (0 disables decay)")
-        if self.sim_time_limit < 0:
-            raise ValueError("sim_time_limit must be non-negative (0 means unlimited)")
-        if not isinstance(self.faults, FaultSpec):
-            raise ValueError(f"faults must be a FaultSpec, got {type(self.faults).__name__}")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative (0 means a single attempt)")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative (0 retries instantly)")
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                "checkpoint_every must be non-negative (0 checkpoints only at task boundaries)"
-            )
-        if self.checkpoint_every > 0 and not self.checkpoint_dir:
-            raise ValueError("checkpoint_every requires checkpoint_dir")
-        if self.checkpoint_every > 0 and self.mode != "sync":
-            raise ValueError(
-                "checkpoint_every requires mode='sync' (the event-driven modes "
-                "have no mid-task round boundary to snapshot at; task-boundary "
-                "checkpoints still work in every mode via checkpoint_dir)"
-            )
-        if self.resume and not self.checkpoint_dir:
-            raise ValueError("resume requires checkpoint_dir")
-        if self.checkpoint_keep < 0:
-            raise ValueError(
-                "checkpoint_keep must be non-negative (0 keeps every checkpoint)"
-            )
-        if self.publish_every < 0:
-            raise ValueError(
-                "publish_every must be non-negative (0 publishes only at task boundaries)"
-            )
-        if self.publish_every > 0 and not self.registry_dir:
-            raise ValueError("publish_every requires registry_dir")
-        if self.publish_every > 0 and self.mode != "sync":
-            raise ValueError(
-                "publish_every requires mode='sync' (the event-driven modes "
-                "have no mid-task round boundary to publish at; task-boundary "
-                "versions are still published in every mode via registry_dir)"
-            )
-        if self.serve and not self.registry_dir:
-            raise ValueError(
-                "serve requires registry_dir (the front end serves registry versions)"
-            )
-        build_codec(self.serve_codec)  # raises ValueError on an unknown codec spec
-        if self.population < 0:
-            raise ValueError(
-                "population must be non-negative (0 means the increment "
-                "schedule drives the population)"
-            )
-        if self.population > 0 and not self.virtual_clients:
-            raise ValueError(
-                "population > 0 requires virtual_clients=True: a fleet-scale "
-                "population only exists as lazy recipes, never as eager shards"
-            )
-        if self.reduce_backend not in ("flat", "tree"):
-            raise ValueError(
-                f"reduce_backend must be 'flat' or 'tree', got {self.reduce_backend!r}"
-            )
-        if self.tree_fanout < 2:
-            raise ValueError("tree_fanout must be at least 2")
-        try:
-            resolved = np.dtype(self.dtype)
-        except TypeError as error:
-            raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}") from error
-        if resolved not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
+        expected = _field_types(type(self))
+        for spec in fields(self):
+            name, rule, value = spec.name, spec.metadata, getattr(self, spec.name)
+            kind = expected[name]
+            numeric = kind in (numbers.Integral, numbers.Real)  # where a bool is not an int
+            if not isinstance(value, kind) or (numeric and isinstance(value, bool)):
+                raise ValueError(
+                    f"{name} must be of type {getattr(spec.type, '__name__', spec.type)}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
+            if rule["minimum"] is not None and value < rule["minimum"]:
+                raise ValueError(f"{name} must be at least {rule['minimum']}, got {value!r}")
+            if rule["choices"] is not None and value not in rule["choices"]:
+                raise ValueError(f"{name} must be one of {rule['choices']}, got {value!r}")
+            if rule["check"] is not None:
+                try:
+                    rule["check"](value)
+                except ValueError as error:
+                    raise ValueError(f"{name}={value!r}: {error}") from error
+        for violated, message in _CROSS_KNOB_RULES:
+            if violated(self):
+                raise ValueError(message)
+
+    def canonical(self) -> "FederatedConfig":
+        """This config with every knob that cannot change the results folded away.
+
+        Two configs with equal canonical forms train the same numbers and
+        record the same outputs, so they share one memoised run.  ``exact`` and
+        ``observational`` knobs and ``changes-results`` knobs whose ``inert``
+        rule holds take their defaults; a ``fold`` rule gives its own value.
+        Every rule reads the *unfolded* config.  Caveat of sharing: telemetry
+        of a cached result (``wall_clock_seconds``, the communication ledger)
+        describes whichever variant ran first — use the benches, not the run
+        cache, to compare codecs or executors.
+        """
+        folded = {}
+        for spec in fields(self):
+            rule = spec.metadata
+            if rule["effect"] != CHANGES_RESULTS or (rule["inert"] and rule["inert"](self)):
+                folded[spec.name] = _default(spec)
+            elif rule["fold"]:
+                folded[spec.name] = rule["fold"](self)
+        return replace(self, **folded)
+
+    def fingerprint(self) -> str:
+        """Digest of the ``changes-results`` knobs: what a checkpoint must match.
+
+        ``exact`` and ``observational`` knobs are left out, so the
+        kill-and-resume flow (which differs in exactly those), a served and a
+        silent run, and a relaunch under a different executor all share one
+        fingerprint — and adding or retiring such a knob strands no checkpoint.
+        """
+        parts = [
+            (spec.name, repr(getattr(self, spec.name)))
+            for spec in fields(self)
+            if spec.metadata["effect"] == CHANGES_RESULTS
+        ]
+        return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
-__all__ = ["FederatedConfig"]
+#: Rules relating two knobs, checked after every per-knob constraint:
+#: ``(violated(config), message)``.
+_CROSS_KNOB_RULES = (
+    (
+        lambda c: c.kernel == "batched" and c.executor != "serial",
+        "kernel='batched' requires executor='serial': lockstep vectorizes the round's cohort "
+        "itself, so a worker pool underneath it would shard the very groups it batches",
+    ),
+    (
+        lambda c: c.bandwidth_limit > 0 and c.mode != "sync",
+        "bandwidth_limit requires mode='sync': the event-driven modes collect one upload per "
+        "arrival, so the transport's keep-one rule would always deliver the sole over-budget "
+        "frame and the budget would be silently inert (model slow uplinks there with "
+        "device_profile link rates instead)",
+    ),
+    (lambda c: c.checkpoint_every > 0 and not c.checkpoint_dir,
+     "checkpoint_every requires checkpoint_dir"),
+    (
+        lambda c: c.checkpoint_every > 0 and c.mode != "sync",
+        "checkpoint_every requires mode='sync' (the event-driven modes have no mid-task round "
+        "boundary to snapshot at; task-boundary checkpoints still work in every mode via "
+        "checkpoint_dir)",
+    ),
+    (lambda c: c.resume and not c.checkpoint_dir, "resume requires checkpoint_dir"),
+    (lambda c: c.publish_every > 0 and not c.registry_dir,
+     "publish_every requires registry_dir"),
+    (
+        lambda c: c.publish_every > 0 and c.mode != "sync",
+        "publish_every requires mode='sync' (the event-driven modes have no mid-task round "
+        "boundary to publish at; task-boundary versions are still published in every mode via "
+        "registry_dir)",
+    ),
+    (lambda c: c.serve and not c.registry_dir,
+     "serve requires registry_dir (the front end serves registry versions)"),
+    (
+        lambda c: c.population > 0 and not c.virtual_clients,
+        "population > 0 requires virtual_clients=True: a fleet-scale population only exists "
+        "as lazy recipes, never as eager shards",
+    ),
+)
+
+
+def knob_table(cls=FederatedConfig) -> str:
+    """The README "Configuration knobs" table, rendered from the declarations."""
+    rows = ["| Knob | Default | Effect | Meaning |", "|---|---|---|---|"]
+    for spec in fields(cls):
+        rule = spec.metadata
+        if spec.default is MISSING:
+            shown = f"{spec.default_factory.__name__}()"
+        else:
+            shown = f'"{spec.default}"' if isinstance(spec.default, str) else repr(spec.default)
+        conditional = " (conditional)" if rule["inert"] or rule["fold"] else ""
+        # reST roles and literals -> Markdown code spans, one line per row.
+        meaning = re.sub(r":\w+:`~?([^`]+)`", r"`\1`", " ".join(rule["doc"].split()))
+        rows.append(
+            f"| `{spec.name}` | `{shown}` | {rule['effect']}{conditional} "
+            f"| {meaning.replace('``', '`')} |"
+        )
+    return "\n".join(rows)
+
+
+FederatedConfig.__doc__ += "\n\nAttributes\n----------\n" + "\n".join(
+    f"{spec.name}:\n{textwrap.indent(spec.metadata['doc'], '    ')}"
+    for spec in fields(FederatedConfig)
+)
+
+__all__ = ["CHANGES_RESULTS", "EXACT", "OBSERVATIONAL", "FederatedConfig", "knob", "knob_table"]
+
+if __name__ == "__main__":
+    print(knob_table())

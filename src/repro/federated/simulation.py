@@ -381,6 +381,92 @@ class FederatedDomainIncrementalSimulation:
             return self.virtual.domains_for(client_id)
         return tuple(self._domains_held.get(client_id, []))
 
+    # ------------------------------------------------------------------ #
+    # The cohort step's parts shared by sync rounds and event-driven dispatch
+    # ------------------------------------------------------------------ #
+    def eligible_clients(self, task: Task, assignment: TaskAssignment) -> List[int]:
+        """The task's active clients that hold training data (schedule-driven populations)."""
+        if self.virtual is not None:
+            # Schedule-mode virtual: the plane's take records coincide with
+            # "has a non-empty shard", so this is the eager eligible list —
+            # same clients, same order, same rng draws at selection.
+            eligible = self.virtual.eligible(assignment)
+        else:
+            eligible = [
+                client_id
+                for client_id in assignment.active_clients
+                if client_id in self._training_data and len(self._training_data[client_id]) > 0
+            ]
+        if not eligible:
+            raise RuntimeError(
+                f"no client has training data for task {task.task_id}; "
+                "check the increment schedule and partitioning configuration"
+            )
+        return eligible
+
+    def client_handle(
+        self,
+        assignment: Optional[TaskAssignment],
+        client_id: int,
+        task_id: int,
+        round_index: int,
+        *rng_labels: object,
+    ) -> ClientHandle:
+        """The handle one selected client trains through.
+
+        ``round_index`` is what the method sees (the round, or the dispatch
+        cohort in the event-driven modes); ``rng_labels`` complete the client's
+        stream label after ``("client", client_id, task_id)``.
+        """
+        return ClientHandle(
+            client_id=client_id,
+            task_id=task_id,
+            group=self._client_group(assignment, client_id),
+            dataset=self._client_dataset(client_id),
+            rng=spawn_rng(self.config.seed, "client", client_id, task_id, *rng_labels),
+            training=self.config.local,
+            domains_held=self._client_domains(client_id),
+            metadata={
+                "round_index": float(round_index),
+                "rounds_per_task": float(self.config.rounds_per_task),
+                "num_tasks": float(self.scenario.num_tasks),
+            },
+        )
+
+    def consult_worker_kill(self, task_id: int, slot: int) -> None:
+        """Ask the fault plane whether a pool worker dies at this selection point.
+
+        A kill is queued on the executor, which murders the victim process
+        just before its next chunk goes out — the self-healing collect
+        respawns it and replays the lost work.
+        """
+        if self.fault_injector is not None and isinstance(self.executor, ParallelExecutor):
+            victim = self.fault_injector.worker_to_kill(task_id, slot, self.executor.num_workers)
+            if victim is not None:
+                self.executor.request_worker_kill(victim)
+
+    def maybe_eval_snapshot(self, task_id: int, round_index: int) -> None:
+        """Record an ``eval_every`` snapshot if round (or aggregation) ``round_index`` is due.
+
+        Mid-task snapshot of the paper's evaluation protocol: score the
+        freshly aggregated global model on every seen domain.  Recorded
+        outside the accuracy matrix (which admits one entry per task pair)
+        into the per-round history.
+        """
+        if not self.config.eval_every or (round_index + 1) % self.config.eval_every:
+            return
+        self.model.load_state_dict(self.server.global_state)
+        with self.timer.measure("round_evaluation"):
+            accuracies = self.evaluator.evaluate_seen(self.model, task_id)
+        self.round_eval_history.append(
+            {
+                "task_id": task_id,
+                "round_index": round_index,
+                "accuracies": accuracies,
+                "sim_time": self.clock.now,
+            }
+        )
+
     def client_seconds(self, client_id: int) -> float:
         """Simulated cost of the client's most recent dispatch cycle.
 
@@ -466,23 +552,7 @@ class FederatedDomainIncrementalSimulation:
         self.server.invalidate_broadcast()
         rng = spawn_rng(self.config.seed, "selection", task.task_id, round_index)
         fleet = self.virtual is not None and self.virtual.fleet
-        if not fleet:
-            if self.virtual is not None:
-                # Schedule-mode virtual: the plane's take records coincide
-                # with "has a non-empty shard", so this is the eager eligible
-                # list — same clients, same order, same rng draws below.
-                eligible = self.virtual.eligible(assignment)
-            else:
-                eligible = [
-                    client_id
-                    for client_id in assignment.active_clients
-                    if client_id in self._training_data and len(self._training_data[client_id]) > 0
-                ]
-            if not eligible:
-                raise RuntimeError(
-                    f"no client has training data for task {task.task_id}; "
-                    "check the increment schedule and partitioning configuration"
-                )
+        eligible = None if fleet else self.eligible_clients(task, assignment)
         try:
             if fleet:
                 # Fleet mode: an O(cohort) draw from range(population) — the
@@ -509,10 +579,7 @@ class FederatedDomainIncrementalSimulation:
             return
         # The fault plane's per-round consultations.  Crashed clients still
         # receive the broadcast (they were selected; the server does not know
-        # they will die) but never train to completion or upload.  A worker
-        # kill is queued on the executor, which murders the victim process
-        # just before the round's chunks go out — the self-healing collect
-        # respawns it and replays the lost work.
+        # they will die) but never train to completion or upload.
         injector = self.fault_injector
         crashed: frozenset = frozenset()
         if injector is not None:
@@ -528,29 +595,11 @@ class FederatedDomainIncrementalSimulation:
                     round_index=round_index,
                     client_id=client_id,
                 )
-            if isinstance(self.executor, ParallelExecutor):
-                victim = injector.worker_to_kill(
-                    task.task_id, round_index, self.executor.num_workers
-                )
-                if victim is not None:
-                    self.executor.request_worker_kill(victim)
-        survivors = [client_id for client_id in selected if client_id not in crashed]
+            self.consult_worker_kill(task.task_id, round_index)
         handles = [
-            ClientHandle(
-                client_id=client_id,
-                task_id=task.task_id,
-                group=self._client_group(assignment, client_id),
-                dataset=self._client_dataset(client_id),
-                rng=spawn_rng(self.config.seed, "client", client_id, task.task_id, round_index),
-                training=self.config.local,
-                domains_held=self._client_domains(client_id),
-                metadata={
-                    "round_index": float(round_index),
-                    "rounds_per_task": float(self.config.rounds_per_task),
-                    "num_tasks": float(self.scenario.num_tasks),
-                },
-            )
-            for client_id in survivors
+            self.client_handle(assignment, client_id, task.task_id, round_index, round_index)
+            for client_id in selected
+            if client_id not in crashed
         ]
         # One shared read-only broadcast per round (zero per-client copies),
         # delivered through the transport: clients train from the *decoded*
@@ -629,22 +678,7 @@ class FederatedDomainIncrementalSimulation:
             round_index=round_index,
             clients=tuple(selected),
         )
-        if self.config.eval_every and (round_index + 1) % self.config.eval_every == 0:
-            # Mid-task snapshot of the paper's evaluation protocol: score the
-            # freshly aggregated global model on every seen domain.  Recorded
-            # outside the accuracy matrix (which admits one entry per task
-            # pair) into the per-round history.
-            self.model.load_state_dict(self.server.global_state)
-            with self.timer.measure("round_evaluation"):
-                accuracies = self.evaluator.evaluate_seen(self.model, task.task_id)
-            self.round_eval_history.append(
-                {
-                    "task_id": task.task_id,
-                    "round_index": round_index,
-                    "accuracies": accuracies,
-                    "sim_time": self.clock.now,
-                }
-            )
+        self.maybe_eval_snapshot(task.task_id, round_index)
         if (
             self.registry is not None
             and self.config.publish_every > 0

@@ -216,6 +216,33 @@ class TestRunner:
         assert _cache_key("finetune", with_federated(dtype="float32"), None, None) != base_key
         assert _cache_key("finetune", with_federated(eval_every=1), None, None) != base_key
 
+    def test_drop_stragglers_keeps_its_cache_entry_under_frame_faults(self, micro_config):
+        """Regression: the transport consults ``drop_stragglers`` when a frame's
+        retries run out, not only for a frame over its budget — so with frame
+        faults and no budget, drop and defer train different models and must
+        not share a memoised run."""
+        from dataclasses import replace as dc_replace
+
+        from repro.federated import FaultSpec
+
+        def lossy(drop_stragglers):
+            federated = dc_replace(
+                micro_config.federated,
+                rounds_per_task=2,
+                faults=FaultSpec(upload_loss_rate=0.6),
+                retries=0,
+                drop_stragglers=drop_stragglers,
+            )
+            return dc_replace(micro_config, federated=federated)
+
+        assert lossy(True).federated.canonical() != lossy(False).federated.canonical()
+        clear_run_cache()
+        dropped = run_method_on_dataset("finetune", lossy(True))
+        deferred = run_method_on_dataset("finetune", lossy(False))
+        assert dropped is not deferred
+        assert dropped.simulation.round_losses != deferred.simulation.round_losses
+        clear_run_cache()
+
     def test_execution_knob_variants_hit_the_same_memoised_run(self, micro_config):
         from dataclasses import replace as dc_replace
 
