@@ -85,7 +85,6 @@ from repro.federated.config import FederatedConfig
 from repro.federated.execution import (
     EvalIPC,
     EvalJob,
-    EvalSliceRef,
     Executor,
     ParallelEvalBackend,
     ParallelExecutor,
@@ -169,7 +168,6 @@ __all__ = [
     "RoundIPC",
     "EvalIPC",
     "EvalJob",
-    "EvalSliceRef",
     "WorkerDiedError",
     "batch_aligned_slices",
     "build_executor",

@@ -42,25 +42,28 @@ class LocalTrainingConfig:
 
 @dataclass(frozen=True)
 class ShardRef:
-    """Identity of a client's training shard, without the payload.
+    """Identity of a dataset held in a pool worker's cache, without the payload.
 
     The parallel executor's data plane ships this light reference with every
-    round's handles and the shard bytes themselves only on a worker cache
-    miss, so a shard crosses the process boundary once per task instead of
-    once per round.  ``cache_key`` is the lookup key of the worker-side
-    ``_WORKER_SHARDS`` cache; the fingerprint component invalidates stale
-    entries whenever the shard's content changes (e.g. an in-between client
-    concatenating its previous task's data at a task boundary).
+    unit of work and the dataset bytes themselves only on a worker cache miss.
+    ``plane`` is ``"train"`` (``unit`` is the client id: the shard crosses the
+    process boundary once per task instead of once per round) or ``"eval"``
+    (``unit`` is the index of a batch-aligned test-set slice: once per run).
+    ``identity`` is the key of the worker-side ``_WORKER_SHARDS`` cache and of
+    the parent's mirrored inventories; a held identity whose ``fingerprint``
+    differs is stale and is replaced (e.g. an in-between client concatenating
+    its previous task's data at a task boundary, or a dtype switch).
     """
 
-    client_id: int
+    plane: str
     task_id: int
+    unit: int
     fingerprint: str
     num_samples: int
 
     @property
-    def cache_key(self) -> Tuple[int, int, str]:
-        return (self.client_id, self.task_id, self.fingerprint)
+    def identity(self) -> Tuple[str, int, int]:
+        return (self.plane, self.task_id, self.unit)
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,7 @@ class ClientHandle:
     def shard_ref(self) -> ShardRef:
         """Light identity of this handle's dataset for the shard-cache data plane."""
         return ShardRef(
-            client_id=self.client_id,
-            task_id=self.task_id,
-            fingerprint=self.dataset.fingerprint(),
-            num_samples=len(self.dataset),
+            "train", self.task_id, self.client_id, self.dataset.fingerprint(), len(self.dataset)
         )
 
     def lighten(self) -> "ClientHandle":

@@ -17,59 +17,50 @@ same global state.  This module turns that structure into a pluggable
   selection order so FedAvg accumulates in the same order as the serial path
   and results stay identical for a given seed.
 
-The client data plane
----------------------
-Client shards dominate per-round IPC yet only change at task boundaries, so
-the parallel executor ships them through a per-worker cache instead of
-re-pickling them every round:
+The data plane
+--------------
+The pool has two jobs — every selected client's local update each round, and
+the paper's evaluation protocol (Sec. V-A), which scores the global model on
+*every* seen domain after each learning step: an O(T²) forward-pass workload
+per run (O(T·R) with mid-task ``eval_every`` snapshots) absorbed between
+training rounds.  Both ship datasets that dominate IPC yet rarely change
+(client shards at task boundaries, test sets never), so both go through one
+per-worker cache instead of being re-pickled with every chunk:
 
-* handles cross the boundary *light* (:meth:`ClientHandle.lighten` plus a
-  :class:`~repro.federated.client.ShardRef`), and workers rebind the dataset
-  from the module-level ``_WORKER_SHARDS`` cache keyed by
-  ``(client_id, task_id, fingerprint)`` — mirroring ``_WORKER_REPLICAS``;
+* work units cross the boundary *light* (:meth:`ClientHandle.lighten` /
+  :meth:`EvalJob.lighten` plus a :class:`~repro.federated.client.ShardRef`),
+  and workers rebind the dataset from the module-level ``_WORKER_SHARDS``
+  cache keyed by ``ShardRef.identity`` = ``("train", task, client)`` or
+  ``("eval", task, slice)``;
 * workers are *pinned*: each has a dedicated task queue
   (:class:`_PinnedWorkerPool`), so the parent knows exactly which worker runs
-  which chunk and tracks every worker's shard inventory.  That inventory is
-  the cache-miss handshake — shard bytes are attached to a chunk only for
-  keys the receiving worker does not already hold, i.e. once per
-  (client, task) rather than once per round;
-* the fingerprint component of the key invalidates stale entries whenever a
-  shard's content changes — in-between clients concatenating their previous
-  task's shard produce a new fingerprint — and both sides evict entries from
-  other tasks when a round for a new task arrives, bounding worker memory to
-  one task's shards.
-
-Per-round accounting of everything shipped (method, broadcast, shard bytes,
-hits/misses) is appended to :attr:`ParallelExecutor.ipc_log` as
-:class:`RoundIPC` records; ``benchmarks/bench_round_parallel.py`` turns those
-into the ``round_ipc`` section of ``BENCH_round.json``.
-
-The evaluation plane
---------------------
-The paper's evaluation protocol (Sec. V-A) scores the global model on *every*
-seen domain after each learning step — an O(T²) forward-pass workload per run
-(O(T·R) with mid-task ``eval_every`` snapshots) that the same pinned pool
-absorbs between training rounds:
-
+  which chunk and mirrors every worker's inventory.  That inventory is the
+  cache-miss handshake — dataset bytes are attached to a chunk only for
+  identities the receiving worker does not hold at the current fingerprint,
+  i.e. once per (client, task) rather than once per round, and once per run
+  for a test-set slice;
+* the fingerprint invalidates stale entries whenever a dataset's content
+  changes — in-between clients concatenating their previous task's shard, a
+  dtype switch on a long-lived pool — by replacing the held entry on both
+  sides, and both sides evict other tasks' *training* shards when a round for
+  a new task arrives, bounding worker memory to one task's shards plus one
+  copy of the test suite;
 * :meth:`ParallelExecutor.run_eval` fans :class:`EvalJob` units — one
   (seen-task, batch-aligned test-shard slice) each — over the workers and
   reassembles per-slice *integer* correct/total counts in job order.  Slices
   are cut on the serial ``DataLoader``'s batch grid
   (:func:`batch_aligned_slices`), so every worker runs exactly the batches
   the serial path would run and the summed counts reproduce serial
-  accuracies bit-for-bit;
-* test sets are immutable for the whole run, so slices enter a per-worker
-  ``_WORKER_EVAL_SHARDS`` cache keyed by
-  ``(task_id, slice_index, fingerprint)`` — mirroring ``_WORKER_SHARDS`` —
-  and cross IPC **once per run**: the parent mirrors each worker's eval
-  inventory exactly like the training data plane, attaching slice bytes only
-  on a genuine miss.  A new fingerprint for a (task, slice) pair (e.g. a
-  dtype switch) replaces the stale entry on both sides;
-* :class:`ParallelEvalBackend` adapts the fan-out to the
-  :class:`repro.continual.evaluator.GlobalEvaluator` backend interface, and
-  per-call accounting lands in :attr:`ParallelExecutor.eval_ipc_log` as
-  :class:`EvalIPC` records (the ``eval_plane`` section of
-  ``BENCH_round.json``, via ``benchmarks/bench_eval_parallel.py``).
+  accuracies bit-for-bit; :class:`ParallelEvalBackend` adapts the fan-out to
+  the :class:`repro.continual.evaluator.GlobalEvaluator` backend interface.
+
+Accounting of everything shipped (method, broadcast, dataset bytes,
+hits/misses) is appended per round to :attr:`ParallelExecutor.ipc_log` as
+:class:`RoundIPC` records and per evaluation call to
+:attr:`ParallelExecutor.eval_ipc_log` as :class:`EvalIPC` records;
+``benchmarks/bench_round_parallel.py`` and ``benchmarks/bench_eval_parallel.py``
+turn those into the ``round_ipc`` and ``eval_plane`` sections of
+``BENCH_round.json``.
 
 Both executors hand every client the *same* read-only broadcast state, so no
 per-client ``clone_state_dict`` happens anywhere on the hot path.
@@ -116,22 +107,14 @@ from repro.nn.serialization import (
 #: then only reloaded with fresh weights every round.
 _WORKER_REPLICAS: Dict[tuple, Module] = {}
 
-#: Per-worker-process cache of client dataset shards, keyed by
-#: ``ShardRef.cache_key`` = (client_id, task_id, fingerprint).  Entries are
-#: installed from the shard bytes the parent attaches on a cache miss and
-#: evicted when a chunk for a different task arrives (shards are immutable
-#: within a task, so nothing else can invalidate them mid-task).
-_WORKER_SHARDS: Dict[Tuple[int, int, str], ArrayDataset] = {}
-
-#: Per-worker-process cache of test-set slices for the evaluation plane,
-#: keyed by ``EvalSliceRef.cache_key`` = (task_id, slice_index, fingerprint).
-#: Test sets never change within a run, so entries live for the pool's
-#: lifetime and each slice crosses IPC once per run; a changed fingerprint
-#: for the same (task, slice) pair (e.g. a dtype switch between simulations
-#: on a long-lived pool) replaces the stale entry at install time.
-_WORKER_EVAL_SHARDS: Dict[Tuple[int, int, str], ArrayDataset] = {}
-
-_ShardKey = Tuple[int, int, str]
+#: Per-worker-process cache of the datasets both planes work on, keyed by
+#: ``ShardRef.identity`` and holding ``(fingerprint, dataset)``.  Entries are
+#: installed from the bytes the parent attaches on a cache miss; a new
+#: fingerprint for a held identity replaces the stale entry.  Training shards
+#: are evicted when a train chunk for a different task arrives (shards are
+#: immutable within a task, so nothing else can invalidate them mid-task);
+#: test-set slices never change within a run and live for the pool's lifetime.
+_WORKER_SHARDS: Dict[Tuple[str, int, int], Tuple[str, ArrayDataset]] = {}
 
 
 def _replica_key(method: FederatedMethod, state: Dict[str, np.ndarray]) -> tuple:
@@ -197,61 +180,46 @@ def _run_client_chunk(
     return results
 
 
-def _install_shards(shard_blobs: Dict[_ShardKey, bytes]) -> None:
-    """Unpack the shard payloads the parent attached for this worker's misses."""
-    for key, blob in shard_blobs.items():
-        _WORKER_SHARDS[key] = pickle.loads(blob)
+def _install_shards(shard_blobs: Dict[ShardRef, bytes]) -> None:
+    """Unpack the dataset payloads the parent attached for this worker's misses.
 
-
-def _evict_stale_shards(task_id: int) -> None:
-    """Drop cached shards from other tasks (shards only change at task boundaries)."""
-    for key in [key for key in _WORKER_SHARDS if key[1] != task_id]:
-        del _WORKER_SHARDS[key]
-
-
-def _resolve_chunk(
-    items: Sequence[Tuple[int, ClientHandle, Optional[ShardRef]]],
-) -> List[Tuple[int, ClientHandle]]:
-    """Rebind each light handle's dataset from the worker shard cache."""
-    resolved: List[Tuple[int, ClientHandle]] = []
-    for index, client, ref in items:
-        if ref is not None:
-            shard = _WORKER_SHARDS.get(ref.cache_key)
-            if shard is None:
-                raise RuntimeError(
-                    f"worker shard cache miss for client {ref.client_id} "
-                    f"task {ref.task_id}: the parent's inventory claims this "
-                    "shard was already shipped to this worker — pinned-queue "
-                    "bookkeeping and worker eviction are out of sync"
-                )
-            if len(shard) != ref.num_samples:
-                raise RuntimeError(
-                    f"worker shard cache corruption for client {ref.client_id} "
-                    f"task {ref.task_id}: cached shard has {len(shard)} samples "
-                    f"but the handle expects {ref.num_samples}"
-                )
-            client = replace(client, dataset=shard)
-        resolved.append((index, client))
-    return resolved
-
-
-@dataclass(frozen=True)
-class EvalSliceRef:
-    """Identity of one batch-aligned test-set slice, without the payload.
-
-    The evaluation plane's analogue of :class:`~repro.federated.client.ShardRef`:
-    rides every eval job over IPC while the slice bytes themselves ship only on
-    a worker cache miss — once per run, since test sets are immutable.
+    Keyed by identity, so a fresh fingerprint for an already-held identity
+    replaces the stale entry: the cache stays bounded by one copy of each
+    dataset even when a long-lived pool switches compute dtype between
+    simulations.
     """
+    for ref, blob in shard_blobs.items():
+        _WORKER_SHARDS[ref.identity] = (ref.fingerprint, pickle.loads(blob))
 
-    task_id: int
-    slice_index: int
-    fingerprint: str
-    num_samples: int
 
-    @property
-    def cache_key(self) -> Tuple[int, int, str]:
-        return (self.task_id, self.slice_index, self.fingerprint)
+def _evict_stale_shards(held: Dict[Tuple[str, int, int], Any], task_id: int) -> None:
+    """Drop other tasks' training shards (they only change at task boundaries)
+    from a worker's cache or the parent's mirror of it — one rule for both, so
+    the two cannot drift; test-set slices are never evicted."""
+    for identity in [i for i in held if i[0] == "train" and i[1] != task_id]:
+        del held[identity]
+
+
+def _resolve_chunk(items: Sequence[Tuple[int, ShardRef, Any]]) -> List[Tuple[int, Any]]:
+    """Rebind each light work unit's dataset from the worker shard cache."""
+    resolved: List[Tuple[int, Any]] = []
+    for index, ref, work in items:
+        fingerprint, shard = _WORKER_SHARDS.get(ref.identity, (None, None))
+        if fingerprint != ref.fingerprint:
+            raise RuntimeError(
+                f"worker shard cache miss for {ref.plane} task {ref.task_id} "
+                f"unit {ref.unit}: the parent's inventory claims this dataset "
+                "was already shipped to this worker — pinned-queue bookkeeping "
+                "and worker install/eviction are out of sync"
+            )
+        if len(shard) != ref.num_samples:
+            raise RuntimeError(
+                f"worker shard cache corruption for {ref.plane} task {ref.task_id} "
+                f"unit {ref.unit}: cached dataset has {len(shard)} samples but "
+                f"the reference expects {ref.num_samples}"
+            )
+        resolved.append((index, replace(work, dataset=shard)))
+    return resolved
 
 
 @dataclass(frozen=True)
@@ -263,13 +231,15 @@ class EvalJob:
     dataset: ArrayDataset
     batch_size: int
 
-    def slice_ref(self) -> EvalSliceRef:
-        return EvalSliceRef(
-            task_id=self.task_id,
-            slice_index=self.slice_index,
-            fingerprint=self.dataset.fingerprint(),
-            num_samples=len(self.dataset),
+    def shard_ref(self) -> ShardRef:
+        """Light identity of this job's slice for the data plane."""
+        return ShardRef(
+            "eval", self.task_id, self.slice_index, self.dataset.fingerprint(), len(self.dataset)
         )
+
+    def lighten(self) -> "EvalJob":
+        """A copy of this job without its slice payload (see :meth:`ClientHandle.lighten`)."""
+        return replace(self, dataset=None)
 
 
 def batch_aligned_slices(
@@ -301,23 +271,10 @@ def batch_aligned_slices(
     return slices
 
 
-def _install_eval_shards(shard_blobs: Dict[_ShardKey, bytes]) -> None:
-    """Install the eval-slice payloads the parent attached for this worker's misses.
-
-    A fresh fingerprint for an already-held (task, slice) pair replaces the
-    stale entry, so the cache is bounded by one copy of the test suite even
-    when a long-lived pool switches compute dtype between simulations.
-    """
-    for key, blob in shard_blobs.items():
-        for stale in [k for k in _WORKER_EVAL_SHARDS if k[:2] == key[:2] and k != key]:
-            del _WORKER_EVAL_SHARDS[stale]
-        _WORKER_EVAL_SHARDS[key] = pickle.loads(blob)
-
-
 def _run_eval_chunk(
     method_blob: bytes,
     broadcast_blob: bytes,
-    items: Sequence[Tuple[int, EvalSliceRef, int]],
+    indexed_jobs: Sequence[Tuple[int, EvalJob]],
     dtype_name: str,
 ) -> List[Tuple[int, int, int]]:
     """Score one worker's share of the evaluation jobs.
@@ -334,26 +291,19 @@ def _run_eval_chunk(
     model = _replica_for(method, state)
     model.load_state_dict(state)
     results: List[Tuple[int, int, int]] = []
-    for job_index, ref, batch_size in items:
-        shard = _WORKER_EVAL_SHARDS.get(ref.cache_key)
-        if shard is None:
-            raise RuntimeError(
-                f"worker eval-shard cache miss for task {ref.task_id} "
-                f"slice {ref.slice_index}: the parent's inventory claims this "
-                "slice was already shipped to this worker — pinned-queue "
-                "bookkeeping and worker install are out of sync"
-            )
-        if len(shard) != ref.num_samples:
-            raise RuntimeError(
-                f"worker eval-shard cache corruption for task {ref.task_id} "
-                f"slice {ref.slice_index}: cached slice has {len(shard)} samples "
-                f"but the job expects {ref.num_samples}"
-            )
+    for index, job in indexed_jobs:
         correct = count_correct(
-            model, shard, batch_size=batch_size, predict_fn=method.predict_logits
+            model, job.dataset, batch_size=job.batch_size, predict_fn=method.predict_logits
         )
-        results.append((job_index, correct, len(shard)))
+        results.append((index, correct, len(job.dataset)))
     return results
+
+
+#: What a worker runs for each chunk kind, on the chunk's resolved work units.
+_CHUNK_RUNNERS: Dict[str, Callable[..., List[tuple]]] = {
+    "train": _run_client_chunk,
+    "eval": _run_eval_chunk,
+}
 
 
 class WorkerDiedError(RuntimeError):
@@ -418,13 +368,15 @@ def _raise_worker_error(encoded: Tuple[Optional[bytes], str]) -> None:
 def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     """Entry point of one pinned worker; loops until the ``None`` sentinel.
 
-    Messages are ``(kind, payload)`` pairs: ``"train"`` chunks run local
-    updates through the client data plane, ``"eval"`` chunks score test-set
-    slices through the evaluation plane.  Both planes share the worker's
-    model replica cache, so evaluation jobs reuse the replica the training
-    rounds already built.  A ``"die"`` message is the fault plane's
-    deterministic worker kill: the process exits immediately with the given
-    code, reporting nothing — exactly like a real crash.
+    Messages are ``(kind, payload)`` pairs with one payload shape: ``"train"``
+    chunks run local updates, ``"eval"`` chunks score test-set slices, both on
+    datasets resolved from the worker's shard cache and on the worker's model
+    replica cache, so evaluation jobs reuse the replica the training rounds
+    already built.  Only a train chunk names a ``task_id``: its arrival is the
+    task-boundary eviction point.  A ``"die"`` message is the fault plane's
+    deterministic worker kill: the process exits with the given code before
+    its next chunk, reporting nothing for it — exactly like a real crash
+    between two chunks.
     """
     while True:
         message = task_queue.get()
@@ -432,33 +384,24 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
             return
         kind, payload = message
         if kind == "die":
+            # The previous chunk's result may still be in this process's
+            # feeder thread, which holds the result queue's cross-process
+            # write lock while sending; exiting under it would wedge every
+            # other worker's report forever.  Flush and stop the feeder
+            # first, so the kill loses this worker's *next* chunk and nothing
+            # else.
+            result_queue.close()
+            result_queue.join_thread()
             os._exit(int(payload))
         try:
-            if kind == "train":
-                (
-                    method_blob,
-                    broadcast_blob,
-                    items,
-                    shard_blobs,
-                    dtype_name,
-                    task_id,
-                    kernel,
-                ) = payload
-                _install_shards(shard_blobs)
-                _evict_stale_shards(task_id)
-                results = _run_client_chunk(
-                    method_blob,
-                    broadcast_blob,
-                    _resolve_chunk(items),
-                    dtype_name,
-                    kernel,
-                )
-            elif kind == "eval":
-                method_blob, broadcast_blob, items, shard_blobs, dtype_name = payload
-                _install_eval_shards(shard_blobs)
-                results = _run_eval_chunk(method_blob, broadcast_blob, items, dtype_name)
-            else:
+            runner = _CHUNK_RUNNERS.get(kind)
+            if runner is None:
                 raise RuntimeError(f"unknown worker message kind {kind!r}")
+            method_blob, broadcast_blob, items, shard_blobs, task_id, run_args = payload
+            _install_shards(shard_blobs)
+            if task_id is not None:
+                _evict_stale_shards(_WORKER_SHARDS, task_id)
+            results = runner(method_blob, broadcast_blob, _resolve_chunk(items), *run_args)
             result_queue.put((worker_id, "ok", results))
         except BaseException as exc:  # ship the failure instead of dying silently
             result_queue.put((worker_id, "error", _encode_error(exc)))
@@ -528,7 +471,7 @@ class _PinnedWorkerPool:
         Anything still sitting in the dead worker's queue (the lost chunk, a
         pending kill) dies with the queue; the replacement starts with empty
         module-level caches, which is why the healing caller must forget the
-        worker's mirrored inventories before resubmitting.
+        worker's mirrored inventory before resubmitting.
         """
         process = self._processes[worker_id]
         if process.is_alive():
@@ -698,7 +641,8 @@ class RoundIPC:
 
     ``method_bytes`` and ``broadcast_bytes`` count the blob size times the
     number of worker messages that embedded it (each pinned queue copies the
-    shared bytes), so all three byte fields are comparable measures of actual
+    shared bytes; a chunk replayed to a respawned worker is one more
+    message), so all three byte fields are comparable measures of actual
     cross-process traffic.  ``num_messages`` is that message count, so
     ``broadcast_bytes / num_messages`` recovers the single broadcast blob
     length — under the loopback transport's ``identity`` codec that blob *is*
@@ -723,9 +667,9 @@ class EvalIPC:
     """What one :meth:`ParallelExecutor.run_eval` call shipped to its workers.
 
     Same byte conventions as :class:`RoundIPC`: ``method_bytes`` and
-    ``broadcast_bytes`` count blob size times worker messages.  With the
-    cache on, ``shard_bytes`` is non-zero only the first time a (task, slice)
-    pair reaches its worker — once per run.  Failed calls are not logged.
+    ``broadcast_bytes`` count blob size times ``num_messages``.
+    ``shard_bytes`` is non-zero only the first time a (task, slice) pair
+    reaches its worker — once per run.  Failed calls are not logged.
     """
 
     num_jobs: int
@@ -734,11 +678,12 @@ class EvalIPC:
     shard_bytes: int
     shards_shipped: int
     cache_hits: int
+    num_messages: int = 0
 
 
 class ParallelExecutor(Executor):
     """Pinned-worker-pool execution with a single-serialization broadcast and a
-    per-worker shard cache (the client data plane; see the module docstring).
+    per-worker shard cache (the data plane; see the module docstring).
 
     ``num_workers`` defaults to the machine's CPU count.  The pool is created
     lazily on the first round and reused across rounds and tasks; call
@@ -776,8 +721,8 @@ class ParallelExecutor(Executor):
         self.ipc_log: List[RoundIPC] = []
         self.eval_ipc_log: List[EvalIPC] = []
         self._pool: Optional[_PinnedWorkerPool] = None
-        self._inventories: List[Set[_ShardKey]] = []
-        self._eval_inventories: List[Set[_ShardKey]] = []
+        #: Per worker, what its shard cache holds: identity -> fingerprint.
+        self._inventories: List[Dict[Tuple[str, int, int], str]] = []
         self._pending_kills: List[int] = []
 
     def request_worker_kill(self, worker_id: int) -> None:
@@ -794,99 +739,63 @@ class ParallelExecutor(Executor):
             )
         self._pending_kills.append(worker_id)
 
-    def _build_train_message(
+    def _build_message(
         self,
+        kind: str,
         worker_id: int,
-        bucket: Sequence[Tuple[int, ClientHandle]],
+        bucket: Sequence[Tuple[int, Any]],
         method_blob: bytes,
         broadcast_blob: bytes,
         dtype_name: str,
-        task_id: int,
+        task_id: Optional[int],
         stats: Dict[str, int],
     ) -> tuple:
-        """Build one worker's train chunk, updating its mirrored inventory.
+        """Build one worker's chunk, updating its mirrored inventory.
 
-        A pure function of the round's blobs and the worker's inventory, so a
+        A pure function of the call's blobs and the worker's inventory, so a
         healing replay after a respawn (inventory wiped to empty) rebuilds a
-        chunk that re-ships every shard and reproduces the lost computation
-        bit-for-bit.
+        chunk that re-ships every dataset and reproduces the lost computation
+        bit-for-bit.  Every chunk built is a chunk submitted — first send or
+        replay — so this is also where its traffic is counted.
         """
-        # Mirror the worker's task-boundary eviction exactly: the worker
-        # drops other-task entries when this chunk arrives, so the parent
-        # must forget them at the same moment (and only for workers that
-        # actually receive a chunk).
-        inventory = {key for key in self._inventories[worker_id] if key[1] == task_id}
-        self._inventories[worker_id] = inventory
-        items: List[Tuple[int, ClientHandle, ShardRef]] = []
-        shard_blobs: Dict[_ShardKey, bytes] = {}
-        for index, client in bucket:
-            ref = client.shard_ref()
-            key = ref.cache_key
-            if key in inventory:
+        inventory = self._inventories[worker_id]
+        if task_id is not None:
+            # Mirror the worker's task-boundary eviction exactly: the worker
+            # drops other-task training shards when this chunk arrives, so
+            # the parent must forget them at the same moment (and only for
+            # workers that actually receive a chunk).
+            _evict_stale_shards(inventory, task_id)
+        items: List[Tuple[int, ShardRef, Any]] = []
+        shard_blobs: Dict[ShardRef, bytes] = {}
+        for index, work in bucket:
+            ref = work.shard_ref()
+            if inventory.get(ref.identity) == ref.fingerprint:
                 stats["cache_hits"] += 1
-            elif key not in shard_blobs:
-                blob = pickle.dumps(client.dataset, protocol=pickle.HIGHEST_PROTOCOL)
-                shard_blobs[key] = blob
+            else:
+                blob = pickle.dumps(work.dataset, protocol=pickle.HIGHEST_PROTOCOL)
+                shard_blobs[ref] = blob
                 stats["shard_bytes"] += len(blob)
                 stats["shards_shipped"] += 1
-                inventory.add(key)
-            items.append((index, client.lighten(), ref))
-        return (
-            "train",
-            (
-                method_blob,
-                broadcast_blob,
-                items,
-                shard_blobs,
-                dtype_name,
-                task_id,
-                self.kernel,
-            ),
-        )
-
-    def _build_eval_message(
-        self,
-        worker_id: int,
-        bucket: Sequence[Tuple[int, EvalJob]],
-        method_blob: bytes,
-        broadcast_blob: bytes,
-        dtype_name: str,
-        stats: Dict[str, int],
-    ) -> tuple:
-        """Build one worker's eval chunk, updating its mirrored eval inventory."""
-        inventory = self._eval_inventories[worker_id]
-        items: List[Tuple[int, EvalSliceRef, int]] = []
-        shard_blobs: Dict[_ShardKey, bytes] = {}
-        for index, job in bucket:
-            ref = job.slice_ref()
-            key = ref.cache_key
-            if key in inventory:
-                stats["cache_hits"] += 1
-            elif key not in shard_blobs:
-                blob = pickle.dumps(job.dataset, protocol=pickle.HIGHEST_PROTOCOL)
-                shard_blobs[key] = blob
-                stats["shard_bytes"] += len(blob)
-                stats["shards_shipped"] += 1
-                # Mirror the worker's install-time replacement: a new
-                # fingerprint for this (task, slice) pair supersedes the
-                # stale entry on both sides.
-                for stale in [k for k in inventory if k[:2] == key[:2]]:
-                    inventory.discard(stale)
-                inventory.add(key)
-            items.append((index, ref, job.batch_size))
-        return ("eval", (method_blob, broadcast_blob, items, shard_blobs, dtype_name))
+                # Mirror the worker's install: a new fingerprint for a held
+                # identity supersedes the stale entry on both sides.
+                inventory[ref.identity] = ref.fingerprint
+            items.append((index, ref, work.lighten()))
+        stats["num_messages"] += 1
+        stats["method_bytes"] += len(method_blob)
+        stats["broadcast_bytes"] += len(broadcast_blob)
+        run_args = (dtype_name, self.kernel) if kind == "train" else (dtype_name,)
+        return (kind, (method_blob, broadcast_blob, items, shard_blobs, task_id, run_args))
 
     def _collect_healing(
         self,
         pool: _PinnedWorkerPool,
-        pending_workers: Set[int],
-        buckets: Dict[int, Sequence[tuple]],
+        chunks: Dict[int, Sequence[Tuple[int, Any]]],
         rebuild: Callable[[int], tuple],
     ) -> List[tuple]:
-        """Collect every pending chunk, healing worker deaths within budget.
+        """Collect every submitted chunk, healing worker deaths within budget.
 
         A dead worker's already-reported peers are absorbed from the error;
-        the dead worker is respawned, its mirrored inventories (both planes)
+        the dead worker is respawned, its mirrored inventory (both planes)
         forgotten — the fresh process holds nothing — and its chunk rebuilt
         and resubmitted.  The replay is bit-for-bit: a chunk is a pure
         function of the round's blobs.  Beyond ``max_respawns`` the
@@ -894,7 +803,7 @@ class ParallelExecutor(Executor):
         in.
         """
         outcomes: List[tuple] = []
-        pending = set(pending_workers)
+        pending = set(chunks)
         while pending:
             try:
                 outcomes.extend(pool.collect(pending))
@@ -908,15 +817,14 @@ class ParallelExecutor(Executor):
                     error.client_ids = sorted(
                         item.client_id
                         for worker_id in dead
-                        for _, item in buckets.get(worker_id, [])
+                        for _, item in chunks[worker_id]
                         if isinstance(item, ClientHandle)
                     )
                     raise
                 for worker_id in dead:
                     pool.respawn(worker_id)
                     self.respawns += 1
-                    self._inventories[worker_id] = set()
-                    self._eval_inventories[worker_id] = set()
+                    self._inventories[worker_id] = {}
                     pool.submit(worker_id, rebuild(worker_id))
                     pending.add(worker_id)
         return outcomes
@@ -932,9 +840,78 @@ class ParallelExecutor(Executor):
             else:
                 context = multiprocessing.get_context()
             self._pool = _PinnedWorkerPool(self.num_workers, context)
-            self._inventories = [set() for _ in range(self.num_workers)]
-            self._eval_inventories = [set() for _ in range(self.num_workers)]
+            self._inventories = [{} for _ in range(self.num_workers)]
         return self._pool
+
+    def _fan_out(
+        self,
+        kind: str,
+        method: FederatedMethod,
+        broadcast: BroadcastHandle,
+        buckets: Sequence[Sequence[Tuple[int, Any]]],
+        task_id: Optional[int] = None,
+    ) -> Tuple[List[tuple], Dict[str, int]]:
+        """Run one chunk per non-empty bucket; return the workers' result
+        tuples in work-unit index order, and what the call shipped.
+
+        ``buckets[w]`` holds worker ``w``'s ``(index, work unit)`` pairs.  The
+        method and the broadcast are serialized once and every chunk reuses
+        the same bytes.
+        """
+        pool = self._ensure_pool()
+        method_blob = pickle.dumps(method, protocol=pickle.HIGHEST_PROTOCOL)
+        broadcast_blob = broadcast.serialized()
+        dtype_name = get_default_dtype().name
+        chunks = {worker_id: bucket for worker_id, bucket in enumerate(buckets) if bucket}
+        # The traffic counters RoundIPC and EvalIPC share, filled as chunks are built.
+        stats = {
+            "num_messages": 0, "method_bytes": 0, "broadcast_bytes": 0,
+            "shard_bytes": 0, "shards_shipped": 0, "cache_hits": 0,
+        }  # fmt: skip
+
+        def build(worker_id: int) -> tuple:
+            return self._build_message(
+                kind, worker_id, chunks[worker_id], method_blob, broadcast_blob, dtype_name, task_id, stats
+            )
+
+        # Build every chunk message before submitting anything, and tear the
+        # pool down on any failure in the build/submit/collect path: a
+        # partially-submitted call would leave results in flight for the
+        # next call's collect to mis-consume, and a partially-updated
+        # inventory would desynchronise from workers that never received
+        # their chunk.  close() clears both.
+        try:
+            messages = [(worker_id, build(worker_id)) for worker_id in chunks]
+            if kind == "train":
+                # Fault-plane worker kills fire ahead of the round's chunks, so
+                # the victim dies before (or instead of) running its work — the
+                # chunk is genuinely lost and the healing path must replay it.
+                for victim in self._pending_kills:
+                    pool.submit(victim, ("die", self.KILL_EXIT_CODE))
+                self._pending_kills = []
+            for worker_id, message in messages:
+                pool.submit(worker_id, message)
+            outcomes = self._collect_healing(pool, chunks, build)
+        except Exception:
+            self.close()
+            raise
+        gathered: List[tuple] = []
+        failure: Optional[Tuple[Optional[bytes], str]] = None
+        for worker_id, status, payload in outcomes:
+            if status == "error":
+                failure = failure if failure is not None else payload
+                # The worker may have failed mid-install, so its shard cache
+                # is in an unknown state; forget its inventory and re-ship
+                # everything on its next chunk (re-installs are idempotent).
+                self._inventories[worker_id].clear()
+            else:
+                gathered.extend(payload)
+        if failure is not None:
+            # All chunks were already collected above, so the queues are clean
+            # and the pool stays reusable after the exception propagates.
+            _raise_worker_error(failure)
+        gathered.sort(key=lambda item: item[0])
+        return gathered, stats
 
     def run_round(
         self,
@@ -953,85 +930,10 @@ class ParallelExecutor(Executor):
             raise ValueError(
                 f"a round's clients must share one task_id, got {sorted(task_ids)}"
             )
-        pool = self._ensure_pool()
-        method_blob = pickle.dumps(method, protocol=pickle.HIGHEST_PROTOCOL)
-        broadcast_blob = broadcast.serialized()
-        dtype_name = get_default_dtype().name
         task_id = clients[0].task_id
-        indexed = list(enumerate(clients))
-        buckets = _assign_clients_to_workers(indexed, self.num_workers)
-        # Build every chunk message before submitting anything, and tear the
-        # pool down on any failure in the build/submit/collect path: a
-        # partially-submitted round would leave results in flight for the
-        # next round's collect to mis-consume, and a partially-updated
-        # inventory would desynchronise from workers that never received
-        # their chunk.  close() clears both.
-        stats = {"shard_bytes": 0, "shards_shipped": 0, "cache_hits": 0}
-        try:
-            bucket_map: Dict[int, Sequence[tuple]] = {}
-            messages: List[Tuple[int, tuple]] = []
-            for worker_id, bucket in enumerate(buckets):
-                if not bucket:
-                    continue
-                bucket_map[worker_id] = bucket
-                messages.append(
-                    (
-                        worker_id,
-                        self._build_train_message(
-                            worker_id, bucket, method_blob, broadcast_blob, dtype_name, task_id, stats
-                        ),
-                    )
-                )
-            # Fault-plane worker kills fire ahead of the round's chunks, so
-            # the victim dies before (or instead of) running its work — the
-            # chunk is genuinely lost and the healing path must replay it.
-            for victim in self._pending_kills:
-                pool.submit(victim, ("die", self.KILL_EXIT_CODE))
-            self._pending_kills = []
-            for worker_id, message in messages:
-                pool.submit(worker_id, message)
-            outcomes = self._collect_healing(
-                pool,
-                {worker_id for worker_id, _ in messages},
-                bucket_map,
-                lambda worker_id: self._build_train_message(
-                    worker_id, bucket_map[worker_id], method_blob, broadcast_blob, dtype_name, task_id, stats
-                ),
-            )
-        except Exception:
-            self.close()
-            raise
-        shard_bytes = stats["shard_bytes"]
-        shards_shipped = stats["shards_shipped"]
-        cache_hits = stats["cache_hits"]
-        gathered: List[Tuple[int, ClientUpdate, Any]] = []
-        failure: Optional[Tuple[Optional[bytes], str]] = None
-        for worker_id, status, payload in outcomes:
-            if status == "error":
-                failure = failure if failure is not None else payload
-                # The worker may have failed mid-install, so its shard cache
-                # is in an unknown state; forget its inventory and re-ship
-                # everything on its next chunk (re-installs are idempotent).
-                self._inventories[worker_id].clear()
-            else:
-                gathered.extend(payload)
-        if failure is not None:
-            # All chunks were already collected above, so the queues are clean
-            # and the pool stays reusable after the exception propagates.
-            _raise_worker_error(failure)
-        self.ipc_log.append(
-            RoundIPC(
-                task_id=task_id,
-                num_clients=len(indexed),
-                method_bytes=len(method_blob) * len(messages),
-                broadcast_bytes=len(broadcast_blob) * len(messages),
-                shard_bytes=shard_bytes,
-                shards_shipped=shards_shipped,
-                cache_hits=cache_hits,
-                num_messages=len(messages),
-            )
-        )
-        gathered.sort(key=lambda item: item[0])
+        buckets = _assign_clients_to_workers(list(enumerate(clients)), self.num_workers)
+        gathered, stats = self._fan_out("train", method, broadcast, buckets, task_id)
+        self.ipc_log.append(RoundIPC(task_id=task_id, num_clients=len(clients), **stats))
         updates: List[ClientUpdate] = []
         for _, update, exported in gathered:
             updates.append(update)
@@ -1047,82 +949,17 @@ class ParallelExecutor(Executor):
     ) -> List[Tuple[int, int]]:
         """Score every evaluation job on the pool; return (correct, total) in job order.
 
-        The evaluation plane's fan-out: jobs are pinned to workers by
-        ``(task_id + slice_index) % num_workers`` — deterministic, so a slice
-        lands on the same worker every call and its cached bytes are found
-        again — and slice payloads are attached only for keys the receiving
-        worker does not already hold (mirrored inventories, exactly like the
-        training data plane).
+        Jobs are pinned to workers by ``(task_id + slice_index) % num_workers``
+        — deterministic, so a slice lands on the same worker every call and
+        its cached bytes are found again.
         """
         if not jobs:
             return []
-        pool = self._ensure_pool()
-        method_blob = pickle.dumps(method, protocol=pickle.HIGHEST_PROTOCOL)
-        broadcast_blob = broadcast.serialized()
-        dtype_name = get_default_dtype().name
         buckets: List[List[Tuple[int, EvalJob]]] = [[] for _ in range(self.num_workers)]
         for index, job in enumerate(jobs):
             buckets[(job.task_id + job.slice_index) % self.num_workers].append((index, job))
-        # Same failure discipline as run_round: a partially-submitted call
-        # would leave results in flight and inventories desynchronised, so
-        # any build/submit/collect failure tears the pool down (close()
-        # clears both planes' inventories).
-        stats = {"shard_bytes": 0, "shards_shipped": 0, "cache_hits": 0}
-        try:
-            bucket_map: Dict[int, Sequence[tuple]] = {}
-            messages: List[Tuple[int, tuple]] = []
-            for worker_id, bucket in enumerate(buckets):
-                if not bucket:
-                    continue
-                bucket_map[worker_id] = bucket
-                messages.append(
-                    (
-                        worker_id,
-                        self._build_eval_message(
-                            worker_id, bucket, method_blob, broadcast_blob, dtype_name, stats
-                        ),
-                    )
-                )
-            for worker_id, message in messages:
-                pool.submit(worker_id, message)
-            outcomes = self._collect_healing(
-                pool,
-                {worker_id for worker_id, _ in messages},
-                bucket_map,
-                lambda worker_id: self._build_eval_message(
-                    worker_id, bucket_map[worker_id], method_blob, broadcast_blob, dtype_name, stats
-                ),
-            )
-        except Exception:
-            self.close()
-            raise
-        shard_bytes = stats["shard_bytes"]
-        shards_shipped = stats["shards_shipped"]
-        cache_hits = stats["cache_hits"]
-        gathered: List[Tuple[int, int, int]] = []
-        failure: Optional[Tuple[Optional[bytes], str]] = None
-        for worker_id, status, payload in outcomes:
-            if status == "error":
-                failure = failure if failure is not None else payload
-                # The worker may have failed mid-install; forget its eval
-                # inventory and re-ship on its next chunk (installs are
-                # idempotent).
-                self._eval_inventories[worker_id].clear()
-            else:
-                gathered.extend(payload)
-        if failure is not None:
-            _raise_worker_error(failure)
-        self.eval_ipc_log.append(
-            EvalIPC(
-                num_jobs=len(jobs),
-                method_bytes=len(method_blob) * len(messages),
-                broadcast_bytes=len(broadcast_blob) * len(messages),
-                shard_bytes=shard_bytes,
-                shards_shipped=shards_shipped,
-                cache_hits=cache_hits,
-            )
-        )
-        gathered.sort(key=lambda item: item[0])
+        gathered, stats = self._fan_out("eval", method, broadcast, buckets)
+        self.eval_ipc_log.append(EvalIPC(num_jobs=len(jobs), **stats))
         return [(correct, total) for _, correct, total in gathered]
 
     def close(self) -> None:
@@ -1131,7 +968,6 @@ class ParallelExecutor(Executor):
             self._pool.close()
             self._pool = None
             self._inventories = []
-            self._eval_inventories = []
 
     def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
         try:
@@ -1275,7 +1111,6 @@ __all__ = [
     "RoundIPC",
     "EvalIPC",
     "EvalJob",
-    "EvalSliceRef",
     "WorkerDiedError",
     "batch_aligned_slices",
     "build_executor",

@@ -1,9 +1,8 @@
-"""Tests of the evaluation plane: batch-aligned slicing, the worker test-shard
-cache, serial/parallel accuracy parity, eval IPC accounting and ``eval_every``."""
+"""Tests of the evaluation plane: batch-aligned slicing, serial/parallel accuracy
+parity, eval IPC accounting and ``eval_every`` (the worker cache both planes
+share is tested in ``test_execution.py``)."""
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
@@ -23,10 +22,8 @@ from repro.federated import (
     batch_aligned_slices,
 )
 from repro.federated.communication import ClientUpdate
-from repro.federated.execution import EvalJob
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import _mean_update_metrics
-from repro.nn.serialization import serialize_state
 
 
 def _run_simulation(tiny_spec, tiny_backbone_config, config, method_name="refil"):
@@ -90,94 +87,6 @@ class TestBatchAlignedSlices:
             for piece in batch_aligned_slices(dataset, batch_size=4, num_slices=3)
         )
         assert sliced == serial
-
-
-class TestWorkerEvalCache:
-    def _slice_jobs(self, tiny_spec, batch_size=4):
-        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "test")
-        slices = batch_aligned_slices(dataset, batch_size=batch_size, num_slices=2)
-        return [
-            EvalJob(task_id=0, slice_index=i, dataset=piece, batch_size=batch_size)
-            for i, piece in enumerate(slices)
-        ]
-
-    def test_install_replaces_stale_fingerprint_for_same_slice(self, tiny_spec):
-        from repro.federated.execution import _WORKER_EVAL_SHARDS, _install_eval_shards
-
-        [job, _] = self._slice_jobs(tiny_spec)
-        narrow = job.dataset.astype(np.float32)
-        before = dict(_WORKER_EVAL_SHARDS)
-        try:
-            _WORKER_EVAL_SHARDS.clear()
-            _install_eval_shards({job.slice_ref().cache_key: pickle.dumps(job.dataset)})
-            assert len(_WORKER_EVAL_SHARDS) == 1
-            # Same (task, slice), new content fingerprint: the stale entry is
-            # replaced, not accumulated — the cache stays bounded by one copy
-            # of the test suite.
-            stale_key = job.slice_ref().cache_key
-            new_key = (0, 0, narrow.fingerprint())
-            assert new_key != stale_key
-            _install_eval_shards({new_key: pickle.dumps(narrow)})
-            assert set(_WORKER_EVAL_SHARDS) == {new_key}
-        finally:
-            _WORKER_EVAL_SHARDS.clear()
-            _WORKER_EVAL_SHARDS.update(before)
-
-    def test_eval_chunk_matches_in_process_counts(self, tiny_spec, tiny_backbone_config):
-        """Unit test of the worker entry point (run in-process): counts equal
-        the serial count_correct over the same slices."""
-        from repro.federated.execution import (
-            _WORKER_EVAL_SHARDS,
-            _install_eval_shards,
-            _run_eval_chunk,
-        )
-
-        method = build_method("finetune", tiny_backbone_config, num_tasks=1)
-        model = method.build_model()
-        state = model.state_dict()
-        jobs = self._slice_jobs(tiny_spec)
-        before = dict(_WORKER_EVAL_SHARDS)
-        try:
-            _WORKER_EVAL_SHARDS.clear()
-            _install_eval_shards(
-                {job.slice_ref().cache_key: pickle.dumps(job.dataset) for job in jobs}
-            )
-            results = _run_eval_chunk(
-                pickle.dumps(method),
-                serialize_state(state, {}),
-                [(i, job.slice_ref(), job.batch_size) for i, job in enumerate(jobs)],
-                "float64",
-            )
-            model.load_state_dict(state)
-            for (index, correct, total), job in zip(results, jobs):
-                assert total == len(job.dataset)
-                assert correct == count_correct(
-                    model, job.dataset, batch_size=job.batch_size,
-                    predict_fn=method.predict_logits,
-                )
-        finally:
-            _WORKER_EVAL_SHARDS.clear()
-            _WORKER_EVAL_SHARDS.update(before)
-
-    def test_eval_chunk_misses_loudly_on_uninstalled_slice(self, tiny_spec, tiny_backbone_config):
-        from repro.federated.execution import _WORKER_EVAL_SHARDS, _run_eval_chunk
-
-        method = build_method("finetune", tiny_backbone_config, num_tasks=1)
-        state = method.build_model().state_dict()
-        [job, _] = self._slice_jobs(tiny_spec)
-        before = dict(_WORKER_EVAL_SHARDS)
-        try:
-            _WORKER_EVAL_SHARDS.clear()
-            with pytest.raises(RuntimeError, match="cache miss"):
-                _run_eval_chunk(
-                    pickle.dumps(method),
-                    serialize_state(state, {}),
-                    [(0, job.slice_ref(), job.batch_size)],
-                    "float64",
-                )
-        finally:
-            _WORKER_EVAL_SHARDS.clear()
-            _WORKER_EVAL_SHARDS.update(before)
 
 
 class TestEvalParity:

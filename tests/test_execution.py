@@ -14,18 +14,21 @@ from repro.autograd.tensor import (
     set_default_dtype,
 )
 from repro.baselines.registry import build_method
-from repro.continual import DomainIncrementalScenario
+from repro.continual import DomainIncrementalScenario, count_correct
 from repro.datasets import SyntheticDomainDataset
 from repro.federated import (
     FederatedConfig,
     FederatedDomainIncrementalSimulation,
     ParallelExecutor,
     SerialExecutor,
+    batch_aligned_slices,
     build_executor,
 )
 from repro.federated.client import ClientHandle, LocalTrainingConfig
+from repro.federated.execution import EvalJob
 from repro.federated.increment import ClientGroup
 from repro.federated.server import FederatedServer
+from repro.nn.serialization import serialize_state
 
 
 def _run_simulation(tiny_spec, tiny_backbone_config, config, method_name="refil"):
@@ -157,48 +160,139 @@ class TestReplicaCache:
             _WORKER_REPLICAS.update(before)
 
 
+def _handle(dataset, task_id=0, client_id=0, round_index=0):
+    return ClientHandle(
+        client_id=client_id,
+        task_id=task_id,
+        group=ClientGroup.NEW,
+        dataset=dataset,
+        rng=np.random.default_rng(100 * task_id + 10 * round_index + client_id),
+        training=LocalTrainingConfig(local_epochs=1, batch_size=8, learning_rate=0.05),
+    )
+
+
+#: One work unit per plane over the same dataset: what the pool ships light
+#: (``lighten()``) next to its ``shard_ref()``.
+_WORK_UNITS = {
+    "train": lambda dataset, task_id=0: _handle(dataset, task_id),
+    "eval": lambda dataset, task_id=0: EvalJob(
+        task_id=task_id, slice_index=0, dataset=dataset, batch_size=4
+    ),
+}
+
+
+@pytest.fixture
+def worker_shards():
+    """The worker-side cache, emptied for an in-process test and restored after."""
+    from repro.federated.execution import _WORKER_SHARDS
+
+    before = dict(_WORKER_SHARDS)
+    _WORKER_SHARDS.clear()
+    yield _WORKER_SHARDS
+    _WORKER_SHARDS.clear()
+    _WORKER_SHARDS.update(before)
+
+
+class TestWorkerShardCache:
+    """The worker-side cache contract, identical for both planes (run in-process)."""
+
+    @pytest.mark.parametrize("plane", ["train", "eval"])
+    def test_install_resolve_replace_miss_corruption(self, plane, tiny_spec, worker_shards):
+        from repro.federated.execution import _install_shards, _resolve_chunk
+
+        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "test")
+        unit = _WORK_UNITS[plane](dataset)
+        ref = unit.shard_ref()
+        assert ref.plane == plane and ref.num_samples == len(dataset)
+        light = unit.lighten()
+        assert light.dataset is None
+
+        _install_shards({ref: pickle.dumps(dataset)})
+        [(index, resolved)] = _resolve_chunk([(4, ref, light)])
+        assert index == 4 and type(resolved) is type(unit)
+        assert np.array_equal(resolved.dataset.labels, dataset.labels)
+
+        # Same identity, new content fingerprint (a dtype switch): the stale
+        # entry is replaced, not accumulated — the cache stays bounded by one
+        # copy per identity — and the stale reference no longer resolves.
+        narrow = dataset.astype(np.float32)
+        new_ref = replace(unit, dataset=narrow).shard_ref()
+        assert new_ref.identity == ref.identity and new_ref.fingerprint != ref.fingerprint
+        _install_shards({new_ref: pickle.dumps(narrow)})
+        assert set(worker_shards) == {ref.identity}
+        [(_, rebound)] = _resolve_chunk([(0, new_ref, light)])
+        assert rebound.dataset.images.dtype == np.float32
+        with pytest.raises(RuntimeError, match="cache miss"):
+            _resolve_chunk([(0, ref, light)])
+
+        # A cached dataset whose length disagrees with the reference.
+        with pytest.raises(RuntimeError, match="cache corruption"):
+            _resolve_chunk([(0, replace(new_ref, num_samples=len(narrow) + 1), light)])
+
+        # Nothing installed for this identity at all.
+        worker_shards.clear()
+        with pytest.raises(RuntimeError, match="cache miss"):
+            _resolve_chunk([(0, new_ref, light)])
+
+    def test_task_boundary_evicts_other_task_training_shards_and_no_eval_slice(
+        self, tiny_spec, worker_shards
+    ):
+        from repro.federated.execution import _evict_stale_shards, _install_shards
+
+        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "test")
+        refs = {
+            (plane, task_id): _WORK_UNITS[plane](dataset, task_id).shard_ref()
+            for plane in ("train", "eval")
+            for task_id in (0, 1)
+        }
+        _install_shards({ref: pickle.dumps(dataset) for ref in refs.values()})
+        assert len(worker_shards) == 4
+        _evict_stale_shards(worker_shards, task_id=1)  # a train chunk for task 1 arrives
+        assert set(worker_shards) == {
+            refs["train", 1].identity,
+            refs["eval", 0].identity,
+            refs["eval", 1].identity,
+        }
+        _evict_stale_shards(worker_shards, task_id=1)  # same task again: nothing more goes
+        assert len(worker_shards) == 3
+
+    def test_eval_chunk_matches_in_process_counts(
+        self, tiny_spec, tiny_backbone_config, worker_shards
+    ):
+        """The eval worker entry point, fed from the cache: counts equal the
+        serial count_correct over the same slices."""
+        from repro.federated.execution import _install_shards, _resolve_chunk, _run_eval_chunk
+
+        method = build_method("finetune", tiny_backbone_config, num_tasks=1)
+        model = method.build_model()
+        state = model.state_dict()
+        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "test")
+        jobs = [
+            EvalJob(task_id=0, slice_index=i, dataset=piece, batch_size=4)
+            for i, piece in enumerate(batch_aligned_slices(dataset, batch_size=4, num_slices=2))
+        ]
+        _install_shards({job.shard_ref(): pickle.dumps(job.dataset) for job in jobs})
+        results = _run_eval_chunk(
+            pickle.dumps(method),
+            serialize_state(state, {}),
+            _resolve_chunk([(i, job.shard_ref(), job.lighten()) for i, job in enumerate(jobs)]),
+            "float64",
+        )
+        model.load_state_dict(state)
+        assert [index for index, _, _ in results] == [0, 1]
+        for (_, correct, total), job in zip(results, jobs):
+            assert total == len(job.dataset)
+            assert correct == count_correct(
+                model, job.dataset, batch_size=job.batch_size, predict_fn=method.predict_logits
+            )
+
+
 class TestShardCache:
     def _handles(self, datasets, task_id, round_index=0):
         return [
-            ClientHandle(
-                client_id=client_id,
-                task_id=task_id,
-                group=ClientGroup.NEW,
-                dataset=dataset,
-                rng=np.random.default_rng(100 * task_id + 10 * round_index + client_id),
-                training=LocalTrainingConfig(local_epochs=1, batch_size=8, learning_rate=0.05),
-            )
+            _handle(dataset, task_id, client_id, round_index)
             for client_id, dataset in enumerate(datasets)
         ]
-
-    def test_worker_cache_install_resolve_evict(self, tiny_spec):
-        """Unit test of the worker-side cache primitives (run in-process)."""
-        from repro.federated.execution import (
-            _WORKER_SHARDS,
-            _evict_stale_shards,
-            _install_shards,
-            _resolve_chunk,
-        )
-
-        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "train")
-        [handle] = self._handles([dataset], task_id=0)
-        ref = handle.shard_ref()
-        before = dict(_WORKER_SHARDS)
-        try:
-            _WORKER_SHARDS.clear()
-            _install_shards({ref.cache_key: pickle.dumps(dataset)})
-            [(index, resolved)] = _resolve_chunk([(4, handle.lighten(), ref)])
-            assert index == 4
-            assert np.array_equal(resolved.dataset.labels, dataset.labels)
-            _evict_stale_shards(task_id=0)  # same task: entry survives
-            assert ref.cache_key in _WORKER_SHARDS
-            _evict_stale_shards(task_id=1)  # task boundary: entry dropped
-            assert not _WORKER_SHARDS
-            with pytest.raises(RuntimeError, match="cache miss"):
-                _resolve_chunk([(0, handle.lighten(), ref)])
-        finally:
-            _WORKER_SHARDS.clear()
-            _WORKER_SHARDS.update(before)
 
     def test_shard_ships_once_per_task_and_invalidates_on_new_fingerprint(
         self, tiny_spec, tiny_backbone_config
@@ -228,6 +322,32 @@ class TestShardCache:
         assert hit.shard_bytes == 0 and hit.cache_hits == 2
         assert boundary.shard_bytes > 0 and boundary.shards_shipped == 2
         assert hit_again.shard_bytes == 0 and hit_again.cache_hits == 2
+
+    def test_replayed_chunk_counts_its_message_and_blobs(self, tiny_spec, tiny_backbone_config):
+        """Regression: a chunk replayed to a respawned worker is a third
+        message carrying the method and broadcast blobs again; the round's
+        record used to count its re-shipped shard but only two messages."""
+        method = build_method("finetune", tiny_backbone_config, num_tasks=1)
+        server = FederatedServer(method.build_model())
+        source = SyntheticDomainDataset(tiny_spec)
+        shards = [source.domain_split(0, "train").subset(np.arange(s, s + 8)) for s in (0, 8)]
+        broadcast = server.broadcast_view()
+        method_blob = pickle.dumps(method, protocol=pickle.HIGHEST_PROTOCOL)
+        with ParallelExecutor(num_workers=2, max_respawns=1) as executor:
+            model = method.build_model()
+            executor.run_round(method, model, broadcast, self._handles(shards, task_id=0))
+            executor.request_worker_kill(0)
+            executor.run_round(
+                method, model, broadcast, self._handles(shards, task_id=0, round_index=1)
+            )
+            assert executor.respawns == 1
+            warm, healed = executor.ipc_log
+        assert (warm.num_messages, warm.shards_shipped, warm.cache_hits) == (2, 2, 0)
+        # Both first sends hit the cache; the replay re-ships the victim's shard.
+        assert (healed.num_messages, healed.shards_shipped, healed.cache_hits) == (3, 1, 2)
+        assert healed.broadcast_bytes == 3 * len(broadcast.serialized())
+        assert healed.method_bytes == 3 * len(method_blob)
+        assert healed.shard_bytes == warm.shard_bytes // 2
 
     def test_mixed_task_round_is_rejected(self, tiny_spec, tiny_backbone_config):
         """Task-boundary eviction keys on the round's single task id, so a

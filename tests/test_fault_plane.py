@@ -321,6 +321,40 @@ class TestZeroFaultParity:
         assert _matrix_bytes(clean_sim) == _matrix_bytes(faulty_sim)
         assert clean.round_losses == faulty.round_losses
 
+    def test_worker_kills_heal_on_the_pool_shared_with_evaluation(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+    ):
+        """Training and evaluation on one pool, a worker killed every round: a
+        respawned worker's inventory is forgotten for *both* planes, so the
+        next evaluation re-ships exactly the slices that worker held — and
+        nothing about the results moves."""
+        base_cfg = replace(
+            tiny_federated_config,
+            rounds_per_task=2,
+            executor="parallel",
+            eval_executor="parallel",
+            eval_every=1,
+            eval_batch_size=4,
+            num_workers=2,
+        )
+        clean_sim, clean = _run(tiny_spec, tiny_backbone_config, base_cfg)
+        faulty_cfg = replace(base_cfg, faults=FaultSpec(worker_kill_rate=1.0))
+        faulty_sim, faulty = _run(tiny_spec, tiny_backbone_config, faulty_cfg)
+        assert faulty_sim.eval_executor is faulty_sim.executor
+        assert faulty.fault_stats["worker_respawns"] > 0
+        assert simulation_state_hash(clean_sim) == simulation_state_hash(faulty_sim)
+        assert clean.round_eval_history == faulty.round_eval_history
+
+        def shipped_and_hits(simulation):
+            return [
+                (entry.shards_shipped, entry.cache_hits)
+                for entry in simulation.executor.eval_ipc_log
+            ]
+
+        # 2 tasks x (2 mid-task snapshots + 1 end-of-task evaluation), 2 slices per task.
+        assert shipped_and_hits(clean_sim) == [(2, 0), (0, 2), (0, 2), (2, 2), (0, 4), (0, 4)]
+        assert shipped_and_hits(faulty_sim) == [(2, 0), (1, 1), (0, 2), (3, 1), (2, 2), (0, 4)]
+
     def test_server_restarts_are_lossless_under_delta_codec(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
