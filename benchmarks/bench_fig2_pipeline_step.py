@@ -17,6 +17,7 @@ from repro.datasets.synthetic import generate_domain_split
 from repro.federated.client import ClientHandle, LocalTrainingConfig
 from repro.federated.increment import ClientGroup
 from repro.federated.server import FederatedServer
+from repro.federated.transport import build_transport
 from repro.models.backbone import BackboneConfig
 from repro.utils.timing import Timer
 
@@ -52,7 +53,13 @@ def test_fig2_pipeline_local_update(benchmark):
     print(f"\nFig.2 pipeline: one client local update over {client.num_samples} samples")
     print(f"  uploaded state arrays : {len(update.state_dict)}")
     print(f"  uploaded prompt groups: {len(update.payload['prompt_groups'])}")
-    print(f"  upload size           : {update.upload_bytes() / 1024:.1f} KiB")
+    # The upload as it crosses the wire: one measured identity-codec frame.
+    transport = build_transport(
+        "loopback", "identity", server.ledger, payload_codec=method.payload_codec()
+    )
+    transport.broadcast_round(server, [update.client_id], 0, 0)
+    transport.collect_updates([update])
+    print(f"  upload frame          : {transport.last_upload_bytes[update.client_id] / 1024:.1f} KiB")
     assert update.num_samples == client.num_samples
     assert update.payload["prompt_groups"]
 

@@ -61,7 +61,6 @@ from repro.federated.transport import (
     FrameCorruptionError,
     FrameDecodeError,
     LoopbackTransport,
-    Transport,
     TransportError,
     build_transport,
     verify_frame,
@@ -131,7 +130,6 @@ __all__ = [
     "WireFrame",
     "build_codec",
     "codec_is_lossless",
-    "Transport",
     "LoopbackTransport",
     "build_transport",
     "TransportError",

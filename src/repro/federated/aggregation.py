@@ -34,6 +34,7 @@ from repro.federated.communication import (
     decode_frame,
     encode_frame,
 )
+from repro.federated.faults import carry_frame
 
 
 def staleness_weight(staleness: float, decay: float) -> float:
@@ -223,13 +224,17 @@ class TreeReduceBackend(ReduceBackend):
     server, there is no wire above it — so a cohort no larger than the fan-out
     produces zero edge frames and degenerates to the flat star numerically.
 
-    Fault plane: each hop draws per-attempt loss/corruption from the
-    injector's pure predicates, verifies the CRC, and retries with
-    exponential backoff exactly like the upload path (every attempt's bytes
-    hit the ledger's edge counters, backoff seconds accrue for the clock via
-    :meth:`collect_penalty`).  A hop that exhausts its retries delivers its
-    partial over the in-process control channel instead of losing a whole
-    subtree — the aggregate stays exact while the trace records the failure.
+    Fault plane: each hop is carried by the same
+    :func:`~repro.federated.faults.carry_frame` as a client upload — per-attempt
+    loss/corruption draws, CRC check, bounded retries with doubling backoff
+    between attempts — and every attempt's bytes hit the ledger's edge
+    counters.  A hop that exhausts its retries delivers its partial over the
+    in-process control channel instead of losing a whole subtree — the
+    aggregate stays exact while the trace records the failure.  Backoff
+    seconds accrue until :meth:`collect_penalty` is read, and only the
+    synchronous round loop reads it (into the round's barrier): under
+    ``mode="async"`` / ``"buffered"`` edge-hop backoff is accounted nowhere
+    on the event clock.
     """
 
     name = "tree"
@@ -325,44 +330,30 @@ class TreeReduceBackend(ReduceBackend):
         node_index: int,
         records: List[FrameRecord],
     ) -> Tuple[Dict[str, np.ndarray], float]:
-        """One edge→parent hop: encode, fault-check, CRC-verify, retry."""
+        """One edge→parent hop: encode, carry over the faulty wire, decode."""
         meta = {"weight": float(weight), "level": level, "node": node_index}
         frame = encode_frame("edge", self.codec, arrays, meta)
-        injector = self.faults
-        for attempt in range(1, self.retries + 2):
-            if injector is not None and injector.edge_frame_lost(
-                coordinate, level, node_index, attempt
-            ):
-                records.append(
-                    FrameRecord(client_id=node_index, num_bytes=frame.num_bytes, status="lost")
-                )
-                self._pending_penalty += self.retry_backoff * (2 ** (attempt - 1))
-                continue
-            delivered = frame
-            if injector is not None and injector.edge_frame_corrupted(
-                coordinate, level, node_index, attempt
-            ):
-                delivered = injector.corrupt_frame(
-                    frame, coordinate, ("edge", level), node_index, attempt
-                )
-            if not delivered.checksum_ok():
-                records.append(
-                    FrameRecord(
-                        client_id=node_index, num_bytes=delivered.num_bytes, status="corrupt"
-                    )
-                )
-                self._pending_penalty += self.retry_backoff * (2 ** (attempt - 1))
-                continue
-            records.append(
-                FrameRecord(client_id=node_index, num_bytes=delivered.num_bytes, status="ok")
-            )
-            self.last_edge_frames += 1
-            decoded, received_meta = decode_frame(delivered, self.codec)
-            return decoded, float(received_meta["weight"])
-        # Retries exhausted: deliver in process (the reliable control channel)
-        # rather than dropping a whole subtree's updates; the ledger has
-        # recorded every failed attempt above.
-        return arrays, weight
+        hop = carry_frame(
+            self.faults,
+            frame,
+            "edge",
+            (coordinate, level, node_index),
+            self.retries,
+            self.retry_backoff,
+        )
+        records.extend(
+            FrameRecord(node_index, frame.num_bytes, status) for status in hop.failures
+        )
+        self._pending_penalty += hop.backoff_seconds
+        if not hop.arrived:
+            # Retries exhausted: deliver in process (the reliable control
+            # channel) rather than dropping a whole subtree's updates; the
+            # ledger has recorded every failed attempt above.
+            return arrays, weight
+        records.append(FrameRecord(node_index, frame.num_bytes))
+        self.last_edge_frames += 1
+        decoded, received_meta = decode_frame(frame, self.codec)
+        return decoded, float(received_meta["weight"])
 
     def collect_penalty(self) -> float:
         penalty = self._pending_penalty

@@ -53,8 +53,6 @@ from __future__ import annotations
 import bisect
 from typing import List, Set, Tuple
 
-import numpy as np
-
 from repro.continual.scenario import Task
 from repro.federated.aggregation import staleness_weight
 from repro.federated.communication import ClientUpdate
@@ -341,19 +339,16 @@ class TemporalPlaneRunner:
                 weight = staleness_weight(staleness, config.staleness_decay)
                 mixing = ASYNC_MIXING * weight
                 sim.method.apply_async_update(sim.server, update, mixing)
-                sim.server.invalidate_broadcast()
-                sim.maybe_server_restart()
-                sim.round_losses.append(float(update.train_loss))
-                sim.record_loss_components([update])
                 self._aggregations += 1
-                sim.log_event(
+                sim.record_aggregation(
                     "arrival",
-                    task_id=task_id,
+                    task_id,
+                    self._aggregations - 1,
+                    [update],
                     client_id=update.client_id,
                     staleness=staleness,
                     mixing=mixing,
                 )
-                sim.maybe_eval_snapshot(task_id, self._aggregations - 1)
             else:  # buffered
                 self._buffer.append((update, version))
                 sim.log_event(
@@ -377,18 +372,15 @@ class TemporalPlaneRunner:
         self._buffer.clear()
         with sim.server.aggregation_scale(scales):
             sim.method.aggregate(sim.server, updates)
-        sim.server.invalidate_broadcast()
-        sim.maybe_server_restart()
-        sim.round_losses.append(float(np.mean([u.train_loss for u in updates])))
-        sim.record_loss_components(updates)
         self._aggregations += 1
-        sim.log_event(
+        sim.record_aggregation(
             "flush",
-            task_id=self._task.task_id,
+            self._task.task_id,
+            self._aggregations - 1,
+            updates,
             size=len(updates),
             min_scale=min(scales),
         )
-        sim.maybe_eval_snapshot(self._task.task_id, self._aggregations - 1)
 
 
 __all__ = ["ASYNC_MIXING", "TemporalPlaneRunner"]

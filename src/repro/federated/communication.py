@@ -18,8 +18,7 @@ this (the transports in :mod:`repro.federated.transport` drive them):
   applies to prompts exactly as it does to model weights, instead of the
   payload riding as an opaque pickled dict;
 * the :class:`CommunicationLedger` accumulates per-round, per-client,
-  per-direction measured frame sizes (:class:`RoundCommRecord`), plus the
-  estimate API for transport-less server use.
+  per-direction measured frame sizes (:class:`RoundCommRecord`).
 
 Lossless codecs (``identity``, ``delta``) round-trip every array
 bit-exactly — the property-test suite enforces it over all dtypes and
@@ -70,26 +69,6 @@ class ClientUpdate:
     payload: Dict[str, Any] = field(default_factory=dict)
     train_loss: float = 0.0
     metrics: Dict[str, float] = field(default_factory=dict)
-
-    def upload_bytes(self) -> int:
-        """Approximate (``nbytes``) upload size; see the ledger for measured sizes."""
-        total = sum(np.asarray(value).nbytes for value in self.state_dict.values())
-        total += _payload_bytes(self.payload)
-        return total
-
-
-def _payload_bytes(payload: Any) -> int:
-    if isinstance(payload, np.ndarray):
-        return payload.nbytes
-    if isinstance(payload, dict):
-        return sum(_payload_bytes(value) for value in payload.values())
-    if isinstance(payload, (list, tuple)):
-        return sum(_payload_bytes(value) for value in payload)
-    if isinstance(payload, (int, float, bool)):
-        return 8
-    if isinstance(payload, str):
-        return len(payload.encode())
-    return 0
 
 
 # --------------------------------------------------------------------------- #
@@ -548,15 +527,11 @@ class RoundCommRecord:
 class CommunicationLedger:
     """Accumulates per-round communication volume for a whole run.
 
-    Two recording paths feed it:
-
-    * :meth:`record_measured_round` — the wire-format path: per-client
-      :class:`FrameRecord` sizes measured from actual encoded frames
-      (``measured_rounds`` counts these, ``records`` keeps the detail);
-    * :meth:`record_round` — the estimate path (``nbytes`` sums) kept for
-      transport-less server use.  Broadcast
-      is charged per *selected* client (``num_selected``), not per reporting
-      client: a straggler that never uploads still received its download.
+    Every number is a measured wire-frame length: the transport feeds
+    :meth:`record_measured_round` one :class:`RoundCommRecord` per round
+    (``records`` keeps the per-client detail; broadcast frames are per
+    *selected* client, so a straggler that never uploads still paid for its
+    download), the tree reduce feeds :meth:`record_edge_reduce`.
     """
 
     uploaded_bytes: int = 0
@@ -564,7 +539,6 @@ class CommunicationLedger:
     rounds: int = 0
     per_round: List[Dict[str, int]] = field(default_factory=list)
     measured_rounds: int = 0
-    estimated_rounds: int = 0
     dropped_upload_bytes: int = 0
     dropped_uploads: int = 0
     deferred_uploads: int = 0
@@ -582,25 +556,6 @@ class CommunicationLedger:
     edge_frames: int = 0
     edge_lost_frames: int = 0
     edge_corrupt_frames: int = 0
-
-    def record_round(
-        self,
-        updates: List[ClientUpdate],
-        broadcast_state: Dict[str, np.ndarray],
-        broadcast_payload: Optional[Dict[str, Any]] = None,
-        num_selected: Optional[int] = None,
-    ) -> None:
-        """Account one round from ``nbytes`` estimates (no frames were built)."""
-        upload = sum(update.upload_bytes() for update in updates)
-        broadcast_one = sum(np.asarray(v).nbytes for v in broadcast_state.values())
-        broadcast_one += _payload_bytes(broadcast_payload or {})
-        receivers = num_selected if num_selected is not None else max(len(updates), 1)
-        broadcast = broadcast_one * receivers
-        self.uploaded_bytes += upload
-        self.broadcast_bytes += broadcast
-        self.rounds += 1
-        self.estimated_rounds += 1
-        self.per_round.append({"upload": upload, "broadcast": broadcast})
 
     def record_measured_round(self, record: RoundCommRecord) -> None:
         """Account one round from measured wire-frame lengths."""
@@ -635,8 +590,8 @@ class CommunicationLedger:
 
     @property
     def measured(self) -> bool:
-        """True when every recorded round came from actual encoded frames."""
-        return self.measured_rounds > 0 and self.estimated_rounds == 0
+        """True once a round of actual encoded frames has been recorded."""
+        return self.measured_rounds > 0
 
     @property
     def total_bytes(self) -> int:

@@ -78,11 +78,6 @@ def _positive(value) -> None:
         raise ValueError("must be positive")
 
 
-def _frame_faults(config) -> bool:
-    """Can an upload or edge frame be lost or corrupted under this config?"""
-    return config.faults.upload_loss_rate > 0.0 or config.faults.upload_corruption_rate > 0.0
-
-
 @dataclass(frozen=True)
 class FederatedConfig:
     """Everything the simulation loop needs besides the method and the data."""
@@ -183,13 +178,15 @@ class FederatedConfig:
     # Consulted for a frame over its budget *and* for a frame whose retries
     # ran out, so it is inert only when neither a budget nor frame faults exist.
     drop_stragglers: bool = knob(
-        False, inert=lambda c: c.bandwidth_limit == 0 and not _frame_faults(c), doc="""
+        False, inert=lambda c: c.bandwidth_limit == 0 and not c.faults.frame_faults, doc="""
         What happens to an upload frame over its client's budget, or one
         whose retries ran out under frame faults: ``True`` drops it (the
         update never aggregates; the download was still charged), ``False``
-        (default) defers it to the next round's aggregation (deferred frames
-        expire at task boundaries).  A round that would lose every upload to
-        the budget always keeps the smallest frame.""")
+        (default) defers it — an over-budget frame to the next round's
+        aggregation (deferred frames expire at task boundaries), an
+        out-of-retries frame to the end of its own round, where the intact
+        copy is re-requested and recorded ``deferred``.  A round that would
+        lose every upload to the budget always keeps the smallest frame.""")
     # mode and device_profile always stay in the run-cache key: async/buffered
     # change the trained numbers outright, and even a tier that leaves a sync
     # run's numbers alone changes its temporal telemetry (sim_time, event_log,
@@ -248,13 +245,19 @@ class FederatedConfig:
         without the fault plane.""")
     # Without frame faults no frame ever fails, so the retry bound and the
     # backoff are never consulted; with them they change delivery and stay.
-    retries: int = knob(2, minimum=0, inert=lambda c: not _frame_faults(c), doc="""
-        Upload retry budget of the transport: a lost or corrupt
-        frame is retransmitted up to this many times (``retries + 1`` total
-        attempts) before the update falls to the drop/defer straggler rules.
-        Every attempt's bytes are charged to the ledger; the backoff waits
-        between attempts are charged to the straggler barrier / event clock.""")
-    retry_backoff: float = knob(0.5, minimum=0, inert=lambda c: not _frame_faults(c), doc="""
+    retries: int = knob(2, minimum=0, inert=lambda c: not c.faults.frame_faults, doc="""
+        Retry budget of every faulty hop — a client upload and, under
+        ``reduce_backend="tree"``, an edge aggregator's partial: a lost or
+        corrupt frame is retransmitted up to this many times (``retries + 1``
+        total attempts) before an upload falls to the drop/defer straggler
+        rule (an edge partial is then delivered in process).  Every attempt's
+        bytes are charged to the ledger.  The backoff waits between an
+        upload's attempts are charged to its client's cycle: the straggler
+        barrier in ``mode="sync"``, its arrival time on the event clock
+        otherwise.  An edge hop's waits join only the synchronous round's
+        barrier; under ``mode="async"`` / ``"buffered"`` nothing reads them,
+        so edge-hop backoff never reaches the event clock.""")
+    retry_backoff: float = knob(0.5, minimum=0, inert=lambda c: not c.faults.frame_faults, doc="""
         Simulated seconds of the first retry wait; each further retry doubles
         it (exponential backoff).  ``0`` retries instantly.""")
     # Checkpoint bookkeeping (where / how often to snapshot, how many to keep,

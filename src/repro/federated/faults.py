@@ -21,7 +21,7 @@ guarantee of the whole fault plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.federated.communication import WireFrame
 from repro.utils.rng import spawn_rng
@@ -74,12 +74,16 @@ class FaultSpec:
             raise ValueError(f"crash_fraction must be in [0, 1], got {self.crash_fraction!r}")
 
     @property
+    def frame_faults(self) -> bool:
+        """True when an upload or edge frame can be lost or corrupted."""
+        return self.upload_loss_rate > 0.0 or self.upload_corruption_rate > 0.0
+
+    @property
     def enabled(self) -> bool:
         """True when any fault can ever fire under this spec."""
         return (
             self.client_crash_rate > 0.0
-            or self.upload_loss_rate > 0.0
-            or self.upload_corruption_rate > 0.0
+            or self.frame_faults
             or self.worker_kill_rate > 0.0
             or self.server_restart_every > 0
         )
@@ -113,95 +117,30 @@ class FaultInjector:
     # ------------------------------------------------------------------ #
     # Predicates (one deterministic draw each)
     # ------------------------------------------------------------------ #
-    def _draw(self, kind: str, *context: Any) -> float:
-        return spawn_rng(self.seed, "fault", kind, *context).random()
+    def _fires(self, rate: float, draw: str, kind: str, counter: str, **coordinates: Any) -> bool:
+        """One draw at ``coordinates``; a fired fault is traced and counted.
+
+        A zero rate draws nothing — the inertness guarantee of the plane.
+        """
+        if rate <= 0.0:
+            return False
+        if spawn_rng(self.seed, "fault", draw, *coordinates.values()).random() >= rate:
+            return False
+        self._record(kind, **coordinates)
+        self.counters[counter] += 1
+        return True
 
     def client_crashes(self, task_id: int, round_index: Any, client_id: int) -> bool:
         """Does this client crash mid-update at this selection point?"""
-        if self.spec.client_crash_rate <= 0.0:
-            return False
-        if self._draw("crash", task_id, round_index, client_id) < self.spec.client_crash_rate:
-            self._record("client_crash", task_id=task_id, round_index=round_index, client_id=client_id)
-            self.counters["client_crashes"] += 1
-            return True
-        return False
-
-    def upload_lost(self, task_id: int, round_index: Any, client_id: int, attempt: int) -> bool:
-        """Is this upload attempt's frame lost on the wire?"""
-        if self.spec.upload_loss_rate <= 0.0:
-            return False
-        if self._draw("lose", task_id, round_index, client_id, attempt) < self.spec.upload_loss_rate:
-            self._record(
-                "frame_lost",
-                task_id=task_id,
-                round_index=round_index,
-                client_id=client_id,
-                attempt=attempt,
-            )
-            self.counters["frames_lost"] += 1
-            return True
-        return False
-
-    def upload_corrupted(self, task_id: int, round_index: Any, client_id: int, attempt: int) -> bool:
-        """Does this upload attempt's frame arrive with flipped bytes?"""
-        if self.spec.upload_corruption_rate <= 0.0:
-            return False
-        if (
-            self._draw("corrupt", task_id, round_index, client_id, attempt)
-            < self.spec.upload_corruption_rate
-        ):
-            self._record(
-                "frame_corrupt",
-                task_id=task_id,
-                round_index=round_index,
-                client_id=client_id,
-                attempt=attempt,
-            )
-            self.counters["frames_corrupted"] += 1
-            return True
-        return False
-
-    def edge_frame_lost(self, coordinate: Any, level: int, node: int, attempt: int) -> bool:
-        """Is this edge aggregator's partial-reduce frame lost on its hop up?
-
-        The tree reduce's intermediate hops fail at the same per-attempt
-        ``upload_loss_rate`` as client uploads — an edge→parent transfer is
-        an upload hop — but draw from their own ``(coordinate, level, node,
-        attempt)`` coordinates, so edge faults never perturb the client
-        upload trace.  ``coordinate`` is the server's round counter.
-        """
-        if self.spec.upload_loss_rate <= 0.0:
-            return False
-        if self._draw("edge-lose", coordinate, level, node, attempt) < self.spec.upload_loss_rate:
-            self._record(
-                "edge_frame_lost",
-                coordinate=coordinate,
-                level=level,
-                node=node,
-                attempt=attempt,
-            )
-            self.counters["frames_lost"] += 1
-            return True
-        return False
-
-    def edge_frame_corrupted(self, coordinate: Any, level: int, node: int, attempt: int) -> bool:
-        """Does this edge partial's frame arrive with flipped bytes?"""
-        if self.spec.upload_corruption_rate <= 0.0:
-            return False
-        if (
-            self._draw("edge-corrupt", coordinate, level, node, attempt)
-            < self.spec.upload_corruption_rate
-        ):
-            self._record(
-                "edge_frame_corrupt",
-                coordinate=coordinate,
-                level=level,
-                node=node,
-                attempt=attempt,
-            )
-            self.counters["frames_corrupted"] += 1
-            return True
-        return False
+        return self._fires(
+            self.spec.client_crash_rate,
+            "crash",
+            "client_crash",
+            "client_crashes",
+            task_id=task_id,
+            round_index=round_index,
+            client_id=client_id,
+        )
 
     def corrupt_frame(
         self, frame: WireFrame, task_id: int, round_index: Any, client_id: int, attempt: int
@@ -256,4 +195,74 @@ class FaultInjector:
         return dict(self.counters)
 
 
-__all__ = ["FaultSpec", "FaultInjector"]
+class Hop(NamedTuple):
+    """Outcome of carrying one frame over one faulty hop."""
+
+    arrived: bool
+    attempts: int
+    #: Simulated seconds the sender waited *between* its attempts.
+    backoff_seconds: float
+    #: ``"lost"`` / ``"corrupt"``, one per failed attempt, in order.
+    failures: Tuple[str, ...]
+
+
+#: channel -> (loss draw, corruption draw, trace-kind stem, coordinate names)
+_CHANNELS = {
+    "upload": ("lose", "corrupt", "frame", ("task_id", "round_index", "client_id")),
+    "edge": ("edge-lose", "edge-corrupt", "edge_frame", ("coordinate", "level", "node")),
+}
+
+
+def carry_frame(
+    injector: Optional[FaultInjector],
+    frame: WireFrame,
+    channel: str,
+    coordinates: Tuple[Any, Any, Any],
+    retries: int,
+    retry_backoff: float,
+) -> Hop:
+    """Carry one encoded frame over a faulty hop: the wire path's one retry rule.
+
+    ``channel`` names the hop and what its coordinates mean: ``"upload"`` at
+    ``(task_id, round_index, client_id)``, or ``"edge"`` — a tree reduce's
+    edge→parent transfer — at ``(coordinate, level, node)``, ``coordinate``
+    being the server's round counter.  Both fail at the spec's per-attempt
+    ``upload_loss_rate`` / ``upload_corruption_rate`` (an edge transfer is an
+    upload hop) but draw from their own coordinates, so edge faults never
+    perturb the client upload trace.  An attempt is lost outright, or arrives
+    with a flipped byte that the CRC rejects, or arrives; *between* failed
+    attempts the sender backs off ``retry_backoff * 2**(attempt-1)`` simulated
+    seconds, and at most ``retries + 1`` attempts are made.  Without an
+    injector, or with both frame-fault rates zero, this is one clean attempt
+    with zero draws.  Encoding and decoding stay with the caller.
+    """
+    if injector is None or not injector.spec.frame_faults:
+        return Hop(True, 1, 0.0, ())
+    spec = injector.spec
+    lose, corrupt, stem, names = _CHANNELS[channel]
+    # An edge frame's byte flip draws at ("edge", level), which no upload's
+    # (task_id, round_index, client_id) can equal.
+    flip_at = coordinates
+    if channel == "edge":
+        flip_at = (coordinates[0], ("edge", coordinates[1]), coordinates[2])
+    failures: List[str] = []
+    backoff = 0.0
+    for attempt in range(1, retries + 2):
+        at = dict(zip(names, coordinates), attempt=attempt)
+        if injector._fires(spec.upload_loss_rate, lose, f"{stem}_lost", "frames_lost", **at):
+            failures.append("lost")
+        else:
+            received = frame
+            if injector._fires(
+                spec.upload_corruption_rate, corrupt, f"{stem}_corrupt", "frames_corrupted", **at
+            ):
+                received = injector.corrupt_frame(frame, *flip_at, attempt)
+            if received.checksum_ok():
+                return Hop(True, attempt, backoff, tuple(failures))
+            failures.append("corrupt")
+        if attempt <= retries:
+            backoff += retry_backoff * 2.0 ** (attempt - 1)
+    return Hop(False, retries + 1, backoff, tuple(failures))
+
+
+__all__ = ["FaultSpec", "FaultInjector", "Hop", "carry_frame"]

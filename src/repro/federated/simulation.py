@@ -167,8 +167,8 @@ class FederatedDomainIncrementalSimulation:
             FaultInjector(config.seed, config.faults) if config.faults.enabled else None
         )
         # The communication plane: every round's broadcast and uploads move
-        # through the transport, which owns the server's ledger (measured
-        # wire frames) — so the server must not also record estimate rounds.
+        # through the transport, which records measured wire frames into the
+        # server's ledger.
         self.transport = build_transport(
             "loopback",
             config.codec,
@@ -181,7 +181,6 @@ class FederatedDomainIncrementalSimulation:
             retry_backoff=config.retry_backoff,
             faults=self.fault_injector,
         )
-        self.server.ledger_autorecord = False
         # The aggregation topology: the default flat star is the historical
         # bit-for-bit path; the tree backend reduces through edge aggregators
         # whose partials ride the same codec'd wire frames as uploads (edge
@@ -467,6 +466,53 @@ class FederatedDomainIncrementalSimulation:
             }
         )
 
+    def record_aggregation(
+        self,
+        kind: str,
+        task_id: int,
+        index: int,
+        updates: List[ClientUpdate],
+        barrier: float = 0.0,
+        **fields: object,
+    ) -> None:
+        """What follows every aggregation: a sync round, an async arrival, a buffered flush.
+
+        The trace gets event ``kind`` with ``fields``; ``index`` is the round
+        (or aggregation) that ``eval_every`` counts; ``barrier`` is a
+        synchronous round's simulated duration — the event-driven modes take
+        their time from the scheduler.
+        """
+        # server.aggregate() invalidates the cached broadcast itself, but a
+        # method's aggregate override may mutate server state directly; the
+        # mid-task eval below must never score a stale pre-round broadcast.
+        self.server.invalidate_broadcast()
+        injector = self.fault_injector
+        if injector is not None and injector.server_restarts(self.server.round_counter):
+            # The fault plane's periodic simulated server restart: the
+            # transport's protocol soft state — delta acknowledgements,
+            # deferred uploads — is wiped as a real process restart would
+            # wipe it.  Durable state (model, ledger, method) lives outside
+            # the transport and survives.
+            self.transport.restart()
+            self.log_event("server_restart", round_counter=self.server.round_counter)
+        mean_loss = float(np.mean([update.train_loss for update in updates]))
+        self.round_losses.append(mean_loss)
+        self.round_loss_components.append(_mean_update_metrics(updates))
+        logger.debug(
+            "task %d %s %d: %d updates, mean loss %.4f, components %s",
+            task_id,
+            kind,
+            index,
+            len(updates),
+            mean_loss,
+            self.round_loss_components[-1],
+        )
+        # Zero under the instantaneous tier, so the untimed configuration
+        # never sees the clock move.
+        self.clock.advance(barrier)
+        self.log_event(kind, task_id=task_id, **fields)
+        self.maybe_eval_snapshot(task_id, index)
+
     def client_seconds(self, client_id: int) -> float:
         """Simulated cost of the client's most recent dispatch cycle.
 
@@ -513,29 +559,9 @@ class FederatedDomainIncrementalSimulation:
             self.config.local.local_epochs,
         )
 
-    def maybe_server_restart(self) -> None:
-        """Fire the fault plane's periodic simulated server restart, if due.
-
-        Called after every aggregation (sync rounds and async/buffered
-        applications alike): the transport's protocol soft state — delta
-        acknowledgements, deferred uploads — is wiped exactly as a real
-        process restart would wipe it, and the event trace records the
-        restart.  Durable state (model, ledger, method) lives outside the
-        transport and survives.
-        """
-        injector = self.fault_injector
-        if injector is None:
-            return
-        if injector.server_restarts(self.server.round_counter):
-            self.transport.restart()
-            self.log_event("server_restart", round_counter=self.server.round_counter)
-
     def log_event(self, kind: str, **data: object) -> None:
         """Append one stamped entry to the temporal plane's event trace."""
         self.event_log.append({"time": self.clock.now, "kind": kind, **data})
-
-    def record_loss_components(self, updates: List[ClientUpdate]) -> None:
-        self.round_loss_components.append(_mean_update_metrics(updates))
 
     def _time_exhausted(self) -> bool:
         limit = self.config.sim_time_limit
@@ -647,38 +673,15 @@ class FederatedDomainIncrementalSimulation:
         # joins the round's barrier (zero for the flat star — collect_penalty
         # is a no-op returning 0.0 there).
         barrier += self.server.reduce_backend.collect_penalty()
-        # server.aggregate() invalidates the cached broadcast itself, but a
-        # method's aggregate override may mutate server state directly; the
-        # mid-task eval below must never score a stale pre-round broadcast.
-        self.server.invalidate_broadcast()
-        self.maybe_server_restart()
-        mean_loss = float(np.mean([update.train_loss for update in updates]))
-        self.round_losses.append(mean_loss)
-        self.record_loss_components(updates)
-        if self.round_loss_components[-1]:
-            logger.debug(
-                "task %d round %d loss components: %s",
-                task.task_id,
-                round_index,
-                ", ".join(f"{k}={v:.4f}" for k, v in self.round_loss_components[-1].items()),
-            )
-        logger.debug(
-            "task %d round %d: %d clients, mean loss %.4f",
+        self.record_aggregation(
+            "round",
             task.task_id,
             round_index,
-            len(updates),
-            mean_loss,
-        )
-        # Zero under the instantaneous tier, so the untimed configuration
-        # never sees the clock move.
-        self.clock.advance(barrier)
-        self.log_event(
-            "round",
-            task_id=task.task_id,
+            updates,
+            barrier=barrier,
             round_index=round_index,
             clients=tuple(selected),
         )
-        self.maybe_eval_snapshot(task.task_id, round_index)
         if (
             self.registry is not None
             and self.config.publish_every > 0

@@ -1,22 +1,23 @@
 """The transport: how broadcasts and uploads actually move.
 
-A :class:`Transport` sits between the simulation loop and the server on both
-directions of every communication round:
+A :class:`LoopbackTransport` sits between the simulation loop and the server
+on both directions of every communication round:
 
-* :meth:`Transport.broadcast_round` turns the server's global state (plus the
-  method's broadcast payload) into per-client wire frames, records their
+* :meth:`~LoopbackTransport.broadcast_round` turns the server's global state
+  (plus the method's broadcast payload) into per-client wire frames, records their
   measured sizes in the :class:`~repro.federated.communication.CommunicationLedger`,
   and returns the :class:`~repro.federated.server.BroadcastHandle` the
   clients train from — built over the *decoded* frames, so lossy codecs
   train against exactly what a constrained device would have received;
-* :meth:`Transport.collect_updates` encodes every client's
+* :meth:`~LoopbackTransport.collect_updates` encodes every client's
   :class:`~repro.federated.communication.ClientUpdate` into an upload frame,
-  applies the bandwidth scenario (per-client budgets, drop-or-defer
-  stragglers), decodes what arrives, and hands the surviving updates to
-  aggregation — decode-before-aggregate.
+  applies the bandwidth scenario (per-client budgets) and the fault plane's
+  retried hop (:func:`repro.federated.faults.carry_frame`), drops or defers
+  the stragglers of either, decodes what arrives, and hands the surviving
+  updates to aggregation — decode-before-aggregate.
 
-There is one implementation, :class:`LoopbackTransport`: every message is
-really encoded through the configured
+It is the only transport, and it is in-process: every message is really
+encoded through the configured
 :class:`~repro.federated.communication.ArrayCodec` and ledger numbers are
 actual frame lengths.  The ``identity`` codec short-circuits the decode (its
 round-trip is the pickle the executor already performs), so the default
@@ -37,7 +38,11 @@ structurally slow.  An over-budget upload frame is *dropped* when
 client's download) or *deferred* otherwise (it arrives with the next round's
 uploads and aggregates late; deferred frames left over at a task boundary
 expire).  If a round would lose every upload, the smallest frame is
-delivered anyway — a server that aggregates nothing is not a round.
+delivered anyway — a server that aggregates nothing is not a round.  An
+upload whose retries ran out under the fault plane meets the same
+drop-or-defer rule, except that its deferral ends within the round: the
+intact in-process frame is re-requested behind the round's own uploads and
+recorded ``deferred``.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from repro.federated.communication import (
     decode_frame,
     encode_frame,
 )
+from repro.federated.faults import carry_frame
 from repro.federated.server import BroadcastHandle, FederatedServer
 from repro.utils.rng import spawn_rng
 
@@ -162,70 +168,6 @@ def _split_message(
     return state, payload_codec.unflatten(payload_arrays, skeleton)
 
 
-class Transport:
-    """Strategy moving one round's broadcast and uploads; see module docstring."""
-
-    name: str = "abstract"
-
-    def __init__(self, ledger: CommunicationLedger) -> None:
-        self.ledger = ledger
-        #: Per-client measured frame lengths of the most recent broadcast /
-        #: upload cycle.  The temporal plane's cost model reads
-        #: these to turn each client's traffic into simulated transfer time:
-        #: ``last_broadcast_bytes`` is (re)written by every
-        #: :meth:`broadcast_round`, ``last_upload_bytes`` by every
-        #: :meth:`collect_updates` (covering the updates handed to that call,
-        #: including any the bandwidth scenario then dropped or deferred —
-        #: the client paid for the transfer either way).
-        self.last_broadcast_bytes: Dict[int, int] = {}
-        self.last_upload_bytes: Dict[int, int] = {}
-        #: Per-client simulated seconds of retry backoff accumulated in the
-        #: most recent :meth:`collect_updates` — zero everywhere unless the
-        #: fault plane lost or corrupted attempts.  The temporal plane adds
-        #: these to the client's cycle cost.
-        self.last_penalty_seconds: Dict[int, float] = {}
-
-    def broadcast_round(
-        self,
-        server: FederatedServer,
-        selected: Sequence[int],
-        task_id: int,
-        round_index: int,
-    ) -> BroadcastHandle:
-        """Deliver the round's broadcast; returns the handle clients train from."""
-        raise NotImplementedError
-
-    def collect_updates(self, updates: List[ClientUpdate]) -> List[ClientUpdate]:
-        """Deliver the round's uploads; returns the updates that reach aggregation."""
-        raise NotImplementedError
-
-    def finalize(self) -> None:
-        """Account anything still in flight when the run ends (idempotent)."""
-
-    def restart(self) -> None:
-        """Simulate a server process restart: drop protocol soft state.
-
-        Durable state (the model, the ledger, the method) survives a restart
-        only through checkpoints; what a transport loses is its in-memory
-        session state — delta acknowledgements, deferred uploads.  The base
-        transport holds none.
-        """
-
-    def state_dict(self) -> Dict[str, Any]:
-        """Snapshot the transport's session state for a checkpoint."""
-        return {
-            "last_broadcast_bytes": dict(self.last_broadcast_bytes),
-            "last_upload_bytes": dict(self.last_upload_bytes),
-            "last_penalty_seconds": dict(self.last_penalty_seconds),
-        }
-
-    def load_state_dict(self, state: Dict[str, Any]) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-        self.last_broadcast_bytes = dict(state["last_broadcast_bytes"])
-        self.last_upload_bytes = dict(state["last_upload_bytes"])
-        self.last_penalty_seconds = dict(state["last_penalty_seconds"])
-
-
 @dataclass
 class _PendingRound:
     """Everything :meth:`LoopbackTransport.collect_updates` needs from broadcast time."""
@@ -247,10 +189,8 @@ class _DeferredUpload:
     num_bytes: int
 
 
-class LoopbackTransport(Transport):
+class LoopbackTransport:
     """In-process wire transport: encode, measure, decode every message."""
-
-    name = "loopback"
 
     def __init__(
         self,
@@ -264,7 +204,22 @@ class LoopbackTransport(Transport):
         retry_backoff: float = 0.5,
         faults=None,
     ) -> None:
-        super().__init__(ledger)
+        self.ledger = ledger
+        #: Per-client measured frame lengths of the most recent broadcast /
+        #: upload cycle.  The temporal plane's cost model reads
+        #: these to turn each client's traffic into simulated transfer time:
+        #: ``last_broadcast_bytes`` is (re)written by every
+        #: :meth:`broadcast_round`, ``last_upload_bytes`` by every
+        #: :meth:`collect_updates` (covering the updates handed to that call,
+        #: including any the bandwidth scenario then dropped or deferred —
+        #: the client paid for the transfer either way).
+        self.last_broadcast_bytes: Dict[int, int] = {}
+        self.last_upload_bytes: Dict[int, int] = {}
+        #: Per-client simulated seconds of retry backoff accumulated in the
+        #: most recent :meth:`collect_updates` — zero everywhere unless the
+        #: fault plane lost or corrupted attempts.  The temporal plane adds
+        #: these to the client's cycle cost.
+        self.last_penalty_seconds: Dict[int, float] = {}
         self.codec = codec
         # Sparsifying a full-model broadcast against nothing would destroy
         # it; non-broadcast-safe codecs (topk) ride identity frames downlink
@@ -305,7 +260,14 @@ class LoopbackTransport(Transport):
     # ------------------------------------------------------------------ #
     # Downlink
     # ------------------------------------------------------------------ #
-    def broadcast_round(self, server, selected, task_id, round_index):
+    def broadcast_round(
+        self,
+        server: FederatedServer,
+        selected: Sequence[int],
+        task_id: int,
+        round_index: int,
+    ) -> BroadcastHandle:
+        """Deliver the round's broadcast; returns the handle clients train from."""
         if self._pending is not None:
             raise RuntimeError(
                 "broadcast_round called with a round still pending; "
@@ -426,22 +388,16 @@ class LoopbackTransport(Transport):
             ) from error
 
     def _decode_update(
-        self,
-        frame: WireFrame,
-        reference: Dict[str, np.ndarray],
-        *,
-        task_id: Optional[int] = None,
-        round_index: Optional[Any] = None,
-        client_id: Optional[int] = None,
+        self, frame: WireFrame, pending: _PendingRound, client_id: int
     ) -> ClientUpdate:
         arrays, meta = self._decode_frame_checked(
             frame,
             self.codec,
-            reference,
+            pending.received,
             client_id=client_id,
             direction="upload",
-            task_id=task_id,
-            round_index=round_index,
+            task_id=pending.task_id,
+            round_index=pending.round_index,
         )
         state, payload = _split_message(arrays, meta["skeleton"], self.payload_codec)
         return ClientUpdate(
@@ -453,123 +409,68 @@ class LoopbackTransport(Transport):
             metrics=meta["metrics"],
         )
 
-    def _transmit(
-        self, client_id: int, frame: WireFrame, pending: _PendingRound
-    ) -> Tuple[int, float, List[FrameRecord], bool]:
-        """Carry one upload frame across the faulty wire with bounded retries.
-
-        Returns ``(attempts, penalty_seconds, failed_attempt_records,
-        arrived)``.  Each attempt may be lost outright or corrupted (the
-        checksum rejects it); between failed attempts the client backs off
-        ``retry_backoff * 2**(attempt-1)`` simulated seconds.  At most
-        ``retries + 1`` attempts are made — the property tests' bound.
-        Without an injector (or with both frame-fault rates zero) this is a
-        single successful attempt with zero draws and zero penalty.
-        """
-        injector = self.faults
-        if injector is None or (
-            injector.spec.upload_loss_rate <= 0.0
-            and injector.spec.upload_corruption_rate <= 0.0
-        ):
-            return 1, 0.0, [], True
-        task_id, round_index = pending.task_id, pending.round_index
-        records: List[FrameRecord] = []
-        penalty = 0.0
-        max_attempts = self.retries + 1
-        for attempt in range(1, max_attempts + 1):
-            lost = injector.upload_lost(task_id, round_index, client_id, attempt)
-            if not lost:
-                attempt_frame = frame
-                if injector.upload_corrupted(task_id, round_index, client_id, attempt):
-                    attempt_frame = injector.corrupt_frame(
-                        frame, task_id, round_index, client_id, attempt
-                    )
-                try:
-                    verify_frame(
-                        attempt_frame,
-                        client_id=client_id,
-                        direction="upload",
-                        task_id=task_id,
-                        round_index=round_index,
-                    )
-                except FrameCorruptionError:
-                    pass
-                else:
-                    return attempt, penalty, records, True
-            records.append(
-                FrameRecord(client_id, frame.num_bytes, "lost" if lost else "corrupt")
-            )
-            if attempt < max_attempts:
-                penalty += self.retry_backoff * (2.0 ** (attempt - 1))
-        return max_attempts, penalty, records, False
-
-    def collect_updates(self, updates):
+    def collect_updates(self, updates: List[ClientUpdate]) -> List[ClientUpdate]:
+        """Deliver the round's uploads; returns the updates that reach aggregation."""
         if self._pending is None:
             raise RuntimeError("collect_updates called before broadcast_round")
         pending = self._pending
         self._pending = None
         identity = isinstance(self.codec, IdentityCodec)
+        frames: List[FrameRecord] = []
+
+        def received(update: ClientUpdate, frame: WireFrame) -> ClientUpdate:
+            # The one delivery rule: what the server holds is the decoded
+            # frame (the identity round-trip is the update itself).
+            return update if identity else self._decode_update(frame, pending, update.client_id)
+
+        def straggle(update: ClientUpdate, frame: WireFrame) -> None:
+            # The one straggler rule, whatever made the upload late — over
+            # its bandwidth budget or out of retries: dropped, or held (the
+            # in-process copy of the frame is intact) to arrive "deferred".
+            if self.drop_stragglers:
+                frames.append(FrameRecord(update.client_id, frame.num_bytes, "dropped"))
+            else:
+                self._deferred.append(_DeferredUpload(received(update, frame), frame.num_bytes))
 
         delivered: List[ClientUpdate] = []
-        frames: List[FrameRecord] = []
         over_budget: List[Tuple[ClientUpdate, WireFrame]] = []
         self.last_upload_bytes = {}
         self.last_penalty_seconds = {}
         for update in updates:
+            client_id = update.client_id
             frame = self._encode_update(update, pending.received)
-            self.last_upload_bytes[update.client_id] = frame.num_bytes
-            budget = self.budget_for(update.client_id)
+            self.last_upload_bytes[client_id] = frame.num_bytes
+            budget = self.budget_for(client_id)
             if budget is not None and frame.num_bytes > budget:
                 over_budget.append((update, frame))
                 continue
-            attempts, penalty, attempt_records, arrived = self._transmit(
-                update.client_id, frame, pending
+            hop = carry_frame(
+                self.faults,
+                frame,
+                "upload",
+                (pending.task_id, pending.round_index, client_id),
+                self.retries,
+                self.retry_backoff,
             )
-            frames.extend(attempt_records)
-            if attempts > 1:
+            frames.extend(FrameRecord(client_id, frame.num_bytes, status) for status in hop.failures)
+            if hop.attempts > 1:
                 # Every attempt crossed the wire; the client paid for all of
                 # them (and for the backoff waits between them).
-                self.last_upload_bytes[update.client_id] = frame.num_bytes * attempts
-                self.last_penalty_seconds[update.client_id] = penalty
-            if not arrived:
-                # Retries exhausted: the update is a straggler under the
-                # existing drop/defer rules — the in-process copy of the
-                # frame is intact, so a deferral re-requests it next round.
-                if self.drop_stragglers:
-                    frames.append(FrameRecord(update.client_id, frame.num_bytes, "dropped"))
-                else:
-                    decoded = (
-                        update
-                        if identity
-                        else self._decode_update(
-                            frame,
-                            pending.received,
-                            task_id=pending.task_id,
-                            round_index=pending.round_index,
-                            client_id=update.client_id,
-                        )
-                    )
-                    self._deferred.append(_DeferredUpload(decoded, frame.num_bytes))
-                continue
-            frames.append(FrameRecord(update.client_id, frame.num_bytes))
-            delivered.append(
-                update
-                if identity
-                else self._decode_update(
-                    frame,
-                    pending.received,
-                    task_id=pending.task_id,
-                    round_index=pending.round_index,
-                    client_id=update.client_id,
-                )
-            )
+                self.last_upload_bytes[client_id] = frame.num_bytes * hop.attempts
+                self.last_penalty_seconds[client_id] = hop.backoff_seconds
+            if hop.arrived:
+                frames.append(FrameRecord(client_id, frame.num_bytes))
+                delivered.append(received(update, frame))
+            else:
+                straggle(update, frame)
 
-        # Last round's deferred stragglers arrive with this round's uploads.
-        arrivals = [item for item in self._deferred]
-        self._deferred.clear()
-        for item in arrivals:
+        # Held uploads arrive behind this round's own: last round's over-budget
+        # stragglers, and this round's out-of-retries ones (re-requested once
+        # the round's uploads are in).
+        for item in self._deferred:
             frames.append(FrameRecord(item.update.client_id, item.num_bytes, "deferred"))
             delivered.append(item.update)
+        self._deferred.clear()
 
         if not delivered and over_budget:
             # Keep-one rule: a round must aggregate something.  Deliver the
@@ -577,34 +478,9 @@ class LoopbackTransport(Transport):
             over_budget.sort(key=lambda pair: (pair[1].num_bytes, pair[0].client_id))
             update, frame = over_budget.pop(0)
             frames.append(FrameRecord(update.client_id, frame.num_bytes))
-            delivered.insert(
-                0,
-                update
-                if identity
-                else self._decode_update(
-                    frame,
-                    pending.received,
-                    task_id=pending.task_id,
-                    round_index=pending.round_index,
-                    client_id=update.client_id,
-                ),
-            )
+            delivered.insert(0, received(update, frame))
         for update, frame in over_budget:
-            if self.drop_stragglers:
-                frames.append(FrameRecord(update.client_id, frame.num_bytes, "dropped"))
-            else:
-                decoded = (
-                    update
-                    if identity
-                    else self._decode_update(
-                        frame,
-                        pending.received,
-                        task_id=pending.task_id,
-                        round_index=pending.round_index,
-                        client_id=update.client_id,
-                    )
-                )
-                self._deferred.append(_DeferredUpload(decoded, frame.num_bytes))
+            straggle(update, frame)
 
         frames.sort(key=lambda record: (record.status != "ok", record.client_id))
         self.ledger.record_measured_round(
@@ -647,19 +523,24 @@ class LoopbackTransport(Transport):
             self._deferred.clear()
 
     def state_dict(self) -> Dict[str, Any]:
+        """Snapshot the transport's session state for a checkpoint."""
         if self._pending is not None:
             raise RuntimeError("cannot snapshot a transport with a round in flight")
-        state = super().state_dict()
-        state.update(
-            ack=self._ack,
-            budgets=dict(self._budgets),
-            deferred=list(self._deferred),
-            last_task_id=self._last_task_id,
-        )
-        return state
+        return {
+            "last_broadcast_bytes": dict(self.last_broadcast_bytes),
+            "last_upload_bytes": dict(self.last_upload_bytes),
+            "last_penalty_seconds": dict(self.last_penalty_seconds),
+            "ack": self._ack,
+            "budgets": dict(self._budgets),
+            "deferred": list(self._deferred),
+            "last_task_id": self._last_task_id,
+        }
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
-        super().load_state_dict(state)
+        """Restore a :meth:`state_dict` snapshot."""
+        self.last_broadcast_bytes = dict(state["last_broadcast_bytes"])
+        self.last_upload_bytes = dict(state["last_upload_bytes"])
+        self.last_penalty_seconds = dict(state["last_penalty_seconds"])
         self._ack = dict(state["ack"])
         self._budgets = dict(state["budgets"])
         self._deferred = list(state["deferred"])
@@ -678,7 +559,7 @@ def build_transport(
     retries: int = 2,
     retry_backoff: float = 0.5,
     faults=None,
-) -> Transport:
+) -> LoopbackTransport:
     """Construct the named transport from the :class:`FederatedConfig` knobs."""
     if transport != "loopback":
         raise ValueError(f"unknown transport {transport!r}; the only transport is 'loopback'")
@@ -696,7 +577,6 @@ def build_transport(
 
 
 __all__ = [
-    "Transport",
     "LoopbackTransport",
     "TransportError",
     "FrameCorruptionError",

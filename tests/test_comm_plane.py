@@ -25,7 +25,6 @@ from repro.core.method import RefFiLPromptCodec
 from repro.datasets import SyntheticDomainDataset
 from repro.federated import (
     CommunicationLedger,
-    ClientUpdate,
     FederatedConfig,
     FederatedDomainIncrementalSimulation,
     TreePayloadCodec,
@@ -266,27 +265,6 @@ class TestPayloadCodecs:
             arrays, skeleton = codec.flatten(payload)
             rebuilt = codec.unflatten(arrays, skeleton)
             assert rebuilt.keys() == payload.keys()
-
-
-class TestLedger:
-    def _update(self, value=1.0):
-        return ClientUpdate(
-            client_id=0, state_dict={"w": np.full((4, 4), value)}, num_samples=10
-        )
-
-    def test_legacy_broadcast_charged_per_selected_client(self):
-        """Satellite fix: broadcast goes to *selected* clients, not reporters."""
-        ledger = CommunicationLedger()
-        updates = [self._update(), self._update(2.0)]
-        ledger.record_round(updates, updates[0].state_dict, num_selected=5)
-        assert ledger.broadcast_bytes == 5 * updates[0].state_dict["w"].nbytes
-        assert ledger.estimated_rounds == 1 and not ledger.measured
-
-    def test_legacy_default_multiplier_is_reporting_count(self):
-        ledger = CommunicationLedger()
-        updates = [self._update(), self._update(2.0)]
-        ledger.record_round(updates, updates[0].state_dict)
-        assert ledger.broadcast_bytes == 2 * updates[0].state_dict["w"].nbytes
 
 
 # --------------------------------------------------------------------------- #

@@ -44,8 +44,12 @@ from repro.federated.communication import (
     build_codec,
     encode_frame,
 )
+from repro.federated.communication import ClientUpdate
 from repro.federated.config import FederatedConfig
-from repro.federated.transport import LoopbackTransport, _PendingRound
+from repro.federated.faults import Hop, carry_frame
+from repro.federated.server import FederatedServer
+from repro.federated.transport import LoopbackTransport
+from repro.nn.linear import Linear
 
 
 def _scenario(tiny_spec, num_tasks=2):
@@ -116,14 +120,17 @@ class TestFaultSpec:
             FaultSpec(**kwargs)
 
 
-def _query_all(injector: FaultInjector, order):
-    """Run a fixed predicate program over the given coordinate order."""
-    for task_id, round_index, client_id in order:
-        injector.client_crashes(task_id, round_index, client_id)
-        for attempt in (1, 2):
-            injector.upload_lost(task_id, round_index, client_id, attempt)
-            injector.upload_corrupted(task_id, round_index, client_id, attempt)
-        injector.worker_to_kill(task_id, round_index, 4)
+_FRAME = encode_frame("upload", build_codec("identity"), {"w": np.arange(8.0)}, None)
+_CHANNELS = ("upload", "edge")
+
+
+def _query_all(injector: FaultInjector, order, retries: int = 1):
+    """Run a fixed query program — both wire channels — over the given coordinate order."""
+    for a, b, c in order:
+        injector.client_crashes(a, b, c)
+        for channel in _CHANNELS:
+            carry_frame(injector, _FRAME, channel, (a, b, c), retries, 0.5)
+        injector.worker_to_kill(a, b, 4)
     return injector.trace
 
 
@@ -186,58 +193,195 @@ class TestInjectorDeterminism:
 
 
 # --------------------------------------------------------------------------- #
-# Transport: retry bound, backoff, error hierarchy
+# The faulty hop: pinned traces, retry bound, backoff
 # --------------------------------------------------------------------------- #
-def _loopback(retries: int, backoff: float, spec: FaultSpec, seed: int = 0) -> LoopbackTransport:
-    return LoopbackTransport(
-        CommunicationLedger(),
-        build_codec("identity"),
-        retries=retries,
-        retry_backoff=backoff,
-        faults=FaultInjector(seed, spec),
-    )
-
-
-def _pending() -> _PendingRound:
-    return _PendingRound(
-        task_id=0, round_index=0, selected=(1,), broadcast_frames=[], received={}
-    )
+#: ``FaultInjector.trace`` / ``counters`` recorded at the commit before the four
+#: per-attempt predicates and the two retry loops became ``carry_frame``:
+#: ``FaultSpec(upload_loss_rate=0.5, upload_corruption_rate=0.5)``, ``retries=2``
+#: (attempts 1-3), the upload hops below and then the edge hops, per seed.  A
+#: checkpoint written there carries ``faults.trace``; a run resumed from it here
+#: must keep extending the same trace.  Rows are ``(kind, *coordinates, attempt)``.
+_PINNED_UPLOADS = [(0, 0, 1), (0, 1, 2), (1, 0, 0), (1, 1, 2)]
+_PINNED_EDGES = [(0, 1, 0), (0, 2, 1), (3, 1, 2), (3, 2, 0)]
+_PINNED = {
+    0: (
+        [
+            ("frame_corrupt", 0, 0, 1, 1),
+            ("frame_lost", 0, 1, 2, 1),
+            ("frame_lost", 1, 0, 0, 1),
+            ("frame_corrupt", 1, 0, 0, 2),
+            ("frame_lost", 1, 0, 0, 3),
+            ("frame_lost", 1, 1, 2, 1),
+            ("frame_lost", 1, 1, 2, 2),
+            ("frame_lost", 1, 1, 2, 3),
+            ("edge_frame_corrupt", 0, 1, 0, 1),
+            ("edge_frame_lost", 0, 1, 0, 2),
+            ("edge_frame_corrupt", 0, 1, 0, 3),
+            ("edge_frame_lost", 3, 1, 2, 1),
+            ("edge_frame_lost", 3, 1, 2, 2),
+            ("edge_frame_lost", 3, 1, 2, 3),
+            ("edge_frame_lost", 3, 2, 0, 1),
+            ("edge_frame_lost", 3, 2, 0, 2),
+            ("edge_frame_lost", 3, 2, 0, 3),
+        ],
+        {"frames_lost": 13, "frames_corrupted": 4},
+    ),
+    1: (
+        [
+            ("frame_lost", 0, 0, 1, 1),
+            ("frame_lost", 0, 0, 1, 2),
+            ("frame_corrupt", 0, 0, 1, 3),
+            ("frame_corrupt", 1, 1, 2, 1),
+            ("edge_frame_lost", 0, 1, 0, 1),
+            ("edge_frame_corrupt", 0, 2, 1, 1),
+            ("edge_frame_lost", 3, 1, 2, 1),
+            ("edge_frame_corrupt", 3, 2, 0, 1),
+            ("edge_frame_corrupt", 3, 2, 0, 2),
+            ("edge_frame_corrupt", 3, 2, 0, 3),
+        ],
+        {"frames_lost": 4, "frames_corrupted": 6},
+    ),
+    2: (
+        [
+            ("frame_lost", 0, 1, 2, 1),
+            ("frame_lost", 0, 1, 2, 2),
+            ("frame_lost", 0, 1, 2, 3),
+            ("frame_lost", 1, 1, 2, 1),
+            ("frame_lost", 1, 1, 2, 2),
+            ("frame_corrupt", 1, 1, 2, 3),
+            ("edge_frame_lost", 0, 1, 0, 1),
+            ("edge_frame_lost", 0, 1, 0, 2),
+            ("edge_frame_lost", 0, 1, 0, 3),
+            ("edge_frame_corrupt", 0, 2, 1, 1),
+            ("edge_frame_lost", 0, 2, 1, 2),
+            ("edge_frame_lost", 3, 1, 2, 1),
+            ("edge_frame_corrupt", 3, 2, 0, 1),
+            ("edge_frame_lost", 3, 2, 0, 2),
+        ],
+        {"frames_lost": 11, "frames_corrupted": 3},
+    ),
+}
+_UPLOAD_KEYS = ("kind", "task_id", "round_index", "client_id", "attempt")
+_EDGE_KEYS = ("kind", "coordinate", "level", "node", "attempt")
 
 
 class TestTransportRetries:
+    @pytest.mark.parametrize("seed", sorted(_PINNED))
+    def test_reproduces_the_traces_pinned_before_the_merge(self, seed):
+        rows, counters = _PINNED[seed]
+        injector = FaultInjector(
+            seed, FaultSpec(upload_loss_rate=0.5, upload_corruption_rate=0.5)
+        )
+        hops = [carry_frame(injector, _FRAME, "upload", at, 2, 0.5) for at in _PINNED_UPLOADS]
+        hops += [carry_frame(injector, _FRAME, "edge", at, 2, 0.5) for at in _PINNED_EDGES]
+        assert injector.trace == [
+            dict(zip(_EDGE_KEYS if row[0].startswith("edge") else _UPLOAD_KEYS, row))
+            for row in rows
+        ]
+        fired = {key: count for key, count in injector.counters.items() if count}
+        assert fired == counters
+        # The hops' own reports agree with what the trace recorded.
+        assert sum(len(hop.failures) for hop in hops) == len(rows)
+
     @given(
+        channel=st.sampled_from(_CHANNELS),
         seed=st.integers(0, 2**16),
         retries=st.integers(0, 4),
         lose=st.floats(0.0, 1.0, allow_nan=False),
         corrupt=st.floats(0.0, 1.0, allow_nan=False),
     )
     @settings(max_examples=40, deadline=None)
-    def test_attempts_never_exceed_bound(self, seed, retries, lose, corrupt):
+    def test_attempts_never_exceed_bound(self, channel, seed, retries, lose, corrupt):
         spec = FaultSpec(upload_loss_rate=lose, upload_corruption_rate=corrupt)
-        transport = _loopback(retries, 0.5, spec, seed=seed)
-        frame = encode_frame("upload", build_codec("identity"), {"w": np.arange(8.0)}, None)
-        attempts, penalty, records, arrived = transport._transmit(1, frame, _pending())
-        assert 1 <= attempts <= retries + 1
-        assert len(records) == (attempts - 1 if arrived else attempts)
-        assert all(record.status in ("lost", "corrupt") for record in records)
-        assert penalty >= 0.0
+        hop = carry_frame(FaultInjector(seed, spec), _FRAME, channel, (0, 0, 1), retries, 0.5)
+        assert 1 <= hop.attempts <= retries + 1
+        assert len(hop.failures) == (hop.attempts - 1 if hop.arrived else hop.attempts)
+        assert all(status in ("lost", "corrupt") for status in hop.failures)
+        assert hop.backoff_seconds >= 0.0
 
-    @given(retries=st.integers(0, 4))
-    @settings(max_examples=10, deadline=None)
-    def test_certain_loss_exhausts_exactly_the_bound(self, retries):
-        transport = _loopback(retries, 0.25, FaultSpec(upload_loss_rate=1.0))
-        frame = encode_frame("upload", build_codec("identity"), {"w": np.arange(4.0)}, None)
-        attempts, penalty, records, arrived = transport._transmit(7, frame, _pending())
-        assert not arrived
-        assert attempts == retries + 1
-        assert [record.status for record in records] == ["lost"] * (retries + 1)
-        # Exponential backoff between attempts: 0.25 * (1 + 2 + ... + 2^(r-1)).
-        assert penalty == pytest.approx(0.25 * (2.0**retries - 1.0))
+    @given(channel=st.sampled_from(_CHANNELS), retries=st.integers(0, 4))
+    @settings(max_examples=20, deadline=None)
+    def test_certain_loss_exhausts_exactly_the_bound(self, channel, retries):
+        injector = FaultInjector(0, FaultSpec(upload_loss_rate=1.0))
+        hop = carry_frame(injector, _FRAME, channel, (0, 0, 7), retries, 0.25)
+        assert not hop.arrived
+        assert hop.attempts == retries + 1
+        assert hop.failures == ("lost",) * (retries + 1)
+        # Backoff is waited *between* attempts, on both channels: nothing
+        # follows the final failure.  0.25 * (1 + 2 + ... + 2^(r-1)).
+        assert hop.backoff_seconds == pytest.approx(0.25 * (2.0**retries - 1.0))
 
-    def test_zero_fault_transmit_is_a_single_clean_attempt(self):
-        transport = _loopback(3, 0.5, FaultSpec(client_crash_rate=0.5))  # no frame faults
-        frame = encode_frame("upload", build_codec("identity"), {"w": np.arange(4.0)}, None)
-        assert transport._transmit(1, frame, _pending()) == (1, 0.0, [], True)
+    def test_zero_fault_transmit_is_a_single_clean_attempt(self, monkeypatch):
+        def no_draws(*labels):
+            raise AssertionError(f"a zero-fault hop drew from {labels!r}")
+
+        monkeypatch.setattr("repro.federated.faults.spawn_rng", no_draws)
+        crashes_only = FaultInjector(0, FaultSpec(client_crash_rate=0.5))  # no frame faults
+        for channel in _CHANNELS:
+            for injector in (None, crashes_only):
+                hop = carry_frame(injector, _FRAME, channel, (0, 0, 1), 3, 0.5)
+                assert hop == Hop(arrived=True, attempts=1, backoff_seconds=0.0, failures=())
+
+
+# --------------------------------------------------------------------------- #
+# Transport: the straggler rule, error hierarchy
+# --------------------------------------------------------------------------- #
+def _wire_update(client_id: int, size: int) -> ClientUpdate:
+    return ClientUpdate(client_id, {"w": np.arange(float(size))}, num_samples=4)
+
+
+class TestStragglerRule:
+    """Over budget or out of retries, a straggler meets one drop-or-defer rule."""
+
+    #: (cause, drop_stragglers) -> per round (upload frame statuses, delivered client ids).
+    #: "budget": client 2's frame is over every budget, client 1's under; both
+    #: upload in round 0, client 1 alone in round 1.  "retries": every attempt
+    #: is lost; client 2 uploads in round 0, nobody in round 1.
+    EXPECTED = {
+        ("budget", True): [([(1, "ok"), (2, "dropped")], [1]), ([(1, "ok")], [1])],
+        # A deferred over-budget upload arrives behind the next round's own.
+        ("budget", False): [([(1, "ok")], [1]), ([(1, "ok"), (2, "deferred")], [1, 2])],
+        ("retries", True): [([(2, "lost")] * 3 + [(2, "dropped")], []), ([], [])],
+        # Out of retries, the intact in-process frame is re-requested once the
+        # round's own uploads are in: it arrives "deferred" within the round.
+        ("retries", False): [([(2, "lost")] * 3 + [(2, "deferred")], [2]), ([], [])],
+    }
+
+    @pytest.mark.parametrize("codec", ["identity", "delta"])
+    @pytest.mark.parametrize("cause, drop", sorted(EXPECTED))
+    def test_drop_or_defer(self, cause, drop, codec):
+        ledger = CommunicationLedger()
+        transport = LoopbackTransport(
+            ledger,
+            build_codec(codec),
+            bandwidth_limit=2000 if cause == "budget" else 0,
+            drop_stragglers=drop,
+            retries=2,
+            retry_backoff=0.5,
+            faults=FaultInjector(0, FaultSpec(upload_loss_rate=1.0)) if cause == "retries" else None,
+        )
+        server = FederatedServer(Linear(3, 2, rng=np.random.default_rng(0)))
+        small, large = _wire_update(1, 4), _wire_update(2, 1000)
+        rounds = [[small, large], [small]] if cause == "budget" else [[large], []]
+        for round_index, (uploads, (statuses, arrived)) in enumerate(
+            zip(rounds, self.EXPECTED[cause, drop])
+        ):
+            transport.broadcast_round(server, [u.client_id for u in uploads], 0, round_index)
+            delivered = transport.collect_updates(uploads)
+            assert [update.client_id for update in delivered] == arrived
+            frames = ledger.records[-1].upload_frames
+            assert [(frame.client_id, frame.status) for frame in frames] == statuses
+            for update in delivered:
+                np.testing.assert_array_equal(
+                    update.state_dict["w"], (small if update.client_id == 1 else large).state_dict["w"]
+                )
+            if cause == "retries" and round_index == 0:
+                # The client paid for three attempts and the two waits between them.
+                assert transport.last_penalty_seconds == {2: 1.5}
+                assert transport.last_upload_bytes == {2: 3 * frames[0].num_bytes}
+        assert transport.state_dict()["deferred"] == []
+        assert ledger.dropped_uploads == (1 if drop else 0)
+        assert ledger.deferred_uploads == (0 if drop else 1)
 
 
 class TestTransportErrors:

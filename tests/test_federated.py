@@ -14,7 +14,9 @@ from repro.federated import (
     ClientUpdate,
     CommunicationLedger,
     FederatedServer,
+    FrameRecord,
     LocalTrainingConfig,
+    RoundCommRecord,
     fedavg,
     sample_clients,
     weighted_average_arrays,
@@ -147,27 +149,20 @@ class TestClientIncrement:
 
 
 class TestCommunication:
-    def _update(self, value: float = 1.0, with_payload: bool = False) -> ClientUpdate:
-        payload = {"prompt_groups": {"0": np.zeros(8)}} if with_payload else {}
-        return ClientUpdate(
-            client_id=0,
-            state_dict={"w": np.full((4, 4), value)},
-            num_samples=10,
-            payload=payload,
-        )
-
-    def test_upload_bytes_counts_state_and_payload(self):
-        plain = self._update().upload_bytes()
-        with_prompts = self._update(with_payload=True).upload_bytes()
-        assert with_prompts == plain + 8 * 8
-
     def test_ledger_accumulates(self):
         ledger = CommunicationLedger()
-        updates = [self._update(), self._update(2.0)]
-        ledger.record_round(updates, updates[0].state_dict)
-        assert ledger.rounds == 1
-        assert ledger.uploaded_bytes == sum(u.upload_bytes() for u in updates)
-        assert ledger.broadcast_bytes == 2 * updates[0].state_dict["w"].nbytes
+        ledger.record_measured_round(
+            RoundCommRecord(
+                task_id=0,
+                round_index=0,
+                codec="identity",
+                broadcast_frames=(FrameRecord(0, 128), FrameRecord(1, 128)),
+                upload_frames=(FrameRecord(0, 100), FrameRecord(1, 60, "dropped")),
+            )
+        )
+        assert ledger.rounds == 1 and ledger.measured
+        assert ledger.uploaded_bytes == 100  # the dropped frame never counts as delivered
+        assert ledger.broadcast_bytes == 2 * 128
         assert ledger.total_bytes == ledger.uploaded_bytes + ledger.broadcast_bytes
         assert ledger.mean_upload_per_round() > 0
 

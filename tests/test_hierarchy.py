@@ -54,6 +54,7 @@ from repro.federated.communication import CommunicationLedger, build_codec
 from repro.federated.config import FederatedConfig
 from repro.federated.increment import ClientGroup
 from repro.utils.rng import spawn_rng
+from test_fault_plane import _query_all  # the fault plane's fixed query program
 
 
 def _build(tiny_spec, tiny_backbone_config, config, num_tasks=2):
@@ -379,19 +380,33 @@ class TestTreeReduce:
         assert penalty > 0.0
         assert tree.collect_penalty() == 0.0  # collect resets
 
+    def test_exhausted_edge_hop_backs_off_between_attempts_only(self):
+        """``retry_backoff`` waits sit *between* attempts — the upload rule, on
+        edge hops too: three failures at 0.5 s accrue 0.5 + 1.0, not 3.5."""
+        ledger = CommunicationLedger()
+        tree = TreeReduceBackend(
+            fanout=2,
+            codec=build_codec("identity"),
+            ledger=ledger,
+            faults=FaultInjector(seed=0, spec=FaultSpec(upload_loss_rate=1.0)),
+            retries=2,
+            retry_backoff=0.5,
+        )
+        states = _random_states(np.random.default_rng(6), 4)
+        result = tree.reduce(states, [1, 2, 3, 4])
+        expected = fedavg(states, [1, 2, 3, 4])
+        for key in expected:
+            np.testing.assert_allclose(result[key], expected[key], rtol=1e-12, atol=1e-12)
+        # 4 leaves, fanout 2: two edge hops, each out of retries.
+        assert (ledger.edge_lost_frames, ledger.edge_frames) == (6, 0)
+        assert tree.collect_penalty() == 2 * 1.5
+
     def test_edge_fault_draws_are_deterministic(self):
         spec = FaultSpec(upload_loss_rate=0.5, upload_corruption_rate=0.5)
-        a = FaultInjector(seed=9, spec=spec)
-        b = FaultInjector(seed=9, spec=spec)
-        for coordinate in range(4):
-            for level in (1, 2):
-                for node in range(3):
-                    assert a.edge_frame_lost(coordinate, level, node, 1) == b.edge_frame_lost(
-                        coordinate, level, node, 1
-                    )
-                    assert a.edge_frame_corrupted(
-                        coordinate, level, node, 1
-                    ) == b.edge_frame_corrupted(coordinate, level, node, 1)
+        hops = [(c, level, node) for c in range(4) for level in (1, 2) for node in range(3)]
+        trace = _query_all(FaultInjector(seed=9, spec=spec), hops)
+        assert trace == _query_all(FaultInjector(seed=9, spec=spec), hops)
+        assert {"edge_frame_lost", "edge_frame_corrupt"} <= {entry["kind"] for entry in trace}
 
 
 # --------------------------------------------------------------------------- #
