@@ -18,24 +18,53 @@ Asserted invariants: served logits are bit-for-bit identical to direct
 evaluation of the same registry version (engine batches AND front-end
 responses), every request accepted during a burst with >= 3 concurrent hot
 swaps is answered with a version the manifest knows (zero dropped, zero
-mixed-version batches), and the tape serving kernel clears at least a 1.3x
-requests/sec multiple over eager on repeat-shape batches of the method the
-serving plane exists for (``refil``).  ``finetune`` on the same backbone is
-measured and recorded next to it but not floored: since BatchNorm became one
-fused op its eager forward dispatches few enough ops that its multiple sits
-on either side of 1.3x from run to run (1.07x-1.43x across two 2-core boxes).
+mixed-version batches), and two throughput floors on repeat-shape batches of
+the method the serving plane exists for (``refil``): tape serving is at least
+as fast as eager (>= 1.0x requests/sec), and tape serving itself has not
+slowed down — its requests/sec times the mean pass time of the e2e
+benchmark's fixed machine-speed kernel (``benchmarks/e2e/calibrate.py``), i.e.
+requests answered per kernel pass, is at least 0.9x the value measured at the
+commit before the transformer layers became single fused ops
+(``PARENT_TAPE_REQUESTS_PER_KERNEL_PASS``).  The floor used to be a 1.3x
+multiple over *eager*; every op fused since made eager faster and shrank that
+ratio (1.49x -> 1.15x-1.3x) while tape serving kept its speed, so the floor
+is stated in absolute, machine-normalised terms instead of being lowered.
+``finetune`` on the same backbone is measured and recorded next to it but not
+floored (its multiple has sat on either side of 1.3x since BatchNorm became
+one op: 1.07x-1.43x across two 2-core boxes).
+
+The throughput loop runs in a *fresh interpreter* (this file re-executed as a
+subprocess, like ``bench_plan_optimizer``) with one BLAS thread and glibc's
+mmap / trim thresholds pinned high, because both are part of what an absolute
+number measures and neither is the engine's doing: OpenBLAS's helper threads
+triple the calibration kernel's pass time without touching the 16-wide
+serving matmuls, and whether the heap top happens to be free after a request
+decides whether ``free`` trims it — the same plan then pays ~150 page faults
+per request or none (seen at both commits, moving tape's rate by ~10% with no
+code change).  Parity and hot-swap behaviour are asserted in-process.
 """
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
+import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 
 import numpy as np
 
-from conftest import run_once  # noqa: F401  (bench suite convention)
+if __name__ == "__main__":  # fresh-process measurement: no pytest conftest
+    _HERE = os.path.dirname(os.path.abspath(__file__))
+    sys.path[:0] = [_HERE, os.path.join(_HERE, os.pardir, "src")]
+else:
+    from conftest import run_once  # noqa: F401  (bench suite convention)
+
+from e2e import calibrate  # the e2e benchmark's fixed kernel: imported, never edited
 from repro.autograd.tensor import Tensor, default_dtype, no_grad
 from repro.baselines.registry import build_method
 from repro.models.backbone import BackboneConfig
@@ -52,6 +81,12 @@ REQUESTS = 100     # timed requests per kernel per round
 ROUNDS = 7         # interleaved eager/tape rounds; the medians are compared
 SWAP_VERSIONS = 5  # publisher versions during the under-load burst (>= 4 swaps)
 LOAD_CLIENTS = 4   # concurrent client threads during the burst
+#: refil tape requests/sec x mean ``calibrate.kernel()`` seconds — requests
+#: answered per kernel pass, so machine speed cancels — measured at the parent
+#: commit 08471fe by ``_measure_rates`` below: median of 14 fresh-process runs
+#: interleaved with the change's (range 34.4-44.9, e.g. 408.6 req/s x 0.0957 s;
+#: the change read a median of 39.1 over its 14, range 34.1-46.3).
+PARENT_TAPE_REQUESTS_PER_KERNEL_PASS = 38.6
 
 
 def _publish_versions(registry, method, count, jitter_seed=7):
@@ -102,11 +137,12 @@ def _requests_per_sec(engine, images, n_requests):
 
 
 def _median_requests_per_sec(registry, method, images):
-    """Median requests/sec per kernel over interleaved rounds on version 1.
+    """Median requests/sec per kernel over interleaved rounds on version 1,
+    plus the mean seconds of the machine-speed kernel run after every loop.
 
-    Interleaving shows both kernels the same thermal / scheduler conditions;
-    the median of several rounds is stable on a shared 2-core box where the
-    best of three ~2 ms loops was not.
+    Interleaving shows both kernels (and the calibration kernel) the same
+    thermal / scheduler conditions; the median of several rounds is stable on
+    a shared 2-core box where the best of three ~2 ms loops was not.
     """
     engines = {}
     for kernel in ("eager", "tape"):
@@ -115,10 +151,40 @@ def _median_requests_per_sec(registry, method, images):
         for _ in range(WARMUP):
             engines[kernel].predict(images)
     samples = {kernel: [] for kernel in engines}
+    kernel_seconds = []
     for _ in range(ROUNDS):
         for kernel, engine in engines.items():
             samples[kernel].append(_requests_per_sec(engine, images, REQUESTS))
-    return {kernel: float(np.median(values)) for kernel, values in samples.items()}
+            kernel_seconds.append(calibrate.kernel())
+    rates = {kernel: float(np.median(values)) for kernel, values in samples.items()}
+    rates["calibration_kernel_s"] = float(np.mean(kernel_seconds))
+    return rates
+
+
+def _pin_allocator() -> bool:
+    """No mmap'd blocks and no heap trimming: allocation cost stops depending
+    on what the previous request left at the top of the heap."""
+    try:
+        mallopt = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+    return bool(mallopt(M_MMAP_THRESHOLD, 32 << 20) and mallopt(M_TRIM_THRESHOLD, 256 << 20))
+
+
+def _measure_rates() -> dict:
+    """The timed throughput measurement; meant to run in a fresh interpreter."""
+    pinned = _pin_allocator()
+    images = np.random.default_rng(0).uniform(-1.0, 1.0, size=(BATCH, 3, 16, 16))
+    rates = {"allocator_pinned": pinned}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("refil", "finetune"):
+            method = build_method(name, _BACKBONE, num_tasks=1)
+            registry = ModelRegistry(os.path.join(tmp, name))
+            _publish_versions(registry, method, 1)
+            rates[name] = _median_requests_per_sec(registry, method, images)
+    return rates
 
 
 def test_serving_plane(bench_record):
@@ -154,17 +220,35 @@ def test_serving_plane(bench_record):
                 np.testing.assert_array_equal(response.logits, direct[0])
 
         # ---- throughput: tape replay vs eager on repeat-shape batches ---- #
-        refil = build_method("refil", _BACKBONE, num_tasks=1)
-        refil_registry = ModelRegistry(os.path.join(tmp, "refil"))
-        _publish_versions(refil_registry, refil, 1)
-        rates = {
-            "refil": _median_requests_per_sec(refil_registry, refil, images),
-            "finetune": _median_requests_per_sec(registry, method, images),
-        }
+        env = dict(os.environ)
+        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.setdefault(variable, "1")  # an explicit setting wins
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__)],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            check=False,
+            env=env,
+        )
+        assert proc.returncode == 0, (
+            f"fresh-process measurement failed:\n{proc.stdout}\n{proc.stderr}"
+        )
+        rates = json.loads(proc.stdout.splitlines()[-1])
+        allocator_pinned = rates.pop("allocator_pinned")
         multiples = {name: rate["tape"] / rate["eager"] for name, rate in rates.items()}
-        assert multiples["refil"] >= 1.3, (
-            "tape serving must clear 1.3x eager requests/sec on refil, "
+        assert multiples["refil"] >= 1.0, (
+            "tape serving must be at least as fast as eager on refil, "
             f"got {multiples['refil']:.2f}x"
+        )
+        requests_per_kernel_pass = (
+            rates["refil"]["tape"] * rates["refil"]["calibration_kernel_s"]
+        )
+        assert requests_per_kernel_pass >= 0.9 * PARENT_TAPE_REQUESTS_PER_KERNEL_PASS, (
+            f"refil tape serving answers {requests_per_kernel_pass:.1f} requests per "
+            f"calibration-kernel pass ({rates['refil']['tape']:.1f} req/s x "
+            f"{rates['refil']['calibration_kernel_s']:.4f} s), below 0.9x the "
+            f"{PARENT_TAPE_REQUESTS_PER_KERNEL_PASS:.1f} measured at the parent commit"
         )
 
         # ---- hot swap under load: zero drops across >= 3 swaps ---- #
@@ -222,6 +306,8 @@ def test_serving_plane(bench_record):
                 "requests": REQUESTS,
                 "rounds": ROUNDS,
                 "rate_statistic": "median",
+                "fresh_process": True,
+                "allocator_pinned": allocator_pinned,
                 "floored_method": "refil",
                 **{
                     f"{name}_{kernel}_requests_per_sec": rate[kernel]
@@ -229,6 +315,9 @@ def test_serving_plane(bench_record):
                     for kernel in ("eager", "tape")
                 },
                 **{f"{name}_tape_multiple": value for name, value in multiples.items()},
+                "refil_calibration_kernel_s": rates["refil"]["calibration_kernel_s"],
+                "refil_tape_requests_per_kernel_pass": requests_per_kernel_pass,
+                "parent_tape_requests_per_kernel_pass": PARENT_TAPE_REQUESTS_PER_KERNEL_PASS,
                 "parity_bit_identical": True,
                 "swap_count": engine.swap_count,
                 "swap_load_requests": expected,
@@ -248,6 +337,15 @@ def test_serving_plane(bench_record):
                 f"tape {rate['tape']:7.1f} req/s ({multiples[name]:.2f}x)"
             )
         print(
+            f"  refil tape: {requests_per_kernel_pass:.1f} requests per calibration-kernel "
+            f"pass of {rates['refil']['calibration_kernel_s']:.4f} s "
+            f"(parent commit: {PARENT_TAPE_REQUESTS_PER_KERNEL_PASS:.1f}, floor 0.9x)"
+        )
+        print(
             f"  finetune parity bit-identical; swaps under load: {engine.swap_count}, "
             f"{expected} requests answered, 0 dropped"
         )
+
+
+if __name__ == "__main__":
+    print(json.dumps(_measure_rates()))

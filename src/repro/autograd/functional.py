@@ -2,12 +2,14 @@
 
 These free functions are the building blocks used by :mod:`repro.nn` layers
 and by the RefFiL losses (cross-entropy, the GPL loss, the DPCL contrastive
-loss).  Convolution, pooling and batch normalisation are implemented as
-primitive :class:`~repro.autograd.tape.Op`s with hand-written backward passes
-(im2col / col2im; one fused normalise-scale-shift kernel) because expressing
-them through elementary ops would be prohibitively slow in pure Python;
-registering them as ops (rather than ad-hoc closures) makes them recordable
-on a tape and batchable over a leading client axis like every other operation.
+loss).  Convolution, pooling, the two normalisations and the transformer
+block's other layers (GELU, softmax, log-softmax, the affine map) are
+implemented as primitive :class:`~repro.autograd.tape.Op`s with hand-written
+backward passes (im2col / col2im; one fused kernel per layer) because
+expressing them through elementary ops costs a Python dispatch, an array and a
+backward closure per elementary op; registering them as ops (rather than
+ad-hoc closures) makes them recordable on a tape and batchable over a leading
+client axis like every other operation.
 """
 
 from __future__ import annotations
@@ -36,10 +38,45 @@ def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
+_GELU_CUBIC = 0.044715
+_GELU_SCALE = 0.7978845608028654  # sqrt(2 / pi)
+
+
+def _gelu_forward(ctx, x):
+    inner = x * x
+    inner *= x
+    inner *= _GELU_CUBIC
+    inner += x
+    inner *= _GELU_SCALE
+    tanh = np.tanh(inner, out=inner)
+    out = x * 0.5
+    out *= tanh + 1.0
+    ctx.x = x
+    ctx.tanh = tanh
+    return out
+
+
+def _gelu_vjp(ctx, grad, needs):
+    x, tanh = ctx.x, ctx.tanh
+    # d/dx [x/2 (1 + t)] = (1 + t)/2 + x/2 (1 - t^2) t'(x)
+    slope = x * x
+    slope *= 3.0 * _GELU_CUBIC * _GELU_SCALE
+    slope += _GELU_SCALE
+    slope *= 1.0 - tanh * tanh
+    slope *= x
+    slope += tanh
+    slope += 1.0
+    slope *= 0.5
+    slope *= grad
+    return (slope,)
+
+
+GELU = Op("gelu", _gelu_forward, _gelu_vjp, batch_rule="axis")
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
-    inner = (x + x * x * x * 0.044715) * 0.7978845608028654
-    return x * 0.5 * (inner.tanh() + 1.0)
+    return apply_op(GELU, (x,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -50,32 +87,112 @@ def tanh(x: Tensor) -> Tensor:
     return x.tanh()
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``.
+def _softmax_forward(ctx, x, *, axis):
+    out = np.exp(x - x.max(axis=axis, keepdims=True))
+    out /= out.sum(axis=axis, keepdims=True)
+    ctx.out = out
+    ctx.axis = axis
+    return out
 
-    The stabilising shift is ``x.max(...).detach()`` rather than a baked
-    constant so a recorded tape recomputes it from the replayed activations.
-    """
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
+
+def _softmax_vjp(ctx, grad, needs):
+    out = ctx.out
+    grad_x = grad * out
+    inner = grad_x.sum(axis=ctx.axis, keepdims=True)
+    grad_x -= out * inner
+    return (grad_x,)
+
+
+def _log_softmax_forward(ctx, x, *, axis):
+    out = x - x.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
+    ctx.out = out
+    ctx.axis = axis
+    return out
+
+
+def _log_softmax_vjp(ctx, grad, needs):
+    grad_x = np.exp(ctx.out)
+    grad_x *= grad.sum(axis=ctx.axis, keepdims=True)
+    np.subtract(grad, grad_x, out=grad_x)
+    return (grad_x,)
+
+
+def _batch_kwargs_axis(kwargs, info):
+    """A non-negative ``axis`` moves one position right of the client axis."""
+    axis = kwargs["axis"]
+    return {"axis": axis + 1 if axis >= 0 else axis}
+
+
+SOFTMAX = Op(
+    "softmax", _softmax_forward, _softmax_vjp, batch_rule="axis", batch_kwargs=_batch_kwargs_axis
+)
+LOG_SOFTMAX = Op(
+    "log_softmax",
+    _log_softmax_forward,
+    _log_softmax_vjp,
+    batch_rule="axis",
+    batch_kwargs=_batch_kwargs_axis,
+)
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``."""
+    return apply_op(SOFTMAX, (x,), axis=axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    shifted = x - x.max(axis=axis, keepdims=True).detach()
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+    return apply_op(LOG_SOFTMAX, (x,), axis=axis)
 
 
 # --------------------------------------------------------------------------- #
 # Linear algebra helpers
 # --------------------------------------------------------------------------- #
+def _per_feature(param: np.ndarray, ndim: int) -> np.ndarray:
+    """View ``(d,)`` as ``(1, ..., 1, d)`` of rank ``ndim`` — and stacked ``(K, d)`` as ``(K, 1, ..., 1, d)``."""
+    return param.reshape(param.shape[:-1] + (1,) * (ndim - param.ndim) + param.shape[-1:])
+
+
+def _feature_grad(grad: np.ndarray, param_ndim: int) -> np.ndarray:
+    """Sum ``grad`` over every axis a ``_per_feature`` view broadcast along."""
+    return grad.sum(axis=tuple(range(param_ndim - 1, grad.ndim - 1)))
+
+
+def _linear_forward(ctx, x, weight, *rest):
+    # One GEMM whatever the rank of x: the axes between the client axes (those
+    # a stacked (K, out, in) weight carries; none in eager) and the feature
+    # axis fold into rows.
+    rows = x.reshape(weight.shape[:-2] + (-1, x.shape[-1]))
+    out = np.matmul(rows, np.swapaxes(weight, -1, -2))
+    out = out.reshape(x.shape[:-1] + weight.shape[-2:-1])
+    if rest:
+        out += _per_feature(rest[0], out.ndim)
+    ctx.rows = rows
+    ctx.weight = weight
+    ctx.x_shape = x.shape
+    return out
+
+
+def _linear_vjp(ctx, grad, needs):
+    rows, weight = ctx.rows, ctx.weight
+    grad_rows = grad.reshape(rows.shape[:-1] + grad.shape[-1:])
+    grad_x = grad_w = grad_b = None
+    if needs[0]:
+        grad_x = np.matmul(grad_rows, weight).reshape(ctx.x_shape)
+    if needs[1]:
+        grad_w = np.matmul(np.swapaxes(grad_rows, -1, -2), rows)
+    if len(needs) > 2 and needs[2]:
+        grad_b = grad_rows.sum(axis=-2)
+    return (grad_x, grad_w, grad_b)[: len(needs)]
+
+
+LINEAR = Op("linear", _linear_forward, _linear_vjp, batch_rule="axis")
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine transform ``x @ weight.T + bias`` (PyTorch convention)."""
-    out = x @ weight.T
-    if bias is not None:
-        out = out + bias
-    return out
+    return apply_op(LINEAR, (x, weight) if bias is None else (x, weight, bias))
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
@@ -118,6 +235,46 @@ def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generat
 # --------------------------------------------------------------------------- #
 # Normalisation
 # --------------------------------------------------------------------------- #
+def _layer_norm_forward(ctx, x, *affine, eps):
+    width = x.shape[-1]
+    centred = x - x.sum(axis=-1, keepdims=True) * (1.0 / width)
+    var = (centred * centred).sum(axis=-1, keepdims=True) * (1.0 / width)
+    std = np.sqrt(var + eps)
+    xhat = np.divide(centred, std, out=centred)
+    ctx.xhat = xhat
+    ctx.std = std
+    ctx.weight = affine[0] if affine else None
+    if not affine:
+        return xhat
+    out = xhat * _per_feature(affine[0], x.ndim)
+    if len(affine) > 1:
+        out += _per_feature(affine[1], x.ndim)
+    return out
+
+
+def _layer_norm_vjp(ctx, grad, needs):
+    xhat, weight = ctx.xhat, ctx.weight
+    grad_x = grad_w = grad_b = None
+    if len(needs) > 1 and needs[1]:
+        grad_w = _feature_grad(grad * xhat, weight.ndim)
+    if len(needs) > 2 and needs[2]:
+        grad_b = _feature_grad(grad, weight.ndim)
+    if needs[0]:
+        grad_hat = grad if weight is None else grad * _per_feature(weight, grad.ndim)
+        scale = 1.0 / xhat.shape[-1]
+        grad_x = xhat * ((grad_hat * xhat).sum(axis=-1, keepdims=True) * scale)
+        np.subtract(grad_hat, grad_x, out=grad_x)
+        grad_x -= grad_hat.sum(axis=-1, keepdims=True) * scale
+        grad_x /= ctx.std
+    return (grad_x, grad_w, grad_b)[: len(needs)]
+
+
+#: Like ``BATCH_NORM``, the kernels index features from the right and take a
+#: stacked parameter's client axes from its own rank, so ``batch_rule="axis"``
+#: needs no kwarg remap and no batched variant (same for ``LINEAR``).
+LAYER_NORM = Op("layer_norm", _layer_norm_forward, _layer_norm_vjp, batch_rule="axis")
+
+
 def layer_norm(
     x: Tensor,
     weight: Optional[Tensor] = None,
@@ -125,14 +282,10 @@ def layer_norm(
     eps: float = 1e-5,
 ) -> Tensor:
     """Layer normalisation over the last dimension."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    normed = (x - mean) / (var + eps).sqrt()
-    if weight is not None:
-        normed = normed * weight
-    if bias is not None:
-        normed = normed + bias
-    return normed
+    if weight is None:
+        normed = apply_op(LAYER_NORM, (x,), eps=eps)
+        return normed if bias is None else normed + bias
+    return apply_op(LAYER_NORM, (x, weight) if bias is None else (x, weight, bias), eps=eps)
 
 
 def _per_channel(stat: np.ndarray) -> np.ndarray:
@@ -531,12 +684,8 @@ def global_avg_pool2d(x: Tensor) -> Tensor:
 # --------------------------------------------------------------------------- #
 # Losses
 # --------------------------------------------------------------------------- #
-def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood of integer ``targets`` under ``log_probs``."""
-    targets = np.asarray(targets, dtype=np.int64)
-    n = log_probs.shape[0]
-    picked = log_probs[np.arange(n), targets]
-    loss = -picked
+def _reduce(loss: Tensor, reduction: str) -> Tensor:
+    """Apply a loss ``reduction``: ``"mean"``, ``"sum"`` or ``"none"``."""
     if reduction == "mean":
         return loss.mean()
     if reduction == "sum":
@@ -544,6 +693,14 @@ def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") ->
     if reduction == "none":
         return loss
     raise ValueError(f"unknown reduction {reduction!r}")
+
+
+def nll_loss(log_probs: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
+    """Negative log-likelihood of integer ``targets`` under ``log_probs``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    n = log_probs.shape[0]
+    picked = log_probs[np.arange(n), targets]
+    return _reduce(-picked, reduction)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") -> Tensor:
@@ -554,12 +711,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
 def soft_cross_entropy(logits: Tensor, soft_targets: Tensor, reduction: str = "mean") -> Tensor:
     """Cross-entropy against a probability distribution (used by LwF distillation)."""
     log_probs = log_softmax(logits, axis=-1)
-    loss = -(soft_targets * log_probs).sum(axis=-1)
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    return loss
+    return _reduce(-(soft_targets * log_probs).sum(axis=-1), reduction)
 
 
 def knowledge_distillation_loss(
@@ -577,12 +729,7 @@ def knowledge_distillation_loss(
 def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
     """Mean squared error."""
     diff = prediction - target
-    loss = diff * diff
-    if reduction == "mean":
-        return loss.mean()
-    if reduction == "sum":
-        return loss.sum()
-    return loss
+    return _reduce(diff * diff, reduction)
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:

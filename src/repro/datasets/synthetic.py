@@ -26,7 +26,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.datasets.base import ArrayDataset
-from repro.datasets.transforms import DomainStyle, render_pattern, sample_domain_style, shift_pattern
+from repro.datasets.transforms import (
+    DomainStyle,
+    domain_texture,
+    render_pattern,
+    sample_domain_style,
+    shift_pattern,
+)
 from repro.utils.rng import spawn_rng
 
 
@@ -133,6 +139,7 @@ def _generate_samples(
 ) -> Tuple[np.ndarray, np.ndarray]:
     style = domain_style(spec, domain_index)
     patterns = [class_pattern(spec, k) for k in range(spec.num_classes)]
+    texture = domain_texture(spec.image_size, style)  # one per (size, style), not per sample
     rng = spawn_rng(spec.seed, spec.name, "samples", domain_index, split)
     images = np.zeros((count, 3, spec.image_size, spec.image_size))
     labels = np.zeros(count, dtype=np.int64)
@@ -144,7 +151,7 @@ def _generate_samples(
         jittered = shift_pattern(patterns[label], int(dy), int(dx))
         amplitude = rng.uniform(0.9, 1.1)
         jittered = np.clip(jittered * amplitude, 0.0, 1.0)
-        images[i] = render_pattern(jittered, style, rng)
+        images[i] = render_pattern(jittered, style, rng, texture=texture)
     order = rng.permutation(count)
     return images[order], labels[order]
 

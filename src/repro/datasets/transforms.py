@@ -118,11 +118,16 @@ def render_pattern(
     pattern: np.ndarray,
     style: DomainStyle,
     rng: Optional[np.random.Generator] = None,
+    texture: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Render a class pattern ``(H, W)`` into a ``(3, H, W)`` image under a domain style."""
+    """Render a class pattern ``(H, W)`` into a ``(3, H, W)`` image under a domain style.
+
+    ``texture`` is ``domain_texture(size, style)``; a caller rendering many
+    patterns under one style computes it once and passes it in.
+    """
     pattern = dihedral_transform(pattern, style.orientation)
-    size = pattern.shape[0]
-    texture = domain_texture(size, style)
+    if texture is None:
+        texture = domain_texture(pattern.shape[0], style)
     stack = np.stack([pattern, 1.0 - pattern, texture], axis=0)  # (3, H, W)
     image = np.einsum("ck,khw->chw", style.color_matrix, stack)
     image = image + style.background[:, None, None]

@@ -12,6 +12,14 @@ from repro.federated.increment import ClientIncrementConfig
 from repro.models.backbone import BackboneConfig
 
 
+def pytest_ignore_collect(collection_path, config):
+    """Keep the paper-fidelity gate (six `small`-scale runs) out of tier-1: it
+    is collected only under ``-m slow`` or when its path is given."""
+    if collection_path.name == "test_fidelity.py":
+        return "slow" not in config.option.markexpr
+    return None
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -232,6 +232,19 @@ class TestLosses:
         assert F.mse_loss(a, b).data == pytest.approx(2.5)
         assert F.mse_loss(a, b, reduction="sum").data == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("loss_fn", [F.soft_cross_entropy, F.mse_loss])
+    def test_unknown_reduction_raises_instead_of_returning_unreduced(self, loss_fn):
+        # Regression: reduction="avg" used to fall through to the unreduced
+        # vector, surfacing as a .backward() error far from the typo.
+        a = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(F.softmax(Tensor(RNG.standard_normal((3, 4)))).data)
+        assert loss_fn(a, b, reduction="none").shape[0] == 3
+        assert loss_fn(a, b, reduction="sum").data == pytest.approx(
+            loss_fn(a, b, reduction="none").data.sum()
+        )
+        with pytest.raises(ValueError, match="unknown reduction 'avg'"):
+            loss_fn(a, b, reduction="avg")
+
     def test_embedding_lookup(self):
         table = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
         out = F.embedding(table, np.array([1, 1, 3]))

@@ -371,6 +371,10 @@ class TestDPCLBatchedEquivalence:
             assert breakdown.dpcl > 0.0
             records.append(len(tape.records))
         assert records[0] == records[1]
+        # One dispatched op per transformer layer: a change that re-composes
+        # layer_norm / gelu / softmax / log_softmax / linear from elementary
+        # ops (~299 records) fails here, not in a benchmark.
+        assert records[0] <= 170, records
 
 
 class TestGPLLoss:

@@ -162,6 +162,60 @@ class TestGeneration:
         assert accuracy > 0.7
 
 
+def _reference_samples(spec, domain_index, split, count):
+    """``_generate_samples`` as it was before the texture was hoisted out of
+    the per-sample loop: ``render_pattern`` recomputes it for every sample."""
+    from repro.utils.rng import spawn_rng
+
+    style = domain_style(spec, domain_index)
+    patterns = [class_pattern(spec, k) for k in range(spec.num_classes)]
+    rng = spawn_rng(spec.seed, spec.name, "samples", domain_index, split)
+    images = np.zeros((count, 3, spec.image_size, spec.image_size))
+    labels = np.zeros(count, dtype=np.int64)
+    max_shift = max(1, spec.image_size // 16)
+    for i in range(count):
+        label = i % spec.num_classes
+        labels[i] = label
+        dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
+        jittered = shift_pattern(patterns[label], int(dy), int(dx))
+        amplitude = rng.uniform(0.9, 1.1)
+        jittered = np.clip(jittered * amplitude, 0.0, 1.0)
+        images[i] = render_pattern(jittered, style, rng)
+    order = rng.permutation(count)
+    return images[order], labels[order]
+
+
+class TestTextureComputedOncePerDomain:
+    @pytest.mark.parametrize("name", available_datasets())
+    def test_samples_identical_to_per_sample_texture_loop(self, name):
+        from repro.experiments.config import ExperimentScale, scaled_config
+
+        spec = scaled_config(name, ExperimentScale.TINY).spec
+        for domain_index in range(spec.num_domains):
+            for split, count in (("train", spec.train_per_domain), ("test", spec.test_per_domain)):
+                data = generate_domain_split(spec, domain_index, split)
+                images, labels = _reference_samples(spec, domain_index, split, count)
+                # Noise draws and the final permutation come from one stream,
+                # so equal arrays also mean an unchanged draw order.
+                assert np.array_equal(data.images, images)
+                assert np.array_equal(data.labels, labels)
+
+    def test_texture_is_built_once_per_split(self, tiny_spec, monkeypatch):
+        from repro.datasets import synthetic, transforms
+
+        calls = []
+        real = transforms.domain_texture
+
+        def counting(size, style):
+            calls.append(size)
+            return real(size, style)
+
+        monkeypatch.setattr(transforms, "domain_texture", counting)
+        monkeypatch.setattr(synthetic, "domain_texture", counting)
+        generate_domain_split(tiny_spec, 0, "train")
+        assert calls == [tiny_spec.image_size]
+
+
 class TestSyntheticDomainDataset:
     def test_caches_splits(self, tiny_spec):
         dataset = SyntheticDomainDataset(tiny_spec)
