@@ -4,7 +4,7 @@ The serving plane answers prediction requests from versions a training run
 published into the :class:`~repro.serving.registry.ModelRegistry`:
 
 * the :class:`~repro.serving.engine.InferenceEngine` loads one version into
-  an immutable snapshot and predicts batches through the kernel plane —
+  an immutable snapshot and predicts batches under one of two kernels —
   ``eager`` is the evaluator's exact path, ``tape`` replays a compiled
   forward-only plan after a bit-for-bit verification pass;
 * the :class:`~repro.serving.service.ServingFrontEnd` micro-batches
@@ -34,8 +34,8 @@ floored (its multiple has sat on either side of 1.3x since BatchNorm became
 one op: 1.07x-1.43x across two 2-core boxes).
 
 The throughput loop runs in a *fresh interpreter* (this file re-executed as a
-subprocess, like ``bench_plan_optimizer``) with one BLAS thread and glibc's
-mmap / trim thresholds pinned high, because both are part of what an absolute
+subprocess) with one BLAS thread and glibc's mmap / trim thresholds pinned
+high, because both are part of what an absolute
 number measures and neither is the engine's doing: OpenBLAS's helper threads
 triple the calibration kernel's pass time without touching the 16-wide
 serving matmuls, and whether the heap top happens to be free after a request

@@ -12,9 +12,9 @@ Public entry points:
 * :class:`repro.autograd.tensor.Tensor` -- the differentiable array type.
 * :mod:`repro.autograd.functional` -- neural-network functionals
   (relu, softmax, cross_entropy, conv2d, cosine_similarity, ...).
-* :mod:`repro.autograd.tape` -- the kernel plane: the op table every tensor
-  operation routes through, tape recording, compiled :class:`Plan` replay
-  and the ``eager`` / ``tape`` / ``batched`` kernel switch.
+* :mod:`repro.autograd.tape` -- the op table every tensor operation routes
+  through, plus the tape recording and plan cache the serving plane compiles
+  its forward-only plans from.
 * :func:`repro.autograd.grad_check.numerical_gradient` -- finite-difference
   gradient checking used by the test-suite.
 """
@@ -27,18 +27,7 @@ from repro.autograd.tensor import (
     set_default_dtype,
     default_dtype,
 )
-from repro.autograd.tape import (
-    KERNELS,
-    Plan,
-    PlanCache,
-    PlanError,
-    PlanNotBatchable,
-    Tape,
-    get_kernel,
-    kernel_mode,
-    set_kernel,
-    tracing,
-)
+from repro.autograd.tape import PlanCache, PlanError, Tape, tracing
 from repro.autograd import functional
 
 __all__ = [
@@ -48,15 +37,9 @@ __all__ = [
     "get_default_dtype",
     "set_default_dtype",
     "default_dtype",
-    "KERNELS",
-    "Plan",
     "PlanCache",
     "PlanError",
-    "PlanNotBatchable",
     "Tape",
-    "get_kernel",
-    "kernel_mode",
-    "set_kernel",
     "tracing",
     "functional",
 ]

@@ -8,8 +8,7 @@ implemented as primitive :class:`~repro.autograd.tape.Op`s with hand-written
 backward passes (im2col / col2im; one fused kernel per layer) because
 expressing them through elementary ops costs a Python dispatch, an array and a
 backward closure per elementary op; registering them as ops (rather than
-ad-hoc closures) makes them recordable on a tape and batchable over a leading
-client axis like every other operation.
+ad-hoc closures) makes them recordable on a tape like every other operation.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ def _gelu_vjp(ctx, grad, needs):
     return (slope,)
 
 
-GELU = Op("gelu", _gelu_forward, _gelu_vjp, batch_rule="axis")
+GELU = Op("gelu", _gelu_forward, _gelu_vjp)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -118,22 +117,8 @@ def _log_softmax_vjp(ctx, grad, needs):
     return (grad_x,)
 
 
-def _batch_kwargs_axis(kwargs, info):
-    """A non-negative ``axis`` moves one position right of the client axis."""
-    axis = kwargs["axis"]
-    return {"axis": axis + 1 if axis >= 0 else axis}
-
-
-SOFTMAX = Op(
-    "softmax", _softmax_forward, _softmax_vjp, batch_rule="axis", batch_kwargs=_batch_kwargs_axis
-)
-LOG_SOFTMAX = Op(
-    "log_softmax",
-    _log_softmax_forward,
-    _log_softmax_vjp,
-    batch_rule="axis",
-    batch_kwargs=_batch_kwargs_axis,
-)
+SOFTMAX = Op("softmax", _softmax_forward, _softmax_vjp)
+LOG_SOFTMAX = Op("log_softmax", _log_softmax_forward, _log_softmax_vjp)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -149,25 +134,19 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 # --------------------------------------------------------------------------- #
 # Linear algebra helpers
 # --------------------------------------------------------------------------- #
-def _per_feature(param: np.ndarray, ndim: int) -> np.ndarray:
-    """View ``(d,)`` as ``(1, ..., 1, d)`` of rank ``ndim`` — and stacked ``(K, d)`` as ``(K, 1, ..., 1, d)``."""
-    return param.reshape(param.shape[:-1] + (1,) * (ndim - param.ndim) + param.shape[-1:])
-
-
-def _feature_grad(grad: np.ndarray, param_ndim: int) -> np.ndarray:
-    """Sum ``grad`` over every axis a ``_per_feature`` view broadcast along."""
-    return grad.sum(axis=tuple(range(param_ndim - 1, grad.ndim - 1)))
+def _feature_grad(grad: np.ndarray) -> np.ndarray:
+    """Sum ``grad`` over every axis a ``(d,)`` parameter broadcast along."""
+    return grad.sum(axis=tuple(range(grad.ndim - 1)))
 
 
 def _linear_forward(ctx, x, weight, *rest):
-    # One GEMM whatever the rank of x: the axes between the client axes (those
-    # a stacked (K, out, in) weight carries; none in eager) and the feature
-    # axis fold into rows.
-    rows = x.reshape(weight.shape[:-2] + (-1, x.shape[-1]))
-    out = np.matmul(rows, np.swapaxes(weight, -1, -2))
-    out = out.reshape(x.shape[:-1] + weight.shape[-2:-1])
+    # One GEMM whatever the rank of x: every axis but the feature axis folds
+    # into rows.
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.matmul(rows, weight.T)
+    out = out.reshape(x.shape[:-1] + weight.shape[:1])
     if rest:
-        out += _per_feature(rest[0], out.ndim)
+        out += rest[0]
     ctx.rows = rows
     ctx.weight = weight
     ctx.x_shape = x.shape
@@ -176,18 +155,18 @@ def _linear_forward(ctx, x, weight, *rest):
 
 def _linear_vjp(ctx, grad, needs):
     rows, weight = ctx.rows, ctx.weight
-    grad_rows = grad.reshape(rows.shape[:-1] + grad.shape[-1:])
+    grad_rows = grad.reshape(-1, grad.shape[-1])
     grad_x = grad_w = grad_b = None
     if needs[0]:
         grad_x = np.matmul(grad_rows, weight).reshape(ctx.x_shape)
     if needs[1]:
-        grad_w = np.matmul(np.swapaxes(grad_rows, -1, -2), rows)
+        grad_w = np.matmul(grad_rows.T, rows)
     if len(needs) > 2 and needs[2]:
-        grad_b = grad_rows.sum(axis=-2)
+        grad_b = grad_rows.sum(axis=0)
     return (grad_x, grad_w, grad_b)[: len(needs)]
 
 
-LINEAR = Op("linear", _linear_forward, _linear_vjp, batch_rule="axis")
+LINEAR = Op("linear", _linear_forward, _linear_vjp)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -218,10 +197,7 @@ def _dropout_vjp(ctx, grad, needs):
     return (grad * ctx.mask,)
 
 
-#: Dropout draws from a per-layer rng stream, so K clients replayed in
-#: lockstep would interleave one stream instead of advancing K independent
-#: ones — batch_rule=None makes plans containing it fall back per client.
-DROPOUT = Op("dropout", _dropout_forward, _dropout_vjp, batch_rule=None)
+DROPOUT = Op("dropout", _dropout_forward, _dropout_vjp)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
@@ -246,9 +222,9 @@ def _layer_norm_forward(ctx, x, *affine, eps):
     ctx.weight = affine[0] if affine else None
     if not affine:
         return xhat
-    out = xhat * _per_feature(affine[0], x.ndim)
+    out = xhat * affine[0]
     if len(affine) > 1:
-        out += _per_feature(affine[1], x.ndim)
+        out += affine[1]
     return out
 
 
@@ -256,11 +232,11 @@ def _layer_norm_vjp(ctx, grad, needs):
     xhat, weight = ctx.xhat, ctx.weight
     grad_x = grad_w = grad_b = None
     if len(needs) > 1 and needs[1]:
-        grad_w = _feature_grad(grad * xhat, weight.ndim)
+        grad_w = _feature_grad(grad * xhat)
     if len(needs) > 2 and needs[2]:
-        grad_b = _feature_grad(grad, weight.ndim)
+        grad_b = _feature_grad(grad)
     if needs[0]:
-        grad_hat = grad if weight is None else grad * _per_feature(weight, grad.ndim)
+        grad_hat = grad if weight is None else grad * weight
         scale = 1.0 / xhat.shape[-1]
         grad_x = xhat * ((grad_hat * xhat).sum(axis=-1, keepdims=True) * scale)
         np.subtract(grad_hat, grad_x, out=grad_x)
@@ -269,10 +245,7 @@ def _layer_norm_vjp(ctx, grad, needs):
     return (grad_x, grad_w, grad_b)[: len(needs)]
 
 
-#: Like ``BATCH_NORM``, the kernels index features from the right and take a
-#: stacked parameter's client axes from its own rank, so ``batch_rule="axis"``
-#: needs no kwarg remap and no batched variant (same for ``LINEAR``).
-LAYER_NORM = Op("layer_norm", _layer_norm_forward, _layer_norm_vjp, batch_rule="axis")
+LAYER_NORM = Op("layer_norm", _layer_norm_forward, _layer_norm_vjp)
 
 
 def layer_norm(
@@ -289,25 +262,20 @@ def layer_norm(
 
 
 def _per_channel(stat: np.ndarray) -> np.ndarray:
-    """View ``(C,)`` as ``(1, C, 1, 1)`` — and stacked ``(K, C)`` as ``(K, 1, C, 1, 1)``."""
-    return stat.reshape(stat.shape[:-1] + (1, stat.shape[-1], 1, 1))
+    """View ``(C,)`` as ``(1, C, 1, 1)``."""
+    return stat.reshape(1, -1, 1, 1)
 
 
 def _batch_norm_forward(
     ctx, x, weight, bias, *, running_mean, running_var, training, momentum, eps
 ):
-    # Written over ``...NCHW`` so the lockstep engine's stacked (K, N, C, H, W)
-    # activations, (K, C) affine parameters and (K, C) running buffers run the
-    # same kernel: einsum's ellipsis carries the client axis.
     ctx.training = training
     ctx.weight = weight
     if training:
-        count = x.shape[-4] * x.shape[-2] * x.shape[-1]
-        mean = np.einsum("...nchw->...c", x) / count
+        count = x.shape[0] * x.shape[2] * x.shape[3]
+        mean = np.einsum("nchw->c", x) / count
         xhat = x - _per_channel(mean)
-        var = np.einsum("...nchw,...nchw->...c", xhat, xhat) / count
-        # The running statistics are written here, inside the forward, so a
-        # tape replay updates them at this record's chronological position.
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -336,13 +304,13 @@ def _batch_norm_vjp(ctx, grad, needs):
     grad_x = grad_w = grad_b = None
     # Batch statistics depend on x, so its gradient needs both reductions.
     if need_b or (need_x and training):
-        grad_b = np.einsum("...nchw->...c", grad)
+        grad_b = np.einsum("nchw->c", grad)
     if need_w or (need_x and training):
         if training:
             xhat = ctx.xhat
         else:
             xhat = (ctx.x - _per_channel(ctx.mean)) * _per_channel(ctx.inv_std)
-        grad_w = np.einsum("...nchw,...nchw->...c", grad, xhat)
+        grad_w = np.einsum("nchw,nchw->c", grad, xhat)
     if need_x:
         scale = ctx.weight * ctx.inv_std
         if training:
@@ -355,15 +323,9 @@ def _batch_norm_vjp(ctx, grad, needs):
     return (grad_x, grad_w if need_w else None, grad_b if need_b else None)
 
 
-#: ``batch_rule="axis"`` with no kwarg remap: the kernels above already index
-#: channels from the right, so stacked inputs need no separate batched variant.
 #: ``effect`` flags the records whose forward writes its running-stat kwargs.
 BATCH_NORM = Op(
-    "batch_norm",
-    _batch_norm_forward,
-    _batch_norm_vjp,
-    batch_rule="axis",
-    effect=lambda kwargs: kwargs["training"],
+    "batch_norm", _batch_norm_forward, _batch_norm_vjp, effect=lambda kwargs: kwargs["training"]
 )
 
 
@@ -483,64 +445,7 @@ def _conv2d_vjp(ctx, grad, needs):
     return (grad_x, grad_w, grad_b)[: len(needs)]
 
 
-def _conv2d_batched_forward(ctx, info, x, weight, *rest, stride, padding):
-    bias = rest[0] if rest else None
-    k, n = x.shape[0], x.shape[1]
-    c_out = weight.shape[1]
-    kernel = (weight.shape[3], weight.shape[4])
-    flat = np.ascontiguousarray(x).reshape((k * n,) + x.shape[2:])
-    cols, out_h, out_w = _im2col(flat, kernel, stride, padding)
-    f, length = cols.shape[1], cols.shape[2]
-    colsk = cols.reshape(k, n, f, length)
-    w_mat = weight.reshape(k, c_out, -1)
-    out = np.matmul(w_mat[:, None], colsk)  # (k, n, c_out, L)
-    out = out.reshape(k, n, c_out, out_h, out_w)
-    if bias is not None:
-        out = out + bias.reshape(k, 1, -1, 1, 1)
-    ctx.colsk = colsk
-    ctx.w_mat = w_mat
-    ctx.x_shape = x.shape
-    ctx.w_shape = weight.shape
-    ctx.kernel = kernel
-    ctx.stride = stride
-    ctx.padding = padding
-    ctx.k, ctx.n, ctx.c_out = k, n, c_out
-    ctx.f, ctx.length = f, length
-    ctx.out_h, ctx.out_w = out_h, out_w
-    return out
-
-
-def _conv2d_batched_vjp(ctx, grad, needs):
-    k, n = ctx.k, ctx.n
-    grad_mat = grad.reshape(k, n, ctx.c_out, ctx.out_h * ctx.out_w)
-    grad_x = grad_w = grad_b = None
-    if needs[1]:
-        grad_w = np.matmul(grad_mat, ctx.colsk.transpose(0, 1, 3, 2)).sum(axis=1)
-        grad_w = grad_w.reshape(ctx.w_shape)
-    if len(needs) > 2 and needs[2]:
-        grad_b = grad.sum(axis=(1, 3, 4))
-    if needs[0]:
-        grad_cols = np.matmul(ctx.w_mat[:, None].transpose(0, 1, 3, 2), grad_mat)
-        grad_x = _col2im(
-            grad_cols.reshape(k * n, ctx.f, ctx.length),
-            (k * n,) + ctx.x_shape[2:],
-            ctx.kernel,
-            ctx.stride,
-            ctx.padding,
-            ctx.out_h,
-            ctx.out_w,
-        ).reshape(ctx.x_shape)
-    return (grad_x, grad_w, grad_b)[: len(needs)]
-
-
-CONV2D = Op(
-    "conv2d",
-    _conv2d_forward,
-    _conv2d_vjp,
-    batch_rule="custom",
-    batched_forward=_conv2d_batched_forward,
-    batched_vjp=_conv2d_batched_vjp,
-)
+CONV2D = Op("conv2d", _conv2d_forward, _conv2d_vjp)
 
 
 def conv2d(
@@ -619,47 +524,8 @@ def _avg_pool_vjp(ctx, grad, needs):
     return (grad_x,)
 
 
-def _pool_batched_forward(pool_forward):
-    # Pooling has no cross-sample interaction, so a stacked (K, N, C, H, W)
-    # batch folds the client axis into the sample axis and runs the eager
-    # kernel once; the vjp unfolds it back.
-    def batched(ctx, info, x, *, kernel, stride):
-        k, n = x.shape[0], x.shape[1]
-        flat = np.ascontiguousarray(x).reshape((k * n,) + x.shape[2:])
-        out = pool_forward(ctx, flat, kernel=kernel, stride=stride)
-        ctx.batch_k, ctx.batch_n = k, n
-        return out.reshape((k, n) + out.shape[1:])
-
-    return batched
-
-
-def _pool_batched_vjp(pool_vjp):
-    def batched(ctx, grad, needs):
-        k, n = ctx.batch_k, ctx.batch_n
-        flat_grad = grad.reshape((k * n,) + grad.shape[2:])
-        (grad_x,) = pool_vjp(ctx, flat_grad, needs)
-        return (grad_x.reshape((k, n) + grad_x.shape[1:]),)
-
-    return batched
-
-
-MAX_POOL2D = Op(
-    "max_pool2d",
-    _max_pool_forward,
-    _max_pool_vjp,
-    batch_rule="custom",
-    batched_forward=_pool_batched_forward(_max_pool_forward),
-    batched_vjp=_pool_batched_vjp(_max_pool_vjp),
-)
-
-AVG_POOL2D = Op(
-    "avg_pool2d",
-    _avg_pool_forward,
-    _avg_pool_vjp,
-    batch_rule="custom",
-    batched_forward=_pool_batched_forward(_avg_pool_forward),
-    batched_vjp=_pool_batched_vjp(_avg_pool_vjp),
-)
+MAX_POOL2D = Op("max_pool2d", _max_pool_forward, _max_pool_vjp)
+AVG_POOL2D = Op("avg_pool2d", _avg_pool_forward, _avg_pool_vjp)
 
 
 def max_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = None) -> Tensor:

@@ -5,9 +5,8 @@ every operation is described by an :class:`repro.autograd.tape.Op` (forward +
 explicit vjp rule); applying one through :func:`apply_op` computes the result,
 wires a backward closure built from the op's vjp, and — when a
 :class:`~repro.autograd.tape.Tape` is tracing — records the application so the
-step can later replay as a compiled plan.  Eager mode is therefore a tape of
-length one: the closures call the *same* vjp rules replay does, so recording
-changes nothing numerically.
+serving plane can compile the forward pass into a plan.  Recording changes
+nothing numerically.
 
 Calling :meth:`Tensor.backward` performs a topological sort of the recorded
 graph, accumulates gradients into ``tensor.grad``, and then frees the
@@ -475,12 +474,7 @@ class Tensor:
 # Op application: the single gateway every tensor operation goes through
 # --------------------------------------------------------------------------- #
 def apply_op(op: Op, inputs: Sequence[ArrayLike], **kwargs) -> Tensor:
-    """Apply ``op`` eagerly and (when tracing) record it on the active tape.
-
-    The backward closure wired here calls the *same* ``op.vjp`` rule a plan
-    replay calls, in the same input order, so eager and replayed gradients
-    are bit-for-bit identical by construction.
-    """
+    """Apply ``op`` eagerly and (when tracing) record it on the active tape."""
     tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs)
     ctx = OpContext()
     data = op.forward(ctx, *(t.data for t in tensors), **kwargs)

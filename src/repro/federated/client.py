@@ -2,22 +2,16 @@
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import tape as tape_mod
-from repro.autograd.tape import Plan, PlanCache, PlanError, Tape, tracing
 from repro.autograd.tensor import Tensor
 from repro.datasets.base import ArrayDataset, DataLoader
 from repro.federated.increment import ClientGroup
 from repro.nn.module import Module
 from repro.nn.optim import SGD
-from repro.utils.logging_utils import get_logger
-
-logger = get_logger(__name__)
 
 
 @dataclass(frozen=True)
@@ -169,8 +163,6 @@ def run_local_sgd(
         max_grad_norm=client.training.max_grad_norm,
     )
     model.train()
-    if tape_mod.get_kernel() != "eager":
-        return _run_local_sgd_tape(model, client, loss_fn, optimizer)
     total_loss = 0.0
     total_batches = 0
     for _ in range(client.training.local_epochs):
@@ -182,135 +174,6 @@ def run_local_sgd(
             total_loss += float(loss.data)
             total_batches += 1
     return total_loss / max(total_batches, 1)
-
-
-class _PlanState:
-    """Lifecycle of one compiled plan: traced -> verified -> replay-only.
-
-    ``bad`` marks a shape key that either failed to compile (the loss graph
-    reaches tensors from outside the traced step) or failed verification (a
-    replay did not reproduce the eager step exactly, e.g. a method bakes
-    label-derived constants into its graph); such keys run eagerly forever.
-    """
-
-    __slots__ = ("plan", "verified", "bad")
-
-    def __init__(self, plan: Optional[Plan]) -> None:
-        self.plan = plan
-        self.verified = False
-        self.bad = plan is None
-
-
-def _run_local_sgd_tape(
-    model: Module,
-    client: ClientHandle,
-    loss_fn: LossFn,
-    optimizer: SGD,
-) -> float:
-    """The ``kernel="tape"`` local loop: trace once per batch shape, replay after.
-
-    The first batch of a given (image shape/dtype, label shape) traces the
-    step and compiles a :class:`~repro.autograd.tape.Plan`; the second batch
-    replays the plan *and* runs the eager step on the same inputs, comparing
-    loss and every parameter gradient bit-for-bit (buffers and rng streams
-    are rewound between the two so both see identical state).  Only after
-    that exact match do later batches run replay-only.  Any mismatch or
-    compile failure falls back to eager for that shape permanently, so the
-    tape kernel is hash-identical to eager by construction.
-    """
-    plans = PlanCache()
-    buffers = dict(model.named_buffers())
-    total_loss = 0.0
-    total_batches = 0
-    for _ in range(client.training.local_epochs):
-        for images, labels in client.loader():
-            labels_np = np.asarray(labels, dtype=np.int64)
-            key = (images.shape, str(images.dtype), labels_np.shape)
-            state = plans.get(key)
-            optimizer.zero_grad()
-            if state is None:
-                # First sight of this shape: trace the step while running it.
-                tape = Tape()
-                tape.register_dynamic("labels", labels_np)
-                for name, buf in buffers.items():
-                    tape.register_dynamic(f"buffer::{name}", buf)
-                tape.mark_input("images", images)
-                with tracing(tape):
-                    loss = loss_fn(model, images, labels_np)
-                try:
-                    plans.put(key, _PlanState(Plan(tape, loss)))
-                except PlanError as error:
-                    logger.debug("plan compile failed (%s); eager fallback", error)
-                    plans.put(key, _PlanState(None))
-                loss.backward()
-                optimizer.step()
-                total_loss += float(loss.data)
-            elif state.bad:
-                loss = loss_fn(model, images, labels_np)
-                loss.backward()
-                optimizer.step()
-                total_loss += float(loss.data)
-            elif not state.verified:
-                total_loss += _verify_and_step(
-                    state, model, buffers, optimizer, loss_fn, images, labels_np
-                )
-            else:
-                bindings = {"labels": labels_np, "images": images.data}
-                loss_value, leaf_grads = state.plan.execute(bindings)
-                state.plan.apply_grads(leaf_grads)
-                optimizer.step()
-                total_loss += float(loss_value)
-            total_batches += 1
-    return total_loss / max(total_batches, 1)
-
-
-def _verify_and_step(
-    state: _PlanState,
-    model: Module,
-    buffers: Dict[str, np.ndarray],
-    optimizer: SGD,
-    loss_fn: LossFn,
-    images: Tensor,
-    labels_np: np.ndarray,
-) -> float:
-    """Replay + eager on the same batch, compare exactly, step with eager grads."""
-    plan = state.plan
-    buffer_snapshot = {name: buf.copy() for name, buf in buffers.items()}
-    rng_snapshots = [copy.deepcopy(g.bit_generator.state) for g in plan.rng_objects]
-    replay_loss, replay_grads = plan.execute(
-        {"labels": labels_np, "images": images.data}
-    )
-    # Rewind state the replay consumed, then run the authoritative eager step.
-    for name, buf in buffers.items():
-        buf[...] = buffer_snapshot[name]
-    for generator, snapshot in zip(plan.rng_objects, rng_snapshots):
-        generator.bit_generator.state = snapshot
-    grads_before = {slot: p.grad for slot, p in plan.param_leaves}
-    loss = loss_fn(model, images, labels_np)
-    loss.backward()
-    matches = np.array_equal(replay_loss, loss.data)
-    if matches:
-        for slot, param in plan.param_leaves:
-            replayed = replay_grads.get(slot)
-            before = grads_before[slot]
-            expected = (
-                replayed if before is None or replayed is None else before + replayed
-            )
-            if (param.grad is None) != (expected is None) or (
-                param.grad is not None and not np.array_equal(param.grad, expected)
-            ):
-                matches = False
-                break
-    if matches:
-        state.verified = True
-    else:
-        state.bad = True
-        logger.warning(
-            "tape replay diverged from eager on verification batch; "
-            "falling back to eager for this shape"
-        )
-    optimizer.step()
-    return float(loss.data)
 
 
 __all__ = [

@@ -21,7 +21,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from repro.autograd.tape import KERNELS
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.clock import PROFILE_TIERS
 from repro.federated.communication import build_codec, codec_is_lossless
@@ -116,25 +115,6 @@ class FederatedConfig:
         Compute precision of the whole pipeline: ``"float64"`` (reference) or
         ``"float32"`` (≈2x lower memory bandwidth; accuracy differences are
         within noise at these scales).""")
-    # Every tape plan's first replay is compared bit-for-bit against the eager
-    # step and any divergence falls back, so "tape" folds to "eager"; lockstep
-    # reorders float accumulation (stacked matmuls, vectorized clip norms) and
-    # genuinely changes the numbers, so "batched" stays.
-    kernel: str = knob("eager", choices=KERNELS,
-                       fold=lambda c: "eager" if c.kernel == "tape" else c.kernel, doc="""
-        How a client's local SGD steps execute (the kernel plane;
-        :mod:`repro.autograd.tape`): ``"eager"`` (default) is the historical
-        closure-based autograd loop; ``"tape"`` traces each batch shape once
-        into a compiled plan and replays it — verified hash-identical to
-        eager on its first replay, falling back to eager on any divergence;
-        ``"batched"`` additionally stacks eligible same-schedule clients
-        along a leading axis and trains the whole cohort through one
-        vectorized plan step per batch (:mod:`repro.federated.lockstep`) —
-        exact in structure (same draws, same step counts) but tolerance-level
-        in floats, and requires ``executor="serial"``.  ``"tape"`` and
-        ``"batched"`` act on methods whose local loop is ``run_local_sgd``
-        (every baseline); RefFiL's own ``local_update`` loop runs eagerly
-        under all three.""")
     eval_executor: str = knob("serial", effect=EXACT, choices=_EXECUTORS, doc="""
         How the seen-task evaluation suite runs: ``"serial"`` (historical
         in-process loop) or ``"parallel"`` (fan seen tasks × batch-aligned
@@ -414,11 +394,6 @@ class FederatedConfig:
 #: Rules relating two knobs, checked after every per-knob constraint:
 #: ``(violated(config), message)``.
 _CROSS_KNOB_RULES = (
-    (
-        lambda c: c.kernel == "batched" and c.executor != "serial",
-        "kernel='batched' requires executor='serial': lockstep vectorizes the round's cohort "
-        "itself, so a worker pool underneath it would shard the very groups it batches",
-    ),
     (
         lambda c: c.bandwidth_limit > 0 and c.mode != "sync",
         "bandwidth_limit requires mode='sync': the event-driven modes collect one upload per "

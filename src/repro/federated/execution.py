@@ -82,7 +82,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.autograd.tape import KERNELS, set_kernel
 from repro.autograd.tensor import get_default_dtype, set_default_dtype
 from repro.continual.evaluator import EvalBackend, PredictFn, count_correct
 from repro.continual.scenario import Task
@@ -150,7 +149,6 @@ def _run_client_chunk(
     broadcast_blob: bytes,
     indexed_clients: Sequence[Tuple[int, ClientHandle]],
     dtype_name: str,
-    kernel: str = "eager",
 ) -> List[Tuple[int, ClientUpdate, Any]]:
     """Train one worker's share of the round's clients.
 
@@ -158,11 +156,8 @@ def _run_client_chunk(
     the parent serialized each exactly once and every chunk reuses the same
     bytes.  Returns ``(selection_index, update, exported_client_state)``
     triples so the parent can restore selection order and merge method state.
-    The parent's autograd kernel travels with every chunk (like the compute
-    dtype) so ``kernel="tape"`` runs trace-and-replay inside the workers too.
     """
     set_default_dtype(dtype_name)
-    set_kernel(kernel)
     method: FederatedMethod = pickle.loads(method_blob)
     state, payload = deserialize_state(broadcast_blob)
     # numpy's writeable=False flag does not survive pickling; re-protect the
@@ -397,11 +392,11 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
             runner = _CHUNK_RUNNERS.get(kind)
             if runner is None:
                 raise RuntimeError(f"unknown worker message kind {kind!r}")
-            method_blob, broadcast_blob, items, shard_blobs, task_id, run_args = payload
+            method_blob, broadcast_blob, items, shard_blobs, task_id, dtype_name = payload
             _install_shards(shard_blobs)
             if task_id is not None:
                 _evict_stale_shards(_WORKER_SHARDS, task_id)
-            results = runner(method_blob, broadcast_blob, _resolve_chunk(items), *run_args)
+            results = runner(method_blob, broadcast_blob, _resolve_chunk(items), dtype_name)
             result_queue.put((worker_id, "ok", results))
         except BaseException as exc:  # ship the failure instead of dying silently
             result_queue.put((worker_id, "error", _encode_error(exc)))
@@ -605,36 +600,6 @@ class SerialExecutor(Executor):
         return updates
 
 
-class BatchedExecutor(SerialExecutor):
-    """Lockstep execution: one vectorized plan step trains the whole cohort.
-
-    The ``kernel="batched"`` executor.  Eligible clients (see
-    :mod:`repro.federated.lockstep`) are grouped by training schedule and
-    trained through a single stacked plan replay per step; everything else
-    degenerates to the serial path (which under a non-eager kernel is the
-    tape kernel's trace-and-replay loop).  ``telemetry`` counts how the
-    round's clients actually executed, for the kernel-plane bench.
-    """
-
-    def __init__(self) -> None:
-        # Local import: lockstep pulls in the baselines package for its
-        # eligibility check, which itself imports this module at load time.
-        from repro.federated.lockstep import LockstepTelemetry
-
-        self.telemetry = LockstepTelemetry()
-
-    def run_round(
-        self,
-        method: FederatedMethod,
-        model: Module,
-        broadcast: BroadcastHandle,
-        clients: Sequence[ClientHandle],
-    ) -> List[ClientUpdate]:
-        from repro.federated.lockstep import run_lockstep_round
-
-        return run_lockstep_round(method, model, broadcast, clients, self.telemetry)
-
-
 @dataclass(frozen=True)
 class RoundIPC:
     """What one completed parallel round shipped to its workers.
@@ -705,12 +670,8 @@ class ParallelExecutor(Executor):
         self,
         num_workers: Optional[int] = None,
         max_respawns: int = 0,
-        kernel: str = "eager",
     ) -> None:
         self.num_workers = max(1, num_workers if num_workers else (os.cpu_count() or 1))
-        #: Autograd kernel every train chunk runs under (``"eager"`` or
-        #: ``"tape"``; the lockstep ``"batched"`` kernel is serial-only).
-        self.kernel = kernel
         #: Self-healing budget: how many dead workers this executor may
         #: replace over its lifetime before a death propagates as
         #: :class:`WorkerDiedError`.  ``0`` (the default) disables healing —
@@ -783,8 +744,7 @@ class ParallelExecutor(Executor):
         stats["num_messages"] += 1
         stats["method_bytes"] += len(method_blob)
         stats["broadcast_bytes"] += len(broadcast_blob)
-        run_args = (dtype_name, self.kernel) if kind == "train" else (dtype_name,)
-        return (kind, (method_blob, broadcast_blob, items, shard_blobs, task_id, run_args))
+        return (kind, (method_blob, broadcast_blob, items, shard_blobs, task_id, dtype_name))
 
     def _collect_healing(
         self,
@@ -1082,30 +1042,18 @@ def build_executor(
     executor: str = "serial",
     num_workers: int = 0,
     max_respawns: int = 0,
-    kernel: str = "eager",
 ) -> Executor:
     """Construct an executor from the :class:`FederatedConfig` knobs."""
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose one of {KERNELS}")
-    if kernel == "batched":
-        if executor != "serial":
-            raise ValueError(
-                "kernel='batched' requires executor='serial': lockstep already "
-                "vectorizes the cohort, a worker pool underneath it would "
-                "shard the very groups it batches"
-            )
-        return BatchedExecutor()
     if executor == "serial":
         return SerialExecutor()
     if executor == "parallel":
-        return ParallelExecutor(num_workers, max_respawns=max_respawns, kernel=kernel)
+        return ParallelExecutor(num_workers, max_respawns=max_respawns)
     raise ValueError(f"unknown executor {executor!r}; choose 'serial' or 'parallel'")
 
 
 __all__ = [
     "Executor",
     "SerialExecutor",
-    "BatchedExecutor",
     "ParallelExecutor",
     "ParallelEvalBackend",
     "RoundIPC",

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tape import kernel_mode
 from repro.autograd.tensor import default_dtype, get_default_dtype
 from repro.continual.evaluator import EvalBackend, GlobalEvaluator
 from repro.continual.metrics import ContinualMetrics
@@ -211,10 +210,7 @@ class FederatedDomainIncrementalSimulation:
             else 0
         )
         self.executor = build_executor(
-            config.executor,
-            config.num_workers,
-            max_respawns=max_respawns,
-            kernel=config.kernel,
+            config.executor, config.num_workers, max_respawns=max_respawns
         )
         # The evaluation plane: when eval_executor="parallel", seen-task
         # evaluation fans over a pinned worker pool — the training executor's
@@ -277,12 +273,7 @@ class FederatedDomainIncrementalSimulation:
         if config.registry_dir:
             self.registry = ModelRegistry(config.registry_dir, keep=config.checkpoint_keep)
             if config.serve:
-                engine = InferenceEngine(
-                    self.registry,
-                    method,
-                    kernel="tape" if config.kernel == "tape" else "eager",
-                )
-                self.serving = ServingFrontEnd(engine).start()
+                self.serving = ServingFrontEnd(InferenceEngine(self.registry, method)).start()
 
     # ------------------------------------------------------------------ #
     # Data assignment per task
@@ -889,13 +880,8 @@ class FederatedDomainIncrementalSimulation:
         must not replay ``on_task_start`` (it already ran before round 0 of
         the original process); data assignment always replays, because client
         shards are derived state the checkpoint deliberately does not carry.
-
-        Local training runs under the configured autograd kernel (the
-        ``kernel_mode`` wrapper reaches the serial and batched executors'
-        in-process ``run_local_sgd`` calls; parallel workers receive the
-        kernel with every train chunk instead).
         """
-        with default_dtype(self.config.dtype), kernel_mode(self.config.kernel):
+        with default_dtype(self.config.dtype):
             if not resumed:
                 self.method.on_task_start(task.task_id, self.server)
                 self.server.invalidate_broadcast()

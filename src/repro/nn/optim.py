@@ -89,73 +89,6 @@ class SGD(Optimizer):
             param.data -= self.lr * grad
 
 
-class BatchedSGD:
-    """SGD over K clients' parameter stacks at once (the lockstep kernel).
-
-    Operates on ``{slot: (K,) + shape}`` arrays produced by
-    :meth:`repro.autograd.tape.Plan.execute_batched` instead of
-    :class:`~repro.nn.module.Parameter` objects.  The update order mirrors
-    :class:`SGD.step` exactly — clip, weight decay, momentum, descent — with
-    each stage vectorized over the leading client axis.  Per-client results
-    match eager SGD up to float accumulation order: the eager clip norm sums
-    python floats parameter-by-parameter while the vectorized norm reduces
-    each stack in one BLAS call, so the batched kernel is tolerance-level,
-    not bit-for-bit.
-    """
-
-    def __init__(
-        self,
-        k: int,
-        lr: float,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-        max_grad_norm: Optional[float] = None,
-    ) -> None:
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        if nesterov and momentum <= 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.k = k
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self.max_grad_norm = max_grad_norm
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def _clip_gradients(self, grads: Dict[int, np.ndarray]) -> None:
-        if self.max_grad_norm is None:
-            return
-        total = np.zeros(self.k)
-        for grad in grads.values():
-            total += np.sum(grad.reshape(self.k, -1) ** 2, axis=1)
-        norm = np.sqrt(total)
-        scale = np.where(
-            (norm > self.max_grad_norm) & (norm > 0),
-            self.max_grad_norm / np.maximum(norm, 1e-300),
-            1.0,
-        )
-        for slot, grad in grads.items():
-            grads[slot] = grad * scale.reshape((self.k,) + (1,) * (grad.ndim - 1))
-
-    def step(self, param_stacks: Dict[int, np.ndarray], grads: Dict[int, np.ndarray]) -> None:
-        """Update ``param_stacks`` in place from stacked gradients."""
-        self._clip_gradients(grads)
-        for slot, grad in grads.items():
-            data = param_stacks[slot]
-            if self.weight_decay > 0:
-                grad = grad + self.weight_decay * data
-            if self.momentum > 0:
-                velocity = self._velocity.get(slot)
-                if velocity is None:
-                    velocity = np.zeros_like(data)
-                velocity = self.momentum * velocity + grad
-                self._velocity[slot] = velocity
-                grad = grad + self.momentum * velocity if self.nesterov else velocity
-            data -= self.lr * grad
-
-
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015)."""
 
@@ -197,4 +130,4 @@ class Adam(Optimizer):
             param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
 
-__all__ = ["Optimizer", "SGD", "BatchedSGD", "Adam"]
+__all__ = ["Optimizer", "SGD", "Adam"]

@@ -10,8 +10,8 @@ public helpers), never sideways into plane internals:
   queryable JSON manifest, atomic writes and oldest-first retention.
 * :mod:`repro.serving.engine` — :class:`InferenceEngine`: loads a registry
   version into an immutable snapshot, answers batched ``predict`` requests
-  through the kernel plane (eager, or ``tape`` compiled forward plans for
-  repeat shapes), and hot-swaps to a newer version atomically between batches.
+  (eagerly, or through ``tape``-compiled forward plans for repeat shapes),
+  and hot-swaps to a newer version atomically between batches.
 * :mod:`repro.serving.service` — :class:`ServingFrontEnd`: bounded request
   queue, micro-batching, worker threads, backpressure and per-version
   latency/throughput telemetry.

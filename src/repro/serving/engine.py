@@ -17,16 +17,15 @@ Two invariants make concurrent serving safe:
   entirely on the version it started with — no response is ever computed from
   a half-swapped model — and the next batch sees the new version.
 
-Prediction runs through the kernel plane.  ``kernel="eager"`` is the
+Prediction runs under one of two kernels.  ``kernel="eager"`` is the
 evaluator's exact path (eval mode, ``no_grad``, the method's own
 ``predict_logits``).  ``kernel="tape"`` traces the first batch of each input
 shape into a :class:`ForwardPlan` — a forward-only compiled program replayed
-without tensor wrapping, module traversal or graph bookkeeping — and, exactly
-like the training-side tape kernel, verifies the first replay bit-for-bit
-against eager before trusting it; any divergence (or an untraceable predict
-path) falls back to eager for that shape permanently.  Served logits are
-therefore bit-for-bit identical to direct evaluation of the same version
-under either kernel.
+without tensor wrapping, module traversal or graph bookkeeping — and verifies
+the first replay bit-for-bit against eager before trusting it; any divergence
+(or an untraceable predict path) falls back to eager for that shape
+permanently.  Served logits are therefore bit-for-bit identical to direct
+evaluation of the same version under either kernel.
 """
 
 from __future__ import annotations
@@ -61,9 +60,8 @@ class ServedBatch:
 class ForwardPlan:
     """A traced forward pass compiled for replay (no backward schedule).
 
-    The training-side :class:`~repro.autograd.tape.Plan` anchors on a loss and
-    replays gradients; serving only needs the logits, so this plan keeps just
-    the chronological record slice that the output depends on.  Parameters,
+    Serving only needs the logits, so the plan keeps just the chronological
+    slice of the tape's records that the output depends on.  Parameters,
     buffers and traced constants are baked in at compile time — valid because
     snapshots are immutable — and replay is a flat loop over precomputed
     ``(forward, input_slots, out_slot, kwargs, dtype)`` instructions.

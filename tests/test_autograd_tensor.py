@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.autograd import Tensor, no_grad
+from repro.autograd import Tensor, functional as F, no_grad
 from repro.autograd.tensor import unbroadcast
 
 
@@ -316,3 +319,28 @@ class TestGradientProperties:
         (a + b).sum().backward()
         assert a.grad.shape == array.shape
         assert b.grad.shape == array.shape
+
+
+class TestGraphFreeing:
+    def test_backward_releases_interior_nodes(self):
+        rng = np.random.default_rng(123)
+        x = Tensor(rng.standard_normal((8, 8)), requires_grad=True)
+        h = F.tanh(x @ x.T)
+        loss = (h * h).sum()
+        # Tensor has no __weakref__ slot; watch the backward closure instead —
+        # it is what pins the op context (and its saved activations) alive.
+        closure = weakref.ref(h._backward)
+        loss.backward()
+        assert loss._backward is None and loss._parents == ()
+        assert h._backward is None and h._parents == ()
+        gc.collect()
+        assert closure() is None
+        assert x.grad is not None
+
+    def test_second_backward_is_harmless_noop_graph(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = (x * x).sum()
+        loss.backward()
+        first = x.grad.copy()
+        loss.backward()  # freed graph: no parents left to traverse
+        assert np.array_equal(x.grad, first)  # nothing flows back twice

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import inspect
 import os
 import re
@@ -26,19 +27,30 @@ from repro.baselines import build_method
 from repro.continual import DomainIncrementalScenario
 from repro.datasets import SyntheticDomainDataset
 from repro.experiments.config import scaled_config
-from repro.federated import FaultSpec, FederatedConfig, FederatedDomainIncrementalSimulation
-from repro.federated.checkpoint import parse_checkpoint_name, simulation_state_hash
+from repro.federated import (
+    CheckpointMismatchError,
+    FaultSpec,
+    FederatedConfig,
+    FederatedDomainIncrementalSimulation,
+    build_executor,
+)
+from repro.federated.checkpoint import (
+    load_checkpoint,
+    parse_checkpoint_name,
+    save_checkpoint,
+    simulation_state_hash,
+)
 from repro.federated.config import CHANGES_RESULTS, EXACT, knob, knob_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-RETIRED = ("plan_optimize", "shard_cache", "transport")
+RETIRED = ("plan_optimize", "shard_cache", "transport", "kernel")
 
 FIELDS = dataclasses.fields(FederatedConfig)
 
 
 def test_docstring_lists_every_knob_in_field_order():
-    assert len(FIELDS) == 36
+    assert len(FIELDS) == 35
     assert all(field.metadata["doc"].strip() for field in FIELDS)
     attributes = inspect.getdoc(FederatedConfig).split("Attributes\n----------\n", 1)[1]
     listed = re.findall(r"^(\w+):$", attributes, flags=re.MULTILINE)
@@ -57,6 +69,11 @@ def test_retired_knobs_are_not_keywords(name):
         FederatedConfig(**{name: True})
     with pytest.raises(TypeError):
         scaled_config("office_caltech", **{name: True})
+
+
+def test_build_executor_takes_no_kernel():
+    with pytest.raises(TypeError):
+        build_executor("serial", kernel="tape")
 
 
 @pytest.mark.parametrize("value", [0, -1])
@@ -140,7 +157,6 @@ def _toggles(tmp: Path) -> dict:
         "registry_dir": dict(registry_dir=registry),
         "serve_codec": dict(serve_codec="quantize8", registry_dir=registry),
         # inert / fold rules, each of which holds in the default context
-        "kernel": dict(kernel="tape"),
         "codec": dict(codec="delta"),
         "drop_stragglers": dict(drop_stragglers=True),
         "buffer_size": dict(buffer_size=7),
@@ -202,3 +218,35 @@ class TestEffectLabels:
         resumed = _run(tiny_spec, tiny_backbone_config, relaunched)
         assert resumed._resumed_from is not None
         assert simulation_state_hash(resumed) == base_hash
+
+
+def _fingerprint_with_kernel_knob(config) -> str:
+    """``config.fingerprint()`` as computed while ``kernel`` was still a knob
+    (declared after ``dtype``, default ``"eager"``)."""
+    parts = []
+    for spec in dataclasses.fields(config):
+        if spec.metadata["effect"] == CHANGES_RESULTS:
+            parts.append((spec.name, repr(getattr(config, spec.name))))
+        if spec.name == "dtype":
+            parts.append(("kernel", repr("eager")))
+    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+
+
+def test_checkpoint_written_while_kernel_was_a_knob_refuses_to_resume(
+    tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+):
+    # FederatedConfig().fingerprint() at 93ae68d, the last commit with the knob.
+    assert _fingerprint_with_kernel_knob(FederatedConfig()) == (
+        "789c9016f4d27636ab32fe2ff6eff50d10e2d362af4aa8d007a641d23b22c6a2"
+    )
+    config = replace(
+        tiny_federated_config, rounds_per_task=1, checkpoint_every=1, checkpoint_dir=str(tmp_path)
+    )
+    _run(tiny_spec, tiny_backbone_config, config)
+    for name in os.listdir(tmp_path):
+        payload = load_checkpoint(str(tmp_path / name))
+        payload["fingerprint"] = _fingerprint_with_kernel_knob(config)
+        save_checkpoint(str(tmp_path / name), payload)
+    # The typed refusal, not a KeyError / TypeError from inside the loader.
+    with pytest.raises(CheckpointMismatchError):
+        _run(tiny_spec, tiny_backbone_config, replace(config, resume=True))

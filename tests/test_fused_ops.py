@@ -2,14 +2,12 @@
 
 Each is one primitive :class:`~repro.autograd.tape.Op` with a hand-written
 vjp.  The composed graphs they replaced live on here as the reference: the
-fused forward must agree with them to 1e-12 and the gradients to 1e-10, under
-all three interpreters of the op table (eager, plan replay / lockstep, the
-serving plane's forward-only plan).
+fused forward must agree with them to 1e-12 and the gradients to 1e-10, and
+both interpreters of the op table (eager, the serving plane's forward-only
+plan) must run them.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.autograd import Tensor, default_dtype, functional as F
 from repro.autograd.grad_check import check_gradient
-from repro.autograd.tape import Plan, Tape, tracing
+from repro.autograd.tape import Tape, tracing
 from repro.nn.module import Parameter
 
 
@@ -217,11 +215,10 @@ class TestGradCheck:
 
 
 # --------------------------------------------------------------------------- #
-# One step that uses all five ops, for the plan / lockstep / serving checks
+# One step that uses all five ops, for the tape and serving checks
 # --------------------------------------------------------------------------- #
 N, TOKENS, DIM, CLASSES = 4, 3, 6, 5
-#: a shared (never stacked, never trained) projection, so the batched step
-#: also exercises an unbatched input of a fused op
+#: a shared, never trained projection
 FROZEN = Tensor(np.random.default_rng(99).standard_normal((DIM, DIM)) * 0.3)
 
 
@@ -252,132 +249,18 @@ def _batches(rng, count):
     ]
 
 
-def _trace(params, x_np, labels, extra=None):
-    tape = Tape()
-    tape.register_dynamic("labels", labels)
-    with tracing(tape):
-        x = Tensor(x_np)
-        tape.mark_input("x", x)
-        if extra is not None:
-            extra(x)
-        loss = _step(params, x, labels)
-    return Plan(tape, loss)
-
-
-def _eager(params, x_np, labels):
-    for p in params.values():
-        p.zero_grad()
-    loss = _step(params, Tensor(x_np), labels)
-    loss.backward()
-    return loss.data, {name: p.grad.copy() for name, p in params.items()}
-
-
-class TestPlanReplay:
+class TestTapeRecords:
     def test_all_five_ops_are_on_the_tape_as_single_records(self):
         rng = np.random.default_rng(10)
-        plan = _trace(_params(rng), *_batches(rng, 1)[0])
-        names = [rec.op.name for rec in plan.records]
+        x_np, labels = _batches(rng, 1)[0]
+        tape = Tape()
+        with tracing(tape):
+            _step(_params(rng), Tensor(x_np), labels)
+        names = [rec.op.name for rec in tape.records]
         assert names.count("linear") == 3
         assert names.count("layer_norm") == 3
         assert names.count("softmax") == 2
         assert names.count("gelu") == names.count("log_softmax") == 1
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_replay_bitwise_equals_eager_after_four_replays(self, dtype):
-        with default_dtype(dtype):
-            rng = np.random.default_rng(11)
-            params = _params(rng)
-            batches = _batches(rng, 5)
-            plan = _trace(params, *batches[0])
-            for x_np, labels in batches[1:]:
-                x_np = x_np.astype(dtype)
-                eager_loss, eager_grads = _eager(params, x_np, labels)
-                loss_value, leaf_grads = plan.execute({"x": x_np, "labels": labels})
-                assert np.array_equal(loss_value, eager_loss)
-                for name, param in params.items():
-                    replayed = plan.grad_for(param, leaf_grads)
-                    assert np.array_equal(replayed, eager_grads[name]), name
-                    assert replayed.dtype == np.dtype(dtype)
-
-    def test_dead_fused_outputs_are_dropped_without_moving_a_bit(self):
-        # Metrics-only uses of each op: dead code to the loss, so the replay
-        # drops them — and must still reproduce eager exactly.
-        def metrics(x):
-            probs = F.softmax(F.linear(F.gelu(x), FROZEN), axis=1)
-            F.log_softmax(F.layer_norm(probs), axis=-1).sum()
-
-        rng = np.random.default_rng(12)
-        params = _params(rng)
-        batches = _batches(rng, 5)
-        plan = _trace(params, *batches[0], extra=metrics)
-        dropped = {plan.records[i].op.name for i in plan.opt.dropped}
-        assert {"gelu", "linear", "softmax", "layer_norm", "log_softmax"} <= dropped
-        for x_np, labels in batches[1:]:
-            eager_loss, eager_grads = _eager(params, x_np, labels)
-            loss_value, leaf_grads = plan.execute({"x": x_np, "labels": labels})
-            assert np.array_equal(loss_value, eager_loss)
-            for name, param in params.items():
-                assert np.array_equal(plan.grad_for(param, leaf_grads), eager_grads[name])
-
-
-class TestLockstep:
-    def test_three_client_stacked_step_matches_each_clients_eager_step(self):
-        k = 3
-        rng = np.random.default_rng(13)
-        clients = [_params(rng) for _ in range(k)]
-        template = {name: Parameter(p.data.copy()) for name, p in clients[0].items()}
-        plan = _trace(template, *_batches(rng, 1)[0])
-        slot_of = {id(p): slot for slot, p in plan.param_leaves}
-        plan.prepare_batched(list(slot_of.values()))  # PlanNotBatchable would be a fallback
-        stacks = {
-            slot_of[id(template[name])]: np.stack([c[name].data for c in clients])
-            for name in template
-        }
-        steps = [_batches(rng, 2) for _ in range(k)]
-        for step in range(2):
-            bindings = {
-                "x": np.stack([steps[i][step][0] for i in range(k)]),
-                "labels": np.stack([steps[i][step][1] for i in range(k)]),
-            }
-            loss_vec, leaf_grads = plan.execute_batched(k, bindings, stacks)
-            assert loss_vec.shape == (k,)
-            for i, params in enumerate(clients):
-                eager_loss, eager_grads = _eager(params, *steps[i][step])
-                np.testing.assert_allclose(loss_vec[i], eager_loss, rtol=0, atol=1e-12)
-                for name in params:
-                    stacked = leaf_grads[slot_of[id(template[name])]]
-                    assert stacked.shape == (k,) + params[name].shape
-                    np.testing.assert_allclose(
-                        stacked[i], eager_grads[name], rtol=0, atol=1e-12, err_msg=name
-                    )
-
-    def test_batched_kernel_runs_the_backbone_in_lockstep(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        # The real model (attention block = all five ops) through the lockstep
-        # engine: clients must be stacked, not fall back per client.
-        from repro.baselines.registry import build_method
-        from repro.continual import DomainIncrementalScenario
-        from repro.datasets import SyntheticDomainDataset
-        from repro.federated import FederatedDomainIncrementalSimulation
-
-        # Several selected clients share a shard size, so groups of >= 2 form.
-        wide = replace(
-            tiny_federated_config,
-            clients_per_round=3,
-            increment=replace(tiny_federated_config.increment, initial_clients=6),
-        )
-        losses = {}
-        for kernel in ("eager", "batched"):
-            scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-            method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
-            with FederatedDomainIncrementalSimulation(
-                scenario, method, replace(wide, kernel=kernel)
-            ) as simulation:
-                losses[kernel] = simulation.run().round_losses
-        assert simulation.executor.telemetry.lockstep_clients > 0
-        for a, b in zip(losses["eager"], losses["batched"]):
-            assert a == pytest.approx(b, abs=1e-9)
 
 
 class TestServingForwardPlan:

@@ -168,42 +168,3 @@ class TestClipFrozenParams:
         frozen.grad = np.array([7.0])
         opt.step()
         assert frozen.grad[0] == pytest.approx(7.0)
-
-
-class TestBatchedSGD:
-    """The lockstep optimizer must track K independent eager SGDs."""
-
-    def _run_pair(self, **kwargs):
-        from repro.nn.optim import BatchedSGD
-
-        rng = np.random.default_rng(11)
-        k, shape = 3, (4, 2)
-        init = rng.standard_normal((k,) + shape)
-        grads_per_step = [rng.standard_normal((k,) + shape) for _ in range(4)]
-
-        eager_params = [Parameter(init[i].copy()) for i in range(k)]
-        eager_opts = [SGD([p], lr=0.1, **kwargs) for p in eager_params]
-        for grads in grads_per_step:
-            for i, (p, opt) in enumerate(zip(eager_params, eager_opts)):
-                p.grad = grads[i].copy()
-                opt.step()
-
-        stacks = {0: init.copy()}
-        batched = BatchedSGD(k, lr=0.1, **kwargs)
-        for grads in grads_per_step:
-            batched.step(stacks, {0: grads.copy()})
-
-        stacked_eager = np.stack([p.data for p in eager_params])
-        return stacked_eager, stacks[0]
-
-    def test_plain_sgd_parity_is_exact(self):
-        eager, batched = self._run_pair()
-        assert np.array_equal(eager, batched)
-
-    def test_momentum_weight_decay_parity(self):
-        eager, batched = self._run_pair(momentum=0.9, weight_decay=0.01, nesterov=True)
-        assert np.allclose(eager, batched, atol=1e-12)
-
-    def test_clip_parity_per_client(self):
-        eager, batched = self._run_pair(max_grad_norm=0.5)
-        assert np.allclose(eager, batched, atol=1e-12)

@@ -19,7 +19,7 @@ The plane's contract comes in three layers, each with its own guarantees:
   does not know.
 
 The satellites live here too: ``checkpoint_keep`` retention (shared last-K
-policy), thread-local kernel-plane state (tracing/no-grad/dtype must not
+policy), thread-local autograd state (tracing/no-grad/dtype must not
 bleed between the training thread and serving workers), and the serving
 knobs' config validation, fingerprint masking and run-cache folding.
 """
@@ -471,6 +471,47 @@ class TestServingFrontEnd:
         assert all(response.version == 1 for response in responses)
         assert all(response.latency >= 0.0 for response in responses)
 
+    def test_two_workers_share_a_one_plan_cache_bit_identically(
+        self, tmp_path, tiny_backbone_config, rng
+    ):
+        """More batch shapes than cache slots, two threads: each worker's insert
+        evicts the other's plan mid-lookup (the ``PlanCache`` race), and every
+        batch must still equal direct evaluation of that exact batch."""
+        method = _method(tiny_backbone_config)
+        registry = ModelRegistry(str(tmp_path))
+        _publish_model(registry, method)
+        engine = InferenceEngine(registry, method, kernel="tape", plan_cache_size=1)
+        engine.install()
+        served = []
+        predict = engine.predict
+
+        def recording_predict(images):
+            batch = predict(images)
+            served.append((images, batch.logits))  # list.append is atomic
+            return batch
+
+        engine.predict = recording_predict
+        size = tiny_backbone_config.image_size
+        with ServingFrontEnd(engine, max_batch=4, max_wait=0.02, num_workers=2) as frontend:
+            for burst in (1, 4, 2, 3, 1, 4, 3, 2) * 3:  # bursts batch together: mixed shapes
+                futures = [
+                    frontend.submit(rng.uniform(-1.0, 1.0, size=(3, size, size)))
+                    for _ in range(burst)
+                ]
+                for future in futures:
+                    future.result(timeout=30)
+        assert frontend.telemetry()["rejected"] == 0
+        assert sum(len(images) for images, _ in served) == 60
+        assert len({len(images) for images, _ in served}) >= 2
+        assert engine._snapshot.plans.evictions > 0
+        model = method.build_model()
+        model.load_state_dict(registry.load(1, method.payload_codec()).state)
+        model.eval()
+        with no_grad():
+            for images, logits in served:
+                direct = np.asarray(method.predict_logits(model, Tensor(images)).data)
+                np.testing.assert_array_equal(logits, direct)
+
     def test_hot_swap_under_load_drops_nothing(self, tmp_path, tiny_backbone_config, rng):
         """Concurrent publisher + clients: zero drops, only manifest versions."""
         method = _method(tiny_backbone_config)
@@ -533,7 +574,7 @@ class TestServingFrontEnd:
 
 
 # --------------------------------------------------------------------------- #
-# Thread-local kernel-plane state (the serving plane's enabling fix)
+# Thread-local autograd state (the serving plane's enabling fix)
 # --------------------------------------------------------------------------- #
 
 class TestThreadLocalKernelState:
