@@ -19,11 +19,19 @@ their accuracy delta next to their compression ratio — the trade the
 constrained-device scenario family is about.  A bandwidth-constrained
 straggler run (per-client budgets, drop mode) is recorded alongside.
 
+Beside the bytes, each codec's ``encode_frame`` + ``decode_frame`` time on one
+``small``-scale RefFiL upload (model state plus a prompt group, the message
+the e2e ``server_fanin`` workload moves) is recorded as ``round_trip_ms`` —
+the per-message cost the columnar frame format exists to keep per-element.
+
 Everything lands in the append-only ``comm_plane`` section of
 ``BENCH_round.json``.
 """
 
 from __future__ import annotations
+
+import statistics
+import time
 
 import numpy as np
 
@@ -31,10 +39,13 @@ from conftest import run_once  # noqa: F401  (bench suite convention)
 from repro.continual.scenario import DomainIncrementalScenario
 from repro.core import RefFiLConfig, RefFiLMethod
 from repro.datasets.registry import build_dataset, get_dataset_spec
+from repro.experiments import ExperimentScale, scaled_config
 from repro.federated.client import LocalTrainingConfig
+from repro.federated.communication import build_codec, decode_frame, encode_frame
 from repro.federated.config import FederatedConfig
 from repro.federated.increment import ClientIncrementConfig
 from repro.federated.simulation import FederatedDomainIncrementalSimulation
+from repro.federated.transport import _flatten_message
 from repro.models.backbone import BackboneConfig
 
 NUM_CLIENTS = 4
@@ -68,6 +79,37 @@ def _build_simulation(**federated_overrides) -> FederatedDomainIncrementalSimula
     return FederatedDomainIncrementalSimulation(scenario, method, config)
 
 
+def _round_trip_ms(repeats: int = 30) -> dict:
+    """Median ms of one encode_frame + decode_frame per codec on a ``small`` RefFiL upload."""
+    backbone = scaled_config("office_caltech", ExperimentScale.SMALL).backbone
+    method = RefFiLMethod(RefFiLConfig(backbone=backbone, max_tasks=1))
+    rng = np.random.default_rng(0)
+    reference = method.build_model().state_dict()
+    state = {
+        key: value + 0.01 * rng.standard_normal(value.shape) if value.dtype.kind == "f" else value
+        for key, value in reference.items()
+    }
+    groups = {
+        str(label): rng.standard_normal(backbone.embed_dim)
+        for label in range(backbone.num_classes)
+    }
+    payload_codec = method.payload_codec()
+    message, _ = _flatten_message(state, {"prompt_groups": groups}, payload_codec)
+    base, _ = _flatten_message(reference, {"prompt_groups": groups}, payload_codec)
+    timings = {}
+    for spec in CODECS:
+        codec = build_codec(spec)
+        samples = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            decode_frame(encode_frame("upload", codec, message, None, base), codec, base)
+            samples.append((time.perf_counter() - start) * 1e3)
+        timings[spec] = statistics.median(samples)
+    timings["arrays"] = len(message)
+    timings["elements"] = int(sum(value.size for value in message.values()))
+    return timings
+
+
 def test_comm_plane_codecs(bench_record):
     per_codec = {}
     for codec in CODECS:
@@ -88,6 +130,11 @@ def test_comm_plane_codecs(bench_record):
             "matrix": result.metrics.matrix,
             "round_losses": result.round_losses,
         }
+
+    # Timed after the runs above: in a fresh interpreter glibc serves every
+    # message-sized temporary from mmap and the same code measures ~2x slower
+    # than in a process whose heap has grown, as a server's has.
+    round_trip_ms = _round_trip_ms()
 
     identity = per_codec["identity"]
     for codec, stats in per_codec.items():
@@ -130,6 +177,7 @@ def test_comm_plane_codecs(bench_record):
                 for codec, stats in per_codec.items()
             },
             "lossless_parity": True,
+            "round_trip_ms_small_message": round_trip_ms,
             "straggler_scenario": {
                 "bandwidth_limit": frame,
                 "dropped_uploads": straggler.communication.dropped_uploads,
@@ -150,6 +198,9 @@ def test_comm_plane_codecs(bench_record):
               f"({stats['broadcast_compression_x']:5.2f}x)  "
               f"avg {stats['avg_accuracy']:.4f} "
               f"({stats['accuracy_delta_vs_identity']:+.4f})")
+    print("  encode+decode of one small RefFiL upload "
+          f"({round_trip_ms['arrays']} arrays, {round_trip_ms['elements']} elements): "
+          + ", ".join(f"{codec} {round_trip_ms[codec]:.2f} ms" for codec in CODECS))
     print(f"  stragglers : budget {frame} B/client -> "
           f"{straggler.communication.dropped_uploads} uploads dropped, "
           f"avg {straggler.metrics.average:.4f}")

@@ -352,7 +352,9 @@ class TreeReduceBackend(ReduceBackend):
             return arrays, weight
         records.append(FrameRecord(node_index, frame.num_bytes))
         self.last_edge_frames += 1
-        decoded, received_meta = decode_frame(frame, self.codec)
+        decoded, received_meta = decode_frame(
+            frame, self.codec, direction="edge", round_index=(coordinate, level, node_index)
+        )
         return decoded, float(received_meta["weight"])
 
     def collect_penalty(self) -> float:

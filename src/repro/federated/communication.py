@@ -6,13 +6,18 @@ quantity here — not an ``nbytes`` estimate but the length of the encoded
 frame that would actually cross the wire.  The pieces fit together like
 this (the transports in :mod:`repro.federated.transport` drive them):
 
-* a :class:`WireFrame` is one encoded message (server→client broadcast or
-  client→server upload); ``num_bytes`` is its measured size;
+* a :class:`WireFrame` is one encoded message (server→client broadcast,
+  client→server upload, edge→parent partial); ``num_bytes`` is its measured
+  size;
 * an :class:`ArrayCodec` turns a flat ``name -> ndarray`` dict into the
-  frame body and back — ``identity`` (raw pickle, today's semantics),
-  ``delta`` (sparse lossless diff against a reference), ``quantize8`` /
-  ``quantize16`` (uniform per-tensor quantization) and ``topk``
-  (magnitude sparsification of the diff, upload-only);
+  frame body and back.  Every plan is *columnar* — one ``(name, dtype,
+  shape)`` table plus a few flat columns — so a message costs per element
+  and per dtype, never per array (a RefFiL upload is 88 arrays with a median
+  of 24 elements): ``identity`` ships one raw column per dtype,
+  ``quantize8`` / ``quantize16`` one ``codes`` column and a ``lo`` / ``scale``
+  entry per tensor, ``delta`` (lossless diff against a reference) and
+  ``topk`` (magnitude sparsification of the diff, upload-only) one index
+  column and the selected values;
 * a :class:`PayloadCodec` flattens a method's structured payload (e.g.
   RefFiL's per-class prompt groups) into named arrays so the array codec
   applies to prompts exactly as it does to model weights, instead of the
@@ -23,11 +28,13 @@ this (the transports in :mod:`repro.federated.transport` drive them):
 Lossless codecs (``identity``, ``delta``) round-trip every array
 bit-exactly — the property-test suite enforces it over all dtypes and
 shapes — so simulations run through them produce accuracy matrices
-identical to runs without any wire format at all.
+identical to runs without any wire format at all.  Only the ``(meta,
+plan)`` envelope passes through pickle, never an array at a time.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import zlib
 from dataclasses import dataclass, field
@@ -102,6 +109,50 @@ class WireFrame:
         return self.checksum is None or zlib.crc32(self.body) == self.checksum
 
 
+class TransportError(RuntimeError):
+    """A frame-level transport failure, carrying the frame's coordinates.
+
+    The bare ``ValueError`` the codecs raise on a malformed frame says
+    nothing about *whose* frame failed *where*; retry and drop policies (and
+    the tests discriminating corruption from budget drops) need the
+    coordinates, so every decode/verify failure surfaces as a subclass of
+    this carrying ``(client_id, direction, task_id, round_index)``.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        client_id: Optional[int] = None,
+        direction: Optional[str] = None,
+        task_id: Optional[int] = None,
+        round_index: Optional[Any] = None,
+    ) -> None:
+        context = ", ".join(
+            f"{name}={value!r}"
+            for name, value in (
+                ("client_id", client_id),
+                ("direction", direction),
+                ("task_id", task_id),
+                ("round_index", round_index),
+            )
+            if value is not None
+        )
+        super().__init__(f"{message} [{context}]" if context else message)
+        self.client_id = client_id
+        self.direction = direction
+        self.task_id = task_id
+        self.round_index = round_index
+
+
+class FrameCorruptionError(TransportError):
+    """A frame's body failed its checksum: corrupted in transit."""
+
+
+class FrameDecodeError(TransportError):
+    """A checksum-clean frame could not be decoded back into arrays."""
+
+
 def encode_frame(
     kind: str,
     codec: "ArrayCodec",
@@ -119,10 +170,25 @@ def decode_frame(
     frame: WireFrame,
     codec: "ArrayCodec",
     reference: Optional[Dict[str, np.ndarray]] = None,
+    **coordinates: Any,
 ) -> Tuple[Dict[str, np.ndarray], Any]:
-    """Inverse of :func:`encode_frame`: returns ``(arrays, meta)``."""
-    meta, plan = pickle.loads(frame.body)
-    return codec.decode(plan, reference), meta
+    """Inverse of :func:`encode_frame`: returns ``(arrays, meta)``.
+
+    Whatever the unpickler or the codec raises on a malformed body surfaces
+    as :class:`FrameDecodeError` carrying ``coordinates`` (the
+    :class:`TransportError` keywords of the frame being decoded).
+    """
+    try:
+        meta, plan = pickle.loads(frame.body)
+        return codec.decode(plan, reference), meta
+    except (
+        ValueError, KeyError, TypeError, IndexError, EOFError, pickle.UnpicklingError
+    ) as error:
+        raise FrameDecodeError(
+            f"failed to decode {frame.kind} frame ({frame.num_bytes} bytes, "
+            f"codec {frame.codec!r}): {error}",
+            **coordinates,
+        ) from error
 
 
 # --------------------------------------------------------------------------- #
@@ -130,11 +196,75 @@ def decode_frame(
 # --------------------------------------------------------------------------- #
 
 
+#: One row per array of a message, in message order: ``(name, dtype.str, shape)``.
+Table = List[Tuple[str, str, Tuple[int, ...]]]
+
+
+def _float_segments(table: Table) -> Dict[str, np.ndarray]:
+    """Per float dtype of the table, the element counts of its non-empty arrays."""
+    sizes: Dict[str, List[int]] = {}
+    for _, dtype, shape in table:
+        sizes.setdefault(dtype, []).append(math.prod(shape))
+    return {
+        dtype: np.asarray([count for count in counts if count], dtype=np.int64)
+        for dtype, counts in sizes.items()
+        if np.dtype(dtype).kind == "f"
+    }
+
+
+def _pack(arrays: Dict[str, np.ndarray]) -> Tuple[Table, Dict[str, np.ndarray]]:
+    """A message as its table plus one flat column per dtype (keyed by ``dtype.str``)."""
+    table: Table = []
+    chunks: Dict[str, List[np.ndarray]] = {}
+    for name, value in arrays.items():
+        value = np.asarray(value)
+        dtype = value.dtype.str
+        table.append((name, dtype, value.shape))
+        chunks.setdefault(dtype, []).append(value)
+    return table, {dtype: np.concatenate(parts, axis=None) for dtype, parts in chunks.items()}
+
+
+class _ColumnReader:
+    """Hands out consecutive slices of named columns.  NumPy slices past a
+    buffer's end without complaint and ignores one that is too long, so
+    :meth:`finish` raises ``ValueError`` unless every column was used up exactly."""
+
+    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+        self.columns = columns
+        self.offsets = dict.fromkeys(columns, 0)
+
+    def take(self, key: str, count: int) -> np.ndarray:
+        start = self.offsets[key]
+        self.offsets[key] = start + count
+        return self.columns[key][start : start + count]
+
+    def finish(self) -> None:
+        for key, stop in self.offsets.items():
+            if stop != len(self.columns[key]):
+                raise ValueError(
+                    f"column {key!r} holds {len(self.columns[key])} elements, "
+                    f"the table accounts for {stop}"
+                )
+
+
+def _unpack(table: Table, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`_pack`; every array is a view of its dtype's column."""
+    reader = _ColumnReader(columns)
+    arrays = {}
+    for name, dtype, shape in table:
+        arrays[name] = reader.take(dtype, math.prod(shape)).reshape(shape)
+    reader.finish()
+    return arrays
+
+
 class ArrayCodec:
     """Strategy turning a flat ``name -> ndarray`` dict into frame bodies.
 
-    ``encode`` produces a picklable *plan* (the frame body is its pickle);
-    ``decode`` inverts it.  ``reference`` is the receiver's copy of the last
+    ``encode`` produces a picklable *plan* (the frame body is its pickle),
+    for every codec a ``(table, columns)`` pair: the message's ``(name,
+    dtype, shape)`` rows and O(dtypes) flat arrays; ``decode`` inverts it and
+    raises ``ValueError`` when the columns do not add up to the table.
+    ``reference`` is the receiver's copy of the last
     message it acknowledged — codecs with ``uses_reference`` encode against
     it (and the decoder must be handed the *same* reference).  Codecs with
     ``lossless`` round-trip bit-exactly; lossy codecs preserve shape and
@@ -161,16 +291,87 @@ class ArrayCodec:
 
 
 class IdentityCodec(ArrayCodec):
-    """Raw pickle of the arrays — today's semantics, bit-exact by construction."""
+    """The table and one raw column per dtype; decodes to views, bit-exact."""
 
     name = "identity"
     lossless = True
 
     def encode(self, arrays, reference=None):
-        return {key: np.asarray(value) for key, value in arrays.items()}
+        return _pack(arrays)
 
     def decode(self, plan, reference=None):
-        return {key: np.asarray(value) for key, value in plan.items()}
+        return _unpack(*plan)
+
+
+class QuantizeCodec(ArrayCodec):
+    """Uniform per-tensor quantization of float arrays to ``bits``-bit integers.
+
+    Each float dtype's column ships as one integer ``codes`` column plus a
+    ``lo`` and a ``scale`` entry per non-empty tensor.  ``scale > 0`` marks a
+    quantized tensor, ``scale == 0`` a constant one (``lo`` is all of it), a
+    NaN ``scale`` one with non-finite values — quantizing a NaN/inf range is
+    meaningless — whose elements stay, raw, in the dtype's own column, as
+    non-float columns (labels, counters, masks) do.  Decoding maps codes back
+    to ``lo + code * scale`` in the original dtype, so shapes and dtypes are
+    preserved while values lose precision (the accuracy delta the bench
+    reports).  Per element the arithmetic is a per-tensor loop's: subtract and
+    divide in the value dtype, rebuild in float64.
+    """
+
+    lossless = False
+
+    def __init__(self, bits: int) -> None:
+        if bits not in (8, 16):
+            raise ValueError(f"quantization supports 8 or 16 bits, got {bits}")
+        self.bits = bits
+        self.name = f"quantize{bits}"
+        self._qdtype = np.uint8 if bits == 8 else np.uint16
+        self._levels = (1 << bits) - 1
+
+    def encode(self, arrays, reference=None):
+        table, columns = _pack(arrays)
+        for dtype, sizes in _float_segments(table).items():
+            column, starts = columns[dtype], np.cumsum(sizes) - sizes
+            # min / max propagate NaN, so a non-finite tensor has a non-finite
+            # range (as has one whose range overflows): it ships raw.
+            lo = np.minimum.reduceat(column, starts).astype(np.float64)
+            hi = np.maximum.reduceat(column, starts).astype(np.float64)
+            with np.errstate(invalid="ignore", over="ignore"):
+                scale = (hi - lo) / self._levels
+            scale[~np.isfinite(scale)] = np.nan
+            coded = scale > 0
+            width = sizes[coded]
+            work = np.repeat(lo[coded].astype(column.dtype), width)
+            np.subtract(column[np.repeat(coded, sizes)], work, out=work)
+            work /= np.repeat(scale[coded].astype(column.dtype), width)
+            columns[dtype] = column[np.repeat(np.isnan(scale), sizes)]
+            columns[dtype + "/codes"] = np.rint(work, out=work).astype(self._qdtype)
+            columns[dtype + "/lo"], columns[dtype + "/scale"] = lo, scale
+        return table, columns
+
+    def decode(self, plan, reference=None):
+        table, columns = plan
+        columns = dict(columns)
+        for dtype, sizes in _float_segments(table).items():
+            codes, lo, scale = (columns.pop(f"{dtype}/{part}") for part in ("codes", "lo", "scale"))
+            raw = columns[dtype]
+            if not len(lo) == len(scale) == len(sizes):
+                raise ValueError(f"{len(lo)} lo / {len(scale)} scale entries for {len(sizes)} tensors")
+            coded, dense = scale > 0, np.isnan(scale)
+            width = sizes[coded]
+            if len(codes) != width.sum() or len(raw) != sizes[dense].sum():
+                raise ValueError(
+                    f"{len(codes)} codes + {len(raw)} raw {dtype!r} elements for "
+                    f"{width.sum()} + {sizes[dense].sum()} in the table"
+                )
+            values = codes.astype(np.float64)
+            values *= np.repeat(scale[coded], width)
+            values += np.repeat(lo[coded], width)
+            column = np.repeat(lo.astype(dtype), sizes)  # constant tensors are done
+            column[np.repeat(coded, sizes)] = values
+            column[np.repeat(dense, sizes)] = raw
+            columns[dtype] = column
+        return _unpack(table, columns)
 
 
 def _compatible(reference: Optional[Dict[str, np.ndarray]], key: str, value: np.ndarray):
@@ -186,132 +387,90 @@ def _compatible(reference: Optional[Dict[str, np.ndarray]], key: str, value: np.
     return base
 
 
-def _index_dtype(size: int) -> np.dtype:
-    return np.dtype(np.int32) if size < 2**31 else np.dtype(np.int64)
+class _DiffCodec(ArrayCodec):
+    """Shared plan of the codecs that encode against the receiver's reference.
+
+    Per array the encoder ships either all of it or the values at a few
+    positions (:meth:`_select` decides; it is the one per-array step): the
+    ``counts`` column holds -1 for "whole" and the number of positions
+    otherwise (0: unchanged), every array's positions share the one
+    ``indices`` column and what ships of each dtype shares that dtype's
+    column.  Without a compatible reference an array ships whole.
+    """
+
+    uses_reference = True
+
+    def _select(self, new: np.ndarray, old: np.ndarray) -> Optional[np.ndarray]:
+        """Sorted flat positions of ``new`` to ship; None ships the array whole."""
+        raise NotImplementedError
+
+    def encode(self, arrays, reference=None):
+        table: Table = []
+        counts: List[int] = []
+        indices: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        chunks: Dict[str, List[np.ndarray]] = {}
+        for name, value in arrays.items():
+            value = np.asarray(value)
+            flat = value.reshape(-1)
+            base = _compatible(reference, name, value)
+            kept = None if base is None or value.size == 0 else self._select(flat, base.reshape(-1))
+            if kept is not None:
+                indices.append(kept)
+                flat = flat[kept]
+            dtype = value.dtype.str
+            table.append((name, dtype, value.shape))
+            counts.append(-1 if kept is None else kept.size)
+            chunks.setdefault(dtype, []).append(flat)
+        columns = {dtype: np.concatenate(parts) for dtype, parts in chunks.items()}
+        columns["counts"] = np.asarray(counts, dtype=np.int64)
+        positions = np.concatenate(indices)
+        columns["indices"] = positions.astype(np.min_scalar_type(positions.max(initial=0)))
+        return table, columns
+
+    def decode(self, plan, reference=None):
+        table, columns = plan
+        reader = _ColumnReader(columns)
+        arrays: Dict[str, np.ndarray] = {}
+        for (name, dtype, shape), count in zip(table, reader.take("counts", len(table)).tolist()):
+            if count < 0:
+                arrays[name] = reader.take(dtype, math.prod(shape)).reshape(shape)
+                continue
+            if reference is None or name not in reference:
+                raise ValueError(
+                    f"{self.name} frame encodes {name!r} against a reference the decoder lacks"
+                )
+            flat = np.array(reference[name], copy=True).reshape(-1)
+            flat[reader.take("indices", count)] = reader.take(dtype, count)
+            arrays[name] = flat.reshape(shape)
+        reader.finish()
+        return arrays
 
 
-class DeltaCodec(ArrayCodec):
+class DeltaCodec(_DiffCodec):
     """Lossless sparse diff against the last acknowledged message.
 
-    Per array: ``same`` when nothing changed, a ``(indices, values)`` pair of
-    the changed positions when few changed, and a dense fallback when the
-    reference is missing/incompatible or when more than half the elements
-    changed (indices would cost more than the array).  Changed values are
-    shipped verbatim — NaNs compare unequal to themselves, so they always
-    ship and the round-trip stays bit-exact.
+    An array ships its changed positions, or whole when more than half the
+    elements changed (indices would cost more than the array).  Changed
+    values are shipped verbatim — NaNs compare unequal to themselves, so they
+    always ship and the round-trip stays bit-exact.
     """
 
     name = "delta"
     lossless = True
-    uses_reference = True
     _DENSE_FRACTION = 0.5
 
-    def encode(self, arrays, reference=None):
-        plan: Dict[str, tuple] = {}
-        for key, value in arrays.items():
-            value = np.asarray(value)
-            base = _compatible(reference, key, value)
-            if base is None or value.size == 0:
-                plan[key] = ("dense", value)
-                continue
-            flat_new = value.reshape(-1)
-            flat_old = base.reshape(-1)
-            changed = np.flatnonzero(~(flat_new == flat_old))
-            if changed.size == 0:
-                plan[key] = ("same",)
-            elif changed.size > self._DENSE_FRACTION * value.size:
-                plan[key] = ("dense", value)
-            else:
-                indices = changed.astype(_index_dtype(value.size))
-                plan[key] = ("sparse", value.shape, indices, flat_new[changed].copy())
-        return plan
-
-    def decode(self, plan, reference=None):
-        arrays: Dict[str, np.ndarray] = {}
-        for key, record in plan.items():
-            mode = record[0]
-            if mode == "dense":
-                arrays[key] = np.asarray(record[1])
-            elif mode == "same":
-                if reference is None or key not in reference:
-                    raise ValueError(
-                        f"delta frame marks {key!r} unchanged but the decoder has no reference"
-                    )
-                arrays[key] = np.array(reference[key], copy=True)
-            else:  # sparse
-                _, shape, indices, values = record
-                if reference is None or key not in reference:
-                    raise ValueError(
-                        f"delta frame is sparse for {key!r} but the decoder has no reference"
-                    )
-                flat = np.array(reference[key], copy=True).reshape(-1)
-                flat[indices] = values
-                arrays[key] = flat.reshape(shape)
-        return arrays
+    def _select(self, new, old):
+        changed = np.flatnonzero(~(new == old))
+        return None if changed.size > self._DENSE_FRACTION * new.size else changed
 
 
-class QuantizeCodec(ArrayCodec):
-    """Uniform per-tensor quantization of float arrays to ``bits``-bit integers.
-
-    Each float array ships as ``(lo, scale, integer codes)``; non-float
-    arrays (labels, counters, masks) and arrays containing non-finite values
-    ship dense — quantizing a NaN/inf range is meaningless.  Decoding maps
-    codes back to ``lo + code * scale`` in the original dtype, so shapes and
-    dtypes are preserved while values lose precision (the accuracy delta the
-    bench reports).
-    """
-
-    lossless = False
-
-    def __init__(self, bits: int) -> None:
-        if bits not in (8, 16):
-            raise ValueError(f"quantization supports 8 or 16 bits, got {bits}")
-        self.bits = bits
-        self.name = f"quantize{bits}"
-        self._qdtype = np.uint8 if bits == 8 else np.uint16
-        self._levels = (1 << bits) - 1
-
-    def encode(self, arrays, reference=None):
-        plan: Dict[str, tuple] = {}
-        for key, value in arrays.items():
-            value = np.asarray(value)
-            if value.dtype.kind != "f" or value.size == 0 or not np.isfinite(value).all():
-                plan[key] = ("dense", value)
-                continue
-            lo = float(value.min())
-            hi = float(value.max())
-            if hi == lo:
-                plan[key] = ("const", str(value.dtype), value.shape, lo)
-                continue
-            scale = (hi - lo) / self._levels
-            codes = np.rint((value - lo) / scale).astype(self._qdtype)
-            plan[key] = ("q", str(value.dtype), value.shape, lo, scale, codes)
-        return plan
-
-    def decode(self, plan, reference=None):
-        arrays: Dict[str, np.ndarray] = {}
-        for key, record in plan.items():
-            mode = record[0]
-            if mode == "dense":
-                arrays[key] = np.asarray(record[1])
-            elif mode == "const":
-                _, dtype, shape, lo = record
-                arrays[key] = np.full(shape, lo, dtype=np.dtype(dtype))
-            else:
-                _, dtype, shape, lo, scale, codes = record
-                arrays[key] = (lo + codes.astype(np.float64) * scale).astype(
-                    np.dtype(dtype)
-                ).reshape(shape)
-        return arrays
-
-
-class TopKCodec(ArrayCodec):
+class TopKCodec(_DiffCodec):
     """Magnitude sparsification of the diff against the reference (upload-only).
 
     Keeps the ``fraction`` of positions whose change from the reference is
     largest in magnitude and ships their *exact new values*; the receiver
     keeps its reference values everywhere else.  Without a reference (or for
-    non-float arrays) the array ships dense — sparsifying a message the
+    non-float arrays) the array ships whole — sparsifying a message the
     receiver has no base for would destroy it, which is also why the codec
     is not ``broadcast_safe``: transports send full ``identity`` frames
     downlink and sparsify only the uplink, as gradient-sparsification
@@ -320,7 +479,6 @@ class TopKCodec(ArrayCodec):
 
     name = "topk"
     lossless = False
-    uses_reference = True
     broadcast_safe = False
 
     def __init__(self, fraction: float = 0.1) -> None:
@@ -329,41 +487,13 @@ class TopKCodec(ArrayCodec):
         self.fraction = fraction
         self.name = "topk" if fraction == 0.1 else f"topk:{fraction:g}"
 
-    def encode(self, arrays, reference=None):
-        plan: Dict[str, tuple] = {}
-        for key, value in arrays.items():
-            value = np.asarray(value)
-            base = _compatible(reference, key, value)
-            if base is None or value.dtype.kind != "f" or value.size == 0:
-                plan[key] = ("dense", value)
-                continue
-            flat_new = value.reshape(-1)
-            diff = flat_new - base.reshape(-1)
-            k = max(1, int(np.ceil(self.fraction * value.size)))
-            if k >= value.size:
-                plan[key] = ("dense", value)
-                continue
-            kept = np.argpartition(np.abs(diff), value.size - k)[-k:]
-            kept.sort()
-            indices = kept.astype(_index_dtype(value.size))
-            plan[key] = ("sparse", value.shape, indices, flat_new[kept].copy())
-        return plan
-
-    def decode(self, plan, reference=None):
-        arrays: Dict[str, np.ndarray] = {}
-        for key, record in plan.items():
-            if record[0] == "dense":
-                arrays[key] = np.asarray(record[1])
-            else:
-                _, shape, indices, values = record
-                if reference is None or key not in reference:
-                    raise ValueError(
-                        f"topk frame is sparse for {key!r} but the decoder has no reference"
-                    )
-                flat = np.array(reference[key], copy=True).reshape(-1)
-                flat[indices] = values
-                arrays[key] = flat.reshape(shape)
-        return arrays
+    def _select(self, new, old):
+        k = max(1, int(np.ceil(self.fraction * new.size)))
+        if new.dtype.kind != "f" or k >= new.size:
+            return None
+        kept = np.argpartition(np.abs(new - old), new.size - k)[-k:]
+        kept.sort()
+        return kept
 
 
 #: Canonical codec names accepted by :func:`build_codec` (``topk`` also takes
@@ -607,6 +737,9 @@ __all__ = [
     "FrameRecord",
     "RoundCommRecord",
     "WireFrame",
+    "TransportError",
+    "FrameCorruptionError",
+    "FrameDecodeError",
     "ArrayCodec",
     "IdentityCodec",
     "DeltaCodec",

@@ -141,10 +141,13 @@ class FederatedConfig:
         "identity" if c.bandwidth_limit == 0 and codec_is_lossless(c.codec) else c.codec), doc="""
         Wire codec every broadcast and upload frame is encoded with
         (:mod:`repro.federated.transport`; bytes are *measured* frame
-        lengths): ``"identity"`` (raw pickle) and ``"delta"`` (sparse diff vs.
-        the last acknowledged broadcast) are lossless — results are
-        bit-for-bit identical to each other; ``"quantize8"`` /
-        ``"quantize16"`` (uniform per-tensor quantization) and ``"topk"`` /
+        lengths).  Every frame is columnar — one ``(name, dtype, shape)``
+        table plus a few flat columns per message, never a record per array:
+        ``"identity"`` (one raw column per dtype) and ``"delta"`` (index and
+        value columns of what changed since the last acknowledged broadcast)
+        are lossless — results are bit-for-bit identical to each other;
+        ``"quantize8"`` / ``"quantize16"`` (one integer code column, a
+        ``lo`` / ``scale`` pair per tensor) and ``"topk"`` /
         ``"topk:<fraction>"`` (upload-only magnitude sparsification) trade
         accuracy for bytes.""")
     bandwidth_limit: int = knob(0, minimum=0, doc="""

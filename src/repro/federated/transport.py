@@ -47,7 +47,6 @@ recorded ``deferred``.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -57,10 +56,13 @@ from repro.federated.communication import (
     ArrayCodec,
     ClientUpdate,
     CommunicationLedger,
+    FrameCorruptionError,
+    FrameDecodeError,
     FrameRecord,
     IdentityCodec,
     PayloadCodec,
     RoundCommRecord,
+    TransportError,
     TreePayloadCodec,
     WireFrame,
     build_codec,
@@ -75,66 +77,12 @@ _STATE_PREFIX = "s::"
 _PAYLOAD_PREFIX = "p::"
 
 
-class TransportError(RuntimeError):
-    """A frame-level transport failure, carrying the frame's coordinates.
-
-    The bare ``ValueError`` the codecs raise on a malformed frame says
-    nothing about *whose* frame failed *where*; retry and drop policies (and
-    the tests discriminating corruption from budget drops) need the
-    coordinates, so every decode/verify failure surfaces as a subclass of
-    this carrying ``(client_id, direction, task_id, round_index)``.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        client_id: Optional[int] = None,
-        direction: Optional[str] = None,
-        task_id: Optional[int] = None,
-        round_index: Optional[Any] = None,
-    ) -> None:
-        context = ", ".join(
-            f"{name}={value!r}"
-            for name, value in (
-                ("client_id", client_id),
-                ("direction", direction),
-                ("task_id", task_id),
-                ("round_index", round_index),
-            )
-            if value is not None
-        )
-        super().__init__(f"{message} [{context}]" if context else message)
-        self.client_id = client_id
-        self.direction = direction
-        self.task_id = task_id
-        self.round_index = round_index
-
-
-class FrameCorruptionError(TransportError):
-    """A frame's body failed its checksum: corrupted in transit."""
-
-
-class FrameDecodeError(TransportError):
-    """A checksum-clean frame could not be decoded back into arrays."""
-
-
-def verify_frame(
-    frame: WireFrame,
-    *,
-    client_id: Optional[int] = None,
-    direction: Optional[str] = None,
-    task_id: Optional[int] = None,
-    round_index: Optional[Any] = None,
-) -> None:
-    """Raise :class:`FrameCorruptionError` when the frame fails its checksum."""
+def verify_frame(frame: WireFrame, **coordinates: Any) -> None:
+    """Raise :class:`FrameCorruptionError` (at ``coordinates``) when the frame fails its checksum."""
     if not frame.checksum_ok():
         raise FrameCorruptionError(
             f"{frame.kind} frame failed its CRC32 checksum ({frame.num_bytes} bytes)",
-            client_id=client_id,
-            direction=direction,
-            task_id=task_id,
-            round_index=round_index,
+            **coordinates,
         )
 
 
@@ -160,8 +108,10 @@ def _split_message(
         for key, value in arrays.items()
         if key.startswith(_STATE_PREFIX)
     }
+    # Decoded arrays are views of a message-sized column; what a server keeps
+    # of an upload (the payload) is copied out so it cannot pin that buffer.
     payload_arrays = {
-        key[len(_PAYLOAD_PREFIX):]: value
+        key[len(_PAYLOAD_PREFIX):]: np.array(value)
         for key, value in arrays.items()
         if key.startswith(_PAYLOAD_PREFIX)
     }
@@ -310,22 +260,14 @@ class LoopbackTransport:
                 frame = encode_frame("broadcast", self.down_codec, flat, skeleton, ref)
                 frames.extend(FrameRecord(cid, frame.num_bytes) for cid in members)
                 if decoded_handle is None:
-                    verify_frame(
-                        frame,
+                    coordinates = dict(
                         client_id=members[0],
                         direction="broadcast",
                         task_id=task_id,
                         round_index=round_index,
                     )
-                    arrays, meta = self._decode_frame_checked(
-                        frame,
-                        self.down_codec,
-                        ref,
-                        client_id=members[0],
-                        direction="broadcast",
-                        task_id=task_id,
-                        round_index=round_index,
-                    )
+                    verify_frame(frame, **coordinates)
+                    arrays, meta = decode_frame(frame, self.down_codec, ref, **coordinates)
                     state, payload = _split_message(arrays, meta, self.payload_codec)
                     decoded_handle = BroadcastHandle(state, payload)
                     received = arrays
@@ -363,34 +305,10 @@ class LoopbackTransport:
         }
         return encode_frame("upload", self.codec, arrays, meta, reference)
 
-    @staticmethod
-    def _decode_frame_checked(
-        frame: WireFrame,
-        codec: ArrayCodec,
-        reference: Optional[Dict[str, np.ndarray]],
-        *,
-        client_id: Optional[int],
-        direction: str,
-        task_id: Optional[int],
-        round_index: Optional[Any],
-    ) -> Tuple[Dict[str, np.ndarray], Any]:
-        """Decode a frame, converting codec failures into typed transport errors."""
-        try:
-            return decode_frame(frame, codec, reference)
-        except (ValueError, KeyError, EOFError, pickle.UnpicklingError) as error:
-            raise FrameDecodeError(
-                f"failed to decode {frame.kind} frame ({frame.num_bytes} bytes, "
-                f"codec {frame.codec!r}): {error}",
-                client_id=client_id,
-                direction=direction,
-                task_id=task_id,
-                round_index=round_index,
-            ) from error
-
     def _decode_update(
         self, frame: WireFrame, pending: _PendingRound, client_id: int
     ) -> ClientUpdate:
-        arrays, meta = self._decode_frame_checked(
+        arrays, meta = decode_frame(
             frame,
             self.codec,
             pending.received,

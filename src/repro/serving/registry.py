@@ -45,7 +45,9 @@ from repro.federated.checkpoint import (
 from repro.federated.communication import PayloadCodec, TreePayloadCodec, build_codec
 from repro.federated.transport import _flatten_message, _split_message
 
-REGISTRY_FORMAT = 1
+#: 2: version files hold columnar codec plans (``(table, columns)``); format-1
+#: files hold per-array plans no codec here decodes and must be republished.
+REGISTRY_FORMAT = 2
 _MANIFEST_NAME = "manifest.json"
 
 
@@ -297,6 +299,11 @@ class ModelRegistry:
             ) from error
         except CheckpointCorruptionError as error:
             raise RegistryCorruptionError(str(error)) from error
+        if blob.get("registry_format") != REGISTRY_FORMAT:
+            raise RegistryCorruptionError(
+                f"version file {path!r} is registry format {blob.get('registry_format')!r}, "
+                f"this build reads format {REGISTRY_FORMAT}; republish the version"
+            )
         if blob.get("version") != version:
             raise RegistryCorruptionError(
                 f"version file {path!r} claims version {blob.get('version')!r}, "

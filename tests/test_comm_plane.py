@@ -12,6 +12,7 @@ where both observe the same broadcast bytes.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,11 @@ from repro.federated import (
     build_transport,
     codec_is_lossless,
 )
-from repro.federated.communication import decode_frame, encode_frame
+from repro.federated.aggregation import TreeReduceBackend
+from repro.federated.communication import ClientUpdate, QuantizeCodec, decode_frame, encode_frame
+from repro.federated.server import FederatedServer
+from repro.federated.transport import FrameDecodeError
+from repro.nn.linear import Linear
 
 # --------------------------------------------------------------------------- #
 # Hypothesis strategies: arbitrary state dicts
@@ -199,6 +204,157 @@ class TestLossyCodecs:
         with pytest.raises(ValueError):
             build_codec("topk:abc")
         assert build_codec("topk:0.05").fraction == 0.05
+
+
+class _PerArrayQuantize:
+    """The per-array quantizer the columnar :class:`QuantizeCodec` replaced, kept
+    verbatim as the reference the new decode must match bit for bit."""
+
+    def __init__(self, bits):
+        self._qdtype = np.uint8 if bits == 8 else np.uint16
+        self._levels = (1 << bits) - 1
+
+    def encode(self, arrays):
+        plan = {}
+        for key, value in arrays.items():
+            value = np.asarray(value)
+            if value.dtype.kind != "f" or value.size == 0 or not np.isfinite(value).all():
+                plan[key] = ("dense", value)
+                continue
+            lo = float(value.min())
+            hi = float(value.max())
+            if hi == lo:
+                plan[key] = ("const", str(value.dtype), value.shape, lo)
+                continue
+            scale = (hi - lo) / self._levels
+            codes = np.rint((value - lo) / scale).astype(self._qdtype)
+            plan[key] = ("q", str(value.dtype), value.shape, lo, scale, codes)
+        return plan
+
+    def decode(self, plan):
+        arrays = {}
+        for key, record in plan.items():
+            mode = record[0]
+            if mode == "dense":
+                arrays[key] = np.asarray(record[1])
+            elif mode == "const":
+                _, dtype, shape, lo = record
+                arrays[key] = np.full(shape, lo, dtype=np.dtype(dtype))
+            else:
+                _, dtype, shape, lo, scale, codes = record
+                arrays[key] = (lo + codes.astype(np.float64) * scale).astype(
+                    np.dtype(dtype)
+                ).reshape(shape)
+        return arrays
+
+
+@st.composite
+def quantizable_messages(draw):
+    """Mixed-dtype messages: float32 / float64 / integer tensors, empty and
+    one-element shapes, constant tensors, NaN / +-inf, magnitudes up to 1e30."""
+    message = {}
+    for index in range(draw(st.integers(0, 6))):
+        dtype = np.dtype(draw(st.sampled_from((np.float32, np.float64, np.int64, np.uint8))))
+        shape = draw(st.sampled_from(_SHAPES))
+        rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+        if dtype.kind != "f":
+            message[f"t{index}"] = rng.integers(0, 100, size=shape).astype(dtype)
+            continue
+        kind = draw(st.sampled_from(("random", "random", "constant", "nonfinite")))
+        if kind == "constant":
+            values = np.full(shape, draw(st.sampled_from((0.0, -0.0, 3.5, -1e30))), dtype=dtype)
+        else:
+            magnitude = draw(st.sampled_from((1e-3, 1.0, 1e3, 1e30)))
+            values = (rng.standard_normal(shape) * magnitude).astype(dtype)
+            if kind == "nonfinite" and values.size:
+                position = draw(st.integers(0, values.size - 1))
+                values.reshape(-1)[position] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        message[f"t{index}"] = values
+    return message
+
+
+def _tampered(codec, grow):
+    """``codec`` with every float ``codes`` column one element short (or long)."""
+    encode = codec.encode
+
+    def bad_encode(arrays, reference=None):
+        table, columns = encode(arrays, reference)
+        for key in [key for key in columns if key.endswith("/codes")]:
+            codes = columns[key]
+            columns[key] = np.append(codes, codes[:1]) if grow else codes[:-1]
+        return table, columns
+
+    codec.encode = bad_encode
+    return codec
+
+
+class TestColumnarPlans:
+    @pytest.mark.parametrize("bits", [8, 16])
+    @given(message=quantizable_messages())
+    @settings(max_examples=60, deadline=None)
+    def test_quantize_matches_the_per_array_reference_bit_for_bit(self, bits, message):
+        reference = _PerArrayQuantize(bits)
+        with np.errstate(all="ignore"):
+            expected = reference.decode(reference.encode(message))
+        codec = QuantizeCodec(bits)
+        decoded, _ = decode_frame(encode_frame("u", codec, message, None), codec)
+        _assert_bit_exact(expected, decoded)
+
+    @pytest.mark.parametrize("spec", ["identity", "delta", "quantize8", "quantize16", "topk"])
+    def test_buffers_per_message_do_not_grow_with_the_number_of_arrays(self, spec):
+        """The speed-up rests on this count: O(dtypes) buffers, not O(arrays)."""
+        codec = build_codec(spec)
+
+        def out_of_band_buffers(num_arrays):
+            rng = np.random.default_rng(num_arrays)
+            base = {f"w{i}": rng.standard_normal(24) for i in range(num_arrays)}
+            new = {key: value + (rng.random(24) < 0.2) for key, value in base.items()}
+            buffers = []
+            pickle.dumps(codec.encode(new, base), protocol=5, buffer_callback=buffers.append)
+            return len(buffers)
+
+        assert out_of_band_buffers(10) == out_of_band_buffers(200) <= 5
+
+    @pytest.mark.parametrize("grow", [False, True])
+    def test_a_codes_column_off_by_one_is_a_typed_error_on_every_path(self, grow):
+        server = FederatedServer(Linear(3, 2, rng=np.random.default_rng(0)))
+        update = ClientUpdate(
+            client_id=7, state_dict=dict(server.global_state), num_samples=4, payload={}
+        )
+
+        down = build_transport("loopback", "quantize8", CommunicationLedger())
+        down.down_codec = _tampered(build_codec("quantize8"), grow)
+        with pytest.raises(FrameDecodeError) as excinfo:
+            down.broadcast_round(server, [7], task_id=1, round_index=2)
+        assert (excinfo.value.client_id, excinfo.value.direction) == (7, "broadcast")
+
+        up = build_transport("loopback", "quantize8", CommunicationLedger())
+        up.broadcast_round(server, [7], task_id=1, round_index=2)
+        up.codec = _tampered(build_codec("quantize8"), grow)
+        with pytest.raises(FrameDecodeError) as excinfo:
+            up.collect_updates([update])
+        error = excinfo.value
+        assert (error.client_id, error.direction, error.task_id, error.round_index) == (7, "upload", 1, 2)
+
+        tree = TreeReduceBackend(fanout=2, codec=_tampered(build_codec("quantize8"), grow))
+        with pytest.raises(FrameDecodeError) as excinfo:
+            tree.reduce([update.state_dict] * 4, [1, 2, 3, 4], coordinate=9)
+        # (coordinate, level, node): the first partial of the first level.
+        assert (excinfo.value.direction, excinfo.value.round_index) == ("edge", (9, 1, 0))
+
+    def test_a_kept_payload_array_does_not_pin_the_upload_buffer(self):
+        server = FederatedServer(Linear(64, 64, rng=np.random.default_rng(0)))
+        transport = build_transport("loopback", "quantize8", CommunicationLedger())
+        transport.broadcast_round(server, [0], task_id=0, round_index=0)
+        payload = {"prompts": np.random.default_rng(1).standard_normal((4, 8))}
+        update = ClientUpdate(
+            client_id=0, state_dict=dict(server.global_state), num_samples=4, payload=payload
+        )
+        (delivered,) = transport.collect_updates([update])
+        kept = delivered.payload["prompts"]
+        assert kept.shape == (4, 8)
+        # The model rode in the same column (64 * 64 + 64 more elements).
+        assert kept.base is None or kept.base.size <= payload["prompts"].size
 
 
 class TestPayloadCodecs:

@@ -42,6 +42,7 @@ from repro.federated.communication import (
     CommunicationLedger,
     WireFrame,
     build_codec,
+    decode_frame,
     encode_frame,
 )
 from repro.federated.communication import ClientUpdate
@@ -410,7 +411,7 @@ class TestTransportErrors:
             kind="upload", codec="identity", body=garbage, checksum=zlib.crc32(garbage)
         )
         with pytest.raises(FrameDecodeError) as excinfo:
-            LoopbackTransport._decode_frame_checked(
+            decode_frame(
                 frame,
                 build_codec("identity"),
                 None,

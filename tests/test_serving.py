@@ -50,6 +50,7 @@ from repro.federated.checkpoint import (
     parse_checkpoint_name,
     prune_checkpoints,
     retain_last,
+    save_checkpoint,
 )
 from repro.federated.config import FederatedConfig
 from repro.serving import (
@@ -230,6 +231,25 @@ class TestRegistryDurability:
         info = registry.publish(name="m", state={"w": np.zeros(2)})
         os.remove(tmp_path / info.filename)
         with pytest.raises(RegistryCorruptionError, match="missing"):
+            registry.load(info.version)
+
+    def test_format_1_version_file_raises_typed_error(self, tmp_path):
+        """A file published before plans went columnar names both formats, not a
+        codec exception: its per-array plan is a well-formed, CRC-clean blob."""
+        registry = ModelRegistry(str(tmp_path))
+        info = registry.publish(name="m", state={"w": np.zeros(2)})
+        save_checkpoint(
+            str(tmp_path / info.filename),
+            {
+                "registry_format": 1,
+                "version": info.version,
+                "name": "m",
+                "codec": "identity",
+                "plan": {"s::w": np.zeros(2)},
+                "skeleton": None,
+            },
+        )
+        with pytest.raises(RegistryCorruptionError, match=r"format 1.*format 2"):
             registry.load(info.version)
 
     def test_mangled_manifest_raises_typed_error(self, tmp_path):
