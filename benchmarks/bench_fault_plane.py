@@ -20,7 +20,10 @@ and wire overhead into the append-only ``fault_plane`` section of
 Asserted invariants: an all-zero FaultSpec plus active checkpointing
 reproduces the clean run bit-for-bit, every faulted run is deterministic per
 seed (identical event log and state hash on replay), and a run resumed from
-its earliest checkpoint lands on the same bits as the uninterrupted run.
+its earliest checkpoint lands on the same bits as the uninterrupted run, and
+the last checkpoint of that run stays under 3x the model's bytes (per-client
+state in a checkpoint grows with the fleet; the ledger and the event log are
+all that may).
 """
 
 from __future__ import annotations
@@ -108,6 +111,15 @@ def test_fault_plane_ladder(bench_record):
         # Kill-and-resume guard: restart from the *earliest* checkpoint and
         # re-train everything after it — same final bits as the full run.
         names = sorted(os.listdir(clean_dir), key=parse_checkpoint_name)
+        # Size guard: a checkpoint holds the model, the ledger, the event log
+        # and — under this bench's ``delta`` codec only — one acknowledged
+        # copy per broadcast some client still holds, never one per client.
+        checkpoint_bytes = {
+            label: os.path.getsize(os.path.join(clean_dir, name))
+            for label, name in (("first", names[0]), ("last", names[-1]))
+        }
+        model_bytes = sum(v.nbytes for v in guarded_sim.server.global_state.values())
+        assert checkpoint_bytes["last"] <= 3 * model_bytes, (checkpoint_bytes, model_bytes)
         resume_dir = tempfile.mkdtemp(prefix="fault-bench-resume-")
         try:
             shutil.copy(
@@ -164,6 +176,8 @@ def test_fault_plane_ladder(bench_record):
             "retry_backoff": FederatedConfig.retry_backoff,
             "zero_fault_parity": True,
             "checkpoint_resume_parity": True,
+            "checkpoint_bytes": checkpoint_bytes,
+            "model_bytes": model_bytes,
             "ladder": ladder,
         },
     )

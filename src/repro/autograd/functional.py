@@ -370,7 +370,14 @@ def _im2col(
     ph, pw = padding
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    if kernel == (1, 1) and padding == (0, 0):
+        # One tap per output pixel: the columns are the (strided) image itself.
+        return x[:, :, ::sh, ::sw].reshape(n, c, out_h * out_w), out_h, out_w
+    if ph or pw:
+        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        padded[:, :, ph : ph + h, pw : pw + w] = x
+    else:
+        padded = x
     cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
     for i in range(kh):
         i_max = i + sh * out_h
@@ -394,6 +401,13 @@ def _col2im(
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
+    if kernel == (1, 1) and padding == (0, 0):
+        # The inverse of :func:`_im2col`'s one-tap case: nothing overlaps.
+        if stride == (1, 1):
+            return cols.reshape(x_shape)
+        image = np.zeros(x_shape, dtype=cols.dtype)
+        image[:, :, ::sh, ::sw] = cols.reshape(n, c, out_h, out_w)
+        return image
     padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     cols = cols.reshape(n, c, kh, kw, out_h, out_w)
     for i in range(kh):

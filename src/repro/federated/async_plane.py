@@ -252,8 +252,10 @@ class TemporalPlaneRunner:
         # The hook fires once per cohort — "the start of every communication
         # round", not of every dispatch — and only that boundary needs the
         # defensive broadcast invalidation (the hook may mutate server state
-        # directly); dispatches in between reuse the cached serialization
-        # whenever the model has not advanced (buffered mode between flushes).
+        # directly); dispatches in between reuse the handle — and with it the
+        # transport's memoised downlink frame and decode, under every codec
+        # that reads no per-client reference (all but ``delta``) — whenever
+        # the model has not advanced (buffered mode between flushes).
         cohort = index // config.clients_per_round
         if cohort != self._last_cohort:
             self._last_cohort = cohort

@@ -27,15 +27,20 @@ class BroadcastHandle:
     where the legacy :meth:`FederatedServer.broadcast` deep-copied the whole
     model once per client.  :meth:`serialized` pickles the state and payload
     at most once per round, so parallel executors ship a single serialization
-    to their workers instead of re-pickling per client.
+    to their workers instead of re-pickling per client.  ``delivery`` is the
+    transport's memo of this handle's reference-free downlink frame — ``(codec,
+    frame bytes, decoded handle or None for this one, received arrays)`` — so
+    a model version dispatched many times (buffered / async modes) is encoded
+    once.
     """
 
-    __slots__ = ("state", "payload", "_blob")
+    __slots__ = ("state", "payload", "_blob", "delivery")
 
     def __init__(self, state: Dict[str, np.ndarray], payload: Dict[str, Any]) -> None:
         self.state = readonly_state_view(state)
         self.payload = readonly_payload_view(payload)
         self._blob: Optional[bytes] = None
+        self.delivery: Optional[tuple] = None
 
     def serialized(self) -> bytes:
         """The pickled ``(state, payload)`` pair, computed lazily exactly once."""

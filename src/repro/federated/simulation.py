@@ -703,6 +703,11 @@ class FederatedDomainIncrementalSimulation:
         replays task assignment, which rebuilds the plane's specs — shards
         are never serialized), and every RNG — ``spawn_rng`` streams are
         pure functions of ``(seed, labels)``, so there is no generator state.
+
+        The transport's entry holds per-client model copies (downlink
+        acknowledgements) only under a codec that reads them back, ``delta``;
+        every other checkpoint stays model-sized however many clients the
+        run has contacted.
         """
         arrays, skeleton = _flatten_message(
             self.server.global_state, self.server.broadcast_payload, self.method.payload_codec()

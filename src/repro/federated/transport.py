@@ -24,11 +24,16 @@ round-trip is the pickle the executor already performs), so the default
 configuration adds no decode work and no copies while still measuring real
 frames.
 
-Delta acknowledgements: the downlink ``delta`` codec encodes each client's
-frame against the last broadcast that client received (clients selected in
+Downlink state belongs to the codec that reads it.  Only a reference-reading
+downlink codec (``delta``) keeps *acknowledgements*: each client's frame is
+encoded against the last broadcast that client received (clients selected in
 different past rounds hold different references; unseen clients get a dense
-frame).  Encoder and decoder share the reference object in-process, so the
-diff chain can never desynchronise in simulation.
+frame), and encoder and decoder share the reference object in-process, so the
+diff chain can never desynchronise in simulation.  Every other codec keeps
+nothing per client — in memory or in a checkpoint: its one frame per model
+version is encoded, CRC-checked and decoded once and memoised on the
+:class:`~repro.federated.server.BroadcastHandle`, which the server drops
+whenever the model or the payload changes.
 
 Bandwidth scenario: with ``bandwidth_limit > 0`` every client gets a
 deterministic per-run uplink budget — the limit scaled by a multiplier drawn
@@ -127,7 +132,8 @@ class _PendingRound:
     selected: Tuple[int, ...]
     broadcast_frames: List[FrameRecord]
     #: The flat (namespaced) arrays the selected clients received this round —
-    #: the uplink reference for diff-style codecs and the next downlink ack.
+    #: the uplink reference for diff-style codecs and, under a downlink codec
+    #: that reads one, the selected clients' next acknowledgement.
     received: Dict[str, np.ndarray]
 
 
@@ -210,6 +216,20 @@ class LoopbackTransport:
     # ------------------------------------------------------------------ #
     # Downlink
     # ------------------------------------------------------------------ #
+    def _receive(
+        self, frame: WireFrame, ref: Optional[Dict[str, np.ndarray]], **coordinates: Any
+    ) -> Tuple[BroadcastHandle, Dict[str, np.ndarray]]:
+        """What the clients hold after ``frame``: (decoded handle, flat arrays).
+
+        The CRC is checked before anything is decoded, so whatever the caller
+        keeps of the result (an acknowledgement, the handle's memo) cannot be
+        a corrupted frame and is not re-verified per client.
+        """
+        verify_frame(frame, **coordinates)
+        arrays, meta = decode_frame(frame, self.down_codec, ref, **coordinates)
+        state, payload = _split_message(arrays, meta, self.payload_codec)
+        return BroadcastHandle(state, payload), arrays
+
     def broadcast_round(
         self,
         server: FederatedServer,
@@ -231,53 +251,58 @@ class LoopbackTransport:
         self._last_task_id = task_id
 
         handle = server.broadcast_view()
-        flat, skeleton = _flatten_message(handle.state, handle.payload, self.payload_codec)
-
-        frames: List[FrameRecord] = []
-        decoded_handle: Optional[BroadcastHandle] = None
-        received: Optional[Dict[str, np.ndarray]] = None
-        if isinstance(self.down_codec, IdentityCodec):
-            # The identity frame body IS the handle's cached serialization —
-            # the exact blob the parallel executor ships to its workers, so
-            # ledger and RoundIPC observe the same bytes — and its round-trip
-            # is a pickle cycle, so the decode is short-circuited to the
-            # server's own handle (bit-for-bit by construction).
-            body = handle.serialized()
-            frames.extend(FrameRecord(cid, len(body)) for cid in selected)
-            decoded_handle = handle
-            received = flat
-        else:
-            # Group clients by the reference they hold: one frame per distinct
-            # acknowledgement (codecs that ignore the reference form a single
-            # group).  Lossless diff codecs decode to identical content for
-            # every group, so one decode serves the whole round.
+        coordinates = dict(direction="broadcast", task_id=task_id, round_index=round_index)
+        if self.down_codec.uses_reference:
+            # One frame per distinct acknowledgement held by the selected
+            # clients.  A lossless diff codec decodes to identical content
+            # whatever the reference, so one decode serves the whole round.
+            flat, skeleton = _flatten_message(handle.state, handle.payload, self.payload_codec)
             groups: Dict[int, Tuple[Optional[Dict[str, np.ndarray]], List[int]]] = {}
             for cid in selected:
-                ref = self._ack.get(cid) if self.down_codec.uses_reference else None
-                key = id(ref) if ref is not None else 0
-                groups.setdefault(key, (ref, []))[1].append(cid)
+                ref = self._ack.get(cid)
+                groups.setdefault(id(ref) if ref is not None else 0, (ref, []))[1].append(cid)
+            frames: List[FrameRecord] = []
+            decoded_handle = received = None
             for ref, members in groups.values():
                 frame = encode_frame("broadcast", self.down_codec, flat, skeleton, ref)
                 frames.extend(FrameRecord(cid, frame.num_bytes) for cid in members)
                 if decoded_handle is None:
-                    coordinates = dict(
-                        client_id=members[0],
-                        direction="broadcast",
-                        task_id=task_id,
-                        round_index=round_index,
+                    decoded_handle, received = self._receive(
+                        frame, ref, client_id=members[0], **coordinates
                     )
-                    verify_frame(frame, **coordinates)
-                    arrays, meta = decode_frame(frame, self.down_codec, ref, **coordinates)
-                    state, payload = _split_message(arrays, meta, self.payload_codec)
-                    decoded_handle = BroadcastHandle(state, payload)
-                    received = arrays
+            for cid in selected:
+                self._ack[cid] = received
+        else:
+            # One frame per model version: every dispatch until the server
+            # drops the handle shares its frame, its decode and one
+            # ``received`` object.  Keyed by codec, since nothing stops two
+            # transports from driving one server.
+            if handle.delivery is None or handle.delivery[0] is not self.down_codec:
+                flat, skeleton = _flatten_message(handle.state, handle.payload, self.payload_codec)
+                if isinstance(self.down_codec, IdentityCodec):
+                    # The identity frame body IS the handle's cached
+                    # serialization — the exact blob the parallel executor
+                    # ships to its workers, so ledger and RoundIPC observe the
+                    # same bytes — and its round-trip is a pickle cycle, so
+                    # the decode is short-circuited to the server's own handle
+                    # (bit-for-bit by construction; ``None`` below, because a
+                    # handle memoising itself is a cycle only a full GC frees).
+                    delivered = (len(handle.serialized()), None, flat)
+                else:
+                    frame = encode_frame("broadcast", self.down_codec, flat, skeleton, None)
+                    delivered = (
+                        frame.num_bytes,
+                        *self._receive(frame, None, client_id=next(iter(selected), None), **coordinates),
+                    )
+                handle.delivery = (self.down_codec, *delivered)
+            _, num_bytes, decoded_handle, received = handle.delivery
+            decoded_handle = decoded_handle or handle
+            frames = [FrameRecord(cid, num_bytes) for cid in selected]
         frames.sort(key=lambda record: record.client_id)
         self.last_broadcast_bytes = {
             record.client_id: record.num_bytes for record in frames
         }
 
-        for cid in selected:
-            self._ack[cid] = received
         self._pending = _PendingRound(
             task_id=task_id,
             round_index=round_index,
@@ -459,7 +484,8 @@ class LoopbackTransport:
         self.last_broadcast_bytes = dict(state["last_broadcast_bytes"])
         self.last_upload_bytes = dict(state["last_upload_bytes"])
         self.last_penalty_seconds = dict(state["last_penalty_seconds"])
-        self._ack = dict(state["ack"])
+        # An older checkpoint may carry acks no reference-free codec reads.
+        self._ack = dict(state["ack"]) if self.down_codec.uses_reference else {}
         self._budgets = dict(state["budgets"])
         self._deferred = list(state["deferred"])
         self._last_task_id = state["last_task_id"]

@@ -153,6 +153,72 @@ class TestConvolutionAndPooling:
         assert check_gradient(fn, [x, w, b], wrt=1)
         assert check_gradient(fn, [x, w, b], wrt=2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "size, kernel, stride, padding",
+        [
+            (8, 3, 1, 1),  # ResNet body
+            (8, 3, 2, 1),
+            (7, 3, 2, 0),  # unpadded, odd extent
+            (8, 1, 1, 0),  # tokenizer projection: a plain reshape
+            (8, 1, 2, 0),  # ResNet shortcut projection: a strided view
+            (7, 1, 2, 0),
+            (6, 1, 1, 1),  # 1x1 but padded: the general path
+            (6, 2, 2, 0),  # pooling windows
+        ],
+    )
+    def test_unfold_and_fold_are_bit_identical_to_the_pad_and_loop_reference(
+        self, monkeypatch, dtype, size, kernel, stride, padding
+    ):
+        """``_im2col`` / ``_col2im`` against the ``np.pad`` + tap-loop code they replaced."""
+
+        def reference_im2col(x, kernel, stride, padding):
+            n, c, h, w = x.shape
+            (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+            out_h = (h + 2 * ph - kh) // sh + 1
+            out_w = (w + 2 * pw - kw) // sw + 1
+            padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+            cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    cols[:, :, i, j] = padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
+            return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+
+        def reference_col2im(cols, x_shape, kernel, stride, padding, out_h, out_w):
+            n, c, h, w = x_shape
+            (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+            padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+            cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+            for i in range(kh):
+                for j in range(kw):
+                    padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += cols[:, :, i, j]
+            return padded[:, :, ph : ph + h, pw : pw + w]
+
+        rng = np.random.default_rng(size * 100 + kernel * 10 + stride)
+        data = rng.standard_normal((3, 4, size, size + 1)).astype(dtype)
+        weight = rng.standard_normal((5, 4, kernel, kernel)).astype(dtype)
+        mix = rng.standard_normal(
+            F.conv2d(Tensor(data), Tensor(weight), stride=stride, padding=padding).shape
+        ).astype(dtype)
+
+        def run():
+            results = []
+            # A contiguous image and a non-contiguous view of the same values.
+            for image in (data, np.asfortranarray(data)):
+                x = Tensor(image, requires_grad=True)
+                w = Tensor(weight, requires_grad=True)
+                out = F.conv2d(x, w, stride=stride, padding=padding)
+                (out * Tensor(mix)).sum().backward()
+                results += [out.data, x.grad, w.grad]
+            return results
+
+        got = run()
+        monkeypatch.setattr(F, "_im2col", reference_im2col)
+        monkeypatch.setattr(F, "_col2im", reference_col2im)
+        for new, old in zip(got, run()):
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
+
     def test_max_pool_shape_and_value(self):
         data = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         pooled = F.max_pool2d(Tensor(data), 2)

@@ -33,6 +33,7 @@ from repro.federated import (
     build_transport,
     codec_is_lossless,
 )
+from repro.federated import transport as transport_module
 from repro.federated.aggregation import TreeReduceBackend
 from repro.federated.communication import ClientUpdate, QuantizeCodec, decode_frame, encode_frame
 from repro.federated.server import FederatedServer
@@ -355,6 +356,98 @@ class TestColumnarPlans:
         assert kept.shape == (4, 8)
         # The model rode in the same column (64 * 64 + 64 more elements).
         assert kept.base is None or kept.base.size <= payload["prompts"].size
+
+
+class TestBroadcastMemo:
+    """One reference-free downlink frame per :class:`BroadcastHandle`.
+
+    A corrupted memoised frame is impossible by construction — the CRC is
+    checked before the memo is stored (``LoopbackTransport._receive``) — so
+    nothing here re-verifies per client; the tests count encodes instead.
+    """
+
+    @pytest.fixture
+    def encodes(self, monkeypatch):
+        """The ``kind`` of every frame the transport module encodes."""
+        kinds = []
+        real = transport_module.encode_frame
+
+        def counting(kind, *args, **kwargs):
+            kinds.append(kind)
+            return real(kind, *args, **kwargs)
+
+        monkeypatch.setattr(transport_module, "encode_frame", counting)
+        return kinds
+
+    @staticmethod
+    def _dispatch(transport, server, client_id, index):
+        handle = transport.broadcast_round(server, [client_id], task_id=0, round_index=index)
+        transport.collect_updates([])  # a crashed client: the download was still paid for
+        return handle
+
+    def test_an_unchanged_handle_is_encoded_once_and_recorded_every_time(self, encodes):
+        server = FederatedServer(Linear(6, 4, rng=np.random.default_rng(0)))
+        server.set_broadcast_payload({"prompts": np.linspace(-1.0, 1.0, 12).reshape(3, 4)})
+        transport = build_transport("loopback", "quantize8", CommunicationLedger())
+        handles = []
+        for index, client_id in enumerate([11, 5, 8]):
+            handles.append(self._dispatch(transport, server, client_id, index))
+            assert list(transport.last_broadcast_bytes) == [client_id]
+        assert encodes == ["broadcast"]
+        assert handles[0] is handles[1] is handles[2]
+        frames = [record.broadcast_frames for record in transport.ledger.records]
+        assert [[f.client_id for f in round_frames] for round_frames in frames] == [[11], [5], [8]]
+        assert len({f.num_bytes for round_frames in frames for f in round_frames}) == 1
+        assert transport.state_dict()["ack"] == {}
+
+        # A second transport (its own codec object) misses the memo: a fresh
+        # encode / decode of the same handle, bit-identical to the shared one.
+        fresh = self._dispatch(
+            build_transport("loopback", "quantize8", CommunicationLedger()), server, 0, 0
+        )
+        assert encodes == ["broadcast", "broadcast"] and fresh is not handles[0]
+        assert list(fresh.state) == list(handles[0].state)
+        for key, value in fresh.state.items():
+            assert value.tobytes() == handles[0].state[key].tobytes()
+        assert fresh.payload["prompts"].tobytes() == handles[0].payload["prompts"].tobytes()
+        # Lossy, so the memo really is the decoded frame and not the server's arrays.
+        assert fresh.payload["prompts"].tobytes() != server.broadcast_payload["prompts"].tobytes()
+
+    @pytest.mark.parametrize(
+        "advance",
+        [
+            lambda server, update: server.set_broadcast_payload({"round": np.ones(2)}),
+            lambda server, update: server.aggregate([update]),
+            lambda server, update: server.apply_update(update, 0.5),
+            lambda server, update: server.invalidate_broadcast(),
+        ],
+        ids=["set_broadcast_payload", "aggregate", "apply_update", "invalidate_broadcast"],
+    )
+    def test_every_way_the_server_moves_on_forces_a_new_encode(self, encodes, advance):
+        server = FederatedServer(Linear(6, 4, rng=np.random.default_rng(0)))
+        transport = build_transport("loopback", "quantize8", CommunicationLedger())
+        update = ClientUpdate(
+            client_id=1,
+            state_dict={key: value + 1.0 for key, value in server.global_state.items()},
+            num_samples=4,
+            payload={},
+        )
+        before = self._dispatch(transport, server, 1, 0)
+        advance(server, update)
+        after = self._dispatch(transport, server, 1, 1)
+        assert encodes == ["broadcast", "broadcast"] and after is not before
+
+    def test_a_reference_reading_codec_never_takes_the_memo(self, encodes):
+        server = FederatedServer(Linear(6, 4, rng=np.random.default_rng(0)))
+        transport = build_transport("loopback", "delta", CommunicationLedger())
+        for index, client_id in enumerate([3, 3, 9]):
+            self._dispatch(transport, server, client_id, index)
+        assert encodes == ["broadcast"] * 3
+        assert server.broadcast_view().delivery is None
+        assert sorted(transport.state_dict()["ack"]) == [3, 9]
+        # The dense first frame, then a diff against the acknowledged copy.
+        first, second, _ = (r.broadcast_frames[0].num_bytes for r in transport.ledger.records)
+        assert second < first
 
 
 class TestPayloadCodecs:

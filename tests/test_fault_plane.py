@@ -624,15 +624,27 @@ class TestCheckpointFormat:
 # Checkpoint -> resume equals uninterrupted, across modes
 # --------------------------------------------------------------------------- #
 class TestCheckpointResume:
-    @pytest.mark.parametrize("mode", ["sync", "async", "buffered"])
+    @pytest.mark.parametrize(
+        "mode, codec",
+        [
+            pytest.param("sync", "identity", id="sync"),
+            pytest.param("async", "identity", id="async"),
+            pytest.param("buffered", "identity", id="buffered"),
+            # No downlink acks to restore: the memoised frame is rebuilt.
+            pytest.param("buffered", "quantize8", id="buffered-quantize8"),
+            # Acks restored: a resumed run keeps sending diffs, not dense frames.
+            pytest.param("sync", "delta", id="sync-delta"),
+        ],
+    )
     def test_resume_matches_uninterrupted(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path, mode
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path, mode, codec
     ):
         full_dir = tmp_path / "full"
         config = replace(
             tiny_federated_config,
             rounds_per_task=2,
             mode=mode,
+            codec=codec,
             checkpoint_every=1 if mode == "sync" else 0,
             checkpoint_dir=str(full_dir),
         )
@@ -654,6 +666,39 @@ class TestCheckpointResume:
         assert _matrix_bytes(resumed_sim) == _matrix_bytes(full_sim)
         assert resumed.round_losses == full.round_losses
         assert resumed.event_log == full.event_log
+        assert resumed.communication == full.communication
+
+    @pytest.mark.parametrize("codec", ["quantize8", "delta"])
+    def test_checkpoints_hold_downlink_state_only_for_a_codec_that_reads_it(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path, codec
+    ):
+        """Per-client model copies in a checkpoint scale with the fleet; nothing else does."""
+        for rounds_per_task in (2, 6):  # N and 3N dispatches per task
+            directory = tmp_path / f"{codec}-{rounds_per_task}"
+            config = replace(
+                tiny_federated_config,
+                virtual_clients=True,
+                population=2000,
+                mode="buffered",
+                codec=codec,
+                rounds_per_task=rounds_per_task,
+                checkpoint_dir=str(directory),
+            )
+            simulation, result = _run(tiny_spec, tiny_backbone_config, config)
+            contacted = {e["client_id"] for e in result.event_log if e["kind"] == "dispatch"}
+            names = sorted(os.listdir(directory), key=parse_checkpoint_name)
+            sizes = [os.path.getsize(directory / name) for name in names]
+            acks = simulation.transport.state_dict()["ack"]
+            model_bytes = sum(v.nbytes for v in simulation.server.global_state.values())
+            assert len(sizes) == 2 and len(contacted) > 2 * rounds_per_task
+            if codec == "delta":
+                assert sorted(acks) == sorted(contacted)
+            else:
+                assert acks == {}
+                # What is left to grow is the ledger and the event log: a few
+                # KB per task, where one retained model copy is ~80 KB.
+                assert sizes[-1] - sizes[0] < 8192
+                assert sizes[-1] < 3 * model_bytes
 
     def test_resume_from_empty_directory_starts_fresh(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor, default_dtype, functional as F
@@ -82,7 +82,10 @@ def _compare(fused, composed, arrays, dtype):
         for got, want in zip(fused_inputs, composed_inputs):
             assert got.grad.shape == want.grad.shape
             assert got.grad.dtype == want.grad.dtype
-            np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=grad_tol)
+            # Rounding error grows with the gradient's size (a near-constant
+            # row divides by a tiny std), so the tolerance does too.
+            scale = max(1.0, float(np.abs(want.grad).max(initial=0.0)))
+            np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=grad_tol * scale)
 
 
 leading_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
@@ -93,6 +96,9 @@ seeds = st.integers(0, 2**16)
 class TestMatchesComposedReference:
     @settings(max_examples=25, deadline=None)
     @given(lead=leading_shapes, width=st.integers(2, 6), affine=st.integers(0, 2), seed=seeds)
+    # A width-2 row with near-equal features: float32 gradients of 1.2 that
+    # differ from the reference by 1.13e-4.
+    @example(lead=(2,), width=2, affine=1, seed=321)
     def test_layer_norm(self, dtype, lead, width, affine, seed):
         rng = np.random.default_rng(seed)
         arrays = [rng.standard_normal(lead + (width,))]
