@@ -41,11 +41,15 @@ from repro.core import RefFiLConfig, RefFiLMethod
 from repro.datasets.registry import build_dataset, get_dataset_spec
 from repro.experiments import ExperimentScale, scaled_config
 from repro.federated.client import LocalTrainingConfig
-from repro.federated.communication import build_codec, decode_frame, encode_frame
+from repro.federated.communication import (
+    build_codec,
+    decode_frame,
+    encode_frame,
+    flatten_message,
+)
 from repro.federated.config import FederatedConfig
 from repro.federated.increment import ClientIncrementConfig
 from repro.federated.simulation import FederatedDomainIncrementalSimulation
-from repro.federated.transport import _flatten_message
 from repro.models.backbone import BackboneConfig
 
 NUM_CLIENTS = 4
@@ -94,8 +98,8 @@ def _round_trip_ms(repeats: int = 30) -> dict:
         for label in range(backbone.num_classes)
     }
     payload_codec = method.payload_codec()
-    message, _ = _flatten_message(state, {"prompt_groups": groups}, payload_codec)
-    base, _ = _flatten_message(reference, {"prompt_groups": groups}, payload_codec)
+    message, _ = flatten_message(state, {"prompt_groups": groups}, payload_codec)
+    base, _ = flatten_message(reference, {"prompt_groups": groups}, payload_codec)
     timings = {}
     for spec in CODECS:
         codec = build_codec(spec)

@@ -47,7 +47,7 @@ def test_fig2_pipeline_local_update(benchmark):
     method, model, server, client = _build_step()
 
     def one_local_update():
-        return method.local_update(model, server.broadcast(), server.broadcast_payload, client)
+        return method.local_update(model, server.global_state, server.broadcast_payload, client)
 
     update = benchmark.pedantic(one_local_update, rounds=3, iterations=1, warmup_rounds=1)
     print(f"\nFig.2 pipeline: one client local update over {client.num_samples} samples")
@@ -79,11 +79,11 @@ def test_fig2_pipeline_float32_vs_float64(benchmark, bench_record):
         with default_dtype(dtype_name):
             method, model, server, client = _build_step()
             # Warm-up outside the timed region (first call touches cold caches).
-            method.local_update(model, server.broadcast(), server.broadcast_payload, client)
+            method.local_update(model, server.global_state, server.broadcast_payload, client)
             for _ in range(reps):
                 with timer.measure(dtype_name):
                     update = method.local_update(
-                        model, server.broadcast(), server.broadcast_payload, client
+                        model, server.global_state, server.broadcast_payload, client
                     )
             losses[dtype_name] = update.train_loss
 

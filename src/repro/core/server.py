@@ -56,7 +56,7 @@ def aggregate_with_prompts(
     """One full RefFiL aggregation step: FedAvg, then prompt clustering, then payload refresh."""
     server.aggregate(updates)
     aggregator.ingest(updates)
-    server.set_broadcast_payload(aggregator.broadcast_payload())
+    server.broadcast_payload = aggregator.broadcast_payload()
 
 
 __all__ = ["RefFiLPromptAggregator", "aggregate_with_prompts"]

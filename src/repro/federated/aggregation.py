@@ -91,8 +91,7 @@ def blend_states(
     ``mixing`` must be in ``(0, 1]`` — typically a base rate discounted by
     :func:`staleness_weight`.  The blend runs through
     :func:`weighted_average_arrays`, so a float32 pipeline stays float32 (no
-    silent upcast through the python-float coefficients).  The single source
-    of the blend used by both :meth:`FederatedServer.apply_update` and
+    silent upcast through the python-float coefficients).  The blend behind
     :meth:`FederatedMethod.apply_async_update`.
     """
     if not 0.0 < mixing <= 1.0:
@@ -119,28 +118,11 @@ def fedavg(
     update here, so a stale upload counts for less than a fresh one of the
     same size.  ``scale=None`` (the default) is plain FedAvg, bit-for-bit.
     """
-    if len(state_dicts) == 0:
-        raise ValueError("fedavg requires at least one client update")
-    if len(state_dicts) != len(num_samples):
-        raise ValueError("state_dicts and num_samples must have equal length")
-    reference_keys = set(state_dicts[0])
-    for index, state in enumerate(state_dicts[1:], start=1):
-        if set(state) != reference_keys:
-            raise ValueError(f"client update {index} has mismatching parameter names")
-    weights = [float(max(n, 0)) for n in num_samples]
-    if scale is not None:
-        if len(scale) != len(state_dicts):
-            raise ValueError("scale and state_dicts must have equal length")
-        if any(factor < 0 for factor in scale):
-            raise ValueError("scale factors must be non-negative")
-        weights = [weight * float(factor) for weight, factor in zip(weights, scale)]
-    if sum(weights) <= 0:
-        # Degenerate case (all clients report zero samples): fall back to uniform.
-        weights = [1.0] * len(state_dicts)
-    aggregated: Dict[str, np.ndarray] = {}
-    for key in state_dicts[0]:
-        aggregated[key] = weighted_average_arrays([state[key] for state in state_dicts], weights)
-    return aggregated
+    weights = _leaf_weights(state_dicts, num_samples, scale)
+    return {
+        key: weighted_average_arrays([state[key] for state in state_dicts], weights)
+        for key in state_dicts[0]
+    }
 
 
 def _leaf_weights(
@@ -150,9 +132,10 @@ def _leaf_weights(
 ) -> List[float]:
     """FedAvg's effective per-update weights, validations included.
 
-    Mirrors :func:`fedavg` exactly — ``max(n, 0)`` sample counts, optional
-    non-negative scale factors, uniform fallback when everything weighs zero —
-    so a tree reduce built on these weights targets the same average.
+    ``max(n, 0)`` sample counts, optional non-negative scale factors, uniform
+    fallback when everything weighs zero (all clients report zero samples) —
+    shared by :func:`fedavg` and the tree reduce, so both target the same
+    average.
     """
     if len(state_dicts) == 0:
         raise ValueError("fedavg requires at least one client update")

@@ -250,17 +250,14 @@ class TemporalPlaneRunner:
         # honouring the sync-mode contract (e.g. final-round schedules fire
         # on the task's last cohort, not at dispatch #rounds_per_task-1).
         # The hook fires once per cohort — "the start of every communication
-        # round", not of every dispatch — and only that boundary needs the
-        # defensive broadcast invalidation (the hook may mutate server state
-        # directly); dispatches in between reuse the handle — and with it the
-        # transport's memoised downlink frame and decode, under every codec
-        # that reads no per-client reference (all but ``delta``) — whenever
-        # the model has not advanced (buffered mode between flushes).
+        # round", not of every dispatch.  Every dispatch until the model next
+        # advances (buffered mode between flushes) shares one broadcast
+        # handle, and with it the transport's memoised downlink frame and
+        # decode under every codec that reads no per-client reference.
         cohort = index // config.clients_per_round
         if cohort != self._last_cohort:
             self._last_cohort = cohort
             sim.method.on_round_start(task_id, cohort, sim.server)
-            sim.server.invalidate_broadcast()
         broadcast = sim.transport.broadcast_round(sim.server, [client_id], task_id, index)
         injector = sim.fault_injector
         if injector is not None and injector.client_crashes(task_id, index, client_id):

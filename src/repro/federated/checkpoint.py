@@ -12,9 +12,11 @@ The on-disk format is a small self-validating container::
 
     RPCK | version u32 | crc32 u32 | zlib(pickle(payload))
 
-written via ``tmp + fsync + os.replace`` so a crash mid-write can never leave
-a truncated file under the final name — the resume scan either sees the old
-complete checkpoint or the new complete checkpoint, never garbage.
+written via ``tmp + fsync + os.replace + fsync(directory)``
+(:func:`atomic_write`) so a crash mid-write can never leave a truncated file
+under the final name — the resume scan either sees the old complete
+checkpoint or the new complete checkpoint, never garbage — and the rename is
+durable before any older checkpoint is pruned.
 
 File names encode the *resume start position*, not the save position:
 ``ckpt-t0002-r00003.ckpt`` means "resume at task 2, round 3".  A task-end
@@ -125,19 +127,36 @@ def prune_checkpoints(directory: str, keep: int) -> list:
     return removed
 
 
-def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
-    """Atomically write ``payload`` to ``path`` (tmp + fsync + rename)."""
-    blob = zlib.compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    header = _HEADER.pack(_MAGIC, CHECKPOINT_VERSION, zlib.crc32(blob))
+def atomic_write(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data``: tmp + fsync + rename + directory fsync.
+
+    The rename itself is only durable once the parent directory is fsynced;
+    without that, a power loss could persist a later prune's unlinks but not
+    the rename, leaving fewer retained files than promised.  Platforms that
+    cannot open a directory (Windows) skip the directory fsync.
+    """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp_path = path + ".tmp"
     with open(tmp_path, "wb") as handle:
-        handle.write(header)
-        handle.write(blob)
+        handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
+    try:
+        descriptor = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
+def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
+    """Atomically and durably write ``payload`` to ``path`` (see :func:`atomic_write`)."""
+    blob = zlib.compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+    atomic_write(path, _HEADER.pack(_MAGIC, CHECKPOINT_VERSION, zlib.crc32(blob)) + blob)
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
@@ -205,6 +224,7 @@ __all__ = [
     "latest_checkpoint",
     "retain_last",
     "prune_checkpoints",
+    "atomic_write",
     "save_checkpoint",
     "load_checkpoint",
     "config_fingerprint",

@@ -22,6 +22,9 @@ this (the transports in :mod:`repro.federated.transport` drive them):
   RefFiL's per-class prompt groups) into named arrays so the array codec
   applies to prompts exactly as it does to model weights, instead of the
   payload riding as an opaque pickled dict;
+* :func:`flatten_message` / :func:`split_message` merge model state and
+  payload arrays into one namespaced flat dict and back — the message layout
+  wire frames, checkpoints and registry versions share;
 * the :class:`CommunicationLedger` accumulates per-round, per-client,
   per-direction measured frame sizes (:class:`RoundCommRecord`).
 
@@ -248,8 +251,14 @@ class _ColumnReader:
 
 
 def _unpack(table: Table, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`_pack`; every array is a view of its dtype's column."""
-    reader = _ColumnReader(columns)
+    """Inverse of :func:`_pack`; every array is a view of its dtype's column.
+
+    Columns are viewed through the canonical ``np.dtype(key)``: an unpickled
+    column carries a private copy of its dtype, which every later pickle of
+    an array derived from it (a broadcast serialization, a checkpoint) would
+    spell out once more, next to the canonical one.
+    """
+    reader = _ColumnReader({key: column.view(np.dtype(key)) for key, column in columns.items()})
     arrays = {}
     for name, dtype, shape in table:
         arrays[name] = reader.take(dtype, math.prod(shape)).reshape(shape)
@@ -604,6 +613,51 @@ class TreePayloadCodec(PayloadCodec):
 
 
 # --------------------------------------------------------------------------- #
+# Messages: model state + method payload as one flat array dict
+# --------------------------------------------------------------------------- #
+
+_STATE_PREFIX = "s::"
+_PAYLOAD_PREFIX = "p::"
+
+
+def flatten_message(
+    state: Dict[str, np.ndarray], payload: Any, payload_codec: PayloadCodec
+) -> Tuple[Dict[str, np.ndarray], Any]:
+    """Merge model state and payload arrays into one namespaced flat dict.
+
+    The one message layout shared by wire frames, checkpoints and registry
+    versions; returns ``(arrays, skeleton)``, the skeleton being the payload
+    codec's structure of the payload.
+    """
+    payload_arrays, skeleton = payload_codec.flatten(payload)
+    arrays: Dict[str, np.ndarray] = {
+        _STATE_PREFIX + key: value for key, value in state.items()
+    }
+    for name, value in payload_arrays.items():
+        arrays[_PAYLOAD_PREFIX + name] = value
+    return arrays, skeleton
+
+
+def split_message(
+    arrays: Dict[str, np.ndarray], skeleton: Any, payload_codec: PayloadCodec
+) -> Tuple[Dict[str, np.ndarray], Any]:
+    """Inverse of :func:`flatten_message`: returns ``(state, payload)``."""
+    state = {
+        key[len(_STATE_PREFIX):]: value
+        for key, value in arrays.items()
+        if key.startswith(_STATE_PREFIX)
+    }
+    # Decoded arrays are views of a message-sized column; what a server keeps
+    # of an upload (the payload) is copied out so it cannot pin that buffer.
+    payload_arrays = {
+        key[len(_PAYLOAD_PREFIX):]: np.array(value)
+        for key, value in arrays.items()
+        if key.startswith(_PAYLOAD_PREFIX)
+    }
+    return state, payload_codec.unflatten(payload_arrays, skeleton)
+
+
+# --------------------------------------------------------------------------- #
 # Communication ledger
 # --------------------------------------------------------------------------- #
 
@@ -667,8 +721,6 @@ class CommunicationLedger:
     uploaded_bytes: int = 0
     broadcast_bytes: int = 0
     rounds: int = 0
-    per_round: List[Dict[str, int]] = field(default_factory=list)
-    measured_rounds: int = 0
     dropped_upload_bytes: int = 0
     dropped_uploads: int = 0
     deferred_uploads: int = 0
@@ -697,10 +749,6 @@ class CommunicationLedger:
         self.lost_frames += sum(1 for f in record.upload_frames if f.status == "lost")
         self.corrupt_frames += sum(1 for f in record.upload_frames if f.status == "corrupt")
         self.rounds += 1
-        self.measured_rounds += 1
-        self.per_round.append(
-            {"upload": record.upload_bytes, "broadcast": record.broadcast_bytes}
-        )
         self.records.append(record)
 
     def record_expired_uploads(self, count: int) -> None:
@@ -721,7 +769,7 @@ class CommunicationLedger:
     @property
     def measured(self) -> bool:
         """True once a round of actual encoded frames has been recorded."""
-        return self.measured_rounds > 0
+        return self.rounds > 0
 
     @property
     def total_bytes(self) -> int:
@@ -752,4 +800,6 @@ __all__ = [
     "decode_frame",
     "PayloadCodec",
     "TreePayloadCodec",
+    "flatten_message",
+    "split_message",
 ]

@@ -63,7 +63,7 @@ turn those into the ``round_ipc`` and ``eval_plane`` sections of
 ``BENCH_round.json``.
 
 Both executors hand every client the *same* read-only broadcast state, so no
-per-client ``clone_state_dict`` happens anywhere on the hot path.
+per-client copy of the model happens anywhere on the hot path.
 
 Methods must follow the picklability contract documented in
 :mod:`repro.federated.method` to be usable under the parallel executor.
@@ -956,11 +956,11 @@ class ParallelEvalBackend(EvalBackend):
 
     ``broadcast_fn`` supplies the round-style broadcast handle whose state the
     workers load before scoring (the simulation passes
-    ``server.broadcast_view``, which shares any handle already cached within
-    the current round; the simulation invalidates it around every
-    server-facing method hook, so each evaluation serializes the state at
-    most once).  Without one, a handle is built from the evaluated model's
-    own state dict.
+    ``server.broadcast_view``, which shares the handle of the current model
+    version — the server drops it whenever its state is assigned — so each
+    model version is serialized at most once, however many rounds and
+    evaluations see it).  Without one, a handle is built from the evaluated
+    model's own state dict.
     """
 
     def __init__(

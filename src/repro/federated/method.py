@@ -13,7 +13,8 @@ Picklability contract
 ---------------------
 The round execution engine (:mod:`repro.federated.execution`) may run
 :meth:`FederatedMethod.local_update` inside worker *processes*.  For that to
-work, implementations must satisfy three rules:
+work — and for the server's broadcast to stay a pure function of its state —
+implementations must satisfy four rules:
 
 1. **The method object must be picklable.**  Everything reachable from
    ``self`` — configs, prompt stores, teacher models, Fisher matrices — must
@@ -30,9 +31,18 @@ work, implementations must satisfy three rules:
 3. **``local_update`` must treat ``global_state`` as read-only.**  The server
    broadcasts one shared, write-protected view per round; mutating it would
    corrupt every other client's view.  Copy before writing.
+4. **Server state is replaced, never mutated in place.**  A hook changes
+   ``server.global_state`` or ``server.broadcast_payload`` by assigning a new
+   mapping (or through ``server.aggregate``, which assigns) and leaves the
+   arrays it assigned alone afterwards; the server stores write-protected
+   views, so an in-place write through them raises ``ValueError``.  Each assignment retires the cached broadcast, so the next
+   round, dispatch or evaluation sees the new state without anyone asking
+   for it.  Item assignment on the mappings (``server.global_state[k] = v``)
+   bypasses that and is outside the contract.
 
 Server-side hooks (``on_task_start``, ``aggregate``, ...) always run in the
-main process on the live method object and are unrestricted.
+main process on the live method object; within rule 4 they are
+unrestricted.
 """
 
 from __future__ import annotations

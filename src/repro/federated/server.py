@@ -1,4 +1,4 @@
-"""Central server: holds the global model state and performs aggregation."""
+"""Central server: the sole owner of the global model state and its broadcast."""
 
 from __future__ import annotations
 
@@ -7,31 +7,24 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.federated.aggregation import FlatReduceBackend, ReduceBackend, blend_states
+from repro.federated.aggregation import FlatReduceBackend, ReduceBackend
 from repro.federated.communication import ClientUpdate, CommunicationLedger
 from repro.nn.module import Module
-from repro.nn.serialization import (
-    clone_state_dict,
-    readonly_payload_view,
-    readonly_state_view,
-    serialize_state,
-)
+from repro.nn.serialization import readonly_payload_view, readonly_state_view, serialize_state
 
 
 class BroadcastHandle:
-    """One round's broadcast, shared by every selected client without copies.
+    """One model version's broadcast, shared by every client without copies.
 
     ``state`` is a write-protected, no-copy view of the canonical global state
     (see :func:`repro.nn.serialization.readonly_state_view`); handing the same
-    handle to all ``M`` clients of a round therefore costs zero array copies,
-    where the legacy :meth:`FederatedServer.broadcast` deep-copied the whole
-    model once per client.  :meth:`serialized` pickles the state and payload
-    at most once per round, so parallel executors ship a single serialization
-    to their workers instead of re-pickling per client.  ``delivery`` is the
-    transport's memo of this handle's reference-free downlink frame — ``(codec,
-    frame bytes, decoded handle or None for this one, received arrays)`` — so
-    a model version dispatched many times (buffered / async modes) is encoded
-    once.
+    handle to all ``M`` clients of a round therefore costs zero array copies.
+    :meth:`serialized` pickles the state and payload at most once per handle,
+    so parallel executors ship a single serialization to their workers
+    instead of re-pickling per client.  ``delivery`` is the transport's memo
+    of this handle's reference-free downlink frame — ``(codec, frame bytes,
+    decoded handle or None for this one, received arrays)`` — so a model
+    version dispatched many times (buffered / async modes) is encoded once.
     """
 
     __slots__ = ("state", "payload", "_blob", "delivery")
@@ -52,16 +45,26 @@ class BroadcastHandle:
 class FederatedServer:
     """The global coordinator ``M_G`` of paper Algorithm 1.
 
-    The server owns the canonical global model state, broadcasts it (plus any
-    method-specific payload such as clustered global prompts) to selected
-    clients, aggregates their updates with FedAvg and tracks communication
-    volume.
+    The server owns the canonical global model state and the method's
+    broadcast payload (e.g. RefFiL's clustered global prompts), broadcasts
+    both to selected clients, aggregates their updates with FedAvg and tracks
+    communication volume.  ``model`` is read once, for the initial state; the
+    server keeps no reference to it.
+
+    Both pieces of state change only by assignment (:meth:`aggregate`
+    assigns too).  Each setter stores write-protected views and drops the
+    cached :class:`BroadcastHandle`, so the broadcast is a pure function of
+    the current state — no caller decides when it is stale — and an in-place
+    array write raises ``ValueError`` instead of silently diverging from a
+    memoised frame or serialization.  Item assignment on the mappings
+    themselves bypasses the setters and is outside the contract (rule 4 of
+    :mod:`repro.federated.method`).
     """
 
     def __init__(self, model: Module, reduce_backend: Optional[ReduceBackend] = None) -> None:
-        self.model = model
-        self.global_state: Dict[str, np.ndarray] = model.state_dict()
-        self.broadcast_payload: Dict[str, Any] = {}
+        self._broadcast_handle: Optional[BroadcastHandle] = None
+        self.global_state = model.state_dict()
+        self.broadcast_payload = {}
         self.ledger = CommunicationLedger()
         #: Aggregation topology (:mod:`repro.federated.aggregation`): the
         #: default flat backend is one server-side FedAvg, bit-for-bit the
@@ -71,37 +74,39 @@ class FederatedServer:
             reduce_backend if reduce_backend is not None else FlatReduceBackend()
         )
         self.round_counter = 0
-        self._broadcast_handle: Optional[BroadcastHandle] = None
         self._aggregation_scale: Optional[Sequence[float]] = None
 
-    def broadcast(self) -> Dict[str, np.ndarray]:
-        """Return a copy of the global state for a client to load.
+    @property
+    def global_state(self) -> Dict[str, np.ndarray]:
+        """The canonical global model state, as write-protected arrays."""
+        return self._global_state
 
-        Legacy per-client path; the simulation loop now uses
-        :meth:`broadcast_view`, which shares one read-only view across all
-        clients of a round instead of deep-copying per client.
-        """
-        return clone_state_dict(self.global_state)
+    @global_state.setter
+    def global_state(self, state: Dict[str, np.ndarray]) -> None:
+        self._global_state = readonly_state_view(state)
+        self._broadcast_handle = None
+
+    @property
+    def broadcast_payload(self) -> Dict[str, Any]:
+        """Method-specific broadcast content, every array write-protected."""
+        return self._broadcast_payload
+
+    @broadcast_payload.setter
+    def broadcast_payload(self, payload: Dict[str, Any]) -> None:
+        self._broadcast_payload = readonly_payload_view(payload)
+        self._broadcast_handle = None
 
     def broadcast_view(self) -> BroadcastHandle:
-        """Return the round's shared zero-copy broadcast handle.
+        """Return the current model version's shared zero-copy broadcast handle.
 
-        The handle is cached until the global state or payload changes, so
-        repeated calls within one round are free and its cached serialization
-        is reused across all workers of a parallel round.  ``aggregate`` and
-        ``set_broadcast_payload`` invalidate it themselves; callers that let a
-        method hook mutate ``global_state`` directly must call
-        :meth:`invalidate_broadcast` afterwards (the simulation loop does,
-        after every server-facing hook), or the cached handle would keep
-        serving the pre-hook state.
+        The handle is cached until ``global_state`` or ``broadcast_payload``
+        is next assigned, so repeated calls between two model versions are
+        free and its cached serialization (and the transport's memoised
+        frame) is reused across every worker and dispatch that sees it.
         """
         if self._broadcast_handle is None:
             self._broadcast_handle = BroadcastHandle(self.global_state, self.broadcast_payload)
         return self._broadcast_handle
-
-    def invalidate_broadcast(self) -> None:
-        """Drop the cached broadcast handle (and its serialization)."""
-        self._broadcast_handle = None
 
     def aggregate(self, updates: List[ClientUpdate]) -> Dict[str, np.ndarray]:
         """FedAvg the updates into a new global state (weighted by |D_m|).
@@ -120,18 +125,15 @@ class FederatedServer:
                 "updates arrived; the scope must cover exactly the updates it "
                 "was declared for"
             )
-        new_state = self.reduce_backend.reduce(
+        self.global_state = self.reduce_backend.reduce(
             [update.state_dict for update in updates],
             [update.num_samples for update in updates],
             scale=scale,
             coordinate=self.round_counter,
         )
         self._aggregation_scale = None  # a scope covers exactly one aggregation
-        self.global_state = new_state
-        self.model.load_state_dict(new_state)
         self.round_counter += 1
-        self._broadcast_handle = None
-        return new_state
+        return self.global_state
 
     @contextmanager
     def aggregation_scale(self, scale: Sequence[float]) -> Iterator[None]:
@@ -148,34 +150,6 @@ class FederatedServer:
             yield
         finally:
             self._aggregation_scale = None
-
-    def apply_update(self, update: ClientUpdate, mixing: float) -> Dict[str, np.ndarray]:
-        """FedAsync-style per-arrival application: ``x <- (1-m) x + m x_k``.
-
-        ``mixing`` is the staleness-discounted mixing rate in ``(0, 1]``; the
-        blend itself is :func:`repro.federated.aggregation.blend_states`.
-        The standalone-server counterpart of
-        :meth:`FederatedMethod.apply_async_update` (which methods route
-        through their own ``aggregate`` hook so payload machinery sees the
-        arrival).  Counts as one global-model version (``round_counter``),
-        which is exactly what the temporal plane's staleness bookkeeping
-        measures.
-        """
-        new_state = blend_states(self.global_state, update.state_dict, mixing)
-        self.global_state = new_state
-        self.model.load_state_dict(new_state)
-        self.round_counter += 1
-        self._broadcast_handle = None
-        return new_state
-
-    def load_into(self, model: Module) -> None:
-        """Load the current global state into an arbitrary model instance."""
-        model.load_state_dict(self.global_state)
-
-    def set_broadcast_payload(self, payload: Dict[str, Any]) -> None:
-        """Attach method-specific broadcast content (e.g. RefFiL's global prompts)."""
-        self.broadcast_payload = payload
-        self._broadcast_handle = None
 
 
 __all__ = ["FederatedServer", "BroadcastHandle"]

@@ -53,7 +53,13 @@ from repro.federated.clock import (
     PROFILE_TIERS,
     ProfileCache,
 )
-from repro.federated.communication import ClientUpdate, CommunicationLedger, build_codec
+from repro.federated.communication import (
+    ClientUpdate,
+    CommunicationLedger,
+    build_codec,
+    flatten_message,
+    split_message,
+)
 from repro.federated.config import FederatedConfig
 from repro.federated.execution import ParallelEvalBackend, ParallelExecutor, build_executor
 from repro.federated.faults import FaultInjector
@@ -66,7 +72,7 @@ from repro.federated.sampling import (
 )
 from repro.federated.server import FederatedServer
 from repro.federated.virtual import VirtualClientPlane
-from repro.federated.transport import _flatten_message, _split_message, build_transport
+from repro.federated.transport import build_transport
 from repro.serving.engine import InferenceEngine
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import ServingFrontEnd
@@ -473,10 +479,6 @@ class FederatedDomainIncrementalSimulation:
         synchronous round's simulated duration — the event-driven modes take
         their time from the scheduler.
         """
-        # server.aggregate() invalidates the cached broadcast itself, but a
-        # method's aggregate override may mutate server state directly; the
-        # mid-task eval below must never score a stale pre-round broadcast.
-        self.server.invalidate_broadcast()
         injector = self.fault_injector
         if injector is not None and injector.server_restarts(self.server.round_counter):
             # The fault plane's periodic simulated server restart: the
@@ -564,9 +566,6 @@ class FederatedDomainIncrementalSimulation:
     def _run_round(self, task: Task, round_index: int) -> None:
         assignment = self.schedule.assignment_for_task(task.task_id)
         self.method.on_round_start(task.task_id, round_index, self.server)
-        # The hook may mutate server state directly; a stale cached broadcast
-        # (left by the previous round's eval snapshot) must not survive it.
-        self.server.invalidate_broadcast()
         rng = spawn_rng(self.config.seed, "selection", task.task_id, round_index)
         fleet = self.virtual is not None and self.virtual.fleet
         eligible = None if fleet else self.eligible_clients(task, assignment)
@@ -709,7 +708,7 @@ class FederatedDomainIncrementalSimulation:
         every other checkpoint stays model-sized however many clients the
         run has contacted.
         """
-        arrays, skeleton = _flatten_message(
+        arrays, skeleton = flatten_message(
             self.server.global_state, self.server.broadcast_payload, self.method.payload_codec()
         )
         return {
@@ -801,13 +800,12 @@ class FederatedDomainIncrementalSimulation:
         """Load a checkpoint payload into this (freshly constructed) simulation."""
         with default_dtype(self.config.dtype):
             server_state = payload["server"]
-            state, broadcast_payload = _split_message(
+            state, broadcast_payload = split_message(
                 dict(server_state["arrays"]), server_state["skeleton"], self.method.payload_codec()
             )
             self.server.global_state = state
             self.server.broadcast_payload = broadcast_payload
             self.server.round_counter = server_state["round_counter"]
-            self.server.invalidate_broadcast()
             self.model.load_state_dict(state)
             # Swap the method's state in place: the evaluator (and any
             # parallel eval backend) holds bound references to *this* method
@@ -889,7 +887,6 @@ class FederatedDomainIncrementalSimulation:
         with default_dtype(self.config.dtype):
             if not resumed:
                 self.method.on_task_start(task.task_id, self.server)
-                self.server.invalidate_broadcast()
             self._assign_task_data(task)
             if self.config.mode == "sync":
                 for round_index in range(start_round, self.config.rounds_per_task):
@@ -908,10 +905,6 @@ class FederatedDomainIncrementalSimulation:
             else:
                 self._temporal_runner.run_task(task)
             self.method.on_task_end(task.task_id, self.server)
-            # Whatever the hook did to the server must be visible to the
-            # after-task evaluation below (the parallel eval backend scores
-            # through server.broadcast_view()) and to the next task's rounds.
-            self.server.invalidate_broadcast()
             self.model.load_state_dict(self.server.global_state)
             with self.timer.measure("evaluation"):
                 return self.evaluator.evaluate_after_task(self.model, task.task_id)

@@ -19,10 +19,11 @@ on both directions of every communication round:
 It is the only transport, and it is in-process: every message is really
 encoded through the configured
 :class:`~repro.federated.communication.ArrayCodec` and ledger numbers are
-actual frame lengths.  The ``identity`` codec short-circuits the decode (its
-round-trip is the pickle the executor already performs), so the default
-configuration adds no decode work and no copies while still measuring real
-frames.
+actual frame lengths.  Every delivered upload is its decoded frame, under
+``identity`` too (whose decode is bit-exact views of the frame's columns).
+Downlink, the ``identity`` frame body *is* the broadcast handle's cached
+serialization — the blob the parallel executor ships to its workers — so
+that one decode is short-circuited to the server's own handle.
 
 Downlink state belongs to the codec that reads it.  Only a reference-reading
 downlink codec (``delta``) keeps *acknowledgements*: each client's frame is
@@ -33,7 +34,7 @@ diff chain can never desynchronise in simulation.  Every other codec keeps
 nothing per client — in memory or in a checkpoint: its one frame per model
 version is encoded, CRC-checked and decoded once and memoised on the
 :class:`~repro.federated.server.BroadcastHandle`, which the server drops
-whenever the model or the payload changes.
+whenever its state or payload is assigned.
 
 Bandwidth scenario: with ``bandwidth_limit > 0`` every client gets a
 deterministic per-run uplink budget — the limit scaled by a multiplier drawn
@@ -73,13 +74,12 @@ from repro.federated.communication import (
     build_codec,
     decode_frame,
     encode_frame,
+    flatten_message,
+    split_message,
 )
 from repro.federated.faults import carry_frame
 from repro.federated.server import BroadcastHandle, FederatedServer
 from repro.utils.rng import spawn_rng
-
-_STATE_PREFIX = "s::"
-_PAYLOAD_PREFIX = "p::"
 
 
 def verify_frame(frame: WireFrame, **coordinates: Any) -> None:
@@ -89,38 +89,6 @@ def verify_frame(frame: WireFrame, **coordinates: Any) -> None:
             f"{frame.kind} frame failed its CRC32 checksum ({frame.num_bytes} bytes)",
             **coordinates,
         )
-
-
-def _flatten_message(
-    state: Dict[str, np.ndarray], payload: Any, payload_codec: PayloadCodec
-) -> Tuple[Dict[str, np.ndarray], Any]:
-    """Merge model state and payload arrays into one namespaced flat dict."""
-    payload_arrays, skeleton = payload_codec.flatten(payload)
-    arrays: Dict[str, np.ndarray] = {
-        _STATE_PREFIX + key: value for key, value in state.items()
-    }
-    for name, value in payload_arrays.items():
-        arrays[_PAYLOAD_PREFIX + name] = value
-    return arrays, skeleton
-
-
-def _split_message(
-    arrays: Dict[str, np.ndarray], skeleton: Any, payload_codec: PayloadCodec
-) -> Tuple[Dict[str, np.ndarray], Any]:
-    """Inverse of :func:`_flatten_message`."""
-    state = {
-        key[len(_STATE_PREFIX):]: value
-        for key, value in arrays.items()
-        if key.startswith(_STATE_PREFIX)
-    }
-    # Decoded arrays are views of a message-sized column; what a server keeps
-    # of an upload (the payload) is copied out so it cannot pin that buffer.
-    payload_arrays = {
-        key[len(_PAYLOAD_PREFIX):]: np.array(value)
-        for key, value in arrays.items()
-        if key.startswith(_PAYLOAD_PREFIX)
-    }
-    return state, payload_codec.unflatten(payload_arrays, skeleton)
 
 
 @dataclass
@@ -227,7 +195,7 @@ class LoopbackTransport:
         """
         verify_frame(frame, **coordinates)
         arrays, meta = decode_frame(frame, self.down_codec, ref, **coordinates)
-        state, payload = _split_message(arrays, meta, self.payload_codec)
+        state, payload = split_message(arrays, meta, self.payload_codec)
         return BroadcastHandle(state, payload), arrays
 
     def broadcast_round(
@@ -256,7 +224,7 @@ class LoopbackTransport:
             # One frame per distinct acknowledgement held by the selected
             # clients.  A lossless diff codec decodes to identical content
             # whatever the reference, so one decode serves the whole round.
-            flat, skeleton = _flatten_message(handle.state, handle.payload, self.payload_codec)
+            flat, skeleton = flatten_message(handle.state, handle.payload, self.payload_codec)
             groups: Dict[int, Tuple[Optional[Dict[str, np.ndarray]], List[int]]] = {}
             for cid in selected:
                 ref = self._ack.get(cid)
@@ -278,7 +246,7 @@ class LoopbackTransport:
             # ``received`` object.  Keyed by codec, since nothing stops two
             # transports from driving one server.
             if handle.delivery is None or handle.delivery[0] is not self.down_codec:
-                flat, skeleton = _flatten_message(handle.state, handle.payload, self.payload_codec)
+                flat, skeleton = flatten_message(handle.state, handle.payload, self.payload_codec)
                 if isinstance(self.down_codec, IdentityCodec):
                     # The identity frame body IS the handle's cached
                     # serialization — the exact blob the parallel executor
@@ -318,7 +286,7 @@ class LoopbackTransport:
     def _encode_update(
         self, update: ClientUpdate, reference: Dict[str, np.ndarray]
     ) -> WireFrame:
-        arrays, skeleton = _flatten_message(
+        arrays, skeleton = flatten_message(
             update.state_dict, update.payload, self.payload_codec
         )
         meta = {
@@ -342,7 +310,7 @@ class LoopbackTransport:
             task_id=pending.task_id,
             round_index=pending.round_index,
         )
-        state, payload = _split_message(arrays, meta["skeleton"], self.payload_codec)
+        state, payload = split_message(arrays, meta["skeleton"], self.payload_codec)
         return ClientUpdate(
             client_id=meta["client_id"],
             state_dict=state,
@@ -358,13 +326,11 @@ class LoopbackTransport:
             raise RuntimeError("collect_updates called before broadcast_round")
         pending = self._pending
         self._pending = None
-        identity = isinstance(self.codec, IdentityCodec)
         frames: List[FrameRecord] = []
 
         def received(update: ClientUpdate, frame: WireFrame) -> ClientUpdate:
-            # The one delivery rule: what the server holds is the decoded
-            # frame (the identity round-trip is the update itself).
-            return update if identity else self._decode_update(frame, pending, update.client_id)
+            # The one delivery rule: what the server holds is the decoded frame.
+            return self._decode_update(frame, pending, update.client_id)
 
         def straggle(update: ClientUpdate, frame: WireFrame) -> None:
             # The one straggler rule, whatever made the upload late — over

@@ -6,7 +6,8 @@ this module adds disk persistence (``.npz``), comparison helpers, and the
 zero-redundant-copy broadcast primitives used by the round execution engine:
 
 * :func:`readonly_state_view` — a no-copy, write-protected view of a state
-  dict, safe to hand to every client of a round simultaneously;
+  dict (the form the server keeps its global state in), safe to hand to
+  every client of a round simultaneously;
 * :func:`serialize_state` / :func:`deserialize_state` — a single pickle
   serialization of a state dict that worker processes can unpack, so a round
   pays one serialization instead of one deep copy per client.
@@ -47,11 +48,6 @@ def state_dicts_allclose(
     if set(left) != set(right):
         return False
     return all(np.allclose(left[key], right[key], atol=atol) for key in left)
-
-
-def clone_state_dict(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Deep-copy a state dict."""
-    return {key: np.array(value, copy=True) for key, value in state.items()}
 
 
 def readonly_state_view(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -106,7 +102,6 @@ __all__ = [
     "save_state_dict",
     "load_state_dict",
     "state_dicts_allclose",
-    "clone_state_dict",
     "readonly_state_view",
     "readonly_payload_view",
     "serialize_state",

@@ -3,7 +3,9 @@
 A checkpoint answers "how do I resume this run"; a registry version answers
 "what model should I serve".  The two share their storage discipline — the
 same self-validating ``RPCK`` container (magic, format version, CRC32,
-zlib-compressed pickle) written via ``tmp + fsync + os.replace`` — but a
+zlib-compressed pickle) written through
+:func:`~repro.federated.checkpoint.atomic_write` (tmp + fsync + rename +
+directory fsync) — but a
 version additionally carries a queryable identity: a monotonically increasing
 version id, the run position (task/round) it was published at, the publishing
 run's config fingerprint, an accuracy snapshot, the wire codec it was
@@ -38,12 +40,18 @@ import numpy as np
 
 from repro.federated.checkpoint import (
     CheckpointCorruptionError,
+    atomic_write,
     load_checkpoint,
     retain_last,
     save_checkpoint,
 )
-from repro.federated.communication import PayloadCodec, TreePayloadCodec, build_codec
-from repro.federated.transport import _flatten_message, _split_message
+from repro.federated.communication import (
+    PayloadCodec,
+    TreePayloadCodec,
+    build_codec,
+    flatten_message,
+    split_message,
+)
 
 #: 2: version files hold columnar codec plans (``(table, columns)``); format-1
 #: files hold per-array plans no codec here decodes and must be republished.
@@ -167,15 +175,8 @@ class ModelRegistry:
         return manifest
 
     def _write_manifest(self, manifest: Dict[str, Any]) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        path = self.manifest_path
-        tmp_path = path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        atomic_write(self.manifest_path, text.encode("utf-8"))
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -217,7 +218,8 @@ class ModelRegistry:
     ) -> VersionInfo:
         """Durably publish one snapshot and return its manifest entry.
 
-        The version file lands first (tmp + fsync + rename), the manifest
+        The version file lands first (durably, see
+        :func:`~repro.federated.checkpoint.atomic_write`), the manifest
         second — a crash between the two leaves an orphaned version file that
         no manifest references, never a manifest pointing at garbage.
         Retention prunes only after both writes, so the newest version is
@@ -225,7 +227,7 @@ class ModelRegistry:
         """
         codec_impl = build_codec(codec)  # validates the spec before any IO
         payload_codec = payload_codec if payload_codec is not None else TreePayloadCodec()
-        arrays, skeleton = _flatten_message(state, payload, payload_codec)
+        arrays, skeleton = flatten_message(state, payload, payload_codec)
         manifest = self._read_manifest()
         version = int(manifest.get("next_version", 1))
         path = os.path.join(self.directory, version_filename(version))
@@ -318,7 +320,7 @@ class ModelRegistry:
                 f"version file {path!r} failed to decode: {error}"
             ) from error
         payload_codec = payload_codec if payload_codec is not None else TreePayloadCodec()
-        state, payload = _split_message(arrays, skeleton, payload_codec)
+        state, payload = split_message(arrays, skeleton, payload_codec)
         return LoadedVersion(info=info, state=state, payload=payload)
 
 

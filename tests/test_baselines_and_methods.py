@@ -84,7 +84,7 @@ class TestBaselineLocalUpdates:
         model = method.build_model()
         server = FederatedServer(model)
         client = _client(tiny_spec)
-        update = method.local_update(model, server.broadcast(), server.broadcast_payload, client)
+        update = method.local_update(model, server.global_state, server.broadcast_payload, client)
         return model, server, update
 
     def test_finetune_update_produces_valid_state(self, backbone_config, tiny_spec):
@@ -112,7 +112,7 @@ class TestBaselineLocalUpdates:
         method.on_task_start(1, server)
         assert method.has_teacher
         client = _client(tiny_spec, task_id=1)
-        update = method.local_update(model, server.broadcast(), {}, client)
+        update = method.local_update(model, server.global_state, {}, client)
         assert update.train_loss > 0
 
     def test_fedlwf_validation(self, backbone_config):
@@ -124,13 +124,13 @@ class TestBaselineLocalUpdates:
         model = method.build_model()
         server = FederatedServer(model)
         client = _client(tiny_spec)
-        update = method.local_update(model, server.broadcast(), {}, client)
+        update = method.local_update(model, server.global_state, {}, client)
         assert "fisher" in update.payload
         assert all(np.all(v >= 0) for v in update.payload["fisher"].values())
         method.aggregate(server, [update])
         assert method.has_penalty
         # Subsequent local updates should include the (finite) penalty without crashing.
-        second = method.local_update(model, server.broadcast(), {}, _client(tiny_spec, task_id=1))
+        second = method.local_update(model, server.global_state, {}, _client(tiny_spec, task_id=1))
         assert np.isfinite(second.train_loss)
 
     def test_fedl2p_pool_variant_names(self, backbone_config):
@@ -187,7 +187,7 @@ class TestRefFiLMethod:
         model = method.build_model()
         server = FederatedServer(model)
         client = _client(tiny_spec)
-        update = method.local_update(model, server.broadcast(), server.broadcast_payload, client)
+        update = method.local_update(model, server.global_state, server.broadcast_payload, client)
         groups = update.payload["prompt_groups"]
         assert groups
         assert all(np.asarray(v).shape == (tiny_backbone_config.embed_dim,) for v in groups.values())
@@ -196,12 +196,12 @@ class TestRefFiLMethod:
         method = RefFiLMethod(RefFiLConfig(backbone=tiny_backbone_config, prompt_length=3, max_tasks=4))
         model = method.build_model()
         server = FederatedServer(model)
-        update = method.local_update(model, server.broadcast(), {}, _client(tiny_spec))
+        update = method.local_update(model, server.global_state, {}, _client(tiny_spec))
         method.aggregate(server, [update])
         assert not method.prompt_aggregator.store.is_empty
         assert server.broadcast_payload
         # A second local update must be able to consume the broadcast payload.
-        second = method.local_update(model, server.broadcast(), server.broadcast_payload, _client(tiny_spec, task_id=1))
+        second = method.local_update(model, server.global_state, server.broadcast_payload, _client(tiny_spec, task_id=1))
         assert np.isfinite(second.train_loss)
 
     def test_predict_logits_shapes(self, tiny_backbone_config):
@@ -216,7 +216,7 @@ class TestRefFiLMethod:
         )
         model = method.build_model()
         server = FederatedServer(model)
-        update = method.local_update(model, server.broadcast(), {}, _client(tiny_spec))
+        update = method.local_update(model, server.global_state, {}, _client(tiny_spec))
         method.aggregate(server, [update])
         logits = method.predict_logits(model, Tensor(RNG.standard_normal((2, 3, 16, 16))))
         assert logits.shape == (2, tiny_backbone_config.num_classes)

@@ -387,7 +387,7 @@ class TestBroadcastMemo:
 
     def test_an_unchanged_handle_is_encoded_once_and_recorded_every_time(self, encodes):
         server = FederatedServer(Linear(6, 4, rng=np.random.default_rng(0)))
-        server.set_broadcast_payload({"prompts": np.linspace(-1.0, 1.0, 12).reshape(3, 4)})
+        server.broadcast_payload = {"prompts": np.linspace(-1.0, 1.0, 12).reshape(3, 4)}
         transport = build_transport("loopback", "quantize8", CommunicationLedger())
         handles = []
         for index, client_id in enumerate([11, 5, 8]):
@@ -416,12 +416,11 @@ class TestBroadcastMemo:
     @pytest.mark.parametrize(
         "advance",
         [
-            lambda server, update: server.set_broadcast_payload({"round": np.ones(2)}),
+            lambda server, update: setattr(server, "broadcast_payload", {"round": np.ones(2)}),
             lambda server, update: server.aggregate([update]),
-            lambda server, update: server.apply_update(update, 0.5),
-            lambda server, update: server.invalidate_broadcast(),
+            lambda server, update: setattr(server, "global_state", update.state_dict),
         ],
-        ids=["set_broadcast_payload", "aggregate", "apply_update", "invalidate_broadcast"],
+        ids=["assign_broadcast_payload", "aggregate", "assign_global_state"],
     )
     def test_every_way_the_server_moves_on_forces_a_new_encode(self, encodes, advance):
         server = FederatedServer(Linear(6, 4, rng=np.random.default_rng(0)))
@@ -436,6 +435,29 @@ class TestBroadcastMemo:
         advance(server, update)
         after = self._dispatch(transport, server, 1, 1)
         assert encodes == ["broadcast", "broadcast"] and after is not before
+
+    def test_a_buffered_run_encodes_each_model_version_once(
+        self, encodes, tiny_spec, tiny_backbone_config, tiny_federated_config
+    ):
+        """A dispatch cohort is not a model version: until a flush advances
+        the model, every dispatch — across cohort boundaries — rides one frame."""
+        config = replace(
+            tiny_federated_config,
+            mode="buffered",
+            codec="quantize8",
+            rounds_per_task=3,
+            buffer_size=4,
+        )
+        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
+        method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
+        result = FederatedDomainIncrementalSimulation(scenario, method, config).run()
+        cohorts_per_version = {}
+        for event in result.event_log:
+            if event["kind"] == "dispatch":
+                cohort = (event["task_id"], event["index"] // config.clients_per_round)
+                cohorts_per_version.setdefault(event["version"], set()).add(cohort)
+        assert any(len(cohorts) > 1 for cohorts in cohorts_per_version.values())
+        assert encodes.count("broadcast") == len(cohorts_per_version)
 
     def test_a_reference_reading_codec_never_takes_the_memo(self, encodes):
         server = FederatedServer(Linear(6, 4, rng=np.random.default_rng(0)))
@@ -576,10 +598,8 @@ class TestTransportParity:
             for record in ledger.records
             for frame in record.broadcast_frames
         )
-        assert ledger.per_round == [
-            {"upload": record.upload_bytes, "broadcast": record.broadcast_bytes}
-            for record in ledger.records
-        ]
+        assert ledger.uploaded_bytes == sum(record.upload_bytes for record in ledger.records)
+        assert ledger.broadcast_bytes == sum(record.broadcast_bytes for record in ledger.records)
         # Every selected client is charged a download every round.
         for record in ledger.records:
             assert len(record.broadcast_frames) == comm_config.clients_per_round

@@ -226,19 +226,17 @@ class _ZeroingFinetune(FinetuneMethod):
         server.global_state = {
             key: np.zeros_like(value) for key, value in server.global_state.items()
         }
-        server.model.load_state_dict(server.global_state)
 
 
 class TestBroadcastFreshness:
-    def test_invalidate_broadcast_drops_cached_handle(self, tiny_backbone_config):
+    def test_assigning_global_state_retires_the_cached_handle(self, tiny_backbone_config):
         method = build_method("finetune", tiny_backbone_config, num_tasks=1)
         server = FederatedServer(method.build_model())
         handle = server.broadcast_view()
+        assert server.broadcast_view() is handle  # cached while the state stands
         server.global_state = {
             key: np.zeros_like(value) for key, value in server.global_state.items()
         }
-        assert server.broadcast_view() is handle  # the documented hazard: cached
-        server.invalidate_broadcast()
         fresh = server.broadcast_view()
         assert fresh is not handle
         assert all((np.asarray(value) == 0).all() for value in fresh.state.values())

@@ -113,15 +113,8 @@ class TestBroadcastHandle:
         handle = server.broadcast_view()
         assert server.broadcast_view() is handle
         assert handle.serialized() is handle.serialized()
-        server.set_broadcast_payload({"x": np.zeros(2)})
+        server.broadcast_payload = {"x": np.zeros(2)}
         assert server.broadcast_view() is not handle
-
-    def test_legacy_broadcast_still_deep_copies(self, tiny_backbone_config):
-        server = self._server(tiny_backbone_config)
-        copy = server.broadcast()
-        for key, value in copy.items():
-            assert not np.shares_memory(value, server.global_state[key])
-            value[...] = 0.0  # writable
 
 
 class TestReplicaCache:
@@ -451,7 +444,7 @@ class TestPrecision:
             rng=np.random.default_rng(3),
             training=LocalTrainingConfig(local_epochs=1, batch_size=8, learning_rate=0.05),
         )
-        return method.local_update(model, server.broadcast(), server.broadcast_payload, client)
+        return method.local_update(model, server.global_state, server.broadcast_payload, client)
 
     def test_float32_local_update_matches_float64_within_tolerance(
         self, tiny_spec, tiny_backbone_config
@@ -513,7 +506,7 @@ class TestLossBreakdown:
             rng=np.random.default_rng(3),
             training=LocalTrainingConfig(local_epochs=1, batch_size=8, learning_rate=0.05),
         )
-        update = method.local_update(model, server.broadcast(), server.broadcast_payload, client)
+        update = method.local_update(model, server.global_state, server.broadcast_payload, client)
         metrics = update.metrics
         assert set(metrics) == {"loss_ce", "loss_gpl", "loss_dpcl", "loss_total"}
         assert metrics["loss_total"] == pytest.approx(update.train_loss)

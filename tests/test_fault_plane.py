@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import os
+import pickle
 import shutil
+import stat
 import subprocess
 import sys
 import textwrap
@@ -51,6 +53,7 @@ from repro.federated.faults import Hop, carry_frame
 from repro.federated.server import FederatedServer
 from repro.federated.transport import LoopbackTransport
 from repro.nn.linear import Linear
+from repro.serving.registry import ModelRegistry
 
 
 def _scenario(tiny_spec, num_tasks=2):
@@ -620,6 +623,63 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
 
+class TestDurableRetention:
+    """A rename is durable only once its directory is fsynced; a prune that
+    unlinks older files before that could, after a power loss, keep the
+    unlinks and lose the rename — fewer than ``keep`` files, possibly none."""
+
+    @pytest.fixture
+    def disk_ops(self, monkeypatch):
+        """Every ``os.fsync`` (of a file or a directory), ``os.replace`` and
+        ``os.remove``, in call order."""
+        ops = []
+        real = {name: getattr(os, name) for name in ("fsync", "replace", "remove")}
+
+        def fsync(descriptor):
+            ops.append("fsync-dir" if stat.S_ISDIR(os.fstat(descriptor).st_mode) else "fsync")
+            real["fsync"](descriptor)
+
+        def recorded(name):
+            def call(*args, **kwargs):
+                ops.append(name)
+                return real[name](*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", recorded("replace"))
+        monkeypatch.setattr(os, "remove", recorded("remove"))
+        return ops
+
+    @staticmethod
+    def _assert_renames_durable_before_prunes(ops):
+        assert "remove" in ops  # retention really pruned something
+        for index, op in enumerate(ops):
+            if op == "replace":
+                assert ops[index - 1] == "fsync" and ops[index + 1] == "fsync-dir", ops
+
+    def test_checkpoint_prune_follows_the_directory_fsync(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path, disk_ops
+    ):
+        config = replace(
+            tiny_federated_config,
+            rounds_per_task=2,
+            checkpoint_every=1,
+            checkpoint_keep=1,
+            checkpoint_dir=str(tmp_path),
+        )
+        _run(tiny_spec, tiny_backbone_config, config)
+        self._assert_renames_durable_before_prunes(disk_ops)
+        assert len(os.listdir(tmp_path)) == 1
+
+    def test_registry_prune_follows_the_directory_fsync(self, tmp_path, disk_ops):
+        registry = ModelRegistry(str(tmp_path), keep=1)
+        for index in range(3):
+            registry.publish(name="m", state={"w": np.full(3, float(index))}, round_index=index)
+        self._assert_renames_durable_before_prunes(disk_ops)
+        assert [info.version for info in registry.list_versions()] == [3]
+
+
 # --------------------------------------------------------------------------- #
 # Checkpoint -> resume equals uninterrupted, across modes
 # --------------------------------------------------------------------------- #
@@ -667,6 +727,36 @@ class TestCheckpointResume:
         assert resumed.round_losses == full.round_losses
         assert resumed.event_log == full.event_log
         assert resumed.communication == full.communication
+
+    def test_resumes_from_a_ledger_pickled_with_its_retired_fields(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+    ):
+        """Ledgers used to carry ``per_round`` (per-record totals) and
+        ``measured_rounds`` (always ``rounds``); checkpoints that pickled them
+        still resume onto the same bits."""
+        full_dir = tmp_path / "full"
+        config = replace(
+            tiny_federated_config, rounds_per_task=2, checkpoint_every=1, checkpoint_dir=str(full_dir)
+        )
+        full_sim, full = _run(tiny_spec, tiny_backbone_config, config)
+        first = sorted(os.listdir(full_dir), key=parse_checkpoint_name)[0]
+        payload = load_checkpoint(str(full_dir / first))
+        ledger = pickle.loads(payload["ledger_blob"])
+        ledger.per_round = [
+            {"upload": record.upload_bytes, "broadcast": record.broadcast_bytes}
+            for record in ledger.records
+        ]
+        ledger.measured_rounds = ledger.rounds
+        payload["ledger_blob"] = pickle.dumps(ledger, protocol=pickle.HIGHEST_PROTOCOL)
+        resume_dir = tmp_path / "resume"
+        save_checkpoint(str(resume_dir / first), payload)
+
+        resumed_cfg = replace(config, checkpoint_dir=str(resume_dir), resume=True)
+        resumed_sim, resumed = _run(tiny_spec, tiny_backbone_config, resumed_cfg)
+        assert resumed.fault_stats["resumed_from"] is not None
+        assert simulation_state_hash(resumed_sim) == simulation_state_hash(full_sim)
+        assert resumed.communication == full.communication
+        assert resumed.communication.measured
 
     @pytest.mark.parametrize("codec", ["quantize8", "delta"])
     def test_checkpoints_hold_downlink_state_only_for_a_codec_that_reads_it(

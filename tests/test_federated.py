@@ -168,21 +168,26 @@ class TestCommunication:
 
 
 class TestServerAndLocalTraining:
-    def test_server_broadcast_is_a_copy(self):
-        model = Linear(3, 2, rng=np.random.default_rng(0))
-        server = FederatedServer(model)
-        broadcast = server.broadcast()
-        broadcast["weight"][...] = 0.0
+    def test_server_state_refuses_in_place_writes(self):
+        server = FederatedServer(Linear(3, 2, rng=np.random.default_rng(0)))
+        server.broadcast_payload = {"prompts": [np.ones(3)]}
+        with pytest.raises(ValueError):
+            server.global_state["weight"][...] = 0.0
+        with pytest.raises(ValueError):
+            server.broadcast_payload["prompts"][0] += 1.0
         assert not np.allclose(server.global_state["weight"], 0.0)
+        assert np.array_equal(server.broadcast_payload["prompts"][0], np.ones(3))
 
-    def test_server_aggregate_updates_model(self):
+    def test_server_aggregate_leaves_the_model_alone(self):
         model = Linear(2, 2, rng=np.random.default_rng(0))
+        before = model.state_dict()
         server = FederatedServer(model)
-        state = server.broadcast()
-        shifted = {key: value + 1.0 for key, value in state.items()}
+        shifted = {key: value + 1.0 for key, value in server.global_state.items()}
         update = ClientUpdate(client_id=0, state_dict=shifted, num_samples=4)
         server.aggregate([update])
-        assert np.allclose(model.weight.data, state["weight"] + 1.0)
+        np.testing.assert_array_equal(server.global_state["weight"], before["weight"] + 1.0)
+        for key, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
         assert server.round_counter == 1
         with pytest.raises(ValueError):
             server.aggregate([])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from repro.baselines import build_method
 from repro.continual import DomainIncrementalScenario
 from repro.core.trainer import train_refil
 from repro.datasets import SyntheticDomainDataset
-from repro.federated import FederatedDomainIncrementalSimulation
+from repro.datasets.registry import build_dataset
+from repro.experiments.config import ExperimentScale, scaled_config
+from repro.federated import FederatedDomainIncrementalSimulation, simulation_state_hash
 
 
 def _scenario(tiny_spec, num_tasks=2):
@@ -80,6 +84,39 @@ class TestSimulation:
         result = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config).run()
         assert result.communication.uploaded_bytes > 0
         assert result.communication.broadcast_bytes > 0
+
+
+#: ``simulation_state_hash`` after a whole run of each method on
+#: office_caltech at the ``tiny`` scale, seed 0.  A refactor of the server,
+#: transport or round loop that claims to move nothing must leave these bits
+#: alone, under both executors.
+_PINNED_STATE_HASHES = {
+    "finetune": "9170c981bc8c974bbf402ccd04ec8ad625067851e3ac85aecae5c10ea815bcd6",
+    "fedlwf": "92d893a67526878b39bbdb128a7904b2f6dd3fceb16db198d922321799981fd3",
+    "fedewc": "0326669456056f0eeb223d8f7244c661c2192c6c88c1d9ff8708d226171f864b",
+    "fedl2p": "9def2eb057a47d297719aa985e563ee9b27c5edef513db0b8178c84d44f20b17",
+    "feddualprompt": "bdd5ba51d3a52386b78fb9ef31cbadc343880768f609942475666dc387eedd0b",
+    "refil": "1c7769ffa288c95e06c9ce8046fd0d34b70c1e7cc1722ecb11449171a236ffc0",
+}
+
+
+class TestPinnedTrajectories:
+    @pytest.mark.parametrize("method_name", list(_PINNED_STATE_HASHES))
+    def test_state_hash_matches_the_pinned_run(self, method_name):
+        config = scaled_config("office_caltech", ExperimentScale.TINY, seed=0)
+        scenario = DomainIncrementalScenario(
+            build_dataset("office_caltech", spec_override=config.spec), num_tasks=config.num_tasks
+        )
+        for federated in (
+            config.federated,
+            replace(config.federated, executor="parallel", num_workers=2),
+        ):
+            method = build_method(method_name, config.backbone, num_tasks=scenario.num_tasks)
+            simulation = FederatedDomainIncrementalSimulation(scenario, method, federated)
+            simulation.run()
+            assert simulation_state_hash(simulation) == _PINNED_STATE_HASHES[method_name], (
+                federated.executor
+            )
 
 
 class TestTrainerWrapper:

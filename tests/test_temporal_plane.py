@@ -14,7 +14,7 @@ from repro.baselines import build_method
 from repro.continual import DomainIncrementalScenario
 from repro.datasets import SyntheticDomainDataset
 from repro.federated import FederatedDomainIncrementalSimulation
-from repro.federated.aggregation import staleness_weight
+from repro.federated.aggregation import blend_states, staleness_weight
 from repro.federated.clock import (
     CostModel,
     EventScheduler,
@@ -403,19 +403,16 @@ class TestAsyncModes:
 
 
 class TestServerStalenessPrimitives:
-    def test_apply_update_blends_at_the_mixing_rate(self):
-        model = Linear(2, 2, rng=np.random.default_rng(0))
-        server = FederatedServer(model)
-        before = {key: value.copy() for key, value in server.global_state.items()}
+    def test_blend_states_blends_at_the_mixing_rate(self):
+        before = Linear(2, 2, rng=np.random.default_rng(0)).state_dict()
         shifted = {key: value + 2.0 for key, value in before.items()}
-        server.apply_update(ClientUpdate(0, shifted, num_samples=4), mixing=0.25)
+        blended = blend_states(before, shifted, mixing=0.25)
         for key in before:
-            np.testing.assert_allclose(server.global_state[key], before[key] + 0.5)
-        assert server.round_counter == 1
+            np.testing.assert_allclose(blended[key], before[key] + 0.5)
         with pytest.raises(ValueError):
-            server.apply_update(ClientUpdate(0, shifted, num_samples=4), mixing=0.0)
+            blend_states(before, shifted, mixing=0.0)
         with pytest.raises(ValueError):
-            server.apply_update(ClientUpdate(0, {"nope": np.zeros(2)}, 4), mixing=0.5)
+            blend_states(before, {"nope": np.zeros(2)}, mixing=0.5)
 
     def test_aggregation_scale_weights_the_next_aggregate(self):
         model = Linear(1, 1, rng=np.random.default_rng(0))
