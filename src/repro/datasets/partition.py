@@ -185,11 +185,11 @@ def partition_indices_for_clients(
 
     The index-level half of :func:`partition_domain_across_clients`: it
     performs the exact same RNG draws on the exact same inputs, so the index
-    arrays are identical to the ones behind the eager shards — this is what
-    lets the virtual-client plane defer the expensive ``dataset.subset``
-    (image copies) to selection time while staying bit-for-bit with the
-    eager path.  Labels are cheap (one int per sample), so computing every
-    client's indices up front costs O(domain), not O(domain x image size).
+    arrays are identical to the ones behind its shards — this is what lets
+    the client data plane defer the expensive ``dataset.subset`` (image
+    copies) until a client is selected, bit-for-bit.  Labels are cheap (one
+    int per sample), so computing every client's indices up front costs
+    O(domain), not O(domain x image size).
     """
     if not client_ids:
         return {}

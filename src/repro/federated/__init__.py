@@ -52,7 +52,6 @@ from repro.federated.client import (
     ClientHandle,
     LocalTrainingConfig,
     ShardRef,
-    VirtualClientSpec,
     run_local_sgd,
 )
 from repro.federated.virtual import VirtualClientPlane
@@ -152,7 +151,6 @@ __all__ = [
     "ClientHandle",
     "LocalTrainingConfig",
     "ShardRef",
-    "VirtualClientSpec",
     "VirtualClientPlane",
     "run_local_sgd",
     "BroadcastHandle",

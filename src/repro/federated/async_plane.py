@@ -95,16 +95,11 @@ class TemporalPlaneRunner:
         sim = self.sim
         config = sim.config
         self._task = task
-        self._fleet = sim.virtual is not None and sim.virtual.fleet
-        if self._fleet:
-            # Fleet mode: the population is never enumerated.  Eligibility,
-            # churn and availability all become lazy per-probe predicates of
-            # the candidate's id; the schedule plane is bypassed entirely.
-            self._assignment = None
-            self._eligible = None
-        else:
-            self._assignment = sim.schedule.assignment_for_task(task.task_id)
-            self._eligible = sim.eligible_clients(task, self._assignment)
+        # Fleet mode: the population is never enumerated.  Eligibility, churn
+        # and availability all become lazy per-probe predicates of the
+        # candidate's id; the schedule plane is bypassed entirely.
+        self._fleet = sim.virtual.fleet
+        self._eligible = None if self._fleet else sim.eligible_clients(task)
         self._budget = config.rounds_per_task * config.clients_per_round
         self._buffer_k = config.buffer_size or config.clients_per_round
         self._dispatched = 0
@@ -276,7 +271,7 @@ class TemporalPlaneRunner:
             )
             return
         sim.consult_worker_kill(task_id, index)
-        handle = sim.client_handle(self._assignment, client_id, task_id, cohort, "event", index)
+        handle = sim.client_handle(client_id, task_id, cohort, "event", index)
         # The compute happens now (the local update is a pure function of the
         # dispatch-time broadcast); only its *application* waits for the
         # arrival event.

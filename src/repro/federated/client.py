@@ -60,37 +60,6 @@ class ShardRef:
         return (self.plane, self.task_id, self.unit)
 
 
-@dataclass(frozen=True)
-class VirtualClientSpec:
-    """A client as a recipe: ``(seed, partition-spec)`` instead of a shard.
-
-    The virtual-client plane (:mod:`repro.federated.virtual`) keeps the whole
-    population as specs and materializes actual :class:`ArrayDataset` shards
-    only for a round's selected cohort.  A spec is a pure description — every
-    field is derivable from the run config plus the client's schedule history,
-    so checkpoints never serialize shards and two materializations of the
-    same spec are bit-for-bit identical.
-
-    ``components`` lists the single-domain task ids whose per-task shards
-    concatenate into the client's current training data, oldest first: a NEW
-    client holds ``(t,)``, an IN_BETWEEN client ``(t_prev, t)`` — exactly the
-    eager plane's concat-previous-with-new semantics.  ``population=0`` marks
-    a schedule-driven spec (indices come from the shared quantity-shift
-    partition of the takers); a positive value marks a fleet-mode spec
-    (indices come from the client's own ``spawn_rng(seed, "vshard", task,
-    client)`` draw over the domain pool).
-    """
-
-    client_id: int
-    task_id: int
-    group: ClientGroup
-    seed: int
-    concentration: float
-    population: int
-    components: Tuple[int, ...]
-    domains_held: Tuple[int, ...] = ()
-
-
 @dataclass
 class ClientHandle:
     """Everything a method needs to run one client's local update for one round.
@@ -179,7 +148,6 @@ def run_local_sgd(
 __all__ = [
     "LocalTrainingConfig",
     "ShardRef",
-    "VirtualClientSpec",
     "ClientHandle",
     "run_local_sgd",
 ]

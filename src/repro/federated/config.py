@@ -297,17 +297,14 @@ class FederatedConfig:
         ``"quantize16"`` / ``"topk[:f]"`` lossy).  A version stores its
         *encoded* form, so every consumer of a version decodes the same
         arrays deterministically.""")
-    # With population == 0 the virtual plane re-materializes the exact eager
-    # shards (asserted bit-for-bit by the hierarchy suite); a fleet population
+    # Read by nothing but the population rule below; a fleet population
     # changes the cohorts outright and keeps both knobs in the key.
     virtual_clients: bool = knob(False, inert=lambda c: c.population == 0, doc="""
-        Client identity becomes a lazy *recipe* instead of an eager object
-        (:mod:`repro.federated.virtual`): shards are materialized only for
-        the round's selected cohort (O(clients_per_round) memory) and
-        released afterwards.  With ``population=0`` the population is still
-        driven by ``increment`` and every materialized shard is bit-for-bit
-        identical to the eager path for the same seed — the whole run
-        reproduces the eager run exactly.  Default off (eager shards).""")
+        No code path reads this knob: every run keeps its clients as lazy
+        recipes in the client data plane (:mod:`repro.federated.virtual`),
+        materializing a shard only when its client is selected.  It is
+        required (``True``) when ``population > 0``, and it will be retired
+        once the end-to-end benchmark stops passing it.""")
     population: int = knob(0, minimum=0, doc="""
         ``0`` (default): the client population is whatever ``increment``
         schedules.  A positive N switches to *fleet mode*: N virtual clients

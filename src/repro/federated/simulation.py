@@ -7,7 +7,9 @@ for every incremental task ``t``:
     * advance the client-increment schedule (Old / In-between / New groups),
     * partition the new domain's training data across the clients that take it
       (with quantity shift), letting In-between clients concatenate their
-      previous domain's shard (Algorithm 1 line 17),
+      previous domain's shard (Algorithm 1 line 17) — the client data plane
+      (:mod:`repro.federated.virtual`) records the partition and builds a
+      client's shard when the client is first selected,
     * run ``R`` communication rounds of: random client selection, broadcast of
       the global model (plus the method's broadcast payload, e.g. clustered
       global prompts), local updates, aggregation;
@@ -27,12 +29,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import default_dtype, get_default_dtype
+from repro.autograd.tensor import default_dtype
 from repro.continual.evaluator import EvalBackend, GlobalEvaluator
 from repro.continual.metrics import ContinualMetrics
 from repro.continual.scenario import DomainIncrementalScenario, Task
-from repro.datasets.base import ArrayDataset
-from repro.datasets.partition import partition_domain_across_clients
+# Kept importable here: benchmarks/e2e/surface.py names it as a "datasets.partition" trace hook.
+from repro.datasets.partition import partition_domain_across_clients  # noqa: F401
 from repro.federated.async_plane import TemporalPlaneRunner
 from repro.federated.checkpoint import (
     CHECKPOINT_VERSION,
@@ -63,7 +65,7 @@ from repro.federated.communication import (
 from repro.federated.config import FederatedConfig
 from repro.federated.execution import ParallelEvalBackend, ParallelExecutor, build_executor
 from repro.federated.faults import FaultInjector
-from repro.federated.increment import ClientGroup, ClientIncrementSchedule, TaskAssignment
+from repro.federated.increment import ClientIncrementSchedule
 from repro.federated.method import FederatedMethod
 from repro.federated.sampling import (
     NoAvailableClientsError,
@@ -200,12 +202,9 @@ class FederatedDomainIncrementalSimulation:
                 retries=config.retries,
                 retry_backoff=config.retry_backoff,
             )
-        # The virtual-client plane: clients as lazy (seed, partition-spec)
-        # recipes, shards materialized per selected cohort only.  None keeps
-        # the eager dicts below as the data plane (the historical path).
-        self.virtual: Optional[VirtualClientPlane] = (
-            VirtualClientPlane(config) if config.virtual_clients else None
-        )
+        # The client data plane: clients as lazy (seed, partition-spec)
+        # recipes, shards materialized when a client is selected.
+        self.virtual = VirtualClientPlane(config)
         # Worker deaths are replayed, not fatal, when the fault plane kills
         # workers on purpose; the respawn budget is generous (every round
         # could kill one worker, twice over) but finite, so a genuinely
@@ -242,11 +241,6 @@ class FederatedDomainIncrementalSimulation:
             predict_fn=method.predict_logits,
             backend=eval_backend,
         )
-        # The most recent single-domain shard held by each client and the
-        # domain indices a client has ever trained on.
-        self._latest_shard: Dict[int, ArrayDataset] = {}
-        self._training_data: Dict[int, ArrayDataset] = {}
-        self._domains_held: Dict[int, List[int]] = {}
         self.round_losses: List[float] = []
         self.round_loss_components: List[Dict[str, float]] = []
         self.round_eval_history: List[Dict[str, object]] = []
@@ -285,60 +279,12 @@ class FederatedDomainIncrementalSimulation:
     # Data assignment per task
     # ------------------------------------------------------------------ #
     def _assign_task_data(self, task: Task) -> None:
-        if self.virtual is not None:
-            # Lazy plane: record the task's partition *indices* (schedule
-            # mode) or nothing at all (fleet mode) — shards materialize at
-            # selection time.  Replayed deterministically on resume, so
-            # checkpoints carry specs, never shards.
-            assignment = (
-                None if self.virtual.fleet
-                else self.schedule.assignment_for_task(task.task_id)
-            )
-            self.virtual.begin_task(task, assignment)
-            return
-        assignment = self.schedule.assignment_for_task(task.task_id)
-        takers = assignment.clients_taking_new_domain
-        rng = spawn_rng(self.config.seed, "partition", task.task_id)
-        shards = partition_domain_across_clients(
-            task.train, takers, rng, concentration=self.config.partition_concentration
-        )
-        # Scenarios are built before the simulation (possibly at a different
-        # precision); convert each shard to the run's compute dtype once here,
-        # so training batches and worker IPC stay at that precision instead of
-        # re-casting per batch.
-        shards = {client_id: shard.astype(get_default_dtype()) for client_id, shard in shards.items()}
-        for client_id in assignment.active_clients:
-            group = assignment.group_of(client_id)
-            if group is ClientGroup.NEW:
-                shard = shards[client_id]
-                self._latest_shard[client_id] = shard
-                self._training_data[client_id] = shard
-                self._domains_held[client_id] = [task.task_id]
-            elif group is ClientGroup.IN_BETWEEN:
-                new_shard = shards[client_id]
-                previous = self._latest_shard.get(client_id)
-                if previous is not None and len(previous) > 0:
-                    # Algorithm 1 line 17: D^t_m = concat(D^{t-1}_m, D^t_m).
-                    self._training_data[client_id] = ArrayDataset.concatenate((previous, new_shard))
-                else:
-                    self._training_data[client_id] = new_shard
-                self._latest_shard[client_id] = new_shard
-                self._domains_held[client_id] = self._domains_held.get(client_id, []) + [task.task_id]
-            else:  # ClientGroup.OLD keeps training on its existing data.
-                if client_id not in self._training_data:
-                    # A client that never received data (can happen with very
-                    # small initial populations); give it an empty marker.
-                    continue
-        if self.config.executor == "parallel":
-            # Pay the shard-fingerprint hash at the task boundary (once per
-            # shard) instead of inside the first round's critical path.  The
-            # concatenated in-between shards built above are new arrays with
-            # new fingerprints — exactly what invalidates workers' cached
-            # entries from the previous task at the next round's handshake.
-            for client_id in assignment.active_clients:
-                dataset = self._training_data.get(client_id)
-                if dataset is not None and len(dataset) > 0:
-                    dataset.fingerprint()
+        """Advance the client data plane to ``task``.
+
+        Replayed for every finished task on resume: checkpoints carry no
+        shards, only what the plane rebuilds from the seed and the schedule.
+        """
+        self.virtual.begin_task(task, self.schedule.assignment_for_task(task.task_id))
 
     # ------------------------------------------------------------------ #
     # Temporal plane
@@ -361,38 +307,12 @@ class FederatedDomainIncrementalSimulation:
             self.config.seed, task_id, slot
         )
 
-    def _client_dataset(self, client_id: int) -> ArrayDataset:
-        """The client's current training data — eager dict or lazy materialization."""
-        if self.virtual is not None:
-            return self.virtual.materialize(client_id)
-        return self._training_data[client_id]
-
-    def _client_group(self, assignment: TaskAssignment, client_id: int) -> ClientGroup:
-        if self.virtual is not None and self.virtual.fleet:
-            return self.virtual.group_for(client_id)
-        return assignment.group_of(client_id)
-
-    def _client_domains(self, client_id: int) -> Tuple[int, ...]:
-        if self.virtual is not None:
-            return self.virtual.domains_for(client_id)
-        return tuple(self._domains_held.get(client_id, []))
-
     # ------------------------------------------------------------------ #
     # The cohort step's parts shared by sync rounds and event-driven dispatch
     # ------------------------------------------------------------------ #
-    def eligible_clients(self, task: Task, assignment: TaskAssignment) -> List[int]:
-        """The task's active clients that hold training data (schedule-driven populations)."""
-        if self.virtual is not None:
-            # Schedule-mode virtual: the plane's take records coincide with
-            # "has a non-empty shard", so this is the eager eligible list —
-            # same clients, same order, same rng draws at selection.
-            eligible = self.virtual.eligible(assignment)
-        else:
-            eligible = [
-                client_id
-                for client_id in assignment.active_clients
-                if client_id in self._training_data and len(self._training_data[client_id]) > 0
-            ]
+    def eligible_clients(self, task: Task) -> List[int]:
+        """Schedule mode: the task's active clients that hold training data."""
+        eligible = self.virtual.eligible()
         if not eligible:
             raise RuntimeError(
                 f"no client has training data for task {task.task_id}; "
@@ -401,12 +321,7 @@ class FederatedDomainIncrementalSimulation:
         return eligible
 
     def client_handle(
-        self,
-        assignment: Optional[TaskAssignment],
-        client_id: int,
-        task_id: int,
-        round_index: int,
-        *rng_labels: object,
+        self, client_id: int, task_id: int, round_index: int, *rng_labels: object
     ) -> ClientHandle:
         """The handle one selected client trains through.
 
@@ -417,11 +332,11 @@ class FederatedDomainIncrementalSimulation:
         return ClientHandle(
             client_id=client_id,
             task_id=task_id,
-            group=self._client_group(assignment, client_id),
-            dataset=self._client_dataset(client_id),
+            group=self.virtual.group_for(client_id),
+            dataset=self.virtual.materialize(client_id),
             rng=spawn_rng(self.config.seed, "client", client_id, task_id, *rng_labels),
             training=self.config.local,
-            domains_held=self._client_domains(client_id),
+            domains_held=self.virtual.domains_for(client_id),
             metadata={
                 "round_index": float(round_index),
                 "rounds_per_task": float(self.config.rounds_per_task),
@@ -515,7 +430,7 @@ class FederatedDomainIncrementalSimulation:
         ``broadcast_round``/``collect_updates`` cycle for this client.
         """
         profile = self.profile_for(client_id)
-        dataset = self._client_dataset(client_id)
+        dataset = self.virtual.materialize(client_id)
         return (
             self.cost_model.transfer_seconds(
                 profile, self.transport.last_broadcast_bytes.get(client_id, 0)
@@ -542,7 +457,7 @@ class FederatedDomainIncrementalSimulation:
         uploaded.
         """
         profile = self.profile_for(client_id)
-        dataset = self._client_dataset(client_id)
+        dataset = self.virtual.materialize(client_id)
         return self.cost_model.transfer_seconds(
             profile, self.transport.last_broadcast_bytes.get(client_id, 0)
         ) + self.config.faults.crash_fraction * self.cost_model.training_seconds(
@@ -564,27 +479,25 @@ class FederatedDomainIncrementalSimulation:
     # Round loop (mode="sync")
     # ------------------------------------------------------------------ #
     def _run_round(self, task: Task, round_index: int) -> None:
-        assignment = self.schedule.assignment_for_task(task.task_id)
         self.method.on_round_start(task.task_id, round_index, self.server)
         rng = spawn_rng(self.config.seed, "selection", task.task_id, round_index)
-        fleet = self.virtual is not None and self.virtual.fleet
-        eligible = None if fleet else self.eligible_clients(task, assignment)
+        available = self.availability_predicate(task.task_id, round_index)
         try:
-            if fleet:
+            if self.virtual.fleet:
                 # Fleet mode: an O(cohort) draw from range(population) — the
                 # population is never instantiated as a list.
                 selected = sample_clients_lazy(
                     self.config.population,
                     self.config.clients_per_round,
                     rng,
-                    available=self.availability_predicate(task.task_id, round_index),
+                    available=available,
                 )
             else:
                 selected = sample_clients(
-                    eligible,
+                    self.eligible_clients(task),
                     self.config.clients_per_round,
                     rng,
-                    available=self.availability_predicate(task.task_id, round_index),
+                    available=available,
                 )
         except NoAvailableClientsError:
             # Every eligible device is offline this round: the server waits
@@ -613,7 +526,7 @@ class FederatedDomainIncrementalSimulation:
                 )
             self.consult_worker_kill(task.task_id, round_index)
         handles = [
-            self.client_handle(assignment, client_id, task.task_id, round_index, round_index)
+            self.client_handle(client_id, task.task_id, round_index, round_index)
             for client_id in selected
             if client_id not in crashed
         ]
@@ -698,9 +611,9 @@ class FederatedDomainIncrementalSimulation:
         format uses); the method object itself is pickled whole (it is
         required to be picklable for the parallel executor anyway).  Nothing
         rebuilt deterministically from the config is stored: datasets, client
-        schedules, device profiles, virtual-client recipes (the resume path
-        replays task assignment, which rebuilds the plane's specs — shards
-        are never serialized), and every RNG — ``spawn_rng`` streams are
+        schedules, device profiles, client shards (the resume path replays
+        task assignment through the client data plane, which rebuilds its
+        partition indices), and every RNG — ``spawn_rng`` streams are
         pure functions of ``(seed, labels)``, so there is no generator state.
 
         The transport's entry holds per-client model copies (downlink
@@ -929,8 +842,7 @@ class FederatedDomainIncrementalSimulation:
                         # Already trained before the checkpoint: replay only
                         # the deterministic data assignment, so later tasks'
                         # in-between clients see the right previous shards.
-                        with default_dtype(self.config.dtype):
-                            self._assign_task_data(task)
+                        self._assign_task_data(task)
                         continue
                     resumed_here = task.task_id == start_task and start_round > 0
                     results = self.run_task(

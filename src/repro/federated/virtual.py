@@ -1,25 +1,22 @@
-"""The virtual-client plane: clients as lazy recipes, shards on demand.
+"""The client data plane: clients as lazy recipes, shards on demand.
 
-The eager data plane materializes every active client's shard at task start —
-O(population) memory and setup cost, fine for the paper's tens of clients,
-impossible for a fleet.  This module turns client identity into a
-:class:`~repro.federated.client.VirtualClientSpec` — a pure ``(seed,
-partition-spec)`` recipe — and materializes actual :class:`ArrayDataset`
-shards only for a round's selected cohort, holding them in a small LRU so
-memory is O(clients_per_round) regardless of population.
+Every simulation keeps its clients' training data here.  A client is a pure
+``(seed, partition-spec, task, client id)`` recipe, and an actual
+:class:`ArrayDataset` shard is materialized only when a selected client
+trains, then held in a cache.
 
 Two population modes share the plane:
 
-* **Schedule mode** (``population=0``): the population is still driven by the
+* **Schedule mode** (``population=0``): the population is driven by the
   :class:`~repro.federated.increment.ClientIncrementSchedule`.  At each task
-  boundary the plane performs the *index-level* half of the eager partition —
-  the exact same ``spawn_rng(seed, "partition", task_id)`` draws over the
-  exact same taker list — and records, per client, only which tasks it last
-  took.  Materialization then replays the eager recipe (``subset`` →
-  ``astype`` → concat for in-between clients), which commutes with the eager
-  order of operations elementwise, so every materialized shard is bit-for-bit
-  identical to the eager shard and a whole virtual run reproduces the eager
-  run hash-for-hash.
+  boundary the plane draws the task's partition *indices* —
+  ``spawn_rng(seed, "partition", task_id)`` over the assignment's takers —
+  and records, per client, the tasks it took.  A New client holds its new
+  shard; an In-between client concatenates its previous take's shard with
+  the new one (paper Algorithm 1 line 17); an Old client keeps what it had.
+  Materialization is ``subset`` → ``astype`` per component, then concat.
+  The cache holds the task's whole eligible set, so no shard is built twice
+  within a task and none is evicted.
 
 * **Fleet mode** (``population=N``): N virtual clients, all of them taking
   every task (a shared whole-domain Dirichlet partition is infeasible when
@@ -29,11 +26,10 @@ Two population modes share the plane:
   Dirichlet knob's imbalance direction) and a uniform index choice over the
   domain pool — clients share samples, the standard fleet-simulator design.
   Everything about a client is O(1): no per-client state exists until the
-  client is selected, and none survives the LRU.
+  client is selected, and none survives the cohort-sized LRU.
 
 Checkpoints never see shards: the plane's bookkeeping is derived state,
-rebuilt by the resume path's deterministic replay of task assignment —
-"serialize specs, not shards" holds by construction.
+rebuilt by the resume path's deterministic replay of task assignment.
 """
 
 from __future__ import annotations
@@ -47,137 +43,106 @@ from repro.autograd.tensor import get_default_dtype
 from repro.continual.scenario import Task
 from repro.datasets.base import ArrayDataset
 from repro.datasets.partition import partition_indices_for_clients
-from repro.federated.client import VirtualClientSpec
 from repro.federated.config import FederatedConfig
 from repro.federated.increment import ClientGroup, TaskAssignment
 from repro.utils.rng import spawn_rng
 
-#: Fleet-mode shard sizing: never below the eager partitioner's
+#: Fleet-mode shard sizing: never below the schedule partitioner's
 #: ``min_per_client``, base size one eighth of the domain.
 _FLEET_MIN_SAMPLES = 2
 _FLEET_BASE_DIVISOR = 8
 
 
 class VirtualClientPlane:
-    """Owns the population's recipes and the cohort's materialized shards."""
+    """Owns the population's recipes and the materialized shards."""
 
     def __init__(self, config: FederatedConfig) -> None:
         self.config = config
         self.fleet = config.population > 0
-        self.population = config.population
         #: Domain training sets by task id (references into the scenario —
         #: the scenario already holds them; the plane adds no copies).
         self._task_train: Dict[int, ArrayDataset] = {}
         #: Schedule mode: the shared partition's index array per (task,
         #: taker) — one int per sample, never image data.
         self._indices: Dict[Tuple[int, int], np.ndarray] = {}
-        #: Schedule mode per-client history: the task a client last took, the
-        #: task it took before that (for in-between concat), the group it had
-        #: at its last take, and every task it ever took.
-        self._last_taken: Dict[int, int] = {}
-        self._prev_taken: Dict[int, Optional[int]] = {}
-        self._group_at_take: Dict[int, ClientGroup] = {}
+        #: Schedule mode: the tasks each client took since it last joined as
+        #: New, oldest first; its last two make up its training data.
         self._held: Dict[int, List[int]] = {}
+        self._assignment: Optional[TaskAssignment] = None
         self._current_task = -1
-        # The cohort cache: a handful of materialized shards, evicted LRU.
-        # Sized a few cohorts deep so sync rounds, async in-flight dispatches
-        # and the buffered flush window all hit; eviction is always safe
-        # (materialization is a pure function, a miss just recomputes).
+        # Materialization is a pure function, so eviction is always safe (a
+        # miss just recomputes).  Fleet mode keeps a few cohorts deep, so sync
+        # rounds, async in-flight dispatches and the buffered flush window all
+        # hit; schedule mode resizes to the eligible set at every task.
         self._cache: "OrderedDict[Tuple[int, Tuple[int, ...]], ArrayDataset]" = OrderedDict()
         self._cache_size = max(16, 4 * config.clients_per_round, 2 * config.buffer_size)
 
     # ------------------------------------------------------------------ #
     # Task boundaries
     # ------------------------------------------------------------------ #
-    def begin_task(self, task: Task, assignment: Optional[TaskAssignment]) -> None:
+    def begin_task(self, task: Task, assignment: TaskAssignment) -> None:
         """Advance the plane's bookkeeping for one task (replayed on resume).
 
-        Schedule mode performs the same partition draw as the eager plane —
-        ``spawn_rng(seed, "partition", task_id)`` over
-        ``assignment.clients_taking_new_domain`` — but keeps only the index
-        arrays.  Fleet mode records nothing: every client's recipe is already
-        a pure function of ``(seed, task_id, client_id)``.
+        Schedule mode draws the task's partition over
+        ``assignment.clients_taking_new_domain`` and keeps only the index
+        arrays.  Fleet mode ignores ``assignment`` and records nothing: every
+        client's recipe is already a pure function of ``(seed, task_id,
+        client_id)``.
         """
         self._current_task = task.task_id
         self._task_train[task.task_id] = task.train
         if self.fleet:
             return
-        if assignment is None:
-            raise ValueError("schedule-mode virtual clients need a task assignment")
-        takers = assignment.clients_taking_new_domain
+        self._assignment = assignment
         rng = spawn_rng(self.config.seed, "partition", task.task_id)
         index_map = partition_indices_for_clients(
-            task.train.labels, takers, rng, self.config.partition_concentration
+            task.train.labels,
+            assignment.clients_taking_new_domain,
+            rng,
+            self.config.partition_concentration,
         )
         for client_id, indices in index_map.items():
             self._indices[(task.task_id, client_id)] = indices
         for client_id in assignment.active_clients:
             group = assignment.group_of(client_id)
             if group is ClientGroup.NEW:
-                self._last_taken[client_id] = task.task_id
-                self._prev_taken[client_id] = None
-                self._group_at_take[client_id] = ClientGroup.NEW
                 self._held[client_id] = [task.task_id]
             elif group is ClientGroup.IN_BETWEEN:
-                self._prev_taken[client_id] = self._last_taken.get(client_id)
-                self._last_taken[client_id] = task.task_id
-                self._group_at_take[client_id] = ClientGroup.IN_BETWEEN
                 self._held[client_id] = self._held.get(client_id, []) + [task.task_id]
             # ClientGroup.OLD keeps training on its existing recipe.
+        # Hold every eligible client's shard for the whole task and drop the
+        # ones this task superseded: at most one shard per eligible client.
+        current = {(client_id, self._components(client_id)) for client_id in self.eligible()}
+        for key in set(self._cache) - current:
+            del self._cache[key]
+        self._cache_size = len(current)
 
     # ------------------------------------------------------------------ #
-    # Specs
+    # Recipes
     # ------------------------------------------------------------------ #
-    def spec_for(self, client_id: int) -> VirtualClientSpec:
-        """The client's current recipe (its ``group`` is the group at last take)."""
-        if self.fleet:
-            if self._current_task == 0:
-                group, components = ClientGroup.NEW, (0,)
-            else:
-                group = ClientGroup.IN_BETWEEN
-                components = (self._current_task - 1, self._current_task)
-            held = tuple(range(self._current_task + 1))
-        else:
-            if client_id not in self._last_taken:
-                raise KeyError(f"client {client_id} has no training data yet")
-            group = self._group_at_take[client_id]
-            components = self._components(client_id)
-            held = tuple(self._held.get(client_id, ()))
-        return VirtualClientSpec(
-            client_id=client_id,
-            task_id=self._current_task,
-            group=group,
-            seed=self.config.seed,
-            concentration=self.config.partition_concentration,
-            population=self.population,
-            components=components,
-            domains_held=held,
-        )
-
     def _components(self, client_id: int) -> Tuple[int, ...]:
-        last = self._last_taken[client_id]
-        if self._group_at_take[client_id] is ClientGroup.IN_BETWEEN:
-            previous = self._prev_taken.get(client_id)
-            if previous is not None:
-                return (previous, last)
-        return (last,)
+        """The tasks whose shards concatenate into the client's data, oldest first."""
+        if self.fleet:
+            task_id = self._current_task
+            return (0,) if task_id == 0 else (task_id - 1, task_id)
+        return tuple(self._held[client_id][-2:])
 
-    def eligible(self, assignment: TaskAssignment) -> List[int]:
-        """Active clients holding data — the eager eligible list, exactly.
+    def eligible(self) -> List[int]:
+        """Schedule mode: the task's active clients that hold data, in schedule order.
 
         Every client that ever took a task holds ≥ ``min_per_client`` samples
-        (the partition invariant), so "has a take record" coincides with the
-        eager plane's "has a non-empty shard".
+        (the partition invariant), so "has a take record" is "has a non-empty
+        shard".
         """
         return [
-            client_id
-            for client_id in assignment.active_clients
-            if client_id in self._last_taken
+            client_id for client_id in self._assignment.active_clients if client_id in self._held
         ]
 
     def group_for(self, client_id: int) -> ClientGroup:
-        """Fleet mode's schedule-free group: NEW on task 0, IN_BETWEEN after."""
-        return ClientGroup.NEW if self._current_task == 0 else ClientGroup.IN_BETWEEN
+        """The schedule's group, or fleet mode's NEW on task 0 and IN_BETWEEN after."""
+        if self.fleet:
+            return ClientGroup.NEW if self._current_task == 0 else ClientGroup.IN_BETWEEN
+        return self._assignment.group_of(client_id)
 
     def domains_for(self, client_id: int) -> Tuple[int, ...]:
         if self.fleet:
@@ -188,26 +153,18 @@ class VirtualClientPlane:
     # Materialization
     # ------------------------------------------------------------------ #
     def materialize(self, client_id: int) -> ArrayDataset:
-        """The client's current training shard, built on demand and LRU-cached.
+        """The client's current training shard, built on demand and cached.
 
-        Bit-for-bit contract (schedule mode): ``subset`` selects rows and
-        ``astype`` converts elementwise, so ``subset → astype`` per component
-        followed by ``concatenate`` reproduces the eager plane's arrays
-        exactly — the same index draws, the same cast, the same concat order.
+        ``subset`` selects rows and ``astype`` converts elementwise, so the
+        two commute bit-for-bit: the shard is the task's partition shard at
+        the run's compute dtype, concatenated oldest first.
         """
-        if self.fleet:
-            components: Tuple[int, ...] = (
-                (0,) if self._current_task == 0
-                else (self._current_task - 1, self._current_task)
-            )
-        else:
-            components = self._components(client_id)
-        key = (client_id, components)
+        key = (client_id, self._components(client_id))
         cached = self._cache.get(key)
         if cached is not None:
             self._cache.move_to_end(key)
             return cached
-        parts = [self._single_shard(task_id, client_id) for task_id in components]
+        parts = [self._single_shard(task_id, client_id) for task_id in key[1]]
         shard = parts[0] if len(parts) == 1 else ArrayDataset.concatenate(tuple(parts))
         self._cache[key] = shard
         while len(self._cache) > self._cache_size:
@@ -220,6 +177,8 @@ class VirtualClientPlane:
             indices = self._fleet_indices(task_id, client_id, len(domain))
         else:
             indices = self._indices[(task_id, client_id)]
+        # Scenarios may be built at another precision: cast once per shard, so
+        # training batches and worker IPC never re-cast per batch.
         return domain.subset(indices).astype(get_default_dtype())
 
     def _fleet_indices(self, task_id: int, client_id: int, domain_size: int) -> np.ndarray:

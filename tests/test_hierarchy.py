@@ -3,19 +3,20 @@
 Covers the two halves of the plane and their cross-layer contracts:
 
 * the lazy sampler (draw-for-draw reference, O(count) semantics),
-* the virtual-client plane (bit-for-bit shard parity with the eager data
-  plane, LRU determinism, fleet recipes),
+* the client data plane (bit-for-bit shards against an eager recipe of
+  Algorithm 1's assignment, cache sizing and determinism, fleet recipes),
 * the tree reduce backend (float-tolerance agreement with flat FedAvg for
   any fan-out and cohort, edge-frame ledger accounting, edge faults),
 * the configuration surface (validation, checkpoint fingerprints, run-cache
   folding), and
-* full-simulation parity: a schedule-mode virtual run reproduces the eager
-  run hash-for-hash across sync/async/buffered modes, while fleet mode
+* full-simulation pins: a schedule-mode run reproduces the hashes the eager
+  data path recorded across sync/async/buffered modes, while fleet mode
   trains a 100k-scale population in O(cohort) state.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import replace
 
@@ -28,6 +29,7 @@ from repro.autograd.tensor import get_default_dtype
 from repro.baselines import build_method
 from repro.continual import DomainIncrementalScenario
 from repro.datasets import SyntheticDomainDataset
+from repro.datasets.base import ArrayDataset
 from repro.datasets.partition import (
     partition_domain_across_clients,
     partition_indices_for_clients,
@@ -42,7 +44,6 @@ from repro.federated import (
     ProfileCache,
     TreeReduceBackend,
     VirtualClientPlane,
-    VirtualClientSpec,
     build_profile,
     build_reduce_backend,
     config_fingerprint,
@@ -174,33 +175,74 @@ class TestVirtualShards:
     def test_plane_materializes_eager_bits_every_client_every_task(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config, seed
     ):
-        # Drive the eager and the virtual data plane over the same three-task
-        # schedule and compare every eligible client's training shard per
-        # task — the core "lazy recipe == eager shard" contract.
+        # The plane against a short eager recipe of Algorithm 1's assignment:
+        # partition the domain, cast, and let In-between clients concatenate
+        # their previous take's shard with the new one (line 17).
         config = replace(tiny_federated_config, seed=seed, rounds_per_task=1)
-        eager_sim = _build(tiny_spec, tiny_backbone_config, config, num_tasks=3)
-        virtual_sim = _build(
-            tiny_spec, tiny_backbone_config, replace(config, virtual_clients=True), num_tasks=3
+        sim = _build(tiny_spec, tiny_backbone_config, config, num_tasks=3)
+        latest, training, held = {}, {}, {}
+        for task in sim.scenario.tasks():
+            sim._assign_task_data(task)
+            assignment = sim.schedule.assignment_for_task(task.task_id)
+            shards = partition_domain_across_clients(
+                task.train,
+                assignment.clients_taking_new_domain,
+                spawn_rng(seed, "partition", task.task_id),
+                config.partition_concentration,
+            )
+            for client_id in assignment.active_clients:
+                group = assignment.group_of(client_id)
+                if group is ClientGroup.OLD:
+                    continue
+                shard = shards[client_id].astype(get_default_dtype())
+                if group is ClientGroup.IN_BETWEEN and client_id in latest:
+                    training[client_id] = ArrayDataset.concatenate((latest[client_id], shard))
+                    held[client_id].append(task.task_id)
+                else:
+                    training[client_id] = shard
+                    held[client_id] = [task.task_id]
+                latest[client_id] = shard
+            eligible = [cid for cid in assignment.active_clients if cid in training]
+            assert sim.eligible_clients(task) == eligible
+            for client_id in eligible:
+                lazy_shard = sim.virtual.materialize(client_id)
+                np.testing.assert_array_equal(lazy_shard.images, training[client_id].images)
+                np.testing.assert_array_equal(lazy_shard.labels, training[client_id].labels)
+                assert sim.virtual.domains_for(client_id) == tuple(held[client_id])
+
+    def test_schedule_cache_builds_each_shard_once_per_task(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, monkeypatch
+    ):
+        # 40 eligible clients is more than the fleet-mode bound of 16; cycling
+        # through them must still build every (client, component) shard at
+        # most once per task — the cache holds the whole eligible set.
+        spec = replace(tiny_spec, train_per_domain=160)
+        config = replace(
+            tiny_federated_config,
+            increment=replace(tiny_federated_config.increment, initial_clients=40),
+            rounds_per_task=30,
         )
-        assert isinstance(virtual_sim.virtual, VirtualClientPlane)
-        for task in eager_sim.scenario.tasks():
-            eager_sim._assign_task_data(task)
-            virtual_sim._assign_task_data(task)
-            assignment = eager_sim.schedule.assignment_for_task(task.task_id)
-            eager_eligible = [
-                cid
-                for cid in assignment.active_clients
-                if cid in eager_sim._training_data and len(eager_sim._training_data[cid]) > 0
-            ]
-            assert virtual_sim.virtual.eligible(assignment) == eager_eligible
-            for client_id in eager_eligible:
-                eager_shard = eager_sim._training_data[client_id]
-                lazy_shard = virtual_sim.virtual.materialize(client_id)
-                np.testing.assert_array_equal(lazy_shard.images, eager_shard.images)
-                np.testing.assert_array_equal(lazy_shard.labels, eager_shard.labels)
-                assert virtual_sim._client_domains(client_id) == tuple(
-                    eager_sim._domains_held[client_id]
-                )
+        sim = _build(spec, tiny_backbone_config, config)
+        plane = sim.virtual
+        builds = []
+        single_shard = plane._single_shard
+
+        def counting(task_id, client_id):
+            builds.append((plane._current_task, client_id, task_id))
+            return single_shard(task_id, client_id)
+
+        monkeypatch.setattr(plane, "_single_shard", counting)
+        sim.run()
+        for task_id in (0, 1):
+            selected = {
+                client_id
+                for entry in sim.event_log
+                if entry["task_id"] == task_id
+                for client_id in entry["clients"]
+            }
+            assert len(selected) > 16  # more than a 16-shard LRU could hold
+        assert len(builds) == len(set(builds))
+        assert len(plane._cache) <= len(plane.eligible())
 
     def test_materialization_is_deterministic_across_eviction(self, tiny_spec):
         config = FederatedConfig(virtual_clients=True, population=64, clients_per_round=2)
@@ -231,14 +273,11 @@ class TestVirtualShards:
                 self.train = train
 
         plane.begin_task(_Task(0, dataset.train(0)), None)
-        spec = plane.spec_for(123)
-        assert isinstance(spec, VirtualClientSpec)
-        assert spec.group is ClientGroup.NEW and spec.components == (0,)
         assert plane.group_for(123) is ClientGroup.NEW
+        assert plane.domains_for(123) == (0,)
 
         plane.begin_task(_Task(1, dataset.train(1)), None)
-        spec = plane.spec_for(123)
-        assert spec.group is ClientGroup.IN_BETWEEN and spec.components == (0, 1)
+        assert plane.group_for(123) is ClientGroup.IN_BETWEEN
         assert plane.domains_for(123) == (0, 1)
         # The fleet shard is a pure function of (seed, task, client): two
         # builds agree bit-for-bit, different clients genuinely differ.
@@ -251,9 +290,9 @@ class TestVirtualShards:
         assert a.images.shape != other.images.shape or not np.array_equal(a.images, other.images)
 
     def test_schedule_mode_unknown_client_raises(self, tiny_spec):
-        plane = VirtualClientPlane(FederatedConfig(virtual_clients=True))
+        plane = VirtualClientPlane(FederatedConfig())
         with pytest.raises(KeyError):
-            plane.spec_for(99)
+            plane.materialize(99)
 
 
 # --------------------------------------------------------------------------- #
@@ -458,7 +497,7 @@ class TestHierarchyConfig:
         from repro.experiments.runner import _normalize_execution_knobs
 
         base = FederatedConfig()
-        # virtual_clients without a population is bit-for-bit the eager run.
+        # virtual_clients without a population is read by nothing.
         assert _normalize_execution_knobs(replace(base, virtual_clients=True)) == (
             _normalize_execution_knobs(base)
         )
@@ -483,23 +522,40 @@ class TestHierarchyConfig:
 # --------------------------------------------------------------------------- #
 # Full-simulation parity and fleet runs
 # --------------------------------------------------------------------------- #
+#: ``simulation_state_hash`` and event-log digest of a two-task, two-round
+#: finetune run per mode, recorded from the eager shard-dict data path before
+#: the client data plane replaced it.
+_EAGER_RUN_PINS = {
+    "sync": (
+        "c91160b201467a50b258959a975c3551d7ff7e02d53cdc2526963269e0e61f83",
+        "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
+    ),
+    "async": (
+        "f7355dc50f21f3ee358f788f5f3015a5bd963651c6e94fb46a6f4a8112404af5",
+        "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
+    ),
+    "buffered": (
+        "e10cf04829271b128f5117e74216bfe5c00908b0bb0b0d9abea39f2fe6c74564",
+        "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
+    ),
+}
+
+
+def _event_log_digest(event_log):
+    payload = repr([sorted((key, repr(value)) for key, value in event.items()) for event in event_log])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 class TestSimulationParity:
     @pytest.mark.parametrize("mode", ["sync", "async", "buffered"])
     def test_virtual_run_reproduces_eager_run(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config, mode
     ):
         config = replace(tiny_federated_config, mode=mode, rounds_per_task=2)
-        eager_sim, eager = _run(tiny_spec, tiny_backbone_config, config)
-        virtual_sim, virtual = _run(
-            tiny_spec, tiny_backbone_config, replace(config, virtual_clients=True)
+        sim, result = _run(tiny_spec, tiny_backbone_config, config)
+        assert (simulation_state_hash(sim), _event_log_digest(result.event_log)) == (
+            _EAGER_RUN_PINS[mode]
         )
-        assert simulation_state_hash(virtual_sim) == simulation_state_hash(eager_sim)
-        np.testing.assert_array_equal(
-            virtual_sim.evaluator.accuracy_matrix._matrix,
-            eager_sim.evaluator.accuracy_matrix._matrix,
-        )
-        assert virtual.round_losses == eager.round_losses
-        assert virtual.event_log == eager.event_log
 
     def test_tree_run_matches_flat_within_tolerance(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
@@ -535,7 +591,6 @@ class TestSimulationParity:
         assert np.isfinite(matrix[np.tril_indices_from(matrix)]).all()
         # O(cohort) state: nothing population-sized was ever materialized.
         assert len(sim.virtual._cache) <= sim.virtual._cache_size
-        assert not sim._training_data
         # Selected ids actually span the population, not a small prefix.
         dispatched = {
             client_id

@@ -69,12 +69,16 @@ class TestSimulation:
         method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
         simulation = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config)
         simulation.run_task(scenario.task(0))
-        sizes_after_first = {cid: len(ds) for cid, ds in simulation._training_data.items()}
+        sizes_after_first = {
+            cid: len(simulation.virtual.materialize(cid))
+            for cid in simulation.eligible_clients(scenario.task(0))
+        }
         simulation.run_task(scenario.task(1))
         assignment = simulation.schedule.assignment_for_task(1)
-        for client_id in assignment.in_between_clients:
-            if client_id in sizes_after_first:
-                assert len(simulation._training_data[client_id]) > sizes_after_first[client_id]
+        carried = [cid for cid in assignment.in_between_clients if cid in sizes_after_first]
+        assert carried
+        for client_id in carried:
+            assert len(simulation.virtual.materialize(client_id)) > sizes_after_first[client_id]
 
     def test_communication_ledger_grows_with_rounds(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
