@@ -92,7 +92,8 @@ def test_eval_plane_serial_vs_parallel(bench_record):
 
     # The eval data-plane contract: each task's slices ship on its first eval
     # call of the run; every other call is pure cache hits (0 shard bytes).
-    calls_per_task = ROUNDS_PER_TASK + 1  # eval_every snapshots + end-of-task
+    # eval_every snapshots only: the end-of-task evaluation reuses the final one.
+    calls_per_task = ROUNDS_PER_TASK
     assert len(eval_log) == NUM_TASKS * calls_per_task
     shard_bytes_per_call = [entry.shard_bytes for entry in eval_log]
     first_calls = {task * calls_per_task for task in range(NUM_TASKS)}

@@ -15,11 +15,16 @@ therefore split into composable pieces:
   behaviour); :class:`repro.federated.execution.ParallelEvalBackend` fans the
   suite over the round engine's pinned worker pool.
 * :class:`GlobalEvaluator` — owns the accuracy matrix and dtype conversion and
-  delegates the actual scoring to its backend.
+  delegates the actual scoring to its backend.  It scores each model version
+  once per seen-task set: given the version token of its previous scoring
+  (the simulation passes the server's broadcast handle) and the same task, it
+  reuses those accuracies, so an after-task evaluation that follows a
+  final-round ``eval_every`` snapshot of unchanged server state is free.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -88,9 +93,11 @@ class EvalBackend:
 
     ``pairs`` is a sequence of ``(task, dataset)`` where ``dataset`` is the
     task's test set already converted to the active compute dtype; the return
-    value is one accuracy per pair, in order.  Every backend must produce the
-    same numbers bit-for-bit: the backend choice is a performance knob, never
-    a results knob.
+    value is one accuracy per pair, in order.  ``version`` is the evaluator's
+    token for the state ``model`` holds (or ``None``); a backend that scores
+    outside this process may ship it instead of ``model``.  Every backend must
+    produce the same numbers bit-for-bit: the backend choice is a performance
+    knob, never a results knob.
     """
 
     def evaluate(
@@ -99,6 +106,7 @@ class EvalBackend:
         pairs: Sequence[Tuple[Task, ArrayDataset]],
         batch_size: int,
         predict_fn: Optional[PredictFn] = None,
+        version: Optional[object] = None,
     ) -> List[float]:
         raise NotImplementedError
 
@@ -112,6 +120,7 @@ class SerialEvalBackend(EvalBackend):
         pairs: Sequence[Tuple[Task, ArrayDataset]],
         batch_size: int,
         predict_fn: Optional[PredictFn] = None,
+        version: Optional[object] = None,
     ) -> List[float]:
         return [
             evaluate_accuracy(model, dataset, batch_size=batch_size, predict_fn=predict_fn)
@@ -125,6 +134,14 @@ class GlobalEvaluator:
     Scoring is delegated to ``backend`` (default: :class:`SerialEvalBackend`);
     see :class:`repro.federated.execution.ParallelEvalBackend` for the fanned
     variant riding the round engine's worker pool.
+
+    Both entry points take ``version``, a weak-referenceable token for the
+    state ``model`` holds: while a token lives, it must name one set of
+    weights and one inference path.  The evaluator keeps the last scoring's
+    ``(version, task_id, accuracies)``, holding the token weakly so it never
+    keeps a model version alive; a call with that same token object and
+    ``task_id`` reuses the accuracies without a forward pass.  ``None``
+    always scores.
     """
 
     def __init__(
@@ -141,6 +158,7 @@ class GlobalEvaluator:
         self.accuracy_matrix = AccuracyMatrix(scenario.num_tasks)
         self.per_task_history: List[Dict[str, float]] = []
         self._converted_tests: Dict[Tuple[int, str], ArrayDataset] = {}
+        self._scored: Optional[Tuple[weakref.ref, int, List[Tuple[Task, float]]]] = None
 
     def _test_set(self, seen: Task) -> ArrayDataset:
         """The task's test set in the active compute dtype, converted at most once.
@@ -163,28 +181,46 @@ class GlobalEvaluator:
             self._converted_tests[key] = seen.test.astype(dtype)
         return self._converted_tests[key]
 
-    def _evaluate(self, model: Module, task_id: int) -> List[Tuple[Task, float]]:
+    def _evaluate(
+        self, model: Module, task_id: int, version: Optional[object]
+    ) -> List[Tuple[Task, float]]:
+        scored = self._scored
+        if version is not None and scored is not None:
+            ref, scored_task, results = scored
+            if ref() is version and scored_task == task_id:
+                return results
         seen = self.scenario.seen_tests(task_id)
         pairs = [(task, self._test_set(task)) for task in seen]
-        accuracies = self.backend.evaluate(model, pairs, self.batch_size, self.predict_fn)
-        return list(zip(seen, accuracies))
+        accuracies = self.backend.evaluate(
+            model, pairs, self.batch_size, self.predict_fn, version
+        )
+        results = list(zip(seen, accuracies))
+        self._scored = None if version is None else (weakref.ref(version), task_id, results)
+        return results
 
-    def evaluate_seen(self, model: Module, task_id: int) -> Dict[str, float]:
+    def evaluate_seen(
+        self, model: Module, task_id: int, version: Optional[object] = None
+    ) -> Dict[str, float]:
         """Score every seen task's test set without recording anything.
 
         This is the mid-task (``eval_every``) entry point: the accuracy matrix
         only admits one entry per (after_task, evaluated_task) pair, so
         intra-task snapshots are returned to the caller instead of recorded.
         """
-        return {task.domain_name: accuracy for task, accuracy in self._evaluate(model, task_id)}
+        return {
+            task.domain_name: accuracy
+            for task, accuracy in self._evaluate(model, task_id, version)
+        }
 
-    def evaluate_after_task(self, model: Module, task_id: int) -> Dict[str, float]:
+    def evaluate_after_task(
+        self, model: Module, task_id: int, version: Optional[object] = None
+    ) -> Dict[str, float]:
         """Evaluate on every seen task's test set and record the results.
 
         Returns a mapping from domain name to accuracy for logging.
         """
         results: Dict[str, float] = {}
-        for task, accuracy in self._evaluate(model, task_id):
+        for task, accuracy in self._evaluate(model, task_id, version):
             self.accuracy_matrix.record(task_id, task.task_id, accuracy)
             results[task.domain_name] = accuracy
         self.per_task_history.append(results)

@@ -127,12 +127,12 @@ class FederatedConfig:
         positive ``k`` additionally scores the global model on every seen
         domain after every ``k``-th round of each task, recording the
         snapshots into ``SimulationResult.round_eval_history`` — the paper's
-        per-round accuracy curves, an O(T·R) evaluation workload.  A final
-        round's snapshot scores the freshly aggregated state *before* the
-        method's ``on_task_end`` hook runs, so it is kept separate from (not
-        reused for) the accuracy matrix's after-task evaluation: the two
-        coincide only for methods whose ``on_task_end`` leaves the inference
-        path untouched.""")
+        per-round accuracy curves, an O(T·R) evaluation workload.  Each
+        model version is scored once per seen-task set: when ``k`` divides
+        ``rounds_per_task``, the final round's snapshot is reused as the
+        accuracy matrix's after-task evaluation unless the method's
+        ``on_task_end`` hook assigned server state, in which case the new
+        state is scored (rule 5 of :mod:`repro.federated.method`).""")
     # The lossless codecs train the same numbers as each other (asserted
     # bit-for-bit by the comm-plane suite) and fold to "identity" — but only
     # while no bandwidth budget is active: with one, drop/defer outcomes depend

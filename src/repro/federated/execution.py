@@ -954,24 +954,18 @@ class ParallelEvalBackend(EvalBackend):
     process boundary, and silently substituting the method path would break
     the backend contract.
 
-    ``broadcast_fn`` supplies the round-style broadcast handle whose state the
-    workers load before scoring (the simulation passes
-    ``server.broadcast_view``, which shares the handle of the current model
+    The workers load the state of the evaluator's ``version`` token, a
+    round-style broadcast handle (the simulation passes
+    ``server.broadcast_view()``, which shares the handle of the current model
     version — the server drops it whenever its state is assigned — so each
     model version is serialized at most once, however many rounds and
     evaluations see it).  Without one, a handle is built from the evaluated
     model's own state dict.
     """
 
-    def __init__(
-        self,
-        executor: ParallelExecutor,
-        method: FederatedMethod,
-        broadcast_fn: Optional[Callable[[], BroadcastHandle]] = None,
-    ) -> None:
+    def __init__(self, executor: ParallelExecutor, method: FederatedMethod) -> None:
         self.executor = executor
         self.method = method
-        self.broadcast_fn = broadcast_fn
         self._slices: Dict[Tuple[int, str, int], List[ArrayDataset]] = {}
 
     def _slices_for(
@@ -999,6 +993,7 @@ class ParallelEvalBackend(EvalBackend):
         pairs: Sequence[Tuple[Task, ArrayDataset]],
         batch_size: int,
         predict_fn: Optional[PredictFn] = None,
+        version: Optional[BroadcastHandle] = None,
     ) -> List[float]:
         if predict_fn != self.method.predict_logits:
             # Workers score through the pickled method's own predict_logits.
@@ -1014,11 +1009,7 @@ class ParallelEvalBackend(EvalBackend):
                 "simulation does), or use SerialEvalBackend for custom "
                 "inference hooks"
             )
-        broadcast = (
-            self.broadcast_fn()
-            if self.broadcast_fn is not None
-            else BroadcastHandle(model.state_dict(), {})
-        )
+        broadcast = version if version is not None else BroadcastHandle(model.state_dict(), {})
         jobs: List[EvalJob] = []
         spans: List[Tuple[int, int]] = []
         for task, dataset in pairs:

@@ -14,7 +14,7 @@ Picklability contract
 The round execution engine (:mod:`repro.federated.execution`) may run
 :meth:`FederatedMethod.local_update` inside worker *processes*.  For that to
 work — and for the server's broadcast to stay a pure function of its state —
-implementations must satisfy four rules:
+implementations must satisfy five rules:
 
 1. **The method object must be picklable.**  Everything reachable from
    ``self`` — configs, prompt stores, teacher models, Fisher matrices — must
@@ -39,9 +39,17 @@ implementations must satisfy four rules:
    round, dispatch or evaluation sees the new state without anyone asking
    for it.  Item assignment on the mappings (``server.global_state[k] = v``)
    bypasses that and is outside the contract.
+5. **What ``predict_logits`` reads beyond the model changes only with a
+   rule-4 assignment.**  The evaluator scores each broadcast handle once per
+   seen-task set and reuses the accuracies while the handle stands (the
+   after-task evaluation after a final-round ``eval_every`` snapshot costs no
+   forward pass), so method state that inference reads may only change in a
+   hook that also assigns server state.  RefFiL's prompt store, which its
+   CDAP-free inference averages, is replaced only in
+   ``aggregate_with_prompts``, which then assigns ``broadcast_payload``.
 
 Server-side hooks (``on_task_start``, ``aggregate``, ...) always run in the
-main process on the live method object; within rule 4 they are
+main process on the live method object; within rules 4 and 5 they are
 unrestricted.
 """
 

@@ -25,9 +25,13 @@ class BroadcastHandle:
     of this handle's reference-free downlink frame — ``(codec, frame bytes,
     decoded handle or None for this one, received arrays)`` — so a model
     version dispatched many times (buffered / async modes) is encoded once.
+
+    A handle is also the evaluator's version token
+    (:class:`repro.continual.evaluator.GlobalEvaluator`), which refers to it
+    weakly so a retired version is freed as soon as the server drops it.
     """
 
-    __slots__ = ("state", "payload", "_blob", "delivery")
+    __slots__ = ("state", "payload", "_blob", "delivery", "__weakref__")
 
     def __init__(self, state: Dict[str, np.ndarray], payload: Dict[str, Any]) -> None:
         self.state = readonly_state_view(state)

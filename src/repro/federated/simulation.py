@@ -230,9 +230,7 @@ class FederatedDomainIncrementalSimulation:
             else:
                 self.eval_executor = ParallelExecutor(config.num_workers)
                 self._owns_eval_executor = True
-            eval_backend = ParallelEvalBackend(
-                self.eval_executor, method, broadcast_fn=self.server.broadcast_view
-            )
+            eval_backend = ParallelEvalBackend(self.eval_executor, method)
         # The bound method (not an equivalent lambda) so a parallel backend
         # can verify the evaluator's inference path is the method's own.
         self.evaluator = GlobalEvaluator(
@@ -368,7 +366,9 @@ class FederatedDomainIncrementalSimulation:
             return
         self.model.load_state_dict(self.server.global_state)
         with self.timer.measure("round_evaluation"):
-            accuracies = self.evaluator.evaluate_seen(self.model, task_id)
+            accuracies = self.evaluator.evaluate_seen(
+                self.model, task_id, self.server.broadcast_view()
+            )
         self.round_eval_history.append(
             {
                 "task_id": task_id,
@@ -819,8 +819,12 @@ class FederatedDomainIncrementalSimulation:
                 self._temporal_runner.run_task(task)
             self.method.on_task_end(task.task_id, self.server)
             self.model.load_state_dict(self.server.global_state)
+            # Free when the final round's snapshot already scored this handle:
+            # a hook that assigns server state yields a new one and is re-scored.
             with self.timer.measure("evaluation"):
-                return self.evaluator.evaluate_after_task(self.model, task.task_id)
+                return self.evaluator.evaluate_after_task(
+                    self.model, task.task_id, self.server.broadcast_view()
+                )
 
     def run(self) -> SimulationResult:
         """Run the complete domain-incremental stream and return the summary.

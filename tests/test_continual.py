@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -150,6 +153,10 @@ class _ConstantModel(Module):
         return Tensor(logits)
 
 
+class _Version:
+    """A model-version token, as the server's broadcast handle is one."""
+
+
 class TestEvaluator:
     def test_constant_model_accuracy(self):
         labels = np.array([0, 0, 1, 2])
@@ -246,6 +253,43 @@ class TestEvaluator:
         assert np.isnan(evaluator.accuracy_matrix.matrix).all()
         assert snapshot == evaluator.evaluate_after_task(model, 1)
         assert len(evaluator.per_task_history) == 1
+
+    def test_scores_each_version_and_task_once(self, tiny_spec):
+        """The same version token and task_id reuse the stored accuracies with
+        no forward pass (the after-task call records them); a new token,
+        another task_id or no token scores."""
+        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
+        forwards = []
+
+        def predict(model, images):
+            forwards.append(images.shape[0])
+            return model(images)
+
+        evaluator = GlobalEvaluator(scenario, predict_fn=predict)
+        model = _ConstantModel(tiny_spec.num_classes, chosen=1)
+        version = _Version()
+        first = evaluator.evaluate_seen(model, 1, version)
+        scored = len(forwards)
+        assert scored > 0
+        assert evaluator.evaluate_seen(model, 1, version) == first
+        assert evaluator.evaluate_after_task(model, 1, version) == first
+        assert len(forwards) == scored
+        assert evaluator.per_task_history == [first]
+        for call in (
+            lambda: evaluator.evaluate_seen(model, 0, version),
+            lambda: evaluator.evaluate_seen(model, 0, _Version()),
+            lambda: evaluator.evaluate_seen(model, 0, None),
+            lambda: evaluator.evaluate_seen(model, 0, None),
+        ):
+            before = len(forwards)
+            call()
+            assert len(forwards) > before
+        # The token is held weakly: the evaluator never keeps a version alive.
+        evaluator.evaluate_seen(model, 1, version)
+        token = weakref.ref(version)
+        del version
+        gc.collect()
+        assert token() is None
 
     def test_predict_fn_hook_is_used(self, tiny_spec):
         scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=1)

@@ -10,7 +10,12 @@ from dataclasses import replace
 
 from repro.baselines.finetune import FinetuneMethod
 from repro.baselines.registry import build_method
-from repro.continual import DomainIncrementalScenario, count_correct, evaluate_accuracy
+from repro.continual import (
+    DomainIncrementalScenario,
+    SerialEvalBackend,
+    count_correct,
+    evaluate_accuracy,
+)
 from repro.continual.scenario import Task
 from repro.datasets import SyntheticDomainDataset
 from repro.datasets.base import ArrayDataset
@@ -193,8 +198,8 @@ class TestEvalParity:
         assert len(results) == 1
 
     def test_standalone_backend_without_broadcast_fn(self, tiny_spec, tiny_backbone_config):
-        """The backend is usable outside the simulation: without a
-        broadcast_fn it scores the model's own state."""
+        """The backend is usable outside the simulation: without a version
+        handle it scores the model's own state."""
         from repro.continual.evaluator import GlobalEvaluator
 
         scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
@@ -226,6 +231,24 @@ class _ZeroingFinetune(FinetuneMethod):
         server.global_state = {
             key: np.zeros_like(value) for key, value in server.global_state.items()
         }
+
+
+class _PayloadReassigningFinetune(FinetuneMethod):
+    """Finetune whose ``on_task_end`` assigns an equal copy of the broadcast
+    payload: a new model version by rule 4, though no value changed."""
+
+    def on_task_end(self, task_id, server):
+        super().on_task_end(task_id, server)
+        server.broadcast_payload = dict(server.broadcast_payload)
+
+
+class _CountingBackend(SerialEvalBackend):
+    def __init__(self):
+        self.calls = 0
+
+    def evaluate(self, *args, **kwargs):
+        self.calls += 1
+        return super().evaluate(*args, **kwargs)
 
 
 class TestBroadcastFreshness:
@@ -276,6 +299,54 @@ class TestBroadcastFreshness:
             state = simulation.server.broadcast_view().state
             assert all((np.asarray(value) == 0).all() for value in state.values())
 
+    def _counted_run(self, tiny_spec, tiny_backbone_config, tiny_federated_config, method_class):
+        config = replace(
+            tiny_federated_config, rounds_per_task=2, eval_every=1, eval_batch_size=4
+        )
+        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
+        base = build_method("finetune", tiny_backbone_config, num_tasks=2)
+        simulation = FederatedDomainIncrementalSimulation(
+            scenario, method_class(base.config), config
+        )
+        backend = simulation.evaluator.backend = _CountingBackend()
+        return simulation, simulation.run(), backend.calls
+
+    @pytest.mark.parametrize(
+        "method_class, eval_calls",
+        [(FinetuneMethod, 4), (_ZeroingFinetune, 6), (_PayloadReassigningFinetune, 6)],
+    )
+    def test_after_task_eval_reuses_the_snapshot_only_while_the_handle_stands(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, method_class, eval_calls
+    ):
+        """2 tasks x 2 rounds, eval_every=1: the after-task evaluation reuses
+        the final round's snapshot (4 scorings) unless on_task_end assigned
+        either piece of server state — even an equal payload — which makes a
+        new handle that is scored (6)."""
+        _, result, calls = self._counted_run(
+            tiny_spec, tiny_backbone_config, tiny_federated_config, method_class
+        )
+        assert calls == eval_calls
+        assert len(result.round_eval_history) == 4
+        if method_class is not _ZeroingFinetune:
+            assert result.per_task_accuracy[-1] == result.round_eval_history[-1]["accuracies"]
+
+    def test_state_assigning_on_task_end_is_scored_fresh(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+    ):
+        """The zeroing hook's after-task row is the zeroed state's accuracy,
+        exactly what an evaluator that never saw the run reports."""
+        from repro.continual.evaluator import GlobalEvaluator
+
+        simulation, result, _ = self._counted_run(
+            tiny_spec, tiny_backbone_config, tiny_federated_config, _ZeroingFinetune
+        )
+        model = simulation.method.build_model()
+        model.load_state_dict(simulation.server.global_state)
+        fresh = GlobalEvaluator(
+            simulation.scenario, batch_size=4, predict_fn=simulation.method.predict_logits
+        ).evaluate_seen(model, 1)
+        assert result.per_task_accuracy[-1] == fresh
+
 
 class TestEvalShardCache:
     def _config(self, tiny_federated_config, **overrides):
@@ -292,16 +363,17 @@ class TestEvalShardCache:
     def test_test_slices_cross_ipc_once_per_run(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
-        """2 tasks x 2 rounds with eval_every=1: 6 eval calls (2 mid-task + 1
-        end-of-task per task).  Slice bytes ship on a task's *first* eval call
-        only — every later call is pure cache hits."""
+        """2 tasks x 2 rounds with eval_every=1: 4 eval calls (2 mid-task per
+        task; each end-of-task evaluation reuses its final round's snapshot).
+        Slice bytes ship on a task's *first* eval call only — every later call
+        is pure cache hits."""
         simulation, _ = _run_simulation(
             tiny_spec, tiny_backbone_config, self._config(tiny_federated_config)
         )
         log = simulation.eval_executor.eval_ipc_log
-        assert len(log) == 6
-        first_task0, first_task1 = log[0], log[3]
-        rest = log[1:3] + log[4:]
+        assert len(log) == 4
+        first_task0, first_task1 = log[0], log[2]
+        rest = [log[1], log[3]]
         assert first_task0.shard_bytes > 0 and first_task0.shards_shipped > 0
         assert first_task1.shard_bytes > 0 and first_task1.shards_shipped > 0
         for entry in rest:
@@ -338,22 +410,29 @@ class TestEvalEvery:
         _, result = _run_simulation(tiny_spec, tiny_backbone_config, config)
         assert [e["round_index"] for e in result.round_eval_history] == [1, 1]
 
+    @pytest.mark.parametrize("mode", ["sync", "buffered"])
+    @pytest.mark.parametrize(
+        "method_name",
+        # refil_gpl_dpcl is RefFiL with use_cdap=False: its inference reads
+        # the method's prompt store, not only the model.
+        ["refil", "refil_gpl_dpcl", "fedl2p", "feddualprompt"],
+    )
     def test_mid_task_eval_does_not_perturb_training(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, method_name, mode
     ):
-        """Evaluation is read-only: a run with eval_every on must produce the
-        exact same trained model (matrix, losses) as one without."""
-        config = replace(tiny_federated_config, rounds_per_task=2, eval_batch_size=4)
-        _, plain = _run_simulation(tiny_spec, tiny_backbone_config, config)
+        """Evaluation is read-only and reusing the final snapshot as the
+        after-task evaluation moves no number: a run with eval_every on must
+        produce the exact same trained model, losses and accuracy matrix as
+        one without."""
+        config = replace(tiny_federated_config, rounds_per_task=2, eval_batch_size=4, mode=mode)
+        _, plain = _run_simulation(tiny_spec, tiny_backbone_config, config, method_name)
         _, snapshotted = _run_simulation(
-            tiny_spec, tiny_backbone_config, replace(config, eval_every=1)
+            tiny_spec, tiny_backbone_config, replace(config, eval_every=1), method_name
         )
-        np.testing.assert_array_equal(plain.metrics.matrix, snapshotted.metrics.matrix)
+        assert plain.metrics.matrix.tobytes() == snapshotted.metrics.matrix.tobytes()
+        assert plain.per_task_accuracy == snapshotted.per_task_accuracy
         assert plain.round_losses == snapshotted.round_losses
         assert plain.round_eval_history == []
-        # The final round's snapshot scores the pre-on_task_end state; for
-        # refil that hook leaves the inference path untouched, so it must
-        # agree with the end-of-task evaluation of the same weights.
         last = snapshotted.round_eval_history[-1]
         assert last["accuracies"] == snapshotted.per_task_accuracy[-1]
 

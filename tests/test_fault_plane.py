@@ -499,9 +499,14 @@ class TestZeroFaultParity:
                 for entry in simulation.executor.eval_ipc_log
             ]
 
-        # 2 tasks x (2 mid-task snapshots + 1 end-of-task evaluation), 2 slices per task.
-        assert shipped_and_hits(clean_sim) == [(2, 0), (0, 2), (0, 2), (2, 2), (0, 4), (0, 4)]
-        assert shipped_and_hits(faulty_sim) == [(2, 0), (1, 1), (0, 2), (3, 1), (2, 2), (0, 4)]
+        # 2 tasks x 2 mid-task snapshots, 2 slices per task.  Each end-of-task
+        # evaluation reuses its final round's snapshot and never reaches the
+        # pool; it was an all-hits call in both runs, because kills are drawn
+        # at round selection and none falls between the two.  Under faults,
+        # each round's snapshot re-ships what that round's killed worker held
+        # (task 1's first also ships its two new slices).
+        assert shipped_and_hits(clean_sim) == [(2, 0), (0, 2), (2, 2), (0, 4)]
+        assert shipped_and_hits(faulty_sim) == [(2, 0), (1, 1), (3, 1), (2, 2)]
 
     def test_server_restarts_are_lossless_under_delta_codec(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
