@@ -32,7 +32,7 @@ per-worker cache instead of being re-pickled with every chunk:
   and workers rebind the dataset from the module-level ``_WORKER_SHARDS``
   cache keyed by ``ShardRef.identity`` = ``("train", task, client)`` or
   ``("eval", task, slice)``;
-* workers are *pinned*: each has a dedicated task queue
+* workers are *pinned*: each talks to the parent over its own duplex pipe
   (:class:`_PinnedWorkerPool`), so the parent knows exactly which worker runs
   which chunk and mirrors every worker's inventory.  That inventory is the
   cache-miss handshake — dataset bytes are attached to a chunk only for
@@ -77,7 +77,7 @@ import pickle
 import sys
 import traceback
 from dataclasses import dataclass, replace
-from queue import Empty
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -204,8 +204,8 @@ def _resolve_chunk(items: Sequence[Tuple[int, ShardRef, Any]]) -> List[Tuple[int
             raise RuntimeError(
                 f"worker shard cache miss for {ref.plane} task {ref.task_id} "
                 f"unit {ref.unit}: the parent's inventory claims this dataset "
-                "was already shipped to this worker — pinned-queue bookkeeping "
-                "and worker install/eviction are out of sync"
+                "was already shipped to this worker — the parent's inventory "
+                "mirror and worker install/eviction are out of sync"
             )
         if len(shard) != ref.num_samples:
             raise RuntimeError(
@@ -304,12 +304,10 @@ _CHUNK_RUNNERS: Dict[str, Callable[..., List[tuple]]] = {
 class WorkerDiedError(RuntimeError):
     """A pinned pool worker died without reporting its chunk's result.
 
-    Raised instead of blocking forever on the result queue (the pre-fault-
-    plane failure mode) whether or not fault injection is active.  Carries
-    everything a caller needs to react: which workers died with which exit
-    codes, the client ids whose updates were lost with them, and the results
-    other workers had already reported (so a self-healing executor can absorb
-    them and replay only the lost chunks).
+    Raised whether or not fault injection is active, once every other pending
+    worker has reported and the respawn budget cannot cover the deaths.
+    Carries which workers died with which exit codes and the client ids whose
+    updates were lost with them.
     """
 
     def __init__(
@@ -317,13 +315,11 @@ class WorkerDiedError(RuntimeError):
         worker_ids: Sequence[int],
         exit_codes: Sequence[Optional[int]],
         client_ids: Sequence[int] = (),
-        partial_outcomes: Optional[List[tuple]] = None,
     ) -> None:
         super().__init__()
         self.worker_ids = list(worker_ids)
         self.exit_codes = list(exit_codes)
         self.client_ids = list(client_ids)
-        self.partial_outcomes = partial_outcomes if partial_outcomes is not None else []
 
     def __str__(self) -> str:
         message = (
@@ -360,7 +356,7 @@ def _raise_worker_error(encoded: Tuple[Optional[bytes], str]) -> None:
     raise RuntimeError(f"worker process failed:\n{text}")
 
 
-def _worker_main(worker_id: int, task_queue, result_queue) -> None:
+def _worker_main(conn) -> None:
     """Entry point of one pinned worker; loops until the ``None`` sentinel.
 
     Messages are ``(kind, payload)`` pairs with one payload shape: ``"train"``
@@ -368,26 +364,18 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
     datasets resolved from the worker's shard cache and on the worker's model
     replica cache, so evaluation jobs reuse the replica the training rounds
     already built.  Only a train chunk names a ``task_id``: its arrival is the
-    task-boundary eviction point.  A ``"die"`` message is the fault plane's
-    deterministic worker kill: the process exits with the given code before
-    its next chunk, reporting nothing for it — exactly like a real crash
-    between two chunks.
+    task-boundary eviction point.  Every chunk gets exactly one report on the
+    same pipe.  ``Connection.send`` pickles before it writes a byte, so a
+    result that cannot be pickled becomes the chunk's ``"error"`` report.
     """
     while True:
-        message = task_queue.get()
+        try:
+            message = conn.recv()
+        except EOFError:  # the parent is gone
+            return
         if message is None:
             return
         kind, payload = message
-        if kind == "die":
-            # The previous chunk's result may still be in this process's
-            # feeder thread, which holds the result queue's cross-process
-            # write lock while sending; exiting under it would wedge every
-            # other worker's report forever.  Flush and stop the feeder
-            # first, so the kill loses this worker's *next* chunk and nothing
-            # else.
-            result_queue.close()
-            result_queue.join_thread()
-            os._exit(int(payload))
         try:
             runner = _CHUNK_RUNNERS.get(kind)
             if runner is None:
@@ -397,112 +385,97 @@ def _worker_main(worker_id: int, task_queue, result_queue) -> None:
             if task_id is not None:
                 _evict_stale_shards(_WORKER_SHARDS, task_id)
             results = runner(method_blob, broadcast_blob, _resolve_chunk(items), dtype_name)
-            result_queue.put((worker_id, "ok", results))
+            conn.send(("ok", results))
         except BaseException as exc:  # ship the failure instead of dying silently
-            result_queue.put((worker_id, "error", _encode_error(exc)))
+            conn.send(("error", _encode_error(exc)))
 
 
 class _PinnedWorkerPool:
-    """``num_workers`` long-lived processes, each with a dedicated task queue.
+    """``num_workers`` long-lived processes, each on its own duplex pipe.
 
     ``concurrent.futures.ProcessPoolExecutor`` hands tasks to whichever worker
     grabs them first, so a parent can never know which process holds which
-    cached shard.  Pinning each worker to its own queue makes the worker-side
+    cached shard.  Pinning each worker to its own pipe makes the worker-side
     caches addressable: the parent decides which worker runs which chunk, so
     it can mirror every worker's shard inventory exactly and attach shard
-    bytes only for genuine misses.
+    bytes only for genuine misses.  No lock or feeder thread is shared, so a
+    worker's death can lose only its own report.
     """
 
     def __init__(self, num_workers: int, context) -> None:
         self._context = context
-        self._result_queue = context.Queue()
-        self._task_queues = [context.Queue() for _ in range(num_workers)]
-        self._processes = [
-            context.Process(
-                target=_worker_main,
-                args=(worker_id, task_queue, self._result_queue),
-                daemon=True,
-            )
-            for worker_id, task_queue in enumerate(self._task_queues)
-        ]
-        for process in self._processes:
-            process.start()
+        self._conns: List[Any] = [None] * num_workers
+        self._processes: List[Any] = [None] * num_workers
+        for worker_id in range(num_workers):
+            self._start(worker_id)
+
+    def _start(self, worker_id: int) -> None:
+        conn, child_conn = self._context.Pipe()
+        process = self._context.Process(target=_worker_main, args=(child_conn,), daemon=True)
+        process.start()
+        # Only the worker may hold its end: its exit must read as EOF here.
+        child_conn.close()
+        self._conns[worker_id] = conn
+        self._processes[worker_id] = process
 
     def submit(self, worker_id: int, message: tuple) -> None:
-        self._task_queues[worker_id].put(message)
+        try:
+            self._conns[worker_id].send(message)
+        except ConnectionError:
+            pass  # the worker is dead; collect reports it
 
-    def collect(self, pending: Set[int]) -> List[tuple]:
-        """Gather one result per pending worker, failing fast if one dies.
+    def collect(self, pending: Set[int]) -> List[Tuple[int, str, Any]]:
+        """Wait until at least one pending worker is ready; report each ready one.
 
-        Only the workers with an outstanding chunk are liveness-checked; an
-        idle worker dying (nothing submitted to it this round) must not abort
-        a round whose results are all coming from live workers.  A dead
-        pending worker raises :class:`WorkerDiedError` carrying the results
-        already gathered, so a healing caller loses only the dead workers'
-        chunks.
+        Blocks on the pending workers' pipes and process sentinels, with no
+        timeout: a report or a death wakes it.  Each ready worker comes back
+        as ``(worker_id, status, payload)``: ``"ok"`` / ``"error"`` with the
+        worker's report, or ``"dead"`` with the exit code when the process
+        ended without sending a whole message.  An idle worker's death is not
+        looked at until a chunk is submitted to it.
         """
-        pending = set(pending)
-        outcomes: List[tuple] = []
-        while pending:
+        owner = {}
+        for worker_id in pending:
+            owner[self._conns[worker_id]] = worker_id
+            owner[self._processes[worker_id].sentinel] = worker_id
+        reports: List[Tuple[int, str, Any]] = []
+        for worker_id in sorted({owner[handle] for handle in wait(list(owner))}):
             try:
-                outcome = self._result_queue.get(timeout=1.0)
-            except Empty:
-                dead = sorted(
-                    worker_id
-                    for worker_id in pending
-                    if not self._processes[worker_id].is_alive()
-                )
-                if dead:
-                    codes = [self._processes[worker_id].exitcode for worker_id in dead]
-                    raise WorkerDiedError(dead, codes, partial_outcomes=outcomes)
-                continue
-            outcomes.append(outcome)
-            pending.discard(outcome[0])
-        return outcomes
+                status, payload = self._conns[worker_id].recv()
+            except (EOFError, OSError):  # no message, or its tail, ever came
+                process = self._processes[worker_id]
+                process.join()
+                reports.append((worker_id, "dead", process.exitcode))
+            else:
+                reports.append((worker_id, status, payload))
+        return reports
+
+    def kill(self, worker_id: int) -> None:
+        """Kill a worker outright (the fault plane's injected crash)."""
+        self._processes[worker_id].kill()
+        self._processes[worker_id].join()
 
     def respawn(self, worker_id: int) -> None:
-        """Replace a dead worker with a fresh process on a fresh task queue.
+        """Replace a dead worker with a fresh process on a fresh pipe.
 
-        Anything still sitting in the dead worker's queue (the lost chunk, a
-        pending kill) dies with the queue; the replacement starts with empty
-        module-level caches, which is why the healing caller must forget the
-        worker's mirrored inventory before resubmitting.
+        The replacement starts with empty module-level caches, which is why
+        the healing caller must forget the worker's mirrored inventory before
+        resubmitting.
         """
-        process = self._processes[worker_id]
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=5.0)
-        stale_queue = self._task_queues[worker_id]
-        try:
-            stale_queue.close()
-            stale_queue.cancel_join_thread()
-        except Exception:
-            pass
-        task_queue = self._context.Queue()
-        self._task_queues[worker_id] = task_queue
-        replacement = self._context.Process(
-            target=_worker_main,
-            args=(worker_id, task_queue, self._result_queue),
-            daemon=True,
-        )
-        self._processes[worker_id] = replacement
-        replacement.start()
+        self._conns[worker_id].close()
+        self._start(worker_id)
 
     def close(self) -> None:
-        for task_queue in self._task_queues:
-            try:
-                task_queue.put(None)
-            except Exception:
-                pass
+        for worker_id in range(len(self._conns)):
+            self.submit(worker_id, None)
         for process in self._processes:
             process.join(timeout=5.0)
         for process in self._processes:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        for queue in self._task_queues + [self._result_queue]:
-            queue.close()
-            queue.cancel_join_thread()
+        for conn in self._conns:
+            conn.close()
 
     def terminate(self) -> None:
         for process in self._processes:
@@ -605,10 +578,10 @@ class RoundIPC:
     """What one completed parallel round shipped to its workers.
 
     ``method_bytes`` and ``broadcast_bytes`` count the blob size times the
-    number of worker messages that embedded it (each pinned queue copies the
-    shared bytes; a chunk replayed to a respawned worker is one more
-    message), so all three byte fields are comparable measures of actual
-    cross-process traffic.  ``num_messages`` is that message count, so
+    number of worker messages that embedded it (each worker's pipe carries its
+    own copy of the shared bytes; a chunk replayed to a respawned worker is
+    one more message), so all three byte fields are comparable measures of
+    actual cross-process traffic.  ``num_messages`` is that message count, so
     ``broadcast_bytes / num_messages`` recovers the single broadcast blob
     length — under the loopback transport's ``identity`` codec that blob *is*
     the per-client broadcast wire frame, which is how the
@@ -663,9 +636,6 @@ class ParallelExecutor(Executor):
     round.
     """
 
-    #: Exit code of a fault-plane worker kill, distinguishable from real crashes.
-    KILL_EXIT_CODE = 86
-
     def __init__(
         self,
         num_workers: Optional[int] = None,
@@ -689,10 +659,10 @@ class ParallelExecutor(Executor):
     def request_worker_kill(self, worker_id: int) -> None:
         """Schedule a deterministic worker death before the next round's chunks.
 
-        The fault plane's injection point: a ``"die"`` message is queued ahead
-        of the worker's next chunk, so the process exits exactly like a
-        crashed worker would — chunk lost, caches gone — and the healing
-        collect path detects, respawns and replays.
+        The fault plane's injection point: the next training round kills the
+        process just before its chunks go out, so the victim's chunk meets a
+        dead pipe exactly as after a real crash — chunk lost, caches gone —
+        and the healing collect path detects, respawns and replays.
         """
         if not 0 <= worker_id < self.num_workers:
             raise ValueError(
@@ -752,41 +722,42 @@ class ParallelExecutor(Executor):
         chunks: Dict[int, Sequence[Tuple[int, Any]]],
         rebuild: Callable[[int], tuple],
     ) -> List[tuple]:
-        """Collect every submitted chunk, healing worker deaths within budget.
+        """Collect one report per submitted chunk, healing worker deaths within budget.
 
-        A dead worker's already-reported peers are absorbed from the error;
-        the dead worker is respawned, its mirrored inventory (both planes)
+        A dead worker is respawned, its mirrored inventory (both planes)
         forgotten — the fresh process holds nothing — and its chunk rebuilt
         and resubmitted.  The replay is bit-for-bit: a chunk is a pure
-        function of the round's blobs.  Beyond ``max_respawns`` the
-        :class:`WorkerDiedError` propagates with the lost client ids filled
-        in.
+        function of the round's blobs.  Beyond ``max_respawns`` the deaths
+        raise :class:`WorkerDiedError`, with the lost client ids, once every
+        other pending worker has reported.
         """
         outcomes: List[tuple] = []
+        lost: Dict[int, Optional[int]] = {}  # dead worker -> exit code
         pending = set(chunks)
         while pending:
-            try:
-                outcomes.extend(pool.collect(pending))
-                break
-            except WorkerDiedError as error:
-                outcomes.extend(error.partial_outcomes)
-                pending -= {outcome[0] for outcome in error.partial_outcomes}
-                dead = [worker_id for worker_id in error.worker_ids if worker_id in pending]
-                pending -= set(dead)
-                if self.respawns + len(dead) > self.max_respawns:
-                    error.client_ids = sorted(
-                        item.client_id
-                        for worker_id in dead
-                        for _, item in chunks[worker_id]
-                        if isinstance(item, ClientHandle)
-                    )
-                    raise
-                for worker_id in dead:
+            for worker_id, status, payload in pool.collect(pending):
+                pending.discard(worker_id)
+                if status != "dead":
+                    outcomes.append((worker_id, status, payload))
+                elif self.respawns < self.max_respawns:
                     pool.respawn(worker_id)
                     self.respawns += 1
                     self._inventories[worker_id] = {}
                     pool.submit(worker_id, rebuild(worker_id))
                     pending.add(worker_id)
+                else:
+                    lost[worker_id] = payload
+        if lost:
+            raise WorkerDiedError(
+                list(lost),
+                list(lost.values()),
+                sorted(
+                    item.client_id
+                    for worker_id in lost
+                    for _, item in chunks[worker_id]
+                    if isinstance(item, ClientHandle)
+                ),
+            )
         return outcomes
 
     def _ensure_pool(self) -> _PinnedWorkerPool:
@@ -835,11 +806,11 @@ class ParallelExecutor(Executor):
             )
 
         # Build every chunk message before submitting anything, and tear the
-        # pool down on any failure in the build/submit/collect path: a
-        # partially-submitted call would leave results in flight for the
-        # next call's collect to mis-consume, and a partially-updated
-        # inventory would desynchronise from workers that never received
-        # their chunk.  close() clears both.
+        # pool down on any failure in the build/submit/collect path —
+        # KeyboardInterrupt included: a partially-collected call would leave
+        # reports in flight for the next call's collect to mis-consume, and a
+        # partially-updated inventory would desynchronise from workers that
+        # never received their chunk.  close() clears both.
         try:
             messages = [(worker_id, build(worker_id)) for worker_id in chunks]
             if kind == "train":
@@ -847,12 +818,12 @@ class ParallelExecutor(Executor):
                 # the victim dies before (or instead of) running its work — the
                 # chunk is genuinely lost and the healing path must replay it.
                 for victim in self._pending_kills:
-                    pool.submit(victim, ("die", self.KILL_EXIT_CODE))
+                    pool.kill(victim)
                 self._pending_kills = []
             for worker_id, message in messages:
                 pool.submit(worker_id, message)
             outcomes = self._collect_healing(pool, chunks, build)
-        except Exception:
+        except BaseException:
             self.close()
             raise
         gathered: List[tuple] = []
@@ -867,7 +838,7 @@ class ParallelExecutor(Executor):
             else:
                 gathered.extend(payload)
         if failure is not None:
-            # All chunks were already collected above, so the queues are clean
+            # All chunks were already collected above, so the pipes are clean
             # and the pool stays reusable after the exception propagates.
             _raise_worker_error(failure)
         gathered.sort(key=lambda item: item[0])

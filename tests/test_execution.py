@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import struct
+import sys
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -13,6 +18,8 @@ from repro.autograd.tensor import (
     get_default_dtype,
     set_default_dtype,
 )
+from repro.baselines.base import BaselineConfig
+from repro.baselines.finetune import FinetuneMethod
 from repro.baselines.registry import build_method
 from repro.continual import DomainIncrementalScenario, count_correct
 from repro.datasets import SyntheticDomainDataset
@@ -21,9 +28,11 @@ from repro.federated import (
     FederatedDomainIncrementalSimulation,
     ParallelExecutor,
     SerialExecutor,
+    WorkerDiedError,
     batch_aligned_slices,
     build_executor,
 )
+from repro.federated import execution
 from repro.federated.client import ClientHandle, LocalTrainingConfig
 from repro.federated.execution import EvalJob
 from repro.federated.increment import ClientGroup
@@ -428,6 +437,135 @@ class TestWorkerContract:
             _run_client_chunk(
                 pickle.dumps(method), serialize_state(state, {}), [(0, client)], "float64"
             )
+
+
+class _UnpicklableUpdate(FinetuneMethod):
+    """A method whose update carries a lambda, so its report cannot be pickled."""
+
+    name = "unpicklable-update"
+
+    def local_update(self, model, global_state, broadcast_payload, client):
+        update = super().local_update(model, global_state, broadcast_payload, client)
+        update.payload["hook"] = lambda: None
+        return update
+
+
+#: Train chunks this process has run; a forked worker starts from the parent's 0.
+_CHUNKS_RUN = [0]
+
+
+def _send_half_then_exit(conn, buf):
+    """Write a report's length header and half its bytes, then die."""
+    conn._send(struct.pack("!i", len(buf)) + bytes(buf[: len(buf) // 2]))
+    os._exit(7)
+
+
+def _dies_mid_second_report(method_blob, broadcast_blob, indexed_clients, dtype_name):
+    """The train chunk runner, except that the worker holding client 0 dies
+    halfway through sending its second report (a fresh replacement's first
+    report goes through)."""
+    results = execution._run_client_chunk(method_blob, broadcast_blob, indexed_clients, dtype_name)
+    _CHUNKS_RUN[0] += 1
+    if _CHUNKS_RUN[0] == 2 and any(client.client_id == 0 for _, client in indexed_clients):
+        Connection._send_bytes = _send_half_then_exit
+    return results
+
+
+class TestPoolFailures:
+    """A failure in one worker's chunk or report never hangs the pool and
+    never leaks into a later round."""
+
+    def _setup(self, tiny_spec, tiny_backbone_config):
+        reference = build_method("finetune", tiny_backbone_config, num_tasks=1)
+        source = SyntheticDomainDataset(tiny_spec)
+        shards = [source.domain_split(0, "train").subset(np.arange(s, s + 8)) for s in (0, 8)]
+        broadcast = FederatedServer(reference.build_model()).broadcast_view()
+
+        def handles(round_index):
+            return [
+                _handle(shard, 0, client_id, round_index) for client_id, shard in enumerate(shards)
+            ]
+
+        return reference, broadcast, handles
+
+    def _assert_serial(self, updates, tiny_backbone_config, broadcast, clients):
+        method = build_method("finetune", tiny_backbone_config, num_tasks=1)
+        expected = SerialExecutor().run_round(method, method.build_model(), broadcast, clients)
+        assert [u.client_id for u in updates] == [u.client_id for u in expected]
+        assert [u.train_loss for u in updates] == [u.train_loss for u in expected]
+        for update, want in zip(updates, expected):
+            for key, value in want.state_dict.items():
+                assert update.state_dict[key].tobytes() == value.tobytes()
+
+    def test_interrupted_fan_out_leaves_nothing_for_the_next_round(
+        self, tiny_spec, tiny_backbone_config
+    ):
+        """Regression: a KeyboardInterrupt while collecting left the round's
+        reports in flight, and the next round returned them as its own."""
+        method, broadcast, handles = self._setup(tiny_spec, tiny_backbone_config)
+        with ParallelExecutor(num_workers=2) as executor:
+            model = method.build_model()
+
+            def interrupt(*args):
+                del executor._collect_healing  # only this call is interrupted
+                raise KeyboardInterrupt
+
+            executor._collect_healing = interrupt
+            with pytest.raises(KeyboardInterrupt):
+                executor.run_round(method, model, broadcast, handles(0))
+            updates = executor.run_round(method, model, broadcast, handles(1))
+        self._assert_serial(updates, tiny_backbone_config, broadcast, handles(1))
+
+    def test_unpicklable_result_raises_and_the_pool_stays_usable(
+        self, tiny_spec, tiny_backbone_config
+    ):
+        method, broadcast, handles = self._setup(tiny_spec, tiny_backbone_config)
+        bad = _UnpicklableUpdate(BaselineConfig(backbone=tiny_backbone_config))
+        with ParallelExecutor(num_workers=2) as executor:
+            model = method.build_model()
+            with pytest.raises(Exception, match="(?i)pickle") as excinfo:
+                executor.run_round(bad, model, broadcast, handles(0))
+            assert "worker traceback" in str(excinfo.value.__cause__)
+            updates = executor.run_round(method, model, broadcast, handles(1))
+            assert executor.respawns == 0
+        self._assert_serial(updates, tiny_backbone_config, broadcast, handles(1))
+
+    @pytest.mark.skipif(
+        not (sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods()),
+        reason="the dying chunk runner reaches workers only through fork",
+    )
+    @pytest.mark.parametrize("max_respawns", [1, 0])
+    def test_death_mid_report(self, tiny_spec, tiny_backbone_config, monkeypatch, max_respawns):
+        """A worker that dies after writing part of its report is dead, not
+        wedged: its peer's report still arrives, and the chunk heals within
+        budget or is named in WorkerDiedError beyond it."""
+        method, broadcast, handles = self._setup(tiny_spec, tiny_backbone_config)
+        monkeypatch.setitem(execution._CHUNK_RUNNERS, "train", _dies_mid_second_report)
+        reports = []
+        collect = execution._PinnedWorkerPool.collect
+
+        def recording_collect(pool, pending):
+            ready = collect(pool, pending)
+            reports.extend((worker_id, status) for worker_id, status, _ in ready)
+            return ready
+
+        monkeypatch.setattr(execution._PinnedWorkerPool, "collect", recording_collect)
+        with ParallelExecutor(num_workers=2, max_respawns=max_respawns) as executor:
+            model = method.build_model()
+            executor.run_round(method, model, broadcast, handles(0))
+            if max_respawns:
+                updates = executor.run_round(method, model, broadcast, handles(1))
+                assert executor.respawns == 1
+            else:
+                with pytest.raises(WorkerDiedError) as excinfo:
+                    executor.run_round(method, model, broadcast, handles(1))
+                error = excinfo.value
+                assert (error.worker_ids, error.exit_codes, error.client_ids) == ([0], [7], [0])
+        # Client 0 is pinned to worker 0; worker 1's round-two report arrived.
+        assert sorted(reports[2:4]) == [(0, "dead"), (1, "ok")]
+        if max_respawns:
+            assert reports[4:] == [(0, "ok")]
+            self._assert_serial(updates, tiny_backbone_config, broadcast, handles(1))
 
 
 class TestPrecision:
