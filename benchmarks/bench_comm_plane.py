@@ -94,8 +94,8 @@ def _round_trip_ms(repeats: int = 30) -> dict:
         for key, value in reference.items()
     }
     groups = {
-        str(label): rng.standard_normal(backbone.embed_dim)
-        for label in range(backbone.num_classes)
+        "labels": np.arange(backbone.num_classes, dtype=np.int64),
+        "vectors": rng.standard_normal((backbone.num_classes, backbone.embed_dim)),
     }
     payload_codec = method.payload_codec()
     message, _ = flatten_message(state, {"prompt_groups": groups}, payload_codec)

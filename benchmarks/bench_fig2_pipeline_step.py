@@ -52,7 +52,7 @@ def test_fig2_pipeline_local_update(benchmark):
     update = benchmark.pedantic(one_local_update, rounds=3, iterations=1, warmup_rounds=1)
     print(f"\nFig.2 pipeline: one client local update over {client.num_samples} samples")
     print(f"  uploaded state arrays : {len(update.state_dict)}")
-    print(f"  uploaded prompt groups: {len(update.payload['prompt_groups'])}")
+    print(f"  uploaded prompt groups: {len(update.payload['prompt_groups']['labels'])}")
     # The upload as it crosses the wire: one measured identity-codec frame.
     transport = build_transport(
         "loopback", "identity", server.ledger, payload_codec=method.payload_codec()
@@ -61,7 +61,7 @@ def test_fig2_pipeline_local_update(benchmark):
     transport.collect_updates([update])
     print(f"  upload frame          : {transport.last_upload_bytes[update.client_id] / 1024:.1f} KiB")
     assert update.num_samples == client.num_samples
-    assert update.payload["prompt_groups"]
+    assert len(update.payload["prompt_groups"]["labels"])
 
 
 def test_fig2_pipeline_float32_vs_float64(benchmark, bench_record):

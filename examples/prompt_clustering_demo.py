@@ -9,7 +9,9 @@ This example exercises the lower-level public API directly:
 3. average them into per-class Local Prompt Groups (what a client uploads),
 4. cluster the groups on the "server" with FINCH and show the clusters align
    with domains,
-5. compute the decayed DPCL temperature schedule over the task stream.
+5. round-trip the clustered store through its broadcast payload (the
+   script exits non-zero if a single bit differs),
+6. compute the decayed DPCL temperature schedule over the task stream.
 
 Run with:
 
@@ -17,6 +19,8 @@ Run with:
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -42,7 +46,18 @@ def collect_prompt_groups(model: RefFiLModel, spec, domain_index: int, task_id: 
     return collector.local_prompt_group()
 
 
-def main() -> None:
+def store_survives_broadcast(store: GlobalPromptStore) -> bool:
+    """True when ``from_payload(to_payload())`` gives back every class, in order, bit for bit."""
+    rebuilt = GlobalPromptStore.from_payload(
+        store.to_payload(), num_classes=store.num_classes, embed_dim=store.embed_dim
+    )
+    return list(rebuilt.representatives) == list(store.representatives) and all(
+        rebuilt.representatives[label].tobytes() == vectors.tobytes()
+        for label, vectors in store.representatives.items()
+    )
+
+
+def main() -> int:
     spec = get_dataset_spec("office_caltech").scaled(
         train_per_domain=64, test_per_domain=32, num_classes=4
     )
@@ -69,12 +84,17 @@ def main() -> None:
     for label in sorted(clustered):
         print(f"  class {label}: {clustered[label].shape[0]} representative prompt(s)")
     print(f"  broadcast payload size: {store.payload_bytes()} bytes")
+    if not store_survives_broadcast(store):
+        print("  the store changed on its way through the broadcast payload", file=sys.stderr)
+        return 1
+    print("  store round-trips through its broadcast payload bit for bit")
 
     print("\nDPCL temperature decay over the task stream (paper Eq. 10):")
     config = DPCLConfig()
     for task in range(1, spec.num_domains + 1):
         print(f"  task {task}: tau' = {decayed_temperature(config, task):.3f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

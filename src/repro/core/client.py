@@ -162,17 +162,12 @@ class RefFiLClientTrainer:
                 totals.accumulate(breakdown)
                 batches += 1
 
-        payload = {
-            "prompt_groups": {
-                str(label): vector for label, vector in collector.local_prompt_group().items()
-            }
-        }
         means = totals.mean_over(batches)
         return ClientUpdate(
             client_id=client.client_id,
             state_dict=model.state_dict(),
             num_samples=client.num_samples,
-            payload=payload,
+            payload={"prompt_groups": collector.to_payload()},
             train_loss=means.total,
             metrics=means.as_metrics(),
         )

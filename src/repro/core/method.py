@@ -2,9 +2,10 @@
 
 This is the object the experiment harness instantiates.  It wires together
 the composite model (backbone + CDAP), the client trainer (local losses of
-Eq. 13/12/9) and the server prompt aggregator (FedAvg + FINCH clustering),
+Eq. 13/12/9) and the server-side prompt store (FedAvg + FINCH clustering),
 and exposes the ablation switches used in Table VII and the temperature
-hyper-parameters swept in Table VIII.
+hyper-parameters swept in Table VIII.  Both prompt payloads are built
+stacked, so the generic tree codec ships each as a few dense arrays.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.core.client import RefFiLClientTrainer
+from repro.core.clustering import cluster_prompt_groups
 from repro.core.dpcl import DPCLConfig
 from repro.core.model import RefFiLModel
-from repro.core.server import RefFiLPromptAggregator, aggregate_with_prompts
+from repro.core.prompts import GlobalPromptStore, check_prompt_rows
 from repro.federated.client import ClientHandle
-from repro.federated.communication import ClientUpdate, TreePayloadCodec
+from repro.federated.communication import ClientUpdate
 from repro.federated.method import FederatedMethod
 from repro.federated.server import FederatedServer
 from repro.models.backbone import BackboneConfig
@@ -44,105 +46,6 @@ class RefFiLConfig:
         return replace(self, use_cdap=use_cdap, use_gpl=use_gpl, use_dpcl=use_dpcl)
 
 
-class RefFiLPromptCodec(TreePayloadCodec):
-    """Wire codec for RefFiL's prompt payloads: stacked matrices, not opaque dicts.
-
-    RefFiL's two payload shapes are dicts of per-class vectors — the uploaded
-    ``LPG_m`` (``{"prompt_groups": {label: (d,)}}``) and the broadcast prompt
-    store (``{"class_<k>": (N_k, d)}``).  The generic tree codec would ship
-    one tiny named array per class; this codec stacks each into a single
-    labels/vectors pair, so the wire codec (delta / quantize / topk) sees two
-    dense matrices instead of dozens of fragments and per-array framing
-    overhead disappears.  Unrecognised payloads fall back to the tree walk,
-    and both shapes round-trip exactly — values, dtypes and dict order.
-    """
-
-    def flatten(self, payload):
-        flat = self._flatten_prompt_groups(payload)
-        if flat is None:
-            flat = self._flatten_store(payload)
-        return flat if flat is not None else super().flatten(payload)
-
-    def unflatten(self, arrays, skeleton):
-        if isinstance(skeleton, tuple) and skeleton and skeleton[0] == "reffil-lpg":
-            labels = arrays["lpg/labels"]
-            vectors = np.asarray(arrays["lpg/vectors"])
-            return {
-                "prompt_groups": {
-                    str(int(label)): vectors[index].copy()
-                    for index, label in enumerate(labels)
-                }
-            }
-        if isinstance(skeleton, tuple) and skeleton and skeleton[0] == "reffil-store":
-            labels = arrays["gps/labels"]
-            counts = arrays["gps/counts"]
-            vectors = np.asarray(arrays["gps/vectors"])
-            store: Dict[str, np.ndarray] = {}
-            start = 0
-            for label, count in zip(labels, counts):
-                store[f"class_{int(label)}"] = vectors[start : start + int(count)].copy()
-                start += int(count)
-            return store
-        return super().unflatten(arrays, skeleton)
-
-    @staticmethod
-    def _canonical_int(text: str) -> Optional[int]:
-        """``int(text)`` when ``str(int(text)) == text``; None otherwise."""
-        try:
-            value = int(text)
-        except ValueError:
-            return None
-        return value if str(value) == text else None
-
-    @classmethod
-    def _flatten_prompt_groups(cls, payload):
-        if not (isinstance(payload, dict) and set(payload) == {"prompt_groups"}):
-            return None
-        groups = payload["prompt_groups"]
-        if not (isinstance(groups, dict) and groups):
-            return None
-        labels: List[int] = []
-        vectors: List[np.ndarray] = []
-        for key, vector in groups.items():
-            label = cls._canonical_int(key) if isinstance(key, str) else None
-            if label is None or not (isinstance(vector, np.ndarray) and vector.ndim == 1):
-                return None
-            labels.append(label)
-            vectors.append(vector)
-        if len({(v.dtype, v.shape) for v in vectors}) != 1:
-            return None
-        arrays = {
-            "lpg/labels": np.asarray(labels, dtype=np.int64),
-            "lpg/vectors": np.stack(vectors),
-        }
-        return arrays, ("reffil-lpg",)
-
-    @classmethod
-    def _flatten_store(cls, payload):
-        if not (isinstance(payload, dict) and payload):
-            return None
-        labels: List[int] = []
-        counts: List[int] = []
-        matrices: List[np.ndarray] = []
-        for key, matrix in payload.items():
-            if not (isinstance(key, str) and key.startswith("class_")):
-                return None
-            label = cls._canonical_int(key[len("class_"):])
-            if label is None or not (isinstance(matrix, np.ndarray) and matrix.ndim == 2):
-                return None
-            labels.append(label)
-            counts.append(matrix.shape[0])
-            matrices.append(matrix)
-        if len({(m.dtype, m.shape[1]) for m in matrices}) != 1:
-            return None
-        arrays = {
-            "gps/labels": np.asarray(labels, dtype=np.int64),
-            "gps/counts": np.asarray(counts, dtype=np.int64),
-            "gps/vectors": np.concatenate(matrices, axis=0),
-        }
-        return arrays, ("reffil-store",)
-
-
 class RefFiLMethod(FederatedMethod):
     """The full RefFiL algorithm (Algorithm 1) behind the generic method interface."""
 
@@ -159,11 +62,7 @@ class RefFiLMethod(FederatedMethod):
             use_gpl=config.use_gpl,
             use_dpcl=config.use_dpcl,
         )
-        self.prompt_aggregator = RefFiLPromptAggregator(
-            num_classes=config.backbone.num_classes,
-            embed_dim=config.backbone.embed_dim,
-            max_representatives=config.max_prompt_representatives,
-        )
+        self.store = GlobalPromptStore(config.backbone.num_classes, config.backbone.embed_dim)
 
     @staticmethod
     def _build_name(config: RefFiLConfig) -> str:
@@ -198,9 +97,9 @@ class RefFiLMethod(FederatedMethod):
         client: ClientHandle,
     ) -> ClientUpdate:
         # The broadcast payload carries the clustered store; rebuild the client view.
-        store = self.prompt_aggregator.store
+        store = self.store
         if broadcast_payload:
-            store = self.prompt_aggregator.store.from_payload(
+            store = GlobalPromptStore.from_payload(
                 broadcast_payload,
                 num_classes=self.config.backbone.num_classes,
                 embed_dim=self.config.backbone.embed_dim,
@@ -208,7 +107,23 @@ class RefFiLMethod(FederatedMethod):
         return self.client_trainer.local_update(model, store, client)
 
     def aggregate(self, server: FederatedServer, updates: List[ClientUpdate]) -> None:
-        aggregate_with_prompts(server, self.prompt_aggregator, updates)
+        """Algorithm 1, lines 8-10: FedAvg, then FINCH over the uploaded LPGs and
+        the store's representatives; the store rides the next broadcast.  A
+        malformed upload raises before any server state changes."""
+        groups = [u.payload["prompt_groups"] for u in updates if "prompt_groups" in u.payload]
+        for group in groups:
+            check_prompt_rows(group["labels"], np.ones_like(group["labels"]), group["vectors"])
+        server.aggregate(updates)
+        uploaded = [dict(zip(g["labels"].tolist(), g["vectors"])) for g in groups if g["labels"].size]
+        if uploaded:
+            self.store.replace(
+                cluster_prompt_groups(
+                    uploaded,
+                    existing=self.store.representatives,
+                    max_representatives=self.config.max_prompt_representatives,
+                )
+            )
+        server.broadcast_payload = self.store.to_payload()
 
     def export_client_state(self, client_id: int) -> Optional[np.ndarray]:
         """Cross-process round-trip of the static ablation prompt (if CDAP is off).
@@ -223,10 +138,6 @@ class RefFiLMethod(FederatedMethod):
 
     def import_client_state(self, client_id: int, state: np.ndarray) -> None:
         self.client_trainer.load_static_prompt(client_id, state)
-
-    def payload_codec(self) -> RefFiLPromptCodec:
-        """Prompt groups and the clustered store ship as stacked label/vector pairs."""
-        return RefFiLPromptCodec()
 
     def predict_logits(self, model: RefFiLModel, images: Tensor) -> Tensor:
         """Inference: condition on CDAP prompts generated without the task ID.
@@ -247,10 +158,10 @@ class RefFiLMethod(FederatedMethod):
                 backbone.input_tokens_from_patches(patches)
             )
             return backbone.forward_from_patches(patches, prompts)
-        averaged = self.prompt_aggregator.store.averaged_prompt_matrix()
+        averaged = self.store.averaged_prompt_matrix()
         if averaged is None:
             return model.backbone(images)
         return model.backbone(images, Tensor(averaged))
 
 
-__all__ = ["RefFiLConfig", "RefFiLMethod", "RefFiLPromptCodec"]
+__all__ = ["RefFiLConfig", "RefFiLMethod"]

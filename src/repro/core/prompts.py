@@ -67,9 +67,36 @@ class LocalPromptCollector:
             for label in self._sums
         }
 
+    def to_payload(self) -> Dict[str, np.ndarray]:
+        """The LPG as uploaded: ``labels`` (int64) and ``vectors`` rows, in first-seen class order."""
+        group = self.local_prompt_group()
+        return {
+            "labels": np.fromiter(group, dtype=np.int64, count=len(group)),
+            "vectors": np.stack(list(group.values())) if group else np.zeros((0, self.embed_dim)),
+        }
+
     def reset(self) -> None:
         self._sums.clear()
         self._counts.clear()
+
+
+def check_prompt_rows(labels: np.ndarray, counts: np.ndarray, vectors: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the distinct ``labels``' ``counts`` partition ``vectors``' rows.
+
+    Prompt payloads arrive from the wire: a disagreement is refused, never truncated.
+    """
+    if (
+        labels.ndim != 1
+        or counts.shape != labels.shape
+        or vectors.ndim != 2
+        or (counts < 0).any()
+        or counts.sum() != vectors.shape[0]
+        or np.unique(labels).size != labels.size
+    ):
+        raise ValueError(
+            f"prompt payload disagrees: labels {labels.tolist()}, counts {counts.tolist()}, "
+            f"vectors {vectors.shape}"
+        )
 
 
 class GlobalPromptStore:
@@ -165,25 +192,27 @@ class GlobalPromptStore:
     # Serialisation (what actually travels over the "network")
     # ------------------------------------------------------------------ #
     def to_payload(self) -> Dict[str, np.ndarray]:
-        """Serialise for broadcasting to clients."""
-        return {f"class_{label}": array.copy() for label, array in self.representatives.items()}
+        """Serialise for broadcasting: int64 ``labels`` / ``counts`` in store order, rows in ``vectors``."""
+        arrays = list(self.representatives.values())
+        return {
+            "labels": np.fromiter(self.representatives, dtype=np.int64, count=len(arrays)),
+            "counts": np.asarray([array.shape[0] for array in arrays], dtype=np.int64),
+            "vectors": np.concatenate(arrays) if arrays else np.zeros((0, self.embed_dim)),
+        }
 
     @classmethod
     def from_payload(
         cls, payload: Mapping[str, np.ndarray], num_classes: int, embed_dim: int
     ) -> "GlobalPromptStore":
-        """Rebuild a store from a broadcast payload."""
+        """Rebuild a store from a broadcast payload, splitting ``vectors`` by ``counts``."""
+        labels, counts, vectors = (payload[key] for key in ("labels", "counts", "vectors"))
+        check_prompt_rows(labels, counts, vectors)
         store = cls(num_classes, embed_dim)
-        representatives = {}
-        for key, value in payload.items():
-            if not key.startswith("class_"):
-                continue
-            representatives[int(key.split("_", 1)[1])] = np.asarray(value)
-        store.replace(representatives)
+        store.replace(dict(zip(labels.tolist(), np.split(vectors, np.cumsum(counts)[:-1]))))
         return store
 
     def payload_bytes(self) -> int:
         return sum(array.nbytes for array in self.representatives.values())
 
 
-__all__ = ["LocalPromptCollector", "GlobalPromptStore"]
+__all__ = ["LocalPromptCollector", "GlobalPromptStore", "check_prompt_rows"]

@@ -33,7 +33,10 @@ import struct
 import zlib
 from typing import Any, Dict, Optional, Tuple
 
-CHECKPOINT_VERSION = 1
+#: 2: RefFiL's method keeps its prompt store as ``store`` and its payloads
+#: ride the generic tree codec; version-1 files resume into a method and a
+#: payload skeleton this build no longer has, so they are refused.
+CHECKPOINT_VERSION = 2
 _MAGIC = b"RPCK"
 _HEADER = struct.Struct(">4sII")
 _NAME_RE = re.compile(r"^ckpt-t(\d{4})-r(\d{5})\.ckpt$")

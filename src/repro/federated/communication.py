@@ -19,9 +19,10 @@ this (the transports in :mod:`repro.federated.transport` drive them):
   ``topk`` (magnitude sparsification of the diff, upload-only) one index
   column and the selected values;
 * a :class:`PayloadCodec` flattens a method's structured payload (e.g.
-  RefFiL's per-class prompt groups) into named arrays so the array codec
+  RefFiL's stacked prompt groups) into named arrays so the array codec
   applies to prompts exactly as it does to model weights, instead of the
-  payload riding as an opaque pickled dict;
+  payload riding as an opaque pickled dict; the generic
+  :class:`TreePayloadCodec` is the only one;
 * :func:`flatten_message` / :func:`split_message` merge model state and
   payload arrays into one namespaced flat dict and back — the message layout
   wire frames, checkpoints and registry versions share;
@@ -64,7 +65,8 @@ class ClientUpdate:
         Size of the client's local training set (the FedAvg weight).
     payload:
         Method-specific extras; RefFiL puts its per-class averaged local
-        prompt group (``LPG_m``) here, baselines leave it empty.
+        prompt group (``LPG_m``) here as ``{"prompt_groups": {"labels":
+        int64 (n,), "vectors": (n, d)}}``, baselines leave it empty.
     train_loss:
         Mean local training loss (for logging / convergence monitoring).
     metrics:

@@ -45,8 +45,8 @@ implementations must satisfy five rules:
    after-task evaluation after a final-round ``eval_every`` snapshot costs no
    forward pass), so method state that inference reads may only change in a
    hook that also assigns server state.  RefFiL's prompt store, which its
-   CDAP-free inference averages, is replaced only in
-   ``aggregate_with_prompts``, which then assigns ``broadcast_payload``.
+   CDAP-free inference averages, is replaced only in its ``aggregate``,
+   which then assigns ``broadcast_payload``.
 
 Server-side hooks (``on_task_start``, ``aggregate``, ...) always run in the
 main process on the live method object; within rules 4 and 5 they are
@@ -144,10 +144,11 @@ class FederatedMethod:
         The communication plane flattens broadcast and upload payloads into
         flat ``name -> ndarray`` dicts so the configured wire codec applies
         to them exactly as it does to model weights.  The default generic
-        tree walk handles any picklable payload; methods with a known payload
-        structure (RefFiL's per-class prompt groups) override this with a
-        specialised codec.  Whatever is returned, ``unflatten(flatten(p))``
-        must reproduce ``p`` exactly — the lossless-parity guarantee of
+        tree walk handles any picklable payload, and every method here uses
+        it: one that builds its payload as a few stacked arrays (RefFiL's
+        prompt groups and store) already costs one table row per array.  An
+        override must keep ``unflatten(flatten(p))`` reproducing ``p``
+        exactly — the lossless-parity guarantee of
         ``codec="identity"``/``"delta"`` rests on it.
         """
         return TreePayloadCodec()

@@ -19,10 +19,11 @@ from repro.baselines import (
     build_method,
 )
 from repro.baselines.prompt_pool import SinglePrompt
-from repro.core import RefFiLConfig, RefFiLMethod
+from repro.core import GlobalPromptStore, RefFiLConfig, RefFiLMethod
 from repro.core.dpcl import DPCLConfig
 from repro.datasets.synthetic import generate_domain_split
 from repro.federated.client import ClientHandle, LocalTrainingConfig
+from repro.federated.communication import ClientUpdate
 from repro.federated.increment import ClientGroup
 from repro.federated.server import FederatedServer
 
@@ -188,9 +189,13 @@ class TestRefFiLMethod:
         server = FederatedServer(model)
         client = _client(tiny_spec)
         update = method.local_update(model, server.global_state, server.broadcast_payload, client)
+        assert set(update.payload) == {"prompt_groups"}
         groups = update.payload["prompt_groups"]
-        assert groups
-        assert all(np.asarray(v).shape == (tiny_backbone_config.embed_dim,) for v in groups.values())
+        assert set(groups) == {"labels", "vectors"}
+        labels, vectors = groups["labels"], groups["vectors"]
+        assert labels.dtype == np.int64 and labels.ndim == 1 and labels.size > 0
+        assert len(set(labels.tolist())) == labels.size
+        assert vectors.shape == (labels.size, tiny_backbone_config.embed_dim)
 
     def test_aggregate_populates_store_and_broadcast(self, tiny_backbone_config, tiny_spec):
         method = RefFiLMethod(RefFiLConfig(backbone=tiny_backbone_config, prompt_length=3, max_tasks=4))
@@ -198,8 +203,9 @@ class TestRefFiLMethod:
         server = FederatedServer(model)
         update = method.local_update(model, server.global_state, {}, _client(tiny_spec))
         method.aggregate(server, [update])
-        assert not method.prompt_aggregator.store.is_empty
-        assert server.broadcast_payload
+        assert not method.store.is_empty
+        assert set(server.broadcast_payload) == {"labels", "counts", "vectors"}
+        assert server.broadcast_payload["counts"].sum() == len(method.store)
         # A second local update must be able to consume the broadcast payload.
         second = method.local_update(model, server.global_state, server.broadcast_payload, _client(tiny_spec, task_id=1))
         assert np.isfinite(second.train_loss)
@@ -220,6 +226,40 @@ class TestRefFiLMethod:
         method.aggregate(server, [update])
         logits = method.predict_logits(model, Tensor(RNG.standard_normal((2, 3, 16, 16))))
         assert logits.shape == (2, tiny_backbone_config.num_classes)
+
+    @pytest.mark.parametrize(
+        "labels, rows",
+        [([0, 1, 2], 2), ([0, 1], 3), ([1, 1], 2)],
+        ids=["fewer-rows", "more-rows", "repeated-label"],
+    )
+    def test_malformed_upload_raises(self, tiny_backbone_config, labels, rows):
+        """Wire arrays whose labels and rows disagree are refused, not truncated."""
+        method = RefFiLMethod(RefFiLConfig(backbone=tiny_backbone_config))
+        server = FederatedServer(method.build_model())
+        groups = {
+            "labels": np.asarray(labels, dtype=np.int64),
+            "vectors": np.zeros((rows, tiny_backbone_config.embed_dim)),
+        }
+        update = ClientUpdate(0, server.global_state, 4, payload={"prompt_groups": groups})
+        with pytest.raises(ValueError, match="prompt payload"):
+            method.aggregate(server, [update])
+        assert method.store.is_empty and not server.broadcast_payload
+        assert server.round_counter == 0
+
+    @pytest.mark.parametrize(
+        "labels, counts, rows",
+        [([0, 1], [2, 1], 2), ([0, 1], [1, 1], 3), ([0, 1], [2], 2), ([0, 1], [3, -1], 2), ([1, 1], [1, 1], 2)],
+        ids=["fewer-rows", "more-rows", "short-counts", "negative-count", "repeated-label"],
+    )
+    def test_malformed_broadcast_raises(self, tiny_backbone_config, labels, counts, rows):
+        embed_dim = tiny_backbone_config.embed_dim
+        payload = {
+            "labels": np.asarray(labels, dtype=np.int64),
+            "counts": np.asarray(counts, dtype=np.int64),
+            "vectors": np.zeros((rows, embed_dim)),
+        }
+        with pytest.raises(ValueError, match="prompt payload"):
+            GlobalPromptStore.from_payload(payload, num_classes=4, embed_dim=embed_dim)
 
 
 class TestRegistry:

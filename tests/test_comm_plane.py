@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from repro.baselines.registry import build_method
 from repro.continual import DomainIncrementalScenario
-from repro.core.method import RefFiLPromptCodec
+from repro.core import GlobalPromptStore
 from repro.datasets import SyntheticDomainDataset
+from repro.datasets.synthetic import generate_domain_split
 from repro.federated import (
     CommunicationLedger,
     FederatedConfig,
@@ -35,7 +36,16 @@ from repro.federated import (
 )
 from repro.federated import transport as transport_module
 from repro.federated.aggregation import TreeReduceBackend
-from repro.federated.communication import ClientUpdate, QuantizeCodec, decode_frame, encode_frame
+from repro.federated.client import ClientHandle, LocalTrainingConfig
+from repro.federated.communication import (
+    ClientUpdate,
+    QuantizeCodec,
+    decode_frame,
+    encode_frame,
+    flatten_message,
+    split_message,
+)
+from repro.federated.increment import ClientGroup
 from repro.federated.server import FederatedServer
 from repro.federated.transport import FrameDecodeError
 from repro.nn.linear import Linear
@@ -493,49 +503,47 @@ class TestPayloadCodecs:
         assert rebuilt["nested"][2:] == ["text", 7]
         assert rebuilt["scalars"] == payload["scalars"]
 
-    def test_reffil_codec_stacks_prompt_groups(self):
-        codec = RefFiLPromptCodec()
-        payload = {
-            "prompt_groups": {"2": np.arange(8.0), "0": np.arange(8.0) * 2}
-        }
-        arrays, skeleton = codec.flatten(payload)
-        assert set(arrays) == {"lpg/labels", "lpg/vectors"}
-        assert arrays["lpg/vectors"].shape == (2, 8)
-        rebuilt = codec.unflatten(arrays, skeleton)
-        assert list(rebuilt["prompt_groups"]) == ["2", "0"]  # order preserved
-        for key in payload["prompt_groups"]:
-            np.testing.assert_array_equal(
-                rebuilt["prompt_groups"][key], payload["prompt_groups"][key]
+    @pytest.mark.parametrize("codec_name", ["identity", "delta"])
+    def test_reffil_payloads_ride_the_generic_codec(
+        self, codec_name, tiny_spec, tiny_backbone_config
+    ):
+        """RefFiL builds its upload and its store already stacked, so the
+        method's generic codec adds 2 and 3 payload arrays to a message and
+        a lossless frame returns them bit-exactly, in label order."""
+        method = build_method("refil", tiny_backbone_config, num_tasks=2)
+        model = method.build_model()
+        server = FederatedServer(model)
+        client = ClientHandle(
+            client_id=0,
+            task_id=0,
+            group=ClientGroup.NEW,
+            dataset=generate_domain_split(tiny_spec, 0, "train"),
+            rng=np.random.default_rng(0),
+            training=LocalTrainingConfig(local_epochs=1, batch_size=8),
+        )
+        update = method.local_update(model, server.global_state, {}, client)
+        method.aggregate(server, [update])
+        store_payload = dict(server.broadcast_payload)
+        codec = build_codec(codec_name)
+        payload_codec = method.payload_codec()
+        for payload, added in ((update.payload, 2), (store_payload, 3)):
+            arrays, skeleton = flatten_message(update.state_dict, payload, payload_codec)
+            assert len(arrays) == len(update.state_dict) + added
+            # A reference one element off per float array: delta ships sparse diffs.
+            reference = {name: value.copy() for name, value in arrays.items()}
+            for value in reference.values():
+                if value.dtype.kind == "f" and value.size:
+                    value.flat[0] += 1.0
+            frame = encode_frame("upload", codec, arrays, skeleton, reference)
+            decoded, meta = decode_frame(frame, codec, reference)
+            _, rebuilt = split_message(decoded, meta, payload_codec)
+            _assert_bit_exact(
+                payload.get("prompt_groups", payload), rebuilt.get("prompt_groups", rebuilt)
             )
-
-    def test_reffil_codec_stacks_the_store(self):
-        codec = RefFiLPromptCodec()
-        payload = {
-            "class_1": np.random.default_rng(0).standard_normal((3, 8)),
-            "class_0": np.random.default_rng(1).standard_normal((1, 8)),
-        }
-        arrays, skeleton = codec.flatten(payload)
-        assert set(arrays) == {"gps/labels", "gps/counts", "gps/vectors"}
-        assert arrays["gps/vectors"].shape == (4, 8)
-        rebuilt = codec.unflatten(arrays, skeleton)
-        assert list(rebuilt) == ["class_1", "class_0"]
-        for key in payload:
-            np.testing.assert_array_equal(rebuilt[key], payload[key])
-
-    def test_reffil_codec_falls_back_on_unknown_payloads(self):
-        codec = RefFiLPromptCodec()
-        for payload in (
-            {},
-            {"prompt_groups": {}},
-            {"prompt_groups": {"x": np.zeros(3)}},
-            {"prompt_groups": {"--1": np.zeros(3)}},  # non-canonical int key
-            {"class_1": np.zeros((2, 4)), "class_--3": np.zeros((2, 4))},
-            {"class_1": np.zeros((2, 4)), "other": np.zeros(2)},
-            {"fisher": np.ones((2, 2))},
-        ):
-            arrays, skeleton = codec.flatten(payload)
-            rebuilt = codec.unflatten(arrays, skeleton)
-            assert rebuilt.keys() == payload.keys()
+        store = GlobalPromptStore.from_payload(
+            rebuilt, tiny_backbone_config.num_classes, tiny_backbone_config.embed_dim
+        )
+        _assert_bit_exact(method.store.representatives, store.representatives)
 
 
 # --------------------------------------------------------------------------- #

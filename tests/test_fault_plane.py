@@ -611,20 +611,26 @@ class TestCheckpointFormat:
         assert latest is not None and latest.endswith(checkpoint_name(1, 0))
         assert latest_checkpoint(str(tmp_path / "missing")) is None
 
-    @pytest.mark.parametrize("mutation", ["truncate", "flip", "magic"])
+    @pytest.mark.parametrize("mutation", ["truncate", "flip", "magic", "older_version"])
     def test_corruption_is_detected(self, tmp_path, mutation):
         path = str(tmp_path / checkpoint_name(0, 1))
         save_checkpoint(path, {"x": 1})
         raw = bytearray(open(path, "rb").read())
+        match = None
         if mutation == "truncate":
             raw = raw[: len(raw) // 2]
         elif mutation == "flip":
             raw[-1] ^= 0xFF
-        else:
+        elif mutation == "magic":
             raw[:4] = b"XXXX"
+        else:
+            # A well-formed version-1 file (its CRC still holds) is refused by
+            # its header: its pickled RefFiL method predates the prompt store.
+            raw[4:8] = (1).to_bytes(4, "big")
+            match = "version 1, expected 2"
         with open(path, "wb") as handle:
             handle.write(bytes(raw))
-        with pytest.raises(CheckpointCorruptionError):
+        with pytest.raises(CheckpointCorruptionError, match=match):
             load_checkpoint(path)
 
 

@@ -252,6 +252,18 @@ class TestRegistryDurability:
         with pytest.raises(RegistryCorruptionError, match=r"format 1.*format 2"):
             registry.load(info.version)
 
+    def test_older_container_version_raises_typed_error(self, tmp_path):
+        """Version files share the checkpoint container: one written under
+        container version 1 (CRC intact) is refused by its header."""
+        registry = ModelRegistry(str(tmp_path))
+        info = registry.publish(name="m", state={"w": np.zeros(2)})
+        path = tmp_path / info.filename
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (1).to_bytes(4, "big")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(RegistryCorruptionError, match="version 1, expected 2"):
+            registry.load(info.version)
+
     def test_mangled_manifest_raises_typed_error(self, tmp_path):
         registry = ModelRegistry(str(tmp_path))
         registry.publish(name="m", state={"w": np.zeros(2)})

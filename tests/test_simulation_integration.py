@@ -38,7 +38,7 @@ class TestSimulation:
         method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
         result = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config).run()
         assert result.metrics.matrix.shape == (2, 2)
-        assert not method.prompt_aggregator.store.is_empty
+        assert not method.store.is_empty
         assert all(np.isfinite(loss) for loss in result.round_losses)
 
     def test_accuracy_matrix_is_complete(self, tiny_spec, tiny_backbone_config, tiny_federated_config):

@@ -348,7 +348,7 @@ class TestAsyncModes:
         scenario = _scenario(tiny_spec)
         method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
         result = FederatedDomainIncrementalSimulation(scenario, method, config).run()
-        assert not method.prompt_aggregator.store.is_empty
+        assert not method.store.is_empty
         assert all(np.isfinite(loss) for loss in result.round_losses)
 
     def test_async_fedewc_blends_fisher_instead_of_overwriting(
@@ -359,7 +359,6 @@ class TestAsyncModes:
         method = build_method("fedewc", tiny_backbone_config, num_tasks=2)
         model = method.build_model()
         server = FederatedServer(model)
-        server.ledger_autorecord = False
 
         param_names = [name for name, _ in model.named_parameters()]
         spiked = param_names[0]
