@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,12 +75,13 @@ from repro.federated.sampling import (
 from repro.federated.server import FederatedServer
 from repro.federated.virtual import VirtualClientPlane
 from repro.federated.transport import build_transport
-from repro.serving.engine import InferenceEngine
-from repro.serving.registry import ModelRegistry
-from repro.serving.service import ServingFrontEnd
 from repro.utils.logging_utils import get_logger
 from repro.utils.rng import spawn_rng
 from repro.utils.timing import Timer
+
+if TYPE_CHECKING:
+    from repro.serving.registry import ModelRegistry
+    from repro.serving.service import ServingFrontEnd
 
 logger = get_logger(__name__)
 
@@ -269,6 +270,12 @@ class FederatedDomainIncrementalSimulation:
         self.serving: Optional[ServingFrontEnd] = None
         self.versions_published = 0
         if config.registry_dir:
+            # Imported here, not with this module: the serving plane builds on
+            # this package's checkpoint and wire helpers, so a module-level
+            # import would make a cold ``import repro.serving`` re-enter
+            # itself half-built.
+            from repro.serving import InferenceEngine, ModelRegistry, ServingFrontEnd
+
             self.registry = ModelRegistry(config.registry_dir, keep=config.checkpoint_keep)
             if config.serve:
                 self.serving = ServingFrontEnd(InferenceEngine(self.registry, method)).start()

@@ -15,6 +15,10 @@ public helpers), never sideways into plane internals:
 * :mod:`repro.serving.service` — :class:`ServingFrontEnd`: bounded request
   queue, micro-batching, worker threads, backpressure and per-version
   latency/throughput telemetry.
+
+The registry builds on :mod:`repro.federated`'s checkpoint and wire helpers,
+so nothing in that package imports this one at module level: the simulation
+imports it only for a run that publishes (``registry_dir``).
 """
 
 from repro.serving.engine import InferenceEngine, ServedBatch

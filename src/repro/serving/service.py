@@ -2,11 +2,11 @@
 
 The :class:`ServingFrontEnd` is the request-facing layer above the
 :class:`~repro.serving.engine.InferenceEngine`.  Clients submit single
-samples; worker threads collect them into micro-batches — flushing when
-``max_batch`` samples have accumulated or ``max_wait`` seconds have passed
-since the batch opened — and answer every request with a
-:class:`ServedResponse` carrying the logits row, the model version that
-produced it, and the request's queue-to-response latency.
+samples; a worker blocks for one request, batches it with whatever is already
+queued (up to ``max_batch``, one engine call per sample shape and dtype) and
+serves at once, answering every request with a :class:`ServedResponse`
+carrying the logits row, the model version that produced it, and the
+request's queue-to-response latency.
 
 Delivery guarantees:
 
@@ -89,20 +89,16 @@ class ServingFrontEnd:
         engine: InferenceEngine,
         max_queue: int = 256,
         max_batch: int = 8,
-        max_wait: float = 0.002,
         num_workers: int = 1,
     ) -> None:
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         if max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if max_wait < 0:
-            raise ValueError("max_wait must be non-negative")
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
         self.engine = engine
         self.max_batch = max_batch
-        self.max_wait = max_wait
         self.num_workers = num_workers
         self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=max_queue)
         self._publish_pending = threading.Event()
@@ -194,16 +190,11 @@ class ServingFrontEnd:
             if self._publish_pending.is_set():
                 self._publish_pending.clear()
                 self._refresh()
+            # The batch is what is already queued: never wait for more.
             batch = [item]
-            deadline = item.enqueued + self.max_wait
             while len(batch) < self.max_batch:
-                remaining = deadline - time.monotonic()
                 try:
-                    nxt = (
-                        self._queue.get(timeout=remaining)
-                        if remaining > 0
-                        else self._queue.get_nowait()
-                    )
+                    nxt = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if nxt is _STOP:
@@ -212,7 +203,14 @@ class ServingFrontEnd:
                     self._queue.put(_STOP)
                     break
                 batch.append(nxt)
-            self._serve_batch(batch)
+            # One engine call per sample shape and dtype: a sample that cannot
+            # be stacked with its batch-mates is served, or fails, on its own.
+            groups: Dict[Any, List[_Request]] = {}
+            for request in batch:
+                key = (request.sample.shape, request.sample.dtype)
+                groups.setdefault(key, []).append(request)
+            for group in groups.values():
+                self._serve_batch(group)
 
     def _refresh(self) -> None:
         try:

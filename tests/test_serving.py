@@ -59,6 +59,7 @@ from repro.serving import (
     QueueFullError,
     RegistryCorruptionError,
     RegistryError,
+    ServedBatch,
     ServingFrontEnd,
     UnknownVersionError,
     VersionInfo,
@@ -441,6 +442,46 @@ class TestInferenceEngine:
 # Serving front end: delivery guarantees
 # --------------------------------------------------------------------------- #
 
+class _RefusedSample(ValueError):
+    """The stub engine's refusal of a sample its model cannot take."""
+
+
+class _StubEngine:
+    """An engine stand-in that makes batch formation deterministic.
+
+    Every ``predict`` records its batch size, then waits for ``release``, so
+    requests submitted while the first call is held are certain to queue
+    behind it.  Row ``i`` of the logits is the mean of sample ``i``; a batch
+    of samples that are not float and ``accepts``-shaped is refused.
+    """
+
+    swap_count = 0
+    current_version = 1
+    accepts = (3, 4, 4)
+
+    def __init__(self, held=True):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not held:
+            self.release.set()
+        self.batch_sizes = []
+
+    def refresh(self):
+        return None
+
+    def predict(self, images):
+        self.batch_sizes.append(len(images))
+        self.entered.set()
+        if not self.release.wait(timeout=30):
+            raise TimeoutError("the stub engine was never released")
+        if images.shape[1:] != self.accepts or images.dtype.kind != "f":
+            raise _RefusedSample(
+                f"cannot serve {images.dtype} samples of shape {images.shape[1:]}"
+            )
+        logits = images.reshape(len(images), -1).mean(axis=1, keepdims=True)
+        return ServedBatch(version=1, logits=logits)
+
+
 class TestServingFrontEnd:
     def _served_engine(self, tmp_path, backbone):
         method = _method(backbone)
@@ -483,25 +524,66 @@ class TestServingFrontEnd:
             assert response.logits.shape == (tiny_backbone_config.num_classes,)
         assert frontend.telemetry()["total_requests"] == 20
 
-    def test_microbatching_and_telemetry(self, tmp_path, tiny_backbone_config, rng):
-        engine = self._served_engine(tmp_path, tiny_backbone_config)
-        size = tiny_backbone_config.image_size
-        with ServingFrontEnd(engine, max_batch=4, max_wait=0.05) as frontend:
-            futures = [
-                frontend.submit(rng.uniform(-1.0, 1.0, size=(3, size, size)))
-                for _ in range(8)
-            ]
+    def test_microbatching_and_telemetry(self):
+        """A held worker's backlog is served in FIFO order, ``max_batch`` at a
+        time, and a lone request never waits for batch-mates: the first of
+        eleven requests goes alone, the ten queued behind it as 4 + 4 + 2."""
+        engine = _StubEngine()
+        samples = [np.full((3, 4, 4), float(index)) for index in range(11)]
+        with ServingFrontEnd(engine, max_batch=4) as frontend:
+            futures = [frontend.submit(samples[0])]
+            assert engine.entered.wait(timeout=30)
+            futures += [frontend.submit(sample) for sample in samples[1:]]
+            engine.release.set()
             responses = [future.result(timeout=30) for future in futures]
+        assert engine.batch_sizes == [1, 4, 4, 2]
+        assert [float(response.logits[0]) for response in responses] == list(range(11))
         telemetry = frontend.telemetry()
-        assert telemetry["total_requests"] == 8
+        assert telemetry["total_requests"] == 11
         assert telemetry["rejected"] == 0
         assert telemetry["current_version"] == 1
         stats = telemetry["versions"][1]
-        assert stats["requests"] == 8
-        assert 1 <= stats["max_batch_size"] <= 4
+        assert (stats["requests"], stats["batches"], stats["max_batch_size"]) == (11, 4, 4)
+        assert stats["mean_batch_size"] == pytest.approx(11 / 4)
         assert stats["p95_latency"] >= stats["p50_latency"] >= 0.0
         assert all(response.version == 1 for response in responses)
         assert all(response.latency >= 0.0 for response in responses)
+
+    def test_sequential_requests_are_never_held_for_a_batch(self):
+        """A client sending one request at a time is served as each arrives:
+        no request waits for batch-mates that are not coming."""
+        engine = _StubEngine(held=False)
+        count = 200
+        with ServingFrontEnd(engine, max_batch=8) as frontend:
+            start = time.perf_counter()
+            for _ in range(count):
+                frontend.predict(np.zeros((3, 4, 4)), timeout=30)
+            elapsed = time.perf_counter() - start
+        assert engine.batch_sizes == [1] * count
+        # A 2 ms batching window alone would take count x 2 ms.
+        assert elapsed < count * 0.002 / 2, f"{count} one-at-a-time requests took {elapsed:.3f} s"
+
+    def test_malformed_sample_fails_alone(self):
+        """Samples that cannot be stacked together never share an engine call:
+        the model's refusal of one reaches that request only, and the requests
+        batched with it are answered."""
+        engine = _StubEngine()
+        with ServingFrontEnd(engine, max_batch=8) as frontend:
+            first = frontend.submit(np.full((3, 4, 4), 1.0))
+            assert engine.entered.wait(timeout=30)
+            good = frontend.submit(np.full((3, 4, 4), 2.0))
+            wrong_shape = frontend.submit(np.ones((3, 2, 2)))
+            wrong_dtype = frontend.submit(np.full((3, 4, 4), "x"))
+            also_good = frontend.submit(np.full((3, 4, 4), 3.0))
+            engine.release.set()
+            answered = [future.result(timeout=30) for future in (first, good, also_good)]
+            with pytest.raises(_RefusedSample, match=r"shape \(3, 2, 2\)"):
+                wrong_shape.result(timeout=30)
+            with pytest.raises(_RefusedSample, match="<U1"):
+                wrong_dtype.result(timeout=30)
+        assert [float(response.logits[0]) for response in answered] == [1.0, 2.0, 3.0]
+        assert engine.batch_sizes == [1, 2, 1, 1]
+        assert frontend.telemetry()["total_requests"] == 3
 
     def test_two_workers_share_a_one_plan_cache_bit_identically(
         self, tmp_path, tiny_backbone_config, rng
@@ -524,17 +606,20 @@ class TestServingFrontEnd:
 
         engine.predict = recording_predict
         size = tiny_backbone_config.image_size
-        with ServingFrontEnd(engine, max_batch=4, max_wait=0.02, num_workers=2) as frontend:
-            for burst in (1, 4, 2, 3, 1, 4, 3, 2) * 3:  # bursts batch together: mixed shapes
+        with ServingFrontEnd(engine, max_batch=4, num_workers=2) as frontend:
+            for index, burst in enumerate((1, 4, 2, 3, 1, 4, 3, 2) * 3):
+                # Two resolutions, alternating by burst: at least two batch
+                # shapes meet the one-slot cache however the bursts batch.
+                side = size if index % 2 else size // 2
                 futures = [
-                    frontend.submit(rng.uniform(-1.0, 1.0, size=(3, size, size)))
+                    frontend.submit(rng.uniform(-1.0, 1.0, size=(3, side, side)))
                     for _ in range(burst)
                 ]
                 for future in futures:
                     future.result(timeout=30)
         assert frontend.telemetry()["rejected"] == 0
         assert sum(len(images) for images, _ in served) == 60
-        assert len({len(images) for images, _ in served}) >= 2
+        assert {images.shape[-1] for images, _ in served} == {size, size // 2}
         assert engine._snapshot.plans.evictions > 0
         model = method.build_model()
         model.load_state_dict(registry.load(1, method.payload_codec()).state)
@@ -545,27 +630,42 @@ class TestServingFrontEnd:
                 np.testing.assert_array_equal(logits, direct)
 
     def test_hot_swap_under_load_drops_nothing(self, tmp_path, tiny_backbone_config, rng):
-        """Concurrent publisher + clients: zero drops, only manifest versions."""
+        """Concurrent publisher + clients: zero drops, only manifest versions.
+
+        The publisher waits for each version to be folded in before the next,
+        and the clients keep sending until the last one is, so every publish
+        is a hot swap under load."""
         method = _method(tiny_backbone_config)
         registry = ModelRegistry(str(tmp_path))
         _publish_model(registry, method)
         engine = InferenceEngine(registry, method)
         engine.install()
         size = tiny_backbone_config.image_size
-        per_client = 30
-        clients = 3
+        publishes = 4
         responses, errors = [], []
         lock = threading.Lock()
+        all_folded_in = threading.Event()
         with ServingFrontEnd(engine, max_queue=1024, max_batch=4, num_workers=2) as frontend:
             def publisher():
-                for _ in range(4):  # versions 2..5 -> >= 4 swaps
-                    time.sleep(0.02)
-                    _publish_model(registry, method)
-                    frontend.notify_publish()
+                try:
+                    for _ in range(publishes):  # versions 2..5
+                        time.sleep(0.02)
+                        version = _publish_model(registry, method).version
+                        frontend.notify_publish()
+                        deadline = time.monotonic() + 30
+                        while engine.current_version != version:
+                            if time.monotonic() > deadline:
+                                raise TimeoutError(f"version {version} was never folded in")
+                            time.sleep(0.001)
+                except Exception as error:
+                    with lock:
+                        errors.append(error)
+                finally:
+                    all_folded_in.set()
 
             def client(seed):
                 local_rng = np.random.default_rng(seed)
-                for _ in range(per_client):
+                while not all_folded_in.is_set():
                     try:
                         response = frontend.predict(
                             local_rng.uniform(-1.0, 1.0, size=(3, size, size)), timeout=60
@@ -578,27 +678,27 @@ class TestServingFrontEnd:
                         responses.append(response)
 
             threads = [threading.Thread(target=publisher)] + [
-                threading.Thread(target=client, args=(seed,)) for seed in range(clients)
+                threading.Thread(target=client, args=(seed,)) for seed in range(3)
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            telemetry = frontend.telemetry()
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        telemetry = frontend.telemetry()  # after stop(): every batch is counted
 
         assert not errors
-        assert len(responses) == per_client * clients  # zero dropped
+        assert telemetry["total_requests"] == len(responses)  # zero dropped
         known = {info.version for info in registry.list_versions()}
         assert {response.version for response in responses} <= known
-        assert telemetry["swap_count"] >= 3
-        assert telemetry["total_requests"] == per_client * clients
+        assert telemetry["swap_count"] == publishes
+        assert telemetry["current_version"] == 1 + publishes
 
     def test_constructor_validation(self, tmp_path, tiny_backbone_config):
         engine = self._served_engine(tmp_path, tiny_backbone_config)
         for kwargs in (
             {"max_queue": 0},
             {"max_batch": 0},
-            {"max_wait": -1.0},
             {"num_workers": 0},
         ):
             with pytest.raises(ValueError):
