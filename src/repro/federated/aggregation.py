@@ -22,6 +22,7 @@ implementation can slot in behind the same interface later.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +31,8 @@ from repro.federated.communication import (
     ArrayCodec,
     CommunicationLedger,
     FrameRecord,
+    PackedMessage,
+    Table,
     build_codec,
     decode_frame,
     encode_frame,
@@ -195,6 +198,63 @@ class FlatReduceBackend(ReduceBackend):
         return fedavg(state_dicts, num_samples, scale)
 
 
+_SHAPE, _DTYPE = operator.attrgetter("shape"), operator.attrgetter("dtype")
+
+
+class _Leaves:
+    """A cohort's updates in the tree's accumulation layout.
+
+    The edge table lists every key of the first update in order, as
+    ``(key, accumulation dtype, shape)`` — FedAvg's accumulation dtype: a
+    float key's own, float64 for anything else — and a packed update holds one
+    column per accumulation dtype.  Construction checks every update's shapes
+    and dtypes against the first's, raising the flat path's ``ValueError``;
+    :meth:`weighted` packs one update and scales it in place, which the tree
+    does only when the update's group consumes it.
+    """
+
+    def __init__(self, state_dicts: Sequence[Dict[str, np.ndarray]]) -> None:
+        keys = list(state_dicts[0])
+        self.arrays = [
+            list(map(np.asarray, map(state.__getitem__, keys))) for state in state_dicts
+        ]
+        first = self.arrays[0]
+        shapes, dtypes = list(map(_SHAPE, first)), list(map(_DTYPE, first))
+        for arrays in self.arrays[1:]:
+            if list(map(_SHAPE, arrays)) == shapes and list(map(_DTYPE, arrays)) == dtypes:
+                continue
+            for key, value, shape, dtype in zip(keys, arrays, shapes, dtypes):
+                if value.shape != shape:
+                    raise ValueError(
+                        f"shape mismatch in aggregation: {value.shape} vs {shape} ({key!r})"
+                    )
+                if value.dtype != dtype:
+                    raise ValueError(
+                        f"dtype mismatch in aggregation: {value.dtype} vs {dtype} ({key!r})"
+                    )
+        # Built the way ``_pack`` builds a table, down to object identity:
+        # every row has its own dtype string and shape tuple, and a column is
+        # keyed by its dtype's first row string.  The frame pickle memoises
+        # by identity, so shared objects would change the edge frames' bytes.
+        self.table: Table = []
+        #: Per accumulation dtype, the positions of its keys.
+        self.rows: Dict[str, List[int]] = {}
+        for position, (key, value) in enumerate(zip(keys, first)):
+            accum = np.dtype(value.dtype.type if value.dtype.kind == "f" else np.float64)
+            self.table.append((key, accum.str, value.shape))
+            self.rows.setdefault(self.table[-1][1], []).append(position)
+
+    def weighted(self, index: int, weight: float) -> Dict[str, np.ndarray]:
+        """Update ``index`` packed into fresh columns, each multiplied by ``weight``."""
+        arrays = self.arrays[index]
+        columns = {}
+        for dtype, rows in self.rows.items():
+            column = np.concatenate([arrays[row] for row in rows], axis=None, dtype=dtype)
+            column *= column.dtype.type(weight)
+            columns[dtype] = column
+        return columns
+
+
 class TreeReduceBackend(ReduceBackend):
     """Hierarchical FedAvg: edge aggregators combine ``fanout`` children each.
 
@@ -206,6 +266,17 @@ class TreeReduceBackend(ReduceBackend):
     final single group is combined by the root in process — the root *is* the
     server, there is no wire above it — so a cohort no larger than the fan-out
     produces zero edge frames and degenerates to the flat star numerically.
+
+    The reduce is streamed and works per column: every partial is a packed
+    message (one flat column per accumulation dtype), a leaf is packed and
+    weighted in place only when its group consumes it, children are summed
+    column by column, left to right, and the root divides each column once
+    and hands out views.  Live memory is O(cohort / fan-out) leaf-sizes — the
+    finished partials of one level plus one group's accumulator and leaf —
+    rather than O(cohort).  Per element the arithmetic is the per-key one
+    (``w * x`` in the accumulation dtype, children in order, one division).
+    Every update's shapes and dtypes must match the first's: a mismatch
+    raises the flat path's ``ValueError`` before any frame ships.
 
     Fault plane: each hop is carried by the same
     :func:`~repro.federated.faults.carry_frame` as a client upload — per-attempt
@@ -252,70 +323,64 @@ class TreeReduceBackend(ReduceBackend):
         coordinate: Any = 0,
     ) -> Dict[str, np.ndarray]:
         weights = _leaf_weights(state_dicts, num_samples, scale)
-        keys = list(state_dicts[0])
-        accum_dtypes = {}
-        for key in keys:
-            first = np.asarray(state_dicts[0][key])
-            accum_dtypes[key] = first.dtype if first.dtype.kind == "f" else np.dtype(np.float64)
-        # Leaves: every update becomes a (weight, weighted-arrays) node.
-        nodes: List[Tuple[float, Dict[str, np.ndarray]]] = [
-            (
-                weight,
-                {
-                    key: accum_dtypes[key].type(weight) * np.asarray(state[key])
-                    for key in keys
-                },
-            )
-            for state, weight in zip(state_dicts, weights)
-        ]
+        leaves = _Leaves(state_dicts)
+        # A node is (weight, leaf index) until its group packs it, then
+        # (weight, columns).
+        nodes: List[Tuple[float, Any]] = list(zip(weights, range(len(weights))))
         records: List[FrameRecord] = []
         self.last_edge_frames = 0
         level = 0
-        while len(nodes) > 1:
+        while len(nodes) > self.fanout:
             level += 1
-            groups = [nodes[i : i + self.fanout] for i in range(0, len(nodes), self.fanout)]
-            if len(groups) == 1:
-                nodes = [self._combine(groups[0], keys)]
-                break
-            next_nodes = []
-            for node_index, group in enumerate(groups):
-                weight, arrays = self._combine(group, keys)
-                arrays, weight = self._ship(
-                    arrays, weight, coordinate, level, node_index, records
+            nodes = [
+                self._ship(
+                    *self._combine(nodes[start : start + self.fanout], leaves),
+                    leaves,
+                    coordinate,
+                    level,
+                    node_index,
+                    records,
                 )
-                next_nodes.append((weight, arrays))
-            nodes = next_nodes
+                for node_index, start in enumerate(range(0, len(nodes), self.fanout))
+            ]
         if self.ledger is not None and records:
             self.ledger.record_edge_reduce(records)
-        total, summed = nodes[0]
-        return {
-            key: summed[key] / accum_dtypes[key].type(total) for key in keys
-        }
+        total, sums = self._combine(nodes, leaves)
+        means = {dtype: column / column.dtype.type(total) for dtype, column in sums.items()}
+        return PackedMessage(leaves.table, means).unpack()
 
     @staticmethod
     def _combine(
-        group: List[Tuple[float, Dict[str, np.ndarray]]],
-        keys: List[str],
+        group: List[Tuple[float, Any]], leaves: _Leaves
     ) -> Tuple[float, Dict[str, np.ndarray]]:
+        """Sum a group's children column by column, left to right."""
         weight = sum(w for w, _ in group)
-        arrays = {key: group[0][1][key].copy() for key in keys}
-        for _, child in group[1:]:
-            for key in keys:
-                arrays[key] += child[key]
-        return weight, arrays
+        sums: Optional[Dict[str, np.ndarray]] = None
+        for child_weight, child in group:
+            if isinstance(child, int):
+                child = leaves.weighted(child, child_weight)
+            if sums is None:
+                # The first child is this reduce's own (a fresh leaf or a
+                # received partial), so it becomes the accumulator.
+                sums = {dtype: child[dtype] for dtype in leaves.rows}
+                continue
+            for dtype, column in sums.items():
+                column += child[dtype]
+        return weight, sums
 
     def _ship(
         self,
-        arrays: Dict[str, np.ndarray],
         weight: float,
+        columns: Dict[str, np.ndarray],
+        leaves: _Leaves,
         coordinate: Any,
         level: int,
         node_index: int,
         records: List[FrameRecord],
-    ) -> Tuple[Dict[str, np.ndarray], float]:
+    ) -> Tuple[float, Dict[str, np.ndarray]]:
         """One edge→parent hop: encode, carry over the faulty wire, decode."""
         meta = {"weight": float(weight), "level": level, "node": node_index}
-        frame = encode_frame("edge", self.codec, arrays, meta)
+        frame = encode_frame("edge", self.codec, PackedMessage(leaves.table, columns), meta)
         hop = carry_frame(
             self.faults,
             frame,
@@ -332,13 +397,17 @@ class TreeReduceBackend(ReduceBackend):
             # Retries exhausted: deliver in process (the reliable control
             # channel) rather than dropping a whole subtree's updates; the
             # ledger has recorded every failed attempt above.
-            return arrays, weight
+            return weight, columns
         records.append(FrameRecord(node_index, frame.num_bytes))
         self.last_edge_frames += 1
         decoded, received_meta = decode_frame(
-            frame, self.codec, direction="edge", round_index=(coordinate, level, node_index)
+            frame,
+            self.codec,
+            packed=True,
+            direction="edge",
+            round_index=(coordinate, level, node_index),
         )
-        return decoded, float(received_meta["weight"])
+        return float(received_meta["weight"]), decoded.columns
 
     def collect_penalty(self) -> float:
         penalty = self._pending_penalty

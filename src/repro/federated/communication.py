@@ -17,7 +17,13 @@ this (the transports in :mod:`repro.federated.transport` drive them):
   ``quantize8`` / ``quantize16`` one ``codes`` column and a ``lo`` / ``scale``
   entry per tensor, ``delta`` (lossless diff against a reference) and
   ``topk`` (magnitude sparsification of the diff, upload-only) one index
-  column and the selected values;
+  column and the selected values.  What a table fixes about its columns —
+  each array's slice, the per-dtype totals, the float segment sizes the
+  quantizers reduce over — is worked out once per distinct table and
+  cached, so per-array work happens once per table, not once per message;
+  only packing a dict at entry and handing out views at exit still touch
+  every array.  A :class:`PackedMessage` (table plus columns) skips the
+  packing: the tree reduce's partials travel that way;
 * a :class:`PayloadCodec` flattens a method's structured payload (e.g.
   RefFiL's stacked prompt groups) into named arrays so the array codec
   applies to prompts exactly as it does to model weights, instead of the
@@ -38,11 +44,12 @@ plan)`` envelope passes through pickle, never an array at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import pickle
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -161,11 +168,12 @@ class FrameDecodeError(TransportError):
 def encode_frame(
     kind: str,
     codec: "ArrayCodec",
-    arrays: Dict[str, np.ndarray],
+    arrays: Dict[str, np.ndarray] | PackedMessage,
     meta: Any,
     reference: Optional[Dict[str, np.ndarray]] = None,
 ) -> WireFrame:
-    """Encode a flat array dict (plus picklable metadata) into one frame."""
+    """Encode a flat array dict, or a message already packed
+    (:class:`PackedMessage`), plus picklable metadata into one frame."""
     plan = codec.encode(arrays, reference)
     body = pickle.dumps((meta, plan), protocol=pickle.HIGHEST_PROTOCOL)
     return WireFrame(kind=kind, codec=codec.name, body=body, checksum=zlib.crc32(body))
@@ -175,9 +183,12 @@ def decode_frame(
     frame: WireFrame,
     codec: "ArrayCodec",
     reference: Optional[Dict[str, np.ndarray]] = None,
+    *,
+    packed: bool = False,
     **coordinates: Any,
-) -> Tuple[Dict[str, np.ndarray], Any]:
-    """Inverse of :func:`encode_frame`: returns ``(arrays, meta)``.
+) -> Tuple[Any, Any]:
+    """Inverse of :func:`encode_frame`: returns ``(arrays, meta)``, or with
+    ``packed`` ``(PackedMessage, meta)``.
 
     Whatever the unpickler or the codec raises on a malformed body surfaces
     as :class:`FrameDecodeError` carrying ``coordinates`` (the
@@ -185,6 +196,8 @@ def decode_frame(
     """
     try:
         meta, plan = pickle.loads(frame.body)
+        if packed:
+            return codec.decode_packed(plan, reference), meta
         return codec.decode(plan, reference), meta
     except (
         ValueError, KeyError, TypeError, IndexError, EOFError, pickle.UnpicklingError
@@ -205,20 +218,84 @@ def decode_frame(
 Table = List[Tuple[str, str, Tuple[int, ...]]]
 
 
-def _float_segments(table: Table) -> Dict[str, np.ndarray]:
-    """Per float dtype of the table, the element counts of its non-empty arrays."""
-    sizes: Dict[str, List[int]] = {}
-    for _, dtype, shape in table:
-        sizes.setdefault(dtype, []).append(math.prod(shape))
-    return {
-        dtype: np.asarray([count for count in counts if count], dtype=np.int64)
-        for dtype, counts in sizes.items()
-        if np.dtype(dtype).kind == "f"
-    }
+class PackedMessage(NamedTuple):
+    """A message already in its wire layout: the table and one flat column per
+    dtype (keyed by ``dtype.str``, in order of first appearance), as
+    :func:`_pack` makes it.  Codecs accept it wherever they accept a flat
+    array dict and read its columns without writing to them."""
+
+    table: Table
+    columns: Dict[str, np.ndarray]
+
+    def unpack(self) -> Dict[str, np.ndarray]:
+        """The flat array dict; every array is a view of its dtype's column."""
+        return _unpack(self.table, self.columns)
 
 
-def _pack(arrays: Dict[str, np.ndarray]) -> Tuple[Table, Dict[str, np.ndarray]]:
-    """A message as its table plus one flat column per dtype (keyed by ``dtype.str``)."""
+@dataclass(frozen=True)
+class _Layout:
+    """What a table fixes about its columns, worked out once per distinct table
+    and shared by every message of that table: nothing may write to it."""
+
+    #: Per row ``(name, dtype, start, stop, shape)``: its slice of the dtype's column.
+    rows: Tuple[Tuple[str, str, int, int, Tuple[int, ...]], ...]
+    #: Elements per dtype column, in order of first appearance.
+    totals: Dict[str, int]
+    #: Per float dtype, the element counts of its non-empty arrays and where
+    #: each starts in the column (read-only arrays).
+    segments: Dict[str, Tuple[np.ndarray, np.ndarray]]
+
+    def check(self, columns: Dict[str, np.ndarray]) -> None:
+        """``ValueError`` unless ``columns`` holds exactly the table's elements.
+
+        NumPy slices past a buffer's end without complaint and ignores a
+        buffer that is too long, so a column off by one element must be
+        caught here."""
+        for key in self.totals:
+            if key not in columns:
+                raise ValueError(f"no column for the table's {key!r} arrays")
+        for key, column in columns.items():
+            if len(column) != self.totals.get(key, 0):
+                raise ValueError(
+                    f"column {key!r} holds {len(column)} elements, "
+                    f"the table accounts for {self.totals.get(key, 0)}"
+                )
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_of(table: Tuple[Tuple[str, str, Tuple[int, ...]], ...]) -> _Layout:
+    rows = []
+    totals: Dict[str, int] = {}
+    for name, dtype, shape in table:
+        start = totals.get(dtype, 0)
+        totals[dtype] = stop = start + math.prod(shape)
+        rows.append((name, dtype, start, stop, shape))
+    segments = {}
+    for dtype in totals:
+        if np.dtype(dtype).kind != "f":
+            continue
+        sizes = np.asarray(
+            [stop - start for _, key, start, stop, _ in rows if key == dtype and stop > start],
+            dtype=np.int64,
+        )
+        starts = np.cumsum(sizes) - sizes
+        sizes.flags.writeable = starts.flags.writeable = False
+        segments[dtype] = (sizes, starts)
+    return _Layout(tuple(rows), totals, segments)
+
+
+def _layout(table: Table) -> _Layout:
+    """The table's :class:`_Layout`; a message of an already seen table costs a lookup."""
+    return _layout_of(tuple(table))
+
+
+def _pack(arrays: Any) -> Tuple[Table, Dict[str, np.ndarray]]:
+    """A message as its table plus one flat column per dtype (keyed by ``dtype.str``).
+
+    A :class:`PackedMessage` passes through (with a dict of its own, so a
+    codec may replace columns without touching the caller's)."""
+    if isinstance(arrays, PackedMessage):
+        return arrays.table, dict(arrays.columns)
     table: Table = []
     chunks: Dict[str, List[np.ndarray]] = {}
     for name, value in arrays.items():
@@ -252,20 +329,27 @@ class _ColumnReader:
                 )
 
 
-def _unpack(table: Table, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`_pack`; every array is a view of its dtype's column.
+def _checked(table: Table, columns: Dict[str, np.ndarray]) -> Tuple[_Layout, Dict[str, np.ndarray]]:
+    """The table's layout and ``columns`` viewed through the canonical
+    ``np.dtype(key)``; ``ValueError`` unless the columns add up to the table.
 
-    Columns are viewed through the canonical ``np.dtype(key)``: an unpickled
-    column carries a private copy of its dtype, which every later pickle of
-    an array derived from it (a broadcast serialization, a checkpoint) would
-    spell out once more, next to the canonical one.
+    An unpickled column carries a private copy of its dtype, which every
+    later pickle of an array derived from it (a broadcast serialization, a
+    checkpoint) would spell out once more, next to the canonical one.
     """
-    reader = _ColumnReader({key: column.view(np.dtype(key)) for key, column in columns.items()})
-    arrays = {}
-    for name, dtype, shape in table:
-        arrays[name] = reader.take(dtype, math.prod(shape)).reshape(shape)
-    reader.finish()
-    return arrays
+    layout = _layout(table)
+    columns = {key: column.view(np.dtype(key)) for key, column in columns.items()}
+    layout.check(columns)
+    return layout, columns
+
+
+def _unpack(table: Table, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`_pack`; every array is a view of its dtype's column."""
+    layout, columns = _checked(table, columns)
+    return {
+        name: columns[dtype][start:stop].reshape(shape)
+        for name, dtype, start, stop, shape in layout.rows
+    }
 
 
 class ArrayCodec:
@@ -273,8 +357,10 @@ class ArrayCodec:
 
     ``encode`` produces a picklable *plan* (the frame body is its pickle),
     for every codec a ``(table, columns)`` pair: the message's ``(name,
-    dtype, shape)`` rows and O(dtypes) flat arrays; ``decode`` inverts it and
-    raises ``ValueError`` when the columns do not add up to the table.
+    dtype, shape)`` rows and O(dtypes) flat arrays; it takes a
+    :class:`PackedMessage` as well as a dict.  ``decode`` inverts it and
+    raises ``ValueError`` when the columns do not add up to the table;
+    ``decode_packed`` does the same but returns a :class:`PackedMessage`.
     ``reference`` is the receiver's copy of the last
     message it acknowledged — codecs with ``uses_reference`` encode against
     it (and the decoder must be handed the *same* reference).  Codecs with
@@ -300,6 +386,11 @@ class ArrayCodec:
     ) -> Dict[str, np.ndarray]:
         raise NotImplementedError
 
+    def decode_packed(
+        self, plan: Any, reference: Optional[Dict[str, np.ndarray]] = None
+    ) -> PackedMessage:
+        return PackedMessage(*_pack(self.decode(plan, reference)))
+
 
 class IdentityCodec(ArrayCodec):
     """The table and one raw column per dtype; decodes to views, bit-exact."""
@@ -312,6 +403,10 @@ class IdentityCodec(ArrayCodec):
 
     def decode(self, plan, reference=None):
         return _unpack(*plan)
+
+    def decode_packed(self, plan, reference=None):
+        table, columns = plan
+        return PackedMessage(table, _checked(table, columns)[1])
 
 
 class QuantizeCodec(ArrayCodec):
@@ -326,7 +421,9 @@ class QuantizeCodec(ArrayCodec):
     to ``lo + code * scale`` in the original dtype, so shapes and dtypes are
     preserved while values lose precision (the accuracy delta the bench
     reports).  Per element the arithmetic is a per-tensor loop's: subtract and
-    divide in the value dtype, rebuild in float64.
+    divide in the value dtype, rebuild in float64.  When every tensor of a
+    dtype is coded (every trained upload) nothing is gathered or scattered:
+    encode reads the column itself and decode's rebuilt values are the column.
     """
 
     lossless = False
@@ -341,8 +438,8 @@ class QuantizeCodec(ArrayCodec):
 
     def encode(self, arrays, reference=None):
         table, columns = _pack(arrays)
-        for dtype, sizes in _float_segments(table).items():
-            column, starts = columns[dtype], np.cumsum(sizes) - sizes
+        for dtype, (sizes, starts) in _layout(table).segments.items():
+            column = columns[dtype]
             # min / max propagate NaN, so a non-finite tensor has a non-finite
             # range (as has one whose range overflows): it ships raw.
             lo = np.minimum.reduceat(column, starts).astype(np.float64)
@@ -351,25 +448,30 @@ class QuantizeCodec(ArrayCodec):
                 scale = (hi - lo) / self._levels
             scale[~np.isfinite(scale)] = np.nan
             coded = scale > 0
-            width = sizes[coded]
+            if coded.all():
+                values, width, columns[dtype] = column, sizes, column[:0]
+            else:
+                values, width = column[np.repeat(coded, sizes)], sizes[coded]
+                columns[dtype] = column[np.repeat(np.isnan(scale), sizes)]
             work = np.repeat(lo[coded].astype(column.dtype), width)
-            np.subtract(column[np.repeat(coded, sizes)], work, out=work)
+            np.subtract(values, work, out=work)
             work /= np.repeat(scale[coded].astype(column.dtype), width)
-            columns[dtype] = column[np.repeat(np.isnan(scale), sizes)]
             columns[dtype + "/codes"] = np.rint(work, out=work).astype(self._qdtype)
             columns[dtype + "/lo"], columns[dtype + "/scale"] = lo, scale
         return table, columns
 
-    def decode(self, plan, reference=None):
+    def _rebuild(self, plan: Any) -> Tuple[Table, Dict[str, np.ndarray]]:
+        """The plan with every float dtype's column rebuilt from its codes."""
         table, columns = plan
         columns = dict(columns)
-        for dtype, sizes in _float_segments(table).items():
+        for dtype, (sizes, _) in _layout(table).segments.items():
             codes, lo, scale = (columns.pop(f"{dtype}/{part}") for part in ("codes", "lo", "scale"))
             raw = columns[dtype]
             if not len(lo) == len(scale) == len(sizes):
                 raise ValueError(f"{len(lo)} lo / {len(scale)} scale entries for {len(sizes)} tensors")
             coded, dense = scale > 0, np.isnan(scale)
-            width = sizes[coded]
+            every = coded.all()
+            width = sizes if every else sizes[coded]
             if len(codes) != width.sum() or len(raw) != sizes[dense].sum():
                 raise ValueError(
                     f"{len(codes)} codes + {len(raw)} raw {dtype!r} elements for "
@@ -378,11 +480,21 @@ class QuantizeCodec(ArrayCodec):
             values = codes.astype(np.float64)
             values *= np.repeat(scale[coded], width)
             values += np.repeat(lo[coded], width)
+            if every:
+                columns[dtype] = values.astype(dtype, copy=False)
+                continue
             column = np.repeat(lo.astype(dtype), sizes)  # constant tensors are done
             column[np.repeat(coded, sizes)] = values
             column[np.repeat(dense, sizes)] = raw
             columns[dtype] = column
-        return _unpack(table, columns)
+        return table, columns
+
+    def decode(self, plan, reference=None):
+        return _unpack(*self._rebuild(plan))
+
+    def decode_packed(self, plan, reference=None):
+        table, columns = self._rebuild(plan)
+        return PackedMessage(table, _checked(table, columns)[1])
 
 
 def _compatible(reference: Optional[Dict[str, np.ndarray]], key: str, value: np.ndarray):
@@ -416,6 +528,8 @@ class _DiffCodec(ArrayCodec):
         raise NotImplementedError
 
     def encode(self, arrays, reference=None):
+        if isinstance(arrays, PackedMessage):
+            arrays = arrays.unpack()
         table: Table = []
         counts: List[int] = []
         indices: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -800,6 +914,7 @@ __all__ = [
     "codec_is_lossless",
     "encode_frame",
     "decode_frame",
+    "PackedMessage",
     "PayloadCodec",
     "TreePayloadCodec",
     "flatten_message",

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets.registry import get_dataset_spec
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.config import FederatedConfig
 from repro.federated.increment import ClientIncrementConfig
 from repro.models.backbone import BackboneConfig
+
+
+# The wire-path properties (quantize against the per-array quantizer, the tree
+# reduce against the per-key one) take their example count from the loaded
+# profile: Hypothesis' default 100 in tier-1, 1,000 under
+# ``HYPOTHESIS_PROFILE=deep`` (CI's sweep).  Tests that pin a count keep it.
+settings.register_profile("deep", max_examples=1000)
+if os.environ.get("HYPOTHESIS_PROFILE"):
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 def pytest_ignore_collect(collection_path, config):

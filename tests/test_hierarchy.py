@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -51,8 +52,16 @@ from repro.federated import (
     sample_clients_lazy,
     simulation_state_hash,
 )
-from repro.federated.communication import CommunicationLedger, build_codec
+from repro.federated.aggregation import _leaf_weights
+from repro.federated.communication import (
+    CommunicationLedger,
+    FrameRecord,
+    build_codec,
+    decode_frame,
+    encode_frame,
+)
 from repro.federated.config import FederatedConfig
+from repro.federated.faults import carry_frame
 from repro.federated.increment import ClientGroup
 from repro.utils.rng import spawn_rng
 from test_fault_plane import _query_all  # the fault plane's fixed query program
@@ -307,6 +316,125 @@ def _random_states(rng, cohort, keys=("w", "b"), dtype=np.float64):
     return states
 
 
+class _PerKeyTreeReduce(TreeReduceBackend):
+    """The per-key tree reduce the streamed column reduce replaced, kept
+    verbatim as the reference it must match bit for bit."""
+
+    def reduce(self, state_dicts, num_samples, scale=None, coordinate=0):
+        weights = _leaf_weights(state_dicts, num_samples, scale)
+        keys = list(state_dicts[0])
+        accum_dtypes = {}
+        for key in keys:
+            first = np.asarray(state_dicts[0][key])
+            accum_dtypes[key] = first.dtype if first.dtype.kind == "f" else np.dtype(np.float64)
+        # Leaves: every update becomes a (weight, weighted-arrays) node.
+        nodes = [
+            (
+                weight,
+                {
+                    key: accum_dtypes[key].type(weight) * np.asarray(state[key])
+                    for key in keys
+                },
+            )
+            for state, weight in zip(state_dicts, weights)
+        ]
+        records = []
+        self.last_edge_frames = 0
+        level = 0
+        while len(nodes) > 1:
+            level += 1
+            groups = [nodes[i : i + self.fanout] for i in range(0, len(nodes), self.fanout)]
+            if len(groups) == 1:
+                nodes = [self._combine(groups[0], keys)]
+                break
+            next_nodes = []
+            for node_index, group in enumerate(groups):
+                weight, arrays = self._combine(group, keys)
+                arrays, weight = self._ship(
+                    arrays, weight, coordinate, level, node_index, records
+                )
+                next_nodes.append((weight, arrays))
+            nodes = next_nodes
+        if self.ledger is not None and records:
+            self.ledger.record_edge_reduce(records)
+        total, summed = nodes[0]
+        return {
+            key: summed[key] / accum_dtypes[key].type(total) for key in keys
+        }
+
+    @staticmethod
+    def _combine(group, keys):
+        weight = sum(w for w, _ in group)
+        arrays = {key: group[0][1][key].copy() for key in keys}
+        for _, child in group[1:]:
+            for key in keys:
+                arrays[key] += child[key]
+        return weight, arrays
+
+    def _ship(self, arrays, weight, coordinate, level, node_index, records):
+        """One edge→parent hop: encode, carry over the faulty wire, decode."""
+        meta = {"weight": float(weight), "level": level, "node": node_index}
+        frame = encode_frame("edge", self.codec, arrays, meta)
+        hop = carry_frame(
+            self.faults,
+            frame,
+            "edge",
+            (coordinate, level, node_index),
+            self.retries,
+            self.retry_backoff,
+        )
+        records.extend(
+            FrameRecord(node_index, frame.num_bytes, status) for status in hop.failures
+        )
+        self._pending_penalty += hop.backoff_seconds
+        if not hop.arrived:
+            # Retries exhausted: deliver in process (the reliable control
+            # channel) rather than dropping a whole subtree's updates; the
+            # ledger has recorded every failed attempt above.
+            return arrays, weight
+        records.append(FrameRecord(node_index, frame.num_bytes))
+        self.last_edge_frames += 1
+        decoded, received_meta = decode_frame(
+            frame, self.codec, direction="edge", round_index=(coordinate, level, node_index)
+        )
+        return decoded, float(received_meta["weight"])
+
+
+_KEY_SHAPES = ((), (0,), (1,), (5,), (2, 3), (3, 0))
+
+
+@st.composite
+def weighted_cohorts(draw):
+    """1-17 updates over float32 / float64 / int64 keys (zero-size ones
+    included), their sample counts and optionally FedAvg scale factors."""
+    size = draw(st.integers(1, 17))
+    layout = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("float32", "float64", "int64")), st.sampled_from(_KEY_SHAPES)
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    states = []
+    for _ in range(size):
+        state = {}
+        for index, (dtype, shape) in enumerate(layout):
+            if dtype == "int64":
+                state[f"k{index}"] = rng.integers(-1000, 1000, size=shape)
+            else:
+                state[f"k{index}"] = (rng.standard_normal(shape) * 10.0).astype(dtype)
+        states.append(state)
+    num_samples = draw(st.lists(st.integers(0, 64), min_size=size, max_size=size))
+    scale = draw(
+        st.none()
+        | st.lists(st.just(0.0) | st.floats(0.01, 2.0), min_size=size, max_size=size)
+    )
+    return states, num_samples, scale
+
+
 class TestTreeReduce:
     @given(
         cohort=st.integers(1, 12),
@@ -447,6 +575,84 @@ class TestTreeReduce:
         assert trace == _query_all(FaultInjector(seed=9, spec=spec), hops)
         assert {"edge_frame_lost", "edge_frame_corrupt"} <= {entry["kind"] for entry in trace}
 
+    @given(
+        cohort=weighted_cohorts(),
+        fanout=st.integers(2, 6),
+        codec=st.sampled_from(("identity", "quantize8")),
+        faulty=st.booleans(),
+    )
+    # The loaded profile's count: 1,000 under CI's deep sweep.
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_tree_matches_the_per_key_reference_bit_for_bit(self, cohort, fanout, codec, faulty):
+        states, num_samples, scale = cohort
+        runs = []
+        for backend in (TreeReduceBackend, _PerKeyTreeReduce):
+            spec = FaultSpec(upload_loss_rate=0.3, upload_corruption_rate=0.3)
+            ledger = CommunicationLedger()
+            tree = backend(
+                fanout=fanout,
+                codec=build_codec(codec),
+                ledger=ledger,
+                faults=FaultInjector(seed=1, spec=spec) if faulty else None,
+            )
+            result = tree.reduce(states, num_samples, scale=scale, coordinate=3)
+            counts = (
+                ledger.edge_bytes,
+                ledger.edge_frames,
+                ledger.edge_lost_frames,
+                ledger.edge_corrupt_frames,
+            )
+            runs.append((result, counts, tree.last_edge_frames, tree.collect_penalty()))
+        (result, *accounting), (expected, *expected_accounting) = runs
+        assert list(result) == list(expected)
+        for key in expected:
+            assert result[key].dtype == expected[key].dtype, key
+            assert result[key].shape == expected[key].shape, key
+            assert result[key].tobytes() == expected[key].tobytes(), key
+        assert accounting == expected_accounting
+
+    @pytest.mark.parametrize("fanout", [2, 4])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_mismatched_shapes_raise_before_anything_ships(self, fanout, position):
+        """One update of three holds ``w`` as ``(1,)``: the flat path refuses
+        it, and so must the tree — not broadcast it into a wrong average."""
+        rng = np.random.default_rng(8)
+        states = [{"w": rng.normal(size=4), "b": rng.normal(size=2)} for _ in range(3)]
+        states[position]["w"] = rng.normal(size=1)
+        with pytest.raises(ValueError, match="shape mismatch in aggregation"):
+            fedavg(states, [1, 2, 3])
+        ledger = CommunicationLedger()
+        tree = TreeReduceBackend(fanout=fanout, codec=build_codec("identity"), ledger=ledger)
+        with pytest.raises(ValueError, match="shape mismatch in aggregation"):
+            tree.reduce(states, [1, 2, 3])
+        assert (ledger.edge_bytes, ledger.edge_frames, tree.last_edge_frames) == (0, 0, 0)
+
+    def test_mismatched_dtypes_raise_before_anything_ships(self):
+        rng = np.random.default_rng(9)
+        states = [{"w": rng.normal(size=4)} for _ in range(3)]
+        states[2]["w"] = states[2]["w"].astype(np.float32)
+        ledger = CommunicationLedger()
+        tree = TreeReduceBackend(fanout=2, codec=build_codec("identity"), ledger=ledger)
+        with pytest.raises(ValueError, match="dtype mismatch in aggregation"):
+            tree.reduce(states, [1, 2, 3])
+        assert (ledger.edge_bytes, ledger.edge_frames) == (0, 0)
+
+    def test_streamed_reduce_holds_a_few_leaves_at_once(self):
+        """Leaves are packed as their group consumes them: at fan-out 4, 32
+        leaves peak at about 12 leaf-sizes (43 when every weighted leaf was
+        materialized up front)."""
+        rng = np.random.default_rng(10)
+        states = [{f"w{i}": rng.standard_normal(4096) for i in range(8)} for _ in range(32)]
+        leaf_bytes = sum(value.nbytes for value in states[0].values())
+        tree = TreeReduceBackend(fanout=4)
+        tracemalloc.start()
+        try:
+            tree.reduce(states, list(range(1, 33)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * leaf_bytes, f"peak {peak / leaf_bytes:.1f} leaf-sizes"
+
 
 # --------------------------------------------------------------------------- #
 # Profile cache
@@ -576,6 +782,28 @@ class TestSimulationParity:
         assert tree.communication.edge_frames > 0
         assert tree.communication.edge_bytes > 0
         assert isinstance(tree_sim.server.reduce_backend, TreeReduceBackend)
+
+    def test_tree_quantize8_run_under_frame_faults_is_pinned(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+    ):
+        """Uploads and edge partials both through quantize8, both lost and
+        corrupted in transit: the state and every byte on the wire are pinned."""
+        config = replace(
+            tiny_federated_config,
+            clients_per_round=3,
+            rounds_per_task=2,
+            reduce_backend="tree",
+            tree_fanout=2,
+            codec="quantize8",
+            faults=FaultSpec(upload_loss_rate=0.3, upload_corruption_rate=0.3),
+        )
+        sim, result = _run(tiny_spec, tiny_backbone_config, config)
+        ledger = result.communication
+        assert ledger.edge_lost_frames > 0 and ledger.edge_corrupt_frames > 0
+        assert (simulation_state_hash(sim), ledger.total_bytes) == (
+            "f82b1a8a227074a5cb92de734e5b167a1a0fc6772d3583422121ae25e702bb48",
+            638475,
+        )
 
     def test_fleet_population_trains(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
         config = replace(
