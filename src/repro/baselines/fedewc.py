@@ -22,7 +22,7 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 from repro.baselines.base import BaselineConfig, CrossEntropyFederatedMethod
-from repro.federated.aggregation import weighted_average_arrays
+from repro.federated.aggregation import blend_states
 from repro.federated.client import ClientHandle
 from repro.federated.communication import ClientUpdate
 from repro.federated.server import FederatedServer
@@ -150,12 +150,7 @@ class FedEWCMethod(CrossEntropyFederatedMethod):
             and fresh is not prior  # the arrival actually carried a Fisher
             and set(prior) == set(fresh)
         ):
-            self._fisher = {
-                name: weighted_average_arrays(
-                    [prior[name], fresh[name]], [1.0 - mixing, mixing]
-                )
-                for name in fresh
-            }
+            self._fisher = blend_states(prior, fresh, mixing)
 
     @property
     def has_penalty(self) -> bool:

@@ -96,14 +96,7 @@ class RefFiLMethod(FederatedMethod):
         broadcast_payload: Dict[str, Any],
         client: ClientHandle,
     ) -> ClientUpdate:
-        # The broadcast payload carries the clustered store; rebuild the client view.
-        store = self.store
-        if broadcast_payload:
-            store = GlobalPromptStore.from_payload(
-                broadcast_payload,
-                num_classes=self.config.backbone.num_classes,
-                embed_dim=self.config.backbone.embed_dim,
-            )
+        store = self._store_of(broadcast_payload)
         return self.client_trainer.local_update(model, store, client)
 
     def aggregate(self, server: FederatedServer, updates: List[ClientUpdate]) -> None:
@@ -138,6 +131,16 @@ class RefFiLMethod(FederatedMethod):
 
     def import_client_state(self, client_id: int, state: np.ndarray) -> None:
         self.client_trainer.load_static_prompt(client_id, state)
+
+    def _store_of(self, payload: Dict[str, Any]) -> GlobalPromptStore:
+        """The clustered store a broadcast payload carries (none: an empty store)."""
+        dims = (self.config.backbone.num_classes, self.config.backbone.embed_dim)
+        if not payload:
+            return GlobalPromptStore(*dims)
+        return GlobalPromptStore.from_payload(payload, *dims)
+
+    def load_broadcast_payload(self, payload: Dict[str, Any]) -> None:
+        self.store = self._store_of(payload)  # what CDAP-free inference averages
 
     def predict_logits(self, model: RefFiLModel, images: Tensor) -> Tensor:
         """Inference: condition on CDAP prompts generated without the task ID.

@@ -33,6 +33,7 @@ from repro.federated.communication import (
     FrameRecord,
     PackedMessage,
     Table,
+    _row,
     build_codec,
     decode_frame,
     encode_frame,
@@ -232,16 +233,14 @@ class _Leaves:
                     raise ValueError(
                         f"dtype mismatch in aggregation: {value.dtype} vs {dtype} ({key!r})"
                     )
-        # Built the way ``_pack`` builds a table, down to object identity:
-        # every row has its own dtype string and shape tuple, and a column is
-        # keyed by its dtype's first row string.  The frame pickle memoises
-        # by identity, so shared objects would change the edge frames' bytes.
+        # Rows come from ``_pack``'s row builder and a column is keyed by its
+        # dtype's first row string, as ``_pack`` keys it.
         self.table: Table = []
         #: Per accumulation dtype, the positions of its keys.
         self.rows: Dict[str, List[int]] = {}
         for position, (key, value) in enumerate(zip(keys, first)):
             accum = np.dtype(value.dtype.type if value.dtype.kind == "f" else np.float64)
-            self.table.append((key, accum.str, value.shape))
+            self.table.append(_row(key, accum, value.shape))
             self.rows.setdefault(self.table[-1][1], []).append(position)
 
     def weighted(self, index: int, weight: float) -> Dict[str, np.ndarray]:

@@ -1,10 +1,10 @@
 """Crash-safe checkpoints: versioned, compressed, atomically written snapshots.
 
 A killed run must resume *bit-for-bit*, so a checkpoint is a complete record
-of the simulation's durable state — model arrays, method payloads (through the
-method's own ``payload_codec()``), transport soft state, ledger, clock, event
-log, accuracy matrix, and the fault trace so far.  What it deliberately does
-NOT record is anything rebuilt deterministically from the config: datasets,
+of the simulation's durable state — the server's model version (its one
+serialization, the ``identity`` broadcast frame body), transport soft state,
+ledger, clock, event log, accuracy matrix, and the fault trace so far.  What
+it deliberately does NOT record is anything rebuilt deterministically from the config: datasets,
 client schedules, device profiles, and every RNG (``spawn_rng`` draws are pure
 functions of ``(seed, labels)``, so there is no generator state to save).
 
@@ -36,7 +36,9 @@ from typing import Any, Dict, Optional, Tuple
 #: 2: RefFiL's method keeps its prompt store as ``store`` and its payloads
 #: ride the generic tree codec; version-1 files resume into a method and a
 #: payload skeleton this build no longer has, so they are refused.
-CHECKPOINT_VERSION = 2
+#: 3: the server entry holds the model version's identity frame body, not an
+#: array dict and a skeleton, so version-2 files are refused too.
+CHECKPOINT_VERSION = 3
 _MAGIC = b"RPCK"
 _HEADER = struct.Struct(">4sII")
 _NAME_RE = re.compile(r"^ckpt-t(\d{4})-r(\d{5})\.ckpt$")

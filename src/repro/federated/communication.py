@@ -32,6 +32,9 @@ this (the transports in :mod:`repro.federated.transport` drive them):
 * :func:`flatten_message` / :func:`split_message` merge model state and
   payload arrays into one namespaced flat dict and back — the message layout
   wire frames, checkpoints and registry versions share;
+* :func:`encode_version` is a model version's one serialization, its
+  ``identity`` broadcast frame body (downlink length, pool blob and
+  checkpoint entry alike); :func:`decode_version` inverts it;
 * the :class:`CommunicationLedger` accumulates per-round, per-client,
   per-direction measured frame sizes (:class:`RoundCommRecord`).
 
@@ -49,9 +52,11 @@ import math
 import pickle
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+
+from repro.nn.serialization import readonly_state_view
 
 # --------------------------------------------------------------------------- #
 # Client update (what a client uploads each round)
@@ -209,6 +214,23 @@ def decode_frame(
         ) from error
 
 
+def encode_version(state: Dict[str, np.ndarray], payload: Any) -> bytes:
+    """A model version's one serialization: its ``identity`` broadcast frame
+    body, the payload flattened by :class:`TreePayloadCodec`."""
+    arrays, skeleton = flatten_message(state, payload, TreePayloadCodec())
+    return encode_frame("broadcast", IdentityCodec(), arrays, skeleton).body
+
+
+def decode_version(body: bytes) -> Tuple[Dict[str, np.ndarray], Any]:
+    """Inverse of :func:`encode_version`: ``(state, payload)``, every array
+    write-protected again (numpy's flag crosses no process or file), so a
+    method that writes to its broadcast fails in a worker as it does serially."""
+    frame = WireFrame(kind="broadcast", codec=IdentityCodec.name, body=body)
+    arrays, skeleton = decode_frame(frame, IdentityCodec())
+    state, payload = split_message(arrays, skeleton, TreePayloadCodec())
+    return readonly_state_view(state), readonly_payload_view(payload)
+
+
 # --------------------------------------------------------------------------- #
 # Array codecs
 # --------------------------------------------------------------------------- #
@@ -216,6 +238,12 @@ def decode_frame(
 
 #: One row per array of a message, in message order: ``(name, dtype.str, shape)``.
 Table = List[Tuple[str, str, Tuple[int, ...]]]
+
+
+def _row(name: str, dtype: np.dtype, shape: Tuple[int, ...]) -> Tuple[str, str, Tuple[int, ...]]:
+    """One table row, with a dtype string of its own (``dtype.str`` builds one
+    per call): the frame pickle memoises by identity, so sharing changes bytes."""
+    return (name, dtype.str, shape)
 
 
 class PackedMessage(NamedTuple):
@@ -300,9 +328,8 @@ def _pack(arrays: Any) -> Tuple[Table, Dict[str, np.ndarray]]:
     chunks: Dict[str, List[np.ndarray]] = {}
     for name, value in arrays.items():
         value = np.asarray(value)
-        dtype = value.dtype.str
-        table.append((name, dtype, value.shape))
-        chunks.setdefault(dtype, []).append(value)
+        table.append(_row(name, value.dtype, value.shape))
+        chunks.setdefault(table[-1][1], []).append(value)
     return table, {dtype: np.concatenate(parts, axis=None) for dtype, parts in chunks.items()}
 
 
@@ -542,10 +569,9 @@ class _DiffCodec(ArrayCodec):
             if kept is not None:
                 indices.append(kept)
                 flat = flat[kept]
-            dtype = value.dtype.str
-            table.append((name, dtype, value.shape))
+            table.append(_row(name, value.dtype, value.shape))
             counts.append(-1 if kept is None else kept.size)
-            chunks.setdefault(dtype, []).append(flat)
+            chunks.setdefault(table[-1][1], []).append(flat)
         columns = {dtype: np.concatenate(parts) for dtype, parts in chunks.items()}
         columns["counts"] = np.asarray(counts, dtype=np.int64)
         positions = np.concatenate(indices)
@@ -687,45 +713,49 @@ class TreePayloadCodec(PayloadCodec):
     Array leaves are replaced by :class:`_ArraySlot` markers named after
     their path (dict keys by ``repr`` so ``0`` and ``"0"`` cannot collide);
     every other leaf stays in the skeleton and round-trips through pickle.
+    :meth:`walk` is the one definition of what a payload tree is.
     """
+
+    @classmethod
+    def walk(cls, node: Any, leaf: Callable[[Any, str], Any], path: str = "p") -> Any:
+        """``node`` rebuilt (namedtuples keep their type) with every leaf —
+        whatever is not a dict, list or tuple — replaced by ``leaf(value, path)``."""
+        if isinstance(node, dict):
+            return {key: cls.walk(value, leaf, f"{path}/k:{key!r}") for key, value in node.items()}
+        if not isinstance(node, (list, tuple)):
+            return leaf(node, path)
+        items = (cls.walk(value, leaf, f"{path}/i:{i}") for i, value in enumerate(node))
+        if isinstance(node, tuple) and hasattr(node, "_fields"):  # namedtuple
+            return type(node)(*items)
+        return type(node)(items)
 
     def flatten(self, payload):
         arrays: Dict[str, np.ndarray] = {}
 
-        def walk(node: Any, path: str) -> Any:
-            if isinstance(node, np.ndarray):
-                arrays[path] = node
-                return _ArraySlot(path)
-            if isinstance(node, dict):
-                return {
-                    key: walk(value, f"{path}/k:{key!r}") for key, value in node.items()
-                }
-            if isinstance(node, tuple) and hasattr(node, "_fields"):  # namedtuple
-                return type(node)(
-                    *(walk(value, f"{path}/i:{i}") for i, value in enumerate(node))
-                )
-            if isinstance(node, (list, tuple)):
-                return type(node)(
-                    walk(value, f"{path}/i:{i}") for i, value in enumerate(node)
-                )
-            return node
+        def extract(node: Any, path: str) -> Any:
+            if not isinstance(node, np.ndarray):
+                return node
+            arrays[path] = node
+            return _ArraySlot(path)
 
-        skeleton = walk(payload, "p")
+        skeleton = self.walk(payload, extract)
         return arrays, skeleton
 
     def unflatten(self, arrays, skeleton):
-        def rebuild(node: Any) -> Any:
-            if isinstance(node, _ArraySlot):
-                return np.asarray(arrays[node.name])
-            if isinstance(node, dict):
-                return {key: rebuild(value) for key, value in node.items()}
-            if isinstance(node, tuple) and hasattr(node, "_fields"):
-                return type(node)(*(rebuild(value) for value in node))
-            if isinstance(node, (list, tuple)):
-                return type(node)(rebuild(value) for value in node)
-            return node
+        return self.walk(
+            skeleton,
+            lambda node, _: np.asarray(arrays[node.name]) if isinstance(node, _ArraySlot) else node,
+        )
 
-        return rebuild(skeleton)
+
+def readonly_payload_view(payload: Any) -> Any:
+    """``payload`` with every array a no-copy, write-protected view, walked as
+    :class:`TreePayloadCodec` walks it: one payload is shared by every client
+    of a round, so an in-place write must raise instead of leaking into the
+    others (and diverging from the pool, whose workers write to a copy)."""
+    codec = TreePayloadCodec()
+    arrays, skeleton = codec.flatten(payload)
+    return codec.unflatten(readonly_state_view(arrays), skeleton)
 
 
 # --------------------------------------------------------------------------- #
@@ -914,9 +944,12 @@ __all__ = [
     "codec_is_lossless",
     "encode_frame",
     "decode_frame",
+    "encode_version",
+    "decode_version",
     "PackedMessage",
     "PayloadCodec",
     "TreePayloadCodec",
+    "readonly_payload_view",
     "flatten_message",
     "split_message",
 ]

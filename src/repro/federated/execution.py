@@ -10,12 +10,13 @@ same global state.  This module turns that structure into a pluggable
   single-process behaviour bit-for-bit (same client order, same RNG streams,
   same floating-point summation order).
 * :class:`ParallelExecutor` — fans the clients out over a pool of pinned
-  worker processes.  The round's broadcast is serialized exactly once (via
-  :meth:`BroadcastHandle.serialized`) and shipped to at most ``num_workers``
-  chunk tasks — never once per client — and each worker process trains on a
-  cached per-process model replica.  Updates are reassembled in the original
-  selection order so FedAvg accumulates in the same order as the serial path
-  and results stay identical for a given seed.
+  worker processes.  The round's broadcast ships as the model version's one
+  serialization (:meth:`BroadcastHandle.serialized`, its ``identity`` wire
+  frame body) to at most ``num_workers`` chunk tasks — never once per client
+  — and each worker process trains on a cached per-process model replica.
+  Updates are reassembled in the original selection order so FedAvg
+  accumulates in the same order as the serial path and results stay
+  identical for a given seed.
 
 The data plane
 --------------
@@ -87,15 +88,10 @@ from repro.continual.evaluator import EvalBackend, PredictFn, count_correct
 from repro.continual.scenario import Task
 from repro.datasets.base import ArrayDataset
 from repro.federated.client import ClientHandle, ShardRef
-from repro.federated.communication import ClientUpdate
+from repro.federated.communication import ClientUpdate, decode_version
 from repro.federated.method import FederatedMethod
 from repro.federated.server import BroadcastHandle
 from repro.nn.module import Module
-from repro.nn.serialization import (
-    deserialize_state,
-    readonly_payload_view,
-    readonly_state_view,
-)
 
 # --------------------------------------------------------------------------- #
 # Worker-process machinery (module level so it pickles by reference)
@@ -152,20 +148,15 @@ def _run_client_chunk(
 ) -> List[Tuple[int, ClientUpdate, Any]]:
     """Train one worker's share of the round's clients.
 
-    Receives the round-shared data (method + broadcast) as pre-pickled blobs:
-    the parent serialized each exactly once and every chunk reuses the same
-    bytes.  Returns ``(selection_index, update, exported_client_state)``
-    triples so the parent can restore selection order and merge method state.
+    Receives the round-shared data (method + broadcast) as blobs the parent
+    serialized exactly once; every chunk reuses the same bytes, and the
+    broadcast decodes write-protected.  Returns ``(selection_index, update,
+    exported_client_state)`` triples so the parent can restore selection
+    order and merge method state.
     """
     set_default_dtype(dtype_name)
     method: FederatedMethod = pickle.loads(method_blob)
-    state, payload = deserialize_state(broadcast_blob)
-    # numpy's writeable=False flag does not survive pickling; re-protect the
-    # shared state and payload so a contract-violating method fails here
-    # exactly as it would under the serial executor, instead of silently
-    # corrupting what later clients in this chunk reload.
-    state = readonly_state_view(state)
-    payload = readonly_payload_view(payload)
+    state, payload = decode_version(broadcast_blob)
     model = _replica_for(method, state)
     results: List[Tuple[int, ClientUpdate, Any]] = []
     for index, client in indexed_clients:
@@ -281,8 +272,7 @@ def _run_eval_chunk(
     """
     set_default_dtype(dtype_name)
     method: FederatedMethod = pickle.loads(method_blob)
-    state, _ = deserialize_state(broadcast_blob)
-    state = readonly_state_view(state)
+    state, _ = decode_version(broadcast_blob)
     model = _replica_for(method, state)
     model.load_state_dict(state)
     results: List[Tuple[int, int, int]] = []
@@ -583,11 +573,10 @@ class RoundIPC:
     one more message), so all three byte fields are comparable measures of
     actual cross-process traffic.  ``num_messages`` is that message count, so
     ``broadcast_bytes / num_messages`` recovers the single broadcast blob
-    length — under the loopback transport's ``identity`` codec that blob *is*
-    the per-client broadcast wire frame, which is how the
-    :class:`~repro.federated.communication.CommunicationLedger` and this log
-    reconcile exactly where both observe the same traffic.  Failed rounds are
-    not logged.
+    length: the model version's ``identity`` frame body, so under the
+    ``identity`` codec it equals each per-client broadcast record of the
+    :class:`~repro.federated.communication.CommunicationLedger`.  Failed
+    rounds are not logged.
     """
 
     task_id: int

@@ -138,6 +138,11 @@ class FederatedMethod:
         """Inference path used by the evaluator (default: call the model directly)."""
         return model(images)
 
+    def load_broadcast_payload(self, payload: Dict[str, Any]) -> None:
+        """Take what :meth:`predict_logits` reads beyond the model from a broadcast
+        payload (default: nothing).  The serving engine calls it on its frozen
+        copy of the method with the installed version's own payload."""
+
     def payload_codec(self) -> PayloadCodec:
         """How this method's payloads become named wire arrays.
 

@@ -8,9 +8,14 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.federated.aggregation import FlatReduceBackend, ReduceBackend
-from repro.federated.communication import ClientUpdate, CommunicationLedger
+from repro.federated.communication import (
+    ClientUpdate,
+    CommunicationLedger,
+    encode_version,
+    readonly_payload_view,
+)
 from repro.nn.module import Module
-from repro.nn.serialization import readonly_payload_view, readonly_state_view, serialize_state
+from repro.nn.serialization import readonly_state_view
 
 
 class BroadcastHandle:
@@ -19,12 +24,14 @@ class BroadcastHandle:
     ``state`` is a write-protected, no-copy view of the canonical global state
     (see :func:`repro.nn.serialization.readonly_state_view`); handing the same
     handle to all ``M`` clients of a round therefore costs zero array copies.
-    :meth:`serialized` pickles the state and payload at most once per handle,
-    so parallel executors ship a single serialization to their workers
-    instead of re-pickling per client.  ``delivery`` is the transport's memo
-    of this handle's reference-free downlink frame — ``(codec, frame bytes,
-    decoded handle or None for this one, received arrays)`` — so a model
-    version dispatched many times (buffered / async modes) is encoded once.
+    :meth:`serialized` encodes the version's one serialization
+    (:func:`repro.federated.communication.encode_version`) at most once per
+    handle: the identity downlink's measured length, what parallel executors
+    ship to their workers and what a checkpoint stores.  ``delivery`` is the
+    transport's memo of this handle's reference-free downlink frame —
+    ``(codec, frame bytes, decoded handle or None for this one, received
+    arrays)`` — so a model version dispatched many times (buffered / async
+    modes) is encoded once.
 
     A handle is also the evaluator's version token
     (:class:`repro.continual.evaluator.GlobalEvaluator`), which refers to it
@@ -40,9 +47,9 @@ class BroadcastHandle:
         self.delivery: Optional[tuple] = None
 
     def serialized(self) -> bytes:
-        """The pickled ``(state, payload)`` pair, computed lazily exactly once."""
+        """The version's ``identity`` broadcast frame body, encoded lazily exactly once."""
         if self._blob is None:
-            self._blob = serialize_state(self.state, self.payload)
+            self._blob = encode_version(self.state, self.payload)
         return self._blob
 
 

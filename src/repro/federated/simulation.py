@@ -59,8 +59,7 @@ from repro.federated.communication import (
     ClientUpdate,
     CommunicationLedger,
     build_codec,
-    flatten_message,
-    split_message,
+    decode_version,
 )
 from repro.federated.config import FederatedConfig
 from repro.federated.execution import ParallelEvalBackend, ParallelExecutor, build_executor
@@ -613,32 +612,29 @@ class FederatedDomainIncrementalSimulation:
     def _checkpoint_payload(self, start_task: int, start_round: int) -> Dict[str, object]:
         """Everything a fresh process needs to continue bit-for-bit.
 
-        Model state and method broadcast payload travel flattened through the
-        method's own ``payload_codec()`` (the same namespacing the wire
-        format uses); the method object itself is pickled whole (it is
-        required to be picklable for the parallel executor anyway).  Nothing
-        rebuilt deterministically from the config is stored: datasets, client
-        schedules, device profiles, client shards (the resume path replays
-        task assignment through the client data plane, which rebuilds its
-        partition indices), and every RNG — ``spawn_rng`` streams are
-        pure functions of ``(seed, labels)``, so there is no generator state.
+        Model state and method broadcast payload are stored as the model
+        version's one serialization, its ``identity`` broadcast frame body
+        (:meth:`~repro.federated.server.BroadcastHandle.serialized`); the
+        method object itself is pickled whole (it is required to be picklable
+        for the parallel executor anyway).  Nothing rebuilt deterministically
+        from the config is stored: datasets, client schedules, device
+        profiles, client shards (the resume path replays task assignment
+        through the client data plane, which rebuilds its partition indices),
+        and every RNG — ``spawn_rng`` streams are pure functions of ``(seed,
+        labels)``, so there is no generator state.
 
         The transport's entry holds per-client model copies (downlink
         acknowledgements) only under a codec that reads them back, ``delta``;
         every other checkpoint stays model-sized however many clients the
         run has contacted.
         """
-        arrays, skeleton = flatten_message(
-            self.server.global_state, self.server.broadcast_payload, self.method.payload_codec()
-        )
         return {
             "version": CHECKPOINT_VERSION,
             "fingerprint": config_fingerprint(self.config),
             "start_task": start_task,
             "start_round": start_round,
             "server": {
-                "arrays": {key: np.array(value, copy=True) for key, value in arrays.items()},
-                "skeleton": skeleton,
+                "version": self.server.broadcast_view().serialized(),
                 "round_counter": self.server.round_counter,
             },
             "method_blob": pickle.dumps(self.method, protocol=pickle.HIGHEST_PROTOCOL),
@@ -720,9 +716,7 @@ class FederatedDomainIncrementalSimulation:
         """Load a checkpoint payload into this (freshly constructed) simulation."""
         with default_dtype(self.config.dtype):
             server_state = payload["server"]
-            state, broadcast_payload = split_message(
-                dict(server_state["arrays"]), server_state["skeleton"], self.method.payload_codec()
-            )
+            state, broadcast_payload = decode_version(server_state["version"])
             self.server.global_state = state
             self.server.broadcast_payload = broadcast_payload
             self.server.round_counter = server_state["round_counter"]

@@ -22,8 +22,8 @@ encoded through the configured
 actual frame lengths.  Every delivered upload is its decoded frame, under
 ``identity`` too (whose decode is bit-exact views of the frame's columns).
 Downlink, the ``identity`` frame body *is* the broadcast handle's cached
-serialization — the blob the parallel executor ships to its workers — so
-that one decode is short-circuited to the server's own handle.
+serialization — a model version's one serialization, which the parallel
+executor ships to its workers — so that one decode is short-circuited.
 
 Downlink state belongs to the codec that reads it.  Only a reference-reading
 downlink codec (``delta``) keeps *acknowledgements*: each client's frame is
@@ -251,10 +251,10 @@ class LoopbackTransport:
                     # The identity frame body IS the handle's cached
                     # serialization — the exact blob the parallel executor
                     # ships to its workers, so ledger and RoundIPC observe the
-                    # same bytes — and its round-trip is a pickle cycle, so
-                    # the decode is short-circuited to the server's own handle
-                    # (bit-for-bit by construction; ``None`` below, because a
-                    # handle memoising itself is a cycle only a full GC frees).
+                    # same bytes — and its decode is bit-exact, so it is
+                    # short-circuited to the server's own handle (``None``
+                    # below, because a handle memoising itself is a cycle
+                    # only a full GC frees).
                     delivered = (len(handle.serialized()), None, flat)
                 else:
                     frame = encode_frame("broadcast", self.down_codec, flat, skeleton, None)

@@ -1,23 +1,19 @@
-"""Saving / loading / comparing / shipping model state dictionaries.
+"""Saving / loading / comparing model state dictionaries.
 
 FedAvg aggregation, EWC snapshots and LwF teacher models all operate on the
 flat name->array dictionaries produced by :meth:`repro.nn.Module.state_dict`;
-this module adds disk persistence (``.npz``), comparison helpers, and the
-zero-redundant-copy broadcast primitives used by the round execution engine:
-
-* :func:`readonly_state_view` — a no-copy, write-protected view of a state
-  dict (the form the server keeps its global state in), safe to hand to
-  every client of a round simultaneously;
-* :func:`serialize_state` / :func:`deserialize_state` — a single pickle
-  serialization of a state dict that worker processes can unpack, so a round
-  pays one serialization instead of one deep copy per client.
+this module adds disk persistence (``.npz``), comparison helpers, and
+:func:`readonly_state_view` — a no-copy, write-protected view of a state dict
+(the form the server keeps its global state in), safe to hand to every client
+of a round simultaneously.  How a model version crosses a process or a file
+is the communication plane's business: it has one serialization, its
+``identity`` broadcast frame (see :mod:`repro.federated.communication`).
 """
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
-from typing import Any, Dict, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -66,44 +62,9 @@ def readonly_state_view(state: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     return views
 
 
-def readonly_payload_view(payload: Any) -> Any:
-    """Recursively wrap every array inside a broadcast payload in a read-only view.
-
-    Same rationale as :func:`readonly_state_view`: one payload is shared by
-    every client of a round, so in-place mutation must raise instead of
-    silently leaking into the other clients (and diverging from the parallel
-    executor, whose workers mutate a discarded copy).
-    """
-    if isinstance(payload, np.ndarray):
-        view = payload.view()
-        view.flags.writeable = False
-        return view
-    if isinstance(payload, dict):
-        return {key: readonly_payload_view(value) for key, value in payload.items()}
-    if isinstance(payload, tuple) and hasattr(payload, "_fields"):  # namedtuple
-        return type(payload)(*(readonly_payload_view(value) for value in payload))
-    if isinstance(payload, (list, tuple)):
-        return type(payload)(readonly_payload_view(value) for value in payload)
-    return payload
-
-
-def serialize_state(state: Dict[str, np.ndarray], payload: Any = None) -> bytes:
-    """Serialize a state dict (plus an optional payload) into one pickle blob."""
-    return pickle.dumps((state, payload), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def deserialize_state(blob: bytes) -> Tuple[Dict[str, np.ndarray], Any]:
-    """Inverse of :func:`serialize_state`."""
-    state, payload = pickle.loads(blob)
-    return state, payload
-
-
 __all__ = [
     "save_state_dict",
     "load_state_dict",
     "state_dicts_allclose",
     "readonly_state_view",
-    "readonly_payload_view",
-    "serialize_state",
-    "deserialize_state",
 ]

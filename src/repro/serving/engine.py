@@ -8,9 +8,9 @@ Two invariants make concurrent serving safe:
 * **Snapshots are immutable.**  Installing a version builds a fresh model
   (under the published state's own dtype), loads the decoded arrays into it,
   and freezes the *method* too — a pickle round-trip of the live method object
-  — so a training thread mutating its method mid-run can never bleed into
-  responses already being served.  Nothing in a snapshot is written after
-  construction.
+  that then loads the version's own payload — so neither what the live method
+  holds at install time nor a training thread mutating it can bleed into
+  responses.  Nothing in a snapshot is written after construction.
 * **Swaps are atomic between batches.**  ``predict`` grabs the snapshot
   reference exactly once per batch; ``install``/``refresh`` replace the
   reference in a single assignment.  An in-flight batch therefore finishes
@@ -24,8 +24,8 @@ shape into a :class:`ForwardPlan` — a forward-only compiled program replayed
 without tensor wrapping, module traversal or graph bookkeeping — and verifies
 the first replay bit-for-bit against eager before trusting it; any divergence
 (or an untraceable predict path) falls back to eager for that shape
-permanently.  Served logits are therefore bit-for-bit identical to direct
-evaluation of the same version under either kernel.
+permanently.  Served logits are therefore bit-for-bit a direct evaluation of
+the installed version's own state and payload under either kernel.
 """
 
 from __future__ import annotations
@@ -168,11 +168,10 @@ class ModelSnapshot:
         plan_cache_size: int = 32,
     ) -> None:
         self.info: VersionInfo = loaded.info
-        self.payload = loaded.payload
-        # Freeze the method at install time: server-side method state (e.g.
-        # prompt stores consulted by predict_logits) must not drift under a
-        # response already being computed.
+        # A frozen copy of the method, its inference state (e.g. the prompt
+        # store predict_logits averages) loaded from this version's payload.
         self.method = pickle.loads(pickle.dumps(method))
+        self.method.load_broadcast_payload(loaded.payload)
         # The snapshot's compute dtype is the *published state's* dtype: the
         # model is built under it so load_state_dict's in-place cast is the
         # identity and served numbers are the published numbers.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
+from typing import Any, NamedTuple
 
 import numpy as np
 import pytest
@@ -39,14 +40,17 @@ from repro.federated.aggregation import TreeReduceBackend
 from repro.federated.client import ClientHandle, LocalTrainingConfig
 from repro.federated.communication import (
     ClientUpdate,
+    IdentityCodec,
     QuantizeCodec,
     decode_frame,
+    decode_version,
     encode_frame,
     flatten_message,
     split_message,
 )
+from repro.federated.execution import ParallelExecutor
 from repro.federated.increment import ClientGroup
-from repro.federated.server import FederatedServer
+from repro.federated.server import BroadcastHandle, FederatedServer
 from repro.federated.transport import FrameDecodeError
 from repro.nn.linear import Linear
 
@@ -59,26 +63,54 @@ _SHAPES = ((), (0,), (1,), (7,), (3, 4), (2, 0), (2, 3, 2))
 
 
 @st.composite
+def arrays(draw):
+    """One array of any dtype/shape, empty and scalar included, floats maybe with a NaN."""
+    dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+    shape = draw(st.sampled_from(_SHAPES))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    if dtype.kind == "f":
+        values = rng.standard_normal(shape).astype(dtype)
+        if values.size and draw(st.booleans()):
+            flat = values.reshape(-1)
+            flat[draw(st.integers(0, values.size - 1))] = np.nan
+    elif dtype.kind == "b":
+        values = rng.integers(0, 2, size=shape).astype(dtype)
+    else:
+        values = rng.integers(0, 100, size=shape).astype(dtype)
+    return values
+
+
+@st.composite
 def state_dicts(draw):
     """Flat name -> array dicts over all dtypes/shapes, empty and scalar included."""
     num = draw(st.integers(0, 4))
-    state = {}
-    for index in range(num):
-        dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
-        shape = draw(st.sampled_from(_SHAPES))
-        seed = draw(st.integers(0, 2**31 - 1))
-        rng = np.random.default_rng(seed)
-        if dtype.kind == "f":
-            values = rng.standard_normal(shape).astype(dtype)
-            if values.size and draw(st.booleans()):
-                flat = values.reshape(-1)
-                flat[draw(st.integers(0, values.size - 1))] = np.nan
-        elif dtype.kind == "b":
-            values = rng.integers(0, 2, size=shape).astype(dtype)
-        else:
-            values = rng.integers(0, 100, size=shape).astype(dtype)
-        state[f"layer_{index}"] = values
-    return state
+    return {f"layer_{index}": draw(arrays()) for index in range(num)}
+
+
+class _Pair(NamedTuple):
+    left: Any
+    right: Any
+
+
+#: Payload trees: dicts (int and str keys), lists, tuples and namedtuples over
+#: array leaves and the non-array leaves that ride in a frame's skeleton.
+payload_trees = st.dictionaries(
+    st.text(max_size=3),
+    st.recursive(
+        st.one_of(arrays(), st.integers(), st.text(max_size=3), st.none(), st.booleans()),
+        lambda children: st.one_of(
+            st.lists(children, max_size=3),
+            st.lists(children, max_size=3).map(tuple),
+            st.builds(_Pair, children, children),
+            st.dictionaries(
+                st.one_of(st.integers(0, 3), st.text(max_size=2)), children, max_size=3
+            ),
+        ),
+        max_leaves=8,
+    ),
+    max_size=3,
+)
 
 
 def _mutate(state: dict, rng: np.random.Generator) -> dict:
@@ -546,6 +578,38 @@ class TestPayloadCodecs:
         _assert_bit_exact(method.store.representatives, store.representatives)
 
 
+def _assert_same_tree(left, right) -> None:
+    """Same container types, keys and order all the way down; every array of
+    ``right`` bit-exact and write-protected."""
+    assert type(left) is type(right)
+    if isinstance(left, np.ndarray):
+        assert (left.dtype, left.shape) == (right.dtype, right.shape)
+        assert left.tobytes() == right.tobytes()
+        assert not right.flags.writeable
+    elif isinstance(left, dict):
+        assert list(left) == list(right)
+        for key in left:
+            _assert_same_tree(left[key], right[key])
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right)
+        for a, b in zip(left, right):
+            _assert_same_tree(a, b)
+    else:
+        assert left == right
+
+
+class TestOneSerialization:
+    """A model version has one serialization, its identity broadcast frame body,
+    and ``decode_version`` is what workers and checkpoint restore read it with."""
+
+    @given(state=state_dicts(), payload=payload_trees)
+    @settings(deadline=None)  # the loaded profile's count: 1,000 under CI's deep sweep
+    def test_a_version_round_trips_through_its_one_serialization(self, state, payload):
+        decoded = decode_version(BroadcastHandle(state, payload).serialized())
+        _assert_same_tree(state, decoded[0])
+        _assert_same_tree(payload, decoded[1])
+
+
 # --------------------------------------------------------------------------- #
 # End-to-end: whole simulations through the wire format
 # --------------------------------------------------------------------------- #
@@ -613,14 +677,23 @@ class TestTransportParity:
             assert len(record.broadcast_frames) == comm_config.clients_per_round
 
     def test_ledger_reconciles_with_round_ipc(
-        self, tiny_spec, tiny_backbone_config, comm_config
+        self, tiny_spec, tiny_backbone_config, comm_config, monkeypatch
     ):
         """Where ledger and executor observe the same traffic, the bytes agree.
 
-        Under the identity codec the broadcast wire frame *is* the serialized
-        blob the pinned pool ships to each worker, so per-round:
-        ``frame_bytes * num_messages == RoundIPC.broadcast_bytes``.
+        Under the identity codec every round has three measures of one model
+        version's broadcast: each ledger broadcast record, the blob each
+        worker message carried (``RoundIPC.broadcast_bytes / num_messages``)
+        and the length of the version's encoded identity frame.
         """
+        versions = []
+        run_round = ParallelExecutor.run_round
+
+        def spy(self, method, model, broadcast, clients):
+            versions.append((broadcast.state, broadcast.payload))
+            return run_round(self, method, model, broadcast, clients)
+
+        monkeypatch.setattr(ParallelExecutor, "run_round", spy)
         scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
         method = build_method("refil", tiny_backbone_config, num_tasks=2)
         simulation = FederatedDomainIncrementalSimulation(
@@ -631,11 +704,13 @@ class TestTransportParity:
         result = simulation.run()
         ledger = result.communication
         ipc_log = simulation.executor.ipc_log
-        assert len(ipc_log) == len(ledger.records)
-        for record, ipc in zip(ledger.records, ipc_log):
-            frame_bytes = {frame.num_bytes for frame in record.broadcast_frames}
-            assert len(frame_bytes) == 1  # identity: one frame serves the round
-            assert frame_bytes.pop() * ipc.num_messages == ipc.broadcast_bytes
+        assert len(ipc_log) == len(ledger.records) == len(versions)
+        for record, ipc, (state, payload) in zip(ledger.records, ipc_log, versions):
+            frame = encode_frame(
+                "broadcast", IdentityCodec(), *flatten_message(state, payload, TreePayloadCodec())
+            )
+            assert {f.num_bytes for f in record.broadcast_frames} == {frame.num_bytes}
+            assert ipc.broadcast_bytes == ipc.num_messages * frame.num_bytes
 
     def test_quantized_run_compresses_and_still_learns(
         self, tiny_spec, tiny_backbone_config, comm_config

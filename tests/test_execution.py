@@ -36,8 +36,7 @@ from repro.federated import execution
 from repro.federated.client import ClientHandle, LocalTrainingConfig
 from repro.federated.execution import EvalJob
 from repro.federated.increment import ClientGroup
-from repro.federated.server import FederatedServer
-from repro.nn.serialization import serialize_state
+from repro.federated.server import BroadcastHandle, FederatedServer
 
 
 def _run_simulation(tiny_spec, tiny_backbone_config, config, method_name="refil"):
@@ -276,7 +275,7 @@ class TestWorkerShardCache:
         _install_shards({job.shard_ref(): pickle.dumps(job.dataset) for job in jobs})
         results = _run_eval_chunk(
             pickle.dumps(method),
-            serialize_state(state, {}),
+            BroadcastHandle(state, {}).serialized(),
             _resolve_chunk([(i, job.shard_ref(), job.lighten()) for i, job in enumerate(jobs)]),
             "float64",
         )
@@ -421,7 +420,6 @@ class TestWorkerContract:
         re-apply the read-only view so contract violations fail in parallel
         mode exactly as they do in serial mode."""
         from repro.federated.execution import _run_client_chunk
-        from repro.nn.serialization import serialize_state
 
         method = _StateMutatingMethod(tiny_backbone_config)
         state = method.build_model().state_dict()
@@ -435,7 +433,10 @@ class TestWorkerContract:
         )
         with pytest.raises(ValueError, match="read-only"):
             _run_client_chunk(
-                pickle.dumps(method), serialize_state(state, {}), [(0, client)], "float64"
+                pickle.dumps(method),
+                BroadcastHandle(state, {}).serialized(),
+                [(0, client)],
+                "float64",
             )
 
 

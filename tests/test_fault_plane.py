@@ -624,10 +624,11 @@ class TestCheckpointFormat:
         elif mutation == "magic":
             raw[:4] = b"XXXX"
         else:
-            # A well-formed version-1 file (its CRC still holds) is refused by
-            # its header: its pickled RefFiL method predates the prompt store.
-            raw[4:8] = (1).to_bytes(4, "big")
-            match = "version 1, expected 2"
+            # A well-formed version-2 file (its CRC still holds) is refused by
+            # its header: its server entry is a flat array dict and a
+            # skeleton, not the model version's identity frame body.
+            raw[4:8] = (2).to_bytes(4, "big")
+            match = "version 2, expected 3"
         with open(path, "wb") as handle:
             handle.write(bytes(raw))
         with pytest.raises(CheckpointCorruptionError, match=match):

@@ -255,14 +255,14 @@ class TestRegistryDurability:
 
     def test_older_container_version_raises_typed_error(self, tmp_path):
         """Version files share the checkpoint container: one written under
-        container version 1 (CRC intact) is refused by its header."""
+        container version 2 (CRC intact) is refused by its header."""
         registry = ModelRegistry(str(tmp_path))
         info = registry.publish(name="m", state={"w": np.zeros(2)})
         path = tmp_path / info.filename
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (1).to_bytes(4, "big")
+        raw[4:8] = (2).to_bytes(4, "big")
         path.write_bytes(bytes(raw))
-        with pytest.raises(RegistryCorruptionError, match="version 1, expected 2"):
+        with pytest.raises(RegistryCorruptionError, match="version 2, expected 3"):
             registry.load(info.version)
 
     def test_mangled_manifest_raises_typed_error(self, tmp_path):
@@ -393,6 +393,32 @@ class TestInferenceEngine:
         before = engine.predict(images).logits
         method.logit_scale = 100.0  # trainer mutates its live method mid-serve
         np.testing.assert_array_equal(engine.predict(images).logits, before)
+
+    @pytest.mark.parametrize("kernel", ["eager", "tape"])
+    def test_a_snapshot_serves_the_prompt_store_its_version_published(
+        self, tmp_path, tiny_backbone_config, rng, kernel
+    ):
+        """CDAP-free RefFiL averages its prompt store at inference, so an
+        installed version must serve the store it published, not the one the
+        live method holds when the version is installed."""
+        method = build_method("refil_gpl", tiny_backbone_config, num_tasks=2)
+        dim, classes = tiny_backbone_config.embed_dim, tiny_backbone_config.num_classes
+        method.store.replace({label: rng.standard_normal((2, dim)) for label in range(classes)})
+        registry = ModelRegistry(str(tmp_path))
+        info = registry.publish(
+            name=method.name,
+            state=method.build_model().state_dict(),
+            payload=method.store.to_payload(),
+            payload_codec=method.payload_codec(),
+        )
+        size = tiny_backbone_config.image_size
+        images = rng.uniform(-1.0, 1.0, size=(2, 3, size, size))
+        direct = self._direct_logits(registry, method, info.version, images)
+        method.store.replace({0: rng.standard_normal((1, dim))})  # the live store moves on
+        engine = InferenceEngine(registry, method, kernel=kernel)
+        engine.install(info.version)
+        for _ in range(3):  # the tape kernel's trace, verify and replay passes
+            np.testing.assert_array_equal(engine.predict(images).logits, direct)
 
     def test_hot_swap_atomic_under_concurrent_predicts(
         self, tmp_path, tiny_backbone_config, rng
