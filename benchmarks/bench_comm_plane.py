@@ -78,6 +78,9 @@ def _build_simulation(**federated_overrides) -> FederatedDomainIncrementalSimula
         local=LocalTrainingConfig(local_epochs=1, batch_size=16, learning_rate=0.05),
         eval_batch_size=16,
         seed=0,
+        # float64, as in every earlier entry of the section: the >= 4x bound
+        # is 8-byte values against 1-byte codes.
+        dtype="float64",
         **federated_overrides,
     )
     return FederatedDomainIncrementalSimulation(scenario, method, config)

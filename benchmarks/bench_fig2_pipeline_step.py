@@ -8,6 +8,8 @@ a deployment on resource-constrained devices cares about.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.autograd.tensor import default_dtype
@@ -19,7 +21,14 @@ from repro.federated.increment import ClientGroup
 from repro.federated.server import FederatedServer
 from repro.federated.transport import build_transport
 from repro.models.backbone import BackboneConfig
-from repro.utils.timing import Timer
+
+#: Timed local updates per precision (median and IQR need at least five).
+REPEATS = 5
+#: The losses compared across precisions are those of the fourth local update
+#: (the warm-up plus three), the point every earlier entry recorded: the model
+#: keeps training across updates, and later ones drift apart once gradient
+#: clipping amplifies float32 round-off.
+LOSS_AT = 3
 
 
 def _build_step():
@@ -67,45 +76,61 @@ def test_fig2_pipeline_local_update(benchmark):
 def test_fig2_pipeline_float32_vs_float64(benchmark, bench_record):
     """The same local update at both compute precisions (the ``dtype`` knob).
 
-    float32 halves the memory bandwidth of every conv / matmul in the
-    pipeline, which is the dominant cost on CPU; the measured speedup and the
-    loss agreement between precisions are recorded in ``BENCH_round.json``.
+    Each precision runs ``REPEATS`` timed local updates after one warm-up,
+    alternating precisions so drift of the machine lands on both alike.  Each
+    side's median and interquartile range, the speedup of the medians and the
+    ``LOSS_AT`` losses go to ``BENCH_round.json``, stamped with commit and
+    machine.
     """
-    timer = Timer()
-    reps = 3
-    losses = {}
-
-    def run_at(dtype_name):
-        with default_dtype(dtype_name):
-            method, model, server, client = _build_step()
+    samples = {"float64": [], "float32": []}
+    steps = {}
+    for name in samples:
+        with default_dtype(name):
+            steps[name] = _build_step()
+            method, model, server, client = steps[name]
             # Warm-up outside the timed region (first call touches cold caches).
             method.local_update(model, server.global_state, server.broadcast_payload, client)
-            for _ in range(reps):
-                with timer.measure(dtype_name):
+    losses = {}
+
+    def run_interleaved():
+        for repeat in range(1, REPEATS + 1):
+            for name, (method, model, server, client) in steps.items():
+                with default_dtype(name):
+                    start = time.perf_counter()
                     update = method.local_update(
                         model, server.global_state, server.broadcast_payload, client
                     )
-            losses[dtype_name] = update.train_loss
+                    samples[name].append(time.perf_counter() - start)
+                if repeat == LOSS_AT:
+                    losses[name] = update.train_loss
 
-    benchmark.pedantic(lambda: (run_at("float64"), run_at("float32")),
-                       rounds=1, iterations=1, warmup_rounds=0)
+    benchmark.pedantic(run_interleaved, rounds=1, iterations=1, warmup_rounds=0)
 
-    t64 = timer.mean("float64")
-    t32 = timer.mean("float32")
-    speedup = t64 / t32 if t32 > 0 else float("inf")
+    summary = {}
+    for name, times in samples.items():
+        q1, median, q3 = np.percentile(times, [25, 50, 75])
+        summary[name] = median
+        summary[name + "_iqr"] = q3 - q1
+    speedup = summary["float64"] / summary["float32"]
     bench_record(
         "fig2_precision",
         {
-            "float64_step_s": t64,
-            "float32_step_s": t32,
+            "float64_step_s": summary["float64"],
+            "float64_step_iqr_s": summary["float64_iqr"],
+            "float32_step_s": summary["float32"],
+            "float32_step_iqr_s": summary["float32_iqr"],
+            "repeats": REPEATS,
             "speedup": speedup,
             "float64_loss": losses["float64"],
             "float32_loss": losses["float32"],
         },
     )
-    print(f"\nFig.2 pipeline precision (mean of {reps} local updates):")
-    print(f"  float64 : {t64 * 1000:.1f} ms  (loss {losses['float64']:.4f})")
-    print(f"  float32 : {t32 * 1000:.1f} ms  (loss {losses['float32']:.4f})")
+    print(f"\nFig.2 pipeline precision (median / IQR of {REPEATS} local updates):")
+    for name in samples:
+        print(
+            f"  {name} : {summary[name] * 1000:.1f} ms / {summary[name + '_iqr'] * 1000:.1f} ms"
+            f"  (loss {losses[name]:.4f})"
+        )
     print(f"  speedup : {speedup:.2f}x")
     # Precisions must agree on the training trajectory to well within SGD noise.
     assert abs(losses["float64"] - losses["float32"]) < 1e-2

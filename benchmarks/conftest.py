@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 from typing import Dict
@@ -47,6 +49,26 @@ def bench_record():
     return record
 
 
+def _commit() -> dict:
+    """The checkout's commit and whether its tree had uncommitted changes."""
+
+    def git(*args: str):
+        try:
+            done = subprocess.run(
+                ("git", "-C", str(_BENCH_JSON_PATH.parent)) + args,
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    status = git("status", "--porcelain")
+    dirty = bool(status) if status is not None else None
+    return {"git_sha": git("rev-parse", "HEAD"), "git_dirty": dirty}
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _BENCH_RESULTS or exitstatus != 0:
         return
@@ -54,8 +76,9 @@ def pytest_sessionfinish(session, exitstatus):
     # its previous content is pushed onto the section's "history" list (oldest
     # first) instead of being overwritten, so numbers recorded by earlier PRs
     # survive every later bench run.  Sections not measured this session are
-    # left untouched.  The environment (scale, cpu count, time) is stamped per
-    # snapshot, since entries may come from runs under different conditions.
+    # left untouched.  The environment (scale, cpu count, time, machine,
+    # commit) is stamped per snapshot, since entries may come from runs under
+    # different conditions.
     results: Dict[str, dict] = {}
     if _BENCH_JSON_PATH.exists():
         try:
@@ -70,6 +93,8 @@ def pytest_sessionfinish(session, exitstatus):
         "scale": scale_name,
         "cpu_count": os.cpu_count(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "machine": f"{platform.platform()} {platform.processor() or platform.machine()}",
+        **_commit(),
     }
     for section, data in _BENCH_RESULTS.items():
         previous = dict(results.get(section, {}))

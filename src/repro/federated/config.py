@@ -111,10 +111,18 @@ class FederatedConfig:
     num_workers: int = knob(0, effect=EXACT, minimum=0, doc="""
         Worker processes for the parallel executor; ``0`` means one per CPU.
         Ignored when ``executor="serial"``.""")
-    dtype: str = knob("float64", choices=("float64", "float32"), doc="""
-        Compute precision of the whole pipeline: ``"float64"`` (reference) or
-        ``"float32"`` (≈2x lower memory bandwidth; accuracy differences are
-        within noise at these scales).""")
+    dtype: str = knob("float32", choices=("float64", "float32"), doc="""
+        Compute precision of the whole pipeline: ``"float32"`` (default) or
+        ``"float64"`` (the reference, and the autograd default outside a run).
+        Against float64, over ten interleaved pairs of the end-to-end
+        benchmark on a 2-core VM, float32 runs ``train_reffil`` in 26% less
+        time (1.80 -> 1.33 s), ``eval_stream`` in 31% less and
+        ``fleet_buffered`` in 26% less, with 16-20% lower peak RSS and 49%
+        fewer identity-codec wire bytes (RefFiL's prompt store stays
+        float64).  A run at either dtype is a different trajectory: the
+        fidelity gate's Table I Avg claim holds at float32 over seeds 0-2
+        (+12.49 against a pooled std of 5.28) and not at float64 (+1.16
+        against 5.13); over seeds 0-5 it holds at neither.""")
     eval_executor: str = knob("serial", effect=EXACT, choices=_EXECUTORS, doc="""
         How the seen-task evaluation suite runs: ``"serial"`` (historical
         in-process loop) or ``"parallel"`` (fan seen tasks × batch-aligned

@@ -761,8 +761,9 @@ class FederatedDomainIncrementalSimulation:
         expected = config_fingerprint(self.config)
         if payload.get("fingerprint") != expected:
             raise CheckpointMismatchError(
-                f"checkpoint {path!r} was written under a different configuration "
-                "(fingerprint mismatch); refusing to resume into a diverging run"
+                f"checkpoint {path!r} was written under configuration fingerprint "
+                f"{payload.get('fingerprint')}, this run's is {expected}; refusing to "
+                "resume into a diverging run"
             )
         self._restore(payload)
         self._resumed_from = path

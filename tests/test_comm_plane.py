@@ -715,10 +715,11 @@ class TestTransportParity:
     def test_quantized_run_compresses_and_still_learns(
         self, tiny_spec, tiny_backbone_config, comm_config
     ):
-        identity = _run(tiny_spec, tiny_backbone_config, comm_config)
-        quantized = _run(
-            tiny_spec, tiny_backbone_config, replace(comm_config, codec="quantize8")
-        )
+        # Eight bits a value against float64's 64: the bound reads the wire
+        # codec, not the compute dtype, so both runs state theirs.
+        float64 = replace(comm_config, dtype="float64")
+        identity = _run(tiny_spec, tiny_backbone_config, float64)
+        quantized = _run(tiny_spec, tiny_backbone_config, replace(float64, codec="quantize8"))
         assert quantized.communication.measured
         assert (
             identity.communication.uploaded_bytes

@@ -235,8 +235,9 @@ def _fingerprint_with_kernel_knob(config) -> str:
 def test_checkpoint_written_while_kernel_was_a_knob_refuses_to_resume(
     tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
 ):
-    # FederatedConfig().fingerprint() at 93ae68d, the last commit with the knob.
-    assert _fingerprint_with_kernel_knob(FederatedConfig()) == (
+    # FederatedConfig().fingerprint() at 93ae68d, the last commit with the knob
+    # (float64 was the default then).
+    assert _fingerprint_with_kernel_knob(FederatedConfig(dtype="float64")) == (
         "789c9016f4d27636ab32fe2ff6eff50d10e2d362af4aa8d007a641d23b22c6a2"
     )
     config = replace(

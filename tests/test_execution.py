@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from repro.autograd import functional
+from repro.autograd import tensor as tensor_module
 from repro.autograd.tensor import (
+    apply_op,
     default_dtype,
     get_default_dtype,
     set_default_dtype,
@@ -37,6 +40,7 @@ from repro.federated.client import ClientHandle, LocalTrainingConfig
 from repro.federated.execution import EvalJob
 from repro.federated.increment import ClientGroup
 from repro.federated.server import BroadcastHandle, FederatedServer
+from repro.nn.optim import SGD
 
 
 def _run_simulation(tiny_spec, tiny_backbone_config, config, method_name="refil"):
@@ -617,18 +621,66 @@ class TestPrecision:
         with pytest.raises(ValueError):
             set_default_dtype(np.int64)
 
+    @pytest.mark.parametrize("method_name", ["refil", "fedewc"])
     def test_float32_simulation_end_to_end(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, monkeypatch, tiny_spec, tiny_backbone_config, tiny_federated_config, method_name
     ):
-        result = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, dtype="float32"),
-        )
+        """A default run computes in float32 throughout.  ``Tensor`` casts
+        every op result to the compute dtype, so a float64 intermediate would
+        cost the bandwidth float32 saves without moving a hash: every op's
+        forward and vjp outputs are checked where they are made, and so are
+        the optimizer's velocities, the BatchNorm running statistics, the
+        server's state and the evaluator's test sets."""
+        assert tiny_federated_config.dtype == "float32"
+        float32 = np.dtype(np.float32)
+        wide = set()
+
+        def checked(name, function):
+            def call(*args, **kwargs):
+                returned = function(*args, **kwargs)
+                outputs = returned if isinstance(returned, (tuple, list)) else (returned,)
+                if any(getattr(out, "dtype", None) == np.float64 for out in outputs):
+                    wide.add(name)
+                return returned
+
+            return call
+
+        wrapped = {}
+
+        def apply_checked(op, inputs, **kwargs):
+            if op not in wrapped:
+                vjp = op.vjp and checked(op.name + " vjp", op.vjp)
+                wrapped[op] = replace(op, forward=checked(op.name, op.forward), vjp=vjp)
+            return apply_op(wrapped[op], inputs, **kwargs)
+
+        monkeypatch.setattr(tensor_module, "apply_op", apply_checked)
+        monkeypatch.setattr(functional, "apply_op", apply_checked)
+        velocities = []
+        sgd_step = SGD.step
+
+        def recording_step(optimizer):
+            sgd_step(optimizer)
+            velocities.extend(optimizer._velocity.values())
+
+        monkeypatch.setattr(SGD, "step", recording_step)
+        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
+        method = build_method(method_name, tiny_backbone_config, num_tasks=scenario.num_tasks)
+        simulation = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config)
+        result = simulation.run()
         assert np.isfinite(result.metrics.matrix[~np.isnan(result.metrics.matrix)]).all()
         assert all(np.isfinite(loss) for loss in result.round_losses)
         # the context manager must not leak the dtype into the process default
         assert get_default_dtype() == np.float64
+
+        assert wrapped
+        assert not wide, f"ops returning float64: {sorted(wide)}"
+        assert velocities and {v.dtype for v in velocities} == {float32}
+        state = simulation.server.global_state
+        assert {a.dtype for a in state.values() if a.dtype.kind == "f"} == {float32}
+        running = [key for key in state if key.endswith(("running_mean", "running_var"))]
+        assert running and {state[key].dtype for key in running} == {float32}
+        converted = simulation.evaluator._converted_tests
+        assert converted and {test.images.dtype for test in converted.values()} == {float32}
 
 
 class TestLossBreakdown:

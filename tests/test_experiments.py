@@ -213,7 +213,7 @@ class TestRunner:
             assert _cache_key("finetune", with_federated(**overrides), None, None) == base_key
         # dtype changes the bits and eval_every changes the recorded history:
         # both must keep their own cache entries.
-        assert _cache_key("finetune", with_federated(dtype="float32"), None, None) != base_key
+        assert _cache_key("finetune", with_federated(dtype="float64"), None, None) != base_key
         assert _cache_key("finetune", with_federated(eval_every=1), None, None) != base_key
 
     def test_drop_stragglers_keeps_its_cache_entry_under_frame_faults(self, micro_config):

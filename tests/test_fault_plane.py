@@ -47,6 +47,7 @@ from repro.federated.communication import (
     decode_frame,
     encode_frame,
 )
+from repro.federated.checkpoint import config_fingerprint
 from repro.federated.communication import ClientUpdate
 from repro.federated.config import FederatedConfig
 from repro.federated.faults import Hop, carry_frame
@@ -825,6 +826,41 @@ class TestCheckpointResume:
         simulation = _build(tiny_spec, tiny_backbone_config, mismatched)
         with pytest.raises(CheckpointMismatchError):
             simulation.run()
+
+    def test_a_float64_checkpoint_resumes_only_where_float64_is_stated(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+    ):
+        """float64 was the default until float32 replaced it: a checkpoint the
+        old default wrote refuses a relaunch that leaves ``dtype`` unstated,
+        naming both fingerprints, and resumes bit for bit where it is stated."""
+        full_dir = tmp_path / "full"
+        written = replace(
+            tiny_federated_config,
+            dtype="float64",
+            rounds_per_task=2,
+            checkpoint_every=1,
+            checkpoint_dir=str(full_dir),
+        )
+        full_sim, full = _run(tiny_spec, tiny_backbone_config, written)
+        first = sorted(os.listdir(full_dir), key=parse_checkpoint_name)[0]
+        resume_dir = tmp_path / "resume"
+        resume_dir.mkdir()
+        shutil.copy(full_dir / first, resume_dir / first)
+
+        relaunch = replace(
+            written, dtype=FederatedConfig().dtype, checkpoint_dir=str(resume_dir), resume=True
+        )
+        with pytest.raises(CheckpointMismatchError) as refusal:
+            _run(tiny_spec, tiny_backbone_config, relaunch)
+        assert config_fingerprint(written) in str(refusal.value)
+        assert config_fingerprint(relaunch) in str(refusal.value)
+
+        stated = replace(relaunch, dtype="float64")
+        resumed_sim, resumed = _run(tiny_spec, tiny_backbone_config, stated)
+        assert resumed.fault_stats["resumed_from"] is not None
+        assert simulation_state_hash(resumed_sim) == simulation_state_hash(full_sim)
+        assert _matrix_bytes(resumed_sim) == _matrix_bytes(full_sim)
+        assert resumed.round_losses == full.round_losses
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

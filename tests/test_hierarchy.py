@@ -729,21 +729,42 @@ class TestHierarchyConfig:
 # Full-simulation parity and fleet runs
 # --------------------------------------------------------------------------- #
 #: ``simulation_state_hash`` and event-log digest of a two-task, two-round
-#: finetune run per mode, recorded from the eager shard-dict data path before
-#: the client data plane replaced it.
+#: finetune run per dtype and mode.  The float64 pairs were recorded from the
+#: eager shard-dict data path before the client data plane replaced it; the
+#: float32 pairs from the client data plane when float32 became the default.
 _EAGER_RUN_PINS = {
-    "sync": (
+    ("float64", "sync"): (
         "c91160b201467a50b258959a975c3551d7ff7e02d53cdc2526963269e0e61f83",
         "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
     ),
-    "async": (
+    ("float64", "async"): (
         "f7355dc50f21f3ee358f788f5f3015a5bd963651c6e94fb46a6f4a8112404af5",
         "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
     ),
-    "buffered": (
+    ("float64", "buffered"): (
         "e10cf04829271b128f5117e74216bfe5c00908b0bb0b0d9abea39f2fe6c74564",
         "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
     ),
+    ("float32", "sync"): (
+        "25123ebc595446f95a0133ec64fb685e066eea775901cc1de8bf6f43607d15c3",
+        "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
+    ),
+    ("float32", "async"): (
+        "4a39d3d3cf354b8d1cf096929b10b049e7d2a7a50217991ef62645a23f101985",
+        "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
+    ),
+    ("float32", "buffered"): (
+        "c64d5f5292e2e8417e533866b88df384723f71b7079a2a7c6f4d2e6cd5fa2e2a",
+        "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
+    ),
+}
+
+
+#: ``simulation_state_hash`` and ledger bytes of the tree x quantize8 x
+#: frame-faults run per compute dtype.
+_TREE_QUANTIZE8_PINS = {
+    "float64": ("f82b1a8a227074a5cb92de734e5b167a1a0fc6772d3583422121ae25e702bb48", 638475),
+    "float32": ("3fafc948b63d5e31c44bac8ea77a42931072d5af76e28d916cf135f7a28128e0", 639918),
 }
 
 
@@ -753,14 +774,15 @@ def _event_log_digest(event_log):
 
 
 class TestSimulationParity:
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode", ["sync", "async", "buffered"])
     def test_virtual_run_reproduces_eager_run(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, mode
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, mode, dtype
     ):
-        config = replace(tiny_federated_config, mode=mode, rounds_per_task=2)
+        config = replace(tiny_federated_config, mode=mode, rounds_per_task=2, dtype=dtype)
         sim, result = _run(tiny_spec, tiny_backbone_config, config)
         assert (simulation_state_hash(sim), _event_log_digest(result.event_log)) == (
-            _EAGER_RUN_PINS[mode]
+            _EAGER_RUN_PINS[dtype, mode]
         )
 
     def test_tree_run_matches_flat_within_tolerance(
@@ -783,13 +805,15 @@ class TestSimulationParity:
         assert tree.communication.edge_bytes > 0
         assert isinstance(tree_sim.server.reduce_backend, TreeReduceBackend)
 
+    @pytest.mark.parametrize("dtype", list(_TREE_QUANTIZE8_PINS))
     def test_tree_quantize8_run_under_frame_faults_is_pinned(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, dtype
     ):
         """Uploads and edge partials both through quantize8, both lost and
         corrupted in transit: the state and every byte on the wire are pinned."""
         config = replace(
             tiny_federated_config,
+            dtype=dtype,
             clients_per_round=3,
             rounds_per_task=2,
             reduce_backend="tree",
@@ -800,10 +824,7 @@ class TestSimulationParity:
         sim, result = _run(tiny_spec, tiny_backbone_config, config)
         ledger = result.communication
         assert ledger.edge_lost_frames > 0 and ledger.edge_corrupt_frames > 0
-        assert (simulation_state_hash(sim), ledger.total_bytes) == (
-            "f82b1a8a227074a5cb92de734e5b167a1a0fc6772d3583422121ae25e702bb48",
-            638475,
-        )
+        assert (simulation_state_hash(sim), ledger.total_bytes) == _TREE_QUANTIZE8_PINS[dtype]
 
     def test_fleet_population_trains(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
         config = replace(

@@ -852,10 +852,13 @@ class TestServingIntegration:
             **kwargs,
         )
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_run_publishes_and_serves_bit_identically(
-        self, tiny_spec, tiny_backbone_config, tmp_path, rng
+        self, tiny_spec, tiny_backbone_config, tmp_path, rng, dtype
     ):
-        config = self._config(tmp_path, serve=True, publish_every=1, serve_codec="delta")
+        config = self._config(
+            tmp_path, serve=True, publish_every=1, serve_codec="delta", dtype=dtype
+        )
         scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
         method = build_method("finetune", tiny_backbone_config, num_tasks=2)
         simulation = FederatedDomainIncrementalSimulation(scenario, method, config)
@@ -876,12 +879,16 @@ class TestServingIntegration:
         engine = InferenceEngine(registry, method, kernel="tape")
         engine.install(6)
         loaded = registry.load(6, method.payload_codec())
-        with default_dtype(np.dtype(np.float64)):
+        # The version computes in the dtype it was published in: the run's.
+        published = {array.dtype for array in loaded.state.values() if array.dtype.kind == "f"}
+        assert published == {np.dtype(dtype)}
+        with default_dtype(dtype):
             model = method.build_model()
             model.load_state_dict(loaded.state)
         model.eval()
-        with no_grad():
+        with default_dtype(dtype), no_grad():
             direct = np.asarray(method.predict_logits(model, Tensor(images)).data)
+        assert direct.dtype == np.dtype(dtype)
         for _ in range(3):
             np.testing.assert_array_equal(engine.predict(images).logits, direct)
         # The co-running front end answered without rejects and stopped cleanly.

@@ -91,34 +91,44 @@ class TestSimulation:
 
 
 #: ``simulation_state_hash`` after a whole run of each method on
-#: office_caltech at the ``tiny`` scale, seed 0.  A refactor of the server,
-#: transport or round loop that claims to move nothing must leave these bits
-#: alone, under both executors.
+#: office_caltech at the ``tiny`` scale, seed 0, at each compute dtype (float64
+#: was the default until float32 replaced it; its hashes are the ones pinned
+#: before).  A refactor of the server, transport or round loop that claims to
+#: move nothing must leave these bits alone, under both executors.
 _PINNED_STATE_HASHES = {
-    "finetune": "9170c981bc8c974bbf402ccd04ec8ad625067851e3ac85aecae5c10ea815bcd6",
-    "fedlwf": "92d893a67526878b39bbdb128a7904b2f6dd3fceb16db198d922321799981fd3",
-    "fedewc": "0326669456056f0eeb223d8f7244c661c2192c6c88c1d9ff8708d226171f864b",
-    "fedl2p": "9def2eb057a47d297719aa985e563ee9b27c5edef513db0b8178c84d44f20b17",
-    "feddualprompt": "bdd5ba51d3a52386b78fb9ef31cbadc343880768f609942475666dc387eedd0b",
-    "refil": "1c7769ffa288c95e06c9ce8046fd0d34b70c1e7cc1722ecb11449171a236ffc0",
+    "float64": {
+        "finetune": "9170c981bc8c974bbf402ccd04ec8ad625067851e3ac85aecae5c10ea815bcd6",
+        "fedlwf": "92d893a67526878b39bbdb128a7904b2f6dd3fceb16db198d922321799981fd3",
+        "fedewc": "0326669456056f0eeb223d8f7244c661c2192c6c88c1d9ff8708d226171f864b",
+        "fedl2p": "9def2eb057a47d297719aa985e563ee9b27c5edef513db0b8178c84d44f20b17",
+        "feddualprompt": "bdd5ba51d3a52386b78fb9ef31cbadc343880768f609942475666dc387eedd0b",
+        "refil": "1c7769ffa288c95e06c9ce8046fd0d34b70c1e7cc1722ecb11449171a236ffc0",
+    },
+    "float32": {
+        "finetune": "b5128a8f554cd714b74a2bf51700ea088e601f0f50a01efefcd9a431d7466378",
+        "fedlwf": "80690243bb61d7014a534536e8e73a659ac175bd4f07791cbec66ebc9586b696",
+        "fedewc": "afa0e17c8b8e30f0590a7eeef2b68875584e7d17e37fd27a52e8cdb95dd69572",
+        "fedl2p": "55fab08b159d84bfbcea27c755558190bef2d2c8a177b6c262f574065b7ea5d2",
+        "feddualprompt": "e41cdf20430d4c1ddb33a1ae0b17044cbbf249f18bc7579749dc5fbc59e0e9a4",
+        "refil": "8d724cdb40e0d226d547c1ed148f07f23a334ccdd24663848c585281afa320fe",
+    },
 }
 
 
 class TestPinnedTrajectories:
-    @pytest.mark.parametrize("method_name", list(_PINNED_STATE_HASHES))
-    def test_state_hash_matches_the_pinned_run(self, method_name):
+    @pytest.mark.parametrize("dtype", list(_PINNED_STATE_HASHES))
+    @pytest.mark.parametrize("method_name", list(_PINNED_STATE_HASHES["float64"]))
+    def test_state_hash_matches_the_pinned_run(self, method_name, dtype):
         config = scaled_config("office_caltech", ExperimentScale.TINY, seed=0)
         scenario = DomainIncrementalScenario(
             build_dataset("office_caltech", spec_override=config.spec), num_tasks=config.num_tasks
         )
-        for federated in (
-            config.federated,
-            replace(config.federated, executor="parallel", num_workers=2),
-        ):
+        serial = replace(config.federated, dtype=dtype)
+        for federated in (serial, replace(serial, executor="parallel", num_workers=2)):
             method = build_method(method_name, config.backbone, num_tasks=scenario.num_tasks)
             simulation = FederatedDomainIncrementalSimulation(scenario, method, federated)
             simulation.run()
-            assert simulation_state_hash(simulation) == _PINNED_STATE_HASHES[method_name], (
+            assert simulation_state_hash(simulation) == _PINNED_STATE_HASHES[dtype][method_name], (
                 federated.executor
             )
 
