@@ -420,6 +420,30 @@ def _col2im(
     return padded[:, :, ph : ph + h, pw : pw + w]
 
 
+def _check_window(
+    name: str,
+    x_shape: Tuple[int, ...],
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int] = (0, 0),
+) -> None:
+    """Raise ``ValueError`` unless every ``kernel`` window fits the padded input."""
+    if min(stride) < 1:
+        raise ValueError(f"{name}: stride must be positive, got {stride}")
+    if min(padding) < 0:
+        raise ValueError(f"{name}: padding must be non-negative, got {padding}")
+    if (
+        len(x_shape) != 4
+        or min(kernel) < 1
+        or x_shape[2] + 2 * padding[0] < kernel[0]
+        or x_shape[3] + 2 * padding[1] < kernel[1]
+    ):
+        raise ValueError(
+            f"{name}: a {kernel[0]}x{kernel[1]} window with padding {padding} does not fit "
+            f"an (N, C, H, W) input of shape {tuple(x_shape)}"
+        )
+
+
 def _conv2d_forward(ctx, x, weight, *rest, stride, padding):
     bias = rest[0] if rest else None
     n = x.shape[0]
@@ -475,8 +499,10 @@ def conv2d(
         raise ValueError(
             f"conv2d channel mismatch: input has {x.shape[1]} channels, weight expects {c_in}"
         )
+    stride, padding = _pair(stride), _pair(padding)
+    _check_window("conv2d", x.shape, (weight.shape[2], weight.shape[3]), stride, padding)
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return apply_op(CONV2D, inputs, stride=_pair(stride), padding=_pair(padding))
+    return apply_op(CONV2D, inputs, stride=stride, padding=padding)
 
 
 def _max_pool_forward(ctx, x, *, kernel, stride):
@@ -546,6 +572,7 @@ def max_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = 
     """Max pooling over ``(N, C, H, W)``."""
     kernel = _pair(kernel_size)
     stride_pair = _pair(stride) if stride is not None else kernel
+    _check_window("max_pool2d", x.shape, kernel, stride_pair)
     return apply_op(MAX_POOL2D, (x,), kernel=kernel, stride=stride_pair)
 
 
@@ -553,6 +580,7 @@ def avg_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = 
     """Average pooling over ``(N, C, H, W)``."""
     kernel = _pair(kernel_size)
     stride_pair = _pair(stride) if stride is not None else kernel
+    _check_window("avg_pool2d", x.shape, kernel, stride_pair)
     return apply_op(AVG_POOL2D, (x,), kernel=kernel, stride=stride_pair)
 
 

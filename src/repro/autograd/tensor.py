@@ -9,9 +9,10 @@ serving plane can compile the forward pass into a plan.  Recording changes
 nothing numerically.
 
 Calling :meth:`Tensor.backward` performs a topological sort of the recorded
-graph, accumulates gradients into ``tensor.grad``, and then frees the
-traversed graph (drops ``_backward``/``_parents`` on interior nodes) so peak
-memory between batches no longer retains every intermediate activation.
+graph, accumulates gradients into ``tensor.grad``, and frees the graph as it
+walks (each interior node drops ``_backward``/``_parents`` once its vjp has
+run), so a batch's saved activations are released during its backward pass
+rather than after it.
 
 Only float arrays participate in differentiation.  Integer arrays (labels,
 indices) are carried around as plain numpy arrays by the rest of the code
@@ -201,9 +202,11 @@ class Tensor:
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Run reverse-mode autodiff from this tensor.
 
-        After the traversal the visited graph is freed: interior nodes drop
-        their ``_backward`` closures and parent links, so the activations a
-        batch produced become collectable as soon as its gradients are in.
+        The graph is freed as the walk goes: each interior node drops its
+        ``_backward`` closure (and with it the op's saved context) and its
+        parent links as soon as its vjp has run and its parents' gradients
+        are collected, and a node no gradient reached is dropped at its turn.
+        When ``backward`` returns, nothing of the graph it walked is left.
 
         Parameters
         ----------
@@ -239,37 +242,34 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
+        # Walk children before parents, popping each node off ``order``: once
+        # its vjp has run and its parents' stashed gradients are collected,
+        # nothing later reads its closure (the op context: conv columns,
+        # batch-norm ``xhat``) or its parent links, so they are dropped at
+        # once and the walk's peak is its live working set.  A node no
+        # gradient reached is freed the same way when its turn comes.
         grads = {id(self): grad}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
             if node._backward is None:
-                node._accumulate(node_grad)
+                if node_grad is not None:
+                    node._accumulate(node_grad)
                 continue
-            # Leaf accumulation happens inside each backward closure via
-            # _send_grad; interior nodes stash a pending gradient that is
-            # collected here and folded into the traversal.
-            node._backward(node_grad)
-            for parent in node._parents:
-                stashed = parent._pending_grad
-                if stashed is not None:
-                    existing = grads.get(id(parent))
-                    grads[id(parent)] = stashed if existing is None else existing + stashed
-                    parent._pending_grad = None
-        # Any remaining gradients belong to leaves reached only as roots.
-        for node in order:
-            remaining = grads.pop(id(node), None)
-            if remaining is not None:
-                node._accumulate(remaining)
-        # Free the traversed graph: without this, the last loss of every
-        # batch keeps the whole activation graph alive until the next batch
-        # overwrites it, doubling steady-state peak memory.
-        for node in order:
-            if node._backward is not None:
-                node._backward = None
-                node._parents = ()
-                node._pending_grad = None
+            if node_grad is not None:
+                # Leaf accumulation happens inside each backward closure via
+                # _send_grad; interior nodes stash a pending gradient that is
+                # collected here and folded into the traversal.
+                node._backward(node_grad)
+                for parent in node._parents:
+                    stashed = parent._pending_grad
+                    if stashed is not None:
+                        existing = grads.get(id(parent))
+                        grads[id(parent)] = stashed if existing is None else existing + stashed
+                        parent._pending_grad = None
+            node._backward = None
+            node._parents = ()
+            node._pending_grad = None
 
     # The backward closures communicate with the traversal above by calling
     # ``_send_grad`` on their parents rather than mutating ``grad`` directly.

@@ -14,10 +14,10 @@ therefore split into composable pieces:
   pairs.  :class:`SerialEvalBackend` loops in-process (the historical
   behaviour); :class:`repro.federated.execution.ParallelEvalBackend` fans the
   suite over the round engine's pinned worker pool.
-* :class:`GlobalEvaluator` — owns the accuracy matrix and dtype conversion and
-  delegates the actual scoring to its backend.  It scores each model version
-  once per seen-task set: given the version token of its previous scoring
-  (the simulation passes the server's broadcast handle) and the same task, it
+* :class:`GlobalEvaluator` — owns the accuracy matrix and delegates the
+  actual scoring to its backend.  It scores each model version once per
+  seen-task set: given the version token of its previous scoring (the
+  simulation passes the server's broadcast handle) and the same task, it
   reuses those accuracies, so an after-task evaluation that follows a
   final-round ``eval_every`` snapshot of unchanged server state is free.
 """
@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor, get_default_dtype, no_grad
+from repro.autograd.tensor import Tensor, no_grad
 from repro.continual.metrics import AccuracyMatrix
 from repro.continual.scenario import DomainIncrementalScenario, Task
 from repro.datasets.base import ArrayDataset, DataLoader
@@ -92,12 +92,12 @@ class EvalBackend:
     """Strategy for scoring the global model on a suite of test sets.
 
     ``pairs`` is a sequence of ``(task, dataset)`` where ``dataset`` is the
-    task's test set already converted to the active compute dtype; the return
-    value is one accuracy per pair, in order.  ``version`` is the evaluator's
-    token for the state ``model`` holds (or ``None``); a backend that scores
-    outside this process may ship it instead of ``model``.  Every backend must
-    produce the same numbers bit-for-bit: the backend choice is a performance
-    knob, never a results knob.
+    task's test set, handed out by the scenario at the active compute dtype;
+    the return value is one accuracy per pair, in order.  ``version`` is the
+    evaluator's token for the state ``model`` holds (or ``None``); a backend
+    that scores outside this process may ship it instead of ``model``.  Every
+    backend must produce the same numbers bit-for-bit: the backend choice is
+    a performance knob, never a results knob.
     """
 
     def evaluate(
@@ -157,29 +157,7 @@ class GlobalEvaluator:
         self.backend = backend if backend is not None else SerialEvalBackend()
         self.accuracy_matrix = AccuracyMatrix(scenario.num_tasks)
         self.per_task_history: List[Dict[str, float]] = []
-        self._converted_tests: Dict[Tuple[int, str], ArrayDataset] = {}
         self._scored: Optional[Tuple[weakref.ref, int, List[Tuple[Task, float]]]] = None
-
-    def _test_set(self, seen: Task) -> ArrayDataset:
-        """The task's test set in the active compute dtype, converted at most once.
-
-        Scenarios are built before (and shared across) simulations, so their
-        arrays may not match the run's ``dtype`` knob; converting per task
-        here keeps the evaluation path at the compute precision instead of
-        re-casting every batch.  The cache holds one dtype at a time: a dtype
-        switch evicts the other precision's conversions (mirroring the worker
-        shard cache's other-task eviction), so an evaluator reused across
-        differently-typed runs is bounded by one copy of the test suite.
-        """
-        dtype = get_default_dtype()
-        if seen.test.images.dtype == dtype:
-            return seen.test
-        key = (seen.task_id, dtype.name)
-        if key not in self._converted_tests:
-            for stale in [k for k in self._converted_tests if k[1] != dtype.name]:
-                del self._converted_tests[stale]
-            self._converted_tests[key] = seen.test.astype(dtype)
-        return self._converted_tests[key]
 
     def _evaluate(
         self, model: Module, task_id: int, version: Optional[object]
@@ -190,7 +168,7 @@ class GlobalEvaluator:
             if ref() is version and scored_task == task_id:
                 return results
         seen = self.scenario.seen_tests(task_id)
-        pairs = [(task, self._test_set(task)) for task in seen]
+        pairs = [(task, task.test) for task in seen]
         accuracies = self.backend.evaluate(
             model, pairs, self.batch_size, self.predict_fn, version
         )

@@ -65,13 +65,6 @@ class ArrayDataset:
         indices = np.asarray(indices, dtype=np.int64)
         return ArrayDataset(self.images[indices], self.labels[indices], dtype=self.images.dtype)
 
-    def astype(self, dtype) -> "ArrayDataset":
-        """Return this dataset with images cast to ``dtype`` (``self`` if already there)."""
-        dtype = np.dtype(dtype)
-        if self.images.dtype == dtype:
-            return self
-        return ArrayDataset(self.images, self.labels, dtype=dtype)
-
     def class_counts(self, num_classes: Optional[int] = None) -> np.ndarray:
         """Histogram of labels (length ``num_classes``)."""
         total = num_classes if num_classes is not None else self.num_classes

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.autograd.tensor import get_default_dtype
 from repro.datasets.base import ArrayDataset
 from repro.datasets.transforms import (
     DomainStyle,
@@ -159,7 +160,11 @@ def _generate_samples(
 def generate_domain_split(
     spec: DomainDatasetSpec, domain_index: int, split: str = "train"
 ) -> ArrayDataset:
-    """Generate the train or test split of one domain as an :class:`ArrayDataset`."""
+    """Generate the train or test split of one domain as an :class:`ArrayDataset`.
+
+    Samples are always rendered in float64 and then cast to the active
+    compute dtype, so a float32 split is the float64 generation rounded once.
+    """
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     count = spec.train_per_domain if split == "train" else spec.test_per_domain
@@ -172,11 +177,19 @@ class SyntheticDomainDataset:
 
     This is the object the continual-learning scenario iterates over: each
     incremental task corresponds to one domain (same classes, new style).
+
+    Splits are generated at the active compute dtype and cached, so each is
+    cast once: a run that builds its tasks under ``default_dtype(float32)``
+    gets float32 splits and holds no float64 image array.  The cache holds
+    one dtype at a time; a request under another dtype evicts it and
+    generates afresh, so a float64 split is always the float64 generation
+    byte for byte, whatever was requested before.
     """
 
     def __init__(self, spec: DomainDatasetSpec) -> None:
         self.spec = spec
         self._cache: Dict[Tuple[int, str], ArrayDataset] = {}
+        self._cache_dtype = np.dtype(np.float64)
 
     @property
     def name(self) -> str:
@@ -191,6 +204,10 @@ class SyntheticDomainDataset:
         return self.spec.domains
 
     def domain_split(self, domain_index: int, split: str) -> ArrayDataset:
+        dtype = get_default_dtype()
+        if dtype != self._cache_dtype:
+            self._cache.clear()
+            self._cache_dtype = dtype
         key = (domain_index, split)
         if key not in self._cache:
             self._cache[key] = generate_domain_split(self.spec, domain_index, split)

@@ -936,9 +936,9 @@ class ParallelEvalBackend(EvalBackend):
         # across dtype switches — can never score stale slices.
         key = (task_id, dataset.fingerprint(), batch_size)
         if key not in self._slices:
-            # One slicing at a time per task, like the evaluator's
-            # converted-test cache: a content/dtype switch evicts the task's
-            # stale slicing, bounding the cache to one copy of the suite.
+            # One slicing at a time per task: a content/dtype switch evicts
+            # the task's stale slicing, bounding the cache to one copy of
+            # the suite.
             for stale in [k for k in self._slices if k[0] == task_id and k != key]:
                 del self._slices[stale]
             slices = batch_aligned_slices(dataset, batch_size, self.executor.num_workers)

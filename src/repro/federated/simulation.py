@@ -798,8 +798,12 @@ class FederatedDomainIncrementalSimulation:
         must not replay ``on_task_start`` (it already ran before round 0 of
         the original process); data assignment always replays, because client
         shards are derived state the checkpoint deliberately does not carry.
+        The task's splits are taken from the scenario at the run's dtype, so
+        a task built outside that dtype trains and scores exactly as
+        :meth:`run` would.
         """
         with default_dtype(self.config.dtype):
+            task = self.scenario.task(task.task_id)
             if not resumed:
                 self.method.on_task_start(task.task_id, self.server)
             self._assign_task_data(task)
@@ -843,7 +847,9 @@ class FederatedDomainIncrementalSimulation:
                 start_task, start_round = 0, 0
                 if self.config.resume:
                     start_task, start_round = self._maybe_resume()
-                for task in self.scenario:
+                with default_dtype(self.config.dtype):
+                    tasks = self.scenario.tasks()  # every split at the run's dtype
+                for task in tasks:
                     if task.task_id < start_task:
                         # Already trained before the checkpoint: replay only
                         # the deterministic data assignment, so later tasks'

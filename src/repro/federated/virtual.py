@@ -14,7 +14,7 @@ Two population modes share the plane:
   and records, per client, the tasks it took.  A New client holds its new
   shard; an In-between client concatenates its previous take's shard with
   the new one (paper Algorithm 1 line 17); an Old client keeps what it had.
-  Materialization is ``subset`` → ``astype`` per component, then concat.
+  Materialization is ``subset`` per component, then concat.
   The cache holds the task's whole eligible set, so no shard is built twice
   within a task and none is evicted.
 
@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd.tensor import get_default_dtype
 from repro.continual.scenario import Task
 from repro.datasets.base import ArrayDataset
 from repro.datasets.partition import partition_indices_for_clients
@@ -155,9 +154,9 @@ class VirtualClientPlane:
     def materialize(self, client_id: int) -> ArrayDataset:
         """The client's current training shard, built on demand and cached.
 
-        ``subset`` selects rows and ``astype`` converts elementwise, so the
-        two commute bit-for-bit: the shard is the task's partition shard at
-        the run's compute dtype, concatenated oldest first.
+        The domain sets arrive at the run's compute dtype (the scenario's
+        dataset casts each split once), so a shard is rows of them,
+        concatenated oldest first.
         """
         key = (client_id, self._components(client_id))
         cached = self._cache.get(key)
@@ -177,9 +176,7 @@ class VirtualClientPlane:
             indices = self._fleet_indices(task_id, client_id, len(domain))
         else:
             indices = self._indices[(task_id, client_id)]
-        # Scenarios may be built at another precision: cast once per shard, so
-        # training batches and worker IPC never re-cast per batch.
-        return domain.subset(indices).astype(get_default_dtype())
+        return domain.subset(indices)
 
     def _fleet_indices(self, task_id: int, client_id: int, domain_size: int) -> np.ndarray:
         """Fleet mode's per-client quantity-shift draw; O(domain), O(1) in N."""

@@ -138,6 +138,43 @@ class TestConvolutionAndPooling:
         with pytest.raises(ValueError):
             F.conv2d(x, w)
 
+    @pytest.mark.parametrize(
+        "size, stride, padding, match",
+        [
+            (1, 1, 0, r"a 3x3 window .* input of shape \(1, 2, 1, 1\)"),
+            (2, 1, 0, r"a 3x3 window .* input of shape \(1, 2, 2, 2\)"),
+            (4, 0, 0, r"stride must be positive, got \(0, 0\)"),
+            (4, 1, -1, r"padding must be non-negative, got \(-1, -1\)"),
+        ],
+        ids=["negative-extent", "empty-output", "zero-stride", "negative-padding"],
+    )
+    def test_conv2d_window_that_does_not_fit_raises(self, size, stride, padding, match):
+        x = Tensor(RNG.standard_normal((1, 2, size, size)))
+        w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
+        with pytest.raises(ValueError, match="conv2d: " + match):
+            F.conv2d(x, w, stride=stride, padding=padding)
+
+    def test_conv2d_window_fits_once_padded(self):
+        x = Tensor(RNG.standard_normal((1, 2, 1, 1)))
+        w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
+        assert F.conv2d(x, w, padding=1).shape == (1, 3, 1, 1)
+
+    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+    @pytest.mark.parametrize(
+        "size, kernel, stride, match",
+        [
+            (1, 3, None, r"a 3x3 window .* input of shape \(2, 3, 1, 1\)"),
+            (2, 3, None, r"a 3x3 window .* input of shape \(2, 3, 2, 2\)"),
+            (4, 0, 1, r"a 0x0 window .* input of shape \(2, 3, 4, 4\)"),
+            (4, 2, 0, r"stride must be positive, got \(0, 0\)"),
+        ],
+        ids=["negative-extent", "empty-output", "empty-kernel", "zero-stride"],
+    )
+    def test_pool_window_that_does_not_fit_raises(self, pool, size, kernel, stride, match):
+        x = Tensor(RNG.standard_normal((2, 3, size, size)))
+        with pytest.raises(ValueError, match=pool.__name__ + ": " + match):
+            pool(x, kernel, stride)
+
     def test_conv2d_matches_direct_computation(self):
         x = RNG.standard_normal((1, 1, 3, 3))
         w = RNG.standard_normal((1, 1, 3, 3))

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor, functional as F, no_grad
-from repro.autograd.tensor import unbroadcast
+from repro.autograd.tape import Op
+from repro.autograd.tensor import apply_op, unbroadcast
 
 
 def small_arrays(max_side: int = 4):
@@ -336,6 +337,40 @@ class TestGraphFreeing:
         gc.collect()
         assert closure() is None
         assert x.grad is not None
+
+    def test_each_node_is_freed_as_soon_as_its_vjp_has_run(self):
+        """While a node's vjp runs, every node walked before it has already
+        dropped its op context (and the arrays saved there)."""
+        saved, alive_at_vjp = [], []
+
+        def forward(ctx, x):
+            ctx.saved = x * 2.0  # held by this context alone
+            saved.append(weakref.ref(ctx.saved))
+            return x + 1.0
+
+        def vjp(ctx, grad, needs):
+            alive_at_vjp.append([ref() is not None for ref in saved])
+            return (grad * 2.0,)
+
+        keep = Op("keep", forward, vjp)
+        h = Tensor(np.ones((4, 4)), requires_grad=True)
+        for _ in range(3):
+            h = apply_op(keep, (h,))
+        h.sum().backward()
+        # The walk runs the third application's vjp first, then the second's.
+        assert alive_at_vjp == [[True, True, True], [True, True, False], [True, False, False]]
+        assert [ref() for ref in saved] == [None, None, None]
+
+    def test_nodes_no_gradient_reached_are_freed(self):
+        cut = Op("cut", lambda ctx, x: x.copy(), lambda ctx, grad, needs: (None,))
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        below = x * 2.0  # walked, but ``cut`` sends it no gradient
+        closure = weakref.ref(below._backward)
+        loss = apply_op(cut, (below,)).sum() + (x * x).sum()
+        loss.backward()
+        assert below._backward is None and below._parents == ()
+        assert closure() is None
+        assert np.array_equal(x.grad, 2.0 * x.data)
 
     def test_second_backward_is_harmless_noop_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)

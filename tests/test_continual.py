@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.autograd.tensor import default_dtype
 from repro.continual import (
     AccuracyMatrix,
     DomainIncrementalScenario,
@@ -215,30 +214,6 @@ class TestEvaluator:
         with pytest.raises(RuntimeError, match="inference failed"):
             count_correct(model, data, predict_fn=boom)
         assert model.training
-
-    def test_converted_test_cache_holds_one_dtype_at_a_time(self, tiny_spec):
-        """Regression: the evaluator used to retain every (task, dtype)
-        conversion forever; conversion to one precision must evict the other
-        precision's entries so the cache is bounded by one copy of the test
-        suite."""
-        with default_dtype(np.float32):
-            scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-            tasks = scenario.tasks()  # splits generated (and cached) as float32
-        evaluator = GlobalEvaluator(scenario)
-        with default_dtype(np.float32):
-            for task in tasks:
-                assert evaluator._test_set(task) is task.test  # matching dtype: no copy
-            assert evaluator._converted_tests == {}
-        for task in tasks:  # a float64 run over the same scenario converts
-            assert evaluator._test_set(task).images.dtype == np.float64
-        assert set(evaluator._converted_tests) == {(0, "float64"), (1, "float64")}
-        assert evaluator._test_set(tasks[0]) is evaluator._test_set(tasks[0])  # memoised
-        # A stale other-dtype entry (left by a prior differently-typed run)
-        # is evicted at the next conversion instead of retained forever.
-        evaluator._converted_tests[(0, "float32")] = tasks[0].test
-        del evaluator._converted_tests[(1, "float64")]
-        evaluator._test_set(tasks[1])
-        assert set(evaluator._converted_tests) == {(0, "float64"), (1, "float64")}
 
     def test_default_backend_is_serial(self, tiny_spec):
         scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=1)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.autograd.tensor import default_dtype
 from repro.datasets import (
     ArrayDataset,
     DataLoader,
@@ -220,6 +221,24 @@ class TestSyntheticDomainDataset:
     def test_caches_splits(self, tiny_spec):
         dataset = SyntheticDomainDataset(tiny_spec)
         assert dataset.train(0) is dataset.train(0)
+
+    def test_split_is_handed_out_at_the_active_dtype_and_cast_once(self, tiny_spec):
+        dataset = SyntheticDomainDataset(tiny_spec)
+        fresh = generate_domain_split(tiny_spec, 0, "test")  # float64 reference
+        with default_dtype(np.float32):
+            narrow = dataset.test(0)
+            assert narrow is dataset.test(0)
+        assert narrow.images.dtype == np.float32
+        assert narrow.images.tobytes() == fresh.images.astype(np.float32).tobytes()
+        # A float64 request after a float32 one is the float64 generation
+        # byte for byte, not the float32 split widened.
+        wide = dataset.test(0)
+        assert wide.images.dtype == np.float64
+        assert wide.images.tobytes() == fresh.images.tobytes()
+        assert np.array_equal(wide.labels, fresh.labels)
+        with default_dtype(np.float32):  # one dtype cached at a time
+            assert dataset.test(0) is not narrow
+            assert dataset.test(0).images.tobytes() == narrow.images.tobytes()
 
     def test_reordered_view(self, tiny_spec):
         dataset = SyntheticDomainDataset(tiny_spec)

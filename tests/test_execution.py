@@ -7,6 +7,7 @@ import os
 import pickle
 import struct
 import sys
+import types
 from multiprocessing.connection import Connection
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.baselines.base import BaselineConfig
 from repro.baselines.finetune import FinetuneMethod
 from repro.baselines.registry import build_method
 from repro.continual import DomainIncrementalScenario, count_correct
-from repro.datasets import SyntheticDomainDataset
+from repro.datasets import ArrayDataset, SyntheticDomainDataset
 from repro.federated import (
     FederatedConfig,
     FederatedDomainIncrementalSimulation,
@@ -220,7 +221,7 @@ class TestWorkerShardCache:
         # Same identity, new content fingerprint (a dtype switch): the stale
         # entry is replaced, not accumulated — the cache stays bounded by one
         # copy per identity — and the stale reference no longer resolves.
-        narrow = dataset.astype(np.float32)
+        narrow = ArrayDataset(dataset.images, dataset.labels, dtype=np.float32)
         new_ref = replace(unit, dataset=narrow).shard_ref()
         assert new_ref.identity == ref.identity and new_ref.fingerprint != ref.fingerprint
         _install_shards({new_ref: pickle.dumps(narrow)})
@@ -603,16 +604,6 @@ class TestPrecision:
                 low_precision.state_dict[key], value, rtol=1e-2, atol=1e-3
             )
 
-    def test_dataset_astype_honors_requested_dtype_off_default(self):
-        from repro.datasets.base import ArrayDataset
-
-        with default_dtype(np.float32):
-            dataset = ArrayDataset(np.zeros((2, 3, 4, 4)), np.zeros(2, dtype=np.int64))
-            assert dataset.images.dtype == np.float32
-            widened = dataset.astype(np.float64)
-        assert widened.images.dtype == np.float64
-        assert dataset.astype(np.float32) is dataset
-
     def test_default_dtype_context_restores(self):
         assert get_default_dtype() == np.float64
         with default_dtype("float32"):
@@ -629,8 +620,9 @@ class TestPrecision:
         every op result to the compute dtype, so a float64 intermediate would
         cost the bandwidth float32 saves without moving a hash: every op's
         forward and vjp outputs are checked where they are made, and so are
-        the optimizer's velocities, the BatchNorm running statistics, the
-        server's state and the evaluator's test sets."""
+        the optimizer's velocities, the BatchNorm running statistics and the
+        server's state.  Nor may the scenario, the evaluator or the client
+        plane hold a float64 image array: the splits are cast once."""
         assert tiny_federated_config.dtype == "float32"
         float32 = np.dtype(np.float32)
         wide = set()
@@ -679,8 +671,35 @@ class TestPrecision:
         assert {a.dtype for a in state.values() if a.dtype.kind == "f"} == {float32}
         running = [key for key in state if key.endswith(("running_mean", "running_var"))]
         assert running and {state[key].dtype for key in running} == {float32}
-        converted = simulation.evaluator._converted_tests
-        assert converted and {test.images.dtype for test in converted.values()} == {float32}
+        assert not _float64_images(simulation.scenario, simulation.evaluator, simulation.virtual)
+        assert simulation.virtual._task_train and simulation.virtual._cache
+
+
+_NOT_HELD = (type, types.ModuleType, types.FunctionType, types.MethodType)
+
+
+def _float64_images(*roots):
+    """Shapes of the float64 image arrays reachable from ``roots``.
+
+    Follows containers and instance attributes, not functions or modules, so
+    the walk stays within the objects the roots hold.
+    """
+    found, seen, stack = [], set(), list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, _NOT_HELD):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            if obj.ndim == 4 and obj.dtype == np.float64:
+                found.append(obj.shape)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return found
 
 
 class TestLossBreakdown:

@@ -185,8 +185,8 @@ class TestVirtualShards:
         self, tiny_spec, tiny_backbone_config, tiny_federated_config, seed
     ):
         # The plane against a short eager recipe of Algorithm 1's assignment:
-        # partition the domain, cast, and let In-between clients concatenate
-        # their previous take's shard with the new one (line 17).
+        # partition the domain and let In-between clients concatenate their
+        # previous take's shard with the new one (line 17).
         config = replace(tiny_federated_config, seed=seed, rounds_per_task=1)
         sim = _build(tiny_spec, tiny_backbone_config, config, num_tasks=3)
         latest, training, held = {}, {}, {}
@@ -203,7 +203,7 @@ class TestVirtualShards:
                 group = assignment.group_of(client_id)
                 if group is ClientGroup.OLD:
                     continue
-                shard = shards[client_id].astype(get_default_dtype())
+                shard = shards[client_id]
                 if group is ClientGroup.IN_BETWEEN and client_id in latest:
                     training[client_id] = ArrayDataset.concatenate((latest[client_id], shard))
                     held[client_id].append(task.task_id)
