@@ -38,7 +38,9 @@ from typing import Any, Dict, Optional, Tuple
 #: payload skeleton this build no longer has, so they are refused.
 #: 3: the server entry holds the model version's identity frame body, not an
 #: array dict and a skeleton, so version-2 files are refused too.
-CHECKPOINT_VERSION = 3
+#: 4: a model's state holds no frozen parameter or positional table; version-3
+#: files carry those entries, drifted by averaging, so they are refused.
+CHECKPOINT_VERSION = 4
 _MAGIC = b"RPCK"
 _HEADER = struct.Struct(">4sII")
 _NAME_RE = re.compile(r"^ckpt-t(\d{4})-r(\d{5})\.ckpt$")

@@ -121,8 +121,9 @@ class FederatedConfig:
         fewer identity-codec wire bytes (RefFiL's prompt store stays
         float64).  A run at either dtype is a different trajectory: the
         fidelity gate's Table I Avg claim holds at float32 over seeds 0-2
-        (+12.49 against a pooled std of 5.28) and not at float64 (+1.16
-        against 5.13); over seeds 0-5 it holds at neither.""")
+        (+7.94 against a pooled std of 5.62; +12.49 against 5.28 while the
+        frozen tokenizer was averaged with the state) and not at float64
+        (+1.16 against 5.13); over seeds 0-5 it holds at neither.""")
     eval_executor: str = knob("serial", effect=EXACT, choices=_EXECUTORS, doc="""
         How the seen-task evaluation suite runs: ``"serial"`` (historical
         in-process loop) or ``"parallel"`` (fan seen tasks × batch-aligned

@@ -5,7 +5,8 @@ similar to ViT, with initialized-only and frozen parameters".  Here a 1x1
 convolution projects the CNN feature map to the token dimension ``d`` and the
 spatial grid is flattened into ``n`` patch tokens.  Its parameters are frozen
 at construction and a fixed sinusoidal positional encoding is added so the
-attention block can distinguish patch locations.
+attention block can distinguish patch locations.  Neither is part of the
+model's ``state_dict``: both come from construction (config + seed).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.autograd.tensor import Tensor
+from repro.autograd.tensor import Tensor, get_default_dtype
 from repro.nn.conv import Conv2d
 from repro.nn.module import Module
 
@@ -46,9 +47,12 @@ class PatchTokenizer(Module):
         self.embed_dim = embed_dim
         self.projection = Conv2d(in_channels, embed_dim, 1, rng=rng)
         # The positional encoding is scaled down so it augments rather than
-        # dominates the projected feature tokens.
-        self.register_buffer(
-            "positional", positional_scale * sinusoidal_positions(max_positions, embed_dim)
+        # dominates the projected feature tokens.  A constant of the model's
+        # dtype, not a buffer: it is never trained and never running, so it
+        # is not part of the model's state.
+        self.positional = np.asarray(
+            positional_scale * sinusoidal_positions(max_positions, embed_dim),
+            dtype=get_default_dtype(),
         )
         # Paper: the tokenizer is "initialized-only and frozen".
         self.freeze()

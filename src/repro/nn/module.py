@@ -98,7 +98,10 @@ class Module:
             param.zero_grad()
 
     def freeze(self) -> "Module":
-        """Mark every parameter as non-trainable (used for the frozen tokenizer)."""
+        """Mark every parameter as non-trainable (used for the frozen tokenizer).
+
+        A frozen parameter leaves :meth:`state_dict`: it keeps its
+        construction value and never travels or averages."""
         for param in self.parameters():
             param.requires_grad = False
         return self
@@ -116,39 +119,44 @@ class Module:
     # ------------------------------------------------------------------ #
     # State dict
     # ------------------------------------------------------------------ #
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        """Flat name -> array copy of every parameter and buffer."""
-        state: Dict[str, np.ndarray] = OrderedDict()
-        for name, param in self.named_parameters():
-            state[name] = param.data.copy()
+    def _state_arrays(self) -> Dict[str, np.ndarray]:
+        """Name -> live array of the model's state: what local training can
+        change, every trainable parameter and every buffer.  Frozen parameters
+        (``requires_grad=False``) come from construction, like the
+        architecture, so they are never shipped, averaged or checkpointed."""
+        arrays: Dict[str, np.ndarray] = OrderedDict(
+            (name, param.data) for name, param in self.named_parameters() if param.requires_grad
+        )
         for name, buffer in self.named_buffers():
-            state[f"buffer::{name}"] = buffer.copy()
-        return state
+            arrays[f"buffer::{name}"] = buffer
+        return arrays
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """Flat name -> array copy of the model's state (see :meth:`_state_arrays`)."""
+        return OrderedDict((key, array.copy()) for key, array in self._state_arrays().items())
 
     def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load arrays produced by :meth:`state_dict` (in place)."""
-        param_map = dict(self.named_parameters())
-        buffer_map = dict(self.named_buffers())
-        missing: List[str] = []
-        for name, param in param_map.items():
-            if name in state:
-                value = np.asarray(state[name])
-                if value.shape != param.data.shape:
-                    raise ValueError(
-                        f"shape mismatch for parameter {name!r}: "
-                        f"{value.shape} vs {param.data.shape}"
-                    )
-                param.data[...] = value
-            elif strict:
-                missing.append(name)
-        for name, buffer in buffer_map.items():
-            key = f"buffer::{name}"
-            if key in state:
-                buffer[...] = np.asarray(state[key])
-            elif strict:
-                missing.append(key)
-        if strict and missing:
-            raise KeyError(f"missing keys in state_dict: {missing}")
+        """Load arrays produced by :meth:`state_dict` (in place).
+
+        ``strict`` raises ``KeyError`` naming every missing and every
+        unexpected key (a frozen parameter's key is unexpected) before any
+        array is written.
+        """
+        targets = self._state_arrays()
+        if strict:
+            missing = [key for key in targets if key not in state]
+            unexpected = [key for key in state if key not in targets]
+            if missing or unexpected:
+                raise KeyError(
+                    f"state_dict mismatch: missing keys {missing}, unexpected keys {unexpected}"
+                )
+        for key, target in targets.items():
+            if key not in state:
+                continue
+            value = np.asarray(state[key])
+            if value.shape != target.shape:
+                raise ValueError(f"shape mismatch for {key!r}: {value.shape} vs {target.shape}")
+            target[...] = value
 
     # ------------------------------------------------------------------ #
     # Forward

@@ -55,7 +55,9 @@ from repro.federated.communication import (
 
 #: 2: version files hold columnar codec plans (``(table, columns)``); format-1
 #: files hold per-array plans no codec here decodes and must be republished.
-REGISTRY_FORMAT = 2
+#: 3: a version's state holds no frozen tokenizer entries; format-2 files carry
+#: them (drifted by averaging) and must be republished.
+REGISTRY_FORMAT = 3
 _MANIFEST_NAME = "manifest.json"
 
 

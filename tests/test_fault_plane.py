@@ -612,7 +612,9 @@ class TestCheckpointFormat:
         assert latest is not None and latest.endswith(checkpoint_name(1, 0))
         assert latest_checkpoint(str(tmp_path / "missing")) is None
 
-    @pytest.mark.parametrize("mutation", ["truncate", "flip", "magic", "older_version"])
+    @pytest.mark.parametrize(
+        "mutation", ["truncate", "flip", "magic", "older_version", "frozen_state_version"]
+    )
     def test_corruption_is_detected(self, tmp_path, mutation):
         path = str(tmp_path / checkpoint_name(0, 1))
         save_checkpoint(path, {"x": 1})
@@ -624,12 +626,17 @@ class TestCheckpointFormat:
             raw[-1] ^= 0xFF
         elif mutation == "magic":
             raw[:4] = b"XXXX"
-        else:
+        elif mutation == "older_version":
             # A well-formed version-2 file (its CRC still holds) is refused by
             # its header: its server entry is a flat array dict and a
             # skeleton, not the model version's identity frame body.
             raw[4:8] = (2).to_bytes(4, "big")
-            match = "version 2, expected 3"
+            match = "version 2, expected 4"
+        else:
+            # A version-3 file's model state carries the frozen tokenizer,
+            # drifted by averaging: refused by its header too.
+            raw[4:8] = (3).to_bytes(4, "big")
+            match = "version 3, expected 4"
         with open(path, "wb") as handle:
             handle.write(bytes(raw))
         with pytest.raises(CheckpointCorruptionError, match=match):

@@ -732,29 +732,32 @@ class TestHierarchyConfig:
 #: finetune run per dtype and mode.  The float64 pairs were recorded from the
 #: eager shard-dict data path before the client data plane replaced it; the
 #: float32 pairs from the client data plane when float32 became the default.
+#: The state hashes moved (event logs did not) when the frozen tokenizer left
+#: the model's state, to the values the earlier code gives with its frozen
+#: entries held at their initial values.
 _EAGER_RUN_PINS = {
     ("float64", "sync"): (
-        "c91160b201467a50b258959a975c3551d7ff7e02d53cdc2526963269e0e61f83",
+        "e801baf81dc461051bb6cce341b7afaa95d8f95cd6e7f3f95aede2ce51fc00b6",
         "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
     ),
     ("float64", "async"): (
-        "f7355dc50f21f3ee358f788f5f3015a5bd963651c6e94fb46a6f4a8112404af5",
+        "c3b86bf824fa09970f38195855d3af223067314eed2c0b512e701db49dd96e6c",
         "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
     ),
     ("float64", "buffered"): (
-        "e10cf04829271b128f5117e74216bfe5c00908b0bb0b0d9abea39f2fe6c74564",
+        "afb044c07c732972247f5802ca953ef2d03feddc5fb3c48b95a22218a05cc7c0",
         "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
     ),
     ("float32", "sync"): (
-        "25123ebc595446f95a0133ec64fb685e066eea775901cc1de8bf6f43607d15c3",
+        "be45c41f8d3118b60a4b11a6d446e3776528da846ab84d62ce3bb0786d24bfb9",
         "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
     ),
     ("float32", "async"): (
-        "4a39d3d3cf354b8d1cf096929b10b049e7d2a7a50217991ef62645a23f101985",
+        "63f601da9f3bcc5602641da90fa02bc42d16486fe435bf0e22819603546cc6db",
         "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
     ),
     ("float32", "buffered"): (
-        "c64d5f5292e2e8417e533866b88df384723f71b7079a2a7c6f4d2e6cd5fa2e2a",
+        "c61fe0d70791b6c005c355efe5d7d391a508e782d64a731af29eab3983b6e58a",
         "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
     ),
 }
@@ -763,8 +766,8 @@ _EAGER_RUN_PINS = {
 #: ``simulation_state_hash`` and ledger bytes of the tree x quantize8 x
 #: frame-faults run per compute dtype.
 _TREE_QUANTIZE8_PINS = {
-    "float64": ("f82b1a8a227074a5cb92de734e5b167a1a0fc6772d3583422121ae25e702bb48", 638475),
-    "float32": ("3fafc948b63d5e31c44bac8ea77a42931072d5af76e28d916cf135f7a28128e0", 639918),
+    "float64": ("be96b5718a6c8bc774277f2980794eb163aa8370ee593c58c461879ebadd826d", 465762),
+    "float32": ("a61ce757d28ae8265ac13ae0a3c28ae72aa7efaff73b16877c5d9a174d1ea523", 467205),
 }
 
 

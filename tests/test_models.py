@@ -51,6 +51,7 @@ class TestPatchTokenizer:
     def test_tokenizer_is_frozen(self):
         tok = PatchTokenizer(in_channels=8, embed_dim=16, rng=RNG)
         assert all(not p.requires_grad for p in tok.parameters())
+        assert tok.state_dict() == {}
 
     def test_positional_encoding_shape_and_determinism(self):
         enc = sinusoidal_positions(10, 8)
@@ -138,18 +139,37 @@ class TestPromptedBackbone:
             build_backbone(BackboneConfig(), num_classes=5)
 
     def test_state_dict_roundtrip_changes_output(self, backbone, tiny_backbone_config):
+        """A model's state is what training changes; the frozen tokenizer comes
+        from construction (config + seed), so it is not in the state.  A state
+        therefore round-trips between models of one config, and a model of
+        another seed that loads it differs from the source only in its tokenizer."""
         import dataclasses
 
+        for param in backbone.parameters():
+            if param.requires_grad:  # a stand-in for local training
+                param.data += 0.1 * RNG.standard_normal(param.shape)
         images = Tensor(RNG.standard_normal((2, 3, 16, 16)))
         backbone.eval()
         before = backbone(images).data.copy()
         state = backbone.state_dict()
+        assert not [key for key in state if "tokenizer" in key]
+
+        clone = PromptedBackbone(tiny_backbone_config)
+        clone.eval()
+        assert not np.allclose(clone(images).data, before)
+        clone.load_state_dict(state)
+        np.testing.assert_array_equal(clone(images).data, before)
+
         other_config = dataclasses.replace(tiny_backbone_config, seed=tiny_backbone_config.seed + 1)
         other = PromptedBackbone(other_config)
-        other.eval()
-        assert not np.allclose(other(images).data, before)
         other.load_state_dict(state)
-        assert np.allclose(other(images).data, before)
+        source = dict(backbone.named_parameters())
+        differing = [
+            name for name, param in other.named_parameters()
+            if not np.array_equal(param.data, source[name].data)
+        ]
+        assert differing == ["tokenizer.projection.weight", "tokenizer.projection.bias"]
+        np.testing.assert_array_equal(other.tokenizer.positional, backbone.tokenizer.positional)
 
     def test_same_seed_gives_identical_initialisation(self, backbone, tiny_backbone_config):
         clone = PromptedBackbone(tiny_backbone_config)

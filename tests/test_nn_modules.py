@@ -61,6 +61,23 @@ class TestModuleSystem:
             net.load_state_dict({}, strict=True)
         net.load_state_dict({}, strict=False)
 
+    def test_load_state_dict_unexpected_key_strict(self):
+        net = _ToyNet()
+        state = net.state_dict()
+        state["first.extra"] = np.zeros(3)
+        with pytest.raises(KeyError, match="first.extra"):
+            net.load_state_dict(state, strict=True)
+        net.load_state_dict(state, strict=False)
+
+    def test_frozen_parameters_are_not_state(self):
+        net = _ToyNet()
+        net.first.freeze()
+        assert sorted(net.state_dict()) == ["buffer::counter", "second.bias", "second.weight"]
+        frozen = net.first.weight.data.copy()
+        with pytest.raises(KeyError, match="first.weight"):
+            net.load_state_dict({**net.state_dict(), "first.weight": np.zeros_like(frozen)})
+        np.testing.assert_array_equal(net.first.weight.data, frozen)
+
     def test_train_eval_propagates(self):
         net = _ToyNet()
         net.eval()

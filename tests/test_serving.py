@@ -49,6 +49,7 @@ from repro.federated.checkpoint import (
     config_fingerprint,
     parse_checkpoint_name,
     prune_checkpoints,
+    load_checkpoint,
     retain_last,
     save_checkpoint,
 )
@@ -250,7 +251,24 @@ class TestRegistryDurability:
                 "skeleton": None,
             },
         )
-        with pytest.raises(RegistryCorruptionError, match=r"format 1.*format 2"):
+        with pytest.raises(RegistryCorruptionError, match=r"format 1.*format 3"):
+            registry.load(info.version)
+
+    def test_format_2_version_file_raises_typed_error(self, tmp_path):
+        """A file published while a model's state still carried its frozen
+        tokenizer (drifted by averaging) is refused: by its format, naming
+        both, and, as written then, by its container version too."""
+        registry = ModelRegistry(str(tmp_path))
+        state = {"backbone.tokenizer.projection.weight": np.zeros(2), "w": np.zeros(2)}
+        info = registry.publish(name="m", state=state)
+        path = tmp_path / info.filename
+        save_checkpoint(str(path), {**load_checkpoint(str(path)), "registry_format": 2})
+        with pytest.raises(RegistryCorruptionError, match=r"format 2.*format 3"):
+            registry.load(info.version)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (3).to_bytes(4, "big")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(RegistryCorruptionError, match="version 3, expected 4"):
             registry.load(info.version)
 
     def test_older_container_version_raises_typed_error(self, tmp_path):
@@ -262,7 +280,7 @@ class TestRegistryDurability:
         raw = bytearray(path.read_bytes())
         raw[4:8] = (2).to_bytes(4, "big")
         path.write_bytes(bytes(raw))
-        with pytest.raises(RegistryCorruptionError, match="version 2, expected 3"):
+        with pytest.raises(RegistryCorruptionError, match="version 2, expected 4"):
             registry.load(info.version)
 
     def test_mangled_manifest_raises_typed_error(self, tmp_path):
