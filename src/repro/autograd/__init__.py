@@ -22,7 +22,6 @@ Public entry points:
 from repro.autograd.tensor import (
     Tensor,
     no_grad,
-    is_grad_enabled,
     get_default_dtype,
     set_default_dtype,
     default_dtype,
@@ -33,7 +32,6 @@ from repro.autograd import functional
 __all__ = [
     "Tensor",
     "no_grad",
-    "is_grad_enabled",
     "get_default_dtype",
     "set_default_dtype",
     "default_dtype",

@@ -2,7 +2,7 @@
 
 These free functions are the building blocks used by :mod:`repro.nn` layers
 and by the RefFiL losses (cross-entropy, the GPL loss, the DPCL contrastive
-loss).  Convolution, pooling, the two normalisations and the transformer
+loss).  Convolution, the two normalisations and the transformer
 block's other layers (GELU, softmax, log-softmax, the affine map) are
 implemented as primitive :class:`~repro.autograd.tape.Op`s with hand-written
 backward passes (im2col / col2im; one fused kernel per layer) because
@@ -76,14 +76,6 @@ GELU = Op("gelu", _gelu_forward, _gelu_vjp)
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
     return apply_op(GELU, (x,))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
 
 
 def _softmax_forward(ctx, x, *, axis):
@@ -185,27 +177,6 @@ def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1, eps: float = 1e-12) 
     a_norm = l2_normalize(a, axis=axis, eps=eps)
     b_norm = l2_normalize(b, axis=axis, eps=eps)
     return (a_norm * b_norm).sum(axis=axis)
-
-
-def _dropout_forward(ctx, x, *, p, rng):
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    ctx.mask = mask
-    return x * mask
-
-
-def _dropout_vjp(ctx, grad, needs):
-    return (grad * ctx.mask,)
-
-
-DROPOUT = Op("dropout", _dropout_forward, _dropout_vjp)
-
-
-def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    generator = rng if rng is not None else np.random.default_rng()
-    return apply_op(DROPOUT, (x,), p=p, rng=generator)
 
 
 # --------------------------------------------------------------------------- #
@@ -358,7 +329,7 @@ def batch_norm_2d(
 
 
 # --------------------------------------------------------------------------- #
-# Convolution / pooling (primitive ops with custom backward)
+# Convolution (a primitive op with custom backward)
 # --------------------------------------------------------------------------- #
 def _im2col(
     x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
@@ -505,90 +476,6 @@ def conv2d(
     return apply_op(CONV2D, inputs, stride=stride, padding=padding)
 
 
-def _max_pool_forward(ctx, x, *, kernel, stride):
-    kh, kw = kernel
-    sh, sw = stride
-    n, c, h, w = x.shape
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-    cols, _, _ = _im2col(x, kernel, stride, (0, 0))
-    cols = cols.reshape(n, c, kh * kw, out_h * out_w)
-    argmax = cols.argmax(axis=2)
-    out = np.take_along_axis(cols, argmax[:, :, None, :], axis=2).squeeze(2)
-    ctx.argmax = argmax
-    ctx.x_shape = x.shape
-    ctx.kernel = kernel
-    ctx.stride = stride
-    ctx.n, ctx.c = n, c
-    ctx.out_h, ctx.out_w = out_h, out_w
-    return out.reshape(n, c, out_h, out_w)
-
-
-def _max_pool_vjp(ctx, grad, needs):
-    n, c = ctx.n, ctx.c
-    kh, kw = ctx.kernel
-    out_h, out_w = ctx.out_h, ctx.out_w
-    grad_flat = grad.reshape(n, c, out_h * out_w)
-    grad_cols = np.zeros((n, c, kh * kw, out_h * out_w), dtype=grad.dtype)
-    np.put_along_axis(grad_cols, ctx.argmax[:, :, None, :], grad_flat[:, :, None, :], axis=2)
-    grad_cols = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
-    grad_x = _col2im(grad_cols, ctx.x_shape, ctx.kernel, ctx.stride, (0, 0), out_h, out_w)
-    return (grad_x,)
-
-
-def _avg_pool_forward(ctx, x, *, kernel, stride):
-    kh, kw = kernel
-    sh, sw = stride
-    n, c, h, w = x.shape
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-    cols, _, _ = _im2col(x, kernel, stride, (0, 0))
-    cols = cols.reshape(n, c, kh * kw, out_h * out_w)
-    out = cols.mean(axis=2).reshape(n, c, out_h, out_w)
-    ctx.x_shape = x.shape
-    ctx.kernel = kernel
-    ctx.stride = stride
-    ctx.n, ctx.c = n, c
-    ctx.out_h, ctx.out_w = out_h, out_w
-    return out
-
-
-def _avg_pool_vjp(ctx, grad, needs):
-    n, c = ctx.n, ctx.c
-    kh, kw = ctx.kernel
-    out_h, out_w = ctx.out_h, ctx.out_w
-    grad_flat = grad.reshape(n, c, 1, out_h * out_w) / (kh * kw)
-    grad_cols = np.broadcast_to(grad_flat, (n, c, kh * kw, out_h * out_w)).copy()
-    grad_cols = grad_cols.reshape(n, c * kh * kw, out_h * out_w)
-    grad_x = _col2im(grad_cols, ctx.x_shape, ctx.kernel, ctx.stride, (0, 0), out_h, out_w)
-    return (grad_x,)
-
-
-MAX_POOL2D = Op("max_pool2d", _max_pool_forward, _max_pool_vjp)
-AVG_POOL2D = Op("avg_pool2d", _avg_pool_forward, _avg_pool_vjp)
-
-
-def max_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = None) -> Tensor:
-    """Max pooling over ``(N, C, H, W)``."""
-    kernel = _pair(kernel_size)
-    stride_pair = _pair(stride) if stride is not None else kernel
-    _check_window("max_pool2d", x.shape, kernel, stride_pair)
-    return apply_op(MAX_POOL2D, (x,), kernel=kernel, stride=stride_pair)
-
-
-def avg_pool2d(x: Tensor, kernel_size: IntOrPair, stride: Optional[IntOrPair] = None) -> Tensor:
-    """Average pooling over ``(N, C, H, W)``."""
-    kernel = _pair(kernel_size)
-    stride_pair = _pair(stride) if stride is not None else kernel
-    _check_window("avg_pool2d", x.shape, kernel, stride_pair)
-    return apply_op(AVG_POOL2D, (x,), kernel=kernel, stride=stride_pair)
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Global average pooling: ``(N, C, H, W) -> (N, C)``."""
-    return x.mean(axis=(2, 3))
-
-
 # --------------------------------------------------------------------------- #
 # Losses
 # --------------------------------------------------------------------------- #
@@ -634,12 +521,6 @@ def knowledge_distillation_loss(
     return soft_cross_entropy(student_logits / temperature, teacher_probs) * (temperature ** 2)
 
 
-def mse_loss(prediction: Tensor, target: Tensor, reduction: str = "mean") -> Tensor:
-    """Mean squared error."""
-    diff = prediction - target
-    return _reduce(diff * diff, reduction)
-
-
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Look up rows of ``weight`` by integer ``indices``."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -649,24 +530,17 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 __all__ = [
     "relu",
     "gelu",
-    "sigmoid",
-    "tanh",
     "softmax",
     "log_softmax",
     "linear",
     "l2_normalize",
     "cosine_similarity",
-    "dropout",
     "layer_norm",
     "batch_norm_2d",
     "conv2d",
-    "max_pool2d",
-    "avg_pool2d",
-    "global_avg_pool2d",
     "nll_loss",
     "cross_entropy",
     "soft_cross_entropy",
     "knowledge_distillation_loss",
-    "mse_loss",
     "embedding",
 ]

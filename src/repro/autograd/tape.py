@@ -269,16 +269,6 @@ def _neg_vjp(ctx, grad, needs):
     return (-grad,)
 
 
-def _pow_forward(ctx, a, *, exponent):
-    ctx.a = a
-    ctx.exponent = exponent
-    return a ** exponent
-
-
-def _pow_vjp(ctx, grad, needs):
-    return (grad * ctx.exponent * ctx.a ** (ctx.exponent - 1),)
-
-
 def _matmul_forward(ctx, a, b):
     ctx.a = a
     ctx.b = b
@@ -349,16 +339,6 @@ def _tanh_vjp(ctx, grad, needs):
     return (grad * (1.0 - ctx.out ** 2),)
 
 
-def _sigmoid_forward(ctx, a):
-    out = 1.0 / (1.0 + np.exp(-a))
-    ctx.out = out
-    return out
-
-
-def _sigmoid_vjp(ctx, grad, needs):
-    return (grad * ctx.out * (1.0 - ctx.out),)
-
-
 def _relu_forward(ctx, a):
     mask = a > 0
     ctx.mask = mask
@@ -366,24 +346,6 @@ def _relu_forward(ctx, a):
 
 
 def _relu_vjp(ctx, grad, needs):
-    return (grad * ctx.mask,)
-
-
-def _abs_forward(ctx, a):
-    ctx.sign = np.sign(a)
-    return np.abs(a)
-
-
-def _abs_vjp(ctx, grad, needs):
-    return (grad * ctx.sign,)
-
-
-def _clip_forward(ctx, a, *, minimum, maximum):
-    ctx.mask = (a >= minimum) & (a <= maximum)
-    return np.clip(a, minimum, maximum)
-
-
-def _clip_vjp(ctx, grad, needs):
     return (grad * ctx.mask,)
 
 
@@ -443,24 +405,6 @@ def _transpose_vjp(ctx, grad, needs):
     return (grad.transpose(ctx.inverse),)
 
 
-def _expand_dims_forward(ctx, a, *, axis):
-    ctx.axis = axis
-    return np.expand_dims(a, axis)
-
-
-def _expand_dims_vjp(ctx, grad, needs):
-    return (np.squeeze(grad, ctx.axis),)
-
-
-def _squeeze_forward(ctx, a, *, axis):
-    ctx.in_shape = a.shape
-    return np.squeeze(a, axis) if axis is not None else np.squeeze(a)
-
-
-def _squeeze_vjp(ctx, grad, needs):
-    return (grad.reshape(ctx.in_shape),)
-
-
 def _broadcast_to_forward(ctx, a, *, shape):
     ctx.in_shape = a.shape
     return np.broadcast_to(a, shape).copy()
@@ -482,17 +426,6 @@ def _getitem_vjp(ctx, grad, needs):
     return (full,)
 
 
-def _pad_forward(ctx, a, *, pad_width, constant):
-    ctx.slices = tuple(
-        slice(before, before + size) for (before, _), size in zip(pad_width, a.shape)
-    )
-    return np.pad(a, pad_width, mode="constant", constant_values=constant)
-
-
-def _pad_vjp(ctx, grad, needs):
-    return (grad[ctx.slices],)
-
-
 def _concatenate_forward(ctx, *arrays, axis):
     ctx.axis = axis
     ctx.sizes = [a.shape[axis] for a in arrays]
@@ -512,20 +445,6 @@ def _concatenate_vjp(ctx, grad, needs):
     return tuple(grads)
 
 
-def _stack_forward(ctx, *arrays, axis):
-    ctx.axis = axis
-    ctx.count = len(arrays)
-    return np.stack(arrays, axis=axis)
-
-
-def _stack_vjp(ctx, grad, needs):
-    split = np.split(grad, ctx.count, axis=ctx.axis)
-    return tuple(
-        np.squeeze(piece, axis=ctx.axis) if needs[i] else None
-        for i, piece in enumerate(split)
-    )
-
-
 def _detach_forward(ctx, a):
     return a
 
@@ -535,27 +454,19 @@ SUB = Op("sub", _sub_forward, _sub_vjp)
 MUL = Op("mul", _mul_forward, _mul_vjp)
 DIV = Op("div", _div_forward, _div_vjp)
 NEG = Op("neg", _neg_forward, _neg_vjp)
-POW = Op("pow", _pow_forward, _pow_vjp)
 MATMUL = Op("matmul", _matmul_forward, _matmul_vjp)
 EXP = Op("exp", _exp_forward, _exp_vjp)
 LOG = Op("log", _log_forward, _log_vjp)
 SQRT = Op("sqrt", _sqrt_forward, _sqrt_vjp)
 TANH = Op("tanh", _tanh_forward, _tanh_vjp)
-SIGMOID = Op("sigmoid", _sigmoid_forward, _sigmoid_vjp)
 RELU = Op("relu", _relu_forward, _relu_vjp)
-ABS = Op("abs", _abs_forward, _abs_vjp)
-CLIP = Op("clip", _clip_forward, _clip_vjp)
 SUM = Op("sum", _sum_forward, _sum_vjp)
 MAX = Op("max", _max_forward, _max_vjp)
 RESHAPE = Op("reshape", _reshape_forward, _reshape_vjp)
 TRANSPOSE = Op("transpose", _transpose_forward, _transpose_vjp)
-EXPAND_DIMS = Op("expand_dims", _expand_dims_forward, _expand_dims_vjp)
-SQUEEZE = Op("squeeze", _squeeze_forward, _squeeze_vjp)
 BROADCAST_TO = Op("broadcast_to", _broadcast_to_forward, _broadcast_to_vjp)
 GETITEM = Op("getitem", _getitem_forward, _getitem_vjp)
-PAD = Op("pad", _pad_forward, _pad_vjp)
 CONCATENATE = Op("concatenate", _concatenate_forward, _concatenate_vjp)
-STACK = Op("stack", _stack_forward, _stack_vjp)
 DETACH = Op("detach", _detach_forward, None, differentiable=False)
 
 

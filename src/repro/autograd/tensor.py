@@ -80,11 +80,6 @@ def default_dtype(dtype):
         set_default_dtype(previous)
 
 
-def is_grad_enabled() -> bool:
-    """Return whether gradient recording is currently enabled (this thread)."""
-    return _grad_enabled()
-
-
 @contextlib.contextmanager
 def no_grad():
     """Context manager that disables graph recording (like ``torch.no_grad``)."""
@@ -313,11 +308,6 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return apply_op(_tape.NEG, (self,))
 
-    def __pow__(self, exponent: Number) -> "Tensor":
-        if isinstance(exponent, Tensor):
-            raise TypeError("Tensor exponents are not supported; use exp/log instead")
-        return apply_op(_tape.POW, (self,), exponent=exponent)
-
     # ------------------------------------------------------------------ #
     # Comparison (non-differentiable, returns plain numpy bool arrays)
     # ------------------------------------------------------------------ #
@@ -360,17 +350,8 @@ class Tensor:
     def tanh(self) -> "Tensor":
         return apply_op(_tape.TANH, (self,))
 
-    def sigmoid(self) -> "Tensor":
-        return apply_op(_tape.SIGMOID, (self,))
-
     def relu(self) -> "Tensor":
         return apply_op(_tape.RELU, (self,))
-
-    def abs(self) -> "Tensor":
-        return apply_op(_tape.ABS, (self,))
-
-    def clip(self, minimum: Number, maximum: Number) -> "Tensor":
-        return apply_op(_tape.CLIP, (self,), minimum=minimum, maximum=maximum)
 
     # ------------------------------------------------------------------ #
     # Reductions
@@ -426,48 +407,18 @@ class Tensor:
         axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
         return self.transpose(*axes)
 
-    def expand_dims(self, axis: int) -> "Tensor":
-        return apply_op(_tape.EXPAND_DIMS, (self,), axis=axis)
-
-    def squeeze(self, axis: Optional[int] = None) -> "Tensor":
-        return apply_op(_tape.SQUEEZE, (self,), axis=axis)
-
     def broadcast_to(self, shape: Tuple[int, ...]) -> "Tensor":
         return apply_op(_tape.BROADCAST_TO, (self,), shape=tuple(shape))
 
     def __getitem__(self, index) -> "Tensor":
         return apply_op(_tape.GETITEM, (self,), index=index)
 
-    def pad(self, pad_width, constant: Number = 0.0) -> "Tensor":
-        return apply_op(_tape.PAD, (self,), pad_width=pad_width, constant=constant)
-
     # ------------------------------------------------------------------ #
-    # Static constructors / combinators
+    # Combinators
     # ------------------------------------------------------------------ #
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         return apply_op(_tape.CONCATENATE, tuple(tensors), axis=axis)
-
-    @staticmethod
-    def stack(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
-        return apply_op(_tape.STACK, tuple(tensors), axis=axis)
-
-    @staticmethod
-    def zeros(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=get_default_dtype()), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=get_default_dtype()), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: Optional[np.random.Generator] = None, requires_grad: bool = False) -> "Tensor":
-        generator = rng if rng is not None else np.random.default_rng()
-        return Tensor(generator.standard_normal(shape), requires_grad=requires_grad)
-
-    @staticmethod
-    def from_numpy(array: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.asarray(array, dtype=get_default_dtype()), requires_grad=requires_grad)
 
 
 # --------------------------------------------------------------------------- #
@@ -500,7 +451,6 @@ __all__ = [
     "Tensor",
     "apply_op",
     "no_grad",
-    "is_grad_enabled",
     "unbroadcast",
     "get_default_dtype",
     "set_default_dtype",

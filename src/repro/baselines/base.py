@@ -65,7 +65,7 @@ class CrossEntropyFederatedMethod(FederatedMethod):
         mean_loss = run_local_sgd(
             model,
             client,
-            loss_fn=lambda m, images, labels: self.batch_loss(m, images, labels, client),
+            loss_fn=lambda m, images, labels, epoch: self.batch_loss(m, images, labels, client),
         )
         return ClientUpdate(
             client_id=client.client_id,

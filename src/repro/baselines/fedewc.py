@@ -152,9 +152,5 @@ class FedEWCMethod(CrossEntropyFederatedMethod):
         ):
             self._fisher = blend_states(prior, fresh, mixing)
 
-    @property
-    def has_penalty(self) -> bool:
-        return self._fisher is not None and self._anchor is not None
-
 
 __all__ = ["FedEWCMethod"]

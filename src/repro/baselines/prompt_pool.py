@@ -97,10 +97,6 @@ class PromptPool(Module):
         pull = 1.0 - F.cosine_similarity(query_expanded, selected_keys)  # (batch, top_k)
         return prompt_tokens, pull.mean(), indices
 
-    def selection_histogram(self, indices: np.ndarray) -> np.ndarray:
-        """How often each pool entry was selected in ``indices`` (diagnostics)."""
-        return np.bincount(np.asarray(indices).reshape(-1), minlength=self.config.pool_size)
-
 
 class SinglePrompt(Module):
     """A single shared learnable prompt: the pool-disabled ("fair comparison") variant."""

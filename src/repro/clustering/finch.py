@@ -45,12 +45,6 @@ class FinchResult:
             raise ValueError("FINCH produced no partitions")
         return self.partitions[0]
 
-    @property
-    def coarsest(self) -> np.ndarray:
-        if not self.partitions:
-            raise ValueError("FINCH produced no partitions")
-        return self.partitions[-1]
-
 
 def _cosine_first_neighbors(features: np.ndarray) -> np.ndarray:
     """Index of each sample's nearest neighbour by cosine similarity (excluding itself)."""

@@ -71,7 +71,6 @@ class CDAPGenerator(Module):
             config.num_tokens,
             [config.mlp_hidden],
             config.prompt_length,
-            activation="gelu",
             rng=rng,
         )
         # CCDA: the globally transferable linear layer over the embedding dim.

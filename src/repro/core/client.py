@@ -28,10 +28,9 @@ from repro.core.dpcl import DPCLConfig, decayed_temperature, dpcl_loss
 from repro.core.gpl import gpl_loss
 from repro.core.model import RefFiLModel
 from repro.core.prompts import GlobalPromptStore, LocalPromptCollector
-from repro.federated.client import ClientHandle
+from repro.federated.client import ClientHandle, run_local_sgd
 from repro.federated.communication import ClientUpdate
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD
 from repro.utils.rng import spawn_rng
 
 
@@ -127,41 +126,31 @@ class RefFiLClientTrainer:
             None if self.use_cdap else self._static_prompt_for(model, client.client_id)
         )
 
-        trainable = [p for p in model.parameters() if p.requires_grad]
+        parameters = model.parameters()
         if static_prompt is not None:
-            trainable = trainable + [static_prompt]
-        optimizer = SGD(
-            trainable,
-            lr=client.training.learning_rate,
-            momentum=client.training.momentum,
-            weight_decay=client.training.weight_decay,
-            max_grad_norm=client.training.max_grad_norm,
-        )
-
-        model.train()
+            parameters.append(static_prompt)
+        final_epoch = client.training.local_epochs - 1
         totals = RefFiLLossBreakdown()
         batches = 0
-        epochs = client.training.local_epochs
-        for epoch in range(epochs):
-            final_epoch = epoch == epochs - 1
-            for images, labels in client.loader():
-                optimizer.zero_grad()
-                loss, breakdown = self._batch_loss(
-                    model,
-                    images,
-                    labels,
-                    client,
-                    averaged_globals,
-                    store,
-                    temperature,
-                    static_prompt,
-                    collector if final_epoch else None,
-                )
-                loss.backward()
-                optimizer.step()
-                totals.accumulate(breakdown)
-                batches += 1
 
+        def loss_fn(model, images, labels, epoch):
+            nonlocal batches
+            loss, breakdown = self._batch_loss(
+                model,
+                images,
+                labels,
+                client,
+                averaged_globals,
+                store,
+                temperature,
+                static_prompt,
+                collector if epoch == final_epoch else None,
+            )
+            totals.accumulate(breakdown)
+            batches += 1
+            return loss
+
+        run_local_sgd(model, client, loss_fn, parameters)
         means = totals.mean_over(batches)
         return ClientUpdate(
             client_id=client.client_id,

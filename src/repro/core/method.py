@@ -10,7 +10,7 @@ stacked, so the generic tree codec ships each as a few dense arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -40,10 +40,6 @@ class RefFiLConfig:
     use_cdap: bool = True
     use_gpl: bool = True
     use_dpcl: bool = True
-
-    def with_components(self, use_cdap: bool, use_gpl: bool, use_dpcl: bool) -> "RefFiLConfig":
-        """Return a copy with different ablation switches (Table VII rows)."""
-        return replace(self, use_cdap=use_cdap, use_gpl=use_gpl, use_dpcl=use_dpcl)
 
 
 class RefFiLMethod(FederatedMethod):

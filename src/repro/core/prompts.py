@@ -13,7 +13,7 @@ the per-class averages ``\\bar{P}_g`` used by the GPL loss.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -56,10 +56,6 @@ class LocalPromptCollector:
     def __len__(self) -> int:
         return sum(self._counts.values())
 
-    @property
-    def classes_seen(self) -> List[int]:
-        return sorted(self._sums)
-
     def local_prompt_group(self) -> Dict[int, np.ndarray]:
         """The client's LPG: one averaged prompt vector per class seen locally."""
         return {
@@ -74,10 +70,6 @@ class LocalPromptCollector:
             "labels": np.fromiter(group, dtype=np.int64, count=len(group)),
             "vectors": np.stack(list(group.values())) if group else np.zeros((0, self.embed_dim)),
         }
-
-    def reset(self) -> None:
-        self._sums.clear()
-        self._counts.clear()
 
 
 def check_prompt_rows(labels: np.ndarray, counts: np.ndarray, vectors: np.ndarray) -> None:

@@ -11,7 +11,7 @@ class/domain structure and relative sizes of the real datasets; see DESIGN.md
 for the substitution rationale.
 """
 
-from repro.datasets.base import ArrayDataset, DataLoader, train_test_split
+from repro.datasets.base import ArrayDataset, DataLoader
 from repro.datasets.synthetic import (
     DomainDatasetSpec,
     DomainStyle,
@@ -23,14 +23,12 @@ from repro.datasets.registry import (
     build_dataset,
     get_alternate_domain_order,
     get_dataset_spec,
-    load_domain,
 )
 from repro.datasets.partition import quantity_shift_partition, partition_domain_across_clients
 
 __all__ = [
     "ArrayDataset",
     "DataLoader",
-    "train_test_split",
     "DomainDatasetSpec",
     "DomainStyle",
     "SyntheticDomainDataset",
@@ -39,7 +37,6 @@ __all__ = [
     "build_dataset",
     "get_alternate_domain_order",
     "get_dataset_spec",
-    "load_domain",
     "quantity_shift_partition",
     "partition_domain_across_clients",
 ]

@@ -65,11 +65,6 @@ class ArrayDataset:
         indices = np.asarray(indices, dtype=np.int64)
         return ArrayDataset(self.images[indices], self.labels[indices], dtype=self.images.dtype)
 
-    def class_counts(self, num_classes: Optional[int] = None) -> np.ndarray:
-        """Histogram of labels (length ``num_classes``)."""
-        total = num_classes if num_classes is not None else self.num_classes
-        return np.bincount(self.labels, minlength=total)
-
     @staticmethod
     def concatenate(datasets: Tuple["ArrayDataset", ...]) -> "ArrayDataset":
         """Concatenate several datasets (used when in-between clients merge tasks)."""
@@ -127,31 +122,4 @@ class DataLoader:
             yield Tensor(images), labels
 
 
-def train_test_split(
-    dataset: ArrayDataset,
-    test_fraction: float = 0.2,
-    rng: Optional[np.random.Generator] = None,
-    stratified: bool = True,
-) -> Tuple[ArrayDataset, ArrayDataset]:
-    """Split a dataset into train/test, optionally stratified by label."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    generator = rng if rng is not None else np.random.default_rng()
-    n = len(dataset)
-    if stratified:
-        test_indices = []
-        for label in np.unique(dataset.labels):
-            members = np.flatnonzero(dataset.labels == label)
-            generator.shuffle(members)
-            take = max(1, int(round(len(members) * test_fraction)))
-            test_indices.append(members[:take])
-        test_idx = np.concatenate(test_indices)
-    else:
-        order = generator.permutation(n)
-        test_idx = order[: max(1, int(round(n * test_fraction)))]
-    mask = np.zeros(n, dtype=bool)
-    mask[test_idx] = True
-    return dataset.subset(np.flatnonzero(~mask)), dataset.subset(np.flatnonzero(mask))
-
-
-__all__ = ["ArrayDataset", "DataLoader", "train_test_split"]
+__all__ = ["ArrayDataset", "DataLoader"]

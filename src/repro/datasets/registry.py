@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.datasets.base import ArrayDataset
 from repro.datasets.digits_five import DIGITS_FIVE_ALTERNATE_ORDER, DIGITS_FIVE_SPEC
 from repro.datasets.domainnet import DOMAINNET_ALTERNATE_ORDER, FED_DOMAINNET_SPEC
 from repro.datasets.office_caltech import OFFICE_CALTECH_ALTERNATE_ORDER, OFFICE_CALTECH_SPEC
 from repro.datasets.pacs import PACS_ALTERNATE_ORDER, PACS_SPEC
-from repro.datasets.synthetic import DomainDatasetSpec, SyntheticDomainDataset, generate_domain_split
+from repro.datasets.synthetic import DomainDatasetSpec, SyntheticDomainDataset
 
 _SPECS: Dict[str, DomainDatasetSpec] = {
     "digits_five": DIGITS_FIVE_SPEC,
@@ -53,16 +52,9 @@ def build_dataset(name: str, spec_override: Optional[DomainDatasetSpec] = None) 
     return SyntheticDomainDataset(spec)
 
 
-def load_domain(name: str, domain: str, split: str = "train") -> ArrayDataset:
-    """Directly load one domain split of a registered dataset."""
-    spec = get_dataset_spec(name)
-    return generate_domain_split(spec, spec.domain_index(domain), split)
-
-
 __all__ = [
     "available_datasets",
     "get_dataset_spec",
     "get_alternate_domain_order",
     "build_dataset",
-    "load_domain",
 ]

@@ -62,19 +62,6 @@ class ResultTable:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
 
-    def to_markdown(self) -> str:
-        """Render as a GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
-        header = "| method | " + " | ".join(self.columns) + " |"
-        separator = "|---" * (len(self.columns) + 1) + "|"
-        lines = [header, separator]
-        for label, values in self.rows.items():
-            cells = [
-                f"{values[column]:.2f}" if column in values and values[column] is not None else "-"
-                for column in self.columns
-            ]
-            lines.append("| " + label + " | " + " | ".join(cells) + " |")
-        return "\n".join(lines)
-
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.to_text()
 

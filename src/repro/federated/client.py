@@ -106,7 +106,7 @@ class ClientHandle:
         )
 
 
-LossFn = Callable[[Module, Tensor, np.ndarray], Tensor]
+LossFn = Callable[[Module, Tensor, np.ndarray, int], Tensor]
 
 
 def run_local_sgd(
@@ -117,10 +117,11 @@ def run_local_sgd(
 ) -> float:
     """Run ``local_epochs`` of SGD on the client's data and return the mean loss.
 
-    ``loss_fn(model, images, labels)`` computes the method's total loss for a
-    mini-batch; this is the hook through which Finetune (plain CE), FedLwF
-    (CE + KD), FedEWC (CE + Fisher penalty) and the prompt methods all reuse
-    the same loop.
+    ``loss_fn(model, images, labels, epoch)`` computes the method's total loss
+    for a mini-batch of epoch ``epoch`` (from 0); this is the hook through
+    which Finetune (plain CE), FedLwF (CE + KD), FedEWC (CE + Fisher penalty),
+    the prompt baselines and RefFiL (which collects its Local Prompt Group in
+    the final epoch) all reuse the same loop.
     """
     trainable = parameters if parameters is not None else model.parameters()
     trainable = [p for p in trainable if p.requires_grad]
@@ -134,10 +135,10 @@ def run_local_sgd(
     model.train()
     total_loss = 0.0
     total_batches = 0
-    for _ in range(client.training.local_epochs):
+    for epoch in range(client.training.local_epochs):
         for images, labels in client.loader():
             optimizer.zero_grad()
-            loss = loss_fn(model, images, labels)
+            loss = loss_fn(model, images, labels, epoch)
             loss.backward()
             optimizer.step()
             total_loss += float(loss.data)

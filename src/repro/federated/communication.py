@@ -847,11 +847,6 @@ class RoundCommRecord:
     def dropped_upload_bytes(self) -> int:
         return sum(f.num_bytes for f in self.upload_frames if f.status == "dropped")
 
-    @property
-    def failed_attempt_bytes(self) -> int:
-        """Bytes of transmission attempts the fault plane lost or corrupted."""
-        return sum(f.num_bytes for f in self.upload_frames if f.status in ("lost", "corrupt"))
-
 
 @dataclass
 class CommunicationLedger:
@@ -920,9 +915,6 @@ class CommunicationLedger:
     @property
     def total_bytes(self) -> int:
         return self.uploaded_bytes + self.broadcast_bytes + self.edge_bytes
-
-    def mean_upload_per_round(self) -> float:
-        return self.uploaded_bytes / self.rounds if self.rounds else 0.0
 
 
 __all__ = [

@@ -156,11 +156,6 @@ class ClientIncrementSchedule:
             groups[client_id] = ClientGroup.NEW
         return TaskAssignment(task_id=task_id, groups=groups)
 
-    def total_clients_after_task(self, task_id: int) -> int:
-        """Size of the federation once task ``task_id`` has started (paper: M = Mo + Mb + Mn)."""
-        self.assignment_for_task(task_id)
-        return self._next_client_id
-
     def schedule_trace(self, num_tasks: int) -> List[Dict[str, int]]:
         """Per-task group sizes; used by the Fig. 1 increment-schedule bench."""
         trace = []

@@ -540,21 +540,18 @@ class FederatedDomainIncrementalSimulation:
         # delivered through the transport: clients train from the *decoded*
         # broadcast frame (identical to the server state for lossless codecs,
         # the dequantized state for lossy ones).
-        with self.timer.measure("broadcast"):
-            broadcast = self.transport.broadcast_round(
-                self.server, selected, task.task_id, round_index
-            )
+        broadcast = self.transport.broadcast_round(
+            self.server, selected, task.task_id, round_index
+        )
         if handles:
-            with self.timer.measure("local_update"):
-                updates = self.executor.run_round(self.method, self.model, broadcast, handles)
+            updates = self.executor.run_round(self.method, self.model, broadcast, handles)
         else:
             # Every selected client crashed before training; nothing to run.
             updates = []
         # Decode-before-aggregate: uploads become wire frames, the bandwidth
         # scenario drops/defers stragglers, and aggregation sees exactly what
         # arrived (plus any deferred uploads from the previous round).
-        with self.timer.measure("uplink"):
-            updates = self.transport.collect_updates(updates)
+        updates = self.transport.collect_updates(updates)
         # The synchronous barrier on the simulated clock: the round takes as
         # long as its slowest selected device — a crashed client burns its
         # download plus a fraction of its training time, a surviving one its
@@ -576,8 +573,7 @@ class FederatedDomainIncrementalSimulation:
                 clients=tuple(selected),
             )
             return
-        with self.timer.measure("aggregate"):
-            self.method.aggregate(self.server, updates)
+        self.method.aggregate(self.server, updates)
         # Retry backoff the fault plane imposed on a tree reduce's edge hops
         # joins the round's barrier (zero for the flat star — collect_penalty
         # is a no-op returning 0.0 there).

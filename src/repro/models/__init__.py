@@ -16,7 +16,7 @@ are injected as extra tokens between ``[CLS]`` and the patch tokens.
 from repro.models.resnet import ResNet10, BasicBlock
 from repro.models.tokenizer import PatchTokenizer
 from repro.models.classifier import ClsClassifier
-from repro.models.backbone import PromptedBackbone, BackboneConfig, build_backbone
+from repro.models.backbone import PromptedBackbone, BackboneConfig
 
 __all__ = [
     "ResNet10",
@@ -25,5 +25,4 @@ __all__ = [
     "ClsClassifier",
     "PromptedBackbone",
     "BackboneConfig",
-    "build_backbone",
 ]

@@ -14,7 +14,7 @@ The forward path implements paper Eqs. 1-3:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,7 +89,19 @@ class PromptedBackbone(Module):
         return self.feature_extractor(images)
 
     def patch_tokens(self, images: Tensor) -> Tensor:
-        """Tokenise ``h(x)`` into patch tokens ``PT`` of shape (N, n, d)."""
+        """Tokenise ``h(x)`` into patch tokens ``PT`` of shape (N, n, d).
+
+        Every forward starts here, so this is where an image of the wrong
+        shape is refused: the token count and the positional table are fixed
+        by ``image_size`` at construction.
+        """
+        size = self.config.image_size
+        expected = (self.config.in_channels, size, size)
+        if tuple(images.shape[1:]) != expected:
+            raise ValueError(
+                f"images must have shape (N, {expected[0]}, {size}, {size}), "
+                f"got {tuple(images.shape)}"
+            )
         return self.tokenizer(self.feature_map(images))
 
     def input_tokens(self, images: Tensor) -> Tensor:
@@ -145,20 +157,5 @@ class PromptedBackbone(Module):
         tokens = Tensor.concatenate(pieces, axis=1)
         return self.classify_tokens(tokens)
 
-    # ------------------------------------------------------------------ #
-    # Introspection helpers used by the federated layer
-    # ------------------------------------------------------------------ #
-    def trainable_parameter_names(self) -> Tuple[str, ...]:
-        return tuple(name for name, param in self.named_parameters() if param.requires_grad)
 
-
-def build_backbone(config: Optional[BackboneConfig] = None, **overrides) -> PromptedBackbone:
-    """Convenience constructor: ``build_backbone(num_classes=7, image_size=16)``."""
-    if config is None:
-        config = BackboneConfig(**overrides)
-    elif overrides:
-        raise ValueError("pass either a config object or keyword overrides, not both")
-    return PromptedBackbone(config)
-
-
-__all__ = ["BackboneConfig", "PromptedBackbone", "build_backbone"]
+__all__ = ["BackboneConfig", "PromptedBackbone"]

@@ -7,29 +7,9 @@ from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.relu(x)
-
-
 class GELU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.gelu(x)
 
 
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-__all__ = ["ReLU", "GELU", "Tanh", "Sigmoid", "Identity"]
+__all__ = ["GELU"]

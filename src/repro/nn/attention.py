@@ -79,7 +79,7 @@ class TransformerBlock(Module):
         self.norm_attention = LayerNorm(dim)
         self.norm_out = LayerNorm(dim)
         hidden = max(int(dim * mlp_ratio), dim)
-        self.mlp = MLP(dim, [hidden], dim, activation="gelu", rng=rng)
+        self.mlp = MLP(dim, [hidden], dim, rng=rng)
 
     def forward(self, tokens: Tensor) -> Tensor:
         attended = self.norm_attention(self.attention(tokens))

@@ -24,23 +24,9 @@ def kaiming_uniform(shape: Tuple[int, ...], fan_in: int, rng: Optional[np.random
     return _rng(rng).uniform(-bound, bound, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def xavier_uniform(shape: Tuple[int, ...], fan_in: int, fan_out: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
-    return _rng(rng).uniform(-bound, bound, size=shape).astype(get_default_dtype(), copy=False)
-
-
 def normal(shape: Tuple[int, ...], std: float = 0.02, rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Gaussian initialisation with the given standard deviation."""
     return _rng(rng).normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape, dtype=get_default_dtype())
-
-
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape, dtype=get_default_dtype())
-
-
-__all__ = ["kaiming_uniform", "xavier_uniform", "normal", "zeros", "ones"]
+__all__ = ["kaiming_uniform", "normal"]

@@ -7,14 +7,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.autograd.tensor import Tensor
-from repro.nn.activation import GELU, ReLU
-from repro.nn.dropout import Dropout
+from repro.nn.activation import GELU
 from repro.nn.linear import Linear
 from repro.nn.module import Module, ModuleList
 
 
 class MLP(Module):
-    """A configurable stack of ``Linear -> activation`` layers.
+    """A stack of ``Linear -> GELU`` layers.
 
     The final layer has no activation so the block can be used both as a
     transformer feed-forward network and as a projection head.
@@ -25,20 +24,15 @@ class MLP(Module):
         in_features: int,
         hidden_features: Sequence[int],
         out_features: int,
-        activation: str = "gelu",
-        dropout: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        if activation not in ("gelu", "relu"):
-            raise ValueError(f"unsupported activation {activation!r}")
         dims = [in_features, *hidden_features, out_features]
         layers = []
         for index, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
             layers.append(Linear(d_in, d_out, rng=rng))
         self.layers = ModuleList(layers)
-        self.activation = GELU() if activation == "gelu" else ReLU()
-        self.dropout = Dropout(dropout, rng=rng) if dropout > 0 else None
+        self.activation = GELU()
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
@@ -47,8 +41,6 @@ class MLP(Module):
             x = layer(x)
             if index < total - 1:
                 x = self.activation(x)
-                if self.dropout is not None:
-                    x = self.dropout(x)
         return x
 
 

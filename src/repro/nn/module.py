@@ -47,10 +47,6 @@ class Module:
         self._buffers[name] = np.asarray(array, dtype=get_default_dtype())
         object.__setattr__(self, name, self._buffers[name])
 
-    def register_parameter(self, name: str, parameter: Parameter) -> None:
-        self._parameters[name] = parameter
-        object.__setattr__(self, name, parameter)
-
     def add_module(self, name: str, module: "Module") -> None:
         self._modules[name] = module
         object.__setattr__(self, name, module)
@@ -106,16 +102,6 @@ class Module:
             param.requires_grad = False
         return self
 
-    def unfreeze(self) -> "Module":
-        for param in self.parameters():
-            param.requires_grad = True
-        return self
-
-    def num_parameters(self, trainable_only: bool = False) -> int:
-        return sum(
-            p.size for p in self.parameters() if (p.requires_grad or not trainable_only)
-        )
-
     # ------------------------------------------------------------------ #
     # State dict
     # ------------------------------------------------------------------ #
@@ -168,38 +154,6 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-class Sequential(Module):
-    """Run a list of modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._order: List[str] = []
-        for index, module in enumerate(modules):
-            name = str(index)
-            self.add_module(name, module)
-            self._order.append(name)
-
-    def append(self, module: Module) -> "Sequential":
-        name = str(len(self._order))
-        self.add_module(name, module)
-        self._order.append(name)
-        return self
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __iter__(self):
-        return iter(self._modules[name] for name in self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
-
-    def forward(self, x):
-        for name in self._order:
-            x = self._modules[name](x)
-        return x
-
-
 class ModuleList(Module):
     """A list of sub-modules that are all properly registered."""
 
@@ -228,4 +182,4 @@ class ModuleList(Module):
         raise NotImplementedError("ModuleList is a container and cannot be called")
 
 
-__all__ = ["Module", "Parameter", "Sequential", "ModuleList"]
+__all__ = ["Module", "Parameter", "ModuleList"]

@@ -1,9 +1,4 @@
-"""Gradient-based optimisers.
-
-The paper trains every method with SGD; Adam is included because the CDAP
-prompt generator converges noticeably faster with it at tiny scale, and the
-experiment configs can select either.
-"""
+"""Gradient-based optimisers: the paper trains every method with SGD."""
 
 from __future__ import annotations
 
@@ -89,45 +84,4 @@ class SGD(Optimizer):
             param.data -= self.lr * grad
 
 
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas=(0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._step_count = 0
-        self._first_moment: Dict[int, np.ndarray] = {}
-        self._second_moment: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        self._step_count += 1
-        bias1 = 1.0 - self.beta1 ** self._step_count
-        bias2 = 1.0 - self.beta2 ** self._step_count
-        for param in self.parameters:
-            if param.grad is None or not param.requires_grad:
-                continue
-            grad = param.grad
-            if self.weight_decay > 0:
-                grad = grad + self.weight_decay * param.data
-            m = self._first_moment.get(id(param))
-            v = self._second_moment.get(id(param))
-            if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1.0 - self.beta1) * grad
-            v = self.beta2 * v + (1.0 - self.beta2) * grad ** 2
-            self._first_moment[id(param)] = m
-            self._second_moment[id(param)] = v
-            param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "SGD"]

@@ -7,7 +7,7 @@ Two invariants make concurrent serving safe:
 
 * **Snapshots are immutable.**  Installing a version builds a fresh model
   (under the published state's own dtype), loads the decoded arrays into it,
-  and freezes the *method* too — a pickle round-trip of the live method object
+  and freezes the *method* too — a deep copy of the live method object
   that then loads the version's own payload — so neither what the live method
   holds at install time nor a training thread mutating it can bleed into
   responses.  Nothing in a snapshot is written after construction.
@@ -30,7 +30,7 @@ the installed version's own state and payload under either kernel.
 
 from __future__ import annotations
 
-import pickle
+import copy
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -68,7 +68,7 @@ class ForwardPlan:
 
     Refuses to compile anything whose replay could diverge from or mutate the
     snapshot: records with an effect (a train-mode batch-norm reached the
-    trace) and rng-driven kwargs (live dropout) raise
+    trace) and rng-driven kwargs (an op drawing random numbers) raise
     :class:`~repro.autograd.tape.PlanError`, sending that shape to the eager
     path.
     """
@@ -135,7 +135,7 @@ class ForwardPlan:
 
 def _reject_stateful_kwarg(value: Any) -> None:
     if isinstance(value, np.random.Generator):
-        raise PlanError("traced predict consumes an rng stream (live dropout?)")
+        raise PlanError("traced predict consumes an rng stream")
     if isinstance(value, tuple):
         for item in value:
             _reject_stateful_kwarg(item)
@@ -170,7 +170,7 @@ class ModelSnapshot:
         self.info: VersionInfo = loaded.info
         # A frozen copy of the method, its inference state (e.g. the prompt
         # store predict_logits averages) loaded from this version's payload.
-        self.method = pickle.loads(pickle.dumps(method))
+        self.method = copy.deepcopy(method)
         self.method.load_broadcast_payload(loaded.payload)
         # The snapshot's compute dtype is the *published state's* dtype: the
         # model is built under it so load_state_dict's in-place cast is the

@@ -151,13 +151,19 @@ class ServingFrontEnd:
     def submit(self, sample: np.ndarray) -> "Future[ServedResponse]":
         """Enqueue one sample; returns a future resolving to its response.
 
-        Raises :class:`QueueFullError` when the bounded queue is full and
+        Raises ``ValueError`` for a sample that is not a finite real-valued
+        array, :class:`QueueFullError` when the bounded queue is full and
         :class:`RuntimeError` after :meth:`stop` — a request is either
         accepted (and then always answered) or refused loudly, never dropped.
         """
         if not self._accepting:
             raise RuntimeError("serving front end is stopped; no new requests accepted")
-        request = _Request(np.asarray(sample))
+        sample = np.asarray(sample)
+        if sample.dtype.kind not in "iuf":
+            raise ValueError(f"sample must be a real-valued array, got dtype {sample.dtype}")
+        if not np.isfinite(sample).all():
+            raise ValueError("sample holds NaN or infinite values")
+        request = _Request(sample)
         try:
             self._queue.put_nowait(request)
         except queue.Full:

@@ -1,7 +1,7 @@
 """Cross-cutting utilities: seeding, lightweight logging and timing."""
 
-from repro.utils.rng import seeded_rng, spawn_rng, set_global_seed
+from repro.utils.rng import spawn_rng
 from repro.utils.logging_utils import get_logger
 from repro.utils.timing import Timer
 
-__all__ = ["seeded_rng", "spawn_rng", "set_global_seed", "get_logger", "Timer"]
+__all__ = ["spawn_rng", "get_logger", "Timer"]

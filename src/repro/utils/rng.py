@@ -9,23 +9,9 @@ federated runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
-
-_GLOBAL_SEED = 0
-
-
-def set_global_seed(seed: int) -> None:
-    """Set the process-wide default seed used when no explicit seed is given."""
-    global _GLOBAL_SEED
-    _GLOBAL_SEED = int(seed)
-    np.random.seed(seed % (2 ** 32))
-
-
-def seeded_rng(seed: Optional[int] = None) -> np.random.Generator:
-    """Create a generator from ``seed`` (or the global default seed)."""
-    return np.random.default_rng(_GLOBAL_SEED if seed is None else seed)
 
 
 def spawn_rng(base_seed: int, *labels: Union[str, int]) -> np.random.Generator:
@@ -43,4 +29,4 @@ def spawn_rng(base_seed: int, *labels: Union[str, int]) -> np.random.Generator:
     return np.random.default_rng(derived)
 
 
-__all__ = ["set_global_seed", "seeded_rng", "spawn_rng"]
+__all__ = ["spawn_rng"]

@@ -35,13 +35,6 @@ class Timer:
     def count(self, name: str) -> int:
         return self._counts.get(name, 0)
 
-    def mean(self, name: str) -> float:
-        count = self._counts.get(name, 0)
-        return self._totals.get(name, 0.0) / count if count else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return dict(self._totals)
-
 
 class _TimerContext:
     def __init__(self, timer: Timer, name: str) -> None:

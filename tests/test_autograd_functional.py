@@ -124,7 +124,7 @@ class TestLinearAndNorm:
         assert check_gradient(lambda a, b: F.cosine_similarity(a, b).sum(), [a, b], wrt=1)
 
 
-class TestConvolutionAndPooling:
+class TestConvolution:
     def test_conv2d_output_shape(self):
         x = Tensor(RNG.standard_normal((2, 3, 8, 8)))
         w = Tensor(RNG.standard_normal((5, 3, 3, 3)))
@@ -159,22 +159,6 @@ class TestConvolutionAndPooling:
         w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
         assert F.conv2d(x, w, padding=1).shape == (1, 3, 1, 1)
 
-    @pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
-    @pytest.mark.parametrize(
-        "size, kernel, stride, match",
-        [
-            (1, 3, None, r"a 3x3 window .* input of shape \(2, 3, 1, 1\)"),
-            (2, 3, None, r"a 3x3 window .* input of shape \(2, 3, 2, 2\)"),
-            (4, 0, 1, r"a 0x0 window .* input of shape \(2, 3, 4, 4\)"),
-            (4, 2, 0, r"stride must be positive, got \(0, 0\)"),
-        ],
-        ids=["negative-extent", "empty-output", "empty-kernel", "zero-stride"],
-    )
-    def test_pool_window_that_does_not_fit_raises(self, pool, size, kernel, stride, match):
-        x = Tensor(RNG.standard_normal((2, 3, size, size)))
-        with pytest.raises(ValueError, match=pool.__name__ + ": " + match):
-            pool(x, kernel, stride)
-
     def test_conv2d_matches_direct_computation(self):
         x = RNG.standard_normal((1, 1, 3, 3))
         w = RNG.standard_normal((1, 1, 3, 3))
@@ -201,7 +185,7 @@ class TestConvolutionAndPooling:
             (8, 1, 2, 0),  # ResNet shortcut projection: a strided view
             (7, 1, 2, 0),
             (6, 1, 1, 1),  # 1x1 but padded: the general path
-            (6, 2, 2, 0),  # pooling windows
+            (6, 2, 2, 0),  # 2x2 windows, no overlap
         ],
     )
     def test_unfold_and_fold_are_bit_identical_to_the_pad_and_loop_reference(
@@ -256,27 +240,6 @@ class TestConvolutionAndPooling:
             assert new.dtype == old.dtype and new.shape == old.shape
             assert new.tobytes() == old.tobytes()
 
-    def test_max_pool_shape_and_value(self):
-        data = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        pooled = F.max_pool2d(Tensor(data), 2)
-        assert pooled.shape == (1, 1, 2, 2)
-        assert np.allclose(pooled.data[0, 0], [[5, 7], [13, 15]])
-
-    def test_avg_pool_value(self):
-        data = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        pooled = F.avg_pool2d(Tensor(data), 2)
-        assert np.allclose(pooled.data[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_pool_gradchecks(self):
-        x = Tensor(RNG.standard_normal((2, 3, 6, 6)), requires_grad=True)
-        assert check_gradient(lambda x: F.max_pool2d(x, 2).sum(), [x])
-        assert check_gradient(lambda x: F.avg_pool2d(x, 2).sum(), [x])
-
-    def test_global_avg_pool(self):
-        x = RNG.standard_normal((2, 3, 4, 4))
-        assert np.allclose(F.global_avg_pool2d(Tensor(x)).data, x.mean(axis=(2, 3)))
-
-
 class TestLosses:
     def test_cross_entropy_matches_manual(self):
         logits = RNG.standard_normal((4, 3))
@@ -330,20 +293,26 @@ class TestLosses:
             far, teacher
         ).data
 
-    def test_mse_loss(self):
-        a, b = Tensor(np.array([1.0, 2.0])), Tensor(np.array([2.0, 4.0]))
-        assert F.mse_loss(a, b).data == pytest.approx(2.5)
-        assert F.mse_loss(a, b, reduction="sum").data == pytest.approx(5.0)
-
-    @pytest.mark.parametrize("loss_fn", [F.soft_cross_entropy, F.mse_loss])
-    def test_unknown_reduction_raises_instead_of_returning_unreduced(self, loss_fn):
+    @pytest.mark.parametrize(
+        "loss_fn, target",
+        [
+            (F.soft_cross_entropy, lambda: Tensor(F.softmax(Tensor(RNG.standard_normal((3, 4)))).data)),
+            (F.cross_entropy, lambda: np.array([0, 3, 1])),
+            (F.nll_loss, lambda: np.array([2, 2, 0])),
+        ],
+        ids=["soft_cross_entropy", "cross_entropy", "nll_loss"],
+    )
+    def test_unknown_reduction_raises_instead_of_returning_unreduced(self, loss_fn, target):
         # Regression: reduction="avg" used to fall through to the unreduced
         # vector, surfacing as a .backward() error far from the typo.
         a = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
-        b = Tensor(F.softmax(Tensor(RNG.standard_normal((3, 4)))).data)
-        assert loss_fn(a, b, reduction="none").shape[0] == 3
+        b = target()
+        assert loss_fn(a, b, reduction="none").shape == (3,)
         assert loss_fn(a, b, reduction="sum").data == pytest.approx(
             loss_fn(a, b, reduction="none").data.sum()
+        )
+        assert loss_fn(a, b, reduction="mean").data == pytest.approx(
+            loss_fn(a, b, reduction="none").data.mean()
         )
         with pytest.raises(ValueError, match="unknown reduction 'avg'"):
             loss_fn(a, b, reduction="avg")
@@ -357,19 +326,6 @@ class TestLosses:
         assert table.grad[0].sum() == pytest.approx(0.0)
 
 
-class TestDropout:
-    def test_dropout_eval_is_identity(self):
-        x = Tensor(RNG.standard_normal((10, 10)))
-        assert np.allclose(F.dropout(x, 0.5, training=False).data, x.data)
-
-    def test_dropout_training_zeroes_and_rescales(self):
-        x = Tensor(np.ones((200, 50)))
-        out = F.dropout(x, 0.5, training=True, rng=np.random.default_rng(0)).data
-        fraction_zero = (out == 0).mean()
-        assert 0.4 < fraction_zero < 0.6
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-
 class TestNumericalGradientHelper:
     def test_numerical_gradient_of_square(self):
         x = Tensor(np.array([2.0, -3.0]))
@@ -381,10 +337,10 @@ class TestEveryOpGradCheck:
     """Systematic float64 finite-difference sweep over ``functional.__all__``.
 
     Every differentiable functional gets at least one check against its
-    numerical gradient; ops with kinks (relu, max_pool) use inputs bounded
-    away from the kink so the finite difference is well defined, and
-    stateful ops (dropout, batch_norm) rebuild their state inside the
-    closure so repeated evaluations are deterministic.
+    numerical gradient; ops with kinks (relu) use inputs bounded away from
+    the kink so the finite difference is well defined, and stateful ops
+    (batch_norm) rebuild their state inside the closure so repeated
+    evaluations are deterministic.
     """
 
     def _rand(self, *shape):
@@ -395,11 +351,9 @@ class TestEveryOpGradCheck:
         x = Tensor(x + 0.2 * np.sign(x), requires_grad=True)  # keep away from the kink
         assert check_gradient(lambda t: F.relu(t).sum(), [x])
 
-    def test_sigmoid(self):
-        assert check_gradient(lambda t: F.sigmoid(t).sum(), [self._rand(3, 4)])
-
     def test_tanh(self):
-        assert check_gradient(lambda t: F.tanh(t).sum(), [self._rand(3, 4)])
+        # Tensor.tanh builds the composed GELU reference in test_fused_ops.py.
+        assert check_gradient(lambda t: t.tanh().sum(), [self._rand(3, 4)])
 
     def test_softmax(self):
         w = RNG.standard_normal((3, 6))  # weighted sum so the gradient is non-trivial
@@ -421,11 +375,6 @@ class TestEveryOpGradCheck:
         w = RNG.standard_normal((4, 6))
         x = self._rand(4, 6)
         assert check_gradient(lambda t: (F.l2_normalize(t) * Tensor(w)).sum(), [x])
-
-    def test_dropout(self):
-        x = self._rand(6, 6)
-        fn = lambda t: F.dropout(t, 0.4, training=True, rng=np.random.default_rng(3)).sum()
-        assert check_gradient(fn, [x])
 
     def test_batch_norm_2d(self):
         x = self._rand(4, 3, 2, 2)
@@ -457,9 +406,6 @@ class TestEveryOpGradCheck:
         for wrt in range(3):
             assert check_gradient(fn, [x, w, b], wrt=wrt)
 
-    def test_global_avg_pool2d(self):
-        assert check_gradient(lambda t: F.global_avg_pool2d(t).sum(), [self._rand(2, 3, 4, 4)])
-
     def test_nll_loss(self):
         targets = np.array([0, 2, 1])
         log_probs = self._rand(3, 4)
@@ -489,13 +435,6 @@ class TestEveryOpGradCheck:
         F.knowledge_distillation_loss(student, teacher).backward()
         assert student.grad is not None
         assert teacher.grad is None
-
-    def test_mse_loss(self):
-        pred, target = self._rand(4, 3), self._rand(4, 3)
-        for reduction in ("mean", "sum"):
-            fn = lambda p, t: F.mse_loss(p, t, reduction=reduction)
-            assert check_gradient(fn, [pred, target], wrt=0)
-            assert check_gradient(fn, [pred, target], wrt=1)
 
     def test_embedding_wrt_weight(self):
         weight = self._rand(7, 4)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor
+from repro.autograd import Tensor, functional as F
 from repro.autograd.tensor import default_dtype
 from repro.baselines import (
     BaselineConfig,
@@ -27,7 +27,7 @@ from repro.core.dpcl import DPCLConfig
 from repro.datasets.registry import build_dataset
 from repro.datasets.synthetic import generate_domain_split
 from repro.experiments.config import ExperimentScale, scaled_config
-from repro.federated.client import ClientHandle, LocalTrainingConfig
+from repro.federated.client import ClientHandle, LocalTrainingConfig, run_local_sgd
 from repro.federated.communication import ClientUpdate
 from repro.federated.increment import ClientGroup
 from repro.federated.server import FederatedServer
@@ -49,14 +49,14 @@ def _client(tiny_spec, task_id=0, group=ClientGroup.NEW, epochs=1, final_round=T
 
 
 class TestPromptPool:
-    def test_selection_shapes_and_histogram(self):
+    def test_selection_shapes(self):
         pool = PromptPool(PromptPoolConfig(pool_size=5, prompt_length=2, embed_dim=8, top_k=2))
         query = Tensor(RNG.standard_normal((3, 8)))
         tokens, pull, indices = pool.select(query)
         assert tokens.shape == (3, 4, 8)
         assert pull.data.size == 1
         assert indices.shape == (3, 2)
-        assert pool.selection_histogram(indices).sum() == 6
+        assert indices.min() >= 0 and indices.max() < 5
 
     def test_query_validation(self):
         pool = PromptPool(PromptPoolConfig(pool_size=3, prompt_length=1, embed_dim=8, top_k=1))
@@ -134,7 +134,13 @@ class TestBaselineLocalUpdates:
         assert "fisher" in update.payload
         assert all(np.all(v >= 0) for v in update.payload["fisher"].values())
         method.aggregate(server, [update])
-        assert method.has_penalty
+        # The penalty is live: away from its anchor the loss exceeds plain CE.
+        images, labels = next(iter(client.loader()))
+        for param in model.parameters():
+            if param.requires_grad:
+                param.data += 0.1
+        plain = float(F.cross_entropy(model(images), labels).data)
+        assert float(method.batch_loss(model, images, labels, client).data) > plain
         # Subsequent local updates should include the (finite) penalty without crashing.
         second = method.local_update(model, server.global_state, {}, _client(tiny_spec, task_id=1))
         assert np.isfinite(second.train_loss)
@@ -234,6 +240,50 @@ class TestRefFiLMethod:
         assert labels.dtype == np.int64 and labels.ndim == 1 and labels.size > 0
         assert len(set(labels.tolist())) == labels.size
         assert vectors.shape == (labels.size, tiny_backbone_config.embed_dim)
+
+    def test_local_prompt_group_comes_from_the_final_epoch_only(
+        self, tiny_backbone_config, tiny_spec, monkeypatch
+    ):
+        """Three epochs over the client's data collect each sample's prompt
+        once, from the final epoch, when the generator has trained longest."""
+        import repro.core.client as reffil_client
+
+        collectors = []
+
+        class RecordingCollector(reffil_client.LocalPromptCollector):
+            def __init__(self, embed_dim):
+                super().__init__(embed_dim)
+                collectors.append(self)
+
+        monkeypatch.setattr(reffil_client, "LocalPromptCollector", RecordingCollector)
+        method = RefFiLMethod(RefFiLConfig(backbone=tiny_backbone_config, prompt_length=3, max_tasks=4))
+        model = method.build_model()
+        server = FederatedServer(model)
+        client = _client(tiny_spec, epochs=3)
+        update = method.local_update(model, server.global_state, server.broadcast_payload, client)
+        (collector,) = collectors
+        assert len(collector) == client.num_samples
+        assert update.payload["prompt_groups"]["labels"].size == len(collector.local_prompt_group())
+
+    def test_loss_breakdown_is_the_mean_over_every_batch_of_every_epoch(
+        self, tiny_backbone_config, tiny_spec, monkeypatch
+    ):
+        import repro.core.client as reffil_client
+
+        means = []
+
+        def recording_sgd(*args, **kwargs):
+            means.append(run_local_sgd(*args, **kwargs))
+            return means[-1]
+
+        monkeypatch.setattr(reffil_client, "run_local_sgd", recording_sgd)
+        method = RefFiLMethod(RefFiLConfig(backbone=tiny_backbone_config, prompt_length=3, max_tasks=4))
+        model = method.build_model()
+        server = FederatedServer(model)
+        update = method.local_update(model, server.global_state, {}, _client(tiny_spec, epochs=2))
+        assert update.train_loss == pytest.approx(means[0], rel=1e-6)
+        assert update.metrics["loss_total"] == update.train_loss
+        assert update.metrics["loss_ce"] > 0.0
 
     def test_aggregate_populates_store_and_broadcast(self, tiny_backbone_config, tiny_spec):
         method = RefFiLMethod(RefFiLConfig(backbone=tiny_backbone_config, prompt_length=3, max_tasks=4))

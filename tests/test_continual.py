@@ -19,7 +19,6 @@ from repro.continual import (
 )
 from repro.datasets import SyntheticDomainDataset
 from repro.datasets.base import ArrayDataset
-from repro.nn.dropout import Dropout
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 
@@ -180,28 +179,28 @@ class TestEvaluator:
 
     def test_evaluate_restores_prior_module_mode(self):
         """Regression: evaluation used to force model.train() on exit,
-        re-enabling dropout even for callers that held the model in eval
+        re-enabling train-mode layers even for callers that held the model in eval
         mode.  The actual prior mode must be restored, recursively."""
         labels = np.array([0, 0, 1, 2])
         data = ArrayDataset(np.zeros((4, 3, 4, 4)), labels)
         model = _ConstantModel(3, chosen=0)
-        model.dropout = Dropout(0.5)  # a submodule whose mode matters
+        model.child = Linear(2, 2)  # a submodule whose mode is tracked
 
         model.eval()
         evaluate_accuracy(model, data)
-        assert not model.training and not model.dropout.training  # no leakage
+        assert not model.training and not model.child.training  # no leakage
 
         model.train()
         count_correct(model, data)
-        assert model.training and model.dropout.training  # restored, not stuck in eval
+        assert model.training and model.child.training  # restored, not stuck in eval
 
         # Heterogeneous modes survive too: a submodule deliberately held in
         # eval (e.g. a frozen backbone) must not be flipped to train by a
         # recursive restore of the root's mode.
         model.train()
-        model.dropout.eval()
+        model.child.eval()
         evaluate_accuracy(model, data)
-        assert model.training and not model.dropout.training
+        assert model.training and not model.child.training
 
     def test_mode_restored_even_when_predict_fn_raises(self):
         data = ArrayDataset(np.zeros((2, 3, 4, 4)), np.array([0, 1]))

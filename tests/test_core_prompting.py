@@ -91,15 +91,14 @@ class TestLocalPromptCollector:
         collector.add_batch(prompts, np.array([0, 0]))
         group = collector.local_prompt_group()
         assert np.allclose(group[0], 2.0)
-        assert collector.classes_seen == [0]
+        assert list(group) == [0]
         assert len(collector) == 2
 
-    def test_multiple_classes_and_reset(self):
+    def test_multiple_classes(self):
         collector = LocalPromptCollector(embed_dim=4)
         collector.add_batch(Tensor(RNG.standard_normal((6, 2, 4))), np.array([0, 1, 2, 0, 1, 2]))
         assert set(collector.local_prompt_group()) == {0, 1, 2}
-        collector.reset()
-        assert len(collector) == 0
+        assert len(collector) == 6
 
     def test_validation(self):
         collector = LocalPromptCollector(embed_dim=4)

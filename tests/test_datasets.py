@@ -18,7 +18,6 @@ from repro.datasets import (
     generate_domain_split,
     get_alternate_domain_order,
     get_dataset_spec,
-    train_test_split,
 )
 from repro.datasets.synthetic import class_pattern, domain_style
 from repro.datasets.transforms import DomainStyle, dihedral_transform, render_pattern, shift_pattern
@@ -31,12 +30,11 @@ class TestArrayDataset:
         with pytest.raises(ValueError):
             ArrayDataset(np.zeros((3, 3, 4, 4)), np.zeros(2))
 
-    def test_subset_and_counts(self):
+    def test_subset(self):
         data = ArrayDataset(np.zeros((6, 3, 4, 4)), np.array([0, 1, 2, 0, 1, 2]))
         sub = data.subset(np.array([0, 3]))
         assert len(sub) == 2
         assert np.all(sub.labels == 0)
-        assert np.all(data.class_counts() == [2, 2, 2])
 
     def test_concatenate(self):
         a = ArrayDataset(np.zeros((2, 3, 4, 4)), np.array([0, 1]))
@@ -311,24 +309,3 @@ class TestDataLoader:
     def test_invalid_batch_size(self, tiny_spec):
         with pytest.raises(ValueError):
             DataLoader(generate_domain_split(tiny_spec, 0, "train"), batch_size=0)
-
-
-class TestTrainTestSplit:
-    def test_stratified_split_keeps_all_classes(self, tiny_spec):
-        data = generate_domain_split(tiny_spec, 0, "train")
-        train, test = train_test_split(data, test_fraction=0.25, rng=np.random.default_rng(0))
-        assert len(train) + len(test) == len(data)
-        assert set(np.unique(test.labels)) == set(np.unique(data.labels))
-
-    def test_invalid_fraction(self, tiny_spec):
-        data = generate_domain_split(tiny_spec, 0, "train")
-        with pytest.raises(ValueError):
-            train_test_split(data, test_fraction=1.5)
-
-    @given(st.floats(0.1, 0.5))
-    @settings(max_examples=10, deadline=None)
-    def test_split_sizes_scale_with_fraction(self, fraction):
-        labels = np.tile(np.arange(4), 20)
-        data = ArrayDataset(np.zeros((80, 3, 4, 4)), labels)
-        _, test = train_test_split(data, test_fraction=fraction, rng=np.random.default_rng(0))
-        assert abs(len(test) - round(80 * fraction)) <= 4

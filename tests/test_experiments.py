@@ -100,14 +100,12 @@ class TestResultTable:
         with pytest.raises(KeyError):
             table.column("bogus")
 
-    def test_text_and_markdown_render_all_rows(self):
+    def test_text_renders_all_rows(self):
         table = self._table()
         text = table.to_text()
-        markdown = table.to_markdown()
         for label in ("Finetune", "RefFiL"):
-            assert label in text and label in markdown
+            assert label in text
         assert "avg" in text
-        assert markdown.count("|") > 6
 
     def test_missing_cells_render_as_dash(self):
         table = ResultTable(title="demo", columns=["a", "b"])

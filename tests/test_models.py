@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.models import BackboneConfig, ClsClassifier, PatchTokenizer, PromptedBackbone, ResNet10, build_backbone
+from repro.models import BackboneConfig, ClsClassifier, PatchTokenizer, PromptedBackbone, ResNet10
 from repro.models.tokenizer import sinusoidal_positions
 
 RNG = np.random.default_rng(11)
@@ -90,6 +92,16 @@ class TestPromptedBackbone:
         images = Tensor(RNG.standard_normal((3, 3, 16, 16)))
         assert backbone(images).shape == (3, tiny_backbone_config.num_classes)
 
+    @pytest.mark.parametrize(
+        "shape", [(2, 3, 16, 5), (2, 3, 8, 8), (2, 1, 16, 16), (3, 16, 16)], ids=str
+    )
+    def test_image_of_the_wrong_shape_is_refused_naming_both_shapes(self, backbone, shape):
+        # Before the check the backbone classified a 16x5 or an 8x8 image from
+        # fewer patch tokens, and RefFiL's prompt generator, whose MLP maps a
+        # fixed token count, failed on it inside NumPy's matmul.
+        with pytest.raises(ValueError, match=r"\(N, 3, 16, 16\), got " + re.escape(str(shape))):
+            backbone(Tensor(RNG.standard_normal(shape)))
+
     def test_input_tokens_include_cls(self, backbone):
         images = Tensor(RNG.standard_normal((2, 3, 16, 16)))
         tokens = backbone.input_tokens(images)
@@ -128,15 +140,9 @@ class TestPromptedBackbone:
         assert np.allclose(direct, indirect)
 
     def test_trainable_parameter_names_exclude_tokenizer(self, backbone):
-        names = backbone.trainable_parameter_names()
+        names = [name for name, param in backbone.named_parameters() if param.requires_grad]
         assert names
         assert not any(name.startswith("tokenizer.") for name in names)
-
-    def test_build_backbone_overrides(self):
-        model = build_backbone(num_classes=5, image_size=16, base_width=4, embed_dim=16, seed=1)
-        assert model.config.num_classes == 5
-        with pytest.raises(ValueError):
-            build_backbone(BackboneConfig(), num_classes=5)
 
     def test_state_dict_roundtrip_changes_output(self, backbone, tiny_backbone_config):
         """A model's state is what training changes; the frozen tokenizer comes

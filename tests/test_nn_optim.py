@@ -1,17 +1,12 @@
-"""Tests for optimisers and learning-rate schedulers."""
+"""Tests for the SGD optimiser."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, functional as F
-from repro.nn.linear import Linear
 from repro.nn.module import Parameter
-from repro.nn.optim import SGD, Adam
-from repro.nn.scheduler import ConstantLR, CosineAnnealingLR, StepLR
-
-RNG = np.random.default_rng(5)
+from repro.nn.optim import SGD
 
 
 def _quadratic_step(optimizer, param):
@@ -87,61 +82,6 @@ class TestSGD:
         for _ in range(20):
             _quadratic_step(opt, p)
         assert abs(p.data[0]) < 5.0
-
-
-class TestAdam:
-    def test_adam_converges_on_quadratic(self):
-        p = Parameter(np.array([4.0, -4.0]))
-        opt = Adam([p], lr=0.1)
-        for _ in range(300):
-            _quadratic_step(opt, p)
-        assert np.allclose(p.data, 0.0, atol=0.05)
-
-    def test_adam_trains_linear_regression(self):
-        layer = Linear(3, 1, rng=RNG)
-        target_w = np.array([[1.0, -2.0, 0.5]])
-        x = RNG.standard_normal((64, 3))
-        y = x @ target_w.T
-        opt = Adam(layer.parameters(), lr=0.05)
-        for _ in range(150):
-            opt.zero_grad()
-            loss = F.mse_loss(layer(Tensor(x)), Tensor(y))
-            loss.backward()
-            opt.step()
-        assert np.allclose(layer.weight.data, target_w, atol=0.1)
-
-
-class TestSchedulers:
-    def test_constant(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.3)
-        sched = ConstantLR(opt)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == pytest.approx(0.3)
-
-    def test_step_lr_decays(self):
-        opt = SGD([Parameter(np.array([1.0]))], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs[0] == pytest.approx(1.0)
-        assert lrs[1] == pytest.approx(0.1)
-        assert lrs[3] == pytest.approx(0.01)
-
-    def test_cosine_lr_endpoints(self):
-        opt = SGD([Parameter(np.array([1.0]))], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        values = [sched.step() for _ in range(10)]
-        assert values[0] < 1.0
-        assert values[-1] == pytest.approx(0.0, abs=1e-9)
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_scheduler_validation(self):
-        opt = SGD([Parameter(np.array([1.0]))], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(opt, t_max=0)
 
 
 class TestClipFrozenParams:

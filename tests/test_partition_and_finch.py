@@ -174,7 +174,7 @@ class TestFinch:
         # clusters, which the recursion then merges.
         for labels in result.partitions:
             assert set(labels[:15]).isdisjoint(set(labels[15:]))
-        assert result.coarsest.max() + 1 <= result.finest.max() + 1
+        assert result.partitions[-1].max() <= result.finest.max()
 
     def test_num_clusters_decreases_over_levels(self):
         features = np.random.default_rng(2).standard_normal((40, 5))

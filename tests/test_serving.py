@@ -78,8 +78,8 @@ def _method(backbone):
 
 
 class ScaledMethod(FinetuneMethod):
-    """Module-level (the snapshot pickle-freezes methods) mutable test method:
-    ``predict_logits`` consults a live attribute the trainer can change."""
+    """A mutable test method: ``predict_logits`` consults a live attribute
+    the trainer can change."""
 
     name = "scaled"
 
@@ -400,7 +400,7 @@ class TestInferenceEngine:
     def test_snapshot_frozen_against_later_method_mutation(
         self, tmp_path, tiny_backbone_config, rng
     ):
-        """The snapshot pickles the method: later live mutations cannot bleed in."""
+        """The snapshot deep-copies the method: later live mutations cannot bleed in."""
         method = ScaledMethod(BaselineConfig(backbone=tiny_backbone_config))
         registry = ModelRegistry(str(tmp_path))
         _publish_model(registry, method)
@@ -410,6 +410,22 @@ class TestInferenceEngine:
         images = rng.uniform(-1.0, 1.0, size=(2, 3, size, size))
         before = engine.predict(images).logits
         method.logit_scale = 100.0  # trainer mutates its live method mid-serve
+        np.testing.assert_array_equal(engine.predict(images).logits, before)
+
+    def test_snapshot_frozen_against_in_place_mutation_of_method_state(
+        self, tmp_path, tiny_backbone_config, rng
+    ):
+        """A shallow copy would share the array the live method scales by."""
+        method = ScaledMethod(BaselineConfig(backbone=tiny_backbone_config))
+        method.logit_scale = np.ones(tiny_backbone_config.num_classes)
+        registry = ModelRegistry(str(tmp_path))
+        _publish_model(registry, method)
+        engine = InferenceEngine(registry, method)
+        engine.install()
+        size = tiny_backbone_config.image_size
+        images = rng.uniform(-1.0, 1.0, size=(2, 3, size, size))
+        before = engine.predict(images).logits
+        method.logit_scale *= 100.0  # written in place, not rebound
         np.testing.assert_array_equal(engine.predict(images).logits, before)
 
     @pytest.mark.parametrize("kernel", ["eager", "tape"])
@@ -617,17 +633,59 @@ class TestServingFrontEnd:
             assert engine.entered.wait(timeout=30)
             good = frontend.submit(np.full((3, 4, 4), 2.0))
             wrong_shape = frontend.submit(np.ones((3, 2, 2)))
-            wrong_dtype = frontend.submit(np.full((3, 4, 4), "x"))
+            wrong_dtype = frontend.submit(np.full((3, 4, 4), 4, dtype=np.int64))
             also_good = frontend.submit(np.full((3, 4, 4), 3.0))
             engine.release.set()
             answered = [future.result(timeout=30) for future in (first, good, also_good)]
             with pytest.raises(_RefusedSample, match=r"shape \(3, 2, 2\)"):
                 wrong_shape.result(timeout=30)
-            with pytest.raises(_RefusedSample, match="<U1"):
+            with pytest.raises(_RefusedSample, match="int64"):
                 wrong_dtype.result(timeout=30)
         assert [float(response.logits[0]) for response in answered] == [1.0, 2.0, 3.0]
         assert engine.batch_sizes == [1, 2, 1, 1]
         assert frontend.telemetry()["total_requests"] == 3
+
+    @pytest.mark.parametrize(
+        "sample, match",
+        [
+            (np.full((3, 4, 4), np.nan), "NaN or infinite"),
+            (np.full((3, 4, 4), -np.inf), "NaN or infinite"),
+            (np.full((3, 4, 4), np.inf), "NaN or infinite"),
+            (np.where(np.arange(48).reshape(3, 4, 4) == 17, np.nan, 0.5), "NaN or infinite"),
+            (np.ones((3, 4, 4), dtype=bool), "real-valued array, got dtype bool"),
+            (np.full((3, 4, 4), "x"), "real-valued array, got dtype <U1"),
+            (np.full((3, 4, 4), 1 + 1j), "real-valued array, got dtype complex128"),
+            (np.empty((3, 4, 4), dtype=object), "real-valued array, got dtype object"),
+        ],
+        ids=["nan", "inf", "pos-inf", "one-nan-pixel", "bool", "string", "complex", "object"],
+    )
+    def test_non_finite_or_non_numeric_sample_is_refused_before_queueing(self, sample, match):
+        """Before the check a NaN image was served NaN logits.  A refused sample
+        never reaches the queue, the engine or the telemetry."""
+        engine = _StubEngine(held=False)
+        with ServingFrontEnd(engine, max_batch=8) as frontend:
+            with pytest.raises(ValueError, match=match):
+                frontend.submit(sample)
+            assert float(frontend.predict(np.full((3, 4, 4), 1.0), timeout=30).logits[0]) == 1.0
+        assert engine.batch_sizes == [1]
+        assert frontend.telemetry()["total_requests"] == 1
+
+    def test_sample_of_the_wrong_shape_is_refused_naming_both_shapes(
+        self, tmp_path, tiny_backbone_config
+    ):
+        method = _method(tiny_backbone_config)
+        registry = ModelRegistry(str(tmp_path))
+        _publish_model(registry, method)
+        engine = InferenceEngine(registry, method, kernel="tape")
+        engine.install()
+        size = tiny_backbone_config.image_size
+        with ServingFrontEnd(engine) as frontend:
+            for shape in ((3, size, 5), (3, size // 2, size // 2)):
+                expected = rf"\(N, 3, {size}, {size}\), got \(1, {shape[0]}, {shape[1]}, {shape[2]}\)"
+                with pytest.raises(ValueError, match=expected):
+                    frontend.predict(np.zeros(shape), timeout=30)
+            served = frontend.predict(np.zeros((3, size, size)), timeout=30)
+        assert served.logits.shape == (tiny_backbone_config.num_classes,)
 
     def test_two_workers_share_a_one_plan_cache_bit_identically(
         self, tmp_path, tiny_backbone_config, rng
@@ -642,8 +700,12 @@ class TestServingFrontEnd:
         engine.install()
         served = []
         predict = engine.predict
+        gate = threading.Event()
+        entered = [threading.Semaphore(0)]
 
         def recording_predict(images):
+            entered[0].release()
+            assert gate.wait(timeout=30)
             batch = predict(images)
             served.append((images, batch.logits))  # list.append is atomic
             return batch
@@ -651,19 +713,28 @@ class TestServingFrontEnd:
         engine.predict = recording_predict
         size = tiny_backbone_config.image_size
         with ServingFrontEnd(engine, max_batch=4, num_workers=2) as frontend:
-            for index, burst in enumerate((1, 4, 2, 3, 1, 4, 3, 2) * 3):
-                # Two resolutions, alternating by burst: at least two batch
-                # shapes meet the one-slot cache however the bursts batch.
-                side = size if index % 2 else size // 2
-                futures = [
-                    frontend.submit(rng.uniform(-1.0, 1.0, size=(3, side, side)))
-                    for _ in range(burst)
+            for _ in range(8):
+                # Hold each worker on a lone request, queue three more behind
+                # them, then let go: the three form at most two batches, so a
+                # one-row and a multi-row batch shape meet the one-slot cache
+                # in every round.
+                gate.clear()
+                entered[0] = threading.Semaphore(0)
+                futures = []
+                for _ in range(2):
+                    futures.append(frontend.submit(rng.uniform(-1.0, 1.0, size=(3, size, size))))
+                    assert entered[0].acquire(timeout=30)
+                futures += [
+                    frontend.submit(rng.uniform(-1.0, 1.0, size=(3, size, size)))
+                    for _ in range(3)
                 ]
+                gate.set()
                 for future in futures:
                     future.result(timeout=30)
         assert frontend.telemetry()["rejected"] == 0
-        assert sum(len(images) for images, _ in served) == 60
-        assert {images.shape[-1] for images, _ in served} == {size, size // 2}
+        assert sum(len(images) for images, _ in served) == 40
+        rows = {len(images) for images, _ in served}
+        assert 1 in rows and max(rows) > 1
         assert engine._snapshot.plans.evictions > 0
         model = method.build_model()
         model.load_state_dict(registry.load(1, method.payload_codec()).state)
