@@ -233,8 +233,8 @@ def layer_norm(
 
 
 def _per_channel(stat: np.ndarray) -> np.ndarray:
-    """View ``(C,)`` as ``(1, C, 1, 1)``."""
-    return stat.reshape(1, -1, 1, 1)
+    """View ``(C,)`` as ``(C, 1, 1, 1)``, to broadcast over a batch-last map."""
+    return stat.reshape(-1, 1, 1, 1)
 
 
 def _batch_norm_forward(
@@ -243,10 +243,10 @@ def _batch_norm_forward(
     ctx.training = training
     ctx.weight = weight
     if training:
-        count = x.shape[0] * x.shape[2] * x.shape[3]
-        mean = np.einsum("nchw->c", x) / count
+        count = x.size // x.shape[0]
+        mean = np.einsum("chwn->c", x) / count
         xhat = x - _per_channel(mean)
-        var = np.einsum("nchw,nchw->c", xhat, xhat) / count
+        var = np.einsum("chwn,chwn->c", xhat, xhat) / count
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
@@ -275,13 +275,13 @@ def _batch_norm_vjp(ctx, grad, needs):
     grad_x = grad_w = grad_b = None
     # Batch statistics depend on x, so its gradient needs both reductions.
     if need_b or (need_x and training):
-        grad_b = np.einsum("nchw->c", grad)
+        grad_b = np.einsum("chwn->c", grad)
     if need_w or (need_x and training):
         if training:
             xhat = ctx.xhat
         else:
             xhat = (ctx.x - _per_channel(ctx.mean)) * _per_channel(ctx.inv_std)
-        grad_w = np.einsum("nchw,nchw->c", grad, xhat)
+        grad_w = np.einsum("chwn,chwn->c", grad, xhat)
     if need_x:
         scale = ctx.weight * ctx.inv_std
         if training:
@@ -310,13 +310,21 @@ def batch_norm_2d(
     momentum: float = 0.1,
     eps: float = 1e-5,
 ) -> Tensor:
-    """Batch normalisation for ``(N, C, H, W)`` inputs.
+    """Batch normalisation for batch-last ``(C, H, W, N)`` feature maps.
 
     ``running_mean`` / ``running_var`` are plain numpy buffers: normalised
     against when ``training`` is false, updated in place (biased batch
     variance) when it is true.  Both modes are differentiable in ``x``,
-    ``weight`` and ``bias``.
+    ``weight`` and ``bias``.  Shapes are checked before anything is written.
     """
+    if x.ndim != 4 or not (
+        weight.shape == bias.shape == running_mean.shape == running_var.shape == x.shape[:1]
+    ):
+        shapes = [tuple(a.shape) for a in (weight, bias, running_mean, running_var)]
+        raise ValueError(
+            f"batch_norm_2d: a (C, H, W, N) input of shape {tuple(x.shape)} needs weight, "
+            f"bias, running_mean and running_var of shape (C,), got {shapes}"
+        )
     return apply_op(
         BATCH_NORM,
         (x, weight, bias),
@@ -331,31 +339,33 @@ def batch_norm_2d(
 # --------------------------------------------------------------------------- #
 # Convolution (a primitive op with custom backward)
 # --------------------------------------------------------------------------- #
+# Feature maps are batch-last, ``(C, H, W, N)``: an unfold copies rows of ``out_w * N``
+# values, and the conv and both of its gradients are 2-D GEMMs over the whole batch.
 def _im2col(
     x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
 ) -> Tuple[np.ndarray, int, int]:
-    """Unfold ``(N, C, H, W)`` into ``(N, C*kh*kw, out_h*out_w)`` columns."""
-    n, c, h, w = x.shape
+    """Unfold ``(C, H, W, N)`` into ``(C*kh*kw, out_h*out_w*N)`` columns."""
+    c, h, w, n = x.shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
     out_h = (h + 2 * ph - kh) // sh + 1
     out_w = (w + 2 * pw - kw) // sw + 1
     if kernel == (1, 1) and padding == (0, 0):
-        # One tap per output pixel: the columns are the (strided) image itself.
-        return x[:, :, ::sh, ::sw].reshape(n, c, out_h * out_w), out_h, out_w
+        # One tap per output pixel: the columns are the (strided) map itself.
+        return x[:, ::sh, ::sw].reshape(c, out_h * out_w * n), out_h, out_w
     if ph or pw:
-        padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-        padded[:, :, ph : ph + h, pw : pw + w] = x
+        padded = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=x.dtype)
+        padded[:, ph : ph + h, pw : pw + w] = x
     else:
         padded = x
-    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+    cols = np.empty((c, kh, kw, out_h, out_w, n), dtype=x.dtype)
     for i in range(kh):
         i_max = i + sh * out_h
         for j in range(kw):
             j_max = j + sw * out_w
-            cols[:, :, i, j, :, :] = padded[:, :, i:i_max:sh, j:j_max:sw]
-    return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+            cols[:, i, j] = padded[:, i:i_max:sh, j:j_max:sw]
+    return cols.reshape(c * kh * kw, out_h * out_w * n), out_h, out_w
 
 
 def _col2im(
@@ -367,8 +377,8 @@ def _col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Fold columns back into an image, accumulating overlaps (conv backward)."""
-    n, c, h, w = x_shape
+    """Fold columns back into a map, accumulating overlaps (conv backward)."""
+    c, h, w, n = x_shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
@@ -377,80 +387,43 @@ def _col2im(
         if stride == (1, 1):
             return cols.reshape(x_shape)
         image = np.zeros(x_shape, dtype=cols.dtype)
-        image[:, :, ::sh, ::sw] = cols.reshape(n, c, out_h, out_w)
+        image[:, ::sh, ::sw] = cols.reshape(c, out_h, out_w, n)
         return image
-    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    padded = np.zeros((c, h + 2 * ph, w + 2 * pw, n), dtype=cols.dtype)
+    cols = cols.reshape(c, kh, kw, out_h, out_w, n)
     for i in range(kh):
         i_max = i + sh * out_h
         for j in range(kw):
             j_max = j + sw * out_w
-            padded[:, :, i:i_max:sh, j:j_max:sw] += cols[:, :, i, j, :, :]
+            padded[:, i:i_max:sh, j:j_max:sw] += cols[:, i, j]
     if ph == 0 and pw == 0:
         return padded
-    return padded[:, :, ph : ph + h, pw : pw + w]
-
-
-def _check_window(
-    name: str,
-    x_shape: Tuple[int, ...],
-    kernel: Tuple[int, int],
-    stride: Tuple[int, int],
-    padding: Tuple[int, int] = (0, 0),
-) -> None:
-    """Raise ``ValueError`` unless every ``kernel`` window fits the padded input."""
-    if min(stride) < 1:
-        raise ValueError(f"{name}: stride must be positive, got {stride}")
-    if min(padding) < 0:
-        raise ValueError(f"{name}: padding must be non-negative, got {padding}")
-    if (
-        len(x_shape) != 4
-        or min(kernel) < 1
-        or x_shape[2] + 2 * padding[0] < kernel[0]
-        or x_shape[3] + 2 * padding[1] < kernel[1]
-    ):
-        raise ValueError(
-            f"{name}: a {kernel[0]}x{kernel[1]} window with padding {padding} does not fit "
-            f"an (N, C, H, W) input of shape {tuple(x_shape)}"
-        )
+    return padded[:, ph : ph + h, pw : pw + w]
 
 
 def _conv2d_forward(ctx, x, weight, *rest, stride, padding):
     bias = rest[0] if rest else None
-    n = x.shape[0]
     c_out = weight.shape[0]
     kernel = (weight.shape[2], weight.shape[3])
     cols, out_h, out_w = _im2col(x, kernel, stride, padding)
     w_mat = weight.reshape(c_out, -1)
-    # matmul broadcasts (c_out, f) @ (n, f, l) -> (n, c_out, l) and dispatches to BLAS.
-    out = np.matmul(w_mat, cols)
-    out = out.reshape(n, c_out, out_h, out_w)
+    out = (w_mat @ cols).reshape(c_out, out_h, out_w, x.shape[3])
     if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1)
-    ctx.cols = cols
-    ctx.w_mat = w_mat
-    ctx.x_shape = x.shape
-    ctx.w_shape = weight.shape
-    ctx.kernel = kernel
-    ctx.stride = stride
-    ctx.padding = padding
-    ctx.n, ctx.c_out, ctx.out_h, ctx.out_w = n, c_out, out_h, out_w
+        out += _per_channel(bias)
+    ctx.cols, ctx.w_mat, ctx.x_shape, ctx.w_shape = cols, w_mat, x.shape, weight.shape
+    ctx.geometry = (kernel, stride, padding, out_h, out_w)
     return out
 
 
 def _conv2d_vjp(ctx, grad, needs):
-    grad_mat = grad.reshape(ctx.n, ctx.c_out, ctx.out_h * ctx.out_w)
+    grad_mat = grad.reshape(ctx.w_shape[0], -1)
     grad_x = grad_w = grad_b = None
     if needs[1]:
-        grad_w = np.matmul(grad_mat, ctx.cols.transpose(0, 2, 1)).sum(axis=0)
-        grad_w = grad_w.reshape(ctx.w_shape)
+        grad_w = (grad_mat @ ctx.cols.T).reshape(ctx.w_shape)
     if len(needs) > 2 and needs[2]:
-        grad_b = grad.sum(axis=(0, 2, 3))
+        grad_b = grad_mat.sum(axis=1)
     if needs[0]:
-        grad_cols = np.matmul(ctx.w_mat.T, grad_mat)
-        grad_x = _col2im(
-            grad_cols, ctx.x_shape, ctx.kernel, ctx.stride, ctx.padding, ctx.out_h, ctx.out_w
-        )
+        grad_x = _col2im(ctx.w_mat.T @ grad_mat, ctx.x_shape, *ctx.geometry)
     return (grad_x, grad_w, grad_b)[: len(needs)]
 
 
@@ -464,14 +437,31 @@ def conv2d(
     stride: IntOrPair = 1,
     padding: IntOrPair = 0,
 ) -> Tensor:
-    """2-D convolution over ``(N, C_in, H, W)`` with ``(C_out, C_in, kh, kw)`` weights."""
-    c_in = weight.shape[1]
-    if x.shape[1] != c_in:
-        raise ValueError(
-            f"conv2d channel mismatch: input has {x.shape[1]} channels, weight expects {c_in}"
-        )
+    """2-D convolution of a batch-last ``(C_in, H, W, N)`` map into ``(C_out, out_h, out_w, N)``.
+
+    ``weight`` is ``(C_out, C_in, kh, kw)`` and ``bias`` ``(C_out,)``; shapes are
+    checked before anything runs.
+    """
     stride, padding = _pair(stride), _pair(padding)
-    _check_window("conv2d", x.shape, (weight.shape[2], weight.shape[3]), stride, padding)
+    if min(stride) < 1:
+        raise ValueError(f"conv2d: stride must be positive, got {stride}")
+    if min(padding) < 0:
+        raise ValueError(f"conv2d: padding must be non-negative, got {padding}")
+    if x.ndim != 4 or weight.ndim != 4 or x.shape[0] != weight.shape[1]:
+        raise ValueError(
+            f"conv2d: a (C_in, H, W, N) input of shape {tuple(x.shape)} does not match "
+            f"(C_out, C_in, kh, kw) weights of shape {tuple(weight.shape)}"
+        )
+    if bias is not None and tuple(bias.shape) != (weight.shape[0],):
+        raise ValueError(
+            f"conv2d: bias of shape {tuple(bias.shape)} is not (C_out,) = ({weight.shape[0]},)"
+        )
+    kh, kw = weight.shape[2:]
+    if min(kh, kw) < 1 or x.shape[1] + 2 * padding[0] < kh or x.shape[2] + 2 * padding[1] < kw:
+        raise ValueError(
+            f"conv2d: a {kh}x{kw} window with padding {padding} does not fit "
+            f"a (C, H, W, N) input of shape {tuple(x.shape)}"
+        )
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return apply_op(CONV2D, inputs, stride=stride, padding=padding)
 

@@ -119,11 +119,11 @@ class FederatedConfig:
         time (1.80 -> 1.33 s), ``eval_stream`` in 31% less and
         ``fleet_buffered`` in 26% less, with 16-20% lower peak RSS and 49%
         fewer identity-codec wire bytes (RefFiL's prompt store stays
-        float64).  A run at either dtype is a different trajectory: the
-        fidelity gate's Table I Avg claim holds at float32 over seeds 0-2
-        (+7.94 against a pooled std of 5.62; +12.49 against 5.28 while the
-        frozen tokenizer was averaged with the state) and not at float64
-        (+1.16 against 5.13); over seeds 0-5 it holds at neither.""")
+        float64).  A run at either dtype is a different trajectory, and so
+        is a float32 run after any change of summation order: the fidelity
+        gate's Table I Avg claim holds over seeds 0-2 at neither dtype
+        (float32 +1.46 against a pooled std of 7.34; float64 +1.16 against
+        5.13), nor over seeds 0-5.""")
     eval_executor: str = knob("serial", effect=EXACT, choices=_EXECUTORS, doc="""
         How the seen-task evaluation suite runs: ``"serial"`` (historical
         in-process loop) or ``"parallel"`` (fan seen tasks × batch-aligned

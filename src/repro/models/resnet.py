@@ -21,7 +21,8 @@ from repro.nn.norm import BatchNorm2d
 
 
 class BasicBlock(Module):
-    """Standard two-convolution residual block with an optional projection shortcut."""
+    """Standard two-convolution residual block with an optional projection shortcut,
+    over batch-last ``(C, H, W, N)`` feature maps."""
 
     def __init__(
         self,
@@ -54,6 +55,10 @@ class BasicBlock(Module):
 
 class ResNet10(Module):
     """Four-stage residual CNN returning the final convolutional feature map.
+
+    Takes ``(N, C, H, W)`` images and returns a batch-last ``(C, H, W, N)``
+    map: the images are transposed once, at the stem, and every layer after
+    it keeps the batch last (see :func:`repro.autograd.functional.conv2d`).
 
     Parameters
     ----------
@@ -91,7 +96,7 @@ class ResNet10(Module):
         self.out_channels = channels[-1]
 
     def forward(self, x: Tensor) -> Tensor:
-        out = F.relu(self.stem_bn(self.stem_conv(x)))
+        out = F.relu(self.stem_bn(self.stem_conv(x.transpose(1, 2, 3, 0))))
         for block in self.blocks:
             out = block(out)
         return out

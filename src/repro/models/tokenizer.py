@@ -33,7 +33,7 @@ def sinusoidal_positions(num_positions: int, dim: int) -> np.ndarray:
 
 
 class PatchTokenizer(Module):
-    """Project a ``(N, C, H, W)`` feature map to ``(N, H*W, d)`` patch tokens."""
+    """Project a batch-last ``(C, H, W, N)`` feature map to ``(N, H*W, d)`` patch tokens."""
 
     def __init__(
         self,
@@ -58,10 +58,10 @@ class PatchTokenizer(Module):
         self.freeze()
 
     def forward(self, feature_map: Tensor) -> Tensor:
-        batch, _, height, width = feature_map.shape
-        projected = self.projection(feature_map)  # (N, d, H, W)
-        tokens = projected.reshape(batch, self.embed_dim, height * width).transpose(0, 2, 1)
+        _, height, width, batch = feature_map.shape
         num_tokens = height * width
+        projected = self.projection(feature_map)  # (d, H, W, N)
+        tokens = projected.reshape(self.embed_dim, num_tokens, batch).transpose(2, 1, 0)
         if num_tokens > self.positional.shape[0]:
             raise ValueError(
                 f"feature map yields {num_tokens} tokens but tokenizer supports at most "

@@ -13,7 +13,7 @@ from repro.nn.module import Module, Parameter
 
 
 class Conv2d(Module):
-    """Standard 2-D convolution over ``(N, C, H, W)`` inputs."""
+    """Standard 2-D convolution over batch-last ``(C, H, W, N)`` feature maps."""
 
     def __init__(
         self,

@@ -10,7 +10,7 @@ from repro.nn.module import Module, Parameter
 
 
 class BatchNorm2d(Module):
-    """Batch normalisation for convolutional feature maps ``(N, C, H, W)``."""
+    """Batch normalisation for batch-last convolutional feature maps ``(C, H, W, N)``."""
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()

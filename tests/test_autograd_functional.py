@@ -7,6 +7,7 @@ import pytest
 
 from repro.autograd import Tensor, functional as F
 from repro.autograd.grad_check import check_gradient, numerical_gradient
+from repro.autograd.tensor import default_dtype
 
 RNG = np.random.default_rng(42)
 
@@ -59,11 +60,11 @@ class TestLinearAndNorm:
         assert check_gradient(lambda x, w, b: F.layer_norm(x, w, b).sum(), [x, w, b], wrt=1)
 
     def test_batch_norm_training_normalises(self):
-        x = Tensor(RNG.standard_normal((8, 4, 5, 5)) * 3 + 2)
+        x = Tensor(RNG.standard_normal((4, 5, 5, 8)) * 3 + 2)
         weight, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
         running_mean, running_var = np.zeros(4), np.ones(4)
         out = F.batch_norm_2d(x, weight, bias, running_mean, running_var, training=True)
-        assert np.allclose(out.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
+        assert np.allclose(out.data.mean(axis=(1, 2, 3)), 0.0, atol=1e-6)
         assert not np.allclose(running_mean, 0.0)
 
     @pytest.mark.parametrize("training", [True, False])
@@ -72,19 +73,19 @@ class TestLinearAndNorm:
 
         def composed(x, weight, bias, running_mean, running_var):
             if training:
-                mean = x.mean(axis=(0, 2, 3), keepdims=True)
-                var = x.var(axis=(0, 2, 3), keepdims=True)
+                mean = x.mean(axis=(1, 2, 3), keepdims=True)
+                var = x.var(axis=(1, 2, 3), keepdims=True)
                 running_mean *= 0.9
                 running_mean += 0.1 * mean.data.reshape(-1)
                 running_var *= 0.9
                 running_var += 0.1 * var.data.reshape(-1)
             else:
-                mean = Tensor(running_mean.reshape(1, -1, 1, 1))
-                var = Tensor(running_var.reshape(1, -1, 1, 1))
+                mean = Tensor(running_mean.reshape(-1, 1, 1, 1))
+                var = Tensor(running_var.reshape(-1, 1, 1, 1))
             normed = (x - mean) / (var + 1e-5).sqrt()
-            return normed * weight.reshape(1, -1, 1, 1) + bias.reshape(1, -1, 1, 1)
+            return normed * weight.reshape(-1, 1, 1, 1) + bias.reshape(-1, 1, 1, 1)
 
-        data = RNG.standard_normal((6, 3, 4, 4)) * 2 + 1
+        data = RNG.standard_normal((3, 4, 4, 6)) * 2 + 1
         mix = Tensor(RNG.standard_normal(data.shape))
         results = []
         for fn in (composed, lambda *args: F.batch_norm_2d(*args, training=training)):
@@ -99,11 +100,32 @@ class TestLinearAndNorm:
             np.testing.assert_allclose(fused, reference, rtol=1e-12, atol=1e-12)
 
     def test_batch_norm_eval_uses_running_stats(self):
-        x = Tensor(RNG.standard_normal((4, 2, 3, 3)))
+        x = Tensor(RNG.standard_normal((2, 3, 3, 4)))
         weight, bias = Tensor(np.ones(2)), Tensor(np.zeros(2))
         running_mean, running_var = np.array([5.0, -5.0]), np.array([1.0, 1.0])
         out = F.batch_norm_2d(x, weight, bias, running_mean, running_var, training=False)
-        assert np.allclose(out.data[:, 0], x.data[:, 0] - 5.0, atol=1e-2)
+        assert np.allclose(out.data[0], x.data[0] - 5.0, atol=1e-2)
+
+    @pytest.mark.parametrize(
+        "x_shape, sizes",
+        [
+            ((2, 4, 4, 3), (5, 5, 5, 5)),  # channel count read from the wrong axis
+            ((5, 4, 4, 3), (5, 5, 5, 4)),  # one running buffer too short
+            ((5, 4, 4, 3), (5, 4, 5, 5)),  # bias too short
+            ((5, 4, 4), (5, 5, 5, 5)),  # not a 4-D map
+        ],
+        ids=["channels", "running-var", "bias", "rank"],
+    )
+    def test_batch_norm_refuses_mismatched_shapes_before_writing_its_buffers(
+        self, x_shape, sizes
+    ):
+        x = Tensor(RNG.standard_normal(x_shape))
+        weight, bias = Tensor(np.ones(sizes[0])), Tensor(np.zeros(sizes[1]))
+        running_mean, running_var = np.ones(sizes[2]), np.ones(sizes[3])
+        with pytest.raises(ValueError, match=r"batch_norm_2d: a \(C, H, W, N\) input of shape"):
+            F.batch_norm_2d(x, weight, bias, running_mean, running_var, training=True)
+        assert np.array_equal(running_mean, np.ones(sizes[2]))
+        assert np.array_equal(running_var, np.ones(sizes[3]))
 
     def test_l2_normalize_unit_norm(self):
         x = Tensor(RNG.standard_normal((5, 8)))
@@ -126,119 +148,306 @@ class TestLinearAndNorm:
 
 class TestConvolution:
     def test_conv2d_output_shape(self):
-        x = Tensor(RNG.standard_normal((2, 3, 8, 8)))
+        x = Tensor(RNG.standard_normal((3, 8, 8, 2)))
         w = Tensor(RNG.standard_normal((5, 3, 3, 3)))
-        assert F.conv2d(x, w, stride=1, padding=1).shape == (2, 5, 8, 8)
-        assert F.conv2d(x, w, stride=2, padding=1).shape == (2, 5, 4, 4)
-        assert F.conv2d(x, w, stride=1, padding=0).shape == (2, 5, 6, 6)
+        assert F.conv2d(x, w, stride=1, padding=1).shape == (5, 8, 8, 2)
+        assert F.conv2d(x, w, stride=2, padding=1).shape == (5, 4, 4, 2)
+        assert F.conv2d(x, w, stride=1, padding=0).shape == (5, 6, 6, 2)
 
     def test_conv2d_channel_mismatch_raises(self):
-        x = Tensor(RNG.standard_normal((1, 2, 4, 4)))
+        x = Tensor(RNG.standard_normal((2, 4, 4, 1)))
         w = Tensor(RNG.standard_normal((3, 5, 3, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"input of shape \(2, 4, 4, 1\) does not match"):
             F.conv2d(x, w)
+
+    @pytest.mark.parametrize(
+        "x_shape, w_shape, bias_shape, match",
+        [
+            ((3, 4, 4, 2), (5, 27), None, r"weights of shape \(5, 27\)"),
+            ((3, 4, 4), (5, 3, 3, 3), None, r"input of shape \(3, 4, 4\)"),
+            ((3, 4, 4, 2), (5, 3, 3, 3), (4,), r"bias of shape \(4,\) is not \(C_out,\) = \(5,\)"),
+            ((3, 4, 4, 2), (5, 3, 3, 3), (5, 1), r"bias of shape \(5, 1\)"),
+        ],
+        ids=["2d-weight", "3d-input", "short-bias", "2d-bias"],
+    )
+    def test_conv2d_refuses_malformed_shapes_naming_them(self, x_shape, w_shape, bias_shape, match):
+        x, w = Tensor(RNG.standard_normal(x_shape)), Tensor(RNG.standard_normal(w_shape))
+        bias = None if bias_shape is None else Tensor(RNG.standard_normal(bias_shape))
+        with pytest.raises(ValueError, match="conv2d: .*" + match):
+            F.conv2d(x, w, bias, padding=1)
 
     @pytest.mark.parametrize(
         "size, stride, padding, match",
         [
-            (1, 1, 0, r"a 3x3 window .* input of shape \(1, 2, 1, 1\)"),
-            (2, 1, 0, r"a 3x3 window .* input of shape \(1, 2, 2, 2\)"),
+            (1, 1, 0, r"a 3x3 window .* input of shape \(2, 1, 1, 1\)"),
+            (2, 1, 0, r"a 3x3 window .* input of shape \(2, 2, 2, 1\)"),
             (4, 0, 0, r"stride must be positive, got \(0, 0\)"),
             (4, 1, -1, r"padding must be non-negative, got \(-1, -1\)"),
         ],
         ids=["negative-extent", "empty-output", "zero-stride", "negative-padding"],
     )
     def test_conv2d_window_that_does_not_fit_raises(self, size, stride, padding, match):
-        x = Tensor(RNG.standard_normal((1, 2, size, size)))
+        x = Tensor(RNG.standard_normal((2, size, size, 1)))
         w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
         with pytest.raises(ValueError, match="conv2d: " + match):
             F.conv2d(x, w, stride=stride, padding=padding)
 
     def test_conv2d_window_fits_once_padded(self):
-        x = Tensor(RNG.standard_normal((1, 2, 1, 1)))
+        x = Tensor(RNG.standard_normal((2, 1, 1, 1)))
         w = Tensor(RNG.standard_normal((3, 2, 3, 3)))
-        assert F.conv2d(x, w, padding=1).shape == (1, 3, 1, 1)
+        assert F.conv2d(x, w, padding=1).shape == (3, 1, 1, 1)
 
     def test_conv2d_matches_direct_computation(self):
-        x = RNG.standard_normal((1, 1, 3, 3))
+        x = RNG.standard_normal((1, 3, 3, 1))
         w = RNG.standard_normal((1, 1, 3, 3))
         out = F.conv2d(Tensor(x), Tensor(w), stride=1, padding=0)
-        assert out.data[0, 0, 0, 0] == pytest.approx(float((x[0, 0] * w[0, 0]).sum()))
+        assert out.data[0, 0, 0, 0] == pytest.approx(float((x[0, :, :, 0] * w[0, 0]).sum()))
 
-    def test_conv2d_gradcheck_all_inputs(self):
-        x = Tensor(RNG.standard_normal((2, 2, 5, 5)), requires_grad=True)
-        w = Tensor(RNG.standard_normal((3, 2, 3, 3)), requires_grad=True)
+    @pytest.mark.parametrize(
+        "x_shape, kernel, padding",
+        [
+            ((2, 5, 5, 2), 3, 1),
+            # Unpadded windows on a non-square map: the fold returns its buffer as is.
+            ((2, 7, 6, 2), 3, 0),
+            ((2, 7, 6, 2), 2, 0),
+        ],
+        ids=["3x3-padded", "3x3-unpadded", "2x2-unpadded"],
+    )
+    def test_conv2d_gradcheck_all_inputs(self, x_shape, kernel, padding):
+        x = Tensor(RNG.standard_normal(x_shape), requires_grad=True)
+        w = Tensor(RNG.standard_normal((3, 2, kernel, kernel)), requires_grad=True)
         b = Tensor(RNG.standard_normal(3), requires_grad=True)
-        fn = lambda x, w, b: F.conv2d(x, w, b, stride=2, padding=1).sum()
+        fn = lambda x, w, b: F.conv2d(x, w, b, stride=2, padding=padding).sum()
         assert check_gradient(fn, [x, w, b], wrt=0)
         assert check_gradient(fn, [x, w, b], wrt=1)
         assert check_gradient(fn, [x, w, b], wrt=2)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize(
-        "size, kernel, stride, padding",
-        [
-            (8, 3, 1, 1),  # ResNet body
-            (8, 3, 2, 1),
-            (7, 3, 2, 0),  # unpadded, odd extent
-            (8, 1, 1, 0),  # tokenizer projection: a plain reshape
-            (8, 1, 2, 0),  # ResNet shortcut projection: a strided view
-            (7, 1, 2, 0),
-            (6, 1, 1, 1),  # 1x1 but padded: the general path
-            (6, 2, 2, 0),  # 2x2 windows, no overlap
-        ],
+
+# --------------------------------------------------------------------------- #
+# The batch-last layout contract
+# --------------------------------------------------------------------------- #
+def _nchw_unfold(x, kernel, stride, padding):
+    """``np.pad`` + tap-loop columns ``(N, C*kh*kw, out_h*out_w)`` of an ``(N, C, H, W)`` map."""
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    out_h = (h + 2 * ph - kh) // sh + 1
+    out_w = (w + 2 * pw - kw) // sw + 1
+    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
+    return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+
+
+def _nchw_fold(cols, x_shape, kernel, stride, padding, out_h, out_w):
+    """The inverse of :func:`_nchw_unfold`, accumulating overlapping taps in tap order."""
+    n, c, h, w = x_shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += cols[:, :, i, j]
+    return padded[:, :, ph : ph + h, pw : pw + w]
+
+
+def _nchw_conv_reference(x, weight, bias, stride, padding, grad):
+    """An ``(N, C, H, W)`` conv, the oracle for the batch-last one.
+
+    One GEMM per sample, and the weight gradient summed over the batch last.
+    Returns ``(out, grad_x, grad_w)`` for the upstream gradient ``grad`` of
+    ``out``.
+    """
+    n = x.shape[0]
+    c_out, kernel = weight.shape[0], weight.shape[2:]
+    cols, out_h, out_w = _nchw_unfold(x, kernel, stride, padding)
+    w_mat = weight.reshape(c_out, -1)
+    out = np.matmul(w_mat, cols).reshape(n, c_out, out_h, out_w)
+    if bias is not None:
+        out = out + bias.reshape(1, -1, 1, 1)
+    grad_mat = grad.reshape(n, c_out, out_h * out_w)
+    grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+    grad_cols = np.matmul(w_mat.T, grad_mat)
+    grad_x = _nchw_fold(grad_cols, x.shape, kernel, stride, padding, out_h, out_w)
+    return out, grad_x, grad_w
+
+
+def _batch_last(a):
+    return a.transpose(1, 2, 3, 0)
+
+
+def _assert_conv_matches_the_oracle(images, inputs, weight, bias, stride, padding, rng, exact):
+    """Conv each batch-last array in ``inputs`` (all holding ``images``) against the oracle.
+
+    The weight gradient must match to rounding, all in the dtype of
+    ``images``; output and input gradient bit for bit if ``exact``, else to
+    rounding too.
+    """
+    dtype = images.dtype
+    n, _, h, w = images.shape
+    c_out, _, kh, kw = weight.shape
+    out_shape = (n, c_out, (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1)
+    mix = rng.standard_normal(out_shape).astype(dtype)
+    out, grad_x, grad_w = _nchw_conv_reference(
+        images, weight, bias, (stride, stride), (padding, padding), mix
     )
-    def test_unfold_and_fold_are_bit_identical_to_the_pad_and_loop_reference(
-        self, monkeypatch, dtype, size, kernel, stride, padding
-    ):
-        """``_im2col`` / ``_col2im`` against the ``np.pad`` + tap-loop code they replaced."""
+    rtol = 1e-12 if dtype == np.float64 else 1e-5
+    for data in inputs:
+        assert np.array_equal(data, _batch_last(images))
+        with default_dtype(dtype):
+            x, wt = Tensor(data, requires_grad=True), Tensor(weight, requires_grad=True)
+            args = (x, wt) if bias is None else (x, wt, Tensor(bias))
+            got = F.conv2d(*args, stride=stride, padding=padding)
+            (got * Tensor(_batch_last(mix))).sum().backward()
+        assert got.data.dtype == x.grad.dtype == wt.grad.dtype == dtype
+        checks = [(wt.grad, grad_w)]
+        if exact:
+            assert np.array_equal(got.data, _batch_last(out))
+            assert np.array_equal(x.grad, _batch_last(grad_x))
+        else:
+            checks += [(got.data, _batch_last(out)), (x.grad, _batch_last(grad_x))]
+        for value, reference in checks:
+            atol = rtol * np.abs(reference).max()
+            np.testing.assert_allclose(value, reference, rtol=rtol, atol=atol)
 
-        def reference_im2col(x, kernel, stride, padding):
-            n, c, h, w = x.shape
-            (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
-            out_h = (h + 2 * ph - kh) // sh + 1
-            out_w = (w + 2 * pw - kw) // sw + 1
-            padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-            cols = np.empty((n, c, kh, kw, out_h, out_w), dtype=x.dtype)
-            for i in range(kh):
-                for j in range(kw):
-                    cols[:, :, i, j] = padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw]
-            return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
-        def reference_col2im(cols, x_shape, kernel, stride, padding, out_h, out_w):
-            n, c, h, w = x_shape
-            (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
-            padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-            cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-            for i in range(kh):
-                for j in range(kw):
-                    padded[:, :, i : i + sh * out_h : sh, j : j + sw * out_w : sw] += cols[:, :, i, j]
-            return padded[:, :, ph : ph + h, pw : pw + w]
+#: ``(c_in, c_out, size, kernel, stride, padding)`` of the eleven convs of the
+#: ``small`` ResNet10 (base width 12, 16x16 images), then the tokenizer's
+#: biased 1x1 projection.
+RESNET_CONVS = {
+    "stem": (3, 12, 16, 3, 1, 1),
+    "block0.conv1": (12, 12, 16, 3, 1, 1),
+    "block0.conv2": (12, 12, 16, 3, 1, 1),
+    "block1.conv1": (12, 24, 16, 3, 2, 1),
+    "block1.conv2": (24, 24, 8, 3, 1, 1),
+    "block1.shortcut": (12, 24, 16, 1, 2, 0),
+    "block2.conv1": (24, 24, 8, 3, 2, 1),
+    "block2.conv2": (24, 24, 4, 3, 1, 1),
+    "block2.shortcut": (24, 24, 8, 1, 2, 0),
+    "block3.conv1": (24, 24, 4, 3, 1, 1),
+    "block3.conv2": (24, 24, 4, 3, 1, 1),
+    "tokenizer.projection": (24, 32, 4, 1, 1, 0),
+}
 
-        rng = np.random.default_rng(size * 100 + kernel * 10 + stride)
-        data = rng.standard_normal((3, 4, size, size + 1)).astype(dtype)
+
+#: ``(h, w, kernel, stride, padding)`` of conv geometries the ResNet does not
+#: use: non-square maps, unpadded windows larger than 1x1 (the fold's
+#: unpadded branch), a padded 1x1 (the general unfold) and non-overlapping
+#: 2x2 windows.
+OTHER_CONVS = {
+    "3x3-s1-p1": (8, 9, 3, 1, 1),
+    "3x3-s2-p1": (8, 9, 3, 2, 1),
+    "3x3-s2-unpadded-odd": (7, 8, 3, 2, 0),
+    "1x1-s1": (8, 9, 1, 1, 0),
+    "1x1-s2": (8, 9, 1, 2, 0),
+    "1x1-s2-odd": (7, 8, 1, 2, 0),
+    "1x1-padded": (6, 7, 1, 1, 1),
+    "2x2-s2-no-overlap": (6, 7, 2, 2, 0),
+}
+
+
+class TestBatchLastLayout:
+    """Feature maps are ``(C, H, W, N)``; the NCHW conv above is the oracle.
+
+    The unfold and fold only move values (the fold adds overlapping taps in
+    the oracle's order), so they match the oracle's bit for bit at any
+    geometry.  Each output and input-gradient element is the same dot
+    product either way: on the ResNet's 16x16, 8x8 and 4x4 maps the bundled
+    OpenBLAS sums it in the same order, so those match bit for bit, while on
+    other extents (an 8x9 map) its kernels may split the columns differently
+    and round the last bit differently.  The weight gradient and the
+    batch-norm statistics sum over the batch in a new order: they match to
+    rounding.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer", list(RESNET_CONVS))
+    def test_conv_matches_the_nchw_oracle(self, layer, dtype):
+        c_in, c_out, size, kernel, stride, padding = RESNET_CONVS[layer]
+        rng = np.random.default_rng(sum(RESNET_CONVS[layer]))
+        weight = rng.standard_normal((c_out, c_in, kernel, kernel)).astype(dtype)
+        bias = rng.standard_normal(c_out).astype(dtype) if layer.startswith("tok") else None
+        for batch in (16, 5):
+            images = rng.standard_normal((batch, c_in, size, size)).astype(dtype)
+            # The stem's input is a transposed view; every later map is contiguous.
+            inputs = (_batch_last(images), np.ascontiguousarray(_batch_last(images)))
+            _assert_conv_matches_the_oracle(
+                images, inputs, weight, bias, stride, padding, rng, exact=True
+            )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("geometry", list(OTHER_CONVS))
+    def test_conv_off_the_resnet_geometries_matches_the_nchw_oracle(self, geometry, dtype):
+        h, w, kernel, stride, padding = OTHER_CONVS[geometry]
+        rng = np.random.default_rng(h * 100 + kernel * 10 + stride)
         weight = rng.standard_normal((5, 4, kernel, kernel)).astype(dtype)
-        mix = rng.standard_normal(
-            F.conv2d(Tensor(data), Tensor(weight), stride=stride, padding=padding).shape
-        ).astype(dtype)
+        bias = rng.standard_normal(5).astype(dtype)
+        images = rng.standard_normal((3, 4, h, w)).astype(dtype)
+        contiguous = np.ascontiguousarray(_batch_last(images))
+        # Every other column of a buffer twice as wide: neither C- nor F-ordered.
+        buffer = np.zeros((4, h, 2 * w, 3), dtype=dtype)
+        buffer[:, :, ::2] = contiguous
+        strided = buffer[:, :, ::2]
+        assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+        inputs = (contiguous, np.asfortranarray(contiguous), strided)
+        geometry = (kernel, kernel), (stride, stride), (padding, padding)
+        ref_cols, out_h, out_w = _nchw_unfold(images, *geometry)
+        for data in inputs:
+            cols, *_ = F._im2col(data, *geometry)
+            assert np.array_equal(cols, ref_cols.transpose(1, 2, 0).reshape(cols.shape))
+        taps = rng.standard_normal(ref_cols.shape).astype(dtype)
+        image = F._col2im(
+            taps.transpose(1, 2, 0).reshape(taps.shape[1], -1),
+            contiguous.shape,
+            *geometry,
+            out_h,
+            out_w,
+        )
+        reference = _nchw_fold(taps, images.shape, *geometry, out_h, out_w)
+        assert image.dtype == dtype and np.array_equal(image, _batch_last(reference))
+        _assert_conv_matches_the_oracle(
+            images, inputs, weight, bias, stride, padding, rng, exact=False
+        )
 
-        def run():
-            results = []
-            # A contiguous image and a non-contiguous view of the same values.
-            for image in (data, np.asfortranarray(data)):
-                x = Tensor(image, requires_grad=True)
-                w = Tensor(weight, requires_grad=True)
-                out = F.conv2d(x, w, stride=stride, padding=padding)
-                (out * Tensor(mix)).sum().backward()
-                results += [out.data, x.grad, w.grad]
-            return results
+    @pytest.mark.parametrize("layer", list(RESNET_CONVS))
+    def test_batch_norm_statistics_match_the_nchw_reduction(self, layer):
+        _, channels, size, _, stride, _ = RESNET_CONVS[layer]
+        rng = np.random.default_rng(sum(RESNET_CONVS[layer]))
+        size = (size - 1) // stride + 1
+        maps = rng.standard_normal((16, channels, size, size)) * 3 + 1
+        mean = np.einsum("nchw->c", maps) / (maps.size // channels)
+        centred = maps - mean.reshape(1, -1, 1, 1)
+        var = np.einsum("nchw,nchw->c", centred, centred) / (maps.size // channels)
+        # momentum 1: the running buffers become this batch's statistics.
+        running_mean, running_var = np.zeros(channels), np.ones(channels)
+        weight, bias = Tensor(np.ones(channels)), Tensor(np.zeros(channels))
+        x = Tensor(np.ascontiguousarray(_batch_last(maps)))
+        F.batch_norm_2d(x, weight, bias, running_mean, running_var, training=True, momentum=1.0)
+        np.testing.assert_allclose(running_mean, mean, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(running_var, var, rtol=1e-12)
 
-        got = run()
-        monkeypatch.setattr(F, "_im2col", reference_im2col)
-        monkeypatch.setattr(F, "_col2im", reference_col2im)
-        for new, old in zip(got, run()):
-            assert new.dtype == old.dtype and new.shape == old.shape
-            assert new.tobytes() == old.tobytes()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_conv_and_batch_norm_of_a_batch_equal_its_single_sample_forwards(self, dtype):
+        rng = np.random.default_rng(7)
+        for layer, (c_in, c_out, size, kernel, stride, padding) in RESNET_CONVS.items():
+            mean = rng.standard_normal(c_out).astype(dtype)
+            var = rng.uniform(0.5, 2.0, c_out).astype(dtype)
+            maps = _batch_last(rng.standard_normal((16, c_in, size, size)).astype(dtype))
+            with default_dtype(dtype):
+                weight = Tensor(rng.standard_normal((c_out, c_in, kernel, kernel)))
+                gamma, beta = Tensor(rng.standard_normal(c_out)), Tensor(rng.standard_normal(c_out))
+
+                def forward(x):
+                    out = F.conv2d(Tensor(x), weight, stride=stride, padding=padding)
+                    return F.batch_norm_2d(out, gamma, beta, mean, var, training=False).data
+
+                batched = forward(maps)
+                assert batched.dtype == dtype
+                for i in range(maps.shape[3]):
+                    single = forward(maps[..., i : i + 1])
+                    assert np.array_equal(batched[..., i : i + 1], single), layer
+
 
 class TestLosses:
     def test_cross_entropy_matches_manual(self):
@@ -377,7 +586,7 @@ class TestEveryOpGradCheck:
         assert check_gradient(lambda t: (F.l2_normalize(t) * Tensor(w)).sum(), [x])
 
     def test_batch_norm_2d(self):
-        x = self._rand(4, 3, 2, 2)
+        x = self._rand(3, 2, 2, 4)
         w, b = self._rand(3), self._rand(3)
 
         def fn(x, w, b):
@@ -394,9 +603,9 @@ class TestEveryOpGradCheck:
         # weighting makes every input's gradient non-trivial.  Eval mode must
         # stay differentiable too: a fine-tuning step may run a frozen
         # submodule's batch norm against its running statistics.
-        x = self._rand(4, 3, 2, 2)
+        x = self._rand(3, 2, 2, 4)
         w, b = self._rand(3), self._rand(3)
-        mix = Tensor(RNG.standard_normal((4, 3, 2, 2)))
+        mix = Tensor(RNG.standard_normal((3, 2, 2, 4)))
         mean, var = RNG.standard_normal(3), RNG.uniform(0.5, 2.0, 3)
 
         def fn(x, w, b):

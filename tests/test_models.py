@@ -18,13 +18,13 @@ class TestResNet10:
     def test_output_shape_and_channels(self):
         net = ResNet10(in_channels=3, base_width=8, rng=RNG)
         out = net(Tensor(RNG.standard_normal((2, 3, 16, 16))))
-        assert out.shape == (2, net.out_channels, 4, 4)
+        assert out.shape == (net.out_channels, 4, 4, 2)  # batch-last
         assert net.out_channels == 16
 
     def test_output_spatial_helper_matches_forward(self):
         net = ResNet10(in_channels=3, base_width=4, stage_strides=(1, 2, 2, 2), rng=RNG)
         out = net(Tensor(RNG.standard_normal((1, 3, 16, 16))))
-        assert net.output_spatial(16) == out.shape[2:]
+        assert net.output_spatial(16) == out.shape[1:3]
 
     def test_requires_four_stages(self):
         with pytest.raises(ValueError):
@@ -47,8 +47,20 @@ class TestResNet10:
 class TestPatchTokenizer:
     def test_token_shape(self):
         tok = PatchTokenizer(in_channels=16, embed_dim=32, rng=RNG)
-        tokens = tok(Tensor(RNG.standard_normal((2, 16, 4, 4))))
+        tokens = tok(Tensor(RNG.standard_normal((16, 4, 4, 2))))
         assert tokens.shape == (2, 16, 32)
+
+    def test_tokens_are_row_major_positions_of_the_batch_last_map(self):
+        tok = PatchTokenizer(in_channels=6, embed_dim=8, rng=RNG)
+        feature_map = RNG.standard_normal((6, 3, 4, 2))
+        tokens = tok(Tensor(feature_map)).data
+        weight = tok.projection.weight.data.reshape(8, 6)
+        for n in range(2):
+            for h in range(3):
+                for w in range(4):
+                    expected = weight @ feature_map[:, h, w, n] + tok.projection.bias.data
+                    expected = expected + tok.positional[h * 4 + w]
+                    np.testing.assert_allclose(tokens[n, h * 4 + w], expected, rtol=1e-12)
 
     def test_tokenizer_is_frozen(self):
         tok = PatchTokenizer(in_channels=8, embed_dim=16, rng=RNG)
@@ -63,7 +75,7 @@ class TestPatchTokenizer:
     def test_too_many_tokens_raises(self):
         tok = PatchTokenizer(in_channels=4, embed_dim=8, max_positions=4, rng=RNG)
         with pytest.raises(ValueError):
-            tok(Tensor(RNG.standard_normal((1, 4, 3, 3))))
+            tok(Tensor(RNG.standard_normal((4, 3, 3, 1))))
 
 
 class TestClassifier:

@@ -124,12 +124,12 @@ class TestLayers:
 
     def test_conv2d_layer(self):
         layer = nn.Conv2d(3, 8, 3, stride=2, padding=1, rng=RNG)
-        out = layer(Tensor(RNG.standard_normal((2, 3, 8, 8))))
-        assert out.shape == (2, 8, 4, 4)
+        out = layer(Tensor(RNG.standard_normal((3, 8, 8, 2))))
+        assert out.shape == (8, 4, 4, 2)
 
     def test_batchnorm_updates_running_stats_only_in_training(self):
         bn = nn.BatchNorm2d(4)
-        x = Tensor(RNG.standard_normal((8, 4, 3, 3)) + 3.0)
+        x = Tensor(RNG.standard_normal((4, 3, 3, 8)) + 3.0)
         bn(x)
         after_train = bn.running_mean.copy()
         assert not np.allclose(after_train, 0.0)
