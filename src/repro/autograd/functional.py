@@ -3,7 +3,7 @@
 These free functions are the building blocks used by :mod:`repro.nn` layers
 and by the RefFiL losses (cross-entropy, the GPL loss, the DPCL contrastive
 loss).  Convolution, the two normalisations and the transformer
-block's other layers (GELU, softmax, log-softmax, the affine map) are
+block's layers (attention, GELU, softmax, log-softmax, the affine map) are
 implemented as primitive :class:`~repro.autograd.tape.Op`s with hand-written
 backward passes (im2col / col2im; one fused kernel per layer) because
 expressing them through elementary ops costs a Python dispatch, an array and a
@@ -121,6 +121,67 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     return apply_op(LOG_SOFTMAX, (x,), axis=axis)
+
+
+def _attention_forward(ctx, q, k, v, *, heads, scale):
+    # The composed graph's calls in its order: split heads, q kᵀ * scale,
+    # softmax, weights @ v, merge heads.
+    batch, tokens, dim = q.shape
+    split = (batch, tokens, heads, dim // heads)
+    q = q.reshape(split).transpose(0, 2, 1, 3)  # (B, H, T, Dh)
+    k = k.reshape(split).transpose(0, 2, 1, 3)
+    v = v.reshape(split).transpose(0, 2, 1, 3)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+    scores *= scale
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    context = np.matmul(weights, v)
+    ctx.q, ctx.k, ctx.v, ctx.weights, ctx.scale = q, k, v, weights, scale
+    return context.transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
+
+
+def _attention_vjp(ctx, grad, needs):
+    # The composed backward's calls in its order.  Every intermediate has one
+    # consumer, so no gradient is a sum the composed walk could order differently.
+    q, k, v, weights = ctx.q, ctx.k, ctx.v, ctx.weights
+    batch, heads, tokens, head_dim = q.shape
+    merged = (batch, tokens, heads * head_dim)
+    grad_context = grad.reshape(batch, tokens, heads, head_dim).transpose(0, 2, 1, 3)
+    grad_q = grad_k = grad_v = None
+    if needs[0] or needs[1]:
+        grad_scores = np.matmul(grad_context, np.swapaxes(v, -1, -2))
+        grad_scores *= weights
+        grad_scores -= weights * grad_scores.sum(axis=-1, keepdims=True)
+        grad_scores *= ctx.scale
+        if needs[0]:
+            grad_q = np.matmul(grad_scores, k).transpose(0, 2, 1, 3).reshape(merged)
+        if needs[1]:
+            grad_k = np.matmul(np.swapaxes(q, -1, -2), grad_scores)
+            grad_k = grad_k.transpose(0, 3, 1, 2).reshape(merged)
+    if needs[2]:
+        grad_v = np.matmul(np.swapaxes(weights, -1, -2), grad_context)
+        grad_v = grad_v.transpose(0, 2, 1, 3).reshape(merged)
+    return (grad_q, grad_k, grad_v)
+
+
+ATTENTION = Op("attention", _attention_forward, _attention_vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
+    """Multi-head scaled dot-product attention over ``(B, T, D)`` projections.
+
+    Splits ``D`` into ``heads`` heads, computes ``softmax(q kᵀ * scale) v`` per
+    head and merges the heads back into ``(B, T, D)``, as one op.  Shapes are
+    checked before anything runs.
+    """
+    if q.ndim != 3 or not q.shape == k.shape == v.shape:
+        raise ValueError(
+            f"attention: q, k and v must share one (B, T, D) shape, got "
+            f"{tuple(q.shape)}, {tuple(k.shape)} and {tuple(v.shape)}"
+        )
+    if heads < 1 or q.shape[2] % heads:
+        raise ValueError(f"attention: D = {q.shape[2]} does not split into {heads} heads")
+    return apply_op(ATTENTION, (q, k, v), heads=int(heads), scale=float(scale))
 
 
 # --------------------------------------------------------------------------- #
@@ -522,6 +583,7 @@ __all__ = [
     "gelu",
     "softmax",
     "log_softmax",
+    "attention",
     "linear",
     "l2_normalize",
     "cosine_similarity",

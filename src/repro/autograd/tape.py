@@ -107,18 +107,19 @@ class OpRecord:
 # Thread-local, not process-global: the serving plane traces forward plans on
 # several worker threads at once (and beside a training thread that must not
 # be recorded), and a shared global would splice one thread's ops into
-# another's tape.
-_TRACING_STATE = threading.local()
+# another's tape.  ``tape = None`` is a class attribute, so a thread that never
+# traced reads it without an attribute miss.
+class _TracingState(threading.local):
+    tape: Optional["Tape"] = None
 
 
-def active_tape() -> Optional["Tape"]:
-    return getattr(_TRACING_STATE, "tape", None)
+_TRACING_STATE = _TracingState()
 
 
 @contextlib.contextmanager
 def tracing(tape: "Tape"):
     """Record every op applied in this context onto ``tape`` (this thread only)."""
-    if getattr(_TRACING_STATE, "tape", None) is not None:
+    if _TRACING_STATE.tape is not None:
         raise RuntimeError("nested tracing is not supported")
     _TRACING_STATE.tape = tape
     try:
@@ -478,6 +479,5 @@ __all__ = [
     "PlanCache",
     "PlanError",
     "tracing",
-    "active_tape",
     "unbroadcast",
 ]

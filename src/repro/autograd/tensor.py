@@ -3,7 +3,8 @@
 The design mirrors the small core of PyTorch that the RefFiL pipeline needs:
 every operation is described by an :class:`repro.autograd.tape.Op` (forward +
 explicit vjp rule); applying one through :func:`apply_op` computes the result,
-wires a backward closure built from the op's vjp, and — when a
+wires a backward closure built from the op's vjp (only when grad is on and an
+input requires grad), and — when a
 :class:`~repro.autograd.tape.Tape` is tracing — records the application so the
 serving plane can compile the forward pass into a plan.  Recording changes
 nothing numerically.
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd import tape as _tape
-from repro.autograd.tape import Op, OpContext, unbroadcast
+from repro.autograd.tape import _TRACING_STATE, Op, OpContext, unbroadcast
 
 Number = Union[int, float]
 ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
@@ -37,20 +38,20 @@ ArrayLike = Union[Number, Sequence, np.ndarray, "Tensor"]
 #: process-global: the serving plane's worker threads run ``no_grad``
 #: forwards (under their snapshot's dtype) concurrently with a training
 #: thread that needs gradients on, and shared globals would let one
-#: thread's mode bleed into the other's step.  Each thread starts at the
-#: defaults (grad on, float64) — identical to the old single-threaded
-#: behaviour.
-_MODE_STATE = threading.local()
+#: thread's mode bleed into the other's step.  The defaults are class
+#: attributes, so a fresh thread reads grad on and float64 without setting
+#: (or failing to find) anything.
+class _ModeState(threading.local):
+    grad_enabled = True
+    default_dtype = np.dtype(np.float64)
 
 
-def _grad_enabled() -> bool:
-    return getattr(_MODE_STATE, "grad_enabled", True)
+_MODE_STATE = _ModeState()
 
 
 def get_default_dtype() -> np.dtype:
     """Return the dtype newly created tensors (and parameters) use."""
-    dtype = getattr(_MODE_STATE, "default_dtype", None)
-    return dtype if dtype is not None else np.dtype(np.float64)
+    return _MODE_STATE.default_dtype
 
 
 def set_default_dtype(dtype) -> np.dtype:
@@ -83,7 +84,7 @@ def default_dtype(dtype):
 @contextlib.contextmanager
 def no_grad():
     """Context manager that disables graph recording (like ``torch.no_grad``)."""
-    previous = _grad_enabled()
+    previous = _MODE_STATE.grad_enabled
     _MODE_STATE.grad_enabled = False
     try:
         yield
@@ -91,11 +92,13 @@ def no_grad():
         _MODE_STATE.grad_enabled = previous
 
 
-def _as_array(value: ArrayLike, dtype=None) -> np.ndarray:
+def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, Tensor):
         return value.data
-    array = np.asarray(value, dtype=dtype if dtype is not None else get_default_dtype())
-    return array
+    dtype = _MODE_STATE.default_dtype
+    if type(value) is np.ndarray and value.dtype is dtype:
+        return value  # what ``np.asarray`` would return, without the call
+    return np.asarray(value, dtype=dtype)
 
 
 class Tensor:
@@ -119,7 +122,7 @@ class Tensor:
     ) -> None:
         self.data = _as_array(data)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad) and _grad_enabled()
+        self.requires_grad = bool(requires_grad) and _MODE_STATE.grad_enabled
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents: Tuple["Tensor", ...] = ()
         self._pending_grad: Optional[np.ndarray] = None
@@ -167,23 +170,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    # ------------------------------------------------------------------ #
-    # Graph construction helper
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _result(
-        data: np.ndarray,
-        parents: Iterable["Tensor"],
-        backward: Callable[[np.ndarray], None],
-    ) -> "Tensor":
-        parents = tuple(p for p in parents if isinstance(p, Tensor))
-        requires = _grad_enabled() and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires)
-        if requires:
-            out._parents = tuple(p for p in parents if p.requires_grad)
-            out._backward = backward
-        return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -425,23 +411,30 @@ class Tensor:
 # Op application: the single gateway every tensor operation goes through
 # --------------------------------------------------------------------------- #
 def apply_op(op: Op, inputs: Sequence[ArrayLike], **kwargs) -> Tensor:
-    """Apply ``op`` eagerly and (when tracing) record it on the active tape."""
+    """Apply ``op`` eagerly and (when tracing) record it on the active tape.
+
+    The result joins the graph only when grad is on and some input requires
+    grad; otherwise no ``needs``, backward closure or parent links are built,
+    which is every op of a ``no_grad`` forward.
+    """
     tensors = tuple(t if isinstance(t, Tensor) else Tensor(t) for t in inputs)
     ctx = OpContext()
-    data = op.forward(ctx, *(t.data for t in tensors), **kwargs)
-    if op.differentiable:
-        needs = tuple(t.requires_grad for t in tensors)
+    out = Tensor(op.forward(ctx, *(t.data for t in tensors), **kwargs))
+    if op.differentiable and _MODE_STATE.grad_enabled:
+        parents = tuple(t for t in tensors if t.requires_grad)
+        if parents:
+            needs = tuple(t.requires_grad for t in tensors)
 
-        def backward(grad: np.ndarray) -> None:
-            input_grads = op.vjp(ctx, grad, needs)
-            for tensor, input_grad in zip(tensors, input_grads):
-                if input_grad is not None:
-                    tensor._send_grad(input_grad)
+            def backward(grad: np.ndarray) -> None:
+                input_grads = op.vjp(ctx, grad, needs)
+                for tensor, input_grad in zip(tensors, input_grads):
+                    if input_grad is not None:
+                        tensor._send_grad(input_grad)
 
-        out = Tensor._result(data, tensors, backward)
-    else:
-        out = Tensor(data, requires_grad=False)
-    tape = _tape.active_tape()
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+    tape = _TRACING_STATE.tape
     if tape is not None:
         tape.record(op, tensors, out, kwargs)
     return out

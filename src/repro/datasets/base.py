@@ -81,7 +81,9 @@ class DataLoader:
 
     Yields ``(Tensor images, numpy labels)`` pairs.  Images stored in ``[0, 1]``
     are normalised to ``[-1, 1]`` (the usual zero-centred input range), and
-    shuffling uses the provided generator so federated runs stay deterministic.
+    shuffling draws from the generator the caller passes, so runs stay
+    deterministic: ``shuffle=True`` without an ``rng`` is refused rather than
+    seeded from OS entropy.
     """
 
     def __init__(
@@ -95,12 +97,14 @@ class DataLoader:
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if shuffle and rng is None:
+            raise ValueError("shuffle=True needs an rng: an unseeded shuffle is not reproducible")
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.drop_last = drop_last
         self.normalize = normalize
-        self._rng = rng if rng is not None else np.random.default_rng()
+        self._rng = rng
 
     def __len__(self) -> int:
         n = len(self.dataset)

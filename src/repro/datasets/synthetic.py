@@ -139,20 +139,25 @@ def _generate_samples(
     count: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     style = domain_style(spec, domain_index)
-    patterns = [class_pattern(spec, k) for k in range(spec.num_classes)]
+    patterns = np.stack([class_pattern(spec, k) for k in range(spec.num_classes)])
     texture = domain_texture(spec.image_size, style)  # one per (size, style), not per sample
     rng = spawn_rng(spec.seed, spec.name, "samples", domain_index, split)
-    images = np.zeros((count, 3, spec.image_size, spec.image_size))
-    labels = np.zeros(count, dtype=np.int64)
+    labels = np.arange(count, dtype=np.int64) % spec.num_classes
     max_shift = max(1, spec.image_size // 16)
+    # The per-sample loop only draws, in the stream's order (shift, amplitude,
+    # noise); the rendering below is elementwise, so it runs once on the stack.
+    shifts = np.empty((count, 2), dtype=np.int64)
+    amplitudes = np.empty(count)
+    noisy = style.noise_std > 0
+    noise = np.empty((count, 3, spec.image_size, spec.image_size)) if noisy else None
     for i in range(count):
-        label = i % spec.num_classes
-        labels[i] = label
-        dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
-        jittered = shift_pattern(patterns[label], int(dy), int(dx))
-        amplitude = rng.uniform(0.9, 1.1)
-        jittered = np.clip(jittered * amplitude, 0.0, 1.0)
-        images[i] = render_pattern(jittered, style, rng, texture=texture)
+        shifts[i] = rng.integers(-max_shift, max_shift + 1, size=2)
+        amplitudes[i] = rng.uniform(0.9, 1.1)
+        if noisy:
+            noise[i] = rng.normal(0.0, style.noise_std, size=noise.shape[1:])
+    jittered = shift_pattern(patterns[labels], shifts[:, 0], shifts[:, 1])
+    jittered = np.clip(jittered * amplitudes[:, None, None], 0.0, 1.0)
+    images = render_pattern(jittered, style, noise, texture=texture)
     order = rng.permutation(count)
     return images[order], labels[order]
 

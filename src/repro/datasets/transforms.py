@@ -81,16 +81,16 @@ def sample_domain_style(name: str, rng: np.random.Generator) -> DomainStyle:
 
 
 def dihedral_transform(pattern: np.ndarray, orientation: int) -> np.ndarray:
-    """Apply one of the 8 square symmetries (rotations and flips) to a 2-D pattern.
+    """Apply one of the 8 square symmetries (rotations and flips) to ``(..., H, W)`` patterns.
 
     Each domain renders the class pattern in its own orientation; within a
     domain the task stays equally learnable, but convolutional features tuned
     to one orientation transfer poorly to another -- a strong, purely
     covariate domain shift of the kind that drives catastrophic forgetting.
     """
-    rotated = np.rot90(pattern, k=orientation % 4)
+    rotated = np.rot90(pattern, k=orientation % 4, axes=(-2, -1))
     if orientation >= 4:
-        rotated = np.fliplr(rotated)
+        rotated = np.flip(rotated, axis=-1)
     return rotated.copy()
 
 
@@ -105,55 +105,70 @@ def domain_texture(size: int, style: DomainStyle) -> np.ndarray:
 
 
 def box_blur(image: np.ndarray) -> np.ndarray:
-    """Cheap 3x3 box blur applied channel-wise to a (C, H, W) image."""
-    padded = np.pad(image, ((0, 0), (1, 1), (1, 1)), mode="edge")
+    """Cheap 3x3 box blur applied channel-wise to ``(..., C, H, W)`` images."""
+    height, width = image.shape[-2:]
+    padded = np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
     out = np.zeros_like(image)
     for dy in range(3):
         for dx in range(3):
-            out += padded[:, dy : dy + image.shape[1], dx : dx + image.shape[2]]
+            out += padded[..., dy : dy + height, dx : dx + width]
     return out / 9.0
 
 
 def render_pattern(
     pattern: np.ndarray,
     style: DomainStyle,
-    rng: Optional[np.random.Generator] = None,
+    noise: Optional[np.ndarray] = None,
     texture: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Render a class pattern ``(H, W)`` into a ``(3, H, W)`` image under a domain style.
+    """Render class patterns ``(..., H, W)`` into ``(..., 3, H, W)`` images under a domain style.
 
-    ``texture`` is ``domain_texture(size, style)``; a caller rendering many
-    patterns under one style computes it once and passes it in.
+    Every step is elementwise per sample, so a stack renders to the images its
+    samples render to one at a time.  ``noise`` (shaped like the images; the
+    caller draws it, ``rng.normal(0, style.noise_std, ...)``) is added before
+    the final clip.  ``texture`` is ``domain_texture(size, style)``; a caller
+    rendering under one style many times computes it once and passes it in.
     """
     pattern = dihedral_transform(pattern, style.orientation)
     if texture is None:
-        texture = domain_texture(pattern.shape[0], style)
-    stack = np.stack([pattern, 1.0 - pattern, texture], axis=0)  # (3, H, W)
-    image = np.einsum("ck,khw->chw", style.color_matrix, stack)
-    image = image + style.background[:, None, None]
+        texture = domain_texture(pattern.shape[-1], style)
+    layers = [pattern, 1.0 - pattern, np.broadcast_to(texture, pattern.shape)]
+    stack = np.stack(layers, axis=-3)  # (..., 3, H, W)
+    # In place from here on: each step writes the values its out-of-place
+    # form would, without a fresh image-sized array per step.
+    image = np.einsum("ck,...khw->...chw", style.color_matrix, stack)
+    image += style.background[:, None, None]
     if style.texture_weight > 0:
-        image = (1.0 - style.texture_weight) * image + style.texture_weight * texture[None]
-    image = (image - 0.5) * style.contrast + 0.5 + style.brightness
+        image *= 1.0 - style.texture_weight
+        image += style.texture_weight * texture
+    image -= 0.5
+    image *= style.contrast
+    image += 0.5
+    image += style.brightness
     if style.invert:
-        image = 1.0 - image
-    image = image[list(style.channel_permutation)]
+        np.subtract(1.0, image, out=image)
+    image = np.take(image, list(style.channel_permutation), axis=-3)
     if style.blur:
         image = box_blur(image)
-    if rng is not None and style.noise_std > 0:
-        image = image + rng.normal(0.0, style.noise_std, size=image.shape)
-    return np.clip(image, 0.0, 1.0)
+    if noise is not None:
+        image += noise
+    return np.clip(image, 0.0, 1.0, out=image)
 
 
-def shift_pattern(pattern: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Translate a pattern by (dy, dx) pixels with zero padding (sample jitter)."""
-    shifted = np.zeros_like(pattern)
-    h, w = pattern.shape
-    src_y = slice(max(0, -dy), min(h, h - dy))
-    src_x = slice(max(0, -dx), min(w, w - dx))
-    dst_y = slice(max(0, dy), min(h, h + dy))
-    dst_x = slice(max(0, dx), min(w, w + dx))
-    shifted[dst_y, dst_x] = pattern[src_y, src_x]
-    return shifted
+def shift_pattern(pattern: np.ndarray, dy, dx) -> np.ndarray:
+    """Translate ``(..., H, W)`` patterns by ``(dy, dx)`` pixels with zero padding (sample jitter).
+
+    ``dy`` and ``dx`` are ints, or integer arrays with one shift per pattern
+    (shape ``pattern.shape[:-2]``).
+    """
+    height, width = pattern.shape[-2:]
+    dy, dx = np.asarray(dy), np.asarray(dx)
+    pad = int(max(np.abs(dy).max(initial=0), np.abs(dx).max(initial=0)))
+    padded = np.pad(pattern, [(0, 0)] * (pattern.ndim - 2) + [(pad, pad), (pad, pad)])
+    lead = np.indices(pattern.shape[:-2], sparse=True)  # one index per leading axis
+    rows = (np.arange(height) + pad - dy[..., None])[..., :, None]  # (..., H, 1)
+    cols = (np.arange(width) + pad - dx[..., None])[..., None, :]  # (..., 1, W)
+    return padded[tuple(axis[..., None, None] for axis in lead) + (rows, cols)]
 
 
 __all__ = [

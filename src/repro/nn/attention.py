@@ -23,7 +23,9 @@ from repro.nn.norm import LayerNorm
 class MultiHeadSelfAttention(Module):
     """Standard scaled dot-product multi-head self-attention over token sequences.
 
-    Input and output shapes are ``(batch, tokens, dim)``.
+    Input and output shapes are ``(batch, tokens, dim)``.  A call is five ops:
+    the query, key and value projections, one :func:`~repro.autograd.functional.attention`
+    and the output projection.
     """
 
     def __init__(
@@ -44,19 +46,8 @@ class MultiHeadSelfAttention(Module):
         self.value = Linear(dim, dim, rng=rng)
         self.proj = Linear(dim, dim, rng=rng)
 
-    def _split_heads(self, x: Tensor, batch: int, tokens: int) -> Tensor:
-        # (B, T, D) -> (B, H, T, Dh)
-        return x.reshape(batch, tokens, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
-
     def forward(self, x: Tensor) -> Tensor:
-        batch, tokens, _ = x.shape
-        q = self._split_heads(self.query(x), batch, tokens)
-        k = self._split_heads(self.key(x), batch, tokens)
-        v = self._split_heads(self.value(x), batch, tokens)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale
-        weights = F.softmax(scores, axis=-1)
-        context = weights @ v  # (B, H, T, Dh)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, tokens, self.dim)
+        context = F.attention(self.query(x), self.key(x), self.value(x), self.num_heads, self.scale)
         return self.proj(context)
 
 

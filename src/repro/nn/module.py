@@ -17,10 +17,16 @@ from repro.autograd.tensor import Tensor, get_default_dtype
 
 
 class Parameter(Tensor):
-    """A :class:`Tensor` that is registered as trainable by a :class:`Module`."""
+    """A :class:`Tensor` that is registered as trainable by a :class:`Module`.
+
+    Its trainability is what the constructor asked for, whatever the grad
+    mode: a module built under ``no_grad()`` trains (and keeps its
+    ``state_dict`` entries) like one built outside it.
+    """
 
     def __init__(self, data, requires_grad: bool = True, name: Optional[str] = None) -> None:
-        super().__init__(data, requires_grad=requires_grad, name=name)
+        super().__init__(data, name=name)
+        self.requires_grad = bool(requires_grad)
 
 
 class Module:

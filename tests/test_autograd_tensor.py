@@ -235,6 +235,42 @@ class TestNoGrad:
             pass
         assert (a * 2).requires_grad
 
+    def test_a_grad_off_result_has_no_backward_or_parents(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        frozen = Tensor(np.ones((2, 3)))
+        with no_grad():
+            results = [a * 2, F.softmax(a), apply_op(tape.RESHAPE, (a,), shape=(3, 2))]
+        results.append(frozen + frozen)  # grad on, but no input requires it
+        for out in results:
+            assert not out.requires_grad
+            assert out._backward is None and out._parents == ()
+
+    def test_a_fresh_thread_reads_the_defaults_without_setting_them(self):
+        import threading
+
+        from repro.autograd.tensor import _MODE_STATE, get_default_dtype
+
+        seen = {}
+
+        def worker():
+            seen["set"] = dict(vars(_MODE_STATE)), dict(vars(tape._TRACING_STATE))
+            seen["read"] = (_MODE_STATE.grad_enabled, get_default_dtype(), tape._TRACING_STATE.tape)
+            seen["grad"] = (Tensor(np.ones(2), requires_grad=True) * 2.0).requires_grad
+
+        with no_grad(), tape.tracing(tape.Tape()):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+        assert seen["set"] == ({}, {})
+        assert seen["read"] == (True, np.dtype(np.float64), None)
+        assert seen["grad"] is True
+
+    def test_an_array_at_the_run_dtype_is_held_without_a_copy(self):
+        array = np.ones(3)
+        assert Tensor(array).data is array
+        assert Tensor(array.astype(np.float32)).dtype == np.float64  # other dtypes are cast
+        assert Tensor(np.float64(2.0)).data.shape == ()  # scalars become 0-d arrays
+
 
 class TestUnbroadcast:
     def test_identity(self):

@@ -372,8 +372,9 @@ class TestDPCLBatchedEquivalence:
         assert records[0] == records[1]
         # One dispatched op per transformer layer: a change that re-composes
         # layer_norm / gelu / softmax / log_softmax / linear from elementary
-        # ops (~299 records) fails here, not in a benchmark.
-        assert records[0] <= 170, records
+        # ops (~299 records), or attention from its head split, scores,
+        # softmax and merge (153), fails here, not in a benchmark.
+        assert records[0] <= 140, records
 
 
 class TestGPLLoss:

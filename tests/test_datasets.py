@@ -19,6 +19,7 @@ from repro.datasets import (
     get_alternate_domain_order,
     get_dataset_spec,
 )
+from repro.datasets import transforms
 from repro.datasets.synthetic import class_pattern, domain_style
 from repro.datasets.transforms import DomainStyle, dihedral_transform, render_pattern, shift_pattern
 
@@ -161,9 +162,48 @@ class TestGeneration:
         assert accuracy > 0.7
 
 
+# --------------------------------------------------------------------------- #
+# The per-sample renderer the stacked one replaced: the oracle
+# --------------------------------------------------------------------------- #
+def _reference_render(pattern, style, rng):
+    """``render_pattern`` as it was, one ``(H, W)`` pattern at a time, texture
+    recomputed per sample and the noise drawn inside."""
+    pattern = np.rot90(pattern, k=style.orientation % 4)
+    if style.orientation >= 4:
+        pattern = np.fliplr(pattern)
+    texture = transforms.domain_texture(pattern.shape[0], style)
+    stack = np.stack([pattern, 1.0 - pattern, texture], axis=0)
+    image = np.einsum("ck,khw->chw", style.color_matrix, stack)
+    image = image + style.background[:, None, None]
+    if style.texture_weight > 0:
+        image = (1.0 - style.texture_weight) * image + style.texture_weight * texture[None]
+    image = (image - 0.5) * style.contrast + 0.5 + style.brightness
+    if style.invert:
+        image = 1.0 - image
+    image = image[list(style.channel_permutation)]
+    if style.blur:
+        padded = np.pad(image, ((0, 0), (1, 1), (1, 1)), mode="edge")
+        blurred = np.zeros_like(image)
+        for dy in range(3):
+            for dx in range(3):
+                blurred += padded[:, dy : dy + image.shape[1], dx : dx + image.shape[2]]
+        image = blurred / 9.0
+    if style.noise_std > 0:
+        image = image + rng.normal(0.0, style.noise_std, size=image.shape)
+    return np.clip(image, 0.0, 1.0)
+
+
+def _reference_shift(pattern, dy, dx):
+    shifted = np.zeros_like(pattern)
+    h, w = pattern.shape
+    src = slice(max(0, -dy), min(h, h - dy)), slice(max(0, -dx), min(w, w - dx))
+    shifted[max(0, dy) : min(h, h + dy), max(0, dx) : min(w, w + dx)] = pattern[src]
+    return shifted
+
+
 def _reference_samples(spec, domain_index, split, count):
-    """``_generate_samples`` as it was before the texture was hoisted out of
-    the per-sample loop: ``render_pattern`` recomputes it for every sample."""
+    """``_generate_samples`` as the per-sample loop it was: every sample
+    jittered and rendered on its own, its draws made as it goes."""
     from repro.utils.rng import spawn_rng
 
     style = domain_style(spec, domain_index)
@@ -176,12 +216,42 @@ def _reference_samples(spec, domain_index, split, count):
         label = i % spec.num_classes
         labels[i] = label
         dy, dx = rng.integers(-max_shift, max_shift + 1, size=2)
-        jittered = shift_pattern(patterns[label], int(dy), int(dx))
+        jittered = _reference_shift(patterns[label], int(dy), int(dx))
         amplitude = rng.uniform(0.9, 1.1)
         jittered = np.clip(jittered * amplitude, 0.0, 1.0)
-        images[i] = render_pattern(jittered, style, rng)
+        images[i] = _reference_render(jittered, style, rng)
     order = rng.permutation(count)
     return images[order], labels[order]
+
+
+def _e2e_specs():
+    """The dataset specs the end-to-end workloads build (at their default and
+    reduced sizes), with the content seed moved as a non-zero run seed moves it."""
+    from dataclasses import replace
+
+    from repro.experiments.config import ExperimentScale, scaled_config
+
+    office = [scaled_config("office_caltech", s).spec for s in (ExperimentScale.SMALL, ExperimentScale.TINY)]
+    stream = [
+        get_dataset_spec("fed_domainnet").scaled(train_per_domain=48, test_per_domain=test, num_classes=6)
+        for test in (128, 32)
+    ]
+    fleet = [
+        get_dataset_spec("digits_five").scaled(train_per_domain=train, test_per_domain=40, num_classes=4)
+        for train in (96, 48)
+    ]
+    return [replace(spec, seed=spec.seed + 3) for spec in office + stream + fleet]
+
+
+def _assert_matches_the_per_sample_loop(spec):
+    for domain_index in range(spec.num_domains):
+        for split, count in (("train", spec.train_per_domain), ("test", spec.test_per_domain)):
+            data = generate_domain_split(spec, domain_index, split)
+            images, labels = _reference_samples(spec, domain_index, split, count)
+            # Noise draws and the final permutation come from one stream, so
+            # equal arrays also mean an unchanged draw order.
+            assert data.images.tobytes() == images.tobytes()
+            assert np.array_equal(data.labels, labels)
 
 
 class TestTextureComputedOncePerDomain:
@@ -189,15 +259,13 @@ class TestTextureComputedOncePerDomain:
     def test_samples_identical_to_per_sample_texture_loop(self, name):
         from repro.experiments.config import ExperimentScale, scaled_config
 
-        spec = scaled_config(name, ExperimentScale.TINY).spec
-        for domain_index in range(spec.num_domains):
-            for split, count in (("train", spec.train_per_domain), ("test", spec.test_per_domain)):
-                data = generate_domain_split(spec, domain_index, split)
-                images, labels = _reference_samples(spec, domain_index, split, count)
-                # Noise draws and the final permutation come from one stream,
-                # so equal arrays also mean an unchanged draw order.
-                assert np.array_equal(data.images, images)
-                assert np.array_equal(data.labels, labels)
+        _assert_matches_the_per_sample_loop(scaled_config(name, ExperimentScale.TINY).spec)
+
+    @pytest.mark.parametrize(
+        "spec", _e2e_specs(), ids=lambda s: f"{s.name}-{s.train_per_domain}-{s.test_per_domain}"
+    )
+    def test_e2e_workload_splits_identical_to_the_per_sample_loop(self, spec):
+        _assert_matches_the_per_sample_loop(spec)
 
     def test_texture_is_built_once_per_split(self, tiny_spec, monkeypatch):
         from repro.datasets import synthetic, transforms
@@ -269,9 +337,23 @@ class TestTransforms:
 
     def test_render_produces_valid_rgb(self, tiny_spec):
         style = domain_style(tiny_spec, 0)
-        image = render_pattern(class_pattern(tiny_spec, 0), style, np.random.default_rng(0))
+        noise = np.random.default_rng(0).normal(0.0, style.noise_std, size=(3, 16, 16))
+        image = render_pattern(class_pattern(tiny_spec, 0), style, noise)
         assert image.shape == (3, 16, 16)
         assert image.min() >= 0.0 and image.max() <= 1.0
+
+    def test_a_stack_renders_to_its_samples_rendered_one_at_a_time(self, tiny_spec):
+        rng = np.random.default_rng(1)
+        patterns = rng.random((5, 16, 16))
+        shifts = rng.integers(-2, 3, size=(5, 2))
+        noise = rng.normal(0.0, 0.05, size=(5, 3, 16, 16))
+        for domain_index in range(tiny_spec.num_domains):
+            style = domain_style(tiny_spec, domain_index)
+            stacked = render_pattern(shift_pattern(patterns, shifts[:, 0], shifts[:, 1]), style, noise)
+            assert stacked.shape == (5, 3, 16, 16)
+            for i, (dy, dx) in enumerate(shifts):
+                one = render_pattern(shift_pattern(patterns[i], dy, dx), style, noise[i])
+                assert one.tobytes() == stacked[i].tobytes()
 
     def test_style_validation(self):
         with pytest.raises(ValueError):
@@ -303,8 +385,20 @@ class TestDataLoader:
 
     def test_drop_last(self, tiny_spec):
         data = generate_domain_split(tiny_spec, 0, "train")
-        loader = DataLoader(data, batch_size=7, drop_last=True)
+        loader = DataLoader(data, batch_size=7, drop_last=True, rng=np.random.default_rng(0))
         assert all(len(labels) == 7 for _, labels in loader)
+
+    def test_an_unseeded_shuffle_is_refused(self, tiny_spec):
+        data = generate_domain_split(tiny_spec, 0, "train")
+        with pytest.raises(ValueError, match="rng"):
+            DataLoader(data, batch_size=8)
+        with pytest.raises(ValueError, match="rng"):
+            DataLoader(data, batch_size=8, shuffle=True, rng=None)
+
+    def test_an_ordered_loader_builds_no_generator(self, tiny_spec):
+        loader = DataLoader(generate_domain_split(tiny_spec, 0, "train"), batch_size=8, shuffle=False)
+        assert loader._rng is None
+        assert np.array_equal(np.concatenate([labels for _, labels in loader]), loader.dataset.labels)
 
     def test_invalid_batch_size(self, tiny_spec):
         with pytest.raises(ValueError):

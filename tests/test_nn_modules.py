@@ -220,6 +220,21 @@ class TestReadonlyStateView:
         np.testing.assert_array_equal(view["first.weight"], net.first.weight.data)
 
 
+class TestParametersUnderNoGrad:
+    def test_a_module_built_under_no_grad_trains(self):
+        from repro.autograd import no_grad
+
+        with no_grad():
+            lin = nn.Linear(3, 2, rng=np.random.default_rng(0))
+            frozen = Parameter(np.ones(2), requires_grad=False)
+        assert lin.weight.requires_grad and lin.bias.requires_grad
+        assert not frozen.requires_grad
+        assert sorted(lin.state_dict()) == ["bias", "weight"]
+        lin.load_state_dict(nn.Linear(3, 2, rng=np.random.default_rng(1)).state_dict())
+        lin(Tensor(np.ones((4, 3)))).sum().backward()
+        assert lin.weight.grad is not None and lin.bias.grad is not None
+
+
 class TestAttention:
     def test_mhsa_shape_preserved(self):
         attn = nn.MultiHeadSelfAttention(16, num_heads=4, rng=RNG)

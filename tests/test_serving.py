@@ -833,7 +833,7 @@ class TestThreadLocalKernelState:
 
         def worker():
             try:
-                assert tape_mod.active_tape() is None  # not inherited
+                assert tape_mod._TRACING_STATE.tape is None  # not inherited
                 result = Tensor(np.ones(3)) + Tensor(np.ones(3))
                 np.testing.assert_array_equal(result.data, np.full(3, 2.0))
             except Exception as error:  # pragma: no cover - surfaced below
