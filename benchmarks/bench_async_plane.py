@@ -32,6 +32,7 @@ from conftest import run_once  # noqa: F401  (bench suite convention)
 from repro.baselines import build_method
 from repro.continual.scenario import DomainIncrementalScenario
 from repro.datasets.registry import build_dataset, get_dataset_spec
+from repro.federated.async_plane import STALENESS_DECAY
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.config import FederatedConfig
 from repro.federated.increment import ClientIncrementConfig
@@ -126,7 +127,7 @@ def test_async_plane_regimes(bench_record):
             "num_tasks": NUM_TASKS,
             "rounds_per_task": ROUNDS_PER_TASK,
             "clients_per_round": NUM_CLIENTS,
-            "staleness_decay": FederatedConfig.staleness_decay,
+            "STALENESS_DECAY": STALENESS_DECAY,
             "sync_instant_parity": True,
             "regimes": regimes,
         },

@@ -1,5 +1,5 @@
 """Clustering substrate: the FINCH first-neighbour algorithm used for global prompt clustering."""
 
-from repro.clustering.finch import finch, first_neighbor_adjacency, FinchResult
+from repro.clustering.finch import finch, first_neighbor_adjacency
 
-__all__ = ["finch", "first_neighbor_adjacency", "FinchResult"]
+__all__ = ["finch", "first_neighbor_adjacency"]

@@ -8,42 +8,14 @@ hyper-parameter and is cheap enough for a dynamic FL environment.
 The core idea (paper Eq. 7): build an adjacency matrix that links sample
 ``m`` and ``j`` whenever one is the (cosine) first neighbour of the other or
 they share a first neighbour, then take connected components as clusters.
-FINCH recurses on the cluster means to build a hierarchy of successively
-coarser partitions; RefFiL uses the first (finest) partition.
+FINCH can recurse on the cluster means to build a hierarchy of successively
+coarser partitions; RefFiL uses only the first (finest) one, so that is all
+this module computes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
-
 import numpy as np
-
-
-@dataclass
-class FinchResult:
-    """Outcome of a FINCH run.
-
-    Attributes
-    ----------
-    partitions:
-        One integer label array per hierarchy level (finest first); labels are
-        contiguous from 0.
-    num_clusters:
-        Number of clusters at each hierarchy level.
-    centroids:
-        Mean feature vector of every cluster in the finest partition.
-    """
-
-    partitions: List[np.ndarray] = field(default_factory=list)
-    num_clusters: List[int] = field(default_factory=list)
-    centroids: Optional[np.ndarray] = None
-
-    @property
-    def finest(self) -> np.ndarray:
-        if not self.partitions:
-            raise ValueError("FINCH produced no partitions")
-        return self.partitions[0]
 
 
 def _cosine_first_neighbors(features: np.ndarray) -> np.ndarray:
@@ -100,60 +72,16 @@ def _connected_components(adjacency: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _cluster_means(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean feature vector per cluster label (labels assumed contiguous from 0)."""
-    num_clusters = int(labels.max()) + 1
-    means = np.zeros((num_clusters, features.shape[1]))
-    for cluster in range(num_clusters):
-        means[cluster] = features[labels == cluster].mean(axis=0)
-    return means
+def finch(features: np.ndarray) -> np.ndarray:
+    """FINCH's first-neighbour partition of row-vector ``features``.
 
-
-def finch(features: np.ndarray, max_levels: int = 5) -> FinchResult:
-    """Run FINCH clustering on row-vector ``features``.
-
-    Parameters
-    ----------
-    features:
-        Array of shape ``(n_samples, dim)``.
-    max_levels:
-        Safety bound on the number of recursive merge levels.
-
-    Returns
-    -------
-    :class:`FinchResult` with the partition hierarchy (finest first).
+    ``features`` has shape ``(n_samples, dim)``; the result is one integer
+    label per sample, contiguous from 0 (empty for no samples).
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {features.shape}")
-    n = features.shape[0]
-    result = FinchResult()
-    if n == 0:
-        result.centroids = np.zeros((0, features.shape[1] if features.ndim == 2 else 0))
-        return result
-    if n == 1:
-        result.partitions.append(np.zeros(1, dtype=np.int64))
-        result.num_clusters.append(1)
-        result.centroids = features.copy()
-        return result
-
-    current_features = features
-    mapping = np.arange(n)
-    for _ in range(max_levels):
-        adjacency = first_neighbor_adjacency(current_features)
-        cluster_labels = _connected_components(adjacency)
-        sample_labels = cluster_labels[mapping]
-        num_clusters = int(cluster_labels.max()) + 1
-        if result.num_clusters and num_clusters >= result.num_clusters[-1]:
-            break
-        result.partitions.append(sample_labels)
-        result.num_clusters.append(num_clusters)
-        if num_clusters <= 2:
-            break
-        current_features = _cluster_means(current_features, cluster_labels)
-        mapping = cluster_labels[mapping]
-    result.centroids = _cluster_means(features, result.finest)
-    return result
+    return _connected_components(first_neighbor_adjacency(features))
 
 
-__all__ = ["finch", "first_neighbor_adjacency", "FinchResult"]
+__all__ = ["finch", "first_neighbor_adjacency"]

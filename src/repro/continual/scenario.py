@@ -38,8 +38,8 @@ class DomainIncrementalScenario:
     ----------
     dataset:
         Any object exposing ``domains``, ``num_classes``, ``train(i)`` and
-        ``test(i)`` -- i.e. a :class:`repro.datasets.SyntheticDomainDataset`
-        or its reordered view.
+        ``test(i)`` -- i.e. a :class:`repro.datasets.SyntheticDomainDataset`,
+        in whatever domain order it carries.
     num_tasks:
         Optionally truncate the stream to the first ``num_tasks`` domains
         (used by the tiny test presets).

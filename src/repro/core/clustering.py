@@ -28,8 +28,7 @@ def cluster_class_prompts(prompt_vectors: np.ndarray, max_representatives: int =
     prompt_vectors = np.atleast_2d(np.asarray(prompt_vectors, dtype=np.float64))
     if prompt_vectors.shape[0] <= 2:
         return prompt_vectors.copy()
-    result = finch(prompt_vectors)
-    labels = result.finest
+    labels = finch(prompt_vectors)
     centroids = []
     sizes = []
     for cluster in range(int(labels.max()) + 1):

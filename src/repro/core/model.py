@@ -24,8 +24,6 @@ class RefFiLModel(Module):
         backbone_config: BackboneConfig,
         prompt_length: int = 4,
         max_tasks: int = 8,
-        key_dim: int = 16,
-        cdap_hidden: int = 32,
     ) -> None:
         super().__init__()
         self.backbone = PromptedBackbone(backbone_config)
@@ -35,8 +33,6 @@ class RefFiLModel(Module):
                 num_tokens=self.backbone.num_patch_tokens + 1,
                 prompt_length=prompt_length,
                 max_tasks=max_tasks,
-                key_dim=key_dim,
-                mlp_hidden=cdap_hidden,
                 seed=backbone_config.seed,
             )
         )

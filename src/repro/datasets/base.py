@@ -79,11 +79,11 @@ class ArrayDataset:
 class DataLoader:
     """Mini-batch iterator over an :class:`ArrayDataset`.
 
-    Yields ``(Tensor images, numpy labels)`` pairs.  Images stored in ``[0, 1]``
-    are normalised to ``[-1, 1]`` (the usual zero-centred input range), and
-    shuffling draws from the generator the caller passes, so runs stay
-    deterministic: ``shuffle=True`` without an ``rng`` is refused rather than
-    seeded from OS entropy.
+    Yields ``(Tensor images, numpy labels)`` pairs, the last batch possibly
+    short.  Images stored in ``[0, 1]`` are normalised to ``[-1, 1]`` (the
+    usual zero-centred input range), and shuffling draws from the generator
+    the caller passes, so runs stay deterministic: ``shuffle=True`` without
+    an ``rng`` is refused rather than seeded from OS entropy.
     """
 
     def __init__(
@@ -92,8 +92,6 @@ class DataLoader:
         batch_size: int = 16,
         shuffle: bool = True,
         rng: Optional[np.random.Generator] = None,
-        drop_last: bool = False,
-        normalize: bool = True,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -102,28 +100,20 @@ class DataLoader:
         self.dataset = dataset
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
-        self.normalize = normalize
         self._rng = rng
 
     def __len__(self) -> int:
-        n = len(self.dataset)
-        if self.drop_last:
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.dataset) + self.batch_size - 1) // self.batch_size
 
     def __iter__(self) -> Iterator[Tuple[Tensor, np.ndarray]]:
         n = len(self.dataset)
         order = np.arange(n)
         if self.shuffle:
             self._rng.shuffle(order)
-        end = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        for start in range(0, end, self.batch_size):
+        for start in range(0, n, self.batch_size):
             indices = order[start : start + self.batch_size]
             images, labels = self.dataset[indices]
-            if self.normalize:
-                images = images * 2.0 - 1.0
-            yield Tensor(images), labels
+            yield Tensor(images * 2.0 - 1.0), labels
 
 
 __all__ = ["ArrayDataset", "DataLoader"]

@@ -178,10 +178,13 @@ def generate_domain_split(
 
 
 class SyntheticDomainDataset:
-    """All domains of a spec, generated lazily and cached.
+    """All domains of a spec in a task order, generated lazily and cached.
 
     This is the object the continual-learning scenario iterates over: each
     incremental task corresponds to one domain (same classes, new style).
+    ``domain_order`` (default: the spec's order) is a permutation of the
+    spec's domain indices; task ``i`` is domain ``domain_order[i]``, whose
+    splits are the same bytes in every order.
 
     Splits are generated at the active compute dtype and cached, so each is
     cast once: a run that builds its tasks under ``default_dtype(float32)``
@@ -191,8 +194,17 @@ class SyntheticDomainDataset:
     byte for byte, whatever was requested before.
     """
 
-    def __init__(self, spec: DomainDatasetSpec) -> None:
+    def __init__(
+        self, spec: DomainDatasetSpec, domain_order: Optional[Sequence[int]] = None
+    ) -> None:
+        identity = list(range(spec.num_domains))
+        order = identity if domain_order is None else [int(i) for i in domain_order]
+        if sorted(order) != identity:
+            raise ValueError(
+                f"domain_order must be a permutation of range({spec.num_domains}), got {order}"
+            )
         self.spec = spec
+        self._order = order
         self._cache: Dict[Tuple[int, str], ArrayDataset] = {}
         self._cache_dtype = np.dtype(np.float64)
 
@@ -206,16 +218,16 @@ class SyntheticDomainDataset:
 
     @property
     def domains(self) -> Tuple[str, ...]:
-        return self.spec.domains
+        return tuple(self.spec.domains[i] for i in self._order)
 
     def domain_split(self, domain_index: int, split: str) -> ArrayDataset:
         dtype = get_default_dtype()
         if dtype != self._cache_dtype:
             self._cache.clear()
             self._cache_dtype = dtype
-        key = (domain_index, split)
+        key = (self._order[domain_index], split)
         if key not in self._cache:
-            self._cache[key] = generate_domain_split(self.spec, domain_index, split)
+            self._cache[key] = generate_domain_split(self.spec, *key)
         return self._cache[key]
 
     def train(self, domain_index: int) -> ArrayDataset:
@@ -224,61 +236,20 @@ class SyntheticDomainDataset:
     def test(self, domain_index: int) -> ArrayDataset:
         return self.domain_split(domain_index, "test")
 
-    def reordered(self, domain_order: Sequence[int]) -> "ReorderedDomainDataset":
-        """Return a view presenting the same domains in a new order.
+    def reordered(self, domain_order: Sequence[int]) -> "SyntheticDomainDataset":
+        """The same spec's domains in ``domain_order`` (indices into the spec).
 
         Used by the Table II / Table IV "new domain order" experiments: the
-        underlying per-domain data is identical, only the order in which tasks
-        are encountered changes.
+        per-domain data is identical, only the order in which tasks are
+        encountered changes.
         """
-        return ReorderedDomainDataset(self, domain_order)
-
-
-class ReorderedDomainDataset:
-    """A permutation view over a :class:`SyntheticDomainDataset`.
-
-    Exposes the same interface (``name``, ``num_classes``, ``domains``,
-    ``train``, ``test``, ``domain_split``) so the continual scenario can use
-    either interchangeably.
-    """
-
-    def __init__(self, base: SyntheticDomainDataset, domain_order: Sequence[int]) -> None:
-        order = [int(i) for i in domain_order]
-        if sorted(order) != list(range(base.spec.num_domains)):
-            raise ValueError(
-                f"domain_order must be a permutation of range({base.spec.num_domains}), got {order}"
-            )
-        self._base = base
-        self._order = order
-        self.spec = base.spec
-
-    @property
-    def name(self) -> str:
-        return self._base.name
-
-    @property
-    def num_classes(self) -> int:
-        return self._base.num_classes
-
-    @property
-    def domains(self) -> Tuple[str, ...]:
-        return tuple(self._base.domains[i] for i in self._order)
-
-    def domain_split(self, domain_index: int, split: str) -> ArrayDataset:
-        return self._base.domain_split(self._order[domain_index], split)
-
-    def train(self, domain_index: int) -> ArrayDataset:
-        return self.domain_split(domain_index, "train")
-
-    def test(self, domain_index: int) -> ArrayDataset:
-        return self.domain_split(domain_index, "test")
+        return SyntheticDomainDataset(self.spec, domain_order)
 
 
 __all__ = [
     "DomainDatasetSpec",
     "DomainStyle",
     "SyntheticDomainDataset",
-    "ReorderedDomainDataset",
     "class_pattern",
     "domain_style",
     "generate_domain_split",

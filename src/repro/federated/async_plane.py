@@ -11,7 +11,7 @@ two asynchronous regimes next to synchronous FedAvg:
 
 * ``mode="async"`` — FedAsync (Xie et al., 2019): each arrival is applied
   the moment it lands on the simulated clock, blended into the global model
-  at ``mixing = ASYNC_MIXING * (1 + staleness)^(-staleness_decay)`` where
+  at ``mixing = ASYNC_MIXING * (1 + staleness)^(-STALENESS_DECAY)`` where
   staleness counts global-model versions between the client's dispatch and
   its arrival.  The application runs through
   :meth:`~repro.federated.method.FederatedMethod.apply_async_update`, so
@@ -69,6 +69,10 @@ logger = get_logger(__name__)
 #: FedAsync's base mixing rate: the fraction of a zero-staleness arrival
 #: blended into the global model.  Staleness discounts multiply it down.
 ASYNC_MIXING = 0.5
+
+#: Exponent of the polynomial staleness discount ``(1 + staleness)^(-a)``
+#: applied to async arrivals and buffered flush weights.
+STALENESS_DECAY = 0.5
 
 #: Hard cap on dispatch probes per task (offline retries included) — a
 #: deterministic backstop far above what any seeded availability trace needs.
@@ -167,15 +171,6 @@ class TemporalPlaneRunner:
         config = sim.config
         task_id = self._task.task_id
         if self._dispatched >= self._budget or self._abandoned:
-            return
-        if config.sim_time_limit > 0 and sim.clock.now >= config.sim_time_limit:
-            if not self._abandoned:
-                self._abandoned = True
-                sim.log_event(
-                    "time_exhausted",
-                    task_id=task_id,
-                    remaining_budget=self._budget - self._dispatched,
-                )
             return
         if not self._fleet:
             present = [cid for cid in self._present if cid not in self._in_flight]
@@ -330,7 +325,7 @@ class TemporalPlaneRunner:
         for update in event.data["updates"]:
             staleness = sim.server.round_counter - version
             if config.mode == "async":
-                weight = staleness_weight(staleness, config.staleness_decay)
+                weight = staleness_weight(staleness, STALENESS_DECAY)
                 mixing = ASYNC_MIXING * weight
                 sim.method.apply_async_update(sim.server, update, mixing)
                 self._aggregations += 1
@@ -357,10 +352,9 @@ class TemporalPlaneRunner:
 
     def _flush_buffer(self) -> None:
         sim = self.sim
-        config = sim.config
         updates = [update for update, _ in self._buffer]
         scales = [
-            staleness_weight(sim.server.round_counter - version, config.staleness_decay)
+            staleness_weight(sim.server.round_counter - version, STALENESS_DECAY)
             for _, version in self._buffer
         ]
         self._buffer.clear()
@@ -377,4 +371,4 @@ class TemporalPlaneRunner:
         )
 
 
-__all__ = ["ASYNC_MIXING", "TemporalPlaneRunner"]
+__all__ = ["ASYNC_MIXING", "STALENESS_DECAY", "TemporalPlaneRunner"]

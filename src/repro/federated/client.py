@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -16,14 +16,15 @@ from repro.nn.optim import SGD
 
 @dataclass(frozen=True)
 class LocalTrainingConfig:
-    """Hyper-parameters of a client's local update (paper: E epochs of SGD)."""
+    """Hyper-parameters of a client's local update (paper: E epochs of SGD).
+
+    Momentum and the global gradient clip are :class:`~repro.nn.optim.SGD`'s
+    own constants, the same for every method and client.
+    """
 
     local_epochs: int = 1
     batch_size: int = 16
     learning_rate: float = 0.03
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    max_grad_norm: Optional[float] = 5.0
 
     def __post_init__(self) -> None:
         if self.local_epochs < 1:
@@ -125,13 +126,7 @@ def run_local_sgd(
     """
     trainable = parameters if parameters is not None else model.parameters()
     trainable = [p for p in trainable if p.requires_grad]
-    optimizer = SGD(
-        trainable,
-        lr=client.training.learning_rate,
-        momentum=client.training.momentum,
-        weight_decay=client.training.weight_decay,
-        max_grad_norm=client.training.max_grad_norm,
-    )
+    optimizer = SGD(trainable, client.training.learning_rate)
     model.train()
     total_loss = 0.0
     total_batches = 0

@@ -618,7 +618,7 @@ class DeltaCodec(_DiffCodec):
 class TopKCodec(_DiffCodec):
     """Magnitude sparsification of the diff against the reference (upload-only).
 
-    Keeps the ``fraction`` of positions whose change from the reference is
+    Keeps the 10% of positions (``_FRACTION``) whose change from the reference is
     largest in magnitude and ships their *exact new values*; the receiver
     keeps its reference values everywhere else.  Without a reference (or for
     non-float arrays) the array ships whole — sparsifying a message the
@@ -631,15 +631,10 @@ class TopKCodec(_DiffCodec):
     name = "topk"
     lossless = False
     broadcast_safe = False
-
-    def __init__(self, fraction: float = 0.1) -> None:
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"topk fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
-        self.name = "topk" if fraction == 0.1 else f"topk:{fraction:g}"
+    _FRACTION = 0.1
 
     def _select(self, new, old):
-        k = max(1, int(np.ceil(self.fraction * new.size)))
+        k = max(1, int(np.ceil(self._FRACTION * new.size)))
         if new.dtype.kind != "f" or k >= new.size:
             return None
         kept = np.argpartition(np.abs(new - old), new.size - k)[-k:]
@@ -647,8 +642,7 @@ class TopKCodec(_DiffCodec):
         return kept
 
 
-#: Canonical codec names accepted by :func:`build_codec` (``topk`` also takes
-#: an optional fraction suffix, e.g. ``"topk:0.05"``).
+#: Codec names accepted by :func:`build_codec`.
 CODEC_NAMES = ("identity", "delta", "quantize8", "quantize16", "topk")
 
 
@@ -662,14 +656,8 @@ def build_codec(spec: str) -> ArrayCodec:
         return QuantizeCodec(8)
     if spec == "quantize16":
         return QuantizeCodec(16)
-    if spec == "topk" or spec.startswith("topk:"):
-        fraction = 0.1
-        if spec.startswith("topk:"):
-            try:
-                fraction = float(spec.split(":", 1)[1])
-            except ValueError as error:
-                raise ValueError(f"invalid topk fraction in codec spec {spec!r}") from error
-        return TopKCodec(fraction)
+    if spec == "topk":
+        return TopKCodec()
     raise ValueError(f"unknown codec {spec!r}; choose from {', '.join(CODEC_NAMES)}")
 
 

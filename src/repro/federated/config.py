@@ -72,11 +72,6 @@ def _default(spec):
     return spec.default if spec.default is not MISSING else spec.default_factory()
 
 
-def _positive(value) -> None:
-    if value <= 0:
-        raise ValueError("must be positive")
-
-
 @dataclass(frozen=True)
 class FederatedConfig:
     """Everything the simulation loop needs besides the method and the data."""
@@ -91,10 +86,7 @@ class FederatedConfig:
         Global communication rounds per incremental task (R in Algorithm 1).""")
     local: LocalTrainingConfig = knob(LocalTrainingConfig, doc="""
         Local SGD hyper-parameters shared by all clients (epochs, batch size,
-        learning rate, momentum, clipping).""")
-    partition_concentration: float = knob(1.0, check=_positive, doc="""
-        Dirichlet concentration of the quantity-shift partitioner (smaller =
-        more extreme data-volume imbalance between clients).""")
+        learning rate; momentum 0.9 and the 5.0 global clip are fixed).""")
     eval_batch_size: int = knob(64, minimum=1, doc="""
         Batch size of every evaluation pass (the after-task accuracy matrix
         and ``eval_every`` snapshots); the parallel eval backend slices test
@@ -156,9 +148,9 @@ class FederatedConfig:
         value columns of what changed since the last acknowledged broadcast)
         are lossless — results are bit-for-bit identical to each other;
         ``"quantize8"`` / ``"quantize16"`` (one integer code column, a
-        ``lo`` / ``scale`` pair per tensor) and ``"topk"`` /
-        ``"topk:<fraction>"`` (upload-only magnitude sparsification) trade
-        accuracy for bytes.""")
+        ``lo`` / ``scale`` pair per tensor) and ``"topk"`` (upload-only
+        magnitude sparsification keeping 10% of each array) trade accuracy
+        for bytes.""")
     bandwidth_limit: int = knob(0, minimum=0, doc="""
         Per-round uplink byte budget per client; ``0`` (default) is
         unlimited.  Each client's effective budget is the limit scaled by a
@@ -189,9 +181,10 @@ class FederatedConfig:
         synchronous round loop (with homogeneous instantaneous device
         profiles, bit-for-bit identical to the untimed engine); ``"async"``
         applies each client's update the moment it arrives on the simulated
-        clock, FedAsync-style, with polynomial staleness decay;
-        ``"buffered"`` aggregates every ``buffer_size`` arrivals,
-        FedBuff-style, with staleness-scaled FedAvg weights.  All three
+        clock, FedAsync-style, with the polynomial staleness discount
+        ``(1 + staleness)^(-0.5)``; ``"buffered"`` aggregates every
+        ``buffer_size`` arrivals, FedBuff-style, with FedAvg weights scaled
+        by the same discount.  All three
         train the same total number of local updates per task
         (``rounds_per_task * clients_per_round``), so regimes are compared
         at equal compute.""")
@@ -210,22 +203,6 @@ class FederatedConfig:
         (a partial buffer left at the end of a task still flushes).  ``0``
         (default) means ``clients_per_round`` — the synchronous cohort size.
         Ignored outside ``mode="buffered"``.""")
-    staleness_decay: float = knob(0.5, minimum=0, inert=lambda c: c.mode == "sync", doc="""
-        Exponent ``a`` of the polynomial staleness discount
-        ``(1 + staleness)^(-a)`` applied to async arrivals and buffered
-        flush weights (staleness = global-model versions between a client's
-        dispatch and its arrival).  ``0`` disables the discount.  Ignored in
-        sync mode.""")
-    # Under the instant tier the clock never advances, so the budget never
-    # bites and no trace records it.
-    sim_time_limit: float = knob(
-        0.0, minimum=0, inert=lambda c: c.device_profile == "instant", doc="""
-        Simulated-seconds budget for the whole run: once the simulated clock
-        reaches it, no further work is dispatched (rounds still pending in
-        sync mode are skipped; async work already in flight still arrives).
-        ``0`` (default) is unlimited.  With ``device_profile="instant"`` the
-        clock never advances, so a limit only bites under a finite-cost
-        profile.""")
     # Any enabled spec stays in the key outright (the failure trace changes
     # the numbers); a spec that can never fire never constructs an injector.
     faults: FaultSpec = knob(FaultSpec, inert=lambda c: not c.faults.enabled, doc="""
@@ -303,7 +280,7 @@ class FederatedConfig:
     serve_codec: str = knob("identity", effect=OBSERVATIONAL, check=build_codec, doc="""
         Wire codec published versions are compressed with — the same specs as
         ``codec`` (``"identity"`` / ``"delta"`` lossless, ``"quantize8"`` /
-        ``"quantize16"`` / ``"topk[:f]"`` lossy).  A version stores its
+        ``"quantize16"`` / ``"topk"`` lossy).  A version stores its
         *encoded* form, so every consumer of a version decodes the same
         arrays deterministically.""")
     # Read by nothing but the population rule below; a fleet population

@@ -77,7 +77,6 @@ def sample_clients_lazy(
     rng: np.random.Generator,
     available: Optional[Callable[[int], bool]] = None,
     exclude: Optional[Container[int]] = None,
-    max_probes: int = 0,
 ) -> List[int]:
     """Uniformly sample ``count`` distinct ids from ``range(population)``.
 
@@ -90,8 +89,8 @@ def sample_clients_lazy(
 
     When ``count`` reaches the population size the whole eligible range is
     returned (after filtering), mirroring :func:`sample_clients`'s
-    everyone-selected case.  ``max_probes`` bounds the rejection loop
-    (default ``max(1024, 64 * count)``); exhausting it raises
+    everyone-selected case.  The rejection loop is bounded at
+    ``max(1024, 64 * count)`` probes; exhausting it raises
     :class:`NoAvailableClientsError` — the caller should advance the
     simulated clock, exactly as for the eager sampler's empty-filter case.
     """
@@ -115,8 +114,7 @@ def sample_clients_lazy(
             )
         return online
 
-    if max_probes <= 0:
-        max_probes = max(1024, 64 * count)
+    max_probes = max(1024, 64 * count)
     selected: set = set()
     for _ in range(max_probes):
         candidate = int(rng.integers(population))

@@ -108,9 +108,10 @@ class SimulationResult:
     #: clock).  ``0.0`` under the default instantaneous device profile.
     sim_time: float = 0.0
     #: The temporal plane's event trace: one ``{"time", "kind", ...}`` dict
-    #: per event — ``round``/``idle_round``/``skipped_round`` in sync mode,
-    #: ``dispatch``/``arrival``/``flush``/``budget_abandoned``/... in
-    #: async/buffered modes.  Deterministic per seed.
+    #: per event — ``round``/``idle_round``/``failed_round`` in sync mode,
+    #: ``dispatch``/``arrival``/``flush``/``client_rejoin``/``task_offline``/
+    #: ``budget_abandoned`` in async/buffered modes, and ``client_crash`` /
+    #: ``server_restart`` under faults in either.  Deterministic per seed.
     event_log: List[Dict[str, object]] = field(default_factory=list)
     #: The fault plane's recovery accounting: the injector's fired-fault
     #: counters plus ``worker_respawns``, the transport's lost/corrupt frame
@@ -477,10 +478,6 @@ class FederatedDomainIncrementalSimulation:
         """Append one stamped entry to the temporal plane's event trace."""
         self.event_log.append({"time": self.clock.now, "kind": kind, **data})
 
-    def _time_exhausted(self) -> bool:
-        limit = self.config.sim_time_limit
-        return limit > 0 and self.clock.now >= limit
-
     # ------------------------------------------------------------------ #
     # Round loop (mode="sync")
     # ------------------------------------------------------------------ #
@@ -805,11 +802,6 @@ class FederatedDomainIncrementalSimulation:
             self._assign_task_data(task)
             if self.config.mode == "sync":
                 for round_index in range(start_round, self.config.rounds_per_task):
-                    if self._time_exhausted():
-                        self.log_event(
-                            "skipped_round", task_id=task.task_id, round_index=round_index
-                        )
-                        continue
                     self._run_round(task, round_index)
                     if (
                         self.config.checkpoint_every > 0

@@ -450,8 +450,7 @@ class LoopbackTransport:
         self.last_broadcast_bytes = dict(state["last_broadcast_bytes"])
         self.last_upload_bytes = dict(state["last_upload_bytes"])
         self.last_penalty_seconds = dict(state["last_penalty_seconds"])
-        # An older checkpoint may carry acks no reference-free codec reads.
-        self._ack = dict(state["ack"]) if self.down_codec.uses_reference else {}
+        self._ack = dict(state["ack"])
         self._budgets = dict(state["budgets"])
         self._deferred = list(state["deferred"])
         self._last_task_id = state["last_task_id"]

@@ -22,8 +22,8 @@ Two population modes share the plane:
   every task (a shared whole-domain Dirichlet partition is infeasible when
   the population dwarfs the domain).  Each client's per-task shard is its own
   quantity-shift draw from ``spawn_rng(seed, "vshard", task_id, client_id)``:
-  a lognormal sample count (spread ``1/sqrt(concentration)``, mirroring the
-  Dirichlet knob's imbalance direction) and a uniform index choice over the
+  a lognormal sample count (log-spread 1, the imbalance of the schedule
+  partition's unit Dirichlet concentration) and a uniform index choice over the
   domain pool — clients share samples, the standard fleet-simulator design.
   Everything about a client is O(1): no per-client state exists until the
   client is selected, and none survives the cohort-sized LRU.
@@ -98,7 +98,6 @@ class VirtualClientPlane:
             task.train.labels,
             assignment.clients_taking_new_domain,
             rng,
-            self.config.partition_concentration,
         )
         for client_id, indices in index_map.items():
             self._indices[(task.task_id, client_id)] = indices
@@ -181,10 +180,9 @@ class VirtualClientPlane:
     def _fleet_indices(self, task_id: int, client_id: int, domain_size: int) -> np.ndarray:
         """Fleet mode's per-client quantity-shift draw; O(domain), O(1) in N."""
         rng = spawn_rng(self.config.seed, "vshard", task_id, client_id)
-        sigma = 1.0 / np.sqrt(self.config.partition_concentration)
         base = max(_FLEET_MIN_SAMPLES, domain_size // _FLEET_BASE_DIVISOR)
         size = int(np.clip(
-            int(round(base * rng.lognormal(0.0, sigma))),
+            int(round(base * rng.lognormal(0.0, 1.0))),
             _FLEET_MIN_SAMPLES,
             domain_size,
         ))

@@ -20,6 +20,13 @@ from repro.nn.conv import Conv2d
 from repro.nn.module import Module
 
 
+#: Patch tokens the positional table covers (a 16 x 16 feature map).
+MAX_POSITIONS = 256
+#: The positional encoding is scaled down so it augments rather than
+#: dominates the projected feature tokens.
+POSITIONAL_SCALE = 0.2
+
+
 def sinusoidal_positions(num_positions: int, dim: int) -> np.ndarray:
     """Standard transformer sinusoidal positional encoding of shape (num_positions, dim)."""
     positions = np.arange(num_positions)[:, None].astype(np.float64)
@@ -39,19 +46,15 @@ class PatchTokenizer(Module):
         self,
         in_channels: int,
         embed_dim: int,
-        max_positions: int = 256,
-        positional_scale: float = 0.2,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
         self.embed_dim = embed_dim
         self.projection = Conv2d(in_channels, embed_dim, 1, rng=rng)
-        # The positional encoding is scaled down so it augments rather than
-        # dominates the projected feature tokens.  A constant of the model's
-        # dtype, not a buffer: it is never trained and never running, so it
-        # is not part of the model's state.
+        # A constant of the model's dtype, not a buffer: it is never trained
+        # and never running, so it is not part of the model's state.
         self.positional = np.asarray(
-            positional_scale * sinusoidal_positions(max_positions, embed_dim),
+            POSITIONAL_SCALE * sinusoidal_positions(MAX_POSITIONS, embed_dim),
             dtype=get_default_dtype(),
         )
         # Paper: the tokenizer is "initialized-only and frozen".
@@ -65,7 +68,7 @@ class PatchTokenizer(Module):
         if num_tokens > self.positional.shape[0]:
             raise ValueError(
                 f"feature map yields {num_tokens} tokens but tokenizer supports at most "
-                f"{self.positional.shape[0]}; increase max_positions"
+                f"{self.positional.shape[0]}"
             )
         return tokens + Tensor(self.positional[:num_tokens])
 

@@ -127,24 +127,20 @@ class Module:
         """Flat name -> array copy of the model's state (see :meth:`_state_arrays`)."""
         return OrderedDict((key, array.copy()) for key, array in self._state_arrays().items())
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
         """Load arrays produced by :meth:`state_dict` (in place).
 
-        ``strict`` raises ``KeyError`` naming every missing and every
-        unexpected key (a frozen parameter's key is unexpected) before any
-        array is written.
+        Raises ``KeyError`` naming every missing and every unexpected key (a
+        frozen parameter's key is unexpected) before any array is written.
         """
         targets = self._state_arrays()
-        if strict:
-            missing = [key for key in targets if key not in state]
-            unexpected = [key for key in state if key not in targets]
-            if missing or unexpected:
-                raise KeyError(
-                    f"state_dict mismatch: missing keys {missing}, unexpected keys {unexpected}"
-                )
+        missing = [key for key in targets if key not in state]
+        unexpected = [key for key in state if key not in targets]
+        if missing or unexpected:
+            raise KeyError(
+                f"state_dict mismatch: missing keys {missing}, unexpected keys {unexpected}"
+            )
         for key, target in targets.items():
-            if key not in state:
-                continue
             value = np.asarray(state[key])
             if value.shape != target.shape:
                 raise ValueError(f"shape mismatch for {key!r}: {value.shape} vs {target.shape}")

@@ -222,16 +222,21 @@ class TestLossyCodecs:
         assert raw / packed >= 4.0
 
     def test_topk_keeps_largest_changes_exactly(self):
-        codec = build_codec("topk:0.25")
-        base = {"w": np.zeros(16)}
-        new = {"w": np.zeros(16)}
-        new["w"][[3, 8, 11]] = [5.0, -7.0, 2.0]
+        codec = build_codec("topk")
+        base = {"w": np.zeros(32)}
+        new = {"w": np.zeros(32)}
+        new["w"][[3, 8, 11, 20]] = [5.0, -7.0, 2.0, 0.5]
         decoded, _ = decode_frame(
             encode_frame("u", codec, new, None, reference=base), codec, reference=base
         )
-        # 25% of 16 = 4 kept positions: the three real changes survive exactly.
-        np.testing.assert_array_equal(decoded["w"][[3, 8, 11]], new["w"][[3, 8, 11]])
-        assert decoded["w"].shape == (16,)
+        # 10% of 32 rounds up to 4 kept positions: the four changes survive exactly.
+        np.testing.assert_array_equal(decoded["w"], new["w"])
+        new["w"][25] = 0.25  # a fifth, smallest change is the one dropped
+        decoded, _ = decode_frame(
+            encode_frame("u", codec, new, None, reference=base), codec, reference=base
+        )
+        assert decoded["w"][25] == 0.0
+        np.testing.assert_array_equal(decoded["w"][[3, 8, 11, 20]], new["w"][[3, 8, 11, 20]])
 
     def test_topk_without_reference_ships_dense(self):
         codec = build_codec("topk")
@@ -242,11 +247,10 @@ class TestLossyCodecs:
     def test_codec_spec_validation(self):
         with pytest.raises(ValueError):
             build_codec("gzip")
-        with pytest.raises(ValueError):
-            build_codec("topk:1.5")
-        with pytest.raises(ValueError):
-            build_codec("topk:abc")
-        assert build_codec("topk:0.05").fraction == 0.05
+        # topk keeps one fixed fraction: a parameterised spec is unknown.
+        for spec in ("topk:0.05", "topk:0.1", "topk:abc"):
+            with pytest.raises(ValueError, match="unknown codec"):
+                build_codec(spec)
 
 
 class _PerArrayQuantize:
@@ -813,4 +817,5 @@ class TestBandwidthScenarios:
             FederatedConfig(bandwidth_limit=-1)
         with pytest.raises(ValueError):
             build_transport("quantum", "identity", CommunicationLedger())
-        FederatedConfig(codec="topk:0.05")  # parameterised specs are valid
+        with pytest.raises(ValueError, match="codec"):
+            FederatedConfig(codec="topk:0.05")

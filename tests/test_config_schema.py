@@ -40,17 +40,21 @@ from repro.federated.checkpoint import (
     save_checkpoint,
     simulation_state_hash,
 )
+from repro.federated.client import LocalTrainingConfig
 from repro.federated.config import CHANGES_RESULTS, EXACT, knob, knob_table
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-RETIRED = ("plan_optimize", "shard_cache", "transport", "kernel")
+RETIRED = (
+    "plan_optimize", "shard_cache", "transport", "kernel",
+    "partition_concentration", "staleness_decay", "sim_time_limit",
+)
 
 FIELDS = dataclasses.fields(FederatedConfig)
 
 
 def test_docstring_lists_every_knob_in_field_order():
-    assert len(FIELDS) == 35
+    assert len(FIELDS) == 32
     assert all(field.metadata["doc"].strip() for field in FIELDS)
     attributes = inspect.getdoc(FederatedConfig).split("Attributes\n----------\n", 1)[1]
     listed = re.findall(r"^(\w+):$", attributes, flags=re.MULTILINE)
@@ -101,8 +105,9 @@ def test_bad_input_is_a_value_error_naming_the_knob(overrides, blamed):
 
 
 def test_numpy_scalars_are_accepted():
-    config = FederatedConfig(seed=np.int64(3), staleness_decay=np.float32(0.5), sim_time_limit=3)
+    config = FederatedConfig(seed=np.int64(3), retry_backoff=np.float32(0.5))
     assert config.seed == 3
+    assert FederatedConfig(retry_backoff=3).retry_backoff == 3  # an int is a real
 
 
 def test_scaled_config_overrides_win_over_the_preset():
@@ -160,8 +165,6 @@ def _toggles(tmp: Path) -> dict:
         "codec": dict(codec="delta"),
         "drop_stragglers": dict(drop_stragglers=True),
         "buffer_size": dict(buffer_size=7),
-        "staleness_decay": dict(staleness_decay=2.0),
-        "sim_time_limit": dict(sim_time_limit=9.0),
         "faults": dict(faults=FaultSpec(crash_fraction=0.25)),
         "retries": dict(retries=0),
         "retry_backoff": dict(retry_backoff=3.0),
@@ -220,34 +223,86 @@ class TestEffectLabels:
         assert simulation_state_hash(resumed) == base_hash
 
 
-def _fingerprint_with_kernel_knob(config) -> str:
-    """``config.fingerprint()`` as computed while ``kernel`` was still a knob
-    (declared after ``dtype``, default ``"eager"``)."""
+#: ``changes-results`` knobs retired from ``FederatedConfig``, oldest first:
+#: ``(name, the field it was declared after, its default)``.  A retired knob
+#: left the fingerprint, so every checkpoint written while it was declared
+#: carries a digest no current config produces.
+RETIRED_RESULT_KNOBS = (
+    ("kernel", "dtype", "eager"),
+    ("partition_concentration", "local", 1.0),
+    ("staleness_decay", "buffer_size", 0.5),
+    ("sim_time_limit", "staleness_decay", 0.0),
+)
+#: ``LocalTrainingConfig`` fields retired into ``repro.nn.optim`` constants,
+#: in declared order after ``learning_rate``; they rode in ``local``'s repr.
+RETIRED_LOCAL_FIELDS = (("momentum", 0.9), ("weight_decay", 0.0), ("max_grad_norm", 5.0))
+
+#: ``FederatedConfig().fingerprint()`` at e0b6292, the last commit with the
+#: three knobs after ``kernel`` and the three ``local`` fields.
+PRE_RETIREMENT_DEFAULT_FINGERPRINT = (
+    "b56f99e6cdea7767e659c22747d0b2198c6c817d1ca8bbf75f8f8cd0819eb563"
+)
+
+
+def _fingerprint_with_retired_knobs(config, retired=RETIRED_RESULT_KNOBS) -> str:
+    """``config.fingerprint()`` as computed while the ``retired`` knobs (and
+    the retired ``local`` fields) were still declared, each at its declared
+    position with its default."""
+    local = repr(config.local)[:-1] + "".join(
+        f", {name}={value!r}" for name, value in RETIRED_LOCAL_FIELDS
+    ) + ")"
+    follows = {after: (name, default) for name, after, default in retired}
     parts = []
     for spec in dataclasses.fields(config):
         if spec.metadata["effect"] == CHANGES_RESULTS:
-            parts.append((spec.name, repr(getattr(config, spec.name))))
-        if spec.name == "dtype":
-            parts.append(("kernel", repr("eager")))
+            value = local if spec.name == "local" else repr(getattr(config, spec.name))
+            parts.append((spec.name, value))
+        after = spec.name
+        while after in follows:
+            name, default = follows[after]
+            parts.append((name, repr(default)))
+            after = name
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
-def test_checkpoint_written_while_kernel_was_a_knob_refuses_to_resume(
-    tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
-):
-    # FederatedConfig().fingerprint() at 93ae68d, the last commit with the knob
-    # (float64 was the default then).
-    assert _fingerprint_with_kernel_knob(FederatedConfig(dtype="float64")) == (
+def test_the_helper_reproduces_the_fingerprints_of_both_pinned_commits():
+    # FederatedConfig().fingerprint() at 93ae68d, the last commit with the
+    # kernel knob (float64 was the default then) ...
+    assert _fingerprint_with_retired_knobs(FederatedConfig(dtype="float64")) == (
         "789c9016f4d27636ab32fe2ff6eff50d10e2d362af4aa8d007a641d23b22c6a2"
     )
+    # ... and at e0b6292, the last with the knobs retired after it.
+    assert _fingerprint_with_retired_knobs(FederatedConfig(), RETIRED_RESULT_KNOBS[1:]) == (
+        PRE_RETIREMENT_DEFAULT_FINGERPRINT
+    )
+    assert FederatedConfig().fingerprint() != PRE_RETIREMENT_DEFAULT_FINGERPRINT
+
+
+@pytest.mark.parametrize(
+    "retired",
+    [RETIRED_RESULT_KNOBS, RETIRED_RESULT_KNOBS[1:]],
+    ids=["while_kernel_was_a_knob", "before_the_last_retirement"],
+)
+def test_a_checkpoint_written_under_retired_knobs_refuses_to_resume(
+    retired, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+):
     config = replace(
         tiny_federated_config, rounds_per_task=1, checkpoint_every=1, checkpoint_dir=str(tmp_path)
     )
     _run(tiny_spec, tiny_backbone_config, config)
     for name in os.listdir(tmp_path):
         payload = load_checkpoint(str(tmp_path / name))
-        payload["fingerprint"] = _fingerprint_with_kernel_knob(config)
+        payload["fingerprint"] = _fingerprint_with_retired_knobs(config, retired)
         save_checkpoint(str(tmp_path / name), payload)
     # The typed refusal, not a KeyError / TypeError from inside the loader.
     with pytest.raises(CheckpointMismatchError):
         _run(tiny_spec, tiny_backbone_config, replace(config, resume=True))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in RETIRED_LOCAL_FIELDS])
+def test_retired_local_fields_are_not_keywords(name):
+    assert [spec.name for spec in dataclasses.fields(LocalTrainingConfig)] == [
+        "local_epochs", "batch_size", "learning_rate",
+    ]
+    with pytest.raises(TypeError):
+        LocalTrainingConfig(**{name: 0.5})

@@ -314,6 +314,29 @@ class TestSyntheticDomainDataset:
         with pytest.raises(ValueError):
             dataset.reordered([0, 0, 1, 2])
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0]])
+    def test_an_ordered_dataset_serves_the_spec_order_splits_byte_for_byte(self, tiny_spec, order):
+        spec_order = SyntheticDomainDataset(tiny_spec)
+        ordered = SyntheticDomainDataset(tiny_spec, order)
+        assert ordered.domains == tuple(tiny_spec.domains[i] for i in order)
+        assert spec_order.reordered(order).domains == ordered.domains
+        for dtype in (np.float32, np.float64):
+            with default_dtype(dtype):
+                for task, domain in enumerate(order):
+                    for split in ("train", "test"):
+                        got = ordered.domain_split(task, split)
+                        want = generate_domain_split(tiny_spec, domain, split)
+                        assert got.images.dtype == dtype
+                        assert got.images.tobytes() == want.images.tobytes()
+                        assert got.labels.tobytes() == want.labels.tobytes()
+
+    @pytest.mark.parametrize("order", [[0, 1, 2], [0, 1, 2, 4], [1, 1, 2, 3], [0, 1, 2, 3, 0]])
+    def test_a_non_permutation_order_is_refused(self, tiny_spec, order):
+        with pytest.raises(ValueError, match="permutation"):
+            SyntheticDomainDataset(tiny_spec, order)
+        with pytest.raises(ValueError, match="permutation"):
+            SyntheticDomainDataset(tiny_spec).reordered(order)
+
     def test_build_dataset_registry(self):
         dataset = build_dataset("pacs")
         assert dataset.num_classes == 7
@@ -374,8 +397,7 @@ class TestDataLoader:
         data = generate_domain_split(tiny_spec, 0, "train")
         images, _ = next(iter(DataLoader(data, batch_size=8, shuffle=False)))
         assert images.data.min() >= -1.0 and images.data.max() <= 1.0
-        raw, _ = next(iter(DataLoader(data, batch_size=8, shuffle=False, normalize=False)))
-        assert raw.data.min() >= 0.0
+        np.testing.assert_array_equal(images.data, data.images[:8] * 2.0 - 1.0)
 
     def test_shuffle_determinism_with_seed(self, tiny_spec):
         data = generate_domain_split(tiny_spec, 0, "train")
@@ -383,10 +405,14 @@ class TestDataLoader:
         second = [labels for _, labels in DataLoader(data, batch_size=8, rng=np.random.default_rng(3))]
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
-    def test_drop_last(self, tiny_spec):
+    def test_the_last_batch_is_short_and_shuffling_covers_every_sample(self, tiny_spec):
         data = generate_domain_split(tiny_spec, 0, "train")
-        loader = DataLoader(data, batch_size=7, drop_last=True, rng=np.random.default_rng(0))
-        assert all(len(labels) == 7 for _, labels in loader)
+        loader = DataLoader(data, batch_size=7, rng=np.random.default_rng(0))
+        sizes = [len(labels) for _, labels in loader]
+        assert sizes == [7] * (len(data) // 7) + [len(data) % 7]
+        assert len(loader) == len(sizes)
+        images = np.concatenate([batch.data for batch, _ in loader])
+        assert sorted(map(bytes, images)) == sorted(map(bytes, data.images * 2.0 - 1.0))
 
     def test_an_unseeded_shuffle_is_refused(self, tiny_spec):
         data = generate_domain_split(tiny_spec, 0, "train")

@@ -124,10 +124,12 @@ class TestSampleClientsLazy:
         assert all(cid % 2 == 0 and cid not in {0, 2} for cid in chosen)
 
     def test_exhaustion_raises(self):
-        with pytest.raises(NoAvailableClientsError):
+        probes = []
+        with pytest.raises(NoAvailableClientsError, match="1024 probes"):
             sample_clients_lazy(
-                100, 3, np.random.default_rng(0), available=lambda cid: False, max_probes=64
+                100, 3, np.random.default_rng(0), available=lambda cid: probes.append(cid)
             )
+        assert len(probes) == 1024  # the bound, max(1024, 64 * count)
         with pytest.raises(NoAvailableClientsError):
             sample_clients_lazy(3, 3, np.random.default_rng(0), exclude={0, 1, 2})
 
@@ -197,7 +199,6 @@ class TestVirtualShards:
                 task.train,
                 assignment.clients_taking_new_domain,
                 spawn_rng(seed, "partition", task.task_id),
-                config.partition_concentration,
             )
             for client_id in assignment.active_clients:
                 group = assignment.group_of(client_id)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.models import BackboneConfig, ClsClassifier, PatchTokenizer, PromptedBackbone, ResNet10
-from repro.models.tokenizer import sinusoidal_positions
+from repro.models.tokenizer import MAX_POSITIONS, sinusoidal_positions
 
 RNG = np.random.default_rng(11)
 
@@ -73,9 +73,10 @@ class TestPatchTokenizer:
         assert np.allclose(enc, sinusoidal_positions(10, 8))
 
     def test_too_many_tokens_raises(self):
-        tok = PatchTokenizer(in_channels=4, embed_dim=8, max_positions=4, rng=RNG)
-        with pytest.raises(ValueError):
-            tok(Tensor(RNG.standard_normal((4, 3, 3, 1))))
+        tok = PatchTokenizer(in_channels=4, embed_dim=8, rng=RNG)
+        assert tok(Tensor(RNG.standard_normal((4, 16, 16, 1)))).shape == (1, MAX_POSITIONS, 8)
+        with pytest.raises(ValueError, match=str(MAX_POSITIONS)):
+            tok(Tensor(RNG.standard_normal((4, 17, 16, 1))))
 
 
 class TestClassifier:

@@ -58,19 +58,23 @@ class TestModuleSystem:
         with pytest.raises(ValueError):
             net.load_state_dict(state)
 
-    def test_load_state_dict_missing_key_strict(self):
+    def test_load_state_dict_missing_key_raises_before_writing(self):
         net = _ToyNet()
-        with pytest.raises(KeyError):
-            net.load_state_dict({}, strict=True)
-        net.load_state_dict({}, strict=False)
+        state = net.state_dict()
+        before = net.second.weight.data.copy()
+        partial = {key: np.zeros_like(value) for key, value in state.items() if key != "first.bias"}
+        with pytest.raises(KeyError, match="first.bias"):
+            net.load_state_dict(partial)
+        np.testing.assert_array_equal(net.second.weight.data, before)
+        with pytest.raises(TypeError):
+            net.load_state_dict(state, strict=False)
 
-    def test_load_state_dict_unexpected_key_strict(self):
+    def test_load_state_dict_unexpected_key_raises(self):
         net = _ToyNet()
         state = net.state_dict()
         state["first.extra"] = np.zeros(3)
         with pytest.raises(KeyError, match="first.extra"):
-            net.load_state_dict(state, strict=True)
-        net.load_state_dict(state, strict=False)
+            net.load_state_dict(state)
 
     def test_frozen_parameters_are_not_state(self):
         net = _ToyNet()

@@ -1,4 +1,5 @@
-"""Every module-level function and class in ``src/repro`` is named by code that runs.
+"""Every module-level function and class in ``src/repro`` is named by code that runs,
+and every ``FederatedConfig`` knob is set by code that runs.
 
 A definition that only tests name is a library nobody uses: it still costs a
 test, a README row and a reader's time.  This test parses ``src/``,
@@ -13,8 +14,11 @@ when a test keeps it as the oracle for code that stays, add it to
 from __future__ import annotations
 
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
+
+from repro.federated.config import FederatedConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -76,3 +80,22 @@ def test_the_allowlist_is_short_and_current():
     assert len(ALLOWED) <= 4
     stale = sorted(set(ALLOWED) - set(_unnamed_definitions()))
     assert not stale, f"allowed but named by code now, drop from ALLOWED: {stale}"
+
+
+def _keywords_passed(exclude: Path) -> set:
+    passed = set()
+    for path in _code_files():
+        if path == exclude:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.keyword) and node.arg is not None:
+                passed.add(node.arg)
+    return passed
+
+
+def test_every_config_knob_is_passed_by_keyword_by_code_that_runs():
+    """A knob that no run, benchmark or example sets is a constant with a
+    README row: retire it (its value becomes a named constant) instead."""
+    passed = _keywords_passed(exclude=PACKAGE / "federated" / "config.py")
+    unset = [spec.name for spec in dataclasses.fields(FederatedConfig) if spec.name not in passed]
+    assert not unset, f"FederatedConfig knobs no code outside tests passes: {unset}"

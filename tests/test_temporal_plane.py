@@ -15,6 +15,7 @@ from repro.continual import DomainIncrementalScenario
 from repro.datasets import SyntheticDomainDataset
 from repro.federated import FederatedDomainIncrementalSimulation
 from repro.federated.aggregation import blend_states, staleness_weight
+from repro.federated.async_plane import ASYNC_MIXING, STALENESS_DECAY
 from repro.federated.clock import (
     CostModel,
     EventScheduler,
@@ -250,23 +251,6 @@ class TestSyncTemporal:
         assert serial.round_losses == parallel.round_losses
         assert serial.sim_time == parallel.sim_time == 0.0
 
-    def test_sim_time_limit_skips_remaining_rounds(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        full_config = _temporal_config(tiny_federated_config, device_profile="homogeneous")
-        _, full = _run(tiny_spec, tiny_backbone_config, full_config)
-        first_round_ends = full.event_log[0]["time"]
-        _, limited = _run(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(full_config, sim_time_limit=first_round_ends),
-        )
-        kinds = [e["kind"] for e in limited.event_log]
-        assert kinds[0] == "round"
-        assert "skipped_round" in kinds
-        assert len([k for k in kinds if k == "round"]) < 4
-        assert limited.sim_time <= full.sim_time
-
 
 class TestAsyncModes:
     def _result(self, tiny_spec, tiny_backbone_config, tiny_federated_config, **overrides):
@@ -306,6 +290,18 @@ class TestAsyncModes:
         # One aggregation (and one recorded loss) per arrival.
         assert len(result.round_losses) == 2 * budget
         assert result.sim_time > 0.0
+
+    def test_arrivals_blend_at_the_fixed_staleness_discount(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+    ):
+        _, result = self._result(
+            tiny_spec, tiny_backbone_config, tiny_federated_config,
+            mode="async", device_profile="homogeneous",
+        )
+        arrivals = [e for e in result.event_log if e["kind"] == "arrival"]
+        assert any(e["staleness"] > 0 for e in arrivals)
+        for event in arrivals:
+            assert event["mixing"] == ASYNC_MIXING * (1.0 + event["staleness"]) ** -STALENESS_DECAY
 
     def test_buffered_flushes_every_k_arrivals(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
@@ -457,9 +453,8 @@ class TestLifecycle:
         from repro.experiments.runner import _normalize_execution_knobs
 
         base = FederatedConfig()
-        # Buffered/staleness knobs are inert in sync mode; an instant profile
-        # makes a simulated-time budget inert.
-        inert = replace(base, buffer_size=7, staleness_decay=2.0, sim_time_limit=9.0)
+        # The buffer size is inert outside buffered mode.
+        inert = replace(base, buffer_size=7)
         assert _normalize_execution_knobs(inert) == _normalize_execution_knobs(base)
         # The device tier always stays in the key: even an always-online tier
         # changes the run's temporal telemetry (sim_time, event_log).
@@ -475,10 +470,6 @@ class TestLifecycle:
             FederatedConfig(mode="lockstep")
         with pytest.raises(ValueError):
             FederatedConfig(buffer_size=-1)
-        with pytest.raises(ValueError):
-            FederatedConfig(staleness_decay=-0.1)
-        with pytest.raises(ValueError):
-            FederatedConfig(sim_time_limit=-1.0)
         with pytest.raises(ValueError, match="bandwidth_limit requires mode='sync'"):
             # One upload per arrival would make the keep-one rule deliver
             # every over-budget frame: the budget must be rejected, not inert.
