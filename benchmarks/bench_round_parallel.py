@@ -9,11 +9,10 @@ parallel executor (``num_workers=4``), verifies the two produce identical
 updates, and records per-phase wall-clock plus the speedup into
 ``BENCH_round.json``.
 
-The IPC section (``round_ipc``) exercises the client data plane over a
-two-task stream: through the per-worker shard cache a client's shard crosses
-the process boundary only on the first round of each task (per-round shard
-bytes drop to 0 afterwards; the task boundary re-ships because in-between
-style concatenation changes the shard fingerprint).  Serial and parallel
+The IPC section (``round_ipc``) runs a two-task stream whose task-1 shards
+concatenate task-0 data the way in-between clients do, and records the shard
+bytes every round's chunks carry (each chunk ships its clients' datasets, so
+the task boundary's grown shards show as a step).  Serial and parallel
 updates are asserted identical round by round.
 
 Note: the speedup scales with physical cores; on a single-core CI box the
@@ -90,8 +89,7 @@ def test_round_serial_vs_parallel(benchmark, bench_record):
     # original clients' RNG streams in place, so rebuild identical ones.
     _, _, _, fresh_clients = _build_round()
     with ParallelExecutor(num_workers=NUM_WORKERS) as parallel:
-        # Warm-up pays the one-time pool fork + import cost (and the task's
-        # one-time shard shipment) outside the timing.
+        # Warm-up pays the one-time pool fork + import cost outside the timing.
         with timer.measure("parallel_warmup"):
             parallel_updates = parallel.run_round(
                 method, model, server.broadcast_view(), fresh_clients
@@ -122,28 +120,24 @@ def test_round_serial_vs_parallel(benchmark, bench_record):
             "parallel_warmup_s": timer.total("parallel_warmup"),
             "speedup": speedup,
             "parity": True,
-            # Shard IPC of the timed reps: the warm-up round ships every
-            # shard, the timed rounds run on pure cache hits (0 bytes).
+            # Every round ships its clients' shards: the timed rounds carry
+            # what the warm-up carried.
             "warmup_shard_bytes": ipc_log[0].shard_bytes,
             "timed_round_shard_bytes": ipc_log[-1].shard_bytes,
         },
     )
-    # The timed reps reuse the warm-up's shards: pure cache hits, zero bytes.
-    assert ipc_log[0].shard_bytes > 0
-    assert all(ipc.shard_bytes == 0 for ipc in ipc_log[1:])
     print(f"\nround of {NUM_CLIENTS} clients (mean of {timer.count('serial_round')} serial / "
           f"{timer.count('parallel_round')} parallel reps, warm-ups excluded):")
     print(f"  serial   : {serial_s * 1000:.1f} ms")
     print(f"  parallel : {parallel_s * 1000:.1f} ms  (num_workers={NUM_WORKERS}, "
           f"warmup {timer.total('parallel_warmup') * 1000:.0f} ms)")
     print(f"  speedup  : {speedup:.2f}x (scales with physical cores)")
-    print(f"  shard IPC: {ipc_log[0].shard_bytes} B warm-up round, "
-          f"{ipc_log[-1].shard_bytes} B per timed round (cache hits)")
+    print(f"  shard IPC: {ipc_log[-1].shard_bytes} B per round")
 
 
 def _multitask_datasets():
     """Two tasks' client shards; task-1 shards concatenate task-0 data the way
-    in-between clients do, so the cached run exercises fingerprint invalidation."""
+    in-between clients do, so a task-1 shard is larger than its task-0 one."""
     from repro.datasets.base import ArrayDataset
 
     spec = get_dataset_spec("office_caltech").scaled(
@@ -177,9 +171,9 @@ def _multitask_handles(task_datasets, task_id, round_index):
 
 
 def test_round_ipc_multitask_parity(bench_record):
-    """The data-plane contract, measured: per-round shard bytes drop to 0
-    after each task's first round, the task boundary re-ships — and serial
-    and parallel execution produce identical updates."""
+    """Serial and parallel execution produce identical updates over two
+    tasks, and every round's chunks carry its clients' shards: the same bytes
+    each round of a task, more after the boundary where the shards grew."""
     ROUNDS_PER_TASK = 2
     spec, task_datasets = _multitask_datasets()
     backbone = BackboneConfig(
@@ -202,27 +196,22 @@ def test_round_ipc_multitask_parity(bench_record):
             return rounds, getattr(executor, "ipc_log", None)
 
     serial_rounds, _ = run(SerialExecutor)
-    cached_rounds, cached_log = run(lambda: ParallelExecutor(num_workers=NUM_WORKERS))
+    parallel_rounds, ipc_log = run(lambda: ParallelExecutor(num_workers=NUM_WORKERS))
 
-    assert len(cached_rounds) == len(serial_rounds)
-    for reference, candidate in zip(serial_rounds, cached_rounds):
+    assert len(parallel_rounds) == len(serial_rounds)
+    for reference, candidate in zip(serial_rounds, parallel_rounds):
         assert [u.client_id for u in reference] == [u.client_id for u in candidate]
         assert [u.train_loss for u in reference] == [u.train_loss for u in candidate]
         for left, right in zip(reference, candidate):
             for key in left.state_dict:
                 np.testing.assert_array_equal(left.state_dict[key], right.state_dict[key])
 
-    cached_bytes = [ipc.shard_bytes for ipc in cached_log]
-    # First round of each task ships, later rounds are hits.
-    assert cached_bytes[0] > 0 and cached_bytes[ROUNDS_PER_TASK] > 0
-    assert all(
-        b == 0
-        for task in range(2)
-        for b in cached_bytes[task * ROUNDS_PER_TASK + 1 : (task + 1) * ROUNDS_PER_TASK]
-    )
-    # Task-1 shards are concatenations (bigger fingerprinted payloads), so the
-    # boundary genuinely re-shipped rather than reusing task-0 entries.
-    assert cached_bytes[ROUNDS_PER_TASK] > cached_bytes[0]
+    shard_bytes = [ipc.shard_bytes for ipc in ipc_log]
+    # Every round of a task carries the same shards; task-1 shards are
+    # concatenations, so they weigh more.
+    per_task = [shard_bytes[t * ROUNDS_PER_TASK : (t + 1) * ROUNDS_PER_TASK] for t in range(2)]
+    assert all(len(set(rounds)) == 1 for rounds in per_task)
+    assert 0 < per_task[0][0] < per_task[1][0]
 
     bench_record(
         "round_ipc",
@@ -231,22 +220,21 @@ def test_round_ipc_multitask_parity(bench_record):
             "num_workers": NUM_WORKERS,
             "num_tasks": 2,
             "rounds_per_task": ROUNDS_PER_TASK,
-            "shard_bytes_per_round_cached": cached_bytes,
-            "cache_hits_total": sum(ipc.cache_hits for ipc in cached_log),
-            "broadcast_bytes_per_round": cached_log[0].broadcast_bytes,
+            "shard_bytes_per_round": shard_bytes,
+            "broadcast_bytes_per_round": ipc_log[0].broadcast_bytes,
             "multitask_parity": True,
         },
     )
     print(f"\nshard IPC per round over 2 tasks x {ROUNDS_PER_TASK} rounds "
           f"({NUM_CLIENTS} clients, num_workers={NUM_WORKERS}):")
-    print(f"  {cached_bytes} B")
+    print(f"  {shard_bytes} B")
 
 
 @pytest.mark.slow
 def test_round_parallel_full_simulation_parity(bench_record):
     """Whole-run parity at bench scale: serial and parallel are identical over
-    a multi-task run whose two rounds per task exercise cache hits and whose
-    task boundary exercises invalidation."""
+    a multi-task run with two rounds per task and in-between clients whose
+    shards grow at the task boundary."""
     from repro.continual.scenario import DomainIncrementalScenario
     from repro.datasets.registry import build_dataset
     from repro.federated.config import FederatedConfig

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -28,27 +27,6 @@ class ArrayDataset:
             )
         self.images = images
         self.labels = labels
-        self._fingerprint: Optional[str] = None
-
-    def fingerprint(self) -> str:
-        """Stable content hash of this dataset (hex digest), cached after first use.
-
-        Two datasets with identical images/labels share a fingerprint across
-        processes and runs, which is what keys the parallel executor's
-        per-worker shard cache: a client's shard is re-shipped only when its
-        fingerprint changes (e.g. an in-between client concatenating its
-        previous task's shard).  The digest is computed once and memoised —
-        shards are treated as immutable once partitioned, so later in-place
-        mutation of ``images``/``labels`` is not detected.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.blake2b(digest_size=16)
-            for array in (self.images, self.labels):
-                digest.update(str(array.shape).encode())
-                digest.update(array.dtype.str.encode())
-                digest.update(np.ascontiguousarray(array).data)
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
 
     def __len__(self) -> int:
         return self.images.shape[0]

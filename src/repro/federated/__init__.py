@@ -51,7 +51,6 @@ from repro.federated.communication import (
 from repro.federated.client import (
     ClientHandle,
     LocalTrainingConfig,
-    ShardRef,
     run_local_sgd,
 )
 from repro.federated.virtual import VirtualClientPlane
@@ -150,7 +149,6 @@ __all__ = [
     "simulation_state_hash",
     "ClientHandle",
     "LocalTrainingConfig",
-    "ShardRef",
     "VirtualClientPlane",
     "run_local_sgd",
     "BroadcastHandle",

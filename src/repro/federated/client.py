@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -35,32 +35,6 @@ class LocalTrainingConfig:
             raise ValueError("learning_rate must be positive")
 
 
-@dataclass(frozen=True)
-class ShardRef:
-    """Identity of a dataset held in a pool worker's cache, without the payload.
-
-    The parallel executor's data plane ships this light reference with every
-    unit of work and the dataset bytes themselves only on a worker cache miss.
-    ``plane`` is ``"train"`` (``unit`` is the client id: the shard crosses the
-    process boundary once per task instead of once per round) or ``"eval"``
-    (``unit`` is the index of a batch-aligned test-set slice: once per run).
-    ``identity`` is the key of the worker-side ``_WORKER_SHARDS`` cache and of
-    the parent's mirrored inventories; a held identity whose ``fingerprint``
-    differs is stale and is replaced (e.g. an in-between client concatenating
-    its previous task's data at a task boundary, or a dtype switch).
-    """
-
-    plane: str
-    task_id: int
-    unit: int
-    fingerprint: str
-    num_samples: int
-
-    @property
-    def identity(self) -> Tuple[str, int, int]:
-        return (self.plane, self.task_id, self.unit)
-
-
 @dataclass
 class ClientHandle:
     """Everything a method needs to run one client's local update for one round.
@@ -82,21 +56,6 @@ class ClientHandle:
     @property
     def num_samples(self) -> int:
         return len(self.dataset)
-
-    def shard_ref(self) -> ShardRef:
-        """Light identity of this handle's dataset for the shard-cache data plane."""
-        return ShardRef(
-            "train", self.task_id, self.client_id, self.dataset.fingerprint(), len(self.dataset)
-        )
-
-    def lighten(self) -> "ClientHandle":
-        """A copy of this handle without its dataset payload.
-
-        The parallel executor ships light handles over IPC and workers rebind
-        the dataset from their shard cache before training; everything else
-        (rng, training config, group, metadata) still travels per round.
-        """
-        return replace(self, dataset=None)
 
     def loader(self, shuffle: bool = True) -> DataLoader:
         return DataLoader(
@@ -143,7 +102,6 @@ def run_local_sgd(
 
 __all__ = [
     "LocalTrainingConfig",
-    "ShardRef",
     "ClientHandle",
     "run_local_sgd",
 ]

@@ -18,45 +18,23 @@ same global state.  This module turns that structure into a pluggable
   accumulates in the same order as the serial path and results stay
   identical for a given seed.
 
-The data plane
---------------
 The pool has two jobs — every selected client's local update each round, and
 the paper's evaluation protocol (Sec. V-A), which scores the global model on
-*every* seen domain after each learning step: an O(T²) forward-pass workload
-per run (O(T·R) with mid-task ``eval_every`` snapshots) absorbed between
-training rounds.  Both ship datasets that dominate IPC yet rarely change
-(client shards at task boundaries, test sets never), so both go through one
-per-worker cache instead of being re-pickled with every chunk:
+*every* seen domain after each learning step (an O(T²) forward-pass workload
+per run).  Both go through one fan-out: a chunk carries its work units whole
+(each :class:`ClientHandle` or :class:`EvalJob` with its dataset), so a worker
+holds no data between chunks and a chunk replayed to a respawned worker is
+the same message sent again.  :meth:`ParallelExecutor.run_eval` fans
+:class:`EvalJob` units — one (seen-task, batch-aligned test-shard slice) each
+— over the workers and reassembles per-slice *integer* correct/total counts
+in job order.  Slices are cut on the serial ``DataLoader``'s batch grid
+(:func:`batch_aligned_slices`), so every worker runs exactly the batches the
+serial path would run and the summed counts reproduce serial accuracies
+bit-for-bit; :class:`ParallelEvalBackend` adapts the fan-out to the
+:class:`repro.continual.evaluator.GlobalEvaluator` backend interface.
 
-* work units cross the boundary *light* (:meth:`ClientHandle.lighten` /
-  :meth:`EvalJob.lighten` plus a :class:`~repro.federated.client.ShardRef`),
-  and workers rebind the dataset from the module-level ``_WORKER_SHARDS``
-  cache keyed by ``ShardRef.identity`` = ``("train", task, client)`` or
-  ``("eval", task, slice)``;
-* workers are *pinned*: each talks to the parent over its own duplex pipe
-  (:class:`_PinnedWorkerPool`), so the parent knows exactly which worker runs
-  which chunk and mirrors every worker's inventory.  That inventory is the
-  cache-miss handshake — dataset bytes are attached to a chunk only for
-  identities the receiving worker does not hold at the current fingerprint,
-  i.e. once per (client, task) rather than once per round, and once per run
-  for a test-set slice;
-* the fingerprint invalidates stale entries whenever a dataset's content
-  changes — in-between clients concatenating their previous task's shard, a
-  dtype switch on a long-lived pool — by replacing the held entry on both
-  sides, and both sides evict other tasks' *training* shards when a round for
-  a new task arrives, bounding worker memory to one task's shards plus one
-  copy of the test suite;
-* :meth:`ParallelExecutor.run_eval` fans :class:`EvalJob` units — one
-  (seen-task, batch-aligned test-shard slice) each — over the workers and
-  reassembles per-slice *integer* correct/total counts in job order.  Slices
-  are cut on the serial ``DataLoader``'s batch grid
-  (:func:`batch_aligned_slices`), so every worker runs exactly the batches
-  the serial path would run and the summed counts reproduce serial
-  accuracies bit-for-bit; :class:`ParallelEvalBackend` adapts the fan-out to
-  the :class:`repro.continual.evaluator.GlobalEvaluator` backend interface.
-
-Accounting of everything shipped (method, broadcast, dataset bytes,
-hits/misses) is appended per round to :attr:`ParallelExecutor.ipc_log` as
+Accounting of everything shipped (method, broadcast and dataset bytes, and
+messages) is appended per round to :attr:`ParallelExecutor.ipc_log` as
 :class:`RoundIPC` records and per evaluation call to
 :attr:`ParallelExecutor.eval_ipc_log` as :class:`EvalIPC` records;
 ``benchmarks/bench_round_parallel.py`` and ``benchmarks/bench_eval_parallel.py``
@@ -77,7 +55,7 @@ import os
 import pickle
 import sys
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -87,7 +65,7 @@ from repro.autograd.tensor import get_default_dtype, set_default_dtype
 from repro.continual.evaluator import EvalBackend, PredictFn, count_correct
 from repro.continual.scenario import Task
 from repro.datasets.base import ArrayDataset
-from repro.federated.client import ClientHandle, ShardRef
+from repro.federated.client import ClientHandle
 from repro.federated.communication import ClientUpdate, decode_version
 from repro.federated.method import FederatedMethod
 from repro.federated.server import BroadcastHandle
@@ -101,16 +79,6 @@ from repro.nn.module import Module
 #: the broadcast state signature, so a replica is built once per process and
 #: then only reloaded with fresh weights every round.
 _WORKER_REPLICAS: Dict[tuple, Module] = {}
-
-#: Per-worker-process cache of the datasets both planes work on, keyed by
-#: ``ShardRef.identity`` and holding ``(fingerprint, dataset)``.  Entries are
-#: installed from the bytes the parent attaches on a cache miss; a new
-#: fingerprint for a held identity replaces the stale entry.  Training shards
-#: are evicted when a train chunk for a different task arrives (shards are
-#: immutable within a task, so nothing else can invalidate them mid-task);
-#: test-set slices never change within a run and live for the pool's lifetime.
-_WORKER_SHARDS: Dict[Tuple[str, int, int], Tuple[str, ArrayDataset]] = {}
-
 
 def _replica_key(method: FederatedMethod, state: Dict[str, np.ndarray]) -> tuple:
     # State shapes alone cannot distinguish architectures that differ in
@@ -166,48 +134,6 @@ def _run_client_chunk(
     return results
 
 
-def _install_shards(shard_blobs: Dict[ShardRef, bytes]) -> None:
-    """Unpack the dataset payloads the parent attached for this worker's misses.
-
-    Keyed by identity, so a fresh fingerprint for an already-held identity
-    replaces the stale entry: the cache stays bounded by one copy of each
-    dataset even when a long-lived pool switches compute dtype between
-    simulations.
-    """
-    for ref, blob in shard_blobs.items():
-        _WORKER_SHARDS[ref.identity] = (ref.fingerprint, pickle.loads(blob))
-
-
-def _evict_stale_shards(held: Dict[Tuple[str, int, int], Any], task_id: int) -> None:
-    """Drop other tasks' training shards (they only change at task boundaries)
-    from a worker's cache or the parent's mirror of it — one rule for both, so
-    the two cannot drift; test-set slices are never evicted."""
-    for identity in [i for i in held if i[0] == "train" and i[1] != task_id]:
-        del held[identity]
-
-
-def _resolve_chunk(items: Sequence[Tuple[int, ShardRef, Any]]) -> List[Tuple[int, Any]]:
-    """Rebind each light work unit's dataset from the worker shard cache."""
-    resolved: List[Tuple[int, Any]] = []
-    for index, ref, work in items:
-        fingerprint, shard = _WORKER_SHARDS.get(ref.identity, (None, None))
-        if fingerprint != ref.fingerprint:
-            raise RuntimeError(
-                f"worker shard cache miss for {ref.plane} task {ref.task_id} "
-                f"unit {ref.unit}: the parent's inventory claims this dataset "
-                "was already shipped to this worker — the parent's inventory "
-                "mirror and worker install/eviction are out of sync"
-            )
-        if len(shard) != ref.num_samples:
-            raise RuntimeError(
-                f"worker shard cache corruption for {ref.plane} task {ref.task_id} "
-                f"unit {ref.unit}: cached dataset has {len(shard)} samples but "
-                f"the reference expects {ref.num_samples}"
-            )
-        resolved.append((index, replace(work, dataset=shard)))
-    return resolved
-
-
 @dataclass(frozen=True)
 class EvalJob:
     """One unit of evaluation work: score one slice of one seen task's test set."""
@@ -216,16 +142,6 @@ class EvalJob:
     slice_index: int
     dataset: ArrayDataset
     batch_size: int
-
-    def shard_ref(self) -> ShardRef:
-        """Light identity of this job's slice for the data plane."""
-        return ShardRef(
-            "eval", self.task_id, self.slice_index, self.dataset.fingerprint(), len(self.dataset)
-        )
-
-    def lighten(self) -> "EvalJob":
-        """A copy of this job without its slice payload (see :meth:`ClientHandle.lighten`)."""
-        return replace(self, dataset=None)
 
 
 def batch_aligned_slices(
@@ -284,7 +200,7 @@ def _run_eval_chunk(
     return results
 
 
-#: What a worker runs for each chunk kind, on the chunk's resolved work units.
+#: What a worker runs for each chunk kind.
 _CHUNK_RUNNERS: Dict[str, Callable[..., List[tuple]]] = {
     "train": _run_client_chunk,
     "eval": _run_eval_chunk,
@@ -349,14 +265,13 @@ def _raise_worker_error(encoded: Tuple[Optional[bytes], str]) -> None:
 def _worker_main(conn) -> None:
     """Entry point of one pinned worker; loops until the ``None`` sentinel.
 
-    Messages are ``(kind, payload)`` pairs with one payload shape: ``"train"``
-    chunks run local updates, ``"eval"`` chunks score test-set slices, both on
-    datasets resolved from the worker's shard cache and on the worker's model
-    replica cache, so evaluation jobs reuse the replica the training rounds
-    already built.  Only a train chunk names a ``task_id``: its arrival is the
-    task-boundary eviction point.  Every chunk gets exactly one report on the
-    same pipe.  ``Connection.send`` pickles before it writes a byte, so a
-    result that cannot be pickled becomes the chunk's ``"error"`` report.
+    Messages are ``(kind, payload)`` pairs whose payload is the runner's
+    arguments: ``"train"`` chunks run local updates, ``"eval"`` chunks score
+    test-set slices, both on the worker's model replica cache, so evaluation
+    jobs reuse the replica the training rounds already built.  Every chunk
+    gets exactly one report on the same pipe.  ``Connection.send`` pickles
+    before it writes a byte, so a result that cannot be pickled becomes the
+    chunk's ``"error"`` report.
     """
     while True:
         try:
@@ -370,11 +285,7 @@ def _worker_main(conn) -> None:
             runner = _CHUNK_RUNNERS.get(kind)
             if runner is None:
                 raise RuntimeError(f"unknown worker message kind {kind!r}")
-            method_blob, broadcast_blob, items, shard_blobs, task_id, dtype_name = payload
-            _install_shards(shard_blobs)
-            if task_id is not None:
-                _evict_stale_shards(_WORKER_SHARDS, task_id)
-            results = runner(method_blob, broadcast_blob, _resolve_chunk(items), dtype_name)
+            results = runner(*payload)
             conn.send(("ok", results))
         except BaseException as exc:  # ship the failure instead of dying silently
             conn.send(("error", _encode_error(exc)))
@@ -384,12 +295,10 @@ class _PinnedWorkerPool:
     """``num_workers`` long-lived processes, each on its own duplex pipe.
 
     ``concurrent.futures.ProcessPoolExecutor`` hands tasks to whichever worker
-    grabs them first, so a parent can never know which process holds which
-    cached shard.  Pinning each worker to its own pipe makes the worker-side
-    caches addressable: the parent decides which worker runs which chunk, so
-    it can mirror every worker's shard inventory exactly and attach shard
-    bytes only for genuine misses.  No lock or feeder thread is shared, so a
-    worker's death can lose only its own report.
+    grabs them first.  Pinning each worker to its own pipe lets the parent
+    decide which worker runs which chunk, so a dead worker's chunk is known
+    and can be replayed.  No lock or feeder thread is shared, so a worker's
+    death can lose only its own report.
     """
 
     def __init__(self, num_workers: int, context) -> None:
@@ -446,12 +355,7 @@ class _PinnedWorkerPool:
         self._processes[worker_id].join()
 
     def respawn(self, worker_id: int) -> None:
-        """Replace a dead worker with a fresh process on a fresh pipe.
-
-        The replacement starts with empty module-level caches, which is why
-        the healing caller must forget the worker's mirrored inventory before
-        resubmitting.
-        """
+        """Replace a dead worker with a fresh process on a fresh pipe."""
         self._conns[worker_id].close()
         self._start(worker_id)
 
@@ -478,12 +382,11 @@ def _assign_clients_to_workers(
 ) -> List[List[Tuple[int, ClientHandle]]]:
     """Deterministic client→worker assignment: stable first, then balanced.
 
-    A client's home worker is ``client_id % num_workers``, so its cached
-    shard is found again every round of a task; overfull homes then spill
-    their excess onto the least-loaded workers so a round's wall clock stays
-    one chunk deep.  Spilled clients may pay an extra shard shipment on the
-    recipient worker — correctness never depends on where a chunk runs, only
-    the IPC volume does.
+    A client's home worker is ``client_id % num_workers``, so where a client
+    runs repeats from round to round and one-client dispatches spread over
+    the pool; overfull homes then spill their excess onto the least-loaded
+    workers so a round's wall clock stays one chunk deep.  Correctness never
+    depends on where a chunk runs.
     """
     buckets: List[List[Tuple[int, ClientHandle]]] = [[] for _ in range(num_workers)]
     for item in indexed:
@@ -529,8 +432,8 @@ class Executor:
         The event-driven async/buffered modes dispatch clients one arrival at
         a time in simulated-clock order; each dispatch is a single-client
         round on whichever executor is configured, so the pinned worker pool
-        (shard cache, replica cache and all) keeps doing the compute while
-        the scheduler decides ordering and staleness.
+        (replica cache and all) keeps doing the compute while the scheduler
+        decides ordering and staleness.
         """
         return self.run_round(method, model, broadcast, [client])[0]
 
@@ -570,13 +473,14 @@ class RoundIPC:
     ``method_bytes`` and ``broadcast_bytes`` count the blob size times the
     number of worker messages that embedded it (each worker's pipe carries its
     own copy of the shared bytes; a chunk replayed to a respawned worker is
-    one more message), so all three byte fields are comparable measures of
-    actual cross-process traffic.  ``num_messages`` is that message count, so
-    ``broadcast_bytes / num_messages`` recovers the single broadcast blob
-    length: the model version's ``identity`` frame body, so under the
-    ``identity`` codec it equals each per-client broadcast record of the
-    :class:`~repro.federated.communication.CommunicationLedger`.  Failed
-    rounds are not logged.
+    one more message), and ``shard_bytes`` is the pickled size of the client
+    datasets those messages carried, so all three byte fields are comparable
+    measures of actual cross-process traffic.  ``num_messages`` is that
+    message count, so ``broadcast_bytes / num_messages`` recovers the single
+    broadcast blob length: the model version's ``identity`` frame body, so
+    under the ``identity`` codec it equals each per-client broadcast record
+    of the :class:`~repro.federated.communication.CommunicationLedger`.
+    ``task_id`` is the first client's task.  Failed rounds are not logged.
     """
 
     task_id: int
@@ -584,8 +488,6 @@ class RoundIPC:
     method_bytes: int
     broadcast_bytes: int
     shard_bytes: int
-    shards_shipped: int
-    cache_hits: int
     num_messages: int = 0
 
 
@@ -594,23 +496,21 @@ class EvalIPC:
     """What one :meth:`ParallelExecutor.run_eval` call shipped to its workers.
 
     Same byte conventions as :class:`RoundIPC`: ``method_bytes`` and
-    ``broadcast_bytes`` count blob size times ``num_messages``.
-    ``shard_bytes`` is non-zero only the first time a (task, slice) pair
-    reaches its worker — once per run.  Failed calls are not logged.
+    ``broadcast_bytes`` count blob size times ``num_messages``, and
+    ``shard_bytes`` is the pickled size of the test-set slices the call's
+    messages carried.  Failed calls are not logged.
     """
 
     num_jobs: int
     method_bytes: int
     broadcast_bytes: int
     shard_bytes: int
-    shards_shipped: int
-    cache_hits: int
     num_messages: int = 0
 
 
 class ParallelExecutor(Executor):
-    """Pinned-worker-pool execution with a single-serialization broadcast and a
-    per-worker shard cache (the data plane; see the module docstring).
+    """Pinned-worker-pool execution with a single-serialization broadcast (see
+    the module docstring).
 
     ``num_workers`` defaults to the machine's CPU count.  The pool is created
     lazily on the first round and reused across rounds and tasks; call
@@ -618,11 +518,10 @@ class ParallelExecutor(Executor):
     Worker processes inherit the parent's compute dtype so float32 runs stay
     float32 inside the workers.
 
-    A client's dataset ships only when the receiving worker does not already
-    hold it — once per (client, task) instead of once per round; a respawned
-    worker starts with an empty inventory, so its replayed chunk re-ships
-    every shard.  :attr:`ipc_log` records one :class:`RoundIPC` entry per
-    round.
+    Every chunk carries its clients' datasets, so a worker trains on exactly
+    the data the parent holds now, and a chunk replayed to a respawned worker
+    is the same message again.  :attr:`ipc_log` records one :class:`RoundIPC`
+    entry per round.
     """
 
     def __init__(
@@ -641,8 +540,6 @@ class ParallelExecutor(Executor):
         self.ipc_log: List[RoundIPC] = []
         self.eval_ipc_log: List[EvalIPC] = []
         self._pool: Optional[_PinnedWorkerPool] = None
-        #: Per worker, what its shard cache holds: identity -> fingerprint.
-        self._inventories: List[Dict[Tuple[str, int, int], str]] = []
         self._pending_kills: List[int] = []
 
     def request_worker_kill(self, worker_id: int) -> None:
@@ -650,7 +547,7 @@ class ParallelExecutor(Executor):
 
         The fault plane's injection point: the next training round kills the
         process just before its chunks go out, so the victim's chunk meets a
-        dead pipe exactly as after a real crash — chunk lost, caches gone —
+        dead pipe exactly as after a real crash — chunk lost, replicas gone —
         and the healing collect path detects, respawns and replays.
         """
         if not 0 <= worker_id < self.num_workers:
@@ -659,66 +556,19 @@ class ParallelExecutor(Executor):
             )
         self._pending_kills.append(worker_id)
 
-    def _build_message(
-        self,
-        kind: str,
-        worker_id: int,
-        bucket: Sequence[Tuple[int, Any]],
-        method_blob: bytes,
-        broadcast_blob: bytes,
-        dtype_name: str,
-        task_id: Optional[int],
-        stats: Dict[str, int],
-    ) -> tuple:
-        """Build one worker's chunk, updating its mirrored inventory.
-
-        A pure function of the call's blobs and the worker's inventory, so a
-        healing replay after a respawn (inventory wiped to empty) rebuilds a
-        chunk that re-ships every dataset and reproduces the lost computation
-        bit-for-bit.  Every chunk built is a chunk submitted — first send or
-        replay — so this is also where its traffic is counted.
-        """
-        inventory = self._inventories[worker_id]
-        if task_id is not None:
-            # Mirror the worker's task-boundary eviction exactly: the worker
-            # drops other-task training shards when this chunk arrives, so
-            # the parent must forget them at the same moment (and only for
-            # workers that actually receive a chunk).
-            _evict_stale_shards(inventory, task_id)
-        items: List[Tuple[int, ShardRef, Any]] = []
-        shard_blobs: Dict[ShardRef, bytes] = {}
-        for index, work in bucket:
-            ref = work.shard_ref()
-            if inventory.get(ref.identity) == ref.fingerprint:
-                stats["cache_hits"] += 1
-            else:
-                blob = pickle.dumps(work.dataset, protocol=pickle.HIGHEST_PROTOCOL)
-                shard_blobs[ref] = blob
-                stats["shard_bytes"] += len(blob)
-                stats["shards_shipped"] += 1
-                # Mirror the worker's install: a new fingerprint for a held
-                # identity supersedes the stale entry on both sides.
-                inventory[ref.identity] = ref.fingerprint
-            items.append((index, ref, work.lighten()))
-        stats["num_messages"] += 1
-        stats["method_bytes"] += len(method_blob)
-        stats["broadcast_bytes"] += len(broadcast_blob)
-        return (kind, (method_blob, broadcast_blob, items, shard_blobs, task_id, dtype_name))
-
     def _collect_healing(
         self,
         pool: _PinnedWorkerPool,
         chunks: Dict[int, Sequence[Tuple[int, Any]]],
-        rebuild: Callable[[int], tuple],
+        send: Callable[[int], None],
     ) -> List[tuple]:
         """Collect one report per submitted chunk, healing worker deaths within budget.
 
-        A dead worker is respawned, its mirrored inventory (both planes)
-        forgotten — the fresh process holds nothing — and its chunk rebuilt
-        and resubmitted.  The replay is bit-for-bit: a chunk is a pure
-        function of the round's blobs.  Beyond ``max_respawns`` the deaths
-        raise :class:`WorkerDiedError`, with the lost client ids, once every
-        other pending worker has reported.
+        A dead worker is respawned and its chunk's message sent again.  The
+        replay is bit-for-bit: the message carries everything its chunk
+        reads.  Beyond ``max_respawns`` the deaths raise
+        :class:`WorkerDiedError`, with the lost client ids, once every other
+        pending worker has reported.
         """
         outcomes: List[tuple] = []
         lost: Dict[int, Optional[int]] = {}  # dead worker -> exit code
@@ -731,8 +581,7 @@ class ParallelExecutor(Executor):
                 elif self.respawns < self.max_respawns:
                     pool.respawn(worker_id)
                     self.respawns += 1
-                    self._inventories[worker_id] = {}
-                    pool.submit(worker_id, rebuild(worker_id))
+                    send(worker_id)
                     pending.add(worker_id)
                 else:
                     lost[worker_id] = payload
@@ -760,7 +609,6 @@ class ParallelExecutor(Executor):
             else:
                 context = multiprocessing.get_context()
             self._pool = _PinnedWorkerPool(self.num_workers, context)
-            self._inventories = [{} for _ in range(self.num_workers)]
         return self._pool
 
     def _fan_out(
@@ -769,7 +617,6 @@ class ParallelExecutor(Executor):
         method: FederatedMethod,
         broadcast: BroadcastHandle,
         buckets: Sequence[Sequence[Tuple[int, Any]]],
-        task_id: Optional[int] = None,
     ) -> Tuple[List[tuple], Dict[str, int]]:
         """Run one chunk per non-empty bucket; return the workers' result
         tuples in work-unit index order, and what the call shipped.
@@ -783,25 +630,25 @@ class ParallelExecutor(Executor):
         broadcast_blob = broadcast.serialized()
         dtype_name = get_default_dtype().name
         chunks = {worker_id: bucket for worker_id, bucket in enumerate(buckets) if bucket}
-        # The traffic counters RoundIPC and EvalIPC share, filled as chunks are built.
-        stats = {
-            "num_messages": 0, "method_bytes": 0, "broadcast_bytes": 0,
-            "shard_bytes": 0, "shards_shipped": 0, "cache_hits": 0,
-        }  # fmt: skip
+        # The traffic counters RoundIPC and EvalIPC share, counted per message
+        # sent, so a replay counts again.
+        stats = {"num_messages": 0, "method_bytes": 0, "broadcast_bytes": 0, "shard_bytes": 0}
 
-        def build(worker_id: int) -> tuple:
-            return self._build_message(
-                kind, worker_id, chunks[worker_id], method_blob, broadcast_blob, dtype_name, task_id, stats
+        def send(worker_id: int) -> None:
+            bucket = chunks[worker_id]
+            stats["num_messages"] += 1
+            stats["method_bytes"] += len(method_blob)
+            stats["broadcast_bytes"] += len(broadcast_blob)
+            stats["shard_bytes"] += sum(
+                len(pickle.dumps(work.dataset, protocol=pickle.HIGHEST_PROTOCOL))
+                for _, work in bucket
             )
+            pool.submit(worker_id, (kind, (method_blob, broadcast_blob, bucket, dtype_name)))
 
-        # Build every chunk message before submitting anything, and tear the
-        # pool down on any failure in the build/submit/collect path —
+        # Tear the pool down on any failure in the submit/collect path —
         # KeyboardInterrupt included: a partially-collected call would leave
-        # reports in flight for the next call's collect to mis-consume, and a
-        # partially-updated inventory would desynchronise from workers that
-        # never received their chunk.  close() clears both.
+        # reports in flight for the next call's collect to mis-consume.
         try:
-            messages = [(worker_id, build(worker_id)) for worker_id in chunks]
             if kind == "train":
                 # Fault-plane worker kills fire ahead of the round's chunks, so
                 # the victim dies before (or instead of) running its work — the
@@ -809,21 +656,17 @@ class ParallelExecutor(Executor):
                 for victim in self._pending_kills:
                     pool.kill(victim)
                 self._pending_kills = []
-            for worker_id, message in messages:
-                pool.submit(worker_id, message)
-            outcomes = self._collect_healing(pool, chunks, build)
+            for worker_id in chunks:
+                send(worker_id)
+            outcomes = self._collect_healing(pool, chunks, send)
         except BaseException:
             self.close()
             raise
         gathered: List[tuple] = []
         failure: Optional[Tuple[Optional[bytes], str]] = None
-        for worker_id, status, payload in outcomes:
+        for _, status, payload in outcomes:
             if status == "error":
                 failure = failure if failure is not None else payload
-                # The worker may have failed mid-install, so its shard cache
-                # is in an unknown state; forget its inventory and re-ship
-                # everything on its next chunk (re-installs are idempotent).
-                self._inventories[worker_id].clear()
             else:
                 gathered.extend(payload)
         if failure is not None:
@@ -842,18 +685,11 @@ class ParallelExecutor(Executor):
     ) -> List[ClientUpdate]:
         if not clients:
             return []
-        task_ids = {client.task_id for client in clients}
-        if len(task_ids) > 1:
-            # Task-boundary eviction (parent and worker) keys on the round's
-            # single task id; a mixed round would evict freshly installed
-            # shards mid-chunk.
-            raise ValueError(
-                f"a round's clients must share one task_id, got {sorted(task_ids)}"
-            )
-        task_id = clients[0].task_id
         buckets = _assign_clients_to_workers(list(enumerate(clients)), self.num_workers)
-        gathered, stats = self._fan_out("train", method, broadcast, buckets, task_id)
-        self.ipc_log.append(RoundIPC(task_id=task_id, num_clients=len(clients), **stats))
+        gathered, stats = self._fan_out("train", method, broadcast, buckets)
+        self.ipc_log.append(
+            RoundIPC(task_id=clients[0].task_id, num_clients=len(clients), **stats)
+        )
         updates: List[ClientUpdate] = []
         for _, update, exported in gathered:
             updates.append(update)
@@ -869,9 +705,8 @@ class ParallelExecutor(Executor):
     ) -> List[Tuple[int, int]]:
         """Score every evaluation job on the pool; return (correct, total) in job order.
 
-        Jobs are pinned to workers by ``(task_id + slice_index) % num_workers``
-        — deterministic, so a slice lands on the same worker every call and
-        its cached bytes are found again.
+        Jobs go to workers by ``(task_id + slice_index) % num_workers``, so
+        each task's slices spread over the pool.
         """
         if not jobs:
             return []
@@ -887,7 +722,6 @@ class ParallelExecutor(Executor):
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-            self._inventories = []
 
     def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
         try:
@@ -901,15 +735,14 @@ class ParallelExecutor(Executor):
 class ParallelEvalBackend(EvalBackend):
     """Fans a :class:`GlobalEvaluator`'s seen-task suite over a pinned pool.
 
-    Each test set is cut once on the serial ``DataLoader``'s batch grid
-    (:func:`batch_aligned_slices`, at most ``executor.num_workers`` slices)
-    and cached — with its content fingerprints pre-computed — per
-    (task, dtype, batch size), so repeated evaluations re-hash nothing and
-    re-ship nothing.  Scoring runs through the *method's* own pickled
-    inference path (``predict_logits``) inside the workers — the same
-    computation the serial backend performs when the evaluator's
-    ``predict_fn`` is the method's bound ``predict_logits`` (the simulation
-    wires exactly that), so accuracies match the serial backend bit-for-bit.
+    Each call cuts every test set on the serial ``DataLoader``'s batch grid
+    (:func:`batch_aligned_slices`, at most ``executor.num_workers`` slices),
+    and each slice travels to its worker with its job.  Scoring runs through
+    the *method's* own pickled inference path (``predict_logits``) inside the
+    workers — the same computation the serial backend performs when the
+    evaluator's ``predict_fn`` is the method's bound ``predict_logits`` (the
+    simulation wires exactly that), so accuracies match the serial backend
+    bit-for-bit.
     Any *other* ``predict_fn`` is rejected loudly: closures cannot cross the
     process boundary, and silently substituting the method path would break
     the backend contract.
@@ -926,26 +759,6 @@ class ParallelEvalBackend(EvalBackend):
     def __init__(self, executor: ParallelExecutor, method: FederatedMethod) -> None:
         self.executor = executor
         self.method = method
-        self._slices: Dict[Tuple[int, str, int], List[ArrayDataset]] = {}
-
-    def _slices_for(
-        self, task_id: int, dataset: ArrayDataset, batch_size: int
-    ) -> List[ArrayDataset]:
-        # Content-keyed (the fingerprint covers dtype and values, and is
-        # memoised on the dataset) so a backend reused across scenarios — or
-        # across dtype switches — can never score stale slices.
-        key = (task_id, dataset.fingerprint(), batch_size)
-        if key not in self._slices:
-            # One slicing at a time per task: a content/dtype switch evicts
-            # the task's stale slicing, bounding the cache to one copy of
-            # the suite.
-            for stale in [k for k in self._slices if k[0] == task_id and k != key]:
-                del self._slices[stale]
-            slices = batch_aligned_slices(dataset, batch_size, self.executor.num_workers)
-            for piece in slices:
-                piece.fingerprint()  # pay the per-slice content hash once
-            self._slices[key] = slices
-        return self._slices[key]
 
     def evaluate(
         self,
@@ -973,7 +786,7 @@ class ParallelEvalBackend(EvalBackend):
         jobs: List[EvalJob] = []
         spans: List[Tuple[int, int]] = []
         for task, dataset in pairs:
-            slices = self._slices_for(task.task_id, dataset, batch_size)
+            slices = batch_aligned_slices(dataset, batch_size, self.executor.num_workers)
             start = len(jobs)
             jobs.extend(
                 EvalJob(task_id=task.task_id, slice_index=index, dataset=piece, batch_size=batch_size)

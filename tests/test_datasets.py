@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,28 +47,31 @@ class TestArrayDataset:
         with pytest.raises(ValueError):
             ArrayDataset.concatenate(())
 
-    def test_fingerprint_is_content_addressed(self):
-        """Equal contents share a fingerprint (across instances), any content
-        change — images, labels, or a task-boundary concatenation — gets a
-        new one; this keys the parallel executor's shard cache."""
-        images = np.random.default_rng(0).random((6, 3, 4, 4))
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        data = ArrayDataset(images, labels)
-        twin = ArrayDataset(images.copy(), labels.copy())
-        assert data.fingerprint() == twin.fingerprint()
-        assert data.fingerprint() is data.fingerprint()  # cached
-        assert data.subset(np.array([0, 1])).fingerprint() != data.fingerprint()
-        relabeled = ArrayDataset(images, np.array([1, 1, 2, 0, 1, 2]))
-        assert relabeled.fingerprint() != data.fingerprint()
-        grown = ArrayDataset.concatenate((data, data.subset(np.array([0]))))
-        assert grown.fingerprint() != data.fingerprint()
 
-    def test_fingerprint_distinguishes_dtype(self):
+    def test_pickle_round_trip_keeps_contents(self):
+        """A parallel chunk carries its datasets pickled: the round trip keeps
+        images and labels of a whole dataset, a subset and a task-boundary
+        concatenation."""
+        images = np.random.default_rng(0).random((6, 3, 4, 4))
+        data = ArrayDataset(images, np.array([0, 1, 2, 0, 1, 2]))
+        grown = ArrayDataset.concatenate((data, data.subset(np.array([0]))))
+        for original in (data, data.subset(np.array([4, 1])), grown):
+            copy = pickle.loads(pickle.dumps(original, protocol=pickle.HIGHEST_PROTOCOL))
+            assert copy is not original
+            np.testing.assert_array_equal(copy.images, original.images)
+            np.testing.assert_array_equal(copy.labels, original.labels)
+
+    def test_pickle_round_trip_keeps_dtype(self):
+        """Unpickling does not re-cast to the receiver's default dtype, so a
+        float32 dataset stays float32 in a float64 process and vice versa."""
         images = np.zeros((2, 3, 4, 4))
         labels = np.zeros(2, dtype=np.int64)
-        wide = ArrayDataset(images, labels, dtype=np.float64)
-        narrow = ArrayDataset(images, labels, dtype=np.float32)
-        assert wide.fingerprint() != narrow.fingerprint()
+        for dtype, receiver in ((np.float32, "float64"), (np.float64, "float32")):
+            blob = pickle.dumps(ArrayDataset(images, labels, dtype=dtype))
+            with default_dtype(receiver):
+                copy = pickle.loads(blob)
+            assert copy.images.dtype == dtype
+            assert copy.labels.dtype == np.int64
 
 
 class TestSpec:

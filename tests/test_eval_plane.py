@@ -1,6 +1,6 @@
 """Tests of the evaluation plane: batch-aligned slicing, serial/parallel accuracy
-parity, eval IPC accounting and ``eval_every`` (the worker cache both planes
-share is tested in ``test_execution.py``)."""
+parity, eval IPC accounting and ``eval_every`` (the chunk messages both planes
+share are tested in ``test_execution.py``)."""
 
 from __future__ import annotations
 
@@ -149,9 +149,8 @@ class TestEvalParity:
         assert one.per_task_accuracy == three.per_task_accuracy
 
     def test_backend_reslices_when_test_content_changes(self, tiny_spec, tiny_backbone_config):
-        """Regression: the slice cache is keyed by content fingerprint, so a
-        backend reused across scenarios must never score a stale dataset that
-        shares a task id, dtype and batch size with a previous one."""
+        """A backend reused across scenarios must never score a stale dataset
+        that shares a task id, dtype and batch size with a previous one."""
         method = build_method("finetune", tiny_backbone_config, num_tasks=1)
         model = method.build_model()
         source = SyntheticDomainDataset(tiny_spec)
@@ -348,42 +347,28 @@ class TestBroadcastFreshness:
         assert result.per_task_accuracy[-1] == fresh
 
 
-class TestEvalShardCache:
-    def _config(self, tiny_federated_config, **overrides):
-        return replace(
+class TestEvalIPC:
+    def test_test_slices_cross_ipc_on_every_call(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+    ):
+        """2 tasks x 2 rounds with eval_every=1: 4 pooled eval calls (each
+        end-of-task evaluation reuses its final round's snapshot).  Every call
+        carries the slices it scores, so both calls of a task ship the same
+        shard bytes, and task 1's calls, scoring both tasks' slices, ship more."""
+        config = replace(
             tiny_federated_config,
             rounds_per_task=2,
             eval_executor="parallel",
             num_workers=2,
             eval_batch_size=4,
             eval_every=1,
-            **overrides,
         )
-
-    def test_test_slices_cross_ipc_once_per_run(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        """2 tasks x 2 rounds with eval_every=1: 4 eval calls (2 mid-task per
-        task; each end-of-task evaluation reuses its final round's snapshot).
-        Slice bytes ship on a task's *first* eval call only — every later call
-        is pure cache hits."""
-        simulation, _ = _run_simulation(
-            tiny_spec, tiny_backbone_config, self._config(tiny_federated_config)
-        )
+        simulation, _ = _run_simulation(tiny_spec, tiny_backbone_config, config)
         log = simulation.eval_executor.eval_ipc_log
         assert len(log) == 4
-        first_task0, first_task1 = log[0], log[2]
-        rest = [log[1], log[3]]
-        assert first_task0.shard_bytes > 0 and first_task0.shards_shipped > 0
-        assert first_task1.shard_bytes > 0 and first_task1.shards_shipped > 0
-        for entry in rest:
-            assert entry.shard_bytes == 0 and entry.shards_shipped == 0
-            assert entry.cache_hits == entry.num_jobs
-        # Task 1's first call re-ships only the *new* task's slices; task 0's
-        # slices are hits.
-        assert first_task1.cache_hits > 0
-        total_slices = log[-1].num_jobs  # final call scores every slice of both tasks
-        assert sum(entry.shards_shipped for entry in log) == total_slices
+        assert all(entry.shard_bytes > 0 for entry in log)
+        assert log[0].shard_bytes == log[1].shard_bytes < log[2].shard_bytes == log[3].shard_bytes
+        assert log[0].num_jobs == log[1].num_jobs < log[2].num_jobs == log[3].num_jobs
 
 
 class TestEvalEvery:

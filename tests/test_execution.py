@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import pickle
@@ -177,97 +178,23 @@ def _handle(dataset, task_id=0, client_id=0, round_index=0):
     )
 
 
-#: One work unit per plane over the same dataset: what the pool ships light
-#: (``lighten()``) next to its ``shard_ref()``.
-_WORK_UNITS = {
-    "train": lambda dataset, task_id=0: _handle(dataset, task_id),
-    "eval": lambda dataset, task_id=0: EvalJob(
-        task_id=task_id, slice_index=0, dataset=dataset, batch_size=4
-    ),
-}
+def _state_hash(state):
+    digest = hashlib.sha256()
+    for key in sorted(state):
+        array = np.ascontiguousarray(state[key])
+        digest.update(key.encode("utf-8"))
+        digest.update(str(array.dtype).encode("utf-8"))
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
-@pytest.fixture
-def worker_shards():
-    """The worker-side cache, emptied for an in-process test and restored after."""
-    from repro.federated.execution import _WORKER_SHARDS
+class TestChunks:
+    """A chunk carries its work units whole, datasets included."""
 
-    before = dict(_WORKER_SHARDS)
-    _WORKER_SHARDS.clear()
-    yield _WORKER_SHARDS
-    _WORKER_SHARDS.clear()
-    _WORKER_SHARDS.update(before)
-
-
-class TestWorkerShardCache:
-    """The worker-side cache contract, identical for both planes (run in-process)."""
-
-    @pytest.mark.parametrize("plane", ["train", "eval"])
-    def test_install_resolve_replace_miss_corruption(self, plane, tiny_spec, worker_shards):
-        from repro.federated.execution import _install_shards, _resolve_chunk
-
-        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "test")
-        unit = _WORK_UNITS[plane](dataset)
-        ref = unit.shard_ref()
-        assert ref.plane == plane and ref.num_samples == len(dataset)
-        light = unit.lighten()
-        assert light.dataset is None
-
-        _install_shards({ref: pickle.dumps(dataset)})
-        [(index, resolved)] = _resolve_chunk([(4, ref, light)])
-        assert index == 4 and type(resolved) is type(unit)
-        assert np.array_equal(resolved.dataset.labels, dataset.labels)
-
-        # Same identity, new content fingerprint (a dtype switch): the stale
-        # entry is replaced, not accumulated — the cache stays bounded by one
-        # copy per identity — and the stale reference no longer resolves.
-        narrow = ArrayDataset(dataset.images, dataset.labels, dtype=np.float32)
-        new_ref = replace(unit, dataset=narrow).shard_ref()
-        assert new_ref.identity == ref.identity and new_ref.fingerprint != ref.fingerprint
-        _install_shards({new_ref: pickle.dumps(narrow)})
-        assert set(worker_shards) == {ref.identity}
-        [(_, rebound)] = _resolve_chunk([(0, new_ref, light)])
-        assert rebound.dataset.images.dtype == np.float32
-        with pytest.raises(RuntimeError, match="cache miss"):
-            _resolve_chunk([(0, ref, light)])
-
-        # A cached dataset whose length disagrees with the reference.
-        with pytest.raises(RuntimeError, match="cache corruption"):
-            _resolve_chunk([(0, replace(new_ref, num_samples=len(narrow) + 1), light)])
-
-        # Nothing installed for this identity at all.
-        worker_shards.clear()
-        with pytest.raises(RuntimeError, match="cache miss"):
-            _resolve_chunk([(0, new_ref, light)])
-
-    def test_task_boundary_evicts_other_task_training_shards_and_no_eval_slice(
-        self, tiny_spec, worker_shards
-    ):
-        from repro.federated.execution import _evict_stale_shards, _install_shards
-
-        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "test")
-        refs = {
-            (plane, task_id): _WORK_UNITS[plane](dataset, task_id).shard_ref()
-            for plane in ("train", "eval")
-            for task_id in (0, 1)
-        }
-        _install_shards({ref: pickle.dumps(dataset) for ref in refs.values()})
-        assert len(worker_shards) == 4
-        _evict_stale_shards(worker_shards, task_id=1)  # a train chunk for task 1 arrives
-        assert set(worker_shards) == {
-            refs["train", 1].identity,
-            refs["eval", 0].identity,
-            refs["eval", 1].identity,
-        }
-        _evict_stale_shards(worker_shards, task_id=1)  # same task again: nothing more goes
-        assert len(worker_shards) == 3
-
-    def test_eval_chunk_matches_in_process_counts(
-        self, tiny_spec, tiny_backbone_config, worker_shards
-    ):
-        """The eval worker entry point, fed from the cache: counts equal the
-        serial count_correct over the same slices."""
-        from repro.federated.execution import _install_shards, _resolve_chunk, _run_eval_chunk
+    def test_eval_chunk_matches_in_process_counts(self, tiny_spec, tiny_backbone_config):
+        """The eval worker entry point: counts equal the serial count_correct
+        over the same slices."""
+        from repro.federated.execution import _run_eval_chunk
 
         method = build_method("finetune", tiny_backbone_config, num_tasks=1)
         model = method.build_model()
@@ -277,11 +204,10 @@ class TestWorkerShardCache:
             EvalJob(task_id=0, slice_index=i, dataset=piece, batch_size=4)
             for i, piece in enumerate(batch_aligned_slices(dataset, batch_size=4, num_slices=2))
         ]
-        _install_shards({job.shard_ref(): pickle.dumps(job.dataset) for job in jobs})
         results = _run_eval_chunk(
             pickle.dumps(method),
             BroadcastHandle(state, {}).serialized(),
-            _resolve_chunk([(i, job.shard_ref(), job.lighten()) for i, job in enumerate(jobs)]),
+            list(enumerate(jobs)),
             "float64",
         )
         model.load_state_dict(state)
@@ -292,88 +218,198 @@ class TestWorkerShardCache:
                 model, job.dataset, batch_size=job.batch_size, predict_fn=method.predict_logits
             )
 
+    @pytest.mark.parametrize("kind", ["train", "eval"])
+    def test_message_is_all_a_cold_worker_reads(self, kind, tiny_spec, tiny_backbone_config):
+        """A chunk's message pickled as the pipe pickles it, then run by its
+        kind's runner with an empty replica cache, gives what the same runner
+        gives on the parent's own objects: the worker keeps nothing a chunk
+        needs."""
+        from repro.federated.execution import _CHUNK_RUNNERS, _WORKER_REPLICAS
 
-class TestShardCache:
-    def _handles(self, datasets, task_id, round_index=0):
-        return [
-            _handle(dataset, task_id, client_id, round_index)
-            for client_id, dataset in enumerate(datasets)
-        ]
-
-    def test_shard_ships_once_per_task_and_invalidates_on_new_fingerprint(
-        self, tiny_spec, tiny_backbone_config
-    ):
-        """Driving the executor directly with stable client ids: round 2 of a
-        task ships zero shard bytes (pure cache hits) and a task boundary —
-        new task id, concatenated data, new fingerprint — re-ships."""
-        method = build_method("finetune", tiny_backbone_config, num_tasks=2)
+        method = build_method("finetune", tiny_backbone_config, num_tasks=1)
         server = FederatedServer(method.build_model())
-        source = SyntheticDomainDataset(tiny_spec)
-        task0 = [source.domain_split(0, "train").subset(np.arange(s, s + 8)) for s in (0, 8)]
-        task1 = [source.domain_split(1, "train").subset(np.arange(s, s + 8)) for s in (0, 8)]
-        with ParallelExecutor(num_workers=2) as executor:
-            model = method.build_model()
-            for round_index in range(2):
-                executor.run_round(
-                    method, model, server.broadcast_view(),
-                    self._handles(task0, task_id=0, round_index=round_index),
-                )
-            for round_index in range(2):
-                executor.run_round(
-                    method, model, server.broadcast_view(),
-                    self._handles(task1, task_id=1, round_index=round_index),
-                )
-            first, hit, boundary, hit_again = executor.ipc_log
-        assert first.shard_bytes > 0 and first.shards_shipped == 2
-        assert hit.shard_bytes == 0 and hit.cache_hits == 2
-        assert boundary.shard_bytes > 0 and boundary.shards_shipped == 2
-        assert hit_again.shard_bytes == 0 and hit_again.cache_hits == 2
+        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "train").subset(np.arange(16))
+
+        def payload():
+            if kind == "train":
+                units = [
+                    (i, _handle(dataset.subset(np.arange(s, s + 8)), 0, i))
+                    for i, s in enumerate((0, 8))
+                ]
+            else:
+                units = [
+                    (i, EvalJob(task_id=0, slice_index=i, dataset=piece, batch_size=4))
+                    for i, piece in enumerate(batch_aligned_slices(dataset, 4, 2))
+                ]
+            return (
+                pickle.dumps(method, protocol=pickle.HIGHEST_PROTOCOL),
+                server.broadcast_view().serialized(),
+                units,
+                get_default_dtype().name,
+            )
+
+        def comparable(results):
+            if kind == "eval":
+                return results
+            return [
+                (index, update.client_id, update.num_samples, update.train_loss,
+                 _state_hash(update.state_dict), exported)
+                for index, update, exported in results
+            ]
+
+        before = dict(_WORKER_REPLICAS)
+        try:
+            expected = _CHUNK_RUNNERS[kind](*payload())
+            _WORKER_REPLICAS.clear()
+            sent_kind, sent = pickle.loads(
+                pickle.dumps((kind, payload()), protocol=pickle.HIGHEST_PROTOCOL)
+            )
+            assert [len(unit.dataset) for _, unit in sent[2]] == [8, 8]
+            received = _CHUNK_RUNNERS[sent_kind](*sent)
+        finally:
+            _WORKER_REPLICAS.clear()
+            _WORKER_REPLICAS.update(before)
+        assert comparable(received) == comparable(expected)
 
     def test_replayed_chunk_counts_its_message_and_blobs(self, tiny_spec, tiny_backbone_config):
-        """Regression: a chunk replayed to a respawned worker is a third
-        message carrying the method and broadcast blobs again; the round's
-        record used to count its re-shipped shard but only two messages."""
+        """A chunk replayed to a respawned worker is one more message carrying
+        the same method, broadcast and shard bytes as its first send."""
         method = build_method("finetune", tiny_backbone_config, num_tasks=1)
         server = FederatedServer(method.build_model())
         source = SyntheticDomainDataset(tiny_spec)
         shards = [source.domain_split(0, "train").subset(np.arange(s, s + 8)) for s in (0, 8)]
         broadcast = server.broadcast_view()
         method_blob = pickle.dumps(method, protocol=pickle.HIGHEST_PROTOCOL)
+        shard_blob = pickle.dumps(shards[0], protocol=pickle.HIGHEST_PROTOCOL)
+
+        def handles(round_index):
+            return [
+                _handle(shard, 0, client_id, round_index) for client_id, shard in enumerate(shards)
+            ]
+
         with ParallelExecutor(num_workers=2, max_respawns=1) as executor:
             model = method.build_model()
-            executor.run_round(method, model, broadcast, self._handles(shards, task_id=0))
+            executor.run_round(method, model, broadcast, handles(0))
             executor.request_worker_kill(0)
-            executor.run_round(
-                method, model, broadcast, self._handles(shards, task_id=0, round_index=1)
-            )
+            executor.run_round(method, model, broadcast, handles(1))
             assert executor.respawns == 1
-            warm, healed = executor.ipc_log
-        assert (warm.num_messages, warm.shards_shipped, warm.cache_hits) == (2, 2, 0)
-        # Both first sends hit the cache; the replay re-ships the victim's shard.
-        assert (healed.num_messages, healed.shards_shipped, healed.cache_hits) == (3, 1, 2)
-        assert healed.broadcast_bytes == 3 * len(broadcast.serialized())
-        assert healed.method_bytes == 3 * len(method_blob)
-        assert healed.shard_bytes == warm.shard_bytes // 2
+            first, healed = executor.ipc_log
+        # One client per worker, both shards the same size: each message
+        # carries the method, the broadcast and one shard.
+        for record, messages in ((first, 2), (healed, 3)):
+            assert record.num_messages == messages
+            assert record.method_bytes == messages * len(method_blob)
+            assert record.broadcast_bytes == messages * len(broadcast.serialized())
+            assert record.shard_bytes == messages * len(shard_blob)
 
-    def test_mixed_task_round_is_rejected(self, tiny_spec, tiny_backbone_config):
-        """Task-boundary eviction keys on the round's single task id, so a
-        round mixing tasks must fail loudly at entry, not corrupt the cache."""
+    def test_long_lived_pool_never_trains_on_stale_data(self, tiny_spec, tiny_backbone_config):
+        """One pool across a task boundary, where the in-between client's
+        shard grows by its previous task's data, then across a dtype switch
+        that replays the same task and client ids: the server state equals
+        the serial run's after every round, so no worker ever trains on data
+        the parent no longer holds."""
+
+        def run(executor):
+            hashes = []
+            for dtype in ("float64", "float32"):
+                with default_dtype(dtype):
+                    source = SyntheticDomainDataset(tiny_spec)
+                    method = build_method("finetune", tiny_backbone_config, num_tasks=2)
+                    server = FederatedServer(method.build_model())
+                    model = method.build_model()
+                    old, new = (
+                        [source.domain_split(task, "train").subset(np.arange(s, s + 8)) for s in (0, 8)]
+                        for task in (0, 1)
+                    )
+                    shards = [old, [new[0], ArrayDataset.concatenate((old[1], new[1]))]]
+                    for task_id, datasets in enumerate(shards):
+                        for round_index in range(2):
+                            handles = [
+                                _handle(dataset, task_id, client_id, round_index)
+                                for client_id, dataset in enumerate(datasets)
+                            ]
+                            updates = executor.run_round(
+                                method, model, server.broadcast_view(), handles
+                            )
+                            method.aggregate(server, updates)
+                            hashes.append(_state_hash(server.global_state))
+            return hashes
+
+        serial = run(SerialExecutor())
+        with ParallelExecutor(num_workers=2) as executor:
+            parallel = run(executor)
+        assert len(set(serial)) == len(serial) == 8
+        assert parallel == serial
+
+
+    def test_shard_bytes_repeat_every_round_and_grow_at_task_boundary(
+        self, tiny_spec, tiny_backbone_config
+    ):
+        """Every round's chunks carry their clients' datasets again: each
+        record's shard bytes are the pickled size of its round's datasets, so
+        rounds of one task match, and the boundary that grows the in-between
+        client's shard records more."""
         method = build_method("finetune", tiny_backbone_config, num_tasks=2)
         server = FederatedServer(method.build_model())
-        dataset = SyntheticDomainDataset(tiny_spec).domain_split(0, "train")
-        [h0] = self._handles([dataset], task_id=0)
-        [h1] = self._handles([dataset], task_id=1)
-        h1.client_id = 1
+        source = SyntheticDomainDataset(tiny_spec)
+        old, new = (
+            [source.domain_split(task, "train").subset(np.arange(s, s + 8)) for s in (0, 8)]
+            for task in (0, 1)
+        )
+        shards = [old, [new[0], ArrayDataset.concatenate((old[1], new[1]))]]
         with ParallelExecutor(num_workers=2) as executor:
-            with pytest.raises(ValueError, match="share one task_id"):
-                executor.run_round(method, method.build_model(), server.broadcast_view(), [h0, h1])
+            model = method.build_model()
+            for task_id, datasets in enumerate(shards):
+                for round_index in range(2):
+                    handles = [
+                        _handle(dataset, task_id, client_id, round_index)
+                        for client_id, dataset in enumerate(datasets)
+                    ]
+                    executor.run_round(method, model, server.broadcast_view(), handles)
+            records = executor.ipc_log
+        expected = [
+            sum(len(pickle.dumps(d, protocol=pickle.HIGHEST_PROTOCOL)) for d in datasets)
+            for datasets in shards
+            for _ in range(2)
+        ]
+        assert [record.shard_bytes for record in records] == expected
+        assert [record.task_id for record in records] == [0, 0, 1, 1]
+        assert expected[0] == expected[1] < expected[2] == expected[3]
 
-    def test_multi_task_simulation_parity_with_cache_hits(
+    def test_mixed_task_round_matches_serial(self, tiny_spec, tiny_backbone_config):
+        """A round whose clients belong to different tasks runs on the pool,
+        and its updates equal the serial executor's."""
+        source = SyntheticDomainDataset(tiny_spec)
+        datasets = [source.domain_split(task, "train").subset(np.arange(8)) for task in (0, 1)]
+
+        def run(executor):
+            method = build_method("finetune", tiny_backbone_config, num_tasks=2)
+            server = FederatedServer(method.build_model())
+            handles = [
+                _handle(dataset, task_id, client_id=task_id)
+                for task_id, dataset in enumerate(datasets)
+            ]
+            updates = executor.run_round(
+                method, method.build_model(), server.broadcast_view(), handles
+            )
+            return [
+                (u.client_id, u.num_samples, u.train_loss, _state_hash(u.state_dict))
+                for u in updates
+            ]
+
+        serial = run(SerialExecutor())
+        with ParallelExecutor(num_workers=2) as executor:
+            parallel = run(executor)
+            assert [record.num_messages for record in executor.ipc_log] == [2]
+        assert len(serial) == 2
+        assert parallel == serial
+
+    def test_multi_task_simulation_parity(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
-        """Serial vs parallel over 2 tasks x 2 rounds: the cached run must be
-        bit-for-bit identical while actually exercising hits (rounds after
-        the first of a task) and invalidations (in-between clients concat)."""
+        """Serial vs parallel RefFiL over 2 tasks x 2 rounds, where in-between
+        clients' shards grow at the boundary: bit-for-bit identical, and every
+        round's chunks carry shards."""
         config = replace(tiny_federated_config, rounds_per_task=2)
         scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
         method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
@@ -388,9 +424,8 @@ class TestShardCache:
         np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
         assert serial.round_losses == parallel.round_losses
         log = sim.executor.ipc_log
-        assert len(log) == 4  # 2 tasks x 2 rounds
-        assert sum(ipc.cache_hits for ipc in log) > 0
-        assert log[2].task_id == 1 and log[2].shards_shipped > 0  # invalidated at boundary
+        assert [ipc.task_id for ipc in log] == [0, 0, 1, 1]
+        assert all(ipc.shard_bytes > 0 for ipc in log)
 
 
 class _StateMutatingMethod:

@@ -473,10 +473,9 @@ class TestZeroFaultParity:
     def test_worker_kills_heal_on_the_pool_shared_with_evaluation(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
-        """Training and evaluation on one pool, a worker killed every round: a
-        respawned worker's inventory is forgotten for *both* planes, so the
-        next evaluation re-ships exactly the slices that worker held — and
-        nothing about the results moves."""
+        """Training and evaluation on one pool, a worker killed every round:
+        a respawned worker serves both planes, and nothing about the results
+        moves."""
         base_cfg = replace(
             tiny_federated_config,
             rounds_per_task=2,
@@ -493,21 +492,6 @@ class TestZeroFaultParity:
         assert faulty.fault_stats["worker_respawns"] > 0
         assert simulation_state_hash(clean_sim) == simulation_state_hash(faulty_sim)
         assert clean.round_eval_history == faulty.round_eval_history
-
-        def shipped_and_hits(simulation):
-            return [
-                (entry.shards_shipped, entry.cache_hits)
-                for entry in simulation.executor.eval_ipc_log
-            ]
-
-        # 2 tasks x 2 mid-task snapshots, 2 slices per task.  Each end-of-task
-        # evaluation reuses its final round's snapshot and never reaches the
-        # pool; it was an all-hits call in both runs, because kills are drawn
-        # at round selection and none falls between the two.  Under faults,
-        # each round's snapshot re-ships what that round's killed worker held
-        # (task 1's first also ships its two new slices).
-        assert shipped_and_hits(clean_sim) == [(2, 0), (0, 2), (2, 2), (0, 4)]
-        assert shipped_and_hits(faulty_sim) == [(2, 0), (1, 1), (3, 1), (2, 2)]
 
     def test_server_restarts_are_lossless_under_delta_codec(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config

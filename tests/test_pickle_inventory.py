@@ -18,13 +18,13 @@ import repro
 PACKAGE = Path(repro.__file__).resolve().parent
 
 #: Call lines per module, relative to ``src/repro``.  ``execution.py``'s are
-#: the worker pipes (method, datasets and worker errors); the rest are the
+#: the worker pipes (method, dataset sizes and worker errors); the rest are the
 #: frame envelope, the checkpoint container, and the checkpoint's method and
 #: ledger.
 PINNED_CALL_LINES = {
     "federated/checkpoint.py": 2,
     "federated/communication.py": 2,
-    "federated/execution.py": 7,
+    "federated/execution.py": 6,
     "federated/simulation.py": 4,
 }
 
