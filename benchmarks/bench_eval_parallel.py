@@ -13,7 +13,9 @@ round engine; only the evaluation backend differs:
 
 Accuracy matrices, per-task accuracies and the per-round eval history are
 asserted bit-for-bit identical, and wall-clock plus the slice bytes each eval
-call carried land in the ``eval_plane`` section of ``BENCH_round.json``.
+call carried land in the ``eval_plane`` section of ``BENCH_round.json``, with
+the worker and CPU counts: the pool has up to four workers, no more than the
+CPUs this process may run on (more would measure contention, not the pool).
 
 Note: the speedup scales with physical cores; on a single-core CI box the
 parallel plane can only match serial (minus fan-out overhead), so the bench
@@ -21,6 +23,8 @@ reports the measurement without asserting a minimum speedup.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -34,7 +38,8 @@ from repro.federated.simulation import FederatedDomainIncrementalSimulation
 from repro.models.backbone import BackboneConfig
 
 NUM_CLIENTS = 4
-NUM_WORKERS = 4
+CPUS = len(os.sched_getaffinity(0))
+NUM_WORKERS = min(4, CPUS)
 NUM_TASKS = 2
 ROUNDS_PER_TASK = 2
 
@@ -109,6 +114,7 @@ def test_eval_plane_serial_vs_parallel(bench_record):
             "rounds_per_task": ROUNDS_PER_TASK,
             "eval_every": 1,
             "num_workers": NUM_WORKERS,
+            "cpus": CPUS,
             "eval_calls": len(eval_log),
             "eval_jobs_total": sum(entry.num_jobs for entry in eval_log),
             "serial_eval_s": serial_eval_s,

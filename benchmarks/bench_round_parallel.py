@@ -5,9 +5,10 @@ exactly what :class:`repro.federated.execution.ParallelExecutor` exploits: the
 broadcast state is serialized once per round (instead of deep-copied once per
 client) and the selected clients train concurrently on per-worker model
 replicas.  This bench measures a ≥4-client round under the serial and the
-parallel executor (``num_workers=4``), verifies the two produce identical
-updates, and records per-phase wall-clock plus the speedup into
-``BENCH_round.json``.
+parallel executor (up to four workers, no more than the CPUs this process may
+run on: more would measure contention, not the pool), verifies the two produce
+identical updates, and records per-phase wall-clock plus the speedup, with the
+worker and CPU counts, into ``BENCH_round.json``.
 
 The IPC section (``round_ipc``) runs a two-task stream whose task-1 shards
 concatenate task-0 data the way in-between clients do, and records the shard
@@ -21,6 +22,8 @@ reports the measurement without asserting a minimum speedup.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -37,7 +40,8 @@ from repro.utils.rng import spawn_rng
 from repro.utils.timing import Timer
 
 NUM_CLIENTS = 4
-NUM_WORKERS = 4
+CPUS = len(os.sched_getaffinity(0))
+NUM_WORKERS = min(4, CPUS)
 ROUND_REPS = 2
 
 
@@ -115,6 +119,7 @@ def test_round_serial_vs_parallel(benchmark, bench_record):
         {
             "clients_per_round": NUM_CLIENTS,
             "num_workers": NUM_WORKERS,
+            "cpus": CPUS,
             "serial_round_s": serial_s,
             "parallel_round_s": parallel_s,
             "parallel_warmup_s": timer.total("parallel_warmup"),
@@ -218,6 +223,7 @@ def test_round_ipc_multitask_parity(bench_record):
         {
             "clients_per_round": NUM_CLIENTS,
             "num_workers": NUM_WORKERS,
+            "cpus": CPUS,
             "num_tasks": 2,
             "rounds_per_task": ROUNDS_PER_TASK,
             "shard_bytes_per_round": shard_bytes,

@@ -13,7 +13,9 @@ additionally push their measurements into the session-scoped ``bench_record``
 fixture; at session end everything collected is written to
 ``BENCH_round.json`` at the repository root.  Sections are append-only: a
 re-measured section keeps its prior snapshots under ``history``, so the
-performance trajectory stays machine-readable across PRs.
+performance trajectory stays machine-readable across PRs, and a key the
+session did not re-measure names the commit and time that did under
+``carried``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import platform
 import subprocess
 import time
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List, Optional
 
 import pytest
 
@@ -69,16 +71,57 @@ def _commit() -> dict:
     return {"git_sha": git("rev-parse", "HEAD"), "git_dirty": dirty}
 
 
+def _measured_at(snapshots: List[dict], key: str) -> Dict[str, Optional[str]]:
+    """Commit and time of the snapshot that measured the newest snapshot's
+    value of ``key``.
+
+    A snapshot with a ``carried`` map either names where it carried the key
+    from or measured the key itself.  Older snapshots carried keys
+    unstamped, and a carried value repeats unchanged, so among them the oldest
+    of the newest run holding that value measured it."""
+    value, origin = snapshots[-1][key], snapshots[-1]
+    for snapshot in reversed(snapshots):
+        if key not in snapshot or snapshot[key] != value:
+            break
+        origin = snapshot
+        if "carried" in snapshot:
+            break
+    environment = origin.get("environment", {})
+    measured = {name: environment.get(name) for name in ("git_sha", "timestamp")}
+    return origin.get("carried", {}).get(key, measured)
+
+
+def _merged(previous: dict, data: dict, environment: dict) -> dict:
+    """A section's new latest view: this session's ``data`` over every key of
+    ``previous`` it did not re-measure, and ``previous`` pushed onto the
+    section's ``history`` (oldest first).
+
+    ``carried`` maps each key carried forward (the slow bench's keys after a
+    fast-only run, or a key no bench records any more) to the commit and time
+    that measured it, so none reads as measured under this session's
+    ``environment``."""
+    previous = dict(previous)
+    history = previous.pop("history", [])
+    if previous:
+        history = history + [previous]
+    stale = [key for key in previous if key not in data and key not in ("environment", "carried")]
+    section = {key: previous[key] for key in stale}
+    section.update(data)
+    section.update(
+        environment=environment,
+        carried={key: _measured_at(history, key) for key in stale},
+        history=history,
+    )
+    return section
+
+
 def pytest_sessionfinish(session, exitstatus):
     if not _BENCH_RESULTS or exitstatus != 0:
         return
-    # Sections are append-only across sessions: when a section is re-measured,
-    # its previous content is pushed onto the section's "history" list (oldest
-    # first) instead of being overwritten, so numbers recorded by earlier PRs
-    # survive every later bench run.  Sections not measured this session are
-    # left untouched.  The environment (scale, cpu count, time, machine,
-    # commit) is stamped per snapshot, since entries may come from runs under
-    # different conditions.
+    # Sections are append-only across sessions (see ``_merged``); sections
+    # not measured this session are left untouched.  The environment (scale,
+    # cpu count, time, machine, commit) is stamped per snapshot, since entries
+    # may come from runs under different conditions.
     results: Dict[str, dict] = {}
     if _BENCH_JSON_PATH.exists():
         try:
@@ -97,16 +140,7 @@ def pytest_sessionfinish(session, exitstatus):
         **_commit(),
     }
     for section, data in _BENCH_RESULTS.items():
-        previous = dict(results.get(section, {}))
-        history = previous.pop("history", [])
-        if previous:
-            history = history + [previous]
-        # Carry forward keys the session did not re-measure (e.g. the slow
-        # bench's keys after a fast-only run) so partial invocations never
-        # shrink a section's latest view.  "environment" describes this
-        # session's measurements only; a carried key's true provenance is the
-        # newest history snapshot that recorded it, which kept its own stamp.
-        results[section] = {**previous, **data, "environment": environment, "history": history}
+        results[section] = _merged(results.get(section, {}), data, environment)
     _BENCH_JSON_PATH.write_text(
         json.dumps({"results": results}, indent=2, sort_keys=True) + "\n"
     )

@@ -33,7 +33,6 @@ from repro.federated.communication import (
     FrameRecord,
     PackedMessage,
     Table,
-    _row,
     build_codec,
     decode_frame,
     encode_frame,
@@ -233,14 +232,13 @@ class _Leaves:
                     raise ValueError(
                         f"dtype mismatch in aggregation: {value.dtype} vs {dtype} ({key!r})"
                     )
-        # Rows come from ``_pack``'s row builder and a column is keyed by its
-        # dtype's first row string, as ``_pack`` keys it.
+        # A column is keyed by its dtype string, as ``_pack`` keys it.
         self.table: Table = []
         #: Per accumulation dtype, the positions of its keys.
         self.rows: Dict[str, List[int]] = {}
         for position, (key, value) in enumerate(zip(keys, first)):
             accum = np.dtype(value.dtype.type if value.dtype.kind == "f" else np.float64)
-            self.table.append(_row(key, accum, value.shape))
+            self.table.append((key, accum.str, value.shape))
             self.rows.setdefault(self.table[-1][1], []).append(position)
 
     def weighted(self, index: int, weight: float) -> Dict[str, np.ndarray]:

@@ -40,7 +40,10 @@ from typing import Any, Dict, Optional, Tuple
 #: array dict and a skeleton, so version-2 files are refused too.
 #: 4: a model's state holds no frozen parameter or positional table; version-3
 #: files carry those entries, drifted by averaging, so they are refused.
-CHECKPOINT_VERSION = 4
+#: 5: the server entry's frame body carries its table as a deflated JSON blob;
+#: a version-4 body pickles the table inside the plan, which
+#: :func:`~repro.federated.communication.decode_version` no longer reads.
+CHECKPOINT_VERSION = 5
 _MAGIC = b"RPCK"
 _HEADER = struct.Struct(">4sII")
 _NAME_RE = re.compile(r"^ckpt-t(\d{4})-r(\d{5})\.ckpt$")

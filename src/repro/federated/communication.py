@@ -41,18 +41,21 @@ this (the transports in :mod:`repro.federated.transport` drive them):
 Lossless codecs (``identity``, ``delta``) round-trip every array
 bit-exactly — the property-test suite enforces it over all dtypes and
 shapes — so simulations run through them produce accuracy matrices
-identical to runs without any wire format at all.  Only the ``(meta,
-plan)`` envelope passes through pickle, never an array at a time.
+identical to runs without any wire format at all.  A frame body is the
+pickle of ``(meta, table blob, columns)``: the table travels as deflated
+canonical JSON (:func:`_table_blob`), built once per distinct table and read
+back once per distinct blob, and pickle never sees an array at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import pickle
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,9 +181,12 @@ def encode_frame(
     reference: Optional[Dict[str, np.ndarray]] = None,
 ) -> WireFrame:
     """Encode a flat array dict, or a message already packed
-    (:class:`PackedMessage`), plus picklable metadata into one frame."""
-    plan = codec.encode(arrays, reference)
-    body = pickle.dumps((meta, plan), protocol=pickle.HIGHEST_PROTOCOL)
+    (:class:`PackedMessage`), plus picklable metadata into one frame: the
+    pickle of ``(meta, table blob, columns)``."""
+    table, columns = codec.encode(arrays, reference)
+    body = pickle.dumps(
+        (meta, _table_blob(tuple(table)), columns), protocol=pickle.HIGHEST_PROTOCOL
+    )
     return WireFrame(kind=kind, codec=codec.name, body=body, checksum=zlib.crc32(body))
 
 
@@ -195,12 +201,14 @@ def decode_frame(
     """Inverse of :func:`encode_frame`: returns ``(arrays, meta)``, or with
     ``packed`` ``(PackedMessage, meta)``.
 
-    Whatever the unpickler or the codec raises on a malformed body surfaces
-    as :class:`FrameDecodeError` carrying ``coordinates`` (the
-    :class:`TransportError` keywords of the frame being decoded).
+    Whatever the unpickler, the table blob's reader or the codec raises on a
+    malformed body surfaces as :class:`FrameDecodeError` carrying
+    ``coordinates`` (the :class:`TransportError` keywords of the frame being
+    decoded).
     """
     try:
-        meta, plan = pickle.loads(frame.body)
+        meta, blob, columns = pickle.loads(frame.body)
+        plan = (_table_of(blob), columns)
         if packed:
             return codec.decode_packed(plan, reference), meta
         return codec.decode(plan, reference), meta
@@ -236,14 +244,75 @@ def decode_version(body: bytes) -> Tuple[Dict[str, np.ndarray], Any]:
 # --------------------------------------------------------------------------- #
 
 
-#: One row per array of a message, in message order: ``(name, dtype.str, shape)``.
-Table = List[Tuple[str, str, Tuple[int, ...]]]
+#: One array of a message: ``(name, dtype.str, shape)``.
+Row = Tuple[str, str, Tuple[int, ...]]
+#: One row per array of a message, in message order.
+Table = Sequence[Row]
+
+#: zlib level of a table blob: fixed, so equal tables give equal bytes.
+_TABLE_LEVEL = 9
+#: A table blob inflates to fewer bytes than this (about 40k rows of long names).
+_TABLE_BOUND = 1 << 22
 
 
-def _row(name: str, dtype: np.dtype, shape: Tuple[int, ...]) -> Tuple[str, str, Tuple[int, ...]]:
-    """One table row, with a dtype string of its own (``dtype.str`` builds one
-    per call): the frame pickle memoises by identity, so sharing changes bytes."""
-    return (name, dtype.str, shape)
+@functools.lru_cache(maxsize=64)
+def _table_blob(table: Tuple[Row, ...]) -> bytes:
+    """The table as it travels: canonical JSON rows ``[name, dtype.str,
+    [dims]]``, deflated.  Memoised by the table's value, so a message of an
+    already seen table costs a lookup and equal tables give equal bytes."""
+    rows = [[name, dtype, list(shape)] for name, dtype, shape in table]
+    text = json.dumps(rows, separators=(",", ":"))
+    if len(text) >= _TABLE_BOUND:
+        raise ValueError(f"a table of {len(rows)} rows takes {len(text)} bytes (>= {_TABLE_BOUND})")
+    return zlib.compress(text.encode("ascii"), _TABLE_LEVEL)
+
+
+def _table_row(row: Any) -> Row:
+    """One JSON row checked back into a table row; ``ValueError`` unless it is
+    ``[str, canonical dtype.str, [int >= 0, ...]]`` with an int64-sized product."""
+    if not (
+        isinstance(row, list)
+        and len(row) == 3
+        and isinstance(row[0], str)
+        and isinstance(row[1], str)
+        and isinstance(row[2], list)
+        and all(type(dim) is int and dim >= 0 for dim in row[2])
+        and math.prod(row[2]) < 1 << 63
+    ):
+        raise ValueError(f"table row {row!r:.80} is not [name, dtype, [dims]]")
+    name, dtype, dims = row
+    try:
+        canonical = np.dtype(dtype).str
+    except (TypeError, ValueError):
+        canonical = None
+    if canonical != dtype:
+        raise ValueError(f"table row {name!r} has unknown dtype {dtype!r}")
+    return name, dtype, tuple(dims)
+
+
+@functools.lru_cache(maxsize=64)
+def _table_of(blob: bytes) -> Tuple[Row, ...]:
+    """Inverse of :func:`_table_blob`, memoised per blob with its
+    :class:`_Layout`; ``ValueError`` unless ``blob`` inflates, to fewer than
+    ``_TABLE_BOUND`` bytes, to a JSON list of well-formed rows."""
+    inflater = zlib.decompressobj()
+    try:
+        text = inflater.decompress(blob, _TABLE_BOUND)
+    except zlib.error as error:
+        raise ValueError(f"table blob does not inflate: {error}") from None
+    if inflater.unconsumed_tail or len(text) == _TABLE_BOUND:
+        raise ValueError(f"table blob inflates to {_TABLE_BOUND} bytes or more")
+    if not inflater.eof or inflater.unused_data:
+        raise ValueError("table blob is truncated or has trailing bytes")
+    try:
+        rows = json.loads(text)
+    except RecursionError:
+        raise ValueError("table blob nests too deep") from None
+    if not isinstance(rows, list):
+        raise ValueError(f"table blob holds {type(rows).__name__}, not a list of rows")
+    table = tuple(map(_table_row, rows))
+    _layout_of(table)
+    return table
 
 
 class PackedMessage(NamedTuple):
@@ -324,11 +393,11 @@ def _pack(arrays: Any) -> Tuple[Table, Dict[str, np.ndarray]]:
     codec may replace columns without touching the caller's)."""
     if isinstance(arrays, PackedMessage):
         return arrays.table, dict(arrays.columns)
-    table: Table = []
+    table: List[Row] = []
     chunks: Dict[str, List[np.ndarray]] = {}
     for name, value in arrays.items():
         value = np.asarray(value)
-        table.append(_row(name, value.dtype, value.shape))
+        table.append((name, value.dtype.str, value.shape))
         chunks.setdefault(table[-1][1], []).append(value)
     return table, {dtype: np.concatenate(parts, axis=None) for dtype, parts in chunks.items()}
 
@@ -382,9 +451,9 @@ def _unpack(table: Table, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarra
 class ArrayCodec:
     """Strategy turning a flat ``name -> ndarray`` dict into frame bodies.
 
-    ``encode`` produces a picklable *plan* (the frame body is its pickle),
-    for every codec a ``(table, columns)`` pair: the message's ``(name,
-    dtype, shape)`` rows and O(dtypes) flat arrays; it takes a
+    ``encode`` produces a *plan*, for every codec a ``(table, columns)``
+    pair: the message's ``(name, dtype, shape)`` rows (a frame carries them
+    as :func:`_table_blob`) and O(dtypes) flat arrays; it takes a
     :class:`PackedMessage` as well as a dict.  ``decode`` inverts it and
     raises ``ValueError`` when the columns do not add up to the table;
     ``decode_packed`` does the same but returns a :class:`PackedMessage`.
@@ -557,7 +626,7 @@ class _DiffCodec(ArrayCodec):
     def encode(self, arrays, reference=None):
         if isinstance(arrays, PackedMessage):
             arrays = arrays.unpack()
-        table: Table = []
+        table: List[Row] = []
         counts: List[int] = []
         indices: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
         chunks: Dict[str, List[np.ndarray]] = {}
@@ -569,7 +638,7 @@ class _DiffCodec(ArrayCodec):
             if kept is not None:
                 indices.append(kept)
                 flat = flat[kept]
-            table.append(_row(name, value.dtype, value.shape))
+            table.append((name, value.dtype.str, value.shape))
             counts.append(-1 if kept is None else kept.size)
             chunks.setdefault(table[-1][1], []).append(flat)
         columns = {dtype: np.concatenate(parts) for dtype, parts in chunks.items()}

@@ -143,7 +143,8 @@ class FederatedConfig:
         Wire codec every broadcast and upload frame is encoded with
         (:mod:`repro.federated.transport`; bytes are *measured* frame
         lengths).  Every frame is columnar — one ``(name, dtype, shape)``
-        table plus a few flat columns per message, never a record per array:
+        table (deflated JSON, the same bytes for every frame of one table)
+        plus a few flat columns per message, never a record per array:
         ``"identity"`` (one raw column per dtype) and ``"delta"`` (index and
         value columns of what changed since the last acknowledged broadcast)
         are lossless — results are bit-for-bit identical to each other;

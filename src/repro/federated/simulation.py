@@ -744,13 +744,20 @@ class FederatedDomainIncrementalSimulation:
 
         A directory with no checkpoint yet means a fresh start — the same
         command line works for the first launch and for every relaunch after
-        a crash.  A checkpoint from an incompatibly configured run raises
-        :class:`CheckpointMismatchError` rather than silently diverging.
+        a crash.  A checkpoint from an incompatibly configured run, or whose
+        payload claims another :data:`CHECKPOINT_VERSION` than its container,
+        raises :class:`CheckpointMismatchError` rather than silently diverging
+        (or failing inside a reader of the old layout).
         """
         path = latest_checkpoint(self.config.checkpoint_dir)
         if path is None:
             return 0, 0
         payload = load_checkpoint(path)
+        if payload.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointMismatchError(
+                f"checkpoint {path!r} holds a version-{payload.get('version')} payload, "
+                f"this build reads version {CHECKPOINT_VERSION}; refusing to resume"
+            )
         expected = config_fingerprint(self.config)
         if payload.get("fingerprint") != expected:
             raise CheckpointMismatchError(

@@ -13,6 +13,7 @@ where both observe the same broadcast bytes.
 from __future__ import annotations
 
 import pickle
+import zlib
 from dataclasses import replace
 from typing import Any, NamedTuple
 
@@ -35,6 +36,7 @@ from repro.federated import (
     build_transport,
     codec_is_lossless,
 )
+from repro.federated import communication
 from repro.federated import transport as transport_module
 from repro.federated.aggregation import TreeReduceBackend
 from repro.federated.client import ClientHandle, LocalTrainingConfig
@@ -42,6 +44,7 @@ from repro.federated.communication import (
     ClientUpdate,
     IdentityCodec,
     QuantizeCodec,
+    WireFrame,
     decode_frame,
     decode_version,
     encode_frame,
@@ -402,6 +405,100 @@ class TestColumnarPlans:
         assert kept.shape == (4, 8)
         # The model rode in the same column (64 * 64 + 64 more elements).
         assert kept.base is None or kept.base.size <= payload["prompts"].size
+
+
+#: Table rows: dotted, path-like and non-ASCII names (any text, in fact),
+#: 0-d and zero-size shapes, float / int / bool dtypes.
+_table_names = st.one_of(
+    st.text(max_size=12),
+    st.lists(st.text(max_size=5), min_size=2, max_size=4).map(".".join),
+    st.sampled_from(["s::backbone.blocks.0.attn.qkv.weight", "p::p/k:'prompt_groups'", "ŵeight.ǅ.重み"]),
+)
+_table_rows = st.tuples(
+    _table_names,
+    st.sampled_from(_DTYPES).map(lambda dtype: np.dtype(dtype).str),
+    st.lists(st.integers(0, 6), max_size=3).map(tuple),
+)
+
+
+def _fresh(table):
+    """An equal table built anew, string by string and tuple by tuple."""
+    return tuple(
+        ("".join(list(name)), "".join(list(dtype)), tuple(list(shape))) for name, dtype, shape in table
+    )
+
+
+def _blob_frame(blob) -> WireFrame:
+    """A checksum-clean identity frame carrying ``blob`` as its table."""
+    body = pickle.dumps((None, blob, {"<f8": np.zeros(2)}), protocol=pickle.HIGHEST_PROTOCOL)
+    return WireFrame(kind="upload", codec="identity", body=body, checksum=zlib.crc32(body))
+
+
+class TestTableBlob:
+    """A frame's table travels as deflated canonical JSON, memoised per table
+    on the way out and per blob on the way in."""
+
+    @given(rows=st.lists(_table_rows, min_size=1, max_size=40))
+    @settings(deadline=None)  # the loaded profile's count: 1,000 under CI's deep sweep
+    def test_a_table_round_trips_through_its_blob(self, rows):
+        table = tuple(rows)
+        blob = communication._table_blob(table)
+        assert communication._table_blob.__wrapped__(_fresh(table)) == blob
+        decoded = communication._table_of(bytes(blob))
+        assert decoded == table
+        expected, layout = communication._layout_of(table), communication._layout_of(decoded)
+        assert (layout.rows, layout.totals) == (expected.rows, expected.totals)
+        assert list(layout.segments) == list(expected.segments)
+        for key, (sizes, starts) in expected.segments.items():
+            np.testing.assert_array_equal(layout.segments[key][0], sizes)
+            np.testing.assert_array_equal(layout.segments[key][1], starts)
+        # Through a frame: one array per distinct name, equal tables give
+        # equal bodies whatever objects built them.
+        unique = tuple({name: (name, dtype, shape) for name, dtype, shape in table}.values())
+        arrays = {name: np.zeros(shape, dtype) for name, dtype, shape in unique}
+        twins = {name: np.zeros(shape, dtype) for name, dtype, shape in _fresh(unique)}
+        codec = IdentityCodec()
+        frame = encode_frame("upload", codec, arrays, None)
+        assert encode_frame("upload", codec, twins, None).body == frame.body
+        packed, _ = decode_frame(frame, codec, packed=True)
+        assert tuple(packed.table) == unique
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            pytest.param(zlib.compress(b'[["w","<f8",[2]]]')[:-3], id="truncated"),
+            pytest.param(zlib.compress(b'[["w","<f8",[2]]]') + b"x", id="trailing"),
+            pytest.param(b"certainly not zlib", id="not_zlib"),
+            pytest.param(
+                zlib.compress(b" " * (communication._TABLE_BOUND + 1)), id="past_the_bound"
+            ),
+            pytest.param(zlib.compress(b'[["w","<f8",[2]]'), id="not_json"),
+            pytest.param(zlib.compress(b"[" * 100_000), id="nested_too_deep"),
+            pytest.param(zlib.compress(b'{"w": ["<f8", [2]]}'), id="not_a_list"),
+            pytest.param(zlib.compress(b'[["w","<f8"]]'), id="short_row"),
+            pytest.param(zlib.compress(b'[[7,"<f8",[2]]]'), id="name_not_str"),
+            pytest.param(zlib.compress(b'[["w","<f8",2]]'), id="dims_not_list"),
+            pytest.param(zlib.compress(b'[["w","<f8",[-1]]]'), id="negative_dim"),
+            pytest.param(zlib.compress(b'[["w","<f8",[true]]]'), id="bool_dim"),
+            pytest.param(zlib.compress(b'[["w","<f8",[2.0]]]'), id="float_dim"),
+            pytest.param(zlib.compress(b'[["w","<f8",[4294967296,4294967296]]]'), id="huge_dims"),
+            pytest.param(zlib.compress(b'[["w","<q9",[2]]]'), id="unknown_dtype"),
+            pytest.param(zlib.compress(b'[["w","float64",[2]]]'), id="non_canonical_dtype"),
+            pytest.param(None, id="not_bytes"),
+        ],
+    )
+    def test_a_malformed_blob_is_a_decode_error_with_coordinates(self, blob):
+        with pytest.raises(FrameDecodeError) as excinfo:
+            decode_frame(
+                _blob_frame(blob),
+                IdentityCodec(),
+                client_id=3,
+                direction="upload",
+                task_id=1,
+                round_index=2,
+            )
+        error = excinfo.value
+        assert (error.client_id, error.direction, error.task_id, error.round_index) == (3, "upload", 1, 2)
 
 
 class TestBroadcastMemo:

@@ -42,10 +42,14 @@ from repro.federated import (
 )
 from repro.federated.communication import (
     CommunicationLedger,
+    IdentityCodec,
+    TreePayloadCodec,
     WireFrame,
     build_codec,
     decode_frame,
+    decode_version,
     encode_frame,
+    flatten_message,
 )
 from repro.federated.checkpoint import config_fingerprint
 from repro.federated.communication import ClientUpdate
@@ -597,7 +601,8 @@ class TestCheckpointFormat:
         assert latest_checkpoint(str(tmp_path / "missing")) is None
 
     @pytest.mark.parametrize(
-        "mutation", ["truncate", "flip", "magic", "older_version", "frozen_state_version"]
+        "mutation",
+        ["truncate", "flip", "magic", "older_version", "frozen_state_version", "pickled_table_version"],
     )
     def test_corruption_is_detected(self, tmp_path, mutation):
         path = str(tmp_path / checkpoint_name(0, 1))
@@ -615,12 +620,17 @@ class TestCheckpointFormat:
             # its header: its server entry is a flat array dict and a
             # skeleton, not the model version's identity frame body.
             raw[4:8] = (2).to_bytes(4, "big")
-            match = "version 2, expected 4"
-        else:
+            match = "version 2, expected 5"
+        elif mutation == "frozen_state_version":
             # A version-3 file's model state carries the frozen tokenizer,
             # drifted by averaging: refused by its header too.
             raw[4:8] = (3).to_bytes(4, "big")
-            match = "version 3, expected 4"
+            match = "version 3, expected 5"
+        else:
+            # A version-4 file's server entry pickles its table inside the
+            # plan: refused by its header, before any frame is decoded.
+            raw[4:8] = (4).to_bytes(4, "big")
+            match = "version 4, expected 5"
         with open(path, "wb") as handle:
             handle.write(bytes(raw))
         with pytest.raises(CheckpointCorruptionError, match=match):
@@ -817,6 +827,32 @@ class TestCheckpointResume:
         simulation = _build(tiny_spec, tiny_backbone_config, mismatched)
         with pytest.raises(CheckpointMismatchError):
             simulation.run()
+
+    def test_an_old_envelope_checkpoint_refuses_by_version(
+        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+    ):
+        """A version-4 server entry pickles its table inside the plan.  A
+        version-4 file is refused by its container header
+        (``test_corruption_is_detected``); a payload that claims version 4
+        inside a current container is refused by that claim, as a mismatch,
+        before ``decode_version`` fails on the body."""
+        directory = tmp_path / "ckpt"
+        config = replace(tiny_federated_config, checkpoint_dir=str(directory))
+        _run(tiny_spec, tiny_backbone_config, config)
+        path = latest_checkpoint(str(directory))
+        payload = load_checkpoint(path)
+        state, broadcast_payload = decode_version(payload["server"]["version"])
+        arrays, skeleton = flatten_message(state, broadcast_payload, TreePayloadCodec())
+        old_body = pickle.dumps(
+            (skeleton, IdentityCodec().encode(arrays)), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        with pytest.raises(FrameDecodeError):
+            decode_version(old_body)
+        payload["server"]["version"] = old_body
+        payload["version"] = 4
+        save_checkpoint(path, payload)
+        with pytest.raises(CheckpointMismatchError, match="version-4 payload"):
+            _run(tiny_spec, tiny_backbone_config, replace(config, resume=True))
 
     def test_a_float64_checkpoint_resumes_only_where_float64_is_stated(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path

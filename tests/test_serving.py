@@ -268,7 +268,7 @@ class TestRegistryDurability:
         raw = bytearray(path.read_bytes())
         raw[4:8] = (3).to_bytes(4, "big")
         path.write_bytes(bytes(raw))
-        with pytest.raises(RegistryCorruptionError, match="version 3, expected 4"):
+        with pytest.raises(RegistryCorruptionError, match="version 3, expected 5"):
             registry.load(info.version)
 
     def test_older_container_version_raises_typed_error(self, tmp_path):
@@ -280,7 +280,7 @@ class TestRegistryDurability:
         raw = bytearray(path.read_bytes())
         raw[4:8] = (2).to_bytes(4, "big")
         path.write_bytes(bytes(raw))
-        with pytest.raises(RegistryCorruptionError, match="version 2, expected 4"):
+        with pytest.raises(RegistryCorruptionError, match="version 2, expected 5"):
             registry.load(info.version)
 
     def test_mangled_manifest_raises_typed_error(self, tmp_path):
