@@ -125,28 +125,26 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def _attention_forward(ctx, q, k, v, *, heads, scale):
     # The composed graph's calls in its order: split heads, q kᵀ * scale,
-    # softmax, weights @ v, merge heads.
-    batch, tokens, dim = q.shape
-    split = (batch, tokens, heads, dim // heads)
-    q = q.reshape(split).transpose(0, 2, 1, 3)  # (B, H, T, Dh)
-    k = k.reshape(split).transpose(0, 2, 1, 3)
-    v = v.reshape(split).transpose(0, 2, 1, 3)
+    # softmax, weights @ v, merge heads.  q may have fewer rows than k and v.
+    batch, rows, dim = q.shape
+    q, k, v = (x.reshape(batch, x.shape[1], heads, dim // heads).transpose(0, 2, 1, 3)
+               for x in (q, k, v))  # (B, H, T, Dh)
     scores = np.matmul(q, k.transpose(0, 1, 3, 2))
     scores *= scale
     weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights /= weights.sum(axis=-1, keepdims=True)
     context = np.matmul(weights, v)
     ctx.q, ctx.k, ctx.v, ctx.weights, ctx.scale = q, k, v, weights, scale
-    return context.transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
+    return context.transpose(0, 2, 1, 3).reshape(batch, rows, dim)
 
 
 def _attention_vjp(ctx, grad, needs):
     # The composed backward's calls in its order.  Every intermediate has one
     # consumer, so no gradient is a sum the composed walk could order differently.
     q, k, v, weights = ctx.q, ctx.k, ctx.v, ctx.weights
-    batch, heads, tokens, head_dim = q.shape
-    merged = (batch, tokens, heads * head_dim)
-    grad_context = grad.reshape(batch, tokens, heads, head_dim).transpose(0, 2, 1, 3)
+    batch, heads, rows, head_dim = q.shape
+    dim, keys = heads * head_dim, k.shape[2]
+    grad_context = grad.reshape(batch, rows, heads, head_dim).transpose(0, 2, 1, 3)
     grad_q = grad_k = grad_v = None
     if needs[0] or needs[1]:
         grad_scores = np.matmul(grad_context, np.swapaxes(v, -1, -2))
@@ -154,13 +152,13 @@ def _attention_vjp(ctx, grad, needs):
         grad_scores -= weights * grad_scores.sum(axis=-1, keepdims=True)
         grad_scores *= ctx.scale
         if needs[0]:
-            grad_q = np.matmul(grad_scores, k).transpose(0, 2, 1, 3).reshape(merged)
+            grad_q = np.matmul(grad_scores, k).transpose(0, 2, 1, 3).reshape(batch, rows, dim)
         if needs[1]:
             grad_k = np.matmul(np.swapaxes(q, -1, -2), grad_scores)
-            grad_k = grad_k.transpose(0, 3, 1, 2).reshape(merged)
+            grad_k = grad_k.transpose(0, 3, 1, 2).reshape(batch, keys, dim)
     if needs[2]:
         grad_v = np.matmul(np.swapaxes(weights, -1, -2), grad_context)
-        grad_v = grad_v.transpose(0, 2, 1, 3).reshape(merged)
+        grad_v = grad_v.transpose(0, 2, 1, 3).reshape(batch, keys, dim)
     return (grad_q, grad_k, grad_v)
 
 
@@ -168,15 +166,15 @@ ATTENTION = Op("attention", _attention_forward, _attention_vjp)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, scale: float) -> Tensor:
-    """Multi-head scaled dot-product attention over ``(B, T, D)`` projections.
+    """Multi-head scaled dot-product attention of ``(B, Tq, D)`` queries over ``(B, Tk, D)`` keys.
 
     Splits ``D`` into ``heads`` heads, computes ``softmax(q kᵀ * scale) v`` per
-    head and merges the heads back into ``(B, T, D)``, as one op.  Shapes are
+    head and merges the heads back into ``(B, Tq, D)``, as one op.  Shapes are
     checked before anything runs.
     """
-    if q.ndim != 3 or not q.shape == k.shape == v.shape:
+    if not q.ndim == k.ndim == 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2]:
         raise ValueError(
-            f"attention: q, k and v must share one (B, T, D) shape, got "
+            f"attention: q must be (B, Tq, D) and k, v one (B, Tk, D) shape, got "
             f"{tuple(q.shape)}, {tuple(k.shape)} and {tuple(v.shape)}"
         )
     if heads < 1 or q.shape[2] % heads:

@@ -163,14 +163,15 @@ def atomic_write(path: str, data: bytes) -> None:
         os.close(descriptor)
 
 
-def save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
-    """Atomically and durably write ``payload`` to ``path`` (see :func:`atomic_write`)."""
+def save_checkpoint(path: str, payload: Dict[str, Any], version: Optional[int] = None) -> None:
+    """Atomically, durably write ``payload`` under header ``version`` (default CHECKPOINT_VERSION)."""
     blob = zlib.compress(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
-    atomic_write(path, _HEADER.pack(_MAGIC, CHECKPOINT_VERSION, zlib.crc32(blob)) + blob)
+    atomic_write(path, _HEADER.pack(_MAGIC, version or CHECKPOINT_VERSION, zlib.crc32(blob)) + blob)
 
 
-def load_checkpoint(path: str) -> Dict[str, Any]:
-    """Read and validate a checkpoint written by :func:`save_checkpoint`."""
+def load_checkpoint(path: str, version: Optional[int] = None) -> Dict[str, Any]:
+    """Read and validate a file :func:`save_checkpoint` wrote under the same ``version``."""
+    expected = version or CHECKPOINT_VERSION
     with open(path, "rb") as handle:
         raw = handle.read()
     if len(raw) < _HEADER.size:
@@ -178,9 +179,9 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     magic, version, crc = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise CheckpointCorruptionError(f"checkpoint {path!r} has bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
+    if version != expected:
         raise CheckpointCorruptionError(
-            f"checkpoint {path!r} has version {version}, expected {CHECKPOINT_VERSION}"
+            f"checkpoint {path!r} has version {version}, expected {expected}"
         )
     blob = raw[_HEADER.size :]
     if zlib.crc32(blob) != crc:

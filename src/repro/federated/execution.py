@@ -50,6 +50,8 @@ Methods must follow the picklability contract documented in
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import multiprocessing
 import os
 import pickle
@@ -262,6 +264,17 @@ def _raise_worker_error(encoded: Tuple[Optional[bytes], str]) -> None:
     raise RuntimeError(f"worker process failed:\n{text}")
 
 
+def _pin_one_blas_thread() -> Optional[int]:
+    """Give NumPy's bundled OpenBLAS one thread; return its count (``None``: no symbol)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so")):
+        blas = ctypes.CDLL(path)  # numpy loaded it already: the same handle
+        if hasattr(blas, "scipy_openblas_set_num_threads64_"):
+            blas.scipy_openblas_set_num_threads64_(ctypes.c_int(1))  # void (int)
+            return blas.scipy_openblas_get_num_threads64_()
+    return None
+
+
 def _worker_main(conn) -> None:
     """Entry point of one pinned worker; loops until the ``None`` sentinel.
 
@@ -272,7 +285,9 @@ def _worker_main(conn) -> None:
     gets exactly one report on the same pipe.  ``Connection.send`` pickles
     before it writes a byte, so a result that cannot be pickled becomes the
     chunk's ``"error"`` report.
+    A forked worker inherits the parent's BLAS threads: it pins one, then sends the count.
     """
+    conn.send(_pin_one_blas_thread())
     while True:
         try:
             message = conn.recv()
@@ -307,6 +322,7 @@ class _PinnedWorkerPool:
         self._processes: List[Any] = [None] * num_workers
         for worker_id in range(num_workers):
             self._start(worker_id)
+        self.blas_threads: List[Optional[int]] = [conn.recv() for conn in self._conns]
 
     def _start(self, worker_id: int) -> None:
         conn, child_conn = self._context.Pipe()
@@ -358,6 +374,7 @@ class _PinnedWorkerPool:
         """Replace a dead worker with a fresh process on a fresh pipe."""
         self._conns[worker_id].close()
         self._start(worker_id)
+        self.blas_threads[worker_id] = self._conns[worker_id].recv()
 
     def close(self) -> None:
         for worker_id in range(len(self._conns)):
@@ -489,6 +506,8 @@ class RoundIPC:
     broadcast_bytes: int
     shard_bytes: int
     num_messages: int = 0
+    #: The pool's per-worker BLAS thread counts (``None``: the pin did not take).
+    blas_threads: Tuple[Optional[int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -506,6 +525,7 @@ class EvalIPC:
     broadcast_bytes: int
     shard_bytes: int
     num_messages: int = 0
+    blas_threads: Tuple[Optional[int], ...] = ()
 
 
 class ParallelExecutor(Executor):
@@ -617,7 +637,7 @@ class ParallelExecutor(Executor):
         method: FederatedMethod,
         broadcast: BroadcastHandle,
         buckets: Sequence[Sequence[Tuple[int, Any]]],
-    ) -> Tuple[List[tuple], Dict[str, int]]:
+    ) -> Tuple[List[tuple], Dict[str, Any]]:
         """Run one chunk per non-empty bucket; return the workers' result
         tuples in work-unit index order, and what the call shipped.
 
@@ -662,6 +682,7 @@ class ParallelExecutor(Executor):
         except BaseException:
             self.close()
             raise
+        stats["blas_threads"] = tuple(pool.blas_threads)
         gathered: List[tuple] = []
         failure: Optional[Tuple[Optional[bytes], str]] = None
         for _, status, payload in outcomes:

@@ -7,8 +7,8 @@ The forward path implements paper Eqs. 1-3:
    learnable ``[CLS]`` token is prepended: ``I = [CLS; PT_1, ..., PT_n]``,
 3. prompt tokens (local CDAP prompts, global prompts, or a baseline's pool
    prompts) are inserted between ``[CLS]`` and the patch tokens,
-4. the attention block processes the sequence and the classifier ``G`` maps
-   the output ``[CLS]`` embedding to class logits.
+4. the attention block computes the output ``[CLS]`` embedding only (its query
+   attends over the whole sequence) and the classifier ``G`` maps it to class logits.
 """
 
 from __future__ import annotations
@@ -133,8 +133,7 @@ class PromptedBackbone(Module):
     # ------------------------------------------------------------------ #
     def classify_tokens(self, tokens: Tensor) -> Tensor:
         """Run the attention block over a prepared token sequence and classify [CLS]."""
-        encoded = self.block(tokens)
-        return self.classifier(encoded[:, 0, :])
+        return self.classifier(self.block(tokens))
 
     def forward(self, images: Tensor, prompts: Optional[Tensor] = None) -> Tensor:
         """Return class logits; ``prompts`` are inserted after the [CLS] token."""

@@ -3,7 +3,7 @@
 The public surface intentionally mirrors a small subset of ``torch.nn`` so the
 RefFiL code (and the federated baselines) read like their reference
 implementations: ``Module``, ``Parameter``, ``Linear``, ``Conv2d``,
-``BatchNorm2d``, ``LayerNorm``, ``MultiHeadSelfAttention``, ``SGD`` and so on.
+``BatchNorm2d``, ``LayerNorm``, ``ClassAttention``, ``SGD`` and so on.
 """
 
 from repro.nn.module import Module, Parameter, ModuleList
@@ -13,7 +13,7 @@ from repro.nn.norm import BatchNorm2d, LayerNorm
 from repro.nn.activation import GELU
 from repro.nn.embedding import Embedding
 from repro.nn.mlp import MLP
-from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock
+from repro.nn.attention import ClassAttention, TransformerBlock
 from repro.nn.optim import SGD
 from repro.nn import init
 
@@ -28,7 +28,7 @@ __all__ = [
     "GELU",
     "Embedding",
     "MLP",
-    "MultiHeadSelfAttention",
+    "ClassAttention",
     "TransformerBlock",
     "SGD",
     "init",

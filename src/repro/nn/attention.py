@@ -1,9 +1,10 @@
-"""Multi-head self-attention and the transformer attention block.
+"""Multi-head class attention and the transformer attention block.
 
 The RefFiL backbone (paper Sec. II, Eq. 1-3) tokenises the CNN feature map,
 prepends a ``[CLS]`` token (and, during training, prompt tokens) and runs the
 sequence through a single attention block consisting of multi-head
-self-attention, an MLP, skip connections and layer normalisation.
+attention, an MLP, skip connections and layer normalisation, computed at the
+``[CLS]`` row only, the one the classifier reads (CaiT's class attention, arXiv 2103.17239).
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from repro.nn.module import Module
 from repro.nn.norm import LayerNorm
 
 
-class MultiHeadSelfAttention(Module):
-    """Standard scaled dot-product multi-head self-attention over token sequences.
+class ClassAttention(Module):
+    """Multi-head scaled dot-product attention of the ``[CLS]`` row over every token.
 
-    Input and output shapes are ``(batch, tokens, dim)``.  A call is five ops:
-    the query, key and value projections, one :func:`~repro.autograd.functional.attention`
-    and the output projection.
+    ``(batch, 1, dim)`` and ``(batch, tokens, dim)`` in, ``(batch, 1, dim)`` out.  A
+    call is five ops: the query projection of ``cls``, the key and value ones of
+    ``tokens``, one :func:`~repro.autograd.functional.attention` and ``proj``.
     """
 
     def __init__(
@@ -37,25 +38,24 @@ class MultiHeadSelfAttention(Module):
         super().__init__()
         if dim % num_heads != 0:
             raise ValueError(f"dim {dim} must be divisible by num_heads {num_heads}")
-        self.dim = dim
         self.num_heads = num_heads
-        self.head_dim = dim // num_heads
-        self.scale = 1.0 / np.sqrt(self.head_dim)
+        self.scale = 1.0 / np.sqrt(dim // num_heads)
         self.query = Linear(dim, dim, rng=rng)
         self.key = Linear(dim, dim, rng=rng)
         self.value = Linear(dim, dim, rng=rng)
         self.proj = Linear(dim, dim, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        context = F.attention(self.query(x), self.key(x), self.value(x), self.num_heads, self.scale)
-        return self.proj(context)
+    def forward(self, cls: Tensor, tokens: Tensor) -> Tensor:
+        q, k, v = self.query(cls), self.key(tokens), self.value(tokens)
+        return self.proj(F.attention(q, k, v, self.num_heads, self.scale))
 
 
 class TransformerBlock(Module):
-    """One pre-norm transformer encoder block (MHSA + MLP + residuals + LN).
+    """One transformer encoder block (MHSA + MLP + residuals + LN) at the [CLS] row.
 
     This matches paper Eq. 2: ``I_{b+1} = LN(I'_b + I''_b)`` with
-    ``I'_b = LN(MHSA(I_b))`` and ``I''_b = MLP(I'_b)``.
+    ``I'_b = LN(MHSA(I_b))`` and ``I''_b = MLP(I'_b)``, at the one row Eq. 3
+    classifies: ``(batch, tokens, dim)`` in, ``(batch, dim)`` out.
     """
 
     def __init__(
@@ -66,17 +66,17 @@ class TransformerBlock(Module):
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         super().__init__()
-        self.attention = MultiHeadSelfAttention(dim, num_heads=num_heads, rng=rng)
+        self.attention = ClassAttention(dim, num_heads=num_heads, rng=rng)
         self.norm_attention = LayerNorm(dim)
         self.norm_out = LayerNorm(dim)
         hidden = max(int(dim * mlp_ratio), dim)
         self.mlp = MLP(dim, [hidden], dim, rng=rng)
 
     def forward(self, tokens: Tensor) -> Tensor:
-        attended = self.norm_attention(self.attention(tokens))
-        residual = tokens + attended
-        expanded = self.mlp(attended)
-        return self.norm_out(residual + expanded)
+        cls = tokens[:, :1]
+        attended = self.norm_attention(self.attention(cls, tokens))
+        out = self.norm_out(cls + attended + self.mlp(attended))  # residual + expanded
+        return out.reshape(tokens.shape[0], tokens.shape[2])
 
 
-__all__ = ["MultiHeadSelfAttention", "TransformerBlock"]
+__all__ = ["ClassAttention", "TransformerBlock"]

@@ -243,6 +243,7 @@ class ModelRegistry:
                 "plan": codec_impl.encode(arrays),
                 "skeleton": skeleton,
             },
+            version=REGISTRY_FORMAT,
         )
         info = VersionInfo(
             version=version,
@@ -296,7 +297,7 @@ class ModelRegistry:
         info = self.info(version)
         path = os.path.join(self.directory, info.filename)
         try:
-            blob = load_checkpoint(path)
+            blob = load_checkpoint(path, version=REGISTRY_FORMAT)
         except FileNotFoundError as error:
             raise RegistryCorruptionError(
                 f"version {version} is in the manifest but its file is missing: {path!r}"

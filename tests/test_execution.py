@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import hashlib
 import multiprocessing
 import os
@@ -607,6 +609,27 @@ class TestPoolFailures:
         if max_respawns:
             assert reports[4:] == [(0, "ok")]
             self._assert_serial(updates, tiny_backbone_config, broadcast, handles(1))
+
+
+class TestWorkerBlasThreads:
+    def test_a_pool_worker_runs_one_blas_thread(self, tiny_spec, tiny_backbone_config):
+        """A forked worker inherits the parent's BLAS thread count; every
+        worker, a respawned one too, pins one thread and the call's IPC
+        record says so (``None`` where NumPy's OpenBLAS lacks the symbol)."""
+        libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+        pinnable = any(
+            hasattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_")
+            for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so"))
+        )
+        expected = (1, 1) if pinnable else (None, None)
+        method, broadcast, handles = TestPoolFailures()._setup(tiny_spec, tiny_backbone_config)
+        with ParallelExecutor(num_workers=2, max_respawns=1) as executor:
+            model = method.build_model()
+            executor.run_round(method, model, broadcast, handles(0))
+            executor.request_worker_kill(1)
+            executor.run_round(method, model, broadcast, handles(1))
+            assert executor.respawns == 1
+            assert [record.blas_threads for record in executor.ipc_log] == [expected] * 2
 
 
 class TestPrecision:

@@ -5,7 +5,9 @@ vjp.  The composed graphs they replaced live on here as the reference: the
 fused forward must agree with them to 1e-12 and the gradients to 1e-10
 (ATTENTION makes the composed graph's NumPy calls in its order, so it must
 agree bit for bit), and both interpreters of the op table (eager, the serving
-plane's forward-only plan) must run them.
+plane's forward-only plan) must run them.  The transformer block computes the
+[CLS] row only; the full-sequence block it replaced lives on here too, as the
+oracle whose row 0 the block must match.
 """
 
 from __future__ import annotations
@@ -57,15 +59,25 @@ def composed_layer_norm(x, weight=None, bias=None, eps=1e-5):
 
 
 def composed_attention(q, k, v, heads, scale):
-    """``MultiHeadSelfAttention``'s core as the 13 ops it was between its four LINEARs."""
-    batch, tokens, dim = q.shape
+    """``ClassAttention``'s core as the 13 ops it was between its four LINEARs."""
+    batch, rows, dim = q.shape
 
     def split_heads(x):  # (B, T, D) -> (B, H, T, Dh)
-        return x.reshape(batch, tokens, heads, dim // heads).transpose(0, 2, 1, 3)
+        return x.reshape(batch, x.shape[1], heads, dim // heads).transpose(0, 2, 1, 3)
 
     q, k, v = split_heads(q), split_heads(k), split_heads(v)
     weights = F.softmax((q @ k.transpose(0, 1, 3, 2)) * scale, axis=-1)
-    return (weights @ v).transpose(0, 2, 1, 3).reshape(batch, tokens, dim)
+    return (weights @ v).transpose(0, 2, 1, 3).reshape(batch, rows, dim)
+
+
+def full_sequence_block(block, tokens):
+    """The transformer block as it was before it computed [CLS] only: every
+    token's row through every layer, ``(B, T, D)`` in and out."""
+    attention = block.attention
+    q, k, v = attention.query(tokens), attention.key(tokens), attention.value(tokens)
+    context = F.attention(q, k, v, attention.num_heads, attention.scale)
+    attended = block.norm_attention(attention.proj(context))
+    return block.norm_out(tokens + attended + block.mlp(attended))
 
 
 DTYPES = [np.float64, np.float32]
@@ -119,9 +131,11 @@ def _compare_bits(fused, composed, arrays, dtype):
             assert got.grad.tobytes() == want.grad.tobytes()
 
 
-def _attention_arrays(rng, batch, tokens, heads, head_dim):
+def _attention_arrays(rng, batch, tokens, heads, head_dim, rows=None):
+    """q of ``rows`` rows (``tokens`` when None), k and v of ``tokens`` rows."""
     shape = (batch, tokens, heads * head_dim)
-    return [2.0 * rng.standard_normal(shape) for _ in range(3)]
+    q = 2.0 * rng.standard_normal((batch, tokens if rows is None else rows, heads * head_dim))
+    return [q] + [2.0 * rng.standard_normal(shape) for _ in range(2)]
 
 
 #: Examples per property: 25 in tier-1, the loaded profile's count (1,000)
@@ -197,12 +211,16 @@ class TestMatchesComposedReference:
         tokens=st.integers(1, 6),
         heads=st.integers(1, 3),
         head_dim=st.integers(1, 4),
+        rows=st.integers(0, 5),
         seed=seeds,
     )
-    @example(batch=1, tokens=1, heads=1, head_dim=1, seed=0)
-    @example(batch=1, tokens=1, heads=1, head_dim=4, seed=1)
-    def test_attention(self, dtype, batch, tokens, heads, head_dim, seed):
-        arrays = _attention_arrays(np.random.default_rng(seed), batch, tokens, heads, head_dim)
+    @example(batch=1, tokens=1, heads=1, head_dim=1, rows=0, seed=0)
+    @example(batch=1, tokens=1, heads=1, head_dim=4, rows=0, seed=1)
+    @example(batch=2, tokens=6, heads=2, head_dim=3, rows=0, seed=2)  # the block's [CLS] query
+    def test_attention(self, dtype, batch, tokens, heads, head_dim, rows, seed):
+        # A query of 1 to ``tokens`` rows: the full square and every shorter one.
+        rng = np.random.default_rng(seed)
+        arrays = _attention_arrays(rng, batch, tokens, heads, head_dim, rows=1 + rows % tokens)
         scale = 1.0 / np.sqrt(head_dim)
         _compare_bits(
             lambda q, k, v: F.attention(q, k, v, heads, scale),
@@ -214,12 +232,12 @@ class TestMatchesComposedReference:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_a_transformer_block_trains_bit_for_bit_as_it_did_composed(self, dtype, heads, monkeypatch):
         """Through a whole block the attention inputs' gradients are sums (the
-        block input feeds q, k, v and the residual; each parameter serves two
-        calls), and the fused graph must walk them in the composed order."""
-        from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock
+        block input feeds the [CLS] query, the residual, k and v), and the
+        fused graph must walk them in the composed order."""
+        from repro.nn.attention import ClassAttention, TransformerBlock
 
-        def composed_forward(self, x):
-            q, k, v = self.query(x), self.key(x), self.value(x)
+        def composed_forward(self, cls, tokens):
+            q, k, v = self.query(cls), self.key(tokens), self.value(tokens)
             return self.proj(composed_attention(q, k, v, self.num_heads, self.scale))
 
         def run():
@@ -227,22 +245,30 @@ class TestMatchesComposedReference:
                 rng = np.random.default_rng(heads)
                 block = TransformerBlock(8, num_heads=heads, rng=rng)
                 x = Tensor(rng.standard_normal((3, 5, 8)), requires_grad=True)
-                out = block(block(x))  # every parameter used twice
+                out = block(x)
+                assert out.shape == (3, 8)
                 out.backward(np.cos(np.arange(out.data.size)).reshape(out.shape))
             return [out.data, x.grad] + [p.grad for p in block.parameters()]
 
         fused = run()
-        monkeypatch.setattr(MultiHeadSelfAttention, "forward", composed_forward)
+        monkeypatch.setattr(ClassAttention, "forward", composed_forward)
         composed = run()
         assert [a.tobytes() for a in fused] == [a.tobytes() for a in composed]
 
     def test_attention_refuses_bad_shapes_before_computing(self, dtype):
         with default_dtype(dtype):
             x = Tensor(np.ones((2, 3, 4)))
+            longer = Tensor(np.ones((2, 5, 4)))
+            # A query shorter than its keys is the block's [CLS] query.
+            assert F.attention(x, longer, longer, 2, 0.5).shape == (2, 3, 4)
             for q, k, v, heads in [
                 (x, x, Tensor(np.ones((2, 3, 6))), 2),  # v wider
-                (x, Tensor(np.ones((2, 4, 4))), x, 2),  # k longer
+                (x, longer, x, 2),  # k longer than v
+                (x, x, longer, 2),  # v longer than k
+                (Tensor(np.ones((3, 3, 4))), x, x, 2),  # q of another batch
+                (Tensor(np.ones((2, 1, 6))), x, x, 2),  # q of another width
                 (Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), 2),
+                (x, Tensor(np.ones((2, 3, 4, 1))), Tensor(np.ones((2, 3, 4, 1))), 2),
                 (x, x, x, 3),  # D = 4 does not split into 3 heads
                 (x, x, x, 0),
             ]:
@@ -266,6 +292,61 @@ class TestMatchesComposedReference:
         row0 = np.exp(out.data[0]) if fused is F.log_softmax else out.data[0]
         np.testing.assert_allclose(row0, uniform, rtol=1e-6)
         _compare(fused, composed, [x], dtype)
+
+
+class TestClsOnlyBlockMatchesFullSequence:
+    """The block computes the [CLS] row only; the full-sequence block above is
+    its oracle.  Forward, input gradient and every parameter gradient for a
+    loss on row 0 agree with the oracle's row 0 at float64 to rtol 1e-12, with
+    an absolute floor of 1e-12 of each array's largest entry: only rounding
+    differs (a 1-row GEMM against the full one, and the oracle's sums carry the
+    other rows' zero terms)."""
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        tokens=st.integers(1, 7),
+        heads=st.sampled_from([1, 2, 4]),
+        # D >= 3: a layer norm over 1 or 2 features is constant, and its
+        # input's gradient is rounding noise with no scale to compare against.
+        head_dim=st.integers(3, 4),
+        seed=seeds,
+    )
+    @example(batch=3, tokens=5, heads=1, head_dim=4, seed=0)
+    @example(batch=3, tokens=5, heads=2, head_dim=4, seed=0)
+    @example(batch=3, tokens=5, heads=4, head_dim=4, seed=0)
+    def test_cls_row_matches_the_full_sequence_blocks_row_0(self, batch, tokens, heads, head_dim, seed):
+        from repro.nn.attention import TransformerBlock
+
+        dim = heads * head_dim
+        x_np = np.random.default_rng(seed).standard_normal((batch, tokens, dim))
+        seed_grad = np.cos(np.arange(batch * dim)).reshape(batch, dim)
+
+        def run(forward):
+            with default_dtype(np.float64):
+                block = TransformerBlock(dim, num_heads=heads, rng=np.random.default_rng(seed))
+                x = Tensor(x_np, requires_grad=True)
+                out = forward(block, x)
+                out.backward(seed_grad)
+            return {"out": out.data, "x.grad": x.grad, **{
+                name: p.grad for name, p in block.named_parameters()
+            }}
+
+        got = run(lambda block, x: block(x))
+        want = run(lambda block, x: full_sequence_block(block, x)[:, 0, :])
+        assert got.keys() == want.keys()
+        # A bias shared by every key shifts all of a query's scores alike, and
+        # softmax ignores that: its gradient is zero up to rounding, so it is
+        # held to 1e-12 of the largest entry compared.
+        noise = 1e-12 * max(float(np.abs(w).max()) for w in want.values())
+        for name, w in want.items():
+            g = got[name]
+            assert g.shape == w.shape and g.dtype == w.dtype == np.float64, name
+            if name == "attention.key.bias":
+                assert np.abs(g).max() <= noise and np.abs(w).max() <= noise
+                continue
+            scale = float(np.abs(w).max(initial=0.0))
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
@@ -307,9 +388,10 @@ class TestGradCheck:
             self._check(lambda *a: (F.linear(*a) * F.linear(*a)).sum(), arrays[:count], dtype)
 
     @pytest.mark.parametrize("heads", [1, 2])
-    def test_attention(self, dtype, heads):
-        arrays = _attention_arrays(np.random.default_rng(7), 2, 3, heads, 2)
-        weights = Tensor(np.cos(np.arange(12.0 * heads)).reshape(2, 3, 2 * heads))
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_attention(self, dtype, heads, rows):
+        arrays = _attention_arrays(np.random.default_rng(7), 2, 3, heads, 2, rows=rows)
+        weights = Tensor(np.cos(np.arange(2.0 * rows * 2 * heads)).reshape(2, rows, 2 * heads))
         self._check(lambda *a: (F.attention(*a, heads, 0.7) * weights).sum(), arrays, dtype)
 
     def test_attention_needs_are_honoured(self, dtype):
@@ -391,12 +473,14 @@ class TestTapeRecords:
 
 
     def test_self_attention_is_five_records(self):
-        from repro.nn.attention import MultiHeadSelfAttention
+        from repro.nn.attention import ClassAttention
 
-        attention = MultiHeadSelfAttention(DIM, num_heads=2, rng=np.random.default_rng(11))
+        attention = ClassAttention(DIM, num_heads=2, rng=np.random.default_rng(11))
+        tokens = Tensor(_batches(np.random.default_rng(12), 1)[0][0])
+        cls = Tensor(tokens.data[:, :1])
         tape = Tape()
         with tracing(tape):
-            attention(Tensor(_batches(np.random.default_rng(12), 1)[0][0]))
+            attention(cls, tokens)
         assert [rec.op.name for rec in tape.records] == ["linear"] * 3 + ["attention", "linear"]
 
 
@@ -437,7 +521,7 @@ class TestServingForwardPlan:
         head = Parameter(0.4 * rng.standard_normal((CLASSES, DIM)))
 
         def predict(x):
-            return F.linear(block(x).mean(axis=1), head)
+            return F.linear(block(x), head)  # the block's (N, D) [CLS] rows
 
         (x_np, _), (other, _) = _batches(rng, 2)
         with no_grad():

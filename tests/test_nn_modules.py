@@ -241,13 +241,14 @@ class TestParametersUnderNoGrad:
 
 class TestAttention:
     def test_mhsa_shape_preserved(self):
-        attn = nn.MultiHeadSelfAttention(16, num_heads=4, rng=RNG)
+        attn = nn.ClassAttention(16, num_heads=4, rng=RNG)
         x = Tensor(RNG.standard_normal((3, 7, 16)))
-        assert attn(x).shape == (3, 7, 16)
+        assert attn(x[:, :1], x).shape == (3, 1, 16)
+        assert nn.TransformerBlock(16, num_heads=4, rng=RNG)(x).shape == (3, 16)
 
     def test_mhsa_head_divisibility(self):
         with pytest.raises(ValueError):
-            nn.MultiHeadSelfAttention(10, num_heads=3)
+            nn.ClassAttention(10, num_heads=3)
 
     def test_transformer_block_gradients_flow(self):
         block = nn.TransformerBlock(16, num_heads=2, rng=RNG)
@@ -257,11 +258,11 @@ class TestAttention:
         assert all(p.grad is not None for p in block.parameters())
 
     def test_attention_depends_on_other_tokens(self):
-        block = nn.MultiHeadSelfAttention(8, num_heads=2, rng=RNG)
+        block = nn.ClassAttention(8, num_heads=2, rng=RNG)
         base = RNG.standard_normal((1, 4, 8))
         changed = base.copy()
         changed[0, 3] += 10.0
-        out_base = block(Tensor(base)).data
-        out_changed = block(Tensor(changed)).data
-        # Changing token 3 must change the output at token 0 (attention mixes tokens).
+        out_base = block(Tensor(base[:, :1]), Tensor(base)).data
+        out_changed = block(Tensor(changed[:, :1]), Tensor(changed)).data
+        # Changing token 3 must change the output at [CLS] (attention mixes tokens).
         assert not np.allclose(out_base[0, 0], out_changed[0, 0])

@@ -46,6 +46,7 @@ from repro.continual import DomainIncrementalScenario
 from repro.datasets import SyntheticDomainDataset
 from repro.federated import FederatedDomainIncrementalSimulation
 from repro.federated.checkpoint import (
+    CheckpointCorruptionError,
     config_fingerprint,
     parse_checkpoint_name,
     prune_checkpoints,
@@ -66,7 +67,7 @@ from repro.serving import (
     VersionInfo,
 )
 from repro.serving.engine import ForwardPlan
-from repro.serving.registry import version_filename
+from repro.serving.registry import REGISTRY_FORMAT, version_filename
 
 
 # --------------------------------------------------------------------------- #
@@ -250,38 +251,57 @@ class TestRegistryDurability:
                 "plan": {"s::w": np.zeros(2)},
                 "skeleton": None,
             },
+            version=REGISTRY_FORMAT,
         )
         with pytest.raises(RegistryCorruptionError, match=r"format 1.*format 3"):
             registry.load(info.version)
 
     def test_format_2_version_file_raises_typed_error(self, tmp_path):
         """A file published while a model's state still carried its frozen
-        tokenizer (drifted by averaging) is refused: by its format, naming
-        both, and, as written then, by its container version too."""
+        tokenizer (drifted by averaging) is refused by its format, naming
+        both.  Its header, written then, holds checkpoint container version
+        3, which equals today's registry format: only the body's format
+        tells the two apart."""
         registry = ModelRegistry(str(tmp_path))
         state = {"backbone.tokenizer.projection.weight": np.zeros(2), "w": np.zeros(2)}
         info = registry.publish(name="m", state=state)
         path = tmp_path / info.filename
-        save_checkpoint(str(path), {**load_checkpoint(str(path)), "registry_format": 2})
+        body = load_checkpoint(str(path), version=REGISTRY_FORMAT)
+        save_checkpoint(str(path), {**body, "registry_format": 2}, version=3)
         with pytest.raises(RegistryCorruptionError, match=r"format 2.*format 3"):
-            registry.load(info.version)
-        raw = bytearray(path.read_bytes())
-        raw[4:8] = (3).to_bytes(4, "big")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(RegistryCorruptionError, match="version 3, expected 5"):
             registry.load(info.version)
 
     def test_older_container_version_raises_typed_error(self, tmp_path):
-        """Version files share the checkpoint container: one written under
-        container version 2 (CRC intact) is refused by its header."""
+        """Version files carry the registry format in the checkpoint
+        container's header: one whose header holds 2 (CRC intact) is refused
+        by it, and so is one written under checkpoint version 5 before the
+        header held the registry format."""
         registry = ModelRegistry(str(tmp_path))
         info = registry.publish(name="m", state={"w": np.zeros(2)})
         path = tmp_path / info.filename
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (2).to_bytes(4, "big")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(RegistryCorruptionError, match="version 2, expected 5"):
-            registry.load(info.version)
+        for header, message in [(2, "version 2, expected 3"), (5, "version 5, expected 3")]:
+            raw[4:8] = header.to_bytes(4, "big")
+            path.write_bytes(bytes(raw))
+            with pytest.raises(RegistryCorruptionError, match=message):
+                registry.load(info.version)
+
+    def test_a_checkpoint_version_bump_leaves_published_versions_loadable(
+        self, tmp_path, monkeypatch
+    ):
+        """Only ``REGISTRY_FORMAT`` can refuse a version file: one published
+        at checkpoint version 5 still loads, bit for bit, after a bump to 6,
+        while a checkpoint saved at 5 is refused."""
+        from repro.federated import checkpoint
+
+        registry = ModelRegistry(str(tmp_path))
+        state = {"w": np.arange(3.0)}
+        info = registry.publish(name="m", state=state)
+        save_checkpoint(str(tmp_path / "run.ckpt"), {"task": 0})
+        monkeypatch.setattr(checkpoint, "CHECKPOINT_VERSION", 6)
+        assert registry.load(info.version).state["w"].tobytes() == state["w"].tobytes()
+        with pytest.raises(CheckpointCorruptionError, match="version 5, expected 6"):
+            load_checkpoint(str(tmp_path / "run.ckpt"))
 
     def test_mangled_manifest_raises_typed_error(self, tmp_path):
         registry = ModelRegistry(str(tmp_path))

@@ -162,23 +162,24 @@ class TestFrozenStaysFrozen:
 #: its frozen entries reset to their initial values after every assignment,
 #: hashes to these same values over the keys that remain.  Re-pinned for a
 #: new summation order of the conv weight gradient and the batch-norm
-#: statistics.
+#: statistics, and again when the transformer block came to compute the
+#: [CLS] row only (float64 states within 8.1e-13 of the full-sequence run's).
 _PINNED_STATE_HASHES = {
     "float64": {
-        "finetune": "96dda0b1bed56324923df69ddf334822994faa791cdfdb9d4747d228decfc584",
-        "fedlwf": "9f233f9f488be568c329f82a3f0a2c9958bc2ce32553b1201fa8db1373c4b8d1",
-        "fedewc": "59934f9f8dfcc9a5c8e40173b4adcc6e06cb3ba8def0a9afe023c707ba52615a",
-        "fedl2p": "f754fefc33e3b8b7652aac6f7215d5cb0c8f12b3228f5784fbf0f957e4f9b8f7",
-        "feddualprompt": "9e37ea43055edf769b050b4494803dd104a45aa88f27dcae76a62f123ca30296",
-        "refil": "a6355dc4dab813960d06ad0edf79f94a9d10b82182a619ba64b26309d2a23737",
+        "finetune": "a840127c85bccf05a05cb21293cd7f7e41d876e6b653c2da38ffb99ae3fb0e2d",
+        "fedlwf": "b3780663651a2f89847a479ce7d49a5de27b616e26defe71cd956fec19d272e0",
+        "fedewc": "80877165ecbf7c9b981bf2bd73b2436ba02f12b37c3478ee8214b5c01ade7097",
+        "fedl2p": "eb251302d05bed2b358eddd90bcae8e30e79795816fd421af523d9bb48c4a939",
+        "feddualprompt": "4bcd846a0380309df860a1778635b7d5ed83ffac9df5bc0faa63793623eac26d",
+        "refil": "c868cd764ec86d3c9762f6b41ac6ecbe8fe0eb4f4072b75923d9b2b1c4ce3a66",
     },
     "float32": {
-        "finetune": "68dd4898515367638e9d21bf067f4e04476eb8c50f41c36bd5cf361e4eacf4e9",
-        "fedlwf": "7620eef7a9eabb98ae23713d3d70f3c4e56f95179380017f7142984464f3d3c4",
-        "fedewc": "bbf7260908c013273eae849b9bf483413cebb0e6908d7b3afd5d641a2c97a1bf",
-        "fedl2p": "fa5ed2c226195f6a4a6dc2d715e36fa07deb7de0d2c0f7e1cb13a08732f253dc",
-        "feddualprompt": "52d58ae7845543977c319b1c50d966d9ebab9015cd75e9ca091e56a5284e17eb",
-        "refil": "b7eb66500559092636006580b830e5ef057a472b0740343f5112bbce8ead7028",
+        "finetune": "21be0ef5464dc69c16d7d9955a29084438ddcf26683631ceb26687ab59a1effa",
+        "fedlwf": "5007d6398a1ff7f2000be2f7dd79afc4f8ce3df227a6e3b754482118d4d1136c",
+        "fedewc": "be9fb7b9fb7aa417824d401bbb5d0404968b1dec7ef8f189bd5d8d804f7317b1",
+        "fedl2p": "a5b1d752147fc22934a0472410dc64591f7fbf0a2662d11446e7c6eb03e06cce",
+        "feddualprompt": "55c1b4305787bc5f4be12bbe4fa7d2017a98fa0bf534ddaf88539b6e59e416c4",
+        "refil": "7aa44805e8a0836e0e5df4490153d2c4083f2e29e789b4a146c35f474b075efe",
     },
 }
 
