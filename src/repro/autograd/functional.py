@@ -5,7 +5,8 @@ and by the RefFiL losses (cross-entropy, the GPL loss, the DPCL contrastive
 loss).  Convolution, the two normalisations and the transformer
 block's layers (attention, GELU, softmax, log-softmax, the affine map) are
 implemented as primitive :class:`~repro.autograd.tape.Op`s with hand-written
-backward passes (im2col / col2im; one fused kernel per layer) because
+backward passes (im2col GEMMs, a fold only for a strided conv's input
+gradient; one fused kernel per layer) because
 expressing them through elementary ops costs a Python dispatch, an array and a
 backward closure per elementary op; registering them as ops (rather than
 ad-hoc closures) makes them recordable on a tape like every other operation.
@@ -436,15 +437,17 @@ def _col2im(
     out_h: int,
     out_w: int,
 ) -> np.ndarray:
-    """Fold columns back into a map, accumulating overlaps (conv backward)."""
+    """Fold columns back into a map, accumulating overlaps (conv backward).
+
+    Only the convs a flipped stride-1 conv cannot invert reach it: stride > 1,
+    or padding wider than ``k - 1``.
+    """
     c, h, w, n = x_shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = padding
     if kernel == (1, 1) and padding == (0, 0):
         # The inverse of :func:`_im2col`'s one-tap case: nothing overlaps.
-        if stride == (1, 1):
-            return cols.reshape(x_shape)
         image = np.zeros(x_shape, dtype=cols.dtype)
         image[:, ::sh, ::sw] = cols.reshape(c, out_h, out_w, n)
         return image
@@ -478,11 +481,20 @@ def _conv2d_vjp(ctx, grad, needs):
     grad_mat = grad.reshape(ctx.w_shape[0], -1)
     grad_x = grad_w = grad_b = None
     if needs[1]:
-        grad_w = (grad_mat @ ctx.cols.T).reshape(ctx.w_shape)
+        grad_w = (ctx.cols @ grad_mat.T).T.reshape(ctx.w_shape)
     if len(needs) > 2 and needs[2]:
         grad_b = grad_mat.sum(axis=1)
     if needs[0]:
-        grad_x = _col2im(ctx.w_mat.T @ grad_mat, ctx.x_shape, *ctx.geometry)
+        (kh, kw), stride, (ph, pw) = ctx.geometry[:3]
+        if stride == (1, 1) and ph < kh and pw < kw:
+            # The transposed conv of a stride-1 conv is a stride-1 conv: the
+            # kernel flipped in both spatial axes, (C_in, C_out*kh*kw), over
+            # the gradient padded by k - 1 - p (arXiv 1603.07285, Sec. 4).
+            flipped = ctx.w_mat.reshape(ctx.w_shape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            cols, _, _ = _im2col(grad, (kh, kw), stride, (kh - 1 - ph, kw - 1 - pw))
+            grad_x = (flipped.reshape(ctx.x_shape[0], -1) @ cols).reshape(ctx.x_shape)
+        else:
+            grad_x = _col2im(ctx.w_mat.T @ grad_mat, ctx.x_shape, *ctx.geometry)
     return (grad_x, grad_w, grad_b)[: len(needs)]
 
 

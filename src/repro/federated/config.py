@@ -114,7 +114,7 @@ class FederatedConfig:
         float64).  A run at either dtype is a different trajectory, and so
         is a float32 run after any change of summation order: the fidelity
         gate's Table I Avg claim holds over seeds 0-2 at neither dtype
-        (float32 +1.46 against a pooled std of 7.34; float64 +1.16 against
+        (float32 +8.45 against a pooled std of 9.53; float64 +1.16 against
         5.13), nor over seeds 0-5.""")
     eval_executor: str = knob("serial", effect=EXACT, choices=_EXECUTORS, doc="""
         How the seen-task evaluation suite runs: ``"serial"`` (historical

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import Tensor, functional as F
 from repro.autograd.grad_check import check_gradient, numerical_gradient
@@ -204,20 +206,37 @@ class TestConvolution:
         assert out.data[0, 0, 0, 0] == pytest.approx(float((x[0, :, :, 0] * w[0, 0]).sum()))
 
     @pytest.mark.parametrize(
-        "x_shape, kernel, padding",
+        "x_shape, kernel, stride, padding",
         [
-            ((2, 5, 5, 2), 3, 1),
+            ((2, 5, 5, 2), 3, 2, 1),
             # Unpadded windows on a non-square map: the fold returns its buffer as is.
-            ((2, 7, 6, 2), 3, 0),
-            ((2, 7, 6, 2), 2, 0),
+            ((2, 7, 6, 2), 3, 2, 0),
+            ((2, 7, 6, 2), 2, 2, 0),
+            # Stride 1: the input gradient is the flipped kernel over the padded gradient.
+            ((2, 5, 5, 2), 3, 1, 1),
+            ((2, 7, 6, 2), 3, 1, 0),
+            ((2, 5, 4, 2), 2, 1, 1),
+            ((2, 6, 5, 2), 5, 1, 2),
         ],
-        ids=["3x3-padded", "3x3-unpadded", "2x2-unpadded"],
+        ids=[
+            "3x3-padded",
+            "3x3-unpadded",
+            "2x2-unpadded",
+            "3x3-s1-padded",
+            "3x3-s1-unpadded",
+            "2x2-s1-padded",
+            "5x5-s1-padded",
+        ],
     )
-    def test_conv2d_gradcheck_all_inputs(self, x_shape, kernel, padding):
+    def test_conv2d_gradcheck_all_inputs(self, x_shape, kernel, stride, padding):
         x = Tensor(RNG.standard_normal(x_shape), requires_grad=True)
         w = Tensor(RNG.standard_normal((3, 2, kernel, kernel)), requires_grad=True)
         b = Tensor(RNG.standard_normal(3), requires_grad=True)
-        fn = lambda x, w, b: F.conv2d(x, w, b, stride=2, padding=padding).sum()
+        out_shape = F.conv2d(x, w, b, stride=stride, padding=padding).shape
+        # A random upstream gradient: a uniform one is blind to a wrong flip
+        # everywhere the whole kernel overlaps the map.
+        mix = Tensor(RNG.standard_normal(out_shape))
+        fn = lambda x, w, b: (F.conv2d(x, w, b, stride=stride, padding=padding) * mix).sum()
         assert check_gradient(fn, [x, w, b], wrt=0)
         assert check_gradient(fn, [x, w, b], wrt=1)
         assert check_gradient(fn, [x, w, b], wrt=2)
@@ -273,16 +292,40 @@ def _nchw_conv_reference(x, weight, bias, stride, padding, grad):
     return out, grad_x, grad_w
 
 
+def _nchw_flipped_input_grad(weight, grad, padding):
+    """A stride-1 conv's input gradient as ``conv2d`` computes it, one sample at a time.
+
+    The gradient ``(N, C_out, out_h, out_w)`` unfolded at padding ``k - 1 - p``
+    per axis, times the kernel flipped in both spatial axes and transposed to
+    ``(C_in, C_out*kh*kw)``: one GEMM per sample.
+    """
+    c_in, (kh, kw), n = weight.shape[1], weight.shape[2:], grad.shape[0]
+    cols, h, w = _nchw_unfold(grad, (kh, kw), (1, 1), (kh - 1 - padding[0], kw - 1 - padding[1]))
+    flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c_in, -1)
+    return np.matmul(flipped, cols).reshape(n, c_in, h, w)
+
+
 def _batch_last(a):
     return a.transpose(1, 2, 3, 0)
+
+
+def _layouts(images):
+    """``images`` batch-last three ways: C-ordered, F-ordered and (past one column) neither."""
+    contiguous = np.ascontiguousarray(_batch_last(images))
+    # Every other column of a buffer twice as wide: neither C- nor F-ordered.
+    c, h, w, n = contiguous.shape
+    buffer = np.zeros((c, h, 2 * w, n), dtype=images.dtype)
+    buffer[:, :, ::2] = contiguous
+    return contiguous, np.asfortranarray(contiguous), buffer[:, :, ::2]
 
 
 def _assert_conv_matches_the_oracle(images, inputs, weight, bias, stride, padding, rng, exact):
     """Conv each batch-last array in ``inputs`` (all holding ``images``) against the oracle.
 
-    The weight gradient must match to rounding, all in the dtype of
-    ``images``; output and input gradient bit for bit if ``exact``, else to
-    rounding too.
+    The weight gradient must match the fold oracle to rounding, all in the
+    dtype of ``images``; output and input gradient bit for bit if ``exact``,
+    else to rounding too.  A stride-1 input gradient is exact against
+    :func:`_nchw_flipped_input_grad` and matches the fold to rounding.
     """
     dtype = images.dtype
     n, _, h, w = images.shape
@@ -292,6 +335,8 @@ def _assert_conv_matches_the_oracle(images, inputs, weight, bias, stride, paddin
     out, grad_x, grad_w = _nchw_conv_reference(
         images, weight, bias, (stride, stride), (padding, padding), mix
     )
+    if exact and stride == 1:
+        flipped = _nchw_flipped_input_grad(weight, mix, (padding, padding))
     rtol = 1e-12 if dtype == np.float64 else 1e-5
     for data in inputs:
         assert np.array_equal(data, _batch_last(images))
@@ -304,7 +349,11 @@ def _assert_conv_matches_the_oracle(images, inputs, weight, bias, stride, paddin
         checks = [(wt.grad, grad_w)]
         if exact:
             assert np.array_equal(got.data, _batch_last(out))
-            assert np.array_equal(x.grad, _batch_last(grad_x))
+            if stride == 1:
+                assert np.array_equal(x.grad, _batch_last(flipped))
+                checks.append((x.grad, _batch_last(grad_x)))
+            else:
+                assert np.array_equal(x.grad, _batch_last(grad_x))
         else:
             checks += [(got.data, _batch_last(out)), (x.grad, _batch_last(grad_x))]
         for value, reference in checks:
@@ -347,16 +396,30 @@ OTHER_CONVS = {
 }
 
 
+@st.composite
+def _stride_1_geometries(draw):
+    """``(h, w, (kh, kw), (ph, pw))`` of a stride-1 conv padded by at most ``k - 1``."""
+    kernel = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    padding = tuple(draw(st.integers(0, k - 1)) for k in kernel)
+    h, w = (draw(st.integers(max(1, k - 2 * p), 9)) for k, p in zip(kernel, padding))
+    return h, w, kernel, padding
+
+
 class TestBatchLastLayout:
     """Feature maps are ``(C, H, W, N)``; the NCHW conv above is the oracle.
 
     The unfold and fold only move values (the fold adds overlapping taps in
     the oracle's order), so they match the oracle's bit for bit at any
-    geometry.  Each output and input-gradient element is the same dot
-    product either way: on the ResNet's 16x16, 8x8 and 4x4 maps the bundled
-    OpenBLAS sums it in the same order, so those match bit for bit, while on
-    other extents (an 8x9 map) its kernels may split the columns differently
-    and round the last bit differently.  The weight gradient and the
+    geometry.  Each output element, and each element of a strided conv's
+    input gradient, is the same dot product either way: on the ResNet's
+    16x16, 8x8 and 4x4 maps the bundled OpenBLAS sums it in the same order,
+    so those match bit for bit, while on other extents (an 8x9 map) its
+    kernels may split the columns differently and round the last bit
+    differently.  A stride-1 conv's input gradient is the flipped kernel over
+    the padded gradient, one dot product over ``C_out*kh*kw`` where the fold
+    oracle sums over ``C_out`` and then adds taps: it matches the fold to
+    rounding, and :func:`_nchw_flipped_input_grad` (the same GEMM per sample)
+    bit for bit on the ResNet's extents.  The weight gradient and the
     batch-norm statistics sum over the batch in a new order: they match to
     rounding.
     """
@@ -384,13 +447,8 @@ class TestBatchLastLayout:
         weight = rng.standard_normal((5, 4, kernel, kernel)).astype(dtype)
         bias = rng.standard_normal(5).astype(dtype)
         images = rng.standard_normal((3, 4, h, w)).astype(dtype)
-        contiguous = np.ascontiguousarray(_batch_last(images))
-        # Every other column of a buffer twice as wide: neither C- nor F-ordered.
-        buffer = np.zeros((4, h, 2 * w, 3), dtype=dtype)
-        buffer[:, :, ::2] = contiguous
-        strided = buffer[:, :, ::2]
+        contiguous, _, strided = inputs = _layouts(images)
         assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
-        inputs = (contiguous, np.asfortranarray(contiguous), strided)
         geometry = (kernel, kernel), (stride, stride), (padding, padding)
         ref_cols, out_h, out_w = _nchw_unfold(images, *geometry)
         for data in inputs:
@@ -409,6 +467,39 @@ class TestBatchLastLayout:
         _assert_conv_matches_the_oracle(
             images, inputs, weight, bias, stride, padding, rng, exact=False
         )
+
+    @settings(deadline=None)
+    @given(
+        geometry=_stride_1_geometries(),
+        channels=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        batch=st.integers(1, 5),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        layout=st.integers(0, 2),
+        seed=st.integers(0, 2**16),
+    )
+    @example(((8, 8, (3, 3), (1, 1))), (4, 3), 5, np.float32, 2, 0)
+    @example(((4, 4, (3, 3), (1, 1))), (2, 4), 3, np.float64, 1, 1)
+    def test_a_stride_1_input_gradient_is_the_flipped_kernel_over_the_padded_gradient(
+        self, geometry, channels, batch, dtype, layout, seed
+    ):
+        h, w, kernel, padding = geometry
+        (c_in, c_out), rng = channels, np.random.default_rng(seed)
+        images = rng.standard_normal((batch, c_in, h, w)).astype(dtype)
+        weight = rng.standard_normal((c_out, c_in) + kernel).astype(dtype)
+        out_h, out_w = (s + 2 * p - k + 1 for s, k, p in zip((h, w), kernel, padding))
+        mix = rng.standard_normal((batch, c_out, out_h, out_w)).astype(dtype)
+        with default_dtype(dtype):
+            x = Tensor(_layouts(images)[layout], requires_grad=True)
+            (F.conv2d(x, Tensor(weight), padding=padding) * Tensor(_batch_last(mix))).sum().backward()
+        _, fold, _ = _nchw_conv_reference(images, weight, None, (1, 1), padding, mix)
+        rtol = 1e-12 if dtype == np.float64 else 1e-5
+        assert x.grad.dtype == dtype
+        np.testing.assert_allclose(
+            x.grad, _batch_last(fold), rtol=rtol, atol=rtol * np.abs(fold).max()
+        )
+        if (h, w) in ((4, 4), (8, 8)):
+            flipped = _nchw_flipped_input_grad(weight, mix, padding)
+            assert np.array_equal(x.grad, _batch_last(flipped))
 
     @pytest.mark.parametrize("layer", list(RESNET_CONVS))
     def test_batch_norm_statistics_match_the_nchw_reduction(self, layer):

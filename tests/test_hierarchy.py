@@ -741,27 +741,27 @@ class TestHierarchyConfig:
 #: only.
 _EAGER_RUN_PINS = {
     ("float64", "sync"): (
-        "9c2e611991a0d8214f402cfc37660452d5181065dd1d65f223af14cf477dffe9",
+        "0a73cbbf734080f0f60ef3a33a31b5fd0da665688c2ae8f57314c23becdb818f",
         "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
     ),
     ("float64", "async"): (
-        "2deda72a5aea8566fbf27957df8bc84aad09b7a149ba23c36d4fbaa5c344e450",
+        "05e3f784a87a48f36f210b53469017686fe1f730e8af6731117527d809356b13",
         "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
     ),
     ("float64", "buffered"): (
-        "6062707a8027b52e077735a7588ee65cf7bc7a9a802e112c0e02c67702b7e053",
+        "1ca689d915467479cdd0c78d5cc55a2878814cc5626cdd027e529fc48597d932",
         "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
     ),
     ("float32", "sync"): (
-        "4c351fa3a08b5f9ef871c84bc0be843e1730e99ce23455ee997c5b501f6a7268",
+        "a7d05a292d4c1faa052b008f7529a3e919e6cde1aaa28bb4b567a22402bd22ef",
         "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
     ),
     ("float32", "async"): (
-        "cbab17bdd7f88aedce081beebcf5aa957a5b097c89e7f2be0c10c8143c776b82",
+        "9acfe04472b7e6eb47df591a46e60041be434cfb371d5877559d49b23fa002c9",
         "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
     ),
     ("float32", "buffered"): (
-        "fb2fab34cda574bc6533cf78e320041964654bb6485b3a09b2f89be5922b413c",
+        "af5927104d13863ad073486325fa5b88d215ac8be6af89811b92dfc843140e82",
         "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
     ),
 }
@@ -773,8 +773,8 @@ _EAGER_RUN_PINS = {
 #: boundary by a whole level.  The bytes were 465,762 / 467,205 while every
 #: frame pickled its table.
 _TREE_QUANTIZE8_PINS = {
-    "float64": ("3f0734438abd9a1479684e0ee007c9cb614ec634b374ec05e451dff709c94070", 319509),
-    "float32": ("1be2ea9a9e354c31b4de6c265fdbbb508286a7f9e8fed551dc0afeee9c27291c", 320835),
+    "float64": ("19a9def013e0527b618fafdf62c75c36381ad84f12b445616eb4962d8896cc8f", 319509),
+    "float32": ("3d7631b7da2967e5ff14c5c636b5ee016cf64dfa3c82b196d6253c04207c171e", 320835),
 }
 
 

@@ -166,20 +166,20 @@ class TestFrozenStaysFrozen:
 #: [CLS] row only (float64 states within 8.1e-13 of the full-sequence run's).
 _PINNED_STATE_HASHES = {
     "float64": {
-        "finetune": "a840127c85bccf05a05cb21293cd7f7e41d876e6b653c2da38ffb99ae3fb0e2d",
-        "fedlwf": "b3780663651a2f89847a479ce7d49a5de27b616e26defe71cd956fec19d272e0",
-        "fedewc": "80877165ecbf7c9b981bf2bd73b2436ba02f12b37c3478ee8214b5c01ade7097",
-        "fedl2p": "eb251302d05bed2b358eddd90bcae8e30e79795816fd421af523d9bb48c4a939",
-        "feddualprompt": "4bcd846a0380309df860a1778635b7d5ed83ffac9df5bc0faa63793623eac26d",
-        "refil": "c868cd764ec86d3c9762f6b41ac6ecbe8fe0eb4f4072b75923d9b2b1c4ce3a66",
+        "finetune": "4fa4da94332cb793e80e52119ca8ad0153e27cb4852a032a945ae02d508c77dc",
+        "fedlwf": "5d827bac1f78088b98ea965204b351624348f907bb786a7f52bc3632dcdded5f",
+        "fedewc": "8ea09f6dae4360d2dc39f3ef86e70cc01e47fc2bb01e3ff61a3db03f120fb367",
+        "fedl2p": "a259c8a0a20d69b46b18f54c50868028d6a9210ef82b15e2f409f3bb622db1d8",
+        "feddualprompt": "9eb76be1a0221190b6e6cc1afb083b3818560afd92191c1be79225902ba68119",
+        "refil": "199c441abc1bc2c98051de59ab031950737cd2164583fabb6be65ca957aaec88",
     },
     "float32": {
-        "finetune": "21be0ef5464dc69c16d7d9955a29084438ddcf26683631ceb26687ab59a1effa",
-        "fedlwf": "5007d6398a1ff7f2000be2f7dd79afc4f8ce3df227a6e3b754482118d4d1136c",
-        "fedewc": "be9fb7b9fb7aa417824d401bbb5d0404968b1dec7ef8f189bd5d8d804f7317b1",
-        "fedl2p": "a5b1d752147fc22934a0472410dc64591f7fbf0a2662d11446e7c6eb03e06cce",
-        "feddualprompt": "55c1b4305787bc5f4be12bbe4fa7d2017a98fa0bf534ddaf88539b6e59e416c4",
-        "refil": "7aa44805e8a0836e0e5df4490153d2c4083f2e29e789b4a146c35f474b075efe",
+        "finetune": "a5392cdf6abbd11dc543cb1a389d8d55c9e9b35bec5ddb543e3035c59d571c46",
+        "fedlwf": "04dc089bc319847c364b434c3bfa10e5f0f10973463c958685356927a6298efb",
+        "fedewc": "5e3d8cf7397563b64888eae573ef65328a9ca4d1e5b124722619b1e56f2d8a87",
+        "fedl2p": "f249fafd3cbca332dbd41e74e2fa65f5570932d61b77b98e4c1e84e29b8ee0f6",
+        "feddualprompt": "a7174e7472534faf8db1cdf34e4e46787190ddfc2925b0bb568929df7ae4de17",
+        "refil": "4f93041e3fce0afb452bd96e4a6dade70e9e183b7e84e1fb0e4661b1b4a27a51",
     },
 }
 
