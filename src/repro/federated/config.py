@@ -113,9 +113,9 @@ class FederatedConfig:
         fewer identity-codec wire bytes (RefFiL's prompt store stays
         float64).  A run at either dtype is a different trajectory, and so
         is a float32 run after any change of summation order: the fidelity
-        gate's Table I Avg claim holds over seeds 0-2 at neither dtype
-        (float32 +8.45 against a pooled std of 9.53; float64 +1.16 against
-        5.13), nor over seeds 0-5.""")
+        gate's Table I Avg claim holds over seeds 0-2 at float32 only
+        (+8.36 against a pooled std of 6.89; float64 +1.16 against 5.13),
+        and over seeds 0-5 at neither.""")
     eval_executor: str = knob("serial", effect=EXACT, choices=_EXECUTORS, doc="""
         How the seen-task evaluation suite runs: ``"serial"`` (historical
         in-process loop) or ``"parallel"`` (fan seen tasks × batch-aligned

@@ -710,7 +710,7 @@ class TestPrecision:
 
         def recording_step(optimizer):
             sgd_step(optimizer)
-            velocities.extend(optimizer._velocity.values())
+            velocities.append(optimizer._velocity)
 
         monkeypatch.setattr(SGD, "step", recording_step)
         scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)

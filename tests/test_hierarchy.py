@@ -741,27 +741,27 @@ class TestHierarchyConfig:
 #: only.
 _EAGER_RUN_PINS = {
     ("float64", "sync"): (
-        "0a73cbbf734080f0f60ef3a33a31b5fd0da665688c2ae8f57314c23becdb818f",
+        "f57573234a91f752287d3be2b6c49ddc425b5cbcba5a2e020178e03401907a20",
         "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
     ),
     ("float64", "async"): (
-        "05e3f784a87a48f36f210b53469017686fe1f730e8af6731117527d809356b13",
+        "60e4175ae7d9813dda6e3170f9161dd8018bdbf902d8847d321a6e7e4d632fe1",
         "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
     ),
     ("float64", "buffered"): (
-        "1ca689d915467479cdd0c78d5cc55a2878814cc5626cdd027e529fc48597d932",
+        "f38513f7c4ec93d127aeb9d1dcc8c8f30a7a57c7735337703b75a402f0b6fe5f",
         "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
     ),
     ("float32", "sync"): (
-        "a7d05a292d4c1faa052b008f7529a3e919e6cde1aaa28bb4b567a22402bd22ef",
+        "df62bbfeb0f5bfd2e80418eba765b6c40689d807324af7f8c3dbca1974c95db4",
         "232cc8b907ab48f4104a8536d47ea2d761b255d6782a6d27fd05a3c91c93a675",
     ),
     ("float32", "async"): (
-        "9acfe04472b7e6eb47df591a46e60041be434cfb371d5877559d49b23fa002c9",
+        "c08f7844d10a2c590c357de1d6fc817c14e7f3dd516027512ceedf51e6c9e9e5",
         "1921f21569f7cbbe06a12f4791f7bc2e713dd3c24f2d81e5b4886d46f5dc64fa",
     ),
     ("float32", "buffered"): (
-        "af5927104d13863ad073486325fa5b88d215ac8be6af89811b92dfc843140e82",
+        "7b8c9d67c4713d11496e1044459ce9d524dd06f75535e700ec3c8bde23e7d376",
         "a754b25108fd2bcb93d9b7d6e04156b7986ccfed5714ab8efdb4919d6dec1dad",
     ),
 }
@@ -773,8 +773,8 @@ _EAGER_RUN_PINS = {
 #: boundary by a whole level.  The bytes were 465,762 / 467,205 while every
 #: frame pickled its table.
 _TREE_QUANTIZE8_PINS = {
-    "float64": ("19a9def013e0527b618fafdf62c75c36381ad84f12b445616eb4962d8896cc8f", 319509),
-    "float32": ("3d7631b7da2967e5ff14c5c636b5ee016cf64dfa3c82b196d6253c04207c171e", 320835),
+    "float64": ("542033c5eb099cdf38bebe85a165bfdeae1d806fd7e20960118ef5f0daa41edd", 319509),
+    "float32": ("07dd9a6b73ec21605c55edda0aaf2d43cb3eabda43895a33ce710a975c0d9b4f", 320835),
 }
 
 

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.autograd import functional as F
 from repro.autograd.tensor import default_dtype
+from repro.datasets.synthetic import generate_domain_split
+from repro.federated.client import ClientHandle, LocalTrainingConfig, run_local_sgd
+from repro.federated.increment import ClientGroup
+from repro.nn.linear import Linear
 from repro.nn.module import Parameter
 from repro.nn.optim import MAX_GRAD_NORM, MOMENTUM, SGD
 
@@ -68,7 +77,8 @@ class TestSGD:
         opt.step()  # the second step reads the stored float32 velocity
         assert p.data.dtype == np.float32
         assert p.grad.dtype == np.float32
-        assert opt._velocity[id(p)].dtype == np.float32
+        assert opt._velocity.dtype == np.float32
+        assert np.shares_memory(p.data, opt._flat)
 
     def test_frozen_parameters_not_updated(self):
         p = Parameter(np.array([1.0]))
@@ -84,6 +94,9 @@ class TestSGD:
             SGD([], lr=0.1)
         with pytest.raises(ValueError):
             SGD([p], lr=-0.1)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"finite and positive, got {lr}"):
+                SGD([p], lr=lr)
         with pytest.raises(TypeError):
             SGD([p], lr=0.1, momentum=0.0)
 
@@ -112,3 +125,181 @@ class TestClipFrozenParams:
         frozen.grad = np.array([70.0])
         opt.step()
         assert frozen.grad[0] == pytest.approx(70.0)
+
+
+class TestOneFlatBuffer:
+    def test_a_repeated_parameter_is_refused(self):
+        # A flat buffer cannot hold two views of one parameter; the
+        # per-parameter loop stepped it twice and counted its grad twice.
+        p, q = Parameter(np.array([1.0])), Parameter(np.array([2.0]))
+        with pytest.raises(ValueError, match=r"repeated at positions \[0, 2\]"):
+            SGD([p, q, p], lr=0.1)
+
+    def test_mixed_dtypes_are_refused(self):
+        wide = Parameter(np.array([1.0]))
+        with default_dtype(np.float32):
+            narrow = Parameter(np.array([1.0]))
+        with pytest.raises(ValueError, match=r"\['float32', 'float64'\]"):
+            SGD([wide, narrow], lr=0.1)
+
+    def test_non_finite_learning_rates_are_refused_by_the_config(self):
+        for lr in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match=f"finite and positive, got {lr}"):
+                LocalTrainingConfig(learning_rate=lr)
+
+    def test_parameters_become_views_of_the_buffer_with_their_values(self):
+        a = Parameter(np.arange(6.0).reshape(2, 3))
+        b = Parameter(np.array(7.0))
+        opt = SGD([a, b], lr=0.1)
+        assert np.shares_memory(a.data, opt._flat) and np.shares_memory(b.data, opt._flat)
+        assert a.data.shape == (2, 3) and b.data.shape == ()
+        assert opt._flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+
+    def test_the_next_step_updates_what_load_state_dict_wrote(self):
+        model = Linear(3, 2, rng=np.random.default_rng(0))
+        opt = SGD(model.parameters(), lr=0.5)
+        loaded = {key: np.full_like(value, 2.0) for key, value in model.state_dict().items()}
+        model.load_state_dict(loaded)
+        for param in model.parameters():
+            param.grad = np.full_like(param.data, 0.1)
+        opt.step()
+        for key, value in model.state_dict().items():
+            assert np.array_equal(value, np.full_like(value, 2.0 - 0.5 * 0.1))
+
+    def test_after_local_sgd_the_state_dict_is_the_buffer(self, tiny_spec, monkeypatch):
+        model = Linear(3 * 16 * 16, tiny_spec.num_classes, rng=np.random.default_rng(0))
+        optimizers = []
+        sgd_step = SGD.step
+
+        def recording_step(optimizer):
+            sgd_step(optimizer)
+            optimizers.append(optimizer)
+
+        monkeypatch.setattr(SGD, "step", recording_step)
+        client = ClientHandle(
+            client_id=0,
+            task_id=0,
+            group=ClientGroup.NEW,
+            dataset=generate_domain_split(tiny_spec, 0, "train"),
+            rng=np.random.default_rng(0),
+            training=LocalTrainingConfig(local_epochs=1, batch_size=8, learning_rate=0.1),
+        )
+        run_local_sgd(
+            model, client, lambda m, x, y, e: F.cross_entropy(m(x.reshape(len(y), -1)), y)
+        )
+        (optimizer,) = set(optimizers)
+        state = model.state_dict()
+        flat = np.concatenate([state[name].ravel() for name, _ in model.named_parameters()])
+        assert np.array_equal(flat, optimizer._flat)
+
+    def test_a_step_allocates_nothing_of_buffer_size(self):
+        rng = np.random.default_rng(0)
+        params = [Parameter(rng.normal(size=shape)) for shape in ((200, 100), (100,), (50, 40))]
+        params[2].requires_grad = False  # the masked path too
+        opt = SGD(params, lr=0.01)
+        for param in params:
+            param.grad = 10 * rng.normal(size=param.data.shape)
+        opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < opt._flat.nbytes / 20, peak
+
+
+class _PerParameterSGD:
+    """The per-parameter loop ``SGD`` ran before its flat buffer: the oracle."""
+
+    def __init__(self, parameters, lr):
+        self.parameters = list(parameters)
+        self.lr = lr
+        self._velocity = {}
+
+    def _clip_gradients(self):
+        total = 0.0
+        for param in self.parameters:
+            if param.grad is not None and param.requires_grad:
+                total += float(np.sum(param.grad ** 2))
+        norm = np.sqrt(total)
+        if norm > MAX_GRAD_NORM:
+            scale = MAX_GRAD_NORM / norm
+            for param in self.parameters:
+                if param.grad is not None and param.requires_grad:
+                    param.grad *= scale
+
+    def step(self):
+        self._clip_gradients()
+        for param in self.parameters:
+            if param.grad is None or not param.requires_grad:
+                continue
+            velocity = self._velocity.get(id(param))
+            if velocity is None:
+                velocity = np.zeros_like(param.data)
+            velocity = MOMENTUM * velocity + param.grad
+            self._velocity[id(param)] = velocity
+            param.data -= self.lr * velocity
+
+
+_SHAPES = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)
+
+
+class TestMatchesThePerParameterLoop:
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shapes=st.lists(_SHAPES, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        lr=st.floats(1e-3, 1.0),
+        steps=st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+    )
+    def test_a_step_matches_the_per_parameter_loop(self, dtype, shapes, seed, lr, steps):
+        """From equal states, an unclipped step is bit-identical to the loop and
+        a clipped one equal to rounding (only the norm's summation order
+        differs).  Some grads are ``None`` and some parameters frozen (with a
+        stale grad), and the states are re-synced after each step so that a
+        velocity survives a skipped step in both."""
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        frozen = rng.random(len(shapes)) < 0.25
+        with default_dtype(dtype):
+            flat_params = [Parameter(v.copy(), requires_grad=not f) for v, f in zip(values, frozen)]
+            loop_params = [Parameter(v.copy(), requires_grad=not f) for v, f in zip(values, frozen)]
+        flat, loop = SGD(flat_params, lr), _PerParameterSGD(loop_params, lr)
+        tol = 1e-12 if dtype == np.float64 else 1e-6
+        for clipped, step_seed in steps:
+            step_rng = np.random.default_rng(step_seed)
+            grads = [step_rng.normal(size=v.shape) for v in values]
+            present = step_rng.random(len(grads)) < 0.75
+            live = [g for g, ok, f in zip(grads, present, frozen) if ok and not f]
+            norm = np.sqrt(sum(float(np.sum(g ** 2)) for g in live))
+            if norm > 0:  # away from the bound, so rounding cannot flip the clip
+                target = step_rng.uniform(6.0, 50.0) if clipped else step_rng.uniform(0.1, 4.5)
+                grads = [g * (target / norm) for g in grads]
+            grads = [np.asarray(g, dtype=dtype) if ok else None for g, ok in zip(grads, present)]
+            for param_set in (flat_params, loop_params):
+                for param, grad in zip(param_set, grads):
+                    param.grad = None if grad is None else grad.copy()
+            flat.step()
+            loop.step()
+            for param, grad in zip(flat_params, grads):  # p.grad is never rescaled
+                assert (param.grad is None) if grad is None else np.array_equal(param.grad, grad)
+            pairs = [(a.data, b.data) for a, b in zip(flat_params, loop_params)]
+            pairs += [
+                (flat._velocity[part], loop._velocity[id(b)].ravel())
+                for part, b in zip(flat._slices, loop_params)
+                if id(b) in loop._velocity
+            ]
+            for new, old in pairs:
+                assert new.dtype == old.dtype == dtype
+                if clipped and live:
+                    scale = float(np.max(np.abs(old), initial=0.0)) or 1.0
+                    assert float(np.max(np.abs(new - old), initial=0.0)) <= tol * scale
+                else:
+                    assert np.array_equal(new, old)
+            for a, b in zip(flat_params, loop_params):  # re-sync: the next step starts equal
+                b.data[...] = a.data
+            loop._velocity = {
+                id(b): flat._velocity[part].reshape(b.data.shape).copy()
+                for part, b in zip(flat._slices, loop_params)
+            }

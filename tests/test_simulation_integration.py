@@ -166,20 +166,20 @@ class TestFrozenStaysFrozen:
 #: [CLS] row only (float64 states within 8.1e-13 of the full-sequence run's).
 _PINNED_STATE_HASHES = {
     "float64": {
-        "finetune": "4fa4da94332cb793e80e52119ca8ad0153e27cb4852a032a945ae02d508c77dc",
-        "fedlwf": "5d827bac1f78088b98ea965204b351624348f907bb786a7f52bc3632dcdded5f",
-        "fedewc": "8ea09f6dae4360d2dc39f3ef86e70cc01e47fc2bb01e3ff61a3db03f120fb367",
-        "fedl2p": "a259c8a0a20d69b46b18f54c50868028d6a9210ef82b15e2f409f3bb622db1d8",
-        "feddualprompt": "9eb76be1a0221190b6e6cc1afb083b3818560afd92191c1be79225902ba68119",
-        "refil": "199c441abc1bc2c98051de59ab031950737cd2164583fabb6be65ca957aaec88",
+        "finetune": "c6afa1ecad689a543effd978529112c0ddd47c25d0494af2c982abaf2fec8874",
+        "fedlwf": "c670287420a42a07245f0a4f28401469b929186474a8f269875c8561b8f81770",
+        "fedewc": "2fae56945c8942d1e9322649f2b6cc8281f592b608c3f020e5abe9efc1d3e6ed",
+        "fedl2p": "67cde6c071b646778c4e91674e3a0ce0ef81395cb3fd7211c64ed081e7c84778",
+        "feddualprompt": "fad0333ef022545a8e4e76d80c4e5c6b8daeb8e3d3e20f386b2a815d01695a13",
+        "refil": "638d44b3d3662308963de6d16b46c1260a9c84af7bdecd4e5fe05bb83b7dc683",
     },
     "float32": {
-        "finetune": "a5392cdf6abbd11dc543cb1a389d8d55c9e9b35bec5ddb543e3035c59d571c46",
-        "fedlwf": "04dc089bc319847c364b434c3bfa10e5f0f10973463c958685356927a6298efb",
-        "fedewc": "5e3d8cf7397563b64888eae573ef65328a9ca4d1e5b124722619b1e56f2d8a87",
-        "fedl2p": "f249fafd3cbca332dbd41e74e2fa65f5570932d61b77b98e4c1e84e29b8ee0f6",
-        "feddualprompt": "a7174e7472534faf8db1cdf34e4e46787190ddfc2925b0bb568929df7ae4de17",
-        "refil": "4f93041e3fce0afb452bd96e4a6dade70e9e183b7e84e1fb0e4661b1b4a27a51",
+        "finetune": "5d2620db704296556e430428d3acbf546bba1e278b9f764b55aa933d627cf0ce",
+        "fedlwf": "637f756971186cdd52996a1b843f47ff2e1559f14d75ef94d17f802106c51c89",
+        "fedewc": "f8c35dc9f3a99e0cb13510ac6d98b825cabb87a9c12f3dd9acef8a37b8055a4d",
+        "fedl2p": "0d741e2ad197144b684282683997fccb040192d99658d1dd444882bbc0884228",
+        "feddualprompt": "d5aa069b12bbb01f82ecc2cba41297ed7da9c52d149fe02e37d0e0f704a225ad",
+        "refil": "bb2e04e0ac151a975c58277ab01b68e920ef2b8ffb7e1b342ebeda35e0a21c19",
     },
 }
 
