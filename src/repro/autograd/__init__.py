@@ -11,7 +11,7 @@ Public entry points:
 
 * :class:`repro.autograd.tensor.Tensor` -- the differentiable array type.
 * :mod:`repro.autograd.functional` -- neural-network functionals
-  (relu, softmax, cross_entropy, conv2d, cosine_similarity, ...).
+  (softmax, cross_entropy, conv2d, conv_bn, cosine_similarity, ...).
 * :mod:`repro.autograd.tape` -- the op table every tensor operation routes
   through, plus the tape recording and plan cache the serving plane compiles
   its forward-only plans from.

@@ -2,8 +2,9 @@
 
 These free functions are the building blocks used by :mod:`repro.nn` layers
 and by the RefFiL losses (cross-entropy, the GPL loss, the DPCL contrastive
-loss).  Convolution, the two normalisations and the transformer
-block's layers (attention, GELU, softmax, log-softmax, the affine map) are
+loss).  Convolution, a ResNet layer (conv, batch norm, residual add and ReLU
+as one op), layer norm and the transformer block's layers (attention, GELU,
+softmax, log-softmax, the affine map) are
 implemented as primitive :class:`~repro.autograd.tape.Op`s with hand-written
 backward passes (im2col GEMMs, a fold only for a strided conv's input
 gradient; one fused kernel per layer) because
@@ -33,11 +34,6 @@ def _pair(value: IntOrPair) -> Tuple[int, int]:
 # --------------------------------------------------------------------------- #
 # Activations
 # --------------------------------------------------------------------------- #
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    return x.relu()
-
-
 _GELU_CUBIC = 0.044715
 _GELU_SCALE = 0.7978845608028654  # sqrt(2 / pi)
 
@@ -292,115 +288,16 @@ def layer_norm(
     return apply_op(LAYER_NORM, (x, weight) if bias is None else (x, weight, bias), eps=eps)
 
 
-def _per_channel(stat: np.ndarray) -> np.ndarray:
-    """View ``(C,)`` as ``(C, 1, 1, 1)``, to broadcast over a batch-last map."""
-    return stat.reshape(-1, 1, 1, 1)
-
-
-def _batch_norm_forward(
-    ctx, x, weight, bias, *, running_mean, running_var, training, momentum, eps
-):
-    ctx.training = training
-    ctx.weight = weight
-    if training:
-        count = x.size // x.shape[0]
-        mean = np.einsum("chwn->c", x) / count
-        xhat = x - _per_channel(mean)
-        var = np.einsum("chwn,chwn->c", xhat, xhat) / count
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= _per_channel(inv_std)
-        out = xhat * _per_channel(weight)
-        out += _per_channel(bias)
-        ctx.count = count
-        ctx.xhat = xhat
-        ctx.inv_std = inv_std
-        return out
-    inv_std = 1.0 / np.sqrt(running_var + eps)
-    scale = weight * inv_std
-    out = x * _per_channel(scale)
-    out += _per_channel(bias - running_mean * scale)
-    ctx.x = x
-    ctx.mean = running_mean
-    ctx.inv_std = inv_std
-    return out
-
-
-def _batch_norm_vjp(ctx, grad, needs):
-    need_x, need_w, need_b = needs
-    training = ctx.training
-    grad_x = grad_w = grad_b = None
-    # Batch statistics depend on x, so its gradient needs both reductions.
-    if need_b or (need_x and training):
-        grad_b = np.einsum("chwn->c", grad)
-    if need_w or (need_x and training):
-        if training:
-            xhat = ctx.xhat
-        else:
-            xhat = (ctx.x - _per_channel(ctx.mean)) * _per_channel(ctx.inv_std)
-        grad_w = np.einsum("chwn,chwn->c", grad, xhat)
-    if need_x:
-        scale = ctx.weight * ctx.inv_std
-        if training:
-            grad_x = xhat * _per_channel(grad_w / ctx.count)
-            np.subtract(grad, grad_x, out=grad_x)
-            grad_x -= _per_channel(grad_b / ctx.count)
-            grad_x *= _per_channel(scale)
-        else:
-            grad_x = grad * _per_channel(scale)
-    return (grad_x, grad_w if need_w else None, grad_b if need_b else None)
-
-
-#: ``effect`` flags the records whose forward writes its running-stat kwargs.
-BATCH_NORM = Op(
-    "batch_norm", _batch_norm_forward, _batch_norm_vjp, effect=lambda kwargs: kwargs["training"]
-)
-
-
-def batch_norm_2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Batch normalisation for batch-last ``(C, H, W, N)`` feature maps.
-
-    ``running_mean`` / ``running_var`` are plain numpy buffers: normalised
-    against when ``training`` is false, updated in place (biased batch
-    variance) when it is true.  Both modes are differentiable in ``x``,
-    ``weight`` and ``bias``.  Shapes are checked before anything is written.
-    """
-    if x.ndim != 4 or not (
-        weight.shape == bias.shape == running_mean.shape == running_var.shape == x.shape[:1]
-    ):
-        shapes = [tuple(a.shape) for a in (weight, bias, running_mean, running_var)]
-        raise ValueError(
-            f"batch_norm_2d: a (C, H, W, N) input of shape {tuple(x.shape)} needs weight, "
-            f"bias, running_mean and running_var of shape (C,), got {shapes}"
-        )
-    return apply_op(
-        BATCH_NORM,
-        (x, weight, bias),
-        running_mean=running_mean,
-        running_var=running_var,
-        training=training,
-        momentum=momentum,
-        eps=eps,
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Convolution (a primitive op with custom backward)
 # --------------------------------------------------------------------------- #
 # Feature maps are batch-last, ``(C, H, W, N)``: an unfold copies rows of ``out_w * N``
 # values, and the conv and both of its gradients are 2-D GEMMs over the whole batch.
+def _per_channel(stat: np.ndarray) -> np.ndarray:
+    """View ``(C,)`` as ``(C, 1, 1, 1)``, to broadcast over a batch-last map."""
+    return stat.reshape(-1, 1, 1, 1)
+
+
 def _im2col(
     x: np.ndarray, kernel: Tuple[int, int], stride: Tuple[int, int], padding: Tuple[int, int]
 ) -> Tuple[np.ndarray, int, int]:
@@ -501,6 +398,29 @@ def _conv2d_vjp(ctx, grad, needs):
 CONV2D = Op("conv2d", _conv2d_forward, _conv2d_vjp)
 
 
+def _conv_geometry(name, x, weight, stride, padding):
+    """Check a conv's shapes before anything runs; return its ``stride, padding, out_h, out_w``."""
+    stride, padding = _pair(stride), _pair(padding)
+    if min(stride) < 1:
+        raise ValueError(f"{name}: stride must be positive, got {stride}")
+    if min(padding) < 0:
+        raise ValueError(f"{name}: padding must be non-negative, got {padding}")
+    if x.ndim != 4 or weight.ndim != 4 or x.shape[0] != weight.shape[1]:
+        raise ValueError(
+            f"{name}: a (C_in, H, W, N) input of shape {tuple(x.shape)} does not match "
+            f"(C_out, C_in, kh, kw) weights of shape {tuple(weight.shape)}"
+        )
+    kh, kw = weight.shape[2:]
+    if min(kh, kw) < 1 or x.shape[1] + 2 * padding[0] < kh or x.shape[2] + 2 * padding[1] < kw:
+        raise ValueError(
+            f"{name}: a {kh}x{kw} window with padding {padding} does not fit "
+            f"a (C, H, W, N) input of shape {tuple(x.shape)}"
+        )
+    out_h = (x.shape[1] + 2 * padding[0] - kh) // stride[0] + 1
+    out_w = (x.shape[2] + 2 * padding[1] - kw) // stride[1] + 1
+    return stride, padding, out_h, out_w
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -513,28 +433,124 @@ def conv2d(
     ``weight`` is ``(C_out, C_in, kh, kw)`` and ``bias`` ``(C_out,)``; shapes are
     checked before anything runs.
     """
-    stride, padding = _pair(stride), _pair(padding)
-    if min(stride) < 1:
-        raise ValueError(f"conv2d: stride must be positive, got {stride}")
-    if min(padding) < 0:
-        raise ValueError(f"conv2d: padding must be non-negative, got {padding}")
-    if x.ndim != 4 or weight.ndim != 4 or x.shape[0] != weight.shape[1]:
-        raise ValueError(
-            f"conv2d: a (C_in, H, W, N) input of shape {tuple(x.shape)} does not match "
-            f"(C_out, C_in, kh, kw) weights of shape {tuple(weight.shape)}"
-        )
+    stride, padding, _, _ = _conv_geometry("conv2d", x, weight, stride, padding)
     if bias is not None and tuple(bias.shape) != (weight.shape[0],):
         raise ValueError(
             f"conv2d: bias of shape {tuple(bias.shape)} is not (C_out,) = ({weight.shape[0]},)"
         )
-    kh, kw = weight.shape[2:]
-    if min(kh, kw) < 1 or x.shape[1] + 2 * padding[0] < kh or x.shape[2] + 2 * padding[1] < kw:
-        raise ValueError(
-            f"conv2d: a {kh}x{kw} window with padding {padding} does not fit "
-            f"a (C, H, W, N) input of shape {tuple(x.shape)}"
-        )
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return apply_op(CONV2D, inputs, stride=stride, padding=padding)
+
+
+def _conv_bn_forward(
+    ctx, x, weight, gamma, beta, *residual,
+    stride, padding, running_mean, running_var, training, momentum, eps, relu,
+):
+    # The composed layer's NumPy calls in its order (conv, batch norm, add,
+    # ReLU), each writing the buffer the one before made.  The conv vjp reads
+    # only ``cols`` and ``w_mat``, so batch norm may normalise the GEMM's output.
+    out = _conv2d_forward(ctx, x, weight, stride=stride, padding=padding)
+    ctx.training, ctx.gamma = training, gamma
+    if training:
+        count = out.size // out.shape[0]
+        mean = np.einsum("chwn->c", out) / count
+        out -= _per_channel(mean)
+        var = np.einsum("chwn,chwn->c", out, out) / count
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        out *= _per_channel(inv_std)
+        ctx.count, ctx.xhat = count, out
+        out = out * _per_channel(gamma)
+        out += _per_channel(beta)
+    else:
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma * inv_std
+        out *= _per_channel(scale)
+        out += _per_channel(beta - running_mean * scale)
+        ctx.mean = running_mean
+    ctx.inv_std = inv_std
+    if residual:
+        out += residual[0]
+    ctx.mask = out > 0 if relu else None
+    if relu:
+        out *= ctx.mask
+    return out
+
+
+def _conv_bn_vjp(ctx, grad, needs):
+    need_map, need_gamma, need_beta = needs[0] or needs[1], needs[2], needs[3]
+    if ctx.mask is not None:
+        grad = grad * ctx.mask
+    training = ctx.training
+    grad_x = grad_w = grad_gamma = grad_beta = None
+    # Batch statistics depend on the map, so its gradient needs both reductions.
+    if need_beta or (need_map and training):
+        grad_beta = np.einsum("chwn->c", grad)
+    if need_gamma or (need_map and training):
+        if training:
+            xhat = ctx.xhat
+        else:
+            # Eval mode normalised the conv's output in place: the same GEMM remakes it.
+            (_, _, _, out_h, out_w), c_out = ctx.geometry, ctx.w_shape[0]
+            pre = (ctx.w_mat @ ctx.cols).reshape(c_out, out_h, out_w, ctx.x_shape[3])
+            xhat = (pre - _per_channel(ctx.mean)) * _per_channel(ctx.inv_std)
+        grad_gamma = np.einsum("chwn,chwn->c", grad, xhat)
+    if need_map:
+        scale = ctx.gamma * ctx.inv_std
+        if training:
+            grad_map = xhat * _per_channel(grad_gamma / ctx.count)
+            np.subtract(grad, grad_map, out=grad_map)
+            grad_map -= _per_channel(grad_beta / ctx.count)
+            grad_map *= _per_channel(scale)
+        else:
+            grad_map = grad * _per_channel(scale)
+        grad_x, grad_w = _conv2d_vjp(ctx, grad_map, needs[:2])
+    grad_residual = grad if len(needs) > 4 and needs[4] else None
+    return (
+        grad_x, grad_w, grad_gamma if need_gamma else None, grad_beta if need_beta else None,
+        grad_residual,
+    )[: len(needs)]
+
+
+#: ``effect`` flags the records whose forward writes its running-stat kwargs.
+CONV_BN = Op("conv_bn", _conv_bn_forward, _conv_bn_vjp, effect=lambda kwargs: kwargs["training"])
+
+
+def conv_bn(
+    x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor, residual: Optional[Tensor] = None, *,
+    stride: IntOrPair, padding: IntOrPair, running_mean: np.ndarray, running_var: np.ndarray,
+    training: bool, momentum: float = 0.1, eps: float = 1e-5, relu: bool,
+) -> Tensor:
+    """One ResNet layer as one op: a bias-free :func:`conv2d` of the batch-last
+    map ``x``, batch norm with affine ``gamma`` / ``beta``, then ``+ residual``
+    (a map of the output's shape) and a ReLU when asked.
+
+    ``running_mean`` / ``running_var`` are plain numpy buffers: normalised
+    against when ``training`` is false, updated in place (biased batch
+    variance) when it is true.  Both modes are differentiable in every input.
+    Shapes are checked before anything is written.
+    """
+    stride, padding, out_h, out_w = _conv_geometry("conv_bn", x, weight, stride, padding)
+    channels = weight.shape[:1]
+    if not gamma.shape == beta.shape == running_mean.shape == running_var.shape == channels:
+        shapes = [tuple(a.shape) for a in (gamma, beta, running_mean, running_var)]
+        raise ValueError(
+            f"conv_bn: {channels[0]} output channels need gamma, beta, running_mean and "
+            f"running_var of shape ({channels[0]},), got {shapes}"
+        )
+    out_shape = (channels[0], out_h, out_w, x.shape[3])
+    if residual is not None and tuple(residual.shape) != out_shape:
+        raise ValueError(
+            f"conv_bn: a residual of shape {tuple(residual.shape)} is not the output's {out_shape}"
+        )
+    inputs = (x, weight, gamma, beta) if residual is None else (x, weight, gamma, beta, residual)
+    return apply_op(
+        CONV_BN, inputs, stride=stride, padding=padding, running_mean=running_mean,
+        running_var=running_var, training=training, momentum=momentum, eps=eps, relu=relu,
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -589,7 +605,6 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 
 __all__ = [
-    "relu",
     "gelu",
     "softmax",
     "log_softmax",
@@ -598,8 +613,8 @@ __all__ = [
     "l2_normalize",
     "cosine_similarity",
     "layer_norm",
-    "batch_norm_2d",
     "conv2d",
+    "conv_bn",
     "nll_loss",
     "cross_entropy",
     "soft_cross_entropy",

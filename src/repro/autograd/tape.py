@@ -340,16 +340,6 @@ def _tanh_vjp(ctx, grad, needs):
     return (grad * (1.0 - ctx.out ** 2),)
 
 
-def _relu_forward(ctx, a):
-    mask = a > 0
-    ctx.mask = mask
-    return a * mask
-
-
-def _relu_vjp(ctx, grad, needs):
-    return (grad * ctx.mask,)
-
-
 def _sum_forward(ctx, a, *, axis, keepdims):
     ctx.in_shape = a.shape
     ctx.in_ndim = a.ndim
@@ -460,7 +450,6 @@ EXP = Op("exp", _exp_forward, _exp_vjp)
 LOG = Op("log", _log_forward, _log_vjp)
 SQRT = Op("sqrt", _sqrt_forward, _sqrt_vjp)
 TANH = Op("tanh", _tanh_forward, _tanh_vjp)
-RELU = Op("relu", _relu_forward, _relu_vjp)
 SUM = Op("sum", _sum_forward, _sum_vjp)
 MAX = Op("max", _max_forward, _max_vjp)
 RESHAPE = Op("reshape", _reshape_forward, _reshape_vjp)

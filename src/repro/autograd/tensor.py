@@ -336,9 +336,6 @@ class Tensor:
     def tanh(self) -> "Tensor":
         return apply_op(_tape.TANH, (self,))
 
-    def relu(self) -> "Tensor":
-        return apply_op(_tape.RELU, (self,))
-
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #

@@ -124,6 +124,13 @@ def class_pattern(spec: DomainDatasetSpec, class_index: int) -> np.ndarray:
     return pattern
 
 
+def class_patterns(spec: DomainDatasetSpec) -> np.ndarray:
+    """Every class's :func:`class_pattern`, stacked ``(num_classes, H, W)`` and read-only."""
+    patterns = np.stack([class_pattern(spec, k) for k in range(spec.num_classes)])
+    patterns.flags.writeable = False
+    return patterns
+
+
 def domain_style(spec: DomainDatasetSpec, domain_index: int) -> DomainStyle:
     """Deterministic rendering style for one domain of the dataset."""
     if not 0 <= domain_index < spec.num_domains:
@@ -137,9 +144,9 @@ def _generate_samples(
     domain_index: int,
     split: str,
     count: int,
+    patterns: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     style = domain_style(spec, domain_index)
-    patterns = np.stack([class_pattern(spec, k) for k in range(spec.num_classes)])
     texture = domain_texture(spec.image_size, style)  # one per (size, style), not per sample
     rng = spawn_rng(spec.seed, spec.name, "samples", domain_index, split)
     labels = np.arange(count, dtype=np.int64) % spec.num_classes
@@ -163,17 +170,25 @@ def _generate_samples(
 
 
 def generate_domain_split(
-    spec: DomainDatasetSpec, domain_index: int, split: str = "train"
+    spec: DomainDatasetSpec,
+    domain_index: int,
+    split: str = "train",
+    patterns: Optional[np.ndarray] = None,
 ) -> ArrayDataset:
     """Generate the train or test split of one domain as an :class:`ArrayDataset`.
 
     Samples are always rendered in float64 and then cast to the active
     compute dtype, so a float32 split is the float64 generation rounded once.
+    ``patterns`` is the spec's :func:`class_patterns` where the caller holds
+    them (a :class:`SyntheticDomainDataset` renders them once); they are
+    rendered here otherwise.
     """
     if split not in ("train", "test"):
         raise ValueError(f"split must be 'train' or 'test', got {split!r}")
     count = spec.train_per_domain if split == "train" else spec.test_per_domain
-    images, labels = _generate_samples(spec, domain_index, split, count)
+    if patterns is None:
+        patterns = class_patterns(spec)
+    images, labels = _generate_samples(spec, domain_index, split, count, patterns)
     return ArrayDataset(images, labels)
 
 
@@ -191,7 +206,8 @@ class SyntheticDomainDataset:
     gets float32 splits and holds no float64 image array.  The cache holds
     one dtype at a time; a request under another dtype evicts it and
     generates afresh, so a float64 split is always the float64 generation
-    byte for byte, whatever was requested before.
+    byte for byte, whatever was requested before.  The class patterns every
+    split renders from are drawn once per dataset, on the first split.
     """
 
     def __init__(
@@ -207,6 +223,7 @@ class SyntheticDomainDataset:
         self._order = order
         self._cache: Dict[Tuple[int, str], ArrayDataset] = {}
         self._cache_dtype = np.dtype(np.float64)
+        self._patterns: Optional[np.ndarray] = None
 
     @property
     def name(self) -> str:
@@ -227,7 +244,9 @@ class SyntheticDomainDataset:
             self._cache_dtype = dtype
         key = (self._order[domain_index], split)
         if key not in self._cache:
-            self._cache[key] = generate_domain_split(self.spec, *key)
+            if self._patterns is None:
+                self._patterns = class_patterns(self.spec)
+            self._cache[key] = generate_domain_split(self.spec, *key, patterns=self._patterns)
         return self._cache[key]
 
     def train(self, domain_index: int) -> ArrayDataset:
@@ -251,6 +270,7 @@ __all__ = [
     "DomainStyle",
     "SyntheticDomainDataset",
     "class_pattern",
+    "class_patterns",
     "domain_style",
     "generate_domain_split",
 ]

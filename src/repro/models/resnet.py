@@ -5,6 +5,11 @@ The paper uses ResNet10 as the classification backbone's feature extractor
 convolution followed by four stages of a single BasicBlock each.  Widths and
 strides are configurable so the tiny test/bench presets can shrink the
 network while keeping the architecture identical.
+
+Each layer (conv, batch norm, the residual add where there is one, ReLU) is
+one :func:`repro.autograd.functional.conv_bn` op over its ``Conv2d`` weight
+and its ``BatchNorm2d`` parameters and buffers: a forward is 12 tape records
+(the stem's transpose, the stem and ten block layers).
 """
 
 from __future__ import annotations
@@ -18,6 +23,17 @@ from repro.autograd.tensor import Tensor
 from repro.nn.conv import Conv2d
 from repro.nn.module import Module, ModuleList
 from repro.nn.norm import BatchNorm2d
+
+
+def _conv_bn(
+    conv: Conv2d, bn: BatchNorm2d, x: Tensor, residual: Optional[Tensor] = None, relu: bool = True
+) -> Tensor:
+    """``relu(bn(conv(x)) + residual)`` as one op, in ``bn``'s train or eval mode."""
+    return F.conv_bn(
+        x, conv.weight, bn.weight, bn.bias, residual, stride=conv.stride, padding=conv.padding,
+        running_mean=bn.running_mean, running_var=bn.running_var, training=bn.training,
+        momentum=bn.momentum, eps=bn.eps, relu=relu,
+    )
 
 
 class BasicBlock(Module):
@@ -44,13 +60,11 @@ class BasicBlock(Module):
             self.shortcut_bn = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = F.relu(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
+        out = _conv_bn(self.conv1, self.bn1, x)
+        shortcut = x
         if self.shortcut_conv is not None:
-            shortcut = self.shortcut_bn(self.shortcut_conv(x))
-        else:
-            shortcut = x
-        return F.relu(out + shortcut)
+            shortcut = _conv_bn(self.shortcut_conv, self.shortcut_bn, x, relu=False)
+        return _conv_bn(self.conv2, self.bn2, out, residual=shortcut)
 
 
 class ResNet10(Module):
@@ -96,7 +110,7 @@ class ResNet10(Module):
         self.out_channels = channels[-1]
 
     def forward(self, x: Tensor) -> Tensor:
-        out = F.relu(self.stem_bn(self.stem_conv(x.transpose(1, 2, 3, 0))))
+        out = _conv_bn(self.stem_conv, self.stem_bn, x.transpose(1, 2, 3, 0))
         for block in self.blocks:
             out = block(out)
         return out

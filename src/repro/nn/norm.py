@@ -1,4 +1,4 @@
-"""Normalisation layers: BatchNorm2d and LayerNorm."""
+"""Normalisation layers: BatchNorm2d (parameters and buffers only) and LayerNorm."""
 
 from __future__ import annotations
 
@@ -10,7 +10,14 @@ from repro.nn.module import Module, Parameter
 
 
 class BatchNorm2d(Module):
-    """Batch normalisation for batch-last convolutional feature maps ``(C, H, W, N)``."""
+    """The parameters and running buffers of batch normalisation over batch-last
+    ``(C, H, W, N)`` feature maps.
+
+    It has no forward of its own: batch norm runs inside the conv before it, as
+    one :func:`repro.autograd.functional.conv_bn` op that reads ``weight``,
+    ``bias``, ``running_mean``, ``running_var``, ``momentum``, ``eps`` and the
+    module's ``training`` flag (see :class:`repro.models.resnet.BasicBlock`).
+    """
 
     def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1) -> None:
         super().__init__()
@@ -21,18 +28,6 @@ class BatchNorm2d(Module):
         self.bias = Parameter(np.zeros(num_features))
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.batch_norm_2d(
-            x,
-            self.weight,
-            self.bias,
-            self.running_mean,
-            self.running_var,
-            training=self.training,
-            momentum=self.momentum,
-            eps=self.eps,
-        )
 
 
 class LayerNorm(Module):

@@ -14,11 +14,17 @@ from repro.autograd.tensor import default_dtype
 RNG = np.random.default_rng(42)
 
 
-class TestActivations:
-    def test_relu_matches_numpy(self):
-        x = RNG.standard_normal((3, 4))
-        assert np.allclose(F.relu(Tensor(x)).data, np.maximum(x, 0))
+def _batch_norm(x, gamma, beta, running_mean, running_var, training, momentum=0.1):
+    """Batch norm alone: the layer op over an identity 1x1 conv (exact: x * 1 + 0 * ...)."""
+    channels = x.shape[0]
+    identity = Tensor(np.eye(channels).reshape(channels, channels, 1, 1))
+    return F.conv_bn(
+        x, identity, gamma, beta, stride=1, padding=0, running_mean=running_mean,
+        running_var=running_var, training=training, momentum=momentum, relu=False,
+    )
 
+
+class TestActivations:
     def test_softmax_rows_sum_to_one(self):
         x = Tensor(RNG.standard_normal((5, 7)))
         probs = F.softmax(x).data
@@ -65,13 +71,13 @@ class TestLinearAndNorm:
         x = Tensor(RNG.standard_normal((4, 5, 5, 8)) * 3 + 2)
         weight, bias = Tensor(np.ones(4)), Tensor(np.zeros(4))
         running_mean, running_var = np.zeros(4), np.ones(4)
-        out = F.batch_norm_2d(x, weight, bias, running_mean, running_var, training=True)
+        out = _batch_norm(x, weight, bias, running_mean, running_var, training=True)
         assert np.allclose(out.data.mean(axis=(1, 2, 3)), 0.0, atol=1e-6)
         assert not np.allclose(running_mean, 0.0)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_batch_norm_matches_composed_reference(self, training):
-        """The fused op against the elementwise graph it replaced."""
+        """The layer op's batch norm against the elementwise graph it replaced."""
 
         def composed(x, weight, bias, running_mean, running_var):
             if training:
@@ -90,7 +96,7 @@ class TestLinearAndNorm:
         data = RNG.standard_normal((3, 4, 4, 6)) * 2 + 1
         mix = Tensor(RNG.standard_normal(data.shape))
         results = []
-        for fn in (composed, lambda *args: F.batch_norm_2d(*args, training=training)):
+        for fn in (composed, lambda *args: _batch_norm(*args, training=training)):
             x = Tensor(data, requires_grad=True)
             weight = Tensor(np.array([0.5, 1.0, 2.0]), requires_grad=True)
             bias = Tensor(np.array([0.1, -0.2, 0.3]), requires_grad=True)
@@ -105,27 +111,34 @@ class TestLinearAndNorm:
         x = Tensor(RNG.standard_normal((2, 3, 3, 4)))
         weight, bias = Tensor(np.ones(2)), Tensor(np.zeros(2))
         running_mean, running_var = np.array([5.0, -5.0]), np.array([1.0, 1.0])
-        out = F.batch_norm_2d(x, weight, bias, running_mean, running_var, training=False)
+        out = _batch_norm(x, weight, bias, running_mean, running_var, training=False)
         assert np.allclose(out.data[0], x.data[0] - 5.0, atol=1e-2)
 
     @pytest.mark.parametrize(
-        "x_shape, sizes",
+        "x_shape, sizes, residual_shape",
         [
-            ((2, 4, 4, 3), (5, 5, 5, 5)),  # channel count read from the wrong axis
-            ((5, 4, 4, 3), (5, 5, 5, 4)),  # one running buffer too short
-            ((5, 4, 4, 3), (5, 4, 5, 5)),  # bias too short
-            ((5, 4, 4), (5, 5, 5, 5)),  # not a 4-D map
+            ((5, 4, 4, 3), (3, 3, 3, 3), None),  # the input's channel count, not the output's
+            ((3, 4, 4, 3), (5, 5, 5, 4), None),  # one running buffer too short
+            ((3, 4, 4, 3), (5, 4, 5, 5), None),  # beta too short
+            ((3, 4, 4), (5, 5, 5, 5), None),  # not a 4-D map
+            ((4, 4, 4, 3), (5, 5, 5, 5), None),  # x's channels do not match the weight
+            ((3, 4, 4, 3), (5, 5, 5, 5), (5, 4, 4, 3)),  # the input's extent: stride 2 halves it
         ],
-        ids=["channels", "running-var", "bias", "rank"],
+        ids=["channels", "running-var", "bias", "rank", "weights", "residual"],
     )
     def test_batch_norm_refuses_mismatched_shapes_before_writing_its_buffers(
-        self, x_shape, sizes
+        self, x_shape, sizes, residual_shape
     ):
         x = Tensor(RNG.standard_normal(x_shape))
-        weight, bias = Tensor(np.ones(sizes[0])), Tensor(np.zeros(sizes[1]))
+        weight = Tensor(RNG.standard_normal((5, 3, 3, 3)))
+        gamma, beta = Tensor(np.ones(sizes[0])), Tensor(np.zeros(sizes[1]))
         running_mean, running_var = np.ones(sizes[2]), np.ones(sizes[3])
-        with pytest.raises(ValueError, match=r"batch_norm_2d: a \(C, H, W, N\) input of shape"):
-            F.batch_norm_2d(x, weight, bias, running_mean, running_var, training=True)
+        residual = None if residual_shape is None else Tensor(np.ones(residual_shape))
+        with pytest.raises(ValueError, match=r"conv_bn: "):
+            F.conv_bn(
+                x, weight, gamma, beta, residual, stride=2, padding=1, running_mean=running_mean,
+                running_var=running_var, training=True, relu=True,
+            )
         assert np.array_equal(running_mean, np.ones(sizes[2]))
         assert np.array_equal(running_var, np.ones(sizes[3]))
 
@@ -514,7 +527,7 @@ class TestBatchLastLayout:
         running_mean, running_var = np.zeros(channels), np.ones(channels)
         weight, bias = Tensor(np.ones(channels)), Tensor(np.zeros(channels))
         x = Tensor(np.ascontiguousarray(_batch_last(maps)))
-        F.batch_norm_2d(x, weight, bias, running_mean, running_var, training=True, momentum=1.0)
+        _batch_norm(x, weight, bias, running_mean, running_var, training=True, momentum=1.0)
         np.testing.assert_allclose(running_mean, mean, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(running_var, var, rtol=1e-12)
 
@@ -530,8 +543,10 @@ class TestBatchLastLayout:
                 gamma, beta = Tensor(rng.standard_normal(c_out)), Tensor(rng.standard_normal(c_out))
 
                 def forward(x):
-                    out = F.conv2d(Tensor(x), weight, stride=stride, padding=padding)
-                    return F.batch_norm_2d(out, gamma, beta, mean, var, training=False).data
+                    return F.conv_bn(
+                        Tensor(x), weight, gamma, beta, stride=stride, padding=padding,
+                        running_mean=mean, running_var=var, training=False, relu=True,
+                    ).data
 
                 batched = forward(maps)
                 assert batched.dtype == dtype
@@ -637,19 +652,13 @@ class TestEveryOpGradCheck:
     """Systematic float64 finite-difference sweep over ``functional.__all__``.
 
     Every differentiable functional gets at least one check against its
-    numerical gradient; ops with kinks (relu) use inputs bounded away from
-    the kink so the finite difference is well defined, and stateful ops
-    (batch_norm) rebuild their state inside the closure so repeated
-    evaluations are deterministic.
+    numerical gradient; stateful ops (the layer op's batch norm) rebuild
+    their state inside the closure so repeated evaluations are
+    deterministic.
     """
 
     def _rand(self, *shape):
         return Tensor(RNG.standard_normal(shape), requires_grad=True)
-
-    def test_relu(self):
-        x = RNG.standard_normal((4, 5))
-        x = Tensor(x + 0.2 * np.sign(x), requires_grad=True)  # keep away from the kink
-        assert check_gradient(lambda t: F.relu(t).sum(), [x])
 
     def test_tanh(self):
         # Tensor.tanh builds the composed GELU reference in test_fused_ops.py.
@@ -683,7 +692,7 @@ class TestEveryOpGradCheck:
         def fn(x, w, b):
             # fresh buffers per call: the in-place running-stat update must not
             # leak across the repeated evaluations of the finite difference
-            return F.batch_norm_2d(x, w, b, np.zeros(3), np.ones(3), training=True).sum()
+            return _batch_norm(x, w, b, np.zeros(3), np.ones(3), training=True).sum()
 
         for wrt in range(3):
             assert check_gradient(fn, [x, w, b], wrt=wrt, atol=1e-3)
@@ -693,14 +702,15 @@ class TestEveryOpGradCheck:
         # A plain .sum() of a train-mode output is constant in x; the random
         # weighting makes every input's gradient non-trivial.  Eval mode must
         # stay differentiable too: a fine-tuning step may run a frozen
-        # submodule's batch norm against its running statistics.
+        # submodule's batch norm against its running statistics.  (The layer
+        # op's own gradcheck, every input, is in test_fused_ops.py.)
         x = self._rand(3, 2, 2, 4)
         w, b = self._rand(3), self._rand(3)
         mix = Tensor(RNG.standard_normal((3, 2, 2, 4)))
         mean, var = RNG.standard_normal(3), RNG.uniform(0.5, 2.0, 3)
 
         def fn(x, w, b):
-            out = F.batch_norm_2d(x, w, b, mean.copy(), var.copy(), training=training)
+            out = _batch_norm(x, w, b, mean.copy(), var.copy(), training=training)
             return (out * mix).sum()
 
         for wrt in range(3):

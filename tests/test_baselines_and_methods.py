@@ -181,7 +181,10 @@ class TestRefFiLMethod:
     def test_local_update_traced_peak_stays_under_bound(self):
         """A float32 tiny-scale local update's traced peak, after one warm-up
         update: 10.98 MB while backward kept every op context until its walk
-        ended, 9.33 MB once each node is freed as the walk passes it."""
+        ended, 9.33 MB once each node is freed as the walk passes it, 8.80 MB
+        while each ResNet layer kept its conv, batch-norm and ReLU outputs
+        alive as three arrays, 7.25 MB once the layer is one op that
+        normalises the conv's output in place."""
         config = scaled_config("office_caltech", ExperimentScale.TINY, seed=0)
         with default_dtype(np.float32):
             dataset = build_dataset("office_caltech", spec_override=config.spec).train(0)
@@ -209,7 +212,7 @@ class TestRefFiLMethod:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < 10.0e6, f"traced peak {peak / 1e6:.2f} MB"
+        assert peak < 8.0e6, f"traced peak {peak / 1e6:.2f} MB"
 
     def test_dpcl_requires_prompt_machinery(self, tiny_backbone_config):
         with pytest.raises(ValueError):

@@ -370,11 +370,12 @@ class TestDPCLBatchedEquivalence:
             assert breakdown.dpcl > 0.0
             records.append(len(tape.records))
         assert records[0] == records[1]
-        # One dispatched op per transformer layer: a change that re-composes
-        # layer_norm / gelu / softmax / log_softmax / linear from elementary
-        # ops (~299 records), or attention from its head split, scores,
-        # softmax and merge (153), fails here, not in a benchmark.
-        assert records[0] <= 140, records
+        # One dispatched op per transformer layer and per ResNet layer: a
+        # change that re-composes layer_norm / gelu / softmax / log_softmax /
+        # linear from elementary ops (~299 records), attention from its head
+        # split, scores, softmax and merge (153), or a ResNet layer from its
+        # conv, batch norm, add and ReLU (131) fails here, not in a benchmark.
+        assert records[0] <= 107, records
 
 
 class TestGPLLoss:

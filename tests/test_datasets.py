@@ -311,6 +311,36 @@ class TestSyntheticDomainDataset:
             assert dataset.test(0) is not narrow
             assert dataset.test(0).images.tobytes() == narrow.images.tobytes()
 
+    def test_class_patterns_render_once_per_dataset_and_stay_read_only(
+        self, tiny_spec, monkeypatch
+    ):
+        from repro.datasets import synthetic
+
+        calls = []
+        real = synthetic.class_pattern
+
+        def counting(spec, class_index):
+            calls.append(class_index)
+            return real(spec, class_index)
+
+        monkeypatch.setattr(synthetic, "class_pattern", counting)
+        dataset = SyntheticDomainDataset(tiny_spec)
+        got = [dataset.domain_split(d, split) for d in range(2) for split in ("train", "test")]
+        assert calls == list(range(tiny_spec.num_classes))
+        with default_dtype(np.float32):  # a dtype switch re-renders splits, not patterns
+            dataset.train(0)
+        assert calls == list(range(tiny_spec.num_classes))
+        assert not dataset._patterns.flags.writeable
+        with pytest.raises(ValueError):
+            dataset._patterns[0, 0, 0] = 1.0
+        # A new instance pays for its own patterns: nothing is memoised per module.
+        SyntheticDomainDataset(tiny_spec).train(0)
+        assert len(calls) == 2 * tiny_spec.num_classes
+        monkeypatch.undo()
+        want = [generate_domain_split(tiny_spec, d, split) for d in range(2) for split in ("train", "test")]
+        for g, w in zip(got, want):
+            assert g.images.tobytes() == w.images.tobytes() and np.array_equal(g.labels, w.labels)
+
     def test_reordered_view(self, tiny_spec):
         dataset = SyntheticDomainDataset(tiny_spec)
         view = dataset.reordered([1, 0, 2, 3])

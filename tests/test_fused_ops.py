@@ -1,13 +1,15 @@
-"""The six fused transformer-layer ops: LAYER_NORM, GELU, SOFTMAX, LOG_SOFTMAX, LINEAR, ATTENTION.
+"""The fused layer ops: LAYER_NORM, GELU, SOFTMAX, LOG_SOFTMAX, LINEAR, ATTENTION and CONV_BN.
 
 Each is one primitive :class:`~repro.autograd.tape.Op` with a hand-written
 vjp.  The composed graphs they replaced live on here as the reference: the
 fused forward must agree with them to 1e-12 and the gradients to 1e-10
-(ATTENTION makes the composed graph's NumPy calls in its order, so it must
-agree bit for bit), and both interpreters of the op table (eager, the serving
-plane's forward-only plan) must run them.  The transformer block computes the
-[CLS] row only; the full-sequence block it replaced lives on here too, as the
-oracle whose row 0 the block must match.
+(ATTENTION and CONV_BN make the composed graph's NumPy calls in its order, so
+they must agree bit for bit), and both interpreters of the op table (eager,
+the serving plane's forward-only plan) must run them.  The transformer block
+computes the [CLS] row only; the full-sequence block it replaced lives on here
+too, as the oracle whose row 0 the block must match.  A ResNet layer (conv,
+batch norm, residual add, ReLU) is one CONV_BN; the batch-norm and ReLU ops it
+replaced live on here, and the composed layer built from them is its oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 
 from repro.autograd import Tensor, default_dtype, functional as F
 from repro.autograd.grad_check import check_gradient
-from repro.autograd.tape import Tape, tracing
+from repro.autograd.tape import Op, Tape, tracing
+from repro.autograd.tensor import apply_op
 from repro.nn.module import Parameter
 
 
@@ -78,6 +81,123 @@ def full_sequence_block(block, tokens):
     context = F.attention(q, k, v, attention.num_heads, attention.scale)
     attended = block.norm_attention(attention.proj(context))
     return block.norm_out(tokens + attended + block.mlp(attended))
+
+
+def _per_channel(stat):
+    return stat.reshape(-1, 1, 1, 1)
+
+
+def _batch_norm_forward(
+    ctx, x, weight, bias, *, running_mean, running_var, training, momentum, eps
+):
+    ctx.training = training
+    ctx.weight = weight
+    if training:
+        count = x.size // x.shape[0]
+        mean = np.einsum("chwn->c", x) / count
+        xhat = x - _per_channel(mean)
+        var = np.einsum("chwn,chwn->c", xhat, xhat) / count
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat *= _per_channel(inv_std)
+        out = xhat * _per_channel(weight)
+        out += _per_channel(bias)
+        ctx.count = count
+        ctx.xhat = xhat
+        ctx.inv_std = inv_std
+        return out
+    inv_std = 1.0 / np.sqrt(running_var + eps)
+    scale = weight * inv_std
+    out = x * _per_channel(scale)
+    out += _per_channel(bias - running_mean * scale)
+    ctx.x = x
+    ctx.mean = running_mean
+    ctx.inv_std = inv_std
+    return out
+
+
+def _batch_norm_vjp(ctx, grad, needs):
+    need_x, need_w, need_b = needs
+    training = ctx.training
+    grad_x = grad_w = grad_b = None
+    if need_b or (need_x and training):
+        grad_b = np.einsum("chwn->c", grad)
+    if need_w or (need_x and training):
+        if training:
+            xhat = ctx.xhat
+        else:
+            xhat = (ctx.x - _per_channel(ctx.mean)) * _per_channel(ctx.inv_std)
+        grad_w = np.einsum("chwn,chwn->c", grad, xhat)
+    if need_x:
+        scale = ctx.weight * ctx.inv_std
+        if training:
+            grad_x = xhat * _per_channel(grad_w / ctx.count)
+            np.subtract(grad, grad_x, out=grad_x)
+            grad_x -= _per_channel(grad_b / ctx.count)
+            grad_x *= _per_channel(scale)
+        else:
+            grad_x = grad * _per_channel(scale)
+    return (grad_x, grad_w if need_w else None, grad_b if need_b else None)
+
+
+def _relu_forward(ctx, a):
+    mask = a > 0
+    ctx.mask = mask
+    return a * mask
+
+
+def _relu_vjp(ctx, grad, needs):
+    return (grad * ctx.mask,)
+
+
+#: The standalone ops a ResNet layer dispatched before CONV_BN (moved here from
+#: functional.py and tape.py).
+BATCH_NORM = Op("batch_norm", _batch_norm_forward, _batch_norm_vjp)
+RELU = Op("relu", _relu_forward, _relu_vjp)
+
+
+def composed_conv_bn(
+    x, weight, gamma, beta, residual=None, *,
+    stride, padding, running_mean, running_var, training, momentum=0.1, eps=1e-5, relu,
+):
+    """``F.conv_bn`` as the four ops it was: conv2d, batch_norm, add, relu."""
+    out = apply_op(
+        BATCH_NORM,
+        (F.conv2d(x, weight, stride=stride, padding=padding), gamma, beta),
+        running_mean=running_mean,
+        running_var=running_var,
+        training=training,
+        momentum=momentum,
+        eps=eps,
+    )
+    if residual is not None:
+        out = out + residual
+    return apply_op(RELU, (out,)) if relu else out
+
+
+def composed_resnet_forward(net, x):
+    """``ResNet10.forward`` as it was: every layer four ops over its modules."""
+
+    def layer(conv, bn, x, residual=None, relu=True):
+        return composed_conv_bn(
+            x, conv.weight, bn.weight, bn.bias, residual,
+            stride=conv.stride, padding=conv.padding, running_mean=bn.running_mean,
+            running_var=bn.running_var, training=bn.training, momentum=bn.momentum,
+            eps=bn.eps, relu=relu,
+        )
+
+    out = layer(net.stem_conv, net.stem_bn, x.transpose(1, 2, 3, 0))
+    for block in net.blocks:
+        inner = layer(block.conv1, block.bn1, out)
+        inner = layer(block.conv2, block.bn2, inner, relu=False)
+        shortcut = out
+        if block.shortcut_conv is not None:
+            shortcut = layer(block.shortcut_conv, block.shortcut_bn, out, relu=False)
+        out = apply_op(RELU, (inner + shortcut,))
+    return out
 
 
 DTYPES = [np.float64, np.float32]
@@ -347,6 +467,185 @@ class TestClsOnlyBlockMatchesFullSequence:
                 continue
             scale = float(np.abs(w).max(initial=0.0))
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * scale, err_msg=name)
+
+
+#: The ResNet's conv geometries, ``(kernel, padding)``: the 3x3 layers and the
+#: 1x1 shortcut, each drawn at stride 1 and 2.
+LAYER_GEOMETRIES = [(3, 1), (1, 0)]
+
+
+def _layer_case(rng, channels, size, batch, kernel, padding, stride, residual):
+    """The op's arrays ``x, weight, gamma, beta[, residual]`` and its two running buffers."""
+    c_in, c_out = channels
+    out_size = (size + 2 * padding - kernel) // stride + 1
+    arrays = [
+        rng.standard_normal((c_in, size, size, batch)),
+        rng.standard_normal((c_out, c_in, kernel, kernel)) / np.sqrt(c_in * kernel * kernel),
+        rng.uniform(0.5, 1.5, c_out),
+        0.5 * rng.standard_normal(c_out),
+    ]
+    if residual:
+        arrays.append(rng.standard_normal((c_out, out_size, out_size, batch)))
+    return arrays, (0.3 * rng.standard_normal(c_out), rng.uniform(0.5, 2.0, c_out))
+
+
+def _run_layer(fn, arrays, running, dtype, *, requires=None, **kwargs):
+    """Forward, backward of a non-uniform seed: output, every input's grad, both buffers."""
+    requires = requires or [True] * len(arrays)
+    with default_dtype(dtype):
+        inputs = [Tensor(a, requires_grad=r) for a, r in zip(arrays, requires)]
+        mean, var = (np.asarray(b, dtype=dtype) for b in running)
+        residual = inputs[4:] or [None]
+        out = fn(*inputs[:4], residual[0], running_mean=mean, running_var=var, **kwargs)
+        out.backward(np.cos(np.arange(out.data.size)).reshape(out.shape).astype(dtype))
+    return [out.data] + [t.grad for t in inputs] + [mean, var]
+
+
+def _assert_bits(got, want):
+    for i, (g, w) in enumerate(zip(got, want)):
+        if w is None:
+            assert g is None, i
+            continue
+        assert g.dtype == w.dtype and g.shape == w.shape, i
+        assert g.tobytes() == w.tobytes(), i
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+class TestLayerOpMatchesComposed:
+    """CONV_BN against the conv2d, batch_norm, add and relu ops it replaced: the
+    forward, every input's gradient and both running buffers, bit for bit."""
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(
+        geometry=st.sampled_from(LAYER_GEOMETRIES),
+        stride=st.integers(1, 2),
+        channels=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        size=st.integers(1, 6),
+        batch=st.integers(1, 4),
+        training=st.booleans(),
+        residual=st.booleans(),
+        relu=st.booleans(),
+        seed=seeds,
+    )
+    @example((3, 1), 2, (4, 4), 4, 3, True, True, True, 0)  # a strided block's conv1 shape
+    @example((1, 0), 2, (2, 4), 4, 3, True, False, False, 1)  # its 1x1 shortcut
+    @example((3, 1), 1, (4, 4), 4, 3, False, True, True, 2)  # eval-mode conv2 + residual
+    @example((3, 1), 1, (1, 1), 1, 1, True, False, True, 3)  # one value per channel
+    def test_a_layer_is_the_composed_layer_bit_for_bit(
+        self, dtype, geometry, stride, channels, size, batch, training, residual, relu, seed
+    ):
+        (kernel, padding), rng = geometry, np.random.default_rng(seed)
+        arrays, running = _layer_case(rng, channels, size, batch, kernel, padding, stride, residual)
+        kwargs = dict(stride=stride, padding=padding, training=training, relu=relu)
+        got = _run_layer(F.conv_bn, arrays, running, dtype, **kwargs)
+        want = _run_layer(composed_conv_bn, arrays, running, dtype, **kwargs)
+        assert got[0].dtype == np.dtype(dtype)
+        _assert_bits(got, want)
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_resnet_trains_bit_for_bit_as_it_did_composed(self, dtype, training):
+        """Through the whole ResNet a block input's gradient is a sum (conv1 and
+        the residual or shortcut both read it), and the one-op layers must walk
+        it as the composed graph did, in both modes."""
+        from repro.models.resnet import ResNet10
+
+        def run(forward):
+            with default_dtype(dtype):
+                rng = np.random.default_rng(5)
+                net = ResNet10(base_width=4, rng=rng)
+                net.train(training)
+                images = Tensor(rng.standard_normal((3, 3, 16, 16)), requires_grad=True)
+                out = forward(net, images)
+                out.backward(np.cos(np.arange(out.data.size)).reshape(out.shape).astype(dtype))
+            return [out.data, images.grad] + [
+                p.grad for p in net.parameters()
+            ] + [b for _, b in net.named_buffers()]
+
+        fused, composed = run(lambda net, x: net(x)), run(composed_resnet_forward)
+        assert len(fused) == len(composed)
+        _assert_bits(fused, composed)
+
+    @pytest.mark.parametrize("frozen", range(5))
+    def test_needs_are_honoured(self, dtype, frozen):
+        # A frozen input gets no gradient; every other input gets the same bits.
+        arrays, running = _layer_case(np.random.default_rng(8), (3, 4), 4, 2, 3, 1, 2, True)
+        kwargs = dict(stride=2, padding=1, training=True, relu=True)
+        everything = _run_layer(F.conv_bn, arrays, running, dtype, **kwargs)
+        requires = [i != frozen for i in range(5)]
+        got = _run_layer(F.conv_bn, arrays, running, dtype, requires=requires, **kwargs)
+        assert got[1 + frozen] is None
+        got[1 + frozen] = everything[1 + frozen] = None
+        _assert_bits(got, everything)
+
+
+class TestLayerOpGradCheck:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_every_input_at_float64(self, training, stride, relu):
+        arrays, running = _layer_case(np.random.default_rng(9), (2, 3), 4, 3, 3, 1, stride, True)
+        mix = Tensor(np.cos(np.arange(arrays[4].size)).reshape(arrays[4].shape))
+
+        def layer(x, weight, gamma, beta, residual, relu=relu):
+            # Fresh buffers per call: the train-mode running-stat update must
+            # not leak across the finite difference's evaluations.
+            mean, var = (b.copy() for b in running)
+            return F.conv_bn(
+                x, weight, gamma, beta, residual, stride=stride, padding=1,
+                running_mean=mean, running_var=var, training=training, relu=relu,
+            )
+
+        # Push every pre-activation 0.3 from the ReLU's kink: a finite
+        # difference across it is no derivative.
+        tensors = [Tensor(a) for a in arrays]
+        pre = layer(*tensors, relu=False).data
+        arrays[4] = arrays[4] + 0.3 * np.sign(pre)
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        for wrt in range(5):
+            assert check_gradient(
+                lambda *a: (layer(*a) * mix).sum(), inputs, wrt=wrt, **GRAD_CHECK[np.float64]
+            ), wrt
+
+
+class TestLayerOpRecords:
+    def test_a_resnet_forward_is_twelve_records(self):
+        """The stem's transpose, then one CONV_BN per layer: the stem, two per
+        block and the two projection shortcuts (36 records while conv, batch
+        norm, add and ReLU were ops of their own)."""
+        from repro.models.resnet import ResNet10
+
+        net = ResNet10(base_width=4, rng=np.random.default_rng(0))
+        images = Tensor(np.random.default_rng(1).standard_normal((2, 3, 16, 16)))
+        for training in (True, False):
+            net.train(training)
+            tape = Tape()
+            with tracing(tape):
+                net(images)
+            assert [rec.op.name for rec in tape.records] == ["transpose"] + ["conv_bn"] * 11
+            assert [rec.has_effect for rec in tape.records[1:]] == [training] * 11
+
+    def test_the_forward_plan_serves_a_resnet_bit_for_bit(self):
+        from repro.autograd import no_grad
+        from repro.models.resnet import ResNet10
+        from repro.serving.engine import ForwardPlan
+
+        rng = np.random.default_rng(16)
+        net = ResNet10(base_width=4, rng=rng)
+        net.train()
+        with no_grad():
+            net(Tensor(rng.standard_normal((4, 3, 16, 16))))  # non-trivial running stats
+        net.eval()
+        images, other = (rng.standard_normal((2, 3, 16, 16)) for _ in range(2))
+        with no_grad():
+            tape = Tape()
+            x = Tensor(images)
+            tape.mark_input("images", x)
+            with tracing(tape):
+                logits = net(x)
+            plan = ForwardPlan(tape, logits)
+            assert len(plan._instructions) == 12
+            for batch in (images, other, images):
+                assert plan.run(batch).tobytes() == net(Tensor(batch)).data.tobytes()
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
