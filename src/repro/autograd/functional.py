@@ -470,13 +470,17 @@ def _conv_bn_forward(
         scale = gamma * inv_std
         out *= _per_channel(scale)
         out += _per_channel(beta - running_mean * scale)
-        ctx.mean = running_mean
     ctx.inv_std = inv_std
     if residual:
         out += residual[0]
     ctx.mask = out > 0 if relu else None
     if relu:
         out *= ctx.mask
+    if not training:
+        # The backward's own copy: a train-mode forward before it updates the
+        # buffer.  Taken last: copied before the mask, this small array moved
+        # the heap layout enough to raise `train_reffil`'s peak RSS ~5%.
+        ctx.mean = running_mean.copy()
     return out
 
 

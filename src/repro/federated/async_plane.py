@@ -265,7 +265,6 @@ class TemporalPlaneRunner:
                 "dispatch", task_id=task_id, client_id=client_id, index=index, version=version
             )
             return
-        sim.consult_worker_kill(task_id, index)
         handle = sim.client_handle(client_id, task_id, cohort, "event", index)
         # The compute happens now (the local update is a pure function of the
         # dispatch-time broadcast); only its *application* waits for the

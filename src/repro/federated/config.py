@@ -204,15 +204,14 @@ class FederatedConfig:
         (a partial buffer left at the end of a task still flushes).  ``0``
         (default) means ``clients_per_round`` — the synchronous cohort size.
         Ignored outside ``mode="buffered"``.""")
-    # Any enabled spec stays in the key outright (the failure trace changes
-    # the numbers); a spec that can never fire never constructs an injector.
-    faults: FaultSpec = knob(FaultSpec, inert=lambda c: not c.faults.enabled, doc="""
+    # No inert rule: every field is a rate or a period, so every spec but the
+    # default can fire, and the default never constructs an injector.
+    faults: FaultSpec = knob(FaultSpec, doc="""
         The fault plane's schedule (:class:`repro.federated.faults.FaultSpec`):
         per-round client-crash probability, per-attempt upload loss/corruption
-        probabilities, per-round worker-kill probability, and a periodic
-        simulated server restart.  The default all-zero spec never constructs
-        an injector — the zero-fault path is bit-for-bit identical to a build
-        without the fault plane.""")
+        probabilities, and a periodic simulated server restart.  The default
+        all-zero spec never constructs an injector — the zero-fault path is
+        bit-for-bit identical to a build without the fault plane.""")
     # Without frame faults no frame ever fails, so the retry bound and the
     # backoff are never consulted; with them they change delivery and stay.
     retries: int = knob(2, minimum=0, inert=lambda c: not c.faults.frame_faults, doc="""

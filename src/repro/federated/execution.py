@@ -23,8 +23,7 @@ the paper's evaluation protocol (Sec. V-A), which scores the global model on
 *every* seen domain after each learning step (an O(T²) forward-pass workload
 per run).  Both go through one fan-out: a chunk carries its work units whole
 (each :class:`ClientHandle` or :class:`EvalJob` with its dataset), so a worker
-holds no data between chunks and a chunk replayed to a respawned worker is
-the same message sent again.  :meth:`ParallelExecutor.run_eval` fans
+holds no data between chunks.  :meth:`ParallelExecutor.run_eval` fans
 :class:`EvalJob` units — one (seen-task, batch-aligned test-shard slice) each
 — over the workers and reassembles per-slice *integer* correct/total counts
 in job order.  Slices are cut on the serial ``DataLoader``'s batch grid
@@ -212,8 +211,8 @@ _CHUNK_RUNNERS: Dict[str, Callable[..., List[tuple]]] = {
 class WorkerDiedError(RuntimeError):
     """A pinned pool worker died without reporting its chunk's result.
 
-    Raised whether or not fault injection is active, once every other pending
-    worker has reported and the respawn budget cannot cover the deaths.
+    Raised on the first death, once every other pending worker has reported;
+    the executor tears its pool down and the next call starts a fresh one.
     Carries which workers died with which exit codes and the client ids whose
     updates were lost with them.
     """
@@ -311,27 +310,23 @@ class _PinnedWorkerPool:
 
     ``concurrent.futures.ProcessPoolExecutor`` hands tasks to whichever worker
     grabs them first.  Pinning each worker to its own pipe lets the parent
-    decide which worker runs which chunk, so a dead worker's chunk is known
-    and can be replayed.  No lock or feeder thread is shared, so a worker's
-    death can lose only its own report.
+    decide which worker runs which chunk, so a dead worker's chunk, and the
+    clients lost with it, is known.  No lock or feeder thread is shared, so a
+    worker's death can lose only its own report.
     """
 
     def __init__(self, num_workers: int, context) -> None:
-        self._context = context
-        self._conns: List[Any] = [None] * num_workers
-        self._processes: List[Any] = [None] * num_workers
-        for worker_id in range(num_workers):
-            self._start(worker_id)
-        self.blas_threads: List[Optional[int]] = [conn.recv() for conn in self._conns]
-
-    def _start(self, worker_id: int) -> None:
-        conn, child_conn = self._context.Pipe()
-        process = self._context.Process(target=_worker_main, args=(child_conn,), daemon=True)
-        process.start()
-        # Only the worker may hold its end: its exit must read as EOF here.
-        child_conn.close()
-        self._conns[worker_id] = conn
-        self._processes[worker_id] = process
+        self._conns: List[Any] = []
+        self._processes: List[Any] = []
+        for _ in range(num_workers):
+            conn, child_conn = context.Pipe()
+            process = context.Process(target=_worker_main, args=(child_conn,), daemon=True)
+            process.start()
+            # Only the worker may hold its end: its exit must read as EOF here.
+            child_conn.close()
+            self._conns.append(conn)
+            self._processes.append(process)
+        self.blas_threads: Tuple[Optional[int], ...] = tuple(conn.recv() for conn in self._conns)
 
     def submit(self, worker_id: int, message: tuple) -> None:
         try:
@@ -364,17 +359,6 @@ class _PinnedWorkerPool:
             else:
                 reports.append((worker_id, status, payload))
         return reports
-
-    def kill(self, worker_id: int) -> None:
-        """Kill a worker outright (the fault plane's injected crash)."""
-        self._processes[worker_id].kill()
-        self._processes[worker_id].join()
-
-    def respawn(self, worker_id: int) -> None:
-        """Replace a dead worker with a fresh process on a fresh pipe."""
-        self._conns[worker_id].close()
-        self._start(worker_id)
-        self.blas_threads[worker_id] = self._conns[worker_id].recv()
 
     def close(self) -> None:
         for worker_id in range(len(self._conns)):
@@ -489,10 +473,9 @@ class RoundIPC:
 
     ``method_bytes`` and ``broadcast_bytes`` count the blob size times the
     number of worker messages that embedded it (each worker's pipe carries its
-    own copy of the shared bytes; a chunk replayed to a respawned worker is
-    one more message), and ``shard_bytes`` is the pickled size of the client
-    datasets those messages carried, so all three byte fields are comparable
-    measures of actual cross-process traffic.  ``num_messages`` is that
+    own copy of the shared bytes), and ``shard_bytes`` is the pickled size of
+    the client datasets those messages carried, so all three byte fields are
+    comparable measures of actual cross-process traffic.  ``num_messages`` is that
     message count, so ``broadcast_bytes / num_messages`` recovers the single
     broadcast blob length: the model version's ``identity`` frame body, so
     under the ``identity`` codec it equals each per-client broadcast record
@@ -539,56 +522,27 @@ class ParallelExecutor(Executor):
     float32 inside the workers.
 
     Every chunk carries its clients' datasets, so a worker trains on exactly
-    the data the parent holds now, and a chunk replayed to a respawned worker
-    is the same message again.  :attr:`ipc_log` records one :class:`RoundIPC`
-    entry per round.
+    the data the parent holds now.  :attr:`ipc_log` records one
+    :class:`RoundIPC` entry per round.  A dead worker raises
+    :class:`WorkerDiedError`; the pool is torn down and the next call starts
+    a fresh one.  A run recovers from a death by resuming from its last
+    checkpoint.
     """
 
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        max_respawns: int = 0,
-    ) -> None:
+    def __init__(self, num_workers: Optional[int] = None) -> None:
         self.num_workers = max(1, num_workers if num_workers else (os.cpu_count() or 1))
-        #: Self-healing budget: how many dead workers this executor may
-        #: replace over its lifetime before a death propagates as
-        #: :class:`WorkerDiedError`.  ``0`` (the default) disables healing —
-        #: a worker death always raises, the fault-plane-off contract.
-        self.max_respawns = max_respawns
-        #: Workers respawned so far (the bench's recovery counter).
-        self.respawns = 0
         self.ipc_log: List[RoundIPC] = []
         self.eval_ipc_log: List[EvalIPC] = []
         self._pool: Optional[_PinnedWorkerPool] = None
-        self._pending_kills: List[int] = []
 
-    def request_worker_kill(self, worker_id: int) -> None:
-        """Schedule a deterministic worker death before the next round's chunks.
-
-        The fault plane's injection point: the next training round kills the
-        process just before its chunks go out, so the victim's chunk meets a
-        dead pipe exactly as after a real crash — chunk lost, replicas gone —
-        and the healing collect path detects, respawns and replays.
-        """
-        if not 0 <= worker_id < self.num_workers:
-            raise ValueError(
-                f"worker_id must be in [0, {self.num_workers}), got {worker_id}"
-            )
-        self._pending_kills.append(worker_id)
-
-    def _collect_healing(
-        self,
-        pool: _PinnedWorkerPool,
-        chunks: Dict[int, Sequence[Tuple[int, Any]]],
-        send: Callable[[int], None],
+    def _collect(
+        self, pool: _PinnedWorkerPool, chunks: Dict[int, Sequence[Tuple[int, Any]]]
     ) -> List[tuple]:
-        """Collect one report per submitted chunk, healing worker deaths within budget.
+        """Collect one report per submitted chunk.
 
-        A dead worker is respawned and its chunk's message sent again.  The
-        replay is bit-for-bit: the message carries everything its chunk
-        reads.  Beyond ``max_respawns`` the deaths raise
-        :class:`WorkerDiedError`, with the lost client ids, once every other
-        pending worker has reported.
+        A dead worker raises :class:`WorkerDiedError`, with the lost client
+        ids, once every other pending worker has reported, so the error names
+        every worker and client the call lost.
         """
         outcomes: List[tuple] = []
         lost: Dict[int, Optional[int]] = {}  # dead worker -> exit code
@@ -596,15 +550,10 @@ class ParallelExecutor(Executor):
         while pending:
             for worker_id, status, payload in pool.collect(pending):
                 pending.discard(worker_id)
-                if status != "dead":
-                    outcomes.append((worker_id, status, payload))
-                elif self.respawns < self.max_respawns:
-                    pool.respawn(worker_id)
-                    self.respawns += 1
-                    send(worker_id)
-                    pending.add(worker_id)
-                else:
+                if status == "dead":
                     lost[worker_id] = payload
+                else:
+                    outcomes.append((worker_id, status, payload))
         if lost:
             raise WorkerDiedError(
                 list(lost),
@@ -650,39 +599,28 @@ class ParallelExecutor(Executor):
         broadcast_blob = broadcast.serialized()
         dtype_name = get_default_dtype().name
         chunks = {worker_id: bucket for worker_id, bucket in enumerate(buckets) if bucket}
-        # The traffic counters RoundIPC and EvalIPC share, counted per message
-        # sent, so a replay counts again.
-        stats = {"num_messages": 0, "method_bytes": 0, "broadcast_bytes": 0, "shard_bytes": 0}
-
-        def send(worker_id: int) -> None:
-            bucket = chunks[worker_id]
-            stats["num_messages"] += 1
-            stats["method_bytes"] += len(method_blob)
-            stats["broadcast_bytes"] += len(broadcast_blob)
-            stats["shard_bytes"] += sum(
-                len(pickle.dumps(work.dataset, protocol=pickle.HIGHEST_PROTOCOL))
-                for _, work in bucket
-            )
-            pool.submit(worker_id, (kind, (method_blob, broadcast_blob, bucket, dtype_name)))
-
         # Tear the pool down on any failure in the submit/collect path —
         # KeyboardInterrupt included: a partially-collected call would leave
         # reports in flight for the next call's collect to mis-consume.
         try:
-            if kind == "train":
-                # Fault-plane worker kills fire ahead of the round's chunks, so
-                # the victim dies before (or instead of) running its work — the
-                # chunk is genuinely lost and the healing path must replay it.
-                for victim in self._pending_kills:
-                    pool.kill(victim)
-                self._pending_kills = []
-            for worker_id in chunks:
-                send(worker_id)
-            outcomes = self._collect_healing(pool, chunks, send)
+            for worker_id, bucket in chunks.items():
+                pool.submit(worker_id, (kind, (method_blob, broadcast_blob, bucket, dtype_name)))
+            # The traffic RoundIPC and EvalIPC share, counted while the workers run.
+            stats = {
+                "num_messages": len(chunks),
+                "method_bytes": len(chunks) * len(method_blob),
+                "broadcast_bytes": len(chunks) * len(broadcast_blob),
+                "shard_bytes": sum(
+                    len(pickle.dumps(work.dataset, protocol=pickle.HIGHEST_PROTOCOL))
+                    for bucket in chunks.values()
+                    for _, work in bucket
+                ),
+                "blas_threads": pool.blas_threads,
+            }
+            outcomes = self._collect(pool, chunks)
         except BaseException:
             self.close()
             raise
-        stats["blas_threads"] = tuple(pool.blas_threads)
         gathered: List[tuple] = []
         failure: Optional[Tuple[Optional[bytes], str]] = None
         for _, status, payload in outcomes:
@@ -739,7 +677,6 @@ class ParallelExecutor(Executor):
         return [(correct, total) for _, correct, total in gathered]
 
     def close(self) -> None:
-        self._pending_kills = []
         if self._pool is not None:
             self._pool.close()
             self._pool = None
@@ -823,16 +760,12 @@ class ParallelEvalBackend(EvalBackend):
         return accuracies
 
 
-def build_executor(
-    executor: str = "serial",
-    num_workers: int = 0,
-    max_respawns: int = 0,
-) -> Executor:
+def build_executor(executor: str = "serial", num_workers: int = 0) -> Executor:
     """Construct an executor from the :class:`FederatedConfig` knobs."""
     if executor == "serial":
         return SerialExecutor()
     if executor == "parallel":
-        return ParallelExecutor(num_workers, max_respawns=max_respawns)
+        return ParallelExecutor(num_workers)
     raise ValueError(f"unknown executor {executor!r}; choose 'serial' or 'parallel'")
 
 

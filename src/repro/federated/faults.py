@@ -1,15 +1,15 @@
 """Deterministic fault injection: the fault plane's schedule and trace.
 
 Fleet-scale federations fail constantly — clients crash mid-update, uploads
-are lost or corrupted on the wire, pool workers die, servers restart — and a
-simulation that cannot reproduce a failure cannot debug the recovery either.
+are lost or corrupted on the wire, servers restart — and a simulation that
+cannot reproduce a failure cannot debug the recovery either.
 This module makes every failure *replayable*: a :class:`FaultSpec` declares
 the rates, and a :class:`FaultInjector` draws every fault decision from
 ``spawn_rng(seed, "fault", <kind>, *context)`` — a pure function of the run
 seed and the query's coordinates, never of call order or wall time.  Two runs
 with the same ``(seed, FaultSpec)`` see the exact same failure trace, which
-is what the recovery tests (self-healing pool, transport retries,
-checkpoint/resume) assert their bit-for-bit guarantees against.
+is what the recovery tests (transport retries, checkpoint/resume) assert
+their bit-for-bit guarantees against.
 
 The injector is *consulted*, never *driven*: the planes ask "does client 3
 crash in task 1 round 2?" at the moment that decision matters, so a disabled
@@ -26,6 +26,10 @@ from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 from repro.federated.communication import WireFrame
 from repro.utils.rng import spawn_rng
 
+#: Fraction of a crashed client's training time spent before the crash (its
+#: simulated-clock cost; the download was already paid in full).
+CRASH_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -35,7 +39,7 @@ class FaultSpec:
     ----------
     client_crash_rate:
         Per-(client, round) probability that a selected client crashes
-        mid-update: it receives the broadcast and burns ``crash_fraction`` of
+        mid-update: it receives the broadcast and burns ``CRASH_FRACTION`` of
         its training time, but never uploads.
     upload_loss_rate:
         Per-attempt probability that an upload frame is lost on the wire
@@ -43,35 +47,25 @@ class FaultSpec:
     upload_corruption_rate:
         Per-attempt probability that an upload frame arrives with flipped
         bytes; the checksum rejects it and the transport retries.
-    worker_kill_rate:
-        Per-round probability that one pinned pool worker process dies before
-        running its chunk (the executor respawns it and replays the chunk).
     server_restart_every:
         Simulate a server process restart every N aggregations (0 = never):
         protocol soft state (delta acknowledgements, deferred uploads) is
         wiped, as it would be by a real restart; durable state survives only
         through checkpoints.
-    crash_fraction:
-        Fraction of a crashed client's training time spent before the crash
-        (its simulated-clock cost; the download was already paid in full).
     """
 
     client_crash_rate: float = 0.0
     upload_loss_rate: float = 0.0
     upload_corruption_rate: float = 0.0
-    worker_kill_rate: float = 0.0
     server_restart_every: int = 0
-    crash_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("client_crash_rate", "upload_loss_rate", "upload_corruption_rate", "worker_kill_rate"):
+        for name in ("client_crash_rate", "upload_loss_rate", "upload_corruption_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
         if self.server_restart_every < 0:
             raise ValueError("server_restart_every must be non-negative (0 disables restarts)")
-        if not 0.0 <= self.crash_fraction <= 1.0:
-            raise ValueError(f"crash_fraction must be in [0, 1], got {self.crash_fraction!r}")
 
     @property
     def frame_faults(self) -> bool:
@@ -81,12 +75,7 @@ class FaultSpec:
     @property
     def enabled(self) -> bool:
         """True when any fault can ever fire under this spec."""
-        return (
-            self.client_crash_rate > 0.0
-            or self.frame_faults
-            or self.worker_kill_rate > 0.0
-            or self.server_restart_every > 0
-        )
+        return self.client_crash_rate > 0.0 or self.frame_faults or self.server_restart_every > 0
 
 
 class FaultInjector:
@@ -110,7 +99,6 @@ class FaultInjector:
             "client_crashes": 0,
             "frames_lost": 0,
             "frames_corrupted": 0,
-            "workers_killed": 0,
             "server_restarts": 0,
         }
 
@@ -152,20 +140,6 @@ class FaultInjector:
             position = int(rng.integers(len(body)))
             body[position] ^= int(rng.integers(1, 256))
         return WireFrame(kind=frame.kind, codec=frame.codec, body=bytes(body), checksum=frame.checksum)
-
-    def worker_to_kill(self, task_id: int, round_index: Any, num_workers: int) -> Optional[int]:
-        """The pool worker that dies this round, if any."""
-        if self.spec.worker_kill_rate <= 0.0 or num_workers < 1:
-            return None
-        rng = spawn_rng(self.seed, "fault", "worker", task_id, round_index)
-        if rng.random() < self.spec.worker_kill_rate:
-            victim = int(rng.integers(num_workers))
-            self._record(
-                "worker_killed", task_id=task_id, round_index=round_index, worker_id=victim
-            )
-            self.counters["workers_killed"] += 1
-            return victim
-        return None
 
     def server_restarts(self, round_counter: int) -> bool:
         """Does the server restart after this aggregation?  (No RNG: periodic.)"""
@@ -265,4 +239,4 @@ def carry_frame(
     return Hop(False, retries + 1, backoff, tuple(failures))
 
 
-__all__ = ["FaultSpec", "FaultInjector", "Hop", "carry_frame"]
+__all__ = ["CRASH_FRACTION", "FaultSpec", "FaultInjector", "Hop", "carry_frame"]

@@ -63,7 +63,7 @@ from repro.federated.communication import (
 )
 from repro.federated.config import FederatedConfig
 from repro.federated.execution import ParallelEvalBackend, ParallelExecutor, build_executor
-from repro.federated.faults import FaultInjector
+from repro.federated.faults import CRASH_FRACTION, FaultInjector
 from repro.federated.increment import ClientIncrementSchedule
 from repro.federated.method import FederatedMethod
 from repro.federated.sampling import (
@@ -114,10 +114,10 @@ class SimulationResult:
     #: ``server_restart`` under faults in either.  Deterministic per seed.
     event_log: List[Dict[str, object]] = field(default_factory=list)
     #: The fault plane's recovery accounting: the injector's fired-fault
-    #: counters plus ``worker_respawns``, the transport's lost/corrupt frame
-    #: totals, ``checkpoints_written`` and ``resumed_from`` (the checkpoint
-    #: path a resumed run started at, or None).  Empty when the fault plane
-    #: and checkpointing are both off.
+    #: counters (client crashes, lost/corrupt frames, server restarts),
+    #: ``checkpoints_written`` and ``resumed_from`` (the checkpoint path a
+    #: resumed run started at, or None).  Empty when the fault plane and
+    #: checkpointing are both off.
     fault_stats: Dict[str, object] = field(default_factory=dict)
     #: The serving plane's accounting: ``versions_published``, the final
     #: registry manifest summary, and — with ``serve=True`` — the front end's
@@ -206,18 +206,7 @@ class FederatedDomainIncrementalSimulation:
         # The client data plane: clients as lazy (seed, partition-spec)
         # recipes, shards materialized when a client is selected.
         self.virtual = VirtualClientPlane(config)
-        # Worker deaths are replayed, not fatal, when the fault plane kills
-        # workers on purpose; the respawn budget is generous (every round
-        # could kill one worker, twice over) but finite, so a genuinely
-        # crash-looping setup still surfaces as WorkerDiedError.
-        max_respawns = (
-            2 * scenario.num_tasks * config.rounds_per_task
-            if config.faults.worker_kill_rate > 0.0
-            else 0
-        )
-        self.executor = build_executor(
-            config.executor, config.num_workers, max_respawns=max_respawns
-        )
+        self.executor = build_executor(config.executor, config.num_workers)
         # The evaluation plane: when eval_executor="parallel", seen-task
         # evaluation fans over a pinned worker pool — the training executor's
         # own pool when it is parallel too (evaluation jobs interleave with
@@ -349,18 +338,6 @@ class FederatedDomainIncrementalSimulation:
             },
         )
 
-    def consult_worker_kill(self, task_id: int, slot: int) -> None:
-        """Ask the fault plane whether a pool worker dies at this selection point.
-
-        A kill is queued on the executor, which murders the victim process
-        just before its next chunk goes out — the self-healing collect
-        respawns it and replays the lost work.
-        """
-        if self.fault_injector is not None and isinstance(self.executor, ParallelExecutor):
-            victim = self.fault_injector.worker_to_kill(task_id, slot, self.executor.num_workers)
-            if victim is not None:
-                self.executor.request_worker_kill(victim)
-
     def maybe_eval_snapshot(self, task_id: int, round_index: int) -> None:
         """Record an ``eval_every`` snapshot if round (or aggregation) ``round_index`` is due.
 
@@ -460,14 +437,14 @@ class FederatedDomainIncrementalSimulation:
         """Simulated cost of a client that crashed mid-update this cycle.
 
         The download was already paid in full; training burned
-        ``crash_fraction`` of its normal time before the crash; nothing was
+        ``CRASH_FRACTION`` of its normal time before the crash; nothing was
         uploaded.
         """
         profile = self.profile_for(client_id)
         dataset = self.virtual.materialize(client_id)
         return self.cost_model.transfer_seconds(
             profile, self.transport.last_broadcast_bytes.get(client_id, 0)
-        ) + self.config.faults.crash_fraction * self.cost_model.training_seconds(
+        ) + CRASH_FRACTION * self.cost_model.training_seconds(
             profile,
             len(dataset),
             self.config.local.batch_size,
@@ -527,7 +504,6 @@ class FederatedDomainIncrementalSimulation:
                     round_index=round_index,
                     client_id=client_id,
                 )
-            self.consult_worker_kill(task.task_id, round_index)
         handles = [
             self.client_handle(client_id, task.task_id, round_index, round_index)
             for client_id in selected
@@ -779,8 +755,6 @@ class FederatedDomainIncrementalSimulation:
         stats: Dict[str, object] = {}
         if self.fault_injector is not None:
             stats.update(self.fault_injector.summary())
-            if isinstance(self.executor, ParallelExecutor):
-                stats["worker_respawns"] = self.executor.respawns
         if self.checkpoints_written or self._resumed_from is not None:
             stats["checkpoints_written"] = self.checkpoints_written
             stats["resumed_from"] = self._resumed_from

@@ -165,7 +165,6 @@ def _toggles(tmp: Path) -> dict:
         "codec": dict(codec="delta"),
         "drop_stragglers": dict(drop_stragglers=True),
         "buffer_size": dict(buffer_size=7),
-        "faults": dict(faults=FaultSpec(crash_fraction=0.25)),
         "retries": dict(retries=0),
         "retry_backoff": dict(retry_backoff=3.0),
         "virtual_clients": dict(virtual_clients=True),
@@ -235,53 +234,98 @@ RETIRED_RESULT_KNOBS = (
 )
 #: ``LocalTrainingConfig`` fields retired into ``repro.nn.optim`` constants,
 #: in declared order after ``learning_rate``; they rode in ``local``'s repr.
-RETIRED_LOCAL_FIELDS = (("momentum", 0.9), ("weight_decay", 0.0), ("max_grad_norm", 5.0))
+RETIRED_LOCAL_FIELDS = (
+    ("momentum", "learning_rate", 0.9),
+    ("weight_decay", "momentum", 0.0),
+    ("max_grad_norm", "weight_decay", 5.0),
+)
+#: ``FaultSpec`` fields retired when a dead pool worker stopped being healed
+#: (``crash_fraction`` became ``faults.CRASH_FRACTION``); they rode in
+#: ``faults``'s repr at every pinned commit.
+RETIRED_FAULT_FIELDS = (
+    ("worker_kill_rate", "upload_corruption_rate", 0.0),
+    ("crash_fraction", "server_restart_every", 0.5),
+)
 
 #: ``FederatedConfig().fingerprint()`` at e0b6292, the last commit with the
 #: three knobs after ``kernel`` and the three ``local`` fields.
 PRE_RETIREMENT_DEFAULT_FINGERPRINT = (
     "b56f99e6cdea7767e659c22747d0b2198c6c817d1ca8bbf75f8f8cd0819eb563"
 )
+#: ``FederatedConfig().fingerprint()`` at e318420, the last commit with the
+#: two ``faults`` fields.
+PRE_FAULT_RETIREMENT_DEFAULT_FINGERPRINT = (
+    "64291465897038a740fd5a58a2a1ab71a813d20a86eeb013d1ef9b2f924a2972"
+)
 
 
-def _fingerprint_with_retired_knobs(config, retired=RETIRED_RESULT_KNOBS) -> str:
-    """``config.fingerprint()`` as computed while the ``retired`` knobs (and
-    the retired ``local`` fields) were still declared, each at its declared
-    position with its default."""
-    local = repr(config.local)[:-1] + "".join(
-        f", {name}={value!r}" for name, value in RETIRED_LOCAL_FIELDS
-    ) + ")"
-    follows = {after: (name, default) for name, after, default in retired}
-    parts = []
-    for spec in dataclasses.fields(config):
-        if spec.metadata["effect"] == CHANGES_RESULTS:
-            value = local if spec.name == "local" else repr(getattr(config, spec.name))
-            parts.append((spec.name, value))
-        after = spec.name
-        while after in follows:
-            name, default = follows[after]
-            parts.append((name, repr(default)))
-            after = name
+def _fingerprint_with_retired_knobs(
+    config, retired=RETIRED_RESULT_KNOBS, local=RETIRED_LOCAL_FIELDS
+) -> str:
+    """``config.fingerprint()`` as computed while the ``retired`` knobs, the
+    ``local`` fields and the retired ``faults`` fields were still declared,
+    each at its declared position with its default."""
+
+    def declared(obj, retired_fields, keep):
+        # ``(name, repr)`` of every field ``keep`` admits, each retired field
+        # re-inserted after the one it followed.
+        follows = {after: (name, default) for name, after, default in retired_fields}
+        parts = []
+        for spec in dataclasses.fields(obj):
+            if keep(spec):
+                parts.append((spec.name, repr(getattr(obj, spec.name))))
+            after = spec.name
+            while after in follows:
+                name, default = follows[after]
+                parts.append((name, repr(default)))
+                after = name
+        return parts
+
+    def with_fields(obj, retired_fields):
+        pairs = declared(obj, retired_fields, keep=lambda spec: True)
+        return f"{type(obj).__name__}({', '.join(f'{n}={v}' for n, v in pairs)})"
+
+    nested = {
+        "local": with_fields(config.local, local),
+        "faults": with_fields(config.faults, RETIRED_FAULT_FIELDS),
+    }
+    parts = [
+        (name, nested.get(name, value))
+        for name, value in declared(
+            config, retired, keep=lambda spec: spec.metadata["effect"] == CHANGES_RESULTS
+        )
+    ]
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
-def test_the_helper_reproduces_the_fingerprints_of_both_pinned_commits():
+def test_the_helper_reproduces_the_fingerprints_of_every_pinned_commit():
     # FederatedConfig().fingerprint() at 93ae68d, the last commit with the
     # kernel knob (float64 was the default then) ...
     assert _fingerprint_with_retired_knobs(FederatedConfig(dtype="float64")) == (
         "789c9016f4d27636ab32fe2ff6eff50d10e2d362af4aa8d007a641d23b22c6a2"
     )
-    # ... and at e0b6292, the last with the knobs retired after it.
+    # ... at e0b6292, the last with the knobs retired after it ...
     assert _fingerprint_with_retired_knobs(FederatedConfig(), RETIRED_RESULT_KNOBS[1:]) == (
         PRE_RETIREMENT_DEFAULT_FINGERPRINT
     )
-    assert FederatedConfig().fingerprint() != PRE_RETIREMENT_DEFAULT_FINGERPRINT
+    # ... and at e318420, the last with the retired ``faults`` fields.
+    assert _fingerprint_with_retired_knobs(FederatedConfig(), (), ()) == (
+        PRE_FAULT_RETIREMENT_DEFAULT_FINGERPRINT
+    )
+    assert FederatedConfig().fingerprint() not in (
+        PRE_RETIREMENT_DEFAULT_FINGERPRINT,
+        PRE_FAULT_RETIREMENT_DEFAULT_FINGERPRINT,
+    )
 
 
 @pytest.mark.parametrize(
     "retired",
-    [RETIRED_RESULT_KNOBS, RETIRED_RESULT_KNOBS[1:]],
-    ids=["while_kernel_was_a_knob", "before_the_last_retirement"],
+    [
+        (RETIRED_RESULT_KNOBS, RETIRED_LOCAL_FIELDS),
+        (RETIRED_RESULT_KNOBS[1:], RETIRED_LOCAL_FIELDS),
+        ((), ()),
+    ],
+    ids=["while_kernel_was_a_knob", "before_the_local_fields_retired", "while_workers_healed"],
 )
 def test_a_checkpoint_written_under_retired_knobs_refuses_to_resume(
     retired, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
@@ -292,14 +336,14 @@ def test_a_checkpoint_written_under_retired_knobs_refuses_to_resume(
     _run(tiny_spec, tiny_backbone_config, config)
     for name in os.listdir(tmp_path):
         payload = load_checkpoint(str(tmp_path / name))
-        payload["fingerprint"] = _fingerprint_with_retired_knobs(config, retired)
+        payload["fingerprint"] = _fingerprint_with_retired_knobs(config, *retired)
         save_checkpoint(str(tmp_path / name), payload)
     # The typed refusal, not a KeyError / TypeError from inside the loader.
     with pytest.raises(CheckpointMismatchError):
         _run(tiny_spec, tiny_backbone_config, replace(config, resume=True))
 
 
-@pytest.mark.parametrize("name", [name for name, _ in RETIRED_LOCAL_FIELDS])
+@pytest.mark.parametrize("name", [name for name, _, _ in RETIRED_LOCAL_FIELDS])
 def test_retired_local_fields_are_not_keywords(name):
     assert [spec.name for spec in dataclasses.fields(LocalTrainingConfig)] == [
         "local_epochs", "batch_size", "learning_rate",

@@ -273,37 +273,6 @@ class TestChunks:
             _WORKER_REPLICAS.update(before)
         assert comparable(received) == comparable(expected)
 
-    def test_replayed_chunk_counts_its_message_and_blobs(self, tiny_spec, tiny_backbone_config):
-        """A chunk replayed to a respawned worker is one more message carrying
-        the same method, broadcast and shard bytes as its first send."""
-        method = build_method("finetune", tiny_backbone_config, num_tasks=1)
-        server = FederatedServer(method.build_model())
-        source = SyntheticDomainDataset(tiny_spec)
-        shards = [source.domain_split(0, "train").subset(np.arange(s, s + 8)) for s in (0, 8)]
-        broadcast = server.broadcast_view()
-        method_blob = pickle.dumps(method, protocol=pickle.HIGHEST_PROTOCOL)
-        shard_blob = pickle.dumps(shards[0], protocol=pickle.HIGHEST_PROTOCOL)
-
-        def handles(round_index):
-            return [
-                _handle(shard, 0, client_id, round_index) for client_id, shard in enumerate(shards)
-            ]
-
-        with ParallelExecutor(num_workers=2, max_respawns=1) as executor:
-            model = method.build_model()
-            executor.run_round(method, model, broadcast, handles(0))
-            executor.request_worker_kill(0)
-            executor.run_round(method, model, broadcast, handles(1))
-            assert executor.respawns == 1
-            first, healed = executor.ipc_log
-        # One client per worker, both shards the same size: each message
-        # carries the method, the broadcast and one shard.
-        for record, messages in ((first, 2), (healed, 3)):
-            assert record.num_messages == messages
-            assert record.method_bytes == messages * len(method_blob)
-            assert record.broadcast_bytes == messages * len(broadcast.serialized())
-            assert record.shard_bytes == messages * len(shard_blob)
-
     def test_long_lived_pool_never_trains_on_stale_data(self, tiny_spec, tiny_backbone_config):
         """One pool across a task boundary, where the in-between client's
         shard grows by its previous task's data, then across a dtype switch
@@ -377,6 +346,9 @@ class TestChunks:
         assert [record.shard_bytes for record in records] == expected
         assert [record.task_id for record in records] == [0, 0, 1, 1]
         assert expected[0] == expected[1] < expected[2] == expected[3]
+        # Each of a round's two messages carries the method's bytes once.
+        method_bytes = len(pickle.dumps(method, protocol=pickle.HIGHEST_PROTOCOL))
+        assert [(r.num_messages, r.method_bytes) for r in records] == [(2, 2 * method_bytes)] * 4
 
     def test_mixed_task_round_matches_serial(self, tiny_spec, tiny_backbone_config):
         """A round whose clients belong to different tasks runs on the pool,
@@ -505,8 +477,8 @@ def _send_half_then_exit(conn, buf):
 
 def _dies_mid_second_report(method_blob, broadcast_blob, indexed_clients, dtype_name):
     """The train chunk runner, except that the worker holding client 0 dies
-    halfway through sending its second report (a fresh replacement's first
-    report goes through)."""
+    halfway through sending its second report (a fresh pool's first report
+    goes through)."""
     results = execution._run_client_chunk(method_blob, broadcast_blob, indexed_clients, dtype_name)
     _CHUNKS_RUN[0] += 1
     if _CHUNKS_RUN[0] == 2 and any(client.client_id == 0 for _, client in indexed_clients):
@@ -550,10 +522,10 @@ class TestPoolFailures:
             model = method.build_model()
 
             def interrupt(*args):
-                del executor._collect_healing  # only this call is interrupted
+                del executor._collect  # only this call is interrupted
                 raise KeyboardInterrupt
 
-            executor._collect_healing = interrupt
+            executor._collect = interrupt
             with pytest.raises(KeyboardInterrupt):
                 executor.run_round(method, model, broadcast, handles(0))
             updates = executor.run_round(method, model, broadcast, handles(1))
@@ -570,18 +542,17 @@ class TestPoolFailures:
                 executor.run_round(bad, model, broadcast, handles(0))
             assert "worker traceback" in str(excinfo.value.__cause__)
             updates = executor.run_round(method, model, broadcast, handles(1))
-            assert executor.respawns == 0
         self._assert_serial(updates, tiny_backbone_config, broadcast, handles(1))
 
     @pytest.mark.skipif(
         not (sys.platform.startswith("linux") and "fork" in multiprocessing.get_all_start_methods()),
         reason="the dying chunk runner reaches workers only through fork",
     )
-    @pytest.mark.parametrize("max_respawns", [1, 0])
-    def test_death_mid_report(self, tiny_spec, tiny_backbone_config, monkeypatch, max_respawns):
+    def test_death_mid_report(self, tiny_spec, tiny_backbone_config, monkeypatch):
         """A worker that dies after writing part of its report is dead, not
-        wedged: its peer's report still arrives, and the chunk heals within
-        budget or is named in WorkerDiedError beyond it."""
+        wedged: its peer's report still arrives, WorkerDiedError names the
+        dead worker, its exit code and its client, and the executor's next
+        round runs on a fresh pool."""
         method, broadcast, handles = self._setup(tiny_spec, tiny_backbone_config)
         monkeypatch.setitem(execution._CHUNK_RUNNERS, "train", _dies_mid_second_report)
         reports = []
@@ -593,29 +564,26 @@ class TestPoolFailures:
             return ready
 
         monkeypatch.setattr(execution._PinnedWorkerPool, "collect", recording_collect)
-        with ParallelExecutor(num_workers=2, max_respawns=max_respawns) as executor:
+        with ParallelExecutor(num_workers=2) as executor:
             model = method.build_model()
             executor.run_round(method, model, broadcast, handles(0))
-            if max_respawns:
-                updates = executor.run_round(method, model, broadcast, handles(1))
-                assert executor.respawns == 1
-            else:
-                with pytest.raises(WorkerDiedError) as excinfo:
-                    executor.run_round(method, model, broadcast, handles(1))
-                error = excinfo.value
-                assert (error.worker_ids, error.exit_codes, error.client_ids) == ([0], [7], [0])
+            with pytest.raises(WorkerDiedError) as excinfo:
+                executor.run_round(method, model, broadcast, handles(1))
+            error = excinfo.value
+            assert (error.worker_ids, error.exit_codes, error.client_ids) == ([0], [7], [0])
+            # Fresh workers fork from this process, which has run no chunk.
+            updates = executor.run_round(method, model, broadcast, handles(2))
         # Client 0 is pinned to worker 0; worker 1's round-two report arrived.
         assert sorted(reports[2:4]) == [(0, "dead"), (1, "ok")]
-        if max_respawns:
-            assert reports[4:] == [(0, "ok")]
-            self._assert_serial(updates, tiny_backbone_config, broadcast, handles(1))
+        assert sorted(reports[4:]) == [(0, "ok"), (1, "ok")]
+        self._assert_serial(updates, tiny_backbone_config, broadcast, handles(2))
 
 
 class TestWorkerBlasThreads:
     def test_a_pool_worker_runs_one_blas_thread(self, tiny_spec, tiny_backbone_config):
         """A forked worker inherits the parent's BLAS thread count; every
-        worker, a respawned one too, pins one thread and the call's IPC
-        record says so (``None`` where NumPy's OpenBLAS lacks the symbol)."""
+        worker pins one thread and each call's IPC record says so (``None``
+        where NumPy's OpenBLAS lacks the symbol)."""
         libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
         pinnable = any(
             hasattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_")
@@ -623,12 +591,10 @@ class TestWorkerBlasThreads:
         )
         expected = (1, 1) if pinnable else (None, None)
         method, broadcast, handles = TestPoolFailures()._setup(tiny_spec, tiny_backbone_config)
-        with ParallelExecutor(num_workers=2, max_respawns=1) as executor:
+        with ParallelExecutor(num_workers=2) as executor:
             model = method.build_model()
             executor.run_round(method, model, broadcast, handles(0))
-            executor.request_worker_kill(1)
             executor.run_round(method, model, broadcast, handles(1))
-            assert executor.respawns == 1
             assert [record.blas_threads for record in executor.ipc_log] == [expected] * 2
 
 

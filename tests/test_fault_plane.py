@@ -108,7 +108,6 @@ class TestFaultSpec:
             {"client_crash_rate": 0.1},
             {"upload_loss_rate": 0.1},
             {"upload_corruption_rate": 0.1},
-            {"worker_kill_rate": 0.1},
             {"server_restart_every": 2},
         ],
     )
@@ -121,12 +120,20 @@ class TestFaultSpec:
             {"client_crash_rate": -0.1},
             {"upload_loss_rate": 1.5},
             {"server_restart_every": -1},
-            {"crash_fraction": 2.0},
+            {"upload_corruption_rate": 1.5},
+            {"client_crash_rate": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FaultSpec(**kwargs)
+
+    @pytest.mark.parametrize("name", ["worker_kill_rate", "crash_fraction"])
+    def test_a_retired_field_is_refused(self, name):
+        """A config that still names a retired field fails loudly instead of
+        running without it."""
+        with pytest.raises(TypeError, match=name):
+            FaultSpec(**{name: 0.5})
 
 
 _FRAME = encode_frame("upload", build_codec("identity"), {"w": np.arange(8.0)}, None)
@@ -139,7 +146,6 @@ def _query_all(injector: FaultInjector, order, retries: int = 1):
         injector.client_crashes(a, b, c)
         for channel in _CHANNELS:
             carry_frame(injector, _FRAME, channel, (a, b, c), retries, 0.5)
-        injector.worker_to_kill(a, b, 4)
     return injector.trace
 
 
@@ -151,15 +157,13 @@ class TestInjectorDeterminism:
         crash=st.floats(0.0, 1.0, allow_nan=False),
         lose=st.floats(0.0, 1.0, allow_nan=False),
         corrupt=st.floats(0.0, 1.0, allow_nan=False),
-        kill=st.floats(0.0, 1.0, allow_nan=False),
     )
     @settings(max_examples=40, deadline=None)
-    def test_trace_is_pure_function_of_seed_and_spec(self, seed, crash, lose, corrupt, kill):
+    def test_trace_is_pure_function_of_seed_and_spec(self, seed, crash, lose, corrupt):
         spec = FaultSpec(
             client_crash_rate=crash,
             upload_loss_rate=lose,
             upload_corruption_rate=corrupt,
-            worker_kill_rate=kill,
         )
         first = _query_all(FaultInjector(seed, spec), self.COORDS)
         second = _query_all(FaultInjector(seed, spec), self.COORDS)
@@ -458,45 +462,6 @@ class TestZeroFaultParity:
         assert baseline.fault_stats == {}
         assert knobs.fault_stats["checkpoints_written"] > 0
 
-    def test_worker_kills_heal_bit_for_bit(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        """A killed-and-respawned worker replays its chunk with identical results."""
-        base_cfg = replace(
-            tiny_federated_config, rounds_per_task=2, executor="parallel", num_workers=2
-        )
-        clean_sim, clean = _run(tiny_spec, tiny_backbone_config, base_cfg)
-        faulty_cfg = replace(base_cfg, faults=FaultSpec(worker_kill_rate=1.0))
-        faulty_sim, faulty = _run(tiny_spec, tiny_backbone_config, faulty_cfg)
-        assert faulty.fault_stats["workers_killed"] > 0
-        assert faulty.fault_stats["worker_respawns"] > 0
-        assert simulation_state_hash(clean_sim) == simulation_state_hash(faulty_sim)
-        assert _matrix_bytes(clean_sim) == _matrix_bytes(faulty_sim)
-        assert clean.round_losses == faulty.round_losses
-
-    def test_worker_kills_heal_on_the_pool_shared_with_evaluation(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        """Training and evaluation on one pool, a worker killed every round:
-        a respawned worker serves both planes, and nothing about the results
-        moves."""
-        base_cfg = replace(
-            tiny_federated_config,
-            rounds_per_task=2,
-            executor="parallel",
-            eval_executor="parallel",
-            eval_every=1,
-            eval_batch_size=4,
-            num_workers=2,
-        )
-        clean_sim, clean = _run(tiny_spec, tiny_backbone_config, base_cfg)
-        faulty_cfg = replace(base_cfg, faults=FaultSpec(worker_kill_rate=1.0))
-        faulty_sim, faulty = _run(tiny_spec, tiny_backbone_config, faulty_cfg)
-        assert faulty_sim.eval_executor is faulty_sim.executor
-        assert faulty.fault_stats["worker_respawns"] > 0
-        assert simulation_state_hash(clean_sim) == simulation_state_hash(faulty_sim)
-        assert clean.round_eval_history == faulty.round_eval_history
-
     def test_server_restarts_are_lossless_under_delta_codec(
         self, tiny_spec, tiny_backbone_config, tiny_federated_config
     ):
@@ -568,6 +533,7 @@ class TestWorkerDeath:
             simulation.run()
         error = excinfo.value
         assert error.worker_ids
+        assert error.exit_codes == [3] * len(error.worker_ids)
         assert error.client_ids  # the chunk's clients are named in the failure
         assert "pending client ids" in str(error)
         # close() is idempotent and safe after the failure (run() already

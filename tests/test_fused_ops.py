@@ -577,6 +577,25 @@ class TestLayerOpMatchesComposed:
         got[1 + frozen] = everything[1 + frozen] = None
         _assert_bits(got, everything)
 
+    def test_an_eval_backward_reads_the_statistics_its_forward_used(self, dtype):
+        """A train-mode forward over the same running buffers, between an
+        eval-mode forward and that forward's backward, moves no gradient."""
+        arrays, running = _layer_case(np.random.default_rng(10), (3, 4), 4, 2, 3, 1, 1, False)
+        kwargs = dict(stride=1, padding=1, relu=True)
+        undisturbed = _run_layer(F.conv_bn, arrays, running, dtype, training=False, **kwargs)
+        with default_dtype(dtype):
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            mean, var = (b.astype(dtype) for b in running)
+            out = F.conv_bn(
+                *inputs, running_mean=mean, running_var=var, training=False, **kwargs
+            )
+            F.conv_bn(
+                *(Tensor(a) for a in arrays), running_mean=mean, running_var=var,
+                training=True, **kwargs,
+            )
+            out.backward(np.cos(np.arange(out.data.size)).reshape(out.shape).astype(dtype))
+        _assert_bits([out.data] + [t.grad for t in inputs], undisturbed[:5])
+
 
 class TestLayerOpGradCheck:
     @pytest.mark.parametrize("training", [True, False])

@@ -1,5 +1,6 @@
 """Every module-level function and class in ``src/repro`` is named by code that runs,
-and every ``FederatedConfig`` knob is set by code that runs.
+and every ``FederatedConfig`` knob, and every field of the config objects it
+nests, is set by code that runs.
 
 A definition that only tests name is a library nobody uses: it still costs a
 test, a README row and a reader's time.  This test parses ``src/``,
@@ -15,10 +16,15 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from repro.federated.client import LocalTrainingConfig
 from repro.federated.config import FederatedConfig
+from repro.federated.faults import FaultSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -93,9 +99,11 @@ def _keywords_passed(exclude: Path) -> set:
     return passed
 
 
-def test_every_config_knob_is_passed_by_keyword_by_code_that_runs():
+@pytest.mark.parametrize("config", [FederatedConfig, FaultSpec, LocalTrainingConfig])
+def test_every_config_knob_is_passed_by_keyword_by_code_that_runs(config):
     """A knob that no run, benchmark or example sets is a constant with a
-    README row: retire it (its value becomes a named constant) instead."""
-    passed = _keywords_passed(exclude=PACKAGE / "federated" / "config.py")
-    unset = [spec.name for spec in dataclasses.fields(FederatedConfig) if spec.name not in passed]
-    assert not unset, f"FederatedConfig knobs no code outside tests passes: {unset}"
+    README row: retire it (its value becomes a named constant) instead.
+    The module that declares the config does not count."""
+    passed = _keywords_passed(exclude=Path(inspect.getsourcefile(config)).resolve())
+    unset = [spec.name for spec in dataclasses.fields(config) if spec.name not in passed]
+    assert not unset, f"{config.__name__} fields no code outside tests passes: {unset}"
