@@ -53,6 +53,7 @@ import functools
 import json
 import math
 import pickle
+import sys
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -399,7 +400,13 @@ def _pack(arrays: Any) -> Tuple[Table, Dict[str, np.ndarray]]:
         value = np.asarray(value)
         table.append((name, value.dtype.str, value.shape))
         chunks.setdefault(table[-1][1], []).append(value)
-    return table, {dtype: np.concatenate(parts, axis=None) for dtype, parts in chunks.items()}
+    # Concatenating into the canonical ``np.dtype(key)`` drops the private
+    # dtype instances a pool worker's unpickled arrays carry: the frame pickle
+    # memoises one dtype object, so private ones would grow every frame.
+    return table, {
+        dtype: np.concatenate(parts, axis=None, dtype=np.dtype(dtype))
+        for dtype, parts in chunks.items()
+    }
 
 
 class _ColumnReader:
@@ -641,7 +648,10 @@ class _DiffCodec(ArrayCodec):
             table.append((name, value.dtype.str, value.shape))
             counts.append(-1 if kept is None else kept.size)
             chunks.setdefault(table[-1][1], []).append(flat)
-        columns = {dtype: np.concatenate(parts) for dtype, parts in chunks.items()}
+        # Canonical dtypes, as in _pack.
+        columns = {
+            dtype: np.concatenate(parts, dtype=np.dtype(dtype)) for dtype, parts in chunks.items()
+        }
         columns["counts"] = np.asarray(counts, dtype=np.int64)
         positions = np.concatenate(indices)
         columns["indices"] = positions.astype(np.min_scalar_type(positions.max(initial=0)))
@@ -778,7 +788,15 @@ class TreePayloadCodec(PayloadCodec):
         """``node`` rebuilt (namedtuples keep their type) with every leaf —
         whatever is not a dict, list or tuple — replaced by ``leaf(value, path)``."""
         if isinstance(node, dict):
-            return {key: cls.walk(value, leaf, f"{path}/k:{key!r}") for key, value in node.items()}
+            # Interned keys: an unpickled payload's keys are fresh strings, and
+            # the frame pickle memoises by identity, so a resumed run's frames
+            # would spell out a key a fresh run's share with a column name.
+            return {
+                sys.intern(key) if type(key) is str else key: cls.walk(
+                    value, leaf, f"{path}/k:{key!r}"
+                )
+                for key, value in node.items()
+            }
         if not isinstance(node, (list, tuple)):
             return leaf(node, path)
         items = (cls.walk(value, leaf, f"{path}/i:{i}") for i, value in enumerate(node))

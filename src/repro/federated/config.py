@@ -134,12 +134,14 @@ class FederatedConfig:
         accuracy matrix's after-task evaluation unless the method's
         ``on_task_end`` hook assigned server state, in which case the new
         state is scored (rule 5 of :mod:`repro.federated.method`).""")
-    # The lossless codecs train the same numbers as each other (asserted
-    # bit-for-bit by the comm-plane suite) and fold to "identity" — but only
-    # while no bandwidth budget is active: with one, drop/defer outcomes depend
-    # on the codec's frame sizes, so even lossless codecs change the numbers.
+    # The lossless codecs fold to "identity" only where frame sizes are read by
+    # nothing: a bandwidth budget drops or defers by size, and a timed device
+    # profile charges each frame's length / link rate to the simulated clock,
+    # which orders arrivals (tests/test_composition.py runs the rule).
     codec: str = knob("identity", check=build_codec, fold=lambda c: (
-        "identity" if c.bandwidth_limit == 0 and codec_is_lossless(c.codec) else c.codec), doc="""
+        "identity"
+        if c.bandwidth_limit == 0 and c.device_profile == "instant" and codec_is_lossless(c.codec)
+        else c.codec), doc="""
         Wire codec every broadcast and upload frame is encoded with
         (:mod:`repro.federated.transport`; bytes are *measured* frame
         lengths).  Every frame is columnar — one ``(name, dtype, shape)``
@@ -147,7 +149,10 @@ class FederatedConfig:
         plus a few flat columns per message, never a record per array:
         ``"identity"`` (one raw column per dtype) and ``"delta"`` (index and
         value columns of what changed since the last acknowledged broadcast)
-        are lossless — results are bit-for-bit identical to each other;
+        are lossless — every value decodes bit-for-bit, so under the
+        ``"instant"`` device profile and no ``bandwidth_limit`` the two train
+        and record the same run, while a timed profile or a budget reads
+        their different frame lengths;
         ``"quantize8"`` / ``"quantize16"`` (one integer code column, a
         ``lo`` / ``scale`` pair per tensor) and ``"topk"`` (upload-only
         magnitude sparsification keeping 10% of each array) trade accuracy

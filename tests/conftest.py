@@ -1,4 +1,5 @@
-"""Shared fixtures: tiny datasets, backbones and federated configs used across the suite."""
+"""Shared fixtures: tiny datasets, backbones and federated configs used across the
+suite, and ``simulate``, the one way a test runs a whole simulation on them."""
 
 from __future__ import annotations
 
@@ -8,7 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.baselines import build_method
+from repro.continual import DomainIncrementalScenario
+from repro.datasets import SyntheticDomainDataset
 from repro.datasets.registry import get_dataset_spec
+from repro.federated import FederatedDomainIncrementalSimulation
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.config import FederatedConfig
 from repro.federated.increment import ClientIncrementConfig
@@ -68,3 +73,19 @@ def tiny_federated_config() -> FederatedConfig:
         local=LocalTrainingConfig(local_epochs=1, batch_size=8, learning_rate=0.05),
         seed=7,
     )
+
+
+@pytest.fixture
+def simulate(tiny_spec, tiny_backbone_config):
+    """``simulate(config, method)`` -> ``(simulation, result)`` of one run over
+    the tiny spec's first ``num_tasks`` domains.  ``method`` is a registry name
+    or a built method; ``run=False`` returns the simulation without running it."""
+
+    def simulate(config, method="finetune", *, num_tasks=2, run=True):
+        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=num_tasks)
+        if isinstance(method, str):
+            method = build_method(method, tiny_backbone_config, num_tasks=num_tasks)
+        simulation = FederatedDomainIncrementalSimulation(scenario, method, config)
+        return (simulation, simulation.run()) if run else simulation
+
+    return simulate

@@ -1,11 +1,10 @@
 """Tests of the communication plane: codecs, payload codecs, ledger, transport.
 
 The plane's central guarantee — lossless codecs are results-invariant — is
-enforced at two levels: property tests that every lossless codec round-trips
-arbitrary state dicts bit-exactly (all dtypes and shapes, empty and scalar
-tensors, NaNs), and end-to-end parity of whole simulations run through the
-``delta`` codec against the ``identity`` codec, across executors and compute
-dtypes.  Ledger numbers are checked to be sums of actual encoded
+enforced at two levels: property tests here that every lossless codec
+round-trips arbitrary state dicts bit-exactly (all dtypes and shapes, empty
+and scalar tensors, NaNs), and whole simulations through ``delta`` against
+``identity`` wherever the codec knob folds (``test_composition.py``).  Ledger numbers are checked to be sums of actual encoded
 frame lengths and to reconcile with the parallel executor's ``RoundIPC``
 where both observe the same broadcast bytes.
 """
@@ -23,14 +22,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.registry import build_method
-from repro.continual import DomainIncrementalScenario
 from repro.core import GlobalPromptStore
-from repro.datasets import SyntheticDomainDataset
 from repro.datasets.synthetic import generate_domain_split
 from repro.federated import (
     CommunicationLedger,
     FederatedConfig,
-    FederatedDomainIncrementalSimulation,
     TreePayloadCodec,
     build_codec,
     build_transport,
@@ -41,6 +37,7 @@ from repro.federated import transport as transport_module
 from repro.federated.aggregation import TreeReduceBackend
 from repro.federated.client import ClientHandle, LocalTrainingConfig
 from repro.federated.communication import (
+    CODEC_NAMES,
     ClientUpdate,
     IdentityCodec,
     QuantizeCodec,
@@ -580,7 +577,7 @@ class TestBroadcastMemo:
         assert encodes == ["broadcast", "broadcast"] and after is not before
 
     def test_a_buffered_run_encodes_each_model_version_once(
-        self, encodes, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, encodes, simulate, tiny_federated_config
     ):
         """A dispatch cohort is not a model version: until a flush advances
         the model, every dispatch — across cohort boundaries — rides one frame."""
@@ -591,9 +588,7 @@ class TestBroadcastMemo:
             rounds_per_task=3,
             buffer_size=4,
         )
-        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-        method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        result = FederatedDomainIncrementalSimulation(scenario, method, config).run()
+        _, result = simulate(config)
         cohorts_per_version = {}
         for event in result.event_log:
             if event["kind"] == "dispatch":
@@ -716,12 +711,6 @@ class TestOneSerialization:
 # --------------------------------------------------------------------------- #
 
 
-def _run(tiny_spec, tiny_backbone_config, config, method_name="refil"):
-    scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-    method = build_method(method_name, tiny_backbone_config, num_tasks=scenario.num_tasks)
-    return FederatedDomainIncrementalSimulation(scenario, method, config).run()
-
-
 @pytest.fixture
 def comm_config(tiny_federated_config):
     # Two rounds per task so delta acks and straggler deferral have a next
@@ -730,33 +719,25 @@ def comm_config(tiny_federated_config):
 
 
 class TestTransportParity:
-    def test_lossless_delta_matches_identity(
-        self, tiny_spec, tiny_backbone_config, comm_config
-    ):
-        identity = _run(tiny_spec, tiny_backbone_config, comm_config)
-        delta = _run(tiny_spec, tiny_backbone_config, replace(comm_config, codec="delta"))
-        np.testing.assert_array_equal(identity.metrics.matrix, delta.metrics.matrix)
-        assert identity.round_losses == delta.round_losses
-        assert identity.round_loss_components == delta.round_loss_components
-        assert identity.communication.measured and delta.communication.measured
+    @pytest.mark.parametrize("codec", CODEC_NAMES)
+    def test_pooled_uploads_are_the_serial_frames(self, simulate, comm_config, codec):
+        """``executor`` is ``exact``, frame lengths included: a pool worker's
+        arrays come back carrying unpickled dtype instances, which a frame's
+        columns must not keep (the frame pickle memoises only one of each)."""
 
-    def test_delta_parity_parallel_executor_float32(
-        self, tiny_spec, tiny_backbone_config, comm_config
-    ):
-        base = replace(comm_config, dtype="float32")
-        identity = _run(tiny_spec, tiny_backbone_config, base)
-        wired = _run(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(base, codec="delta", executor="parallel", num_workers=2),
-        )
-        np.testing.assert_array_equal(identity.metrics.matrix, wired.metrics.matrix)
-        assert identity.round_losses == wired.round_losses
+        def upload_bytes(**overrides):
+            _, result = simulate(replace(comm_config, codec=codec, **overrides), "refil")
+            return [
+                [frame.num_bytes for frame in record.upload_frames]
+                for record in result.communication.records
+            ]
+
+        assert upload_bytes() == upload_bytes(executor="parallel", num_workers=2)
 
     def test_ledger_totals_are_sums_of_frame_lengths(
-        self, tiny_spec, tiny_backbone_config, comm_config
+        self, simulate, comm_config
     ):
-        result = _run(tiny_spec, tiny_backbone_config, replace(comm_config, codec="delta"))
+        _, result = simulate(replace(comm_config, codec="delta"), "refil")
         ledger = result.communication
         assert ledger.measured
         assert len(ledger.records) == ledger.rounds
@@ -778,7 +759,7 @@ class TestTransportParity:
             assert len(record.broadcast_frames) == comm_config.clients_per_round
 
     def test_ledger_reconciles_with_round_ipc(
-        self, tiny_spec, tiny_backbone_config, comm_config, monkeypatch
+        self, simulate, comm_config, monkeypatch
     ):
         """Where ledger and executor observe the same traffic, the bytes agree.
 
@@ -795,14 +776,8 @@ class TestTransportParity:
             return run_round(self, method, model, broadcast, clients)
 
         monkeypatch.setattr(ParallelExecutor, "run_round", spy)
-        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-        method = build_method("refil", tiny_backbone_config, num_tasks=2)
-        simulation = FederatedDomainIncrementalSimulation(
-            scenario,
-            method,
-            replace(comm_config, executor="parallel", num_workers=2),
-        )
-        result = simulation.run()
+        config = replace(comm_config, executor="parallel", num_workers=2)
+        simulation, result = simulate(config, "refil")
         ledger = result.communication
         ipc_log = simulation.executor.ipc_log
         assert len(ipc_log) == len(ledger.records) == len(versions)
@@ -814,13 +789,13 @@ class TestTransportParity:
             assert ipc.broadcast_bytes == ipc.num_messages * frame.num_bytes
 
     def test_quantized_run_compresses_and_still_learns(
-        self, tiny_spec, tiny_backbone_config, comm_config
+        self, simulate, comm_config
     ):
         # Eight bits a value against float64's 64: the bound reads the wire
         # codec, not the compute dtype, so both runs state theirs.
         float64 = replace(comm_config, dtype="float64")
-        identity = _run(tiny_spec, tiny_backbone_config, float64)
-        quantized = _run(tiny_spec, tiny_backbone_config, replace(float64, codec="quantize8"))
+        _, identity = simulate(float64, "refil")
+        _, quantized = simulate(replace(float64, codec="quantize8"), "refil")
         assert quantized.communication.measured
         assert (
             identity.communication.uploaded_bytes
@@ -831,18 +806,18 @@ class TestTransportParity:
 
 
 class TestBandwidthScenarios:
-    def _frame_bytes(self, tiny_spec, tiny_backbone_config, comm_config):
-        result = _run(tiny_spec, tiny_backbone_config, comm_config)
+    def _frame_bytes(self, simulate, comm_config):
+        _, result = simulate(comm_config, "refil")
         record = result.communication.records[0]
         return record.upload_frames[0].num_bytes
 
     def test_drop_stragglers_is_deterministic_and_keeps_one(
-        self, tiny_spec, tiny_backbone_config, comm_config
+        self, simulate, comm_config
     ):
-        frame = self._frame_bytes(tiny_spec, tiny_backbone_config, comm_config)
+        frame = self._frame_bytes(simulate, comm_config)
         config = replace(comm_config, bandwidth_limit=frame, drop_stragglers=True)
-        first = _run(tiny_spec, tiny_backbone_config, config)
-        second = _run(tiny_spec, tiny_backbone_config, config)
+        _, first = simulate(config, "refil")
+        _, second = simulate(config, "refil")
         ledger = first.communication
         # The per-client multipliers straddle 1.0, so a frame-sized budget
         # must split the population: some drops, never a whole round.
@@ -857,11 +832,11 @@ class TestBandwidthScenarios:
         )
 
     def test_deferred_uploads_arrive_next_round_and_expire_at_task_end(
-        self, tiny_spec, tiny_backbone_config, comm_config
+        self, simulate, comm_config
     ):
-        frame = self._frame_bytes(tiny_spec, tiny_backbone_config, comm_config)
+        frame = self._frame_bytes(simulate, comm_config)
         config = replace(comm_config, bandwidth_limit=frame, drop_stragglers=False)
-        result = _run(tiny_spec, tiny_backbone_config, config)
+        _, result = simulate(config, "refil")
         ledger = result.communication
         assert ledger.dropped_uploads == 0
         assert ledger.deferred_uploads + ledger.expired_uploads > 0

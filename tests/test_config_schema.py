@@ -4,42 +4,26 @@ Docstring, README table, validation, run-cache key and checkpoint fingerprint
 are all derived from the ``knob(...)`` declarations in
 ``repro.federated.config``, so they cannot drift.  What *can* be wrong is a
 label: a knob declared ``exact`` / ``observational``, or given an ``inert`` /
-``fold`` rule, that does change the trained bits.  ``TestEffectLabels`` runs
-every such knob.
+``fold`` rule, that does change the trained bits.  ``test_composition.py``
+runs every such claim.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import inspect
 import os
 import re
-import shutil
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.baselines import build_method
-from repro.continual import DomainIncrementalScenario
-from repro.datasets import SyntheticDomainDataset
 from repro.experiments.config import scaled_config
-from repro.federated import (
-    CheckpointMismatchError,
-    FaultSpec,
-    FederatedConfig,
-    FederatedDomainIncrementalSimulation,
-    build_executor,
-)
-from repro.federated.checkpoint import (
-    load_checkpoint,
-    parse_checkpoint_name,
-    save_checkpoint,
-    simulation_state_hash,
-)
+from repro.federated import CheckpointMismatchError, FaultSpec, FederatedConfig, build_executor
+from repro.federated.checkpoint import load_checkpoint, save_checkpoint
 from repro.federated.client import LocalTrainingConfig
 from repro.federated.config import CHANGES_RESULTS, EXACT, knob, knob_table
 
@@ -126,100 +110,6 @@ def test_an_exact_knob_leaves_fingerprint_and_canonical_form_alone():
     assert Extended(progress_bar=True).canonical() == Extended()
     with pytest.raises(ValueError, match="progress_bar"):
         Extended(progress_bar="yes")
-
-
-# --------------------------------------------------------------------------- #
-# The labels, run
-# --------------------------------------------------------------------------- #
-def _run(spec, backbone, config):
-    scenario = DomainIncrementalScenario(SyntheticDomainDataset(spec), num_tasks=2)
-    method = build_method("finetune", backbone, num_tasks=scenario.num_tasks)
-    simulation = FederatedDomainIncrementalSimulation(scenario, method, config)
-    simulation.run()
-    return simulation
-
-
-@functools.lru_cache(maxsize=None)  # the base run is shared by every case below
-def _state_hash(spec, backbone, config) -> str:
-    return simulation_state_hash(_run(spec, backbone, config))
-
-
-def _toggles(tmp: Path) -> dict:
-    """Per labelled knob: a non-default value, plus the knobs that value requires."""
-    ckpt, registry = str(tmp / "ckpt"), str(tmp / "registry")
-    return {
-        # exact
-        "executor": dict(executor="parallel"),
-        "num_workers": dict(num_workers=2, executor="parallel"),
-        "eval_executor": dict(eval_executor="parallel", num_workers=2),
-        # observational
-        "checkpoint_every": dict(checkpoint_every=1, checkpoint_dir=ckpt),
-        "checkpoint_dir": dict(checkpoint_dir=ckpt),
-        "resume": dict(resume=True, checkpoint_dir=ckpt),
-        "checkpoint_keep": dict(checkpoint_keep=1, checkpoint_dir=ckpt),
-        "serve": dict(serve=True, registry_dir=registry),
-        "publish_every": dict(publish_every=1, registry_dir=registry),
-        "registry_dir": dict(registry_dir=registry),
-        "serve_codec": dict(serve_codec="quantize8", registry_dir=registry),
-        # inert / fold rules, each of which holds in the default context
-        "codec": dict(codec="delta"),
-        "drop_stragglers": dict(drop_stragglers=True),
-        "buffer_size": dict(buffer_size=7),
-        "retries": dict(retries=0),
-        "retry_backoff": dict(retry_backoff=3.0),
-        "virtual_clients": dict(virtual_clients=True),
-        "tree_fanout": dict(tree_fanout=5),
-    }
-
-
-LABELLED = [
-    field.name
-    for field in FIELDS
-    if field.metadata["effect"] != CHANGES_RESULTS
-    or field.metadata["inert"]
-    or field.metadata["fold"]
-]
-
-
-class TestEffectLabels:
-    @pytest.fixture
-    def base(self, tiny_federated_config):
-        return replace(tiny_federated_config, rounds_per_task=2)
-
-    @pytest.mark.parametrize("name", LABELLED)
-    def test_labelled_knob_does_not_change_the_trained_bits(
-        self, name, tiny_spec, tiny_backbone_config, base, tmp_path
-    ):
-        overrides = _toggles(tmp_path).get(name)
-        assert overrides is not None, (
-            f"{name} is declared exact / observational / conditionally inert; "
-            "give it a toggle value here so the claim is run"
-        )
-        assert overrides[name] != getattr(base, name)
-        toggled = replace(base, **overrides)
-        # The toggle sits where the declaration says it cannot matter ...
-        assert toggled.canonical() == base.canonical()
-        # ... and it does not.
-        assert _state_hash(tiny_spec, tiny_backbone_config, toggled) == _state_hash(
-            tiny_spec, tiny_backbone_config, base
-        )
-
-    def test_serial_checkpoint_resumes_under_the_parallel_executor(
-        self, tiny_spec, tiny_backbone_config, base, tmp_path
-    ):
-        base_hash = _state_hash(tiny_spec, tiny_backbone_config, base)
-        full_dir, resume_dir = tmp_path / "full", tmp_path / "resume"
-        written = replace(base, checkpoint_every=1, checkpoint_dir=str(full_dir))
-        assert _state_hash(tiny_spec, tiny_backbone_config, written) == base_hash
-        earliest = min(os.listdir(full_dir), key=parse_checkpoint_name)
-        resume_dir.mkdir()
-        shutil.copy(full_dir / earliest, resume_dir / earliest)
-        relaunched = replace(
-            written, checkpoint_dir=str(resume_dir), resume=True, executor="parallel", num_workers=2
-        )
-        resumed = _run(tiny_spec, tiny_backbone_config, relaunched)
-        assert resumed._resumed_from is not None
-        assert simulation_state_hash(resumed) == base_hash
 
 
 #: ``changes-results`` knobs retired from ``FederatedConfig``, oldest first:
@@ -328,19 +218,19 @@ def test_the_helper_reproduces_the_fingerprints_of_every_pinned_commit():
     ids=["while_kernel_was_a_knob", "before_the_local_fields_retired", "while_workers_healed"],
 )
 def test_a_checkpoint_written_under_retired_knobs_refuses_to_resume(
-    retired, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+    retired, simulate, tiny_federated_config, tmp_path
 ):
     config = replace(
         tiny_federated_config, rounds_per_task=1, checkpoint_every=1, checkpoint_dir=str(tmp_path)
     )
-    _run(tiny_spec, tiny_backbone_config, config)
+    simulate(config)
     for name in os.listdir(tmp_path):
         payload = load_checkpoint(str(tmp_path / name))
         payload["fingerprint"] = _fingerprint_with_retired_knobs(config, *retired)
         save_checkpoint(str(tmp_path / name), payload)
     # The typed refusal, not a KeyError / TypeError from inside the loader.
     with pytest.raises(CheckpointMismatchError):
-        _run(tiny_spec, tiny_backbone_config, replace(config, resume=True))
+        simulate(replace(config, resume=True))
 
 
 @pytest.mark.parametrize("name", [name for name, _, _ in RETIRED_LOCAL_FIELDS])

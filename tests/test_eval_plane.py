@@ -1,6 +1,6 @@
-"""Tests of the evaluation plane: batch-aligned slicing, serial/parallel accuracy
-parity, eval IPC accounting and ``eval_every`` (the chunk messages both planes
-share are tested in ``test_execution.py``)."""
+"""Tests of the evaluation plane: batch-aligned slicing, the eval pool, eval IPC
+accounting and ``eval_every`` (the chunk messages both planes share are tested
+in ``test_execution.py``; serial/parallel parity is ``test_composition.py``'s)."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from repro.datasets import SyntheticDomainDataset
 from repro.datasets.base import ArrayDataset
 from repro.federated import (
     FederatedConfig,
-    FederatedDomainIncrementalSimulation,
     ParallelEvalBackend,
     ParallelExecutor,
     batch_aligned_slices,
@@ -29,13 +28,6 @@ from repro.federated import (
 from repro.federated.communication import ClientUpdate
 from repro.federated.server import FederatedServer
 from repro.federated.simulation import _mean_update_metrics
-
-
-def _run_simulation(tiny_spec, tiny_backbone_config, config, method_name="refil"):
-    scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-    method = build_method(method_name, tiny_backbone_config, num_tasks=scenario.num_tasks)
-    simulation = FederatedDomainIncrementalSimulation(scenario, method, config)
-    return simulation, simulation.run()
 
 
 class TestBatchAlignedSlices:
@@ -95,58 +87,19 @@ class TestBatchAlignedSlices:
 
 
 class TestEvalParity:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_serial_and_parallel_eval_matrices_identical(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, dtype
-    ):
-        """The acceptance criterion: the full accuracy matrix (hence
-        Avg/Last/FGT/BwT) is bit-for-bit identical across eval executors, at
-        both compute precisions."""
-        config = replace(tiny_federated_config, dtype=dtype, eval_batch_size=4)
-        _, serial = _run_simulation(tiny_spec, tiny_backbone_config, config)
-        _, parallel = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(config, eval_executor="parallel", num_workers=2),
-        )
-        np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
-        assert serial.per_task_accuracy == parallel.per_task_accuracy
-        assert serial.metrics.average == parallel.metrics.average
-        assert serial.metrics.forgetting == parallel.metrics.forgetting
-
-    def test_parallel_eval_shares_the_training_pool(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
+    def test_parallel_eval_shares_the_training_pool(self, simulate, tiny_federated_config):
         """With executor="parallel" too, evaluation jobs ride the *same*
-        pinned pool as training chunks (no second pool), and results still
-        match serial bit-for-bit."""
-        config = replace(tiny_federated_config, eval_batch_size=4)
-        _, serial = _run_simulation(tiny_spec, tiny_backbone_config, config)
-        simulation, parallel = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(config, executor="parallel", eval_executor="parallel", num_workers=2),
+        pinned pool as training chunks: no second pool."""
+        config = replace(
+            tiny_federated_config,
+            eval_batch_size=4,
+            executor="parallel",
+            eval_executor="parallel",
+            num_workers=2,
         )
+        simulation, _ = simulate(config, "refil")
         assert simulation.eval_executor is simulation.executor
         assert simulation.eval_executor.eval_ipc_log and simulation.executor.ipc_log
-        np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
-        assert serial.round_losses == parallel.round_losses
-        assert serial.per_task_accuracy == parallel.per_task_accuracy
-
-    def test_one_and_many_workers_identical(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        config = replace(
-            tiny_federated_config, eval_executor="parallel", eval_batch_size=4
-        )
-        _, one = _run_simulation(
-            tiny_spec, tiny_backbone_config, replace(config, num_workers=1)
-        )
-        _, three = _run_simulation(
-            tiny_spec, tiny_backbone_config, replace(config, num_workers=3)
-        )
-        np.testing.assert_array_equal(one.metrics.matrix, three.metrics.matrix)
-        assert one.per_task_accuracy == three.per_task_accuracy
 
     def test_backend_reslices_when_test_content_changes(self, tiny_spec, tiny_backbone_config):
         """A backend reused across scenarios must never score a stale dataset
@@ -264,7 +217,7 @@ class TestBroadcastFreshness:
         assert all((np.asarray(value) == 0).all() for value in fresh.state.values())
 
     def test_on_task_end_state_mutation_is_visible_to_parallel_eval(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_backbone_config, tiny_federated_config
     ):
         """Regression: a mid-task eval snapshot caches the server's broadcast
         handle; an on_task_end hook that replaces global_state must still be
@@ -276,15 +229,8 @@ class TestBroadcastFreshness:
         )
 
         def run(eval_executor):
-            scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-            base = build_method("finetune", tiny_backbone_config, num_tasks=2)
-            method = _ZeroingFinetune(base.config)
-            simulation = FederatedDomainIncrementalSimulation(
-                scenario,
-                method,
-                replace(config, eval_executor=eval_executor, num_workers=2),
-            )
-            return simulation, simulation.run()
+            method = _ZeroingFinetune(build_method("finetune", tiny_backbone_config, num_tasks=2).config)
+            return simulate(replace(config, eval_executor=eval_executor, num_workers=2), method)
 
         serial_sim, serial = run("serial")
         parallel_sim, parallel = run("parallel")
@@ -298,15 +244,12 @@ class TestBroadcastFreshness:
             state = simulation.server.broadcast_view().state
             assert all((np.asarray(value) == 0).all() for value in state.values())
 
-    def _counted_run(self, tiny_spec, tiny_backbone_config, tiny_federated_config, method_class):
+    def _counted_run(self, simulate, tiny_backbone_config, tiny_federated_config, method_class):
         config = replace(
             tiny_federated_config, rounds_per_task=2, eval_every=1, eval_batch_size=4
         )
-        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-        base = build_method("finetune", tiny_backbone_config, num_tasks=2)
-        simulation = FederatedDomainIncrementalSimulation(
-            scenario, method_class(base.config), config
-        )
+        method = method_class(build_method("finetune", tiny_backbone_config, num_tasks=2).config)
+        simulation = simulate(config, method, run=False)
         backend = simulation.evaluator.backend = _CountingBackend()
         return simulation, simulation.run(), backend.calls
 
@@ -315,14 +258,14 @@ class TestBroadcastFreshness:
         [(FinetuneMethod, 4), (_ZeroingFinetune, 6), (_PayloadReassigningFinetune, 6)],
     )
     def test_after_task_eval_reuses_the_snapshot_only_while_the_handle_stands(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, method_class, eval_calls
+        self, simulate, tiny_backbone_config, tiny_federated_config, method_class, eval_calls
     ):
         """2 tasks x 2 rounds, eval_every=1: the after-task evaluation reuses
         the final round's snapshot (4 scorings) unless on_task_end assigned
         either piece of server state — even an equal payload — which makes a
         new handle that is scored (6)."""
         _, result, calls = self._counted_run(
-            tiny_spec, tiny_backbone_config, tiny_federated_config, method_class
+            simulate, tiny_backbone_config, tiny_federated_config, method_class
         )
         assert calls == eval_calls
         assert len(result.round_eval_history) == 4
@@ -330,14 +273,14 @@ class TestBroadcastFreshness:
             assert result.per_task_accuracy[-1] == result.round_eval_history[-1]["accuracies"]
 
     def test_state_assigning_on_task_end_is_scored_fresh(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_backbone_config, tiny_federated_config
     ):
         """The zeroing hook's after-task row is the zeroed state's accuracy,
         exactly what an evaluator that never saw the run reports."""
         from repro.continual.evaluator import GlobalEvaluator
 
         simulation, result, _ = self._counted_run(
-            tiny_spec, tiny_backbone_config, tiny_federated_config, _ZeroingFinetune
+            simulate, tiny_backbone_config, tiny_federated_config, _ZeroingFinetune
         )
         model = simulation.method.build_model()
         model.load_state_dict(simulation.server.global_state)
@@ -349,7 +292,7 @@ class TestBroadcastFreshness:
 
 class TestEvalIPC:
     def test_test_slices_cross_ipc_on_every_call(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         """2 tasks x 2 rounds with eval_every=1: 4 pooled eval calls (each
         end-of-task evaluation reuses its final round's snapshot).  Every call
@@ -363,7 +306,7 @@ class TestEvalIPC:
             eval_batch_size=4,
             eval_every=1,
         )
-        simulation, _ = _run_simulation(tiny_spec, tiny_backbone_config, config)
+        simulation, _ = simulate(config, "refil")
         log = simulation.eval_executor.eval_ipc_log
         assert len(log) == 4
         assert all(entry.shard_bytes > 0 for entry in log)
@@ -373,12 +316,12 @@ class TestEvalIPC:
 
 class TestEvalEvery:
     def test_round_eval_history_shape(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         config = replace(
             tiny_federated_config, rounds_per_task=2, eval_every=1, eval_batch_size=4
         )
-        _, result = _run_simulation(tiny_spec, tiny_backbone_config, config)
+        _, result = simulate(config, "refil")
         # 2 tasks x 2 rounds, eval_every=1 -> one snapshot per round.
         assert len(result.round_eval_history) == 4
         for entry in result.round_eval_history:
@@ -388,11 +331,11 @@ class TestEvalEvery:
         assert [e["task_id"] for e in result.round_eval_history] == [0, 0, 1, 1]
         assert [e["round_index"] for e in result.round_eval_history] == [0, 1, 0, 1]
 
-    def test_eval_every_k_skips_rounds(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
+    def test_eval_every_k_skips_rounds(self, simulate, tiny_federated_config):
         config = replace(
             tiny_federated_config, rounds_per_task=2, eval_every=2, eval_batch_size=4
         )
-        _, result = _run_simulation(tiny_spec, tiny_backbone_config, config)
+        _, result = simulate(config, "refil")
         assert [e["round_index"] for e in result.round_eval_history] == [1, 1]
 
     @pytest.mark.parametrize("mode", ["sync", "buffered"])
@@ -403,37 +346,21 @@ class TestEvalEvery:
         ["refil", "refil_gpl_dpcl", "fedl2p", "feddualprompt"],
     )
     def test_mid_task_eval_does_not_perturb_training(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, method_name, mode
+        self, simulate, tiny_federated_config, method_name, mode
     ):
         """Evaluation is read-only and reusing the final snapshot as the
         after-task evaluation moves no number: a run with eval_every on must
         produce the exact same trained model, losses and accuracy matrix as
         one without."""
         config = replace(tiny_federated_config, rounds_per_task=2, eval_batch_size=4, mode=mode)
-        _, plain = _run_simulation(tiny_spec, tiny_backbone_config, config, method_name)
-        _, snapshotted = _run_simulation(
-            tiny_spec, tiny_backbone_config, replace(config, eval_every=1), method_name
-        )
+        _, plain = simulate(config, method_name)
+        _, snapshotted = simulate(replace(config, eval_every=1), method_name)
         assert plain.metrics.matrix.tobytes() == snapshotted.metrics.matrix.tobytes()
         assert plain.per_task_accuracy == snapshotted.per_task_accuracy
         assert plain.round_losses == snapshotted.round_losses
         assert plain.round_eval_history == []
         last = snapshotted.round_eval_history[-1]
         assert last["accuracies"] == snapshotted.per_task_accuracy[-1]
-
-    def test_serial_and_parallel_round_eval_history_identical(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        config = replace(
-            tiny_federated_config, rounds_per_task=2, eval_every=1, eval_batch_size=4
-        )
-        _, serial = _run_simulation(tiny_spec, tiny_backbone_config, config)
-        _, parallel = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(config, eval_executor="parallel", num_workers=2),
-        )
-        assert serial.round_eval_history == parallel.round_eval_history
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

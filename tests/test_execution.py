@@ -1,4 +1,4 @@
-"""Tests of the round execution engine: executor parity, broadcast handle, dtype path."""
+"""Tests of the round execution engine: the worker pool, broadcast handle, dtype path."""
 
 from __future__ import annotations
 
@@ -28,11 +28,10 @@ from repro.autograd.tensor import (
 from repro.baselines.base import BaselineConfig
 from repro.baselines.finetune import FinetuneMethod
 from repro.baselines.registry import build_method
-from repro.continual import DomainIncrementalScenario, count_correct
+from repro.continual import count_correct
 from repro.datasets import ArrayDataset, SyntheticDomainDataset
 from repro.federated import (
     FederatedConfig,
-    FederatedDomainIncrementalSimulation,
     ParallelExecutor,
     SerialExecutor,
     WorkerDiedError,
@@ -47,58 +46,7 @@ from repro.federated.server import BroadcastHandle, FederatedServer
 from repro.nn.optim import SGD
 
 
-def _run_simulation(tiny_spec, tiny_backbone_config, config, method_name="refil"):
-    scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-    method = build_method(method_name, tiny_backbone_config, num_tasks=scenario.num_tasks)
-    return FederatedDomainIncrementalSimulation(scenario, method, config).run()
-
-
-class TestExecutorParity:
-    def test_serial_and_parallel_runs_are_identical(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        serial = _run_simulation(tiny_spec, tiny_backbone_config, tiny_federated_config)
-        parallel = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, executor="parallel", num_workers=2),
-        )
-        np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
-        assert serial.round_losses == parallel.round_losses
-        assert serial.round_loss_components == parallel.round_loss_components
-
-    def test_one_and_many_workers_are_identical(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        one = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, executor="parallel", num_workers=1),
-        )
-        two = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(tiny_federated_config, executor="parallel", num_workers=2),
-        )
-        np.testing.assert_array_equal(one.metrics.matrix, two.metrics.matrix)
-        assert one.round_losses == two.round_losses
-
-    def test_parity_with_stateful_static_prompt_ablation(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        """refil_gpl disables CDAP, so clients train persistent static prompts;
-        the parallel executor must round-trip them through export/import."""
-        config = replace(tiny_federated_config, rounds_per_task=2)
-        serial = _run_simulation(tiny_spec, tiny_backbone_config, config, "refil_gpl")
-        parallel = _run_simulation(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(config, executor="parallel", num_workers=2),
-            "refil_gpl",
-        )
-        np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
-        assert serial.round_losses == parallel.round_losses
-
+class TestBuildExecutor:
     def test_build_executor_validation(self):
         assert isinstance(build_executor("serial"), SerialExecutor)
         assert isinstance(build_executor("parallel", 2), ParallelExecutor)
@@ -378,26 +326,13 @@ class TestChunks:
         assert len(serial) == 2
         assert parallel == serial
 
-    def test_multi_task_simulation_parity(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        """Serial vs parallel RefFiL over 2 tasks x 2 rounds, where in-between
-        clients' shards grow at the boundary: bit-for-bit identical, and every
-        round's chunks carry shards."""
-        config = replace(tiny_federated_config, rounds_per_task=2)
-        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-        method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        serial = FederatedDomainIncrementalSimulation(scenario, method, config).run()
-
-        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-        method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        sim = FederatedDomainIncrementalSimulation(
-            scenario, method, replace(config, executor="parallel", num_workers=2)
-        )
-        parallel = sim.run()
-        np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
-        assert serial.round_losses == parallel.round_losses
-        log = sim.executor.ipc_log
+    def test_every_round_of_a_pooled_run_carries_shards(self, simulate, tiny_federated_config):
+        """RefFiL over 2 tasks x 2 rounds, where in-between clients' shards
+        grow at the boundary: every round's chunks carry shards (serial
+        parity is an example of ``test_composition.py``)."""
+        config = replace(tiny_federated_config, rounds_per_task=2, executor="parallel", num_workers=2)
+        simulation, _ = simulate(config, "refil")
+        log = simulation.executor.ipc_log
         assert [ipc.task_id for ipc in log] == [0, 0, 1, 1]
         assert all(ipc.shard_bytes > 0 for ipc in log)
 
@@ -638,7 +573,7 @@ class TestPrecision:
 
     @pytest.mark.parametrize("method_name", ["refil", "fedewc"])
     def test_float32_simulation_end_to_end(
-        self, monkeypatch, tiny_spec, tiny_backbone_config, tiny_federated_config, method_name
+        self, monkeypatch, simulate, tiny_federated_config, method_name
     ):
         """A default run computes in float32 throughout.  ``Tensor`` casts
         every op result to the compute dtype, so a float64 intermediate would
@@ -679,10 +614,7 @@ class TestPrecision:
             velocities.append(optimizer._velocity)
 
         monkeypatch.setattr(SGD, "step", recording_step)
-        scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=2)
-        method = build_method(method_name, tiny_backbone_config, num_tasks=scenario.num_tasks)
-        simulation = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config)
-        result = simulation.run()
+        simulation, result = simulate(tiny_federated_config, method_name)
         assert np.isfinite(result.metrics.matrix[~np.isnan(result.metrics.matrix)]).all()
         assert all(np.isfinite(loss) for loss in result.round_losses)
         # the context manager must not leak the dtype into the process default
@@ -748,10 +680,8 @@ class TestLossBreakdown:
             metrics["loss_ce"] + metrics["loss_gpl"] + metrics["loss_dpcl"], rel=1e-9
         )
 
-    def test_simulation_records_round_loss_components(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        result = _run_simulation(tiny_spec, tiny_backbone_config, tiny_federated_config)
+    def test_simulation_records_round_loss_components(self, simulate, tiny_federated_config):
+        _, result = simulate(tiny_federated_config, "refil")
         assert len(result.round_loss_components) == len(result.round_losses)
         for components, mean_loss in zip(result.round_loss_components, result.round_losses):
             assert components["loss_total"] == pytest.approx(mean_loss)

@@ -17,17 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import build_method
 from repro.baselines.base import BaselineConfig
 from repro.baselines.finetune import FinetuneMethod
-from repro.continual import DomainIncrementalScenario
-from repro.datasets import SyntheticDomainDataset
 from repro.federated import (
     CheckpointCorruptionError,
     CheckpointMismatchError,
     FaultInjector,
     FaultSpec,
-    FederatedDomainIncrementalSimulation,
     FrameCorruptionError,
     FrameDecodeError,
     TransportError,
@@ -59,22 +55,6 @@ from repro.federated.server import FederatedServer
 from repro.federated.transport import LoopbackTransport
 from repro.nn.linear import Linear
 from repro.serving.registry import ModelRegistry
-
-
-def _scenario(tiny_spec, num_tasks=2):
-    return DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=num_tasks)
-
-
-def _build(tiny_spec, tiny_backbone_config, config, num_tasks=2, method=None):
-    scenario = _scenario(tiny_spec, num_tasks=num_tasks)
-    if method is None:
-        method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
-    return FederatedDomainIncrementalSimulation(scenario, method, config)
-
-
-def _run(tiny_spec, tiny_backbone_config, config, num_tasks=2, method=None):
-    simulation = _build(tiny_spec, tiny_backbone_config, config, num_tasks=num_tasks, method=method)
-    return simulation, simulation.run()
 
 
 def _matrix_bytes(simulation) -> bytes:
@@ -441,35 +421,25 @@ class TestTransportErrors:
 # Zero-fault / checkpoint-off inertness
 # --------------------------------------------------------------------------- #
 class TestZeroFaultParity:
-    def test_fault_knobs_are_inert_when_disabled(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
-    ):
-        """Changing retry knobs and turning checkpointing on must not move a bit."""
-        base_cfg = replace(tiny_federated_config, rounds_per_task=2)
-        baseline_sim, baseline = _run(tiny_spec, tiny_backbone_config, base_cfg)
-        knobs_cfg = replace(
-            base_cfg,
-            retries=7,
-            retry_backoff=3.0,
-            checkpoint_every=1,
-            checkpoint_dir=str(tmp_path / "ckpt"),
-        )
-        knobs_sim, knobs = _run(tiny_spec, tiny_backbone_config, knobs_cfg)
-        assert simulation_state_hash(baseline_sim) == simulation_state_hash(knobs_sim)
-        assert _matrix_bytes(baseline_sim) == _matrix_bytes(knobs_sim)
-        assert baseline.round_losses == knobs.round_losses
-        assert baseline.event_log == knobs.event_log
-        assert baseline.fault_stats == {}
-        assert knobs.fault_stats["checkpoints_written"] > 0
+    def test_fault_stats_count_what_the_run_did(self, simulate, tiny_federated_config, tmp_path):
+        """A run without faults or checkpoints reports nothing; one that
+        checkpoints every round counts each snapshot (a run that moves no
+        number with these knobs is ``test_composition.py``'s)."""
+        config = replace(tiny_federated_config, rounds_per_task=2)
+        _, clean = simulate(config)
+        assert clean.fault_stats == {}
+        _, written = simulate(replace(config, checkpoint_every=1, checkpoint_dir=str(tmp_path)))
+        assert written.fault_stats == {"checkpoints_written": 4, "resumed_from": None}
+        assert len(os.listdir(tmp_path)) == 4
 
     def test_server_restarts_are_lossless_under_delta_codec(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         """Restarts wipe delta acks (dense re-broadcasts) but never the numbers."""
         base_cfg = replace(tiny_federated_config, rounds_per_task=2, codec="delta")
-        clean_sim, _ = _run(tiny_spec, tiny_backbone_config, base_cfg)
+        clean_sim, _ = simulate(base_cfg)
         restart_cfg = replace(base_cfg, faults=FaultSpec(server_restart_every=1))
-        restart_sim, restarted = _run(tiny_spec, tiny_backbone_config, restart_cfg)
+        restart_sim, restarted = simulate(restart_cfg)
         assert restarted.fault_stats["server_restarts"] > 0
         assert any(event["kind"] == "server_restart" for event in restarted.event_log)
         assert simulation_state_hash(clean_sim) == simulation_state_hash(restart_sim)
@@ -480,7 +450,7 @@ class TestZeroFaultParity:
 # --------------------------------------------------------------------------- #
 class TestFaultedRunsAreDeterministic:
     def test_sync_crash_and_corruption_replay_identically(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         config = replace(
             tiny_federated_config,
@@ -489,8 +459,8 @@ class TestFaultedRunsAreDeterministic:
             retries=2,
             retry_backoff=0.5,
         )
-        first_sim, first = _run(tiny_spec, tiny_backbone_config, config)
-        second_sim, second = _run(tiny_spec, tiny_backbone_config, config)
+        first_sim, first = simulate(config)
+        second_sim, second = simulate(config)
         assert first.fault_stats["client_crashes"] > 0
         assert any(event["kind"] == "client_crash" for event in first.event_log)
         assert first.event_log == second.event_log
@@ -500,7 +470,7 @@ class TestFaultedRunsAreDeterministic:
 
     @pytest.mark.parametrize("mode", ["async", "buffered"])
     def test_temporal_plane_crash_and_rejoin_events(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, mode
+        self, simulate, tiny_federated_config, mode
     ):
         config = replace(
             tiny_federated_config,
@@ -509,12 +479,12 @@ class TestFaultedRunsAreDeterministic:
             device_profile="homogeneous",
             faults=FaultSpec(client_crash_rate=0.5),
         )
-        first_sim, first = _run(tiny_spec, tiny_backbone_config, config)
+        first_sim, first = simulate(config)
         kinds = [event["kind"] for event in first.event_log]
         assert "client_crash" in kinds
         assert "client_rejoin" in kinds
         assert first.fault_stats["client_crashes"] == kinds.count("client_crash")
-        second_sim, second = _run(tiny_spec, tiny_backbone_config, config)
+        second_sim, second = simulate(config)
         assert first.event_log == second.event_log
         assert simulation_state_hash(first_sim) == simulation_state_hash(second_sim)
 
@@ -524,11 +494,11 @@ class TestFaultedRunsAreDeterministic:
 # --------------------------------------------------------------------------- #
 class TestWorkerDeath:
     def test_dead_worker_raises_typed_error_with_pending_clients(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_backbone_config, tiny_federated_config
     ):
         config = replace(tiny_federated_config, executor="parallel", num_workers=2)
         method = _WorkerKiller(BaselineConfig(backbone=tiny_backbone_config))
-        simulation = _build(tiny_spec, tiny_backbone_config, config, method=method)
+        simulation = simulate(config, method, run=False)
         with pytest.raises(WorkerDiedError) as excinfo:
             simulation.run()
         error = excinfo.value
@@ -639,7 +609,7 @@ class TestDurableRetention:
                 assert ops[index - 1] == "fsync" and ops[index + 1] == "fsync-dir", ops
 
     def test_checkpoint_prune_follows_the_directory_fsync(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path, disk_ops
+        self, simulate, tiny_federated_config, tmp_path, disk_ops
     ):
         config = replace(
             tiny_federated_config,
@@ -648,7 +618,7 @@ class TestDurableRetention:
             checkpoint_keep=1,
             checkpoint_dir=str(tmp_path),
         )
-        _run(tiny_spec, tiny_backbone_config, config)
+        simulate(config)
         self._assert_renames_durable_before_prunes(disk_ops)
         assert len(os.listdir(tmp_path)) == 1
 
@@ -664,52 +634,8 @@ class TestDurableRetention:
 # Checkpoint -> resume equals uninterrupted, across modes
 # --------------------------------------------------------------------------- #
 class TestCheckpointResume:
-    @pytest.mark.parametrize(
-        "mode, codec",
-        [
-            pytest.param("sync", "identity", id="sync"),
-            pytest.param("async", "identity", id="async"),
-            pytest.param("buffered", "identity", id="buffered"),
-            # No downlink acks to restore: the memoised frame is rebuilt.
-            pytest.param("buffered", "quantize8", id="buffered-quantize8"),
-            # Acks restored: a resumed run keeps sending diffs, not dense frames.
-            pytest.param("sync", "delta", id="sync-delta"),
-        ],
-    )
-    def test_resume_matches_uninterrupted(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path, mode, codec
-    ):
-        full_dir = tmp_path / "full"
-        config = replace(
-            tiny_federated_config,
-            rounds_per_task=2,
-            mode=mode,
-            codec=codec,
-            checkpoint_every=1 if mode == "sync" else 0,
-            checkpoint_dir=str(full_dir),
-        )
-        full_sim, full = _run(tiny_spec, tiny_backbone_config, config)
-        full_hash = simulation_state_hash(full_sim)
-
-        # Keep only the earliest snapshot: the resumed run must re-train
-        # everything after it and still land on the same bits.
-        names = sorted(os.listdir(full_dir), key=parse_checkpoint_name)
-        assert len(names) >= 2
-        resume_dir = tmp_path / "resume"
-        resume_dir.mkdir()
-        shutil.copy(full_dir / names[0], resume_dir / names[0])
-
-        resumed_cfg = replace(config, checkpoint_dir=str(resume_dir), resume=True)
-        resumed_sim, resumed = _run(tiny_spec, tiny_backbone_config, resumed_cfg)
-        assert resumed.fault_stats["resumed_from"] is not None
-        assert simulation_state_hash(resumed_sim) == full_hash
-        assert _matrix_bytes(resumed_sim) == _matrix_bytes(full_sim)
-        assert resumed.round_losses == full.round_losses
-        assert resumed.event_log == full.event_log
-        assert resumed.communication == full.communication
-
     def test_resumes_from_a_ledger_pickled_with_its_retired_fields(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+        self, simulate, tiny_federated_config, tmp_path
     ):
         """Ledgers used to carry ``per_round`` (per-record totals) and
         ``measured_rounds`` (always ``rounds``); checkpoints that pickled them
@@ -718,7 +644,7 @@ class TestCheckpointResume:
         config = replace(
             tiny_federated_config, rounds_per_task=2, checkpoint_every=1, checkpoint_dir=str(full_dir)
         )
-        full_sim, full = _run(tiny_spec, tiny_backbone_config, config)
+        full_sim, full = simulate(config)
         first = sorted(os.listdir(full_dir), key=parse_checkpoint_name)[0]
         payload = load_checkpoint(str(full_dir / first))
         ledger = pickle.loads(payload["ledger_blob"])
@@ -732,7 +658,7 @@ class TestCheckpointResume:
         save_checkpoint(str(resume_dir / first), payload)
 
         resumed_cfg = replace(config, checkpoint_dir=str(resume_dir), resume=True)
-        resumed_sim, resumed = _run(tiny_spec, tiny_backbone_config, resumed_cfg)
+        resumed_sim, resumed = simulate(resumed_cfg)
         assert resumed.fault_stats["resumed_from"] is not None
         assert simulation_state_hash(resumed_sim) == simulation_state_hash(full_sim)
         assert resumed.communication == full.communication
@@ -740,7 +666,7 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("codec", ["quantize8", "delta"])
     def test_checkpoints_hold_downlink_state_only_for_a_codec_that_reads_it(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path, codec
+        self, simulate, tiny_federated_config, tmp_path, codec
     ):
         """Per-client model copies in a checkpoint scale with the fleet; nothing else does."""
         for rounds_per_task in (2, 6):  # N and 3N dispatches per task
@@ -754,7 +680,7 @@ class TestCheckpointResume:
                 rounds_per_task=rounds_per_task,
                 checkpoint_dir=str(directory),
             )
-            simulation, result = _run(tiny_spec, tiny_backbone_config, config)
+            simulation, result = simulate(config)
             contacted = {e["client_id"] for e in result.event_log if e["kind"] == "dispatch"}
             names = sorted(os.listdir(directory), key=parse_checkpoint_name)
             sizes = [os.path.getsize(directory / name) for name in names]
@@ -771,31 +697,31 @@ class TestCheckpointResume:
                 assert sizes[-1] < 3 * model_bytes
 
     def test_resume_from_empty_directory_starts_fresh(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+        self, simulate, tiny_federated_config, tmp_path
     ):
         config = replace(
             tiny_federated_config,
             checkpoint_dir=str(tmp_path / "empty"),
             resume=True,
         )
-        plain_sim, _ = _run(tiny_spec, tiny_backbone_config, tiny_federated_config)
-        fresh_sim, fresh = _run(tiny_spec, tiny_backbone_config, config)
+        plain_sim, _ = simulate(tiny_federated_config)
+        fresh_sim, fresh = simulate(config)
         assert fresh.fault_stats.get("resumed_from") is None
         assert simulation_state_hash(plain_sim) == simulation_state_hash(fresh_sim)
 
     def test_fingerprint_mismatch_refuses_to_resume(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+        self, simulate, tiny_federated_config, tmp_path
     ):
         directory = str(tmp_path / "ckpt")
         config = replace(tiny_federated_config, checkpoint_dir=directory)
-        _run(tiny_spec, tiny_backbone_config, config)
+        simulate(config)
         mismatched = replace(config, seed=config.seed + 1, resume=True)
-        simulation = _build(tiny_spec, tiny_backbone_config, mismatched)
+        simulation = simulate(mismatched, run=False)
         with pytest.raises(CheckpointMismatchError):
             simulation.run()
 
     def test_an_old_envelope_checkpoint_refuses_by_version(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+        self, simulate, tiny_federated_config, tmp_path
     ):
         """A version-4 server entry pickles its table inside the plan.  A
         version-4 file is refused by its container header
@@ -804,7 +730,7 @@ class TestCheckpointResume:
         before ``decode_version`` fails on the body."""
         directory = tmp_path / "ckpt"
         config = replace(tiny_federated_config, checkpoint_dir=str(directory))
-        _run(tiny_spec, tiny_backbone_config, config)
+        simulate(config)
         path = latest_checkpoint(str(directory))
         payload = load_checkpoint(path)
         state, broadcast_payload = decode_version(payload["server"]["version"])
@@ -818,10 +744,10 @@ class TestCheckpointResume:
         payload["version"] = 4
         save_checkpoint(path, payload)
         with pytest.raises(CheckpointMismatchError, match="version-4 payload"):
-            _run(tiny_spec, tiny_backbone_config, replace(config, resume=True))
+            simulate(replace(config, resume=True))
 
     def test_a_float64_checkpoint_resumes_only_where_float64_is_stated(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+        self, simulate, tiny_federated_config, tmp_path
     ):
         """float64 was the default until float32 replaced it: a checkpoint the
         old default wrote refuses a relaunch that leaves ``dtype`` unstated,
@@ -834,7 +760,7 @@ class TestCheckpointResume:
             checkpoint_every=1,
             checkpoint_dir=str(full_dir),
         )
-        full_sim, full = _run(tiny_spec, tiny_backbone_config, written)
+        full_sim, full = simulate(written)
         first = sorted(os.listdir(full_dir), key=parse_checkpoint_name)[0]
         resume_dir = tmp_path / "resume"
         resume_dir.mkdir()
@@ -844,12 +770,12 @@ class TestCheckpointResume:
             written, dtype=FederatedConfig().dtype, checkpoint_dir=str(resume_dir), resume=True
         )
         with pytest.raises(CheckpointMismatchError) as refusal:
-            _run(tiny_spec, tiny_backbone_config, relaunch)
+            simulate(relaunch)
         assert config_fingerprint(written) in str(refusal.value)
         assert config_fingerprint(relaunch) in str(refusal.value)
 
         stated = replace(relaunch, dtype="float64")
-        resumed_sim, resumed = _run(tiny_spec, tiny_backbone_config, stated)
+        resumed_sim, resumed = simulate(stated)
         assert resumed.fault_stats["resumed_from"] is not None
         assert simulation_state_hash(resumed_sim) == simulation_state_hash(full_sim)
         assert _matrix_bytes(resumed_sim) == _matrix_bytes(full_sim)

@@ -1,4 +1,4 @@
-"""Fidelity to the paper's claims — first row of the gate (ROADMAP item 1(a)).
+"""Fidelity to the paper's claims — the gate of ROADMAP item 2.
 
 arXiv 2405.13900, Table I: RefFiL's Avg accuracy is at or above Finetune's and
 its forgetting (FGT) at or below.  Each claim is checked on ``office_caltech``

@@ -17,7 +17,6 @@ Covers the two halves of the plane and their cross-layer contracts:
 from __future__ import annotations
 
 import hashlib
-import os
 import tracemalloc
 from dataclasses import replace
 
@@ -65,17 +64,6 @@ from repro.federated.faults import carry_frame
 from repro.federated.increment import ClientGroup
 from repro.utils.rng import spawn_rng
 from test_fault_plane import _query_all  # the fault plane's fixed query program
-
-
-def _build(tiny_spec, tiny_backbone_config, config, num_tasks=2):
-    scenario = DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=num_tasks)
-    method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
-    return FederatedDomainIncrementalSimulation(scenario, method, config)
-
-
-def _run(tiny_spec, tiny_backbone_config, config, num_tasks=2):
-    simulation = _build(tiny_spec, tiny_backbone_config, config, num_tasks=num_tasks)
-    return simulation, simulation.run()
 
 
 # --------------------------------------------------------------------------- #
@@ -184,13 +172,13 @@ class TestVirtualShards:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_plane_materializes_eager_bits_every_client_every_task(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, seed
+        self, simulate, tiny_federated_config, seed
     ):
         # The plane against a short eager recipe of Algorithm 1's assignment:
         # partition the domain and let In-between clients concatenate their
         # previous take's shard with the new one (line 17).
         config = replace(tiny_federated_config, seed=seed, rounds_per_task=1)
-        sim = _build(tiny_spec, tiny_backbone_config, config, num_tasks=3)
+        sim = simulate(config, num_tasks=3, run=False)
         latest, training, held = {}, {}, {}
         for task in sim.scenario.tasks():
             sim._assign_task_data(task)
@@ -232,7 +220,9 @@ class TestVirtualShards:
             increment=replace(tiny_federated_config.increment, initial_clients=40),
             rounds_per_task=30,
         )
-        sim = _build(spec, tiny_backbone_config, config)
+        scenario = DomainIncrementalScenario(SyntheticDomainDataset(spec), num_tasks=2)
+        method = build_method("finetune", tiny_backbone_config, num_tasks=2)
+        sim = FederatedDomainIncrementalSimulation(scenario, method, config)
         plane = sim.virtual
         builds = []
         single_shard = plane._single_shard
@@ -787,24 +777,22 @@ class TestSimulationParity:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("mode", ["sync", "async", "buffered"])
     def test_virtual_run_reproduces_eager_run(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, mode, dtype
+        self, simulate, tiny_federated_config, mode, dtype
     ):
         config = replace(tiny_federated_config, mode=mode, rounds_per_task=2, dtype=dtype)
-        sim, result = _run(tiny_spec, tiny_backbone_config, config)
+        sim, result = simulate(config)
         assert (simulation_state_hash(sim), _event_log_digest(result.event_log)) == (
             _EAGER_RUN_PINS[dtype, mode]
         )
 
     def test_tree_run_matches_flat_within_tolerance(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         # A cohort of 3 with fanout 2 genuinely ships edge frames (a cohort
         # within the fanout degenerates to an in-process root reduce).
         config = replace(tiny_federated_config, clients_per_round=3, rounds_per_task=2)
-        _, flat = _run(tiny_spec, tiny_backbone_config, config)
-        tree_sim, tree = _run(
-            tiny_spec, tiny_backbone_config, replace(config, reduce_backend="tree", tree_fanout=2)
-        )
+        _, flat = simulate(config)
+        tree_sim, tree = simulate(replace(config, reduce_backend="tree", tree_fanout=2))
         np.testing.assert_allclose(
             np.asarray(tree.metrics.matrix),
             np.asarray(flat.metrics.matrix),
@@ -817,7 +805,7 @@ class TestSimulationParity:
 
     @pytest.mark.parametrize("dtype", list(_TREE_QUANTIZE8_PINS))
     def test_tree_quantize8_run_under_frame_faults_is_pinned(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, dtype
+        self, simulate, tiny_federated_config, dtype
     ):
         """Uploads and edge partials both through quantize8, both lost and
         corrupted in transit: the state and every byte on the wire are pinned."""
@@ -831,12 +819,12 @@ class TestSimulationParity:
             codec="quantize8",
             faults=FaultSpec(upload_loss_rate=0.3, upload_corruption_rate=0.3),
         )
-        sim, result = _run(tiny_spec, tiny_backbone_config, config)
+        sim, result = simulate(config)
         ledger = result.communication
         assert ledger.edge_lost_frames > 0 and ledger.edge_corrupt_frames > 0
         assert (simulation_state_hash(sim), ledger.total_bytes) == _TREE_QUANTIZE8_PINS[dtype]
 
-    def test_fleet_population_trains(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
+    def test_fleet_population_trains(self, simulate, tiny_federated_config):
         config = replace(
             tiny_federated_config,
             virtual_clients=True,
@@ -845,7 +833,7 @@ class TestSimulationParity:
             reduce_backend="tree",
             tree_fanout=2,
         )
-        sim, result = _run(tiny_spec, tiny_backbone_config, config)
+        sim, result = simulate(config)
         matrix = np.asarray(result.metrics.matrix)
         assert np.isfinite(matrix[np.tril_indices_from(matrix)]).all()
         # O(cohort) state: nothing population-sized was ever materialized.
@@ -860,7 +848,7 @@ class TestSimulationParity:
 
     @pytest.mark.parametrize("mode", ["async", "buffered"])
     def test_fleet_population_temporal_modes(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, mode
+        self, simulate, tiny_federated_config, mode
     ):
         config = replace(
             tiny_federated_config,
@@ -870,41 +858,14 @@ class TestSimulationParity:
             device_profile="moderate",
             rounds_per_task=2,
         )
-        _, result = _run(tiny_spec, tiny_backbone_config, config)
+        _, result = simulate(config)
         matrix = np.asarray(result.metrics.matrix)
         assert np.isfinite(matrix[np.tril_indices_from(matrix)]).all()
 
 
 class TestVirtualResume:
-    def test_resumed_virtual_run_matches_uninterrupted(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
-    ):
-        import shutil
-
-        from repro.federated import parse_checkpoint_name
-
-        full_dir = tmp_path / "full"
-        config = replace(
-            tiny_federated_config,
-            virtual_clients=True,
-            population=500,
-            rounds_per_task=2,
-            checkpoint_every=1,
-            checkpoint_dir=str(full_dir),
-        )
-        full_sim, full = _run(tiny_spec, tiny_backbone_config, config)
-        names = sorted(os.listdir(full_dir), key=parse_checkpoint_name)
-        assert len(names) >= 2
-        resume_dir = tmp_path / "resume"
-        resume_dir.mkdir()
-        shutil.copy(full_dir / names[0], resume_dir / names[0])
-        resumed_cfg = replace(config, checkpoint_dir=str(resume_dir), resume=True)
-        resumed_sim, resumed = _run(tiny_spec, tiny_backbone_config, resumed_cfg)
-        assert simulation_state_hash(resumed_sim) == simulation_state_hash(full_sim)
-        assert resumed.event_log == full.event_log
-
     def test_resume_refuses_mismatched_tree_fanout(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, tmp_path
+        self, simulate, tiny_federated_config, tmp_path
     ):
         directory = str(tmp_path / "ckpt")
         config = replace(
@@ -916,8 +877,8 @@ class TestVirtualResume:
             checkpoint_every=1,
             checkpoint_dir=directory,
         )
-        _run(tiny_spec, tiny_backbone_config, config)
+        simulate(config)
         mismatched = replace(config, tree_fanout=3, resume=True)
-        simulation = _build(tiny_spec, tiny_backbone_config, mismatched)
+        simulation = simulate(mismatched, run=False)
         with pytest.raises(CheckpointMismatchError):
             simulation.run()

@@ -37,7 +37,7 @@ ALLOWED = {
     "datasets/partition.py:partition_domain_across_clients": (
         "a trace hook target, and the eager oracle the lazy client partition is pinned to"
     ),
-    "experiments/runner.py:clear_run_cache": "tests reset the run memo; goes with it (ROADMAP item 4)",
+    "experiments/runner.py:clear_run_cache": "tests reset the run memo; goes with it (ROADMAP item 5)",
 }
 
 

@@ -11,7 +11,6 @@ from repro.baselines import build_method
 from repro.continual import DomainIncrementalScenario
 from repro.autograd.tensor import default_dtype
 from repro.core.trainer import train_refil
-from repro.datasets import SyntheticDomainDataset
 from repro.datasets.registry import build_dataset
 from repro.experiments.config import ExperimentScale, scaled_config
 from repro.federated import (
@@ -23,58 +22,36 @@ from repro.federated import (
 )
 
 
-def _scenario(tiny_spec, num_tasks=2):
-    return DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=num_tasks)
-
-
 class TestSimulation:
-    def test_finetune_end_to_end(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
-        scenario = _scenario(tiny_spec)
-        method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        result = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config).run()
+    def test_finetune_end_to_end(self, simulate, tiny_federated_config):
+        simulation, result = simulate(tiny_federated_config)
         assert result.method_name == "Finetune"
         assert result.metrics.matrix.shape == (2, 2)
         assert len(result.per_task_accuracy) == 2
-        assert len(result.round_losses) == tiny_federated_config.rounds_per_task * scenario.num_tasks
+        assert len(result.round_losses) == tiny_federated_config.rounds_per_task * 2
         assert result.communication.rounds == len(result.round_losses)
         assert result.schedule_trace[0]["total"] == tiny_federated_config.increment.initial_clients
         assert 0.0 <= result.metrics.average <= 1.0
 
-    def test_refil_end_to_end(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
-        scenario = _scenario(tiny_spec)
-        method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        result = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config).run()
+    def test_refil_end_to_end(self, simulate, tiny_federated_config):
+        simulation, result = simulate(tiny_federated_config, "refil")
         assert result.metrics.matrix.shape == (2, 2)
-        assert not method.store.is_empty
+        assert not simulation.method.store.is_empty
         assert all(np.isfinite(loss) for loss in result.round_losses)
 
-    def test_accuracy_matrix_is_complete(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
-        scenario = _scenario(tiny_spec)
-        method = build_method("fedlwf", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        simulation = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config)
-        simulation.run()
+    def test_accuracy_matrix_is_complete(self, simulate, tiny_federated_config):
+        simulation, _ = simulate(tiny_federated_config, "fedlwf")
         assert simulation.evaluator.accuracy_matrix.is_complete()
 
-    def test_determinism_with_same_seed(self, tiny_spec, tiny_backbone_config, tiny_federated_config):
-        scenario = _scenario(tiny_spec)
-
-        def run_once():
-            method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
-            return FederatedDomainIncrementalSimulation(
-                scenario, method, tiny_federated_config
-            ).run()
-
-        first = run_once()
-        second = run_once()
+    def test_determinism_with_same_seed(self, simulate, tiny_federated_config):
+        _, first = simulate(tiny_federated_config)
+        _, second = simulate(tiny_federated_config)
         assert np.allclose(first.metrics.matrix, second.metrics.matrix, equal_nan=True)
         assert np.allclose(first.round_losses, second.round_losses)
 
-    def test_in_between_clients_concatenate_old_and_new_data(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        scenario = _scenario(tiny_spec)
-        method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        simulation = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config)
+    def test_in_between_clients_concatenate_old_and_new_data(self, simulate, tiny_federated_config):
+        simulation = simulate(tiny_federated_config, run=False)
+        scenario = simulation.scenario
         simulation.run_task(scenario.task(0))
         sizes_after_first = {
             cid: len(simulation.virtual.materialize(cid))
@@ -87,12 +64,8 @@ class TestSimulation:
         for client_id in carried:
             assert len(simulation.virtual.materialize(client_id)) > sizes_after_first[client_id]
 
-    def test_communication_ledger_grows_with_rounds(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        scenario = _scenario(tiny_spec)
-        method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        result = FederatedDomainIncrementalSimulation(scenario, method, tiny_federated_config).run()
+    def test_communication_ledger_grows_with_rounds(self, simulate, tiny_federated_config):
+        _, result = simulate(tiny_federated_config, "refil")
         assert result.communication.uploaded_bytes > 0
         assert result.communication.broadcast_bytes > 0
 
@@ -111,7 +84,7 @@ class TestFrozenStaysFrozen:
         ids=["identity-flat", "quantize8-tree"],
     )
     def test_tokenizer_stays_off_the_wire_and_at_its_initial_bits(
-        self, monkeypatch, tiny_spec, tiny_backbone_config, tiny_federated_config, knobs
+        self, monkeypatch, simulate, tiny_federated_config, knobs
     ):
         frames = []
         encode_frame = communication.encode_frame
@@ -123,10 +96,7 @@ class TestFrozenStaysFrozen:
         for module in (communication, transport, aggregation):
             monkeypatch.setattr(module, "encode_frame", recording)
         config = replace(tiny_federated_config, rounds_per_task=2, **knobs)
-        scenario = _scenario(tiny_spec)
-        method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        simulation = FederatedDomainIncrementalSimulation(scenario, method, config)
-        simulation.run()
+        simulation, _ = simulate(config, "refil")
 
         assert not [key for key in simulation.server.global_state if "tokenizer" in key]
         assert any(frame.kind == "upload" for frame in frames)
@@ -136,7 +106,7 @@ class TestFrozenStaysFrozen:
             )
             assert not [row for row in packed.table if "tokenizer" in row[0]], frame.kind
         with default_dtype(config.dtype):
-            fresh = method.build_model()
+            fresh = simulation.method.build_model()
         frozen = [
             (name, param.data)
             for name, param in simulation.model.named_parameters()

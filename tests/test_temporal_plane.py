@@ -11,9 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import build_method
-from repro.continual import DomainIncrementalScenario
-from repro.datasets import SyntheticDomainDataset
-from repro.federated import FederatedDomainIncrementalSimulation
 from repro.federated.aggregation import blend_states, staleness_weight
 from repro.federated.async_plane import ASYNC_MIXING, STALENESS_DECAY
 from repro.federated.clock import (
@@ -27,17 +24,6 @@ from repro.federated.config import FederatedConfig
 from repro.federated.sampling import NoAvailableClientsError, sample_clients
 from repro.federated.server import FederatedServer
 from repro.nn.linear import Linear
-
-
-def _scenario(tiny_spec, num_tasks=2):
-    return DomainIncrementalScenario(SyntheticDomainDataset(tiny_spec), num_tasks=num_tasks)
-
-
-def _run(tiny_spec, tiny_backbone_config, config, method_name="finetune", num_tasks=2):
-    scenario = _scenario(tiny_spec, num_tasks=num_tasks)
-    method = build_method(method_name, tiny_backbone_config, num_tasks=scenario.num_tasks)
-    simulation = FederatedDomainIncrementalSimulation(scenario, method, config)
-    return simulation, simulation.run()
 
 
 def _temporal_config(tiny_federated_config, **overrides):
@@ -196,10 +182,10 @@ class TestAvailabilitySampling:
 
 class TestSyncTemporal:
     def test_sync_trace_is_round_robin_rounds(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         config = _temporal_config(tiny_federated_config, device_profile="homogeneous")
-        _, result = _run(tiny_spec, tiny_backbone_config, config)
+        _, result = simulate(config)
         rounds = [e for e in result.event_log if e["kind"] == "round"]
         assert [e["kind"] for e in result.event_log] == ["round"] * 4
         assert [(e["task_id"], e["round_index"]) for e in rounds] == [
@@ -210,59 +196,39 @@ class TestSyncTemporal:
         assert result.sim_time == times[-1] > 0.0
 
     def test_instant_profile_never_moves_the_clock(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         config = _temporal_config(tiny_federated_config)
-        _, result = _run(tiny_spec, tiny_backbone_config, config)
+        _, result = simulate(config)
         assert result.sim_time == 0.0
         assert all(e["time"] == 0.0 for e in result.event_log)
 
     def test_homogeneous_profile_changes_only_the_clock(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         """Always-online finite-speed devices time the run without touching
         its numbers: matrix, losses and ledger match the instant profile
         bit-for-bit."""
         base = _temporal_config(tiny_federated_config)
-        _, instant = _run(tiny_spec, tiny_backbone_config, base)
-        _, timed = _run(
-            tiny_spec, tiny_backbone_config, replace(base, device_profile="homogeneous")
-        )
+        _, instant = simulate(base)
+        _, timed = simulate(replace(base, device_profile="homogeneous"))
         np.testing.assert_array_equal(instant.metrics.matrix, timed.metrics.matrix)
         assert instant.round_losses == timed.round_losses
         assert instant.communication.uploaded_bytes == timed.communication.uploaded_bytes
         assert instant.communication.broadcast_bytes == timed.communication.broadcast_bytes
         assert timed.sim_time > instant.sim_time == 0.0
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_sync_instant_parity_across_executors(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, dtype
-    ):
-        """mode="sync" + instantaneous profiles is the untimed engine,
-        bit-for-bit, under both executors and both dtypes."""
-        base = _temporal_config(tiny_federated_config, mode="sync", dtype=dtype)
-        _, serial = _run(tiny_spec, tiny_backbone_config, base)
-        _, parallel = _run(
-            tiny_spec,
-            tiny_backbone_config,
-            replace(base, executor="parallel", num_workers=2),
-        )
-        np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
-        assert serial.round_losses == parallel.round_losses
-        assert serial.sim_time == parallel.sim_time == 0.0
-
-
 class TestAsyncModes:
-    def _result(self, tiny_spec, tiny_backbone_config, tiny_federated_config, **overrides):
+    def _result(self, simulate, tiny_federated_config, **overrides):
         config = _temporal_config(tiny_federated_config, **overrides)
-        return _run(tiny_spec, tiny_backbone_config, config)
+        return simulate(config)
 
     @pytest.mark.parametrize("mode", ["async", "buffered"])
     def test_deterministic_per_seed(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config, mode
+        self, simulate, tiny_federated_config, mode
     ):
         run = lambda: self._result(
-            tiny_spec, tiny_backbone_config, tiny_federated_config,
+            simulate, tiny_federated_config,
             mode=mode, device_profile="moderate",
         )[1]
         first, second = run(), run()
@@ -272,10 +238,10 @@ class TestAsyncModes:
         assert first.sim_time == second.sim_time
 
     def test_async_trains_the_sync_budget_and_applies_per_arrival(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         _, result = self._result(
-            tiny_spec, tiny_backbone_config, tiny_federated_config,
+            simulate, tiny_federated_config,
             mode="async", device_profile="homogeneous",
         )
         budget = 2 * 2  # rounds_per_task * clients_per_round
@@ -292,10 +258,10 @@ class TestAsyncModes:
         assert result.sim_time > 0.0
 
     def test_arrivals_blend_at_the_fixed_staleness_discount(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         _, result = self._result(
-            tiny_spec, tiny_backbone_config, tiny_federated_config,
+            simulate, tiny_federated_config,
             mode="async", device_profile="homogeneous",
         )
         arrivals = [e for e in result.event_log if e["kind"] == "arrival"]
@@ -304,10 +270,10 @@ class TestAsyncModes:
             assert event["mixing"] == ASYNC_MIXING * (1.0 + event["staleness"]) ** -STALENESS_DECAY
 
     def test_buffered_flushes_every_k_arrivals(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         _, result = self._result(
-            tiny_spec, tiny_backbone_config, tiny_federated_config,
+            simulate, tiny_federated_config,
             mode="buffered", device_profile="homogeneous", buffer_size=3,
         )
         budget = 2 * 2
@@ -320,31 +286,14 @@ class TestAsyncModes:
             assert [f["size"] for f in flushes] == [3, 1]
         assert len(result.round_losses) == 4  # one loss entry per flush
 
-    def test_async_modes_run_under_the_parallel_executor(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
-    ):
-        _, serial = self._result(
-            tiny_spec, tiny_backbone_config, tiny_federated_config,
-            mode="async", device_profile="mild",
-        )
-        _, parallel = self._result(
-            tiny_spec, tiny_backbone_config, tiny_federated_config,
-            mode="async", device_profile="mild", executor="parallel", num_workers=2,
-        )
-        np.testing.assert_array_equal(serial.metrics.matrix, parallel.metrics.matrix)
-        assert serial.round_losses == parallel.round_losses
-        assert serial.event_log == parallel.event_log
-
     def test_async_refil_payload_machinery_sees_arrivals(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         config = _temporal_config(
             tiny_federated_config, mode="async", device_profile="mild"
         )
-        scenario = _scenario(tiny_spec)
-        method = build_method("refil", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        result = FederatedDomainIncrementalSimulation(scenario, method, config).run()
-        assert not method.store.is_empty
+        simulation, result = simulate(config, "refil")
+        assert not simulation.method.store.is_empty
         assert all(np.isfinite(loss) for loss in result.round_losses)
 
     def test_async_fedewc_blends_fisher_instead_of_overwriting(
@@ -385,10 +334,10 @@ class TestAsyncModes:
             np.testing.assert_allclose(method._fisher[name], first[name])
 
     def test_eval_every_snapshots_carry_sim_time(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         _, result = self._result(
-            tiny_spec, tiny_backbone_config, tiny_federated_config,
+            simulate, tiny_federated_config,
             mode="async", device_profile="homogeneous", eval_every=2, eval_batch_size=4,
         )
         assert result.round_eval_history
@@ -435,16 +384,14 @@ class TestServerStalenessPrimitives:
 
 class TestLifecycle:
     def test_context_manager_closes_owned_eval_pool(
-        self, tiny_spec, tiny_backbone_config, tiny_federated_config
+        self, simulate, tiny_federated_config
     ):
         config = replace(
             tiny_federated_config, eval_executor="parallel", num_workers=2, eval_batch_size=4
         )
-        scenario = _scenario(tiny_spec)
-        method = build_method("finetune", tiny_backbone_config, num_tasks=scenario.num_tasks)
-        with FederatedDomainIncrementalSimulation(scenario, method, config) as simulation:
+        with simulate(config, run=False) as simulation:
             assert simulation._owns_eval_executor
-            simulation.run_task(scenario.task(0))
+            simulation.run_task(simulation.scenario.task(0))
             assert simulation.eval_executor._pool is not None
         assert simulation.eval_executor._pool is None
         simulation.close()  # idempotent
