@@ -1,4 +1,6 @@
-"""FedAvg aggregation (McMahan et al., 2017), operating on flat state dicts.
+"""FedAvg aggregation (McMahan et al., 2017), operating on state columns: a
+decoded upload (a :class:`~repro.federated.communication.PackedState`) is
+weighted in its wire layout, and a plain state dict is packed once.
 
 Paper Algorithm 1, line 8: the server forms the next global model as the
 data-size-weighted average of the selected participants' local models,
@@ -22,8 +24,8 @@ implementation can slot in behind the same interface later.
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import functools
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +34,9 @@ from repro.federated.communication import (
     CommunicationLedger,
     FrameRecord,
     PackedMessage,
-    Table,
+    PackedState,
+    Row,
+    _layout_of,
     build_codec,
     decode_frame,
     encode_frame,
@@ -108,28 +112,33 @@ def blend_states(
 
 
 def fedavg(
-    state_dicts: Sequence[Dict[str, np.ndarray]],
+    state_dicts: Sequence[Mapping[str, np.ndarray]],
     num_samples: Sequence[int],
     scale: Optional[Sequence[float]] = None,
 ) -> Dict[str, np.ndarray]:
-    """Data-size-weighted FedAvg over client state dicts.
+    """Data-size-weighted FedAvg over client states, column by column.
 
-    Every state dict must contain exactly the same keys (they all originate
-    from broadcasting the same global model).  ``scale`` optionally multiplies
-    each client's sample weight by a non-negative factor — the temporal
-    plane's staleness-aware aggregation passes ``staleness_weight(...)`` per
-    update here, so a stale upload counts for less than a fresh one of the
-    same size.  ``scale=None`` (the default) is plain FedAvg, bit-for-bit.
+    Every state must hold the first's table — keys in order, shapes, dtypes
+    (they all originate from broadcasting the same global model).  ``scale``
+    optionally multiplies each client's sample weight by a non-negative
+    factor — the temporal plane's staleness-aware aggregation passes
+    ``staleness_weight(...)`` per update here, so a stale upload counts for
+    less than a fresh one of the same size.  ``scale=None`` (the default) is
+    plain FedAvg, bit-for-bit; per element the arithmetic is
+    :func:`weighted_average_arrays`'.
     """
-    weights = _leaf_weights(state_dicts, num_samples, scale)
-    return {
-        key: weighted_average_arrays([state[key] for state in state_dicts], weights)
-        for key in state_dicts[0]
-    }
+    weights = np.asarray(_leaf_weights(state_dicts, num_samples, scale), dtype=np.float64)
+    weights = weights / weights.sum()
+    leaves = _Leaves(state_dicts)
+    sums = {dtype: np.zeros(total, dtype) for dtype, total in leaves.totals.items()}
+    for index, weight in enumerate(weights):
+        for dtype, column in leaves.weighted(index, weight).items():
+            sums[dtype] += column
+    return PackedMessage(leaves.table, sums).unpack()
 
 
 def _leaf_weights(
-    state_dicts: Sequence[Dict[str, np.ndarray]],
+    state_dicts: Sequence[Mapping[str, np.ndarray]],
     num_samples: Sequence[int],
     scale: Optional[Sequence[float]],
 ) -> List[float]:
@@ -144,10 +153,6 @@ def _leaf_weights(
         raise ValueError("fedavg requires at least one client update")
     if len(state_dicts) != len(num_samples):
         raise ValueError("state_dicts and num_samples must have equal length")
-    reference_keys = set(state_dicts[0])
-    for index, state in enumerate(state_dicts[1:], start=1):
-        if set(state) != reference_keys:
-            raise ValueError(f"client update {index} has mismatching parameter names")
     weights = [float(max(n, 0)) for n in num_samples]
     if scale is not None:
         if len(scale) != len(state_dicts):
@@ -198,58 +203,64 @@ class FlatReduceBackend(ReduceBackend):
         return fedavg(state_dicts, num_samples, scale)
 
 
-_SHAPE, _DTYPE = operator.attrgetter("shape"), operator.attrgetter("dtype")
+def _table(state: Mapping[str, np.ndarray]) -> Tuple[Row, ...]:
+    """The table ``state`` packs to, read without packing it."""
+    if isinstance(state, PackedState):
+        return state.message.table
+    return tuple(
+        (key, np.asarray(value).dtype.str, np.shape(value)) for key, value in state.items()
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _accumulation(table: Tuple[Row, ...]) -> tuple:
+    """``table`` in FedAvg's accumulation dtypes (a float key's own, float64
+    for anything else) and, per accumulation dtype, the ``(source dtype,
+    start, stop)`` slices its column is read from, contiguous ones merged:
+    one per column when every key is a float."""
+    rows = tuple(
+        (key, dtype if np.dtype(dtype).kind == "f" else np.dtype(np.float64).str, shape)
+        for key, dtype, shape in table
+    )
+    runs: Dict[str, List[Tuple[str, int, int]]] = {}
+    for (_, dtype, start, stop, _), (_, accum, _) in zip(_layout_of(table).rows, rows):
+        plan = runs.setdefault(accum, [])
+        if plan and plan[-1][0] == dtype and plan[-1][2] == start:
+            start = plan.pop()[1]
+        plan.append((dtype, start, stop))
+    return rows, _layout_of(rows).totals, runs
 
 
 class _Leaves:
-    """A cohort's updates in the tree's accumulation layout.
-
-    The edge table lists every key of the first update in order, as
-    ``(key, accumulation dtype, shape)`` — FedAvg's accumulation dtype: a
-    float key's own, float64 for anything else — and a packed update holds one
-    column per accumulation dtype.  Construction checks every update's shapes
-    and dtypes against the first's, raising the flat path's ``ValueError``;
-    :meth:`weighted` packs one update and scales it in place, which the tree
-    does only when the update's group consumes it.
+    """A cohort's updates as columns in the accumulation layout of the first's
+    table.  Construction raises ``ValueError`` unless every update holds that
+    table; :meth:`weighted` reads an update's columns (packing a plain dict)
+    only when the reduce consumes it.
     """
 
-    def __init__(self, state_dicts: Sequence[Dict[str, np.ndarray]]) -> None:
-        keys = list(state_dicts[0])
-        self.arrays = [
-            list(map(np.asarray, map(state.__getitem__, keys))) for state in state_dicts
-        ]
-        first = self.arrays[0]
-        shapes, dtypes = list(map(_SHAPE, first)), list(map(_DTYPE, first))
-        for arrays in self.arrays[1:]:
-            if list(map(_SHAPE, arrays)) == shapes and list(map(_DTYPE, arrays)) == dtypes:
+    def __init__(self, state_dicts: Sequence[Mapping[str, np.ndarray]]) -> None:
+        first = _table(state_dicts[0])
+        for index, table in enumerate(map(_table, state_dicts[1:]), start=1):
+            if table == first:
                 continue
-            for key, value, shape, dtype in zip(keys, arrays, shapes, dtypes):
-                if value.shape != shape:
-                    raise ValueError(
-                        f"shape mismatch in aggregation: {value.shape} vs {shape} ({key!r})"
-                    )
-                if value.dtype != dtype:
-                    raise ValueError(
-                        f"dtype mismatch in aggregation: {value.dtype} vs {dtype} ({key!r})"
-                    )
-        # A column is keyed by its dtype string, as ``_pack`` keys it.
-        self.table: Table = []
-        #: Per accumulation dtype, the positions of its keys.
-        self.rows: Dict[str, List[int]] = {}
-        for position, (key, value) in enumerate(zip(keys, first)):
-            accum = np.dtype(value.dtype.type if value.dtype.kind == "f" else np.float64)
-            self.table.append((key, accum.str, value.shape))
-            self.rows.setdefault(self.table[-1][1], []).append(position)
+            if [row[0] for row in table] != [row[0] for row in first]:
+                raise ValueError(f"client update {index} has mismatching parameter names")
+            for (key, *found), (_, *expected) in zip(table, first):
+                for what, a, b in zip(("dtype", "shape"), found, expected):
+                    if a != b:
+                        raise ValueError(f"{what} mismatch in aggregation: {a} vs {b} ({key!r})")
+        self.states = state_dicts
+        self.table, self.totals, self.runs = _accumulation(first)
 
     def weighted(self, index: int, weight: float) -> Dict[str, np.ndarray]:
-        """Update ``index`` packed into fresh columns, each multiplied by ``weight``."""
-        arrays = self.arrays[index]
-        columns = {}
-        for dtype, rows in self.rows.items():
-            column = np.concatenate([arrays[row] for row in rows], axis=None, dtype=dtype)
-            column *= column.dtype.type(weight)
-            columns[dtype] = column
-        return columns
+        """Update ``index``'s columns multiplied by ``weight``, in fresh arrays."""
+        columns = PackedState.of(self.states[index]).message.columns
+        out = {}
+        for accum, runs in self.runs.items():
+            parts = [columns[dtype][start:stop] for dtype, start, stop in runs]
+            column = parts[0] if len(parts) == 1 else np.concatenate(parts, dtype=accum)
+            out[accum] = np.multiply(column, np.dtype(accum).type(weight), dtype=accum)
+        return out
 
 
 class TreeReduceBackend(ReduceBackend):
@@ -265,15 +276,15 @@ class TreeReduceBackend(ReduceBackend):
     produces zero edge frames and degenerates to the flat star numerically.
 
     The reduce is streamed and works per column: every partial is a packed
-    message (one flat column per accumulation dtype), a leaf is packed and
-    weighted in place only when its group consumes it, children are summed
+    message (one flat column per accumulation dtype), a leaf's columns are
+    weighted into fresh ones only when its group consumes it, children are summed
     column by column, left to right, and the root divides each column once
     and hands out views.  Live memory is O(cohort / fan-out) leaf-sizes — the
     finished partials of one level plus one group's accumulator and leaf —
     rather than O(cohort).  Per element the arithmetic is the per-key one
     (``w * x`` in the accumulation dtype, children in order, one division).
-    Every update's shapes and dtypes must match the first's: a mismatch
-    raises the flat path's ``ValueError`` before any frame ships.
+    Every update's table must be the first's: a mismatch raises the flat
+    path's ``ValueError`` before any frame ships.
 
     Fault plane: each hop is carried by the same
     :func:`~repro.federated.faults.carry_frame` as a client upload — per-attempt
@@ -359,7 +370,7 @@ class TreeReduceBackend(ReduceBackend):
             if sums is None:
                 # The first child is this reduce's own (a fresh leaf or a
                 # received partial), so it becomes the accumulator.
-                sums = {dtype: child[dtype] for dtype in leaves.rows}
+                sums = {dtype: child[dtype] for dtype in leaves.totals}
                 continue
             for dtype, column in sums.items():
                 column += child[dtype]

@@ -21,17 +21,18 @@ this (the transports in :mod:`repro.federated.transport` drive them):
   each array's slice, the per-dtype totals, the float segment sizes the
   quantizers reduce over — is worked out once per distinct table and
   cached, so per-array work happens once per table, not once per message;
-  only packing a dict at entry and handing out views at exit still touch
-  every array.  A :class:`PackedMessage` (table plus columns) skips the
-  packing: the tree reduce's partials travel that way;
+  only packing a dict at entry still touches every array.  A
+  :class:`PackedMessage` (table plus columns) skips the packing: the tree
+  reduce's partials travel that way, and every frame decodes to one;
+* :func:`flatten_message` / :func:`split_message` merge model state and
+  payload arrays into one namespaced message and back — the message layout
+  wire frames, checkpoints and registry versions share; a split state is a
+  :class:`PackedState` over the leading slice of each column;
 * a :class:`PayloadCodec` flattens a method's structured payload (e.g.
   RefFiL's stacked prompt groups) into named arrays so the array codec
   applies to prompts exactly as it does to model weights, instead of the
   payload riding as an opaque pickled dict; the generic
   :class:`TreePayloadCodec` is the only one;
-* :func:`flatten_message` / :func:`split_message` merge model state and
-  payload arrays into one namespaced flat dict and back — the message layout
-  wire frames, checkpoints and registry versions share;
 * :func:`encode_version` is a model version's one serialization, its
   ``identity`` broadcast frame body (downlink length, pool blob and
   checkpoint entry alike); :func:`decode_version` inverts it;
@@ -56,7 +57,7 @@ import pickle
 import sys
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +77,8 @@ class ClientUpdate:
     client_id:
         The uploading client.
     state_dict:
-        The locally trained model parameters.
+        The locally trained model parameters; once its upload frame is
+        decoded, a :class:`PackedState` that aggregation reads as columns.
     num_samples:
         Size of the client's local training set (the FedAvg weight).
     payload:
@@ -92,7 +94,7 @@ class ClientUpdate:
     """
 
     client_id: int
-    state_dict: Dict[str, np.ndarray]
+    state_dict: Mapping[str, np.ndarray]
     num_samples: int
     payload: Dict[str, Any] = field(default_factory=dict)
     train_loss: float = 0.0
@@ -235,8 +237,8 @@ def decode_version(body: bytes) -> Tuple[Dict[str, np.ndarray], Any]:
     write-protected again (numpy's flag crosses no process or file), so a
     method that writes to its broadcast fails in a worker as it does serially."""
     frame = WireFrame(kind="broadcast", codec=IdentityCodec.name, body=body)
-    arrays, skeleton = decode_frame(frame, IdentityCodec())
-    state, payload = split_message(arrays, skeleton, TreePayloadCodec())
+    message, skeleton = decode_frame(frame, IdentityCodec(), packed=True)
+    state, payload = split_message(message, skeleton, TreePayloadCodec())
     return readonly_state_view(state), readonly_payload_view(payload)
 
 
@@ -327,7 +329,41 @@ class PackedMessage(NamedTuple):
 
     def unpack(self) -> Dict[str, np.ndarray]:
         """The flat array dict; every array is a view of its dtype's column."""
-        return _unpack(self.table, self.columns)
+        layout, columns = _checked(self.table, self.columns)
+        return {
+            name: columns[dtype][start:stop].reshape(shape)
+            for name, dtype, start, stop, shape in layout.rows
+        }
+
+
+class PackedState(Mapping):
+    """A model state kept in its wire layout: a read-only mapping over
+    ``message`` (a :class:`PackedMessage`) that unpacks its per-key views the
+    first time a key is read.  Aggregation reads ``message`` itself."""
+
+    def __init__(self, table: Table, columns: Dict[str, np.ndarray]) -> None:
+        self.message = PackedMessage(tuple(table), columns)
+
+    @classmethod
+    def of(cls, state: Mapping[str, np.ndarray]) -> "PackedState":
+        """``state`` itself, or any other mapping packed once."""
+        return state if isinstance(state, cls) else cls(*_pack(state))
+
+    @functools.cached_property
+    def _views(self) -> Dict[str, np.ndarray]:
+        return self.message.unpack()
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._views[key]
+
+    def __iter__(self):
+        return (name for name, _, _ in self.message.table)
+
+    def __len__(self) -> int:
+        return len(self.message.table)
+
+    def __reduce__(self):
+        return PackedState, tuple(self.message)
 
 
 @dataclass(frozen=True)
@@ -446,24 +482,15 @@ def _checked(table: Table, columns: Dict[str, np.ndarray]) -> Tuple[_Layout, Dic
     return layout, columns
 
 
-def _unpack(table: Table, columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Inverse of :func:`_pack`; every array is a view of its dtype's column."""
-    layout, columns = _checked(table, columns)
-    return {
-        name: columns[dtype][start:stop].reshape(shape)
-        for name, dtype, start, stop, shape in layout.rows
-    }
-
-
 class ArrayCodec:
     """Strategy turning a flat ``name -> ndarray`` dict into frame bodies.
 
     ``encode`` produces a *plan*, for every codec a ``(table, columns)``
     pair: the message's ``(name, dtype, shape)`` rows (a frame carries them
     as :func:`_table_blob`) and O(dtypes) flat arrays; it takes a
-    :class:`PackedMessage` as well as a dict.  ``decode`` inverts it and
-    raises ``ValueError`` when the columns do not add up to the table;
-    ``decode_packed`` does the same but returns a :class:`PackedMessage`.
+    :class:`PackedMessage` as well as a dict.  ``decode_packed`` inverts it
+    into a :class:`PackedMessage` and raises ``ValueError`` when the columns
+    do not add up to the table; ``decode`` unpacks that into the flat dict.
     ``reference`` is the receiver's copy of the last
     message it acknowledged — codecs with ``uses_reference`` encode against
     it (and the decoder must be handed the *same* reference).  Codecs with
@@ -487,12 +514,13 @@ class ArrayCodec:
     def decode(
         self, plan: Any, reference: Optional[Dict[str, np.ndarray]] = None
     ) -> Dict[str, np.ndarray]:
-        raise NotImplementedError
+        return self.decode_packed(plan, reference).unpack()
 
     def decode_packed(
         self, plan: Any, reference: Optional[Dict[str, np.ndarray]] = None
     ) -> PackedMessage:
-        return PackedMessage(*_pack(self.decode(plan, reference)))
+        table, columns = plan
+        return PackedMessage(table, _checked(table, columns)[1])
 
 
 class IdentityCodec(ArrayCodec):
@@ -503,13 +531,6 @@ class IdentityCodec(ArrayCodec):
 
     def encode(self, arrays, reference=None):
         return _pack(arrays)
-
-    def decode(self, plan, reference=None):
-        return _unpack(*plan)
-
-    def decode_packed(self, plan, reference=None):
-        table, columns = plan
-        return PackedMessage(table, _checked(table, columns)[1])
 
 
 class QuantizeCodec(ArrayCodec):
@@ -592,12 +613,8 @@ class QuantizeCodec(ArrayCodec):
             columns[dtype] = column
         return table, columns
 
-    def decode(self, plan, reference=None):
-        return _unpack(*self._rebuild(plan))
-
     def decode_packed(self, plan, reference=None):
-        table, columns = self._rebuild(plan)
-        return PackedMessage(table, _checked(table, columns)[1])
+        return super().decode_packed(self._rebuild(plan))
 
 
 def _compatible(reference: Optional[Dict[str, np.ndarray]], key: str, value: np.ndarray):
@@ -621,7 +638,8 @@ class _DiffCodec(ArrayCodec):
     ``counts`` column holds -1 for "whole" and the number of positions
     otherwise (0: unchanged), every array's positions share the one
     ``indices`` column and what ships of each dtype shares that dtype's
-    column.  Without a compatible reference an array ships whole.
+    column.  Without a compatible reference an array ships whole.  Decoding
+    fills one column per dtype, each array's slice in place.
     """
 
     uses_reference = True
@@ -657,23 +675,25 @@ class _DiffCodec(ArrayCodec):
         columns["indices"] = positions.astype(np.min_scalar_type(positions.max(initial=0)))
         return table, columns
 
-    def decode(self, plan, reference=None):
+    def decode_packed(self, plan, reference=None):
         table, columns = plan
+        layout = _layout(table)
         reader = _ColumnReader(columns)
-        arrays: Dict[str, np.ndarray] = {}
-        for (name, dtype, shape), count in zip(table, reader.take("counts", len(table)).tolist()):
+        out = {dtype: np.empty(total, np.dtype(dtype)) for dtype, total in layout.totals.items()}
+        counts = reader.take("counts", len(table)).tolist()
+        for (name, dtype, start, stop, _), count in zip(layout.rows, counts):
+            target = out[dtype][start:stop]
             if count < 0:
-                arrays[name] = reader.take(dtype, math.prod(shape)).reshape(shape)
+                target[...] = reader.take(dtype, stop - start)
                 continue
             if reference is None or name not in reference:
                 raise ValueError(
                     f"{self.name} frame encodes {name!r} against a reference the decoder lacks"
                 )
-            flat = np.array(reference[name], copy=True).reshape(-1)
-            flat[reader.take("indices", count)] = reader.take(dtype, count)
-            arrays[name] = flat.reshape(shape)
+            target[...] = np.reshape(reference[name], stop - start)
+            target[reader.take("indices", count)] = reader.take(dtype, count)
         reader.finish()
-        return arrays
+        return PackedMessage(table, out)
 
 
 class DeltaCodec(_DiffCodec):
@@ -859,21 +879,38 @@ def flatten_message(
     return arrays, skeleton
 
 
+@functools.lru_cache(maxsize=64)
+def _split_of(table: Tuple[Row, ...]) -> Tuple[Tuple[Row, ...], tuple]:
+    """How a message of ``table`` splits: the state's rows (unprefixed) and
+    the payload's rows with their column slices.  ``ValueError`` unless the
+    state rows lead the table, as :func:`flatten_message` lays them out, so
+    that the state is the leading slice of every column."""
+    count = sum(name.startswith(_STATE_PREFIX) for name, _, _ in table)
+    if not all(name.startswith(_STATE_PREFIX) for name, _, _ in table[:count]):
+        raise ValueError("the message's state arrays do not lead its table")
+    state = tuple((name[len(_STATE_PREFIX):], dtype, shape) for name, dtype, shape in table[:count])
+    payload = tuple(
+        (name[len(_PAYLOAD_PREFIX):], *rest)
+        for name, *rest in _layout_of(table).rows[count:]
+        if name.startswith(_PAYLOAD_PREFIX)
+    )
+    return state, payload
+
+
 def split_message(
-    arrays: Dict[str, np.ndarray], skeleton: Any, payload_codec: PayloadCodec
-) -> Tuple[Dict[str, np.ndarray], Any]:
-    """Inverse of :func:`flatten_message`: returns ``(state, payload)``."""
-    state = {
-        key[len(_STATE_PREFIX):]: value
-        for key, value in arrays.items()
-        if key.startswith(_STATE_PREFIX)
-    }
-    # Decoded arrays are views of a message-sized column; what a server keeps
-    # of an upload (the payload) is copied out so it cannot pin that buffer.
+    message: Dict[str, np.ndarray] | PackedMessage, skeleton: Any, payload_codec: PayloadCodec
+) -> Tuple[PackedState, Any]:
+    """Inverse of :func:`flatten_message`: returns ``(state, payload)`` of a
+    decoded :class:`PackedMessage` (a flat dict is packed once).  The state is
+    a :class:`PackedState` over the leading slice of each column; the payload's
+    arrays are copied out, so what a server keeps cannot pin the columns."""
+    table, columns = _pack(message)
+    rows, payload_rows = _split_of(tuple(table))
+    totals = _layout_of(rows).totals
+    state = PackedState(rows, {dtype: columns[dtype][:total] for dtype, total in totals.items()})
     payload_arrays = {
-        key[len(_PAYLOAD_PREFIX):]: np.array(value)
-        for key, value in arrays.items()
-        if key.startswith(_PAYLOAD_PREFIX)
+        name: columns[dtype][start:stop].reshape(shape).copy()
+        for name, dtype, start, stop, shape in payload_rows
     }
     return state, payload_codec.unflatten(payload_arrays, skeleton)
 
@@ -1014,6 +1051,7 @@ __all__ = [
     "encode_version",
     "decode_version",
     "PackedMessage",
+    "PackedState",
     "PayloadCodec",
     "TreePayloadCodec",
     "readonly_payload_view",

@@ -3,7 +3,7 @@
 Every :class:`FederatedConfig` field is a :func:`knob` call holding its
 default, its documentation, its constraint and its *effect* on a run's
 results.  Validation, the class docstring, the README table (``python -m
-repro.federated.config`` prints it), the run-cache key
+repro.federated.knobs`` prints it), the run-cache key
 (:meth:`FederatedConfig.canonical`) and the checkpoint fingerprint
 (:meth:`FederatedConfig.fingerprint`) are derived from those declarations.
 """
@@ -444,6 +444,3 @@ FederatedConfig.__doc__ += "\n\nAttributes\n----------\n" + "\n".join(
 )
 
 __all__ = ["CHANGES_RESULTS", "EXACT", "OBSERVATIONAL", "FederatedConfig", "knob", "knob_table"]
-
-if __name__ == "__main__":
-    print(knob_table())

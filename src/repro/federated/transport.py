@@ -194,9 +194,9 @@ class LoopbackTransport:
         a corrupted frame and is not re-verified per client.
         """
         verify_frame(frame, **coordinates)
-        arrays, meta = decode_frame(frame, self.down_codec, ref, **coordinates)
-        state, payload = split_message(arrays, meta, self.payload_codec)
-        return BroadcastHandle(state, payload), arrays
+        message, meta = decode_frame(frame, self.down_codec, ref, packed=True, **coordinates)
+        state, payload = split_message(message, meta, self.payload_codec)
+        return BroadcastHandle(state, payload), message.unpack()
 
     def broadcast_round(
         self,
@@ -301,16 +301,17 @@ class LoopbackTransport:
     def _decode_update(
         self, frame: WireFrame, pending: _PendingRound, client_id: int
     ) -> ClientUpdate:
-        arrays, meta = decode_frame(
+        message, meta = decode_frame(
             frame,
             self.codec,
             pending.received,
+            packed=True,
             client_id=client_id,
             direction="upload",
             task_id=pending.task_id,
             round_index=pending.round_index,
         )
-        state, payload = split_message(arrays, meta["skeleton"], self.payload_codec)
+        state, payload = split_message(message, meta["skeleton"], self.payload_codec)
         return ClientUpdate(
             client_id=meta["client_id"],
             state_dict=state,

@@ -314,16 +314,15 @@ class ModelRegistry:
                 f"version file {path!r} claims version {blob.get('version')!r}, "
                 f"manifest says {version}"
             )
+        payload_codec = payload_codec if payload_codec is not None else TreePayloadCodec()
         try:
             codec_impl = build_codec(blob["codec"])
-            arrays = codec_impl.decode(blob["plan"])
-            skeleton = blob["skeleton"]
+            message = codec_impl.decode_packed(blob["plan"])
+            state, payload = split_message(message, blob["skeleton"], payload_codec)
         except (KeyError, ValueError, TypeError) as error:
             raise RegistryCorruptionError(
                 f"version file {path!r} failed to decode: {error}"
             ) from error
-        payload_codec = payload_codec if payload_codec is not None else TreePayloadCodec()
-        state, payload = split_message(arrays, skeleton, payload_codec)
         return LoadedVersion(info=info, state=state, payload=payload)
 
 

@@ -15,6 +15,8 @@ import hashlib
 import inspect
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,7 +50,19 @@ def test_docstring_lists_every_knob_in_field_order():
 def test_readme_section_is_the_generated_table():
     section = README.read_text(encoding="utf-8").split("## Configuration knobs", 1)[1]
     section = section.split("\n## ", 1)[0]
-    assert knob_table() in section, "regenerate it: python -m repro.federated.config"
+    assert knob_table() in section, "regenerate it: python -m repro.federated.knobs"
+
+
+def test_the_knob_table_command_prints_the_table_without_warnings():
+    """Under ``-W error`` a module run twice (imported by its package, then
+    executed as ``__main__``) fails on runpy's RuntimeWarning."""
+    env = dict(os.environ, PYTHONPATH=str(README.parent / "src"))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "repro.federated.knobs"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == knob_table() + "\n"
 
 
 @pytest.mark.parametrize("name", RETIRED)

@@ -17,6 +17,7 @@ Covers the two halves of the plane and their cross-layer contracts:
 from __future__ import annotations
 
 import hashlib
+import pickle
 import tracemalloc
 from dataclasses import replace
 
@@ -50,14 +51,21 @@ from repro.federated import (
     fedavg,
     sample_clients_lazy,
     simulation_state_hash,
+    weighted_average_arrays,
 )
+from repro.federated import communication
 from repro.federated.aggregation import _leaf_weights
 from repro.federated.communication import (
+    CODEC_NAMES,
     CommunicationLedger,
     FrameRecord,
+    PackedState,
+    TreePayloadCodec,
     build_codec,
     decode_frame,
     encode_frame,
+    flatten_message,
+    split_message,
 )
 from repro.federated.config import FederatedConfig
 from repro.federated.faults import carry_frame
@@ -643,6 +651,148 @@ class TestTreeReduce:
         finally:
             tracemalloc.stop()
         assert peak < 16 * leaf_bytes, f"peak {peak / leaf_bytes:.1f} leaf-sizes"
+
+
+# --------------------------------------------------------------------------- #
+# Decoded uploads stay packed from the wire to FedAvg
+# --------------------------------------------------------------------------- #
+def _per_key_fedavg(state_dicts, num_samples, scale=None):
+    """The per-key FedAvg the column reduce replaced, kept as its oracle."""
+    weights = _leaf_weights(state_dicts, num_samples, scale)
+    return {
+        key: weighted_average_arrays([state[key] for state in state_dicts], weights)
+        for key in state_dicts[0]
+    }
+
+
+def _per_array_decode(codec, frame, reference):
+    """A frame decoded to a dict as the per-array diff decoder did, before
+    ``decode_packed`` filled one column per dtype (the other codecs' ``decode``
+    unpacks their packed decode, as it always did)."""
+    meta, blob, columns = pickle.loads(frame.body)
+    table = communication._table_of(blob)
+    if not isinstance(codec, communication._DiffCodec):
+        return codec.decode((table, columns), reference), meta
+    reader = communication._ColumnReader(columns)
+    arrays = {}
+    for (name, dtype, shape), count in zip(table, reader.take("counts", len(table)).tolist()):
+        if count < 0:
+            arrays[name] = reader.take(dtype, int(np.prod(shape))).reshape(shape)
+            continue
+        flat = np.array(reference[name], copy=True).reshape(-1)
+        flat[reader.take("indices", count)] = reader.take(dtype, count)
+        arrays[name] = flat.reshape(shape)
+    reader.finish()
+    return arrays, meta
+
+
+def _per_key_split(arrays, skeleton, payload_codec):
+    """``split_message`` as it was: a per-key state dict and copied-out payload."""
+    state = {key[3:]: value for key, value in arrays.items() if key.startswith("s::")}
+    payload = {key[3:]: np.array(value) for key, value in arrays.items() if key.startswith("p::")}
+    return state, payload_codec.unflatten(payload, skeleton)
+
+
+def _assert_same_arrays(left, right):
+    assert list(left) == list(right)
+    for key in left:
+        a, b = np.asarray(left[key]), np.asarray(right[key])
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
+
+
+@st.composite
+def upload_cohorts(draw):
+    """1-9 uploads of one float32 or float64 table (optionally with an int64
+    key), each a few positions away from the broadcast the receiver holds, with
+    a RefFiL-shaped payload, their sample counts and optional scale factors."""
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    shapes = draw(st.lists(st.sampled_from(_KEY_SHAPES), min_size=1, max_size=4))
+    counter = draw(st.booleans())
+    size = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def nudged(value):
+        value = value.copy()
+        changed = rng.random(value.shape) < 0.3
+        value[changed] = np.asarray(rng.standard_normal(value.shape) * 10.0, value.dtype)[changed]
+        return value
+
+    broadcast = {
+        f"k{i}": np.asarray(rng.standard_normal(shape) * 10.0, dtype=dtype)
+        for i, shape in enumerate(shapes)
+    }
+    if counter:
+        broadcast["steps"] = rng.integers(-1000, 1000, size=(3,))
+    groups = draw(st.integers(0, 3))
+    uploads = []
+    for _ in range(size):
+        payload = {
+            "prompt_groups": {
+                "labels": rng.integers(0, 10, size=groups),
+                "vectors": rng.standard_normal((groups, 4)).astype(dtype),
+            }
+        }
+        uploads.append(({key: nudged(value) for key, value in broadcast.items()}, payload))
+    num_samples = draw(st.lists(st.integers(0, 64), min_size=size, max_size=size))
+    scale = draw(
+        st.none() | st.lists(st.just(0.0) | st.floats(0.01, 2.0), min_size=size, max_size=size)
+    )
+    return broadcast, uploads, num_samples, scale
+
+
+class TestPackedUploads:
+    @given(
+        cohort=upload_cohorts(),
+        codec_name=st.sampled_from(CODEC_NAMES),
+        backend=st.sampled_from(("flat", "tree")),
+        fanout=st.integers(2, 4),
+    )
+    # The loaded profile's count: 1,000 under CI's deep sweep.
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_packed_uploads_aggregate_as_the_per_key_dict_path_bit_for_bit(
+        self, cohort, codec_name, backend, fanout
+    ):
+        broadcast, uploads, num_samples, scale = cohort
+        codec, payload_codec = build_codec(codec_name), TreePayloadCodec()
+        reference, _ = flatten_message(broadcast, {}, payload_codec)
+        packed_states, dict_states = [], []
+        for state, payload in uploads:
+            arrays, skeleton = flatten_message(state, payload, payload_codec)
+            frame = encode_frame("upload", codec, arrays, skeleton, reference)
+            message, meta = decode_frame(frame, codec, reference, packed=True)
+            arrays, _ = _per_array_decode(codec, frame, reference)
+            # The packed decode is the per-array decode packed, byte for byte.
+            table, columns = communication._pack(arrays)
+            assert list(message.table) == list(table)
+            _assert_same_arrays(message.columns, columns)
+            # The state mapping holds the keys and values the per-key split
+            # did, as views of the decoded columns; the payload is the same.
+            packed, rebuilt = split_message(message, meta, payload_codec)
+            state_dict, expected_payload = _per_key_split(arrays, meta, payload_codec)
+            assert isinstance(packed, PackedState) and len(packed) == len(state_dict)
+            _assert_same_arrays(packed, state_dict)
+            for name, dtype, _ in packed.message.table:
+                assert packed[name].size == 0 or np.shares_memory(packed[name], message.columns[dtype])
+            _assert_same_arrays(packed, pickle.loads(pickle.dumps(packed)))
+            for part in ("labels", "vectors"):
+                _assert_same_arrays(
+                    {part: rebuilt["prompt_groups"][part]},
+                    {part: expected_payload["prompt_groups"][part]},
+                )
+            packed_states.append(packed)
+            dict_states.append(state_dict)
+        if backend == "flat":
+            result = FlatReduceBackend().reduce(packed_states, num_samples, scale)
+            expected = _per_key_fedavg(dict_states, num_samples, scale)
+        else:
+            trees = [
+                cls(fanout=fanout, codec=build_codec(codec_name), ledger=CommunicationLedger())
+                for cls in (TreeReduceBackend, _PerKeyTreeReduce)
+            ]
+            result = trees[0].reduce(packed_states, num_samples, scale, coordinate=1)
+            expected = trees[1].reduce(dict_states, num_samples, scale, coordinate=1)
+            assert trees[0].ledger.edge_bytes == trees[1].ledger.edge_bytes
+        _assert_same_arrays(result, expected)
 
 
 # --------------------------------------------------------------------------- #
